@@ -2,9 +2,6 @@ open Proteus_model
 open Proteus_plugin
 module Plan = Proteus_algebra.Plan
 module Fingerprint = Proteus_algebra.Fingerprint
-module Zonemap = Proteus_storage.Zonemap
-module Projection = Proteus_storage.Projection
-module Bloom = Proteus_storage.Bloom
 
 module VH = Hashtbl.Make (struct
   type t = Value.t
@@ -65,7 +62,6 @@ module IVec = struct
 end
 
 let all_exprs = Proteus_algebra.Analysis.all_exprs
-let path_of = Proteus_algebra.Analysis.path_of
 
 (* Internal fan-out for join-build work (build-side materialization,
    partitioned clustering). The caller's domain count is an explicit request
@@ -105,9 +101,17 @@ type shared_join = {
   sj_left_key : Expr.t option;
   sj_ikeys : int array ref;
       (** alias of the build's int-key array, trimmed exact (meaningful when
-          [sj_mode] is [`Radix]) — shard pruning derives per-run key
-          ranges/sets from it after the build phase *)
+          [sj_mode] is [`Radix]) — pruning summarizes it after the build
+          phase *)
 }
+
+let prune_join (sj : shared_join) : Prune.join =
+  {
+    kind = sj.sj_kind;
+    rows = !(sj.sj_rows);
+    probe_key = (match sj.sj_mode with `Radix -> sj.sj_left_key | _ -> None);
+    keys = !(sj.sj_ikeys);
+  }
 
 (* Per-pipeline-instance parallel state. Worker 0 is the template: it
    compiles build sides and publishes [shared_join]s; workers > 0 compile
@@ -136,6 +140,9 @@ type par = {
           run): every worker's view fills per-morsel segments into it; the
           fleet driver arms it before the run and commits (or releases) it
           after — see [Registry.fill_session] *)
+  par_prune : Prune.t option;
+      (** the driving scan's pruning handle, shared by every instance and
+          armed by the fleet driver *)
 }
 
 type ctx = {
@@ -399,32 +406,6 @@ let lookup_select_memo ctx ~dataset ~binding ~pred ~paths =
     Hashtbl.replace ctx.sel_memo binding r;
     r
 
-(* ------------------------------------------------------------------ *)
-(* Shard pruning (scatter-gather over Registry shard sets). A sharded
-   driving scan carries a [shard_state]: the layout (member offsets/row
-   counts in concat order) plus the armed conjunct tests. Arming happens
-   once per run — after the build phases, so equi-join build keys are
-   known — and marks shards whose per-(member, path) digests prove every
-   pushed-down conjunct (or the join-key membership) unsatisfiable; the
-   morsel/batch skip test then drops any range lying entirely inside
-   pruned shards. Counted in [Counters.shards_pruned]. *)
-
-type shard_test =
-  | St_cmp of Zonemap.test     (* binding.path op numeric-const *)
-  | St_eq_str of string        (* binding.path = string-const (Bloom) *)
-  | St_in_set of int array     (* distinct build-side int keys (small) *)
-  | St_range of int * int      (* build-side int-key bounds [lo, hi] *)
-  | St_none                    (* empty Inner build side: nothing matches *)
-
-type shard_state = {
-  ss_reg : Registry.t;
-  ss_binding : string;
-  ss_layout : Registry.shard_info array;
-  mutable ss_tests : (string * (unit -> shard_test option)) list;
-      (* (path, arm): constants pre-resolve, parameters re-read their slot *)
-  ss_pruned : bool array;  (* per shard, reset at every arm *)
-}
-
 (* One filter: compacts the first [n] entries of [sel] in place against the
    elements at [base + sel.(i)]; returns the surviving count. *)
 type bfilter = base:int -> sel:int array -> n:int -> int
@@ -452,21 +433,11 @@ type bfrag = {
       (* Some only when THIS driver owns the session lifecycle (serial batch
          lane); on a parallel spine the fleet driver arms/commits instead *)
   bf_dataset : string;  (* for fault attribution *)
-  bf_skip : (lo:int -> hi:int -> bool) option;
-      (* zone-map batch skip of the driving scan (never built on a filling
-         fragment) *)
-  bf_zone : (string * string) option;
-      (* (dataset, binding) when the source is the raw dataset scan — the
-         only row space zone maps describe; None for σ-packed sources *)
-  bf_shard : shard_state option;
-      (* shard pruning state of a serial drive over a shard set (the
-         parallel spine prunes at the fleet dispenser instead); Select
-         compilation appends conjunct tests, the driver arms per run *)
-  mutable bf_joins : (int, shared_join) Hashtbl.t option;
-      (* set by a serial hash join probing this fragment: the build's
-         materialized key state, so the serial driver can arm shard
-         pruning and the join-side morsel/batch skip after the build runs
-         (the parallel spine arms at the fleet dispenser instead) *)
+  bf_prune : Prune.t option;
+      (* pruning handle of a scan over raw dataset rows (None over σ-packed
+         rows, which are not dataset OIDs): the serial lane owns one per
+         fragment and arms it per run; a parallel spine shares the fleet
+         drive's, armed by the fleet driver *)
 }
 
 (* Compile one predicate into per-conjunct filters: a vectorized kernel
@@ -516,649 +487,22 @@ let apply_bnodes nodes ~base ~(sel : int array) n0 =
     nodes;
   !n
 
-(* Lane bookkeeping ticks once per pipeline, not once per worker instance. *)
-let count_lane ctx add =
-  match ctx.par with Some p when p.par_worker > 0 -> () | _ -> add 1
+(* Lane bookkeeping and promotion feedback tick once per pipeline, on the
+   template instance, not once per worker instance. *)
+let template ctx = match ctx.par with Some p -> p.par_worker = 0 | None -> true
 
-(* ------------------------------------------------------------------ *)
-(* Zone-map morsel skipping (workload-adaptive promotion). A pushed-down
-   conjunct of shape [binding.path op const] over the driving scan tests
-   against the per-zone min/max of a promoted cached column: a morsel whose
-   zones prove the conjunct unsatisfiable cannot contribute a row anywhere
-   downstream (conjunction semantics), so the dispenser drops it without
-   touching the data. Soundness matches [Expr.cmp]: comparisons involving
-   Null are false (an all-null zone never matches anything) and int/float
-   cross-comparisons go through float conversion — exactly the bounds
-   arithmetic of [Zonemap.may_match_range]. *)
+let count_lane ctx add = if template ctx then add 1
 
-let zone_op = function
-  | Expr.Eq -> Some Zonemap.Eq
-  | Expr.Lt -> Some Zonemap.Lt
-  | Expr.Le -> Some Zonemap.Le
-  | Expr.Gt -> Some Zonemap.Gt
-  | Expr.Ge -> Some Zonemap.Ge
-  | _ -> None
-
-let zone_test op (v : Value.t) : Zonemap.test option =
-  match zone_op op, v with
-  | Some o, Value.Int i -> Some (Zonemap.T_int (o, i))
-  | Some o, Value.Date d -> Some (Zonemap.T_int (o, d)) (* dates cache as int columns *)
-  | Some o, Value.Float f -> Some (Zonemap.T_float (o, f))
-  | Some o, Value.String s ->
-    (* dictionary-promoted string columns carry per-zone lexicographic
-       bounds; numeric zones answer "maybe" to a string test *)
-    Some (Zonemap.T_str (o, s))
-  | _ -> None
-
-let zone_flip = function
-  | Expr.Lt -> Expr.Gt
-  | Expr.Gt -> Expr.Lt
-  | Expr.Le -> Expr.Ge
-  | Expr.Ge -> Expr.Le
-  | op -> op
-
-(* The zone-testable conjuncts of [pred]: [(path, arm)] for every conjunct
-   of shape [binding.path op const] or [binding.path op ?param] (either
-   operand order). The arm thunk produces the test at skip time: constants
-   pre-resolve once, parameter conjuncts re-read their slot so the skip
-   re-arms on every execution of the compiled engine with the currently
-   bound value (a slot holding a non-orderable value yields no test, hence
-   no skip — sound). *)
-let zone_conjuncts cenv ~binding pred =
-  List.filter_map
-    (fun c ->
-      match c with
-      | Expr.Binop (op, l, r) -> (
-        let testable lhs rhs op =
-          match path_of lhs, rhs with
-          | Some (v, path), Expr.Const value when String.equal v binding && path <> ""
-            ->
-            Option.map
-              (fun t ->
-                let fixed = Some t in
-                (path, fun () -> fixed))
-              (zone_test op value)
-          | Some (v, path), Expr.Param p
-            when String.equal v binding && path <> "" && zone_op op <> None ->
-            let slot = Exprc.param_slot cenv p in
-            Some (path, fun () -> zone_test op !slot)
-          | _ -> None
-        in
-        match testable l r op with
-        | Some _ as hit -> hit
-        | None -> testable r l (zone_flip op))
-      | _ -> None)
-    (Expr.conjuncts pred)
-
-(* Conjuncts that pin [binding.path] against a constant or a parameter —
-   the promotion signal. Wider than [zone_conjuncts]: string equality and
-   LIKE also mark a column selective (that is how never-cached string
-   columns earn their dictionary promotion), and parameter slots count: a
-   parameterized predicate is still a selective access pattern however it
-   gets bound. *)
-let selective_paths ~binding pred =
-  let paths =
-    List.filter_map
-      (fun c ->
-        match c with
-        | Expr.Binop
-            ( (Expr.Eq | Expr.Neq | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge | Expr.Like),
-              l,
-              r ) -> (
-          match path_of l, r with
-          | Some (v, path), (Expr.Const _ | Expr.Param _)
-            when String.equal v binding && path <> "" ->
-            Some path
-          | _ -> (
-            match l, path_of r with
-            | (Expr.Const _ | Expr.Param _), Some (v, path)
-              when String.equal v binding && path <> "" ->
-              Some path
-            | _ -> None))
-        | _ -> None)
-      (Expr.conjuncts pred)
-  in
-  List.sort_uniq String.compare paths
-
-(* The subset of selective paths pinned by a RANGE comparison (not mere
-   equality): the signal that a sorted projection — which turns range
-   conjuncts into contiguous sorted-position bands — would pay off. *)
-let ranged_paths ~binding pred =
-  let paths =
-    List.filter_map
-      (fun c ->
-        match c with
-        | Expr.Binop ((Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), l, r) -> (
-          match path_of l, r with
-          | Some (v, path), (Expr.Const _ | Expr.Param _)
-            when String.equal v binding && path <> "" ->
-            Some path
-          | _ -> (
-            match l, path_of r with
-            | (Expr.Const _ | Expr.Param _), Some (v, path)
-              when String.equal v binding && path <> "" ->
-              Some path
-            | _ -> None))
-        | _ -> None)
-      (Expr.conjuncts pred)
-  in
-  List.sort_uniq String.compare paths
-
-(* Promotion feedback: report which columns selective comparisons touch,
-   once per query compile (the template instance), like [count_lane]. *)
-let note_selective ctx ~dataset ~binding pred =
-  match ctx.par with
-  | Some p when p.par_worker > 0 -> ()
-  | _ ->
-    let cache = Registry.cache ctx.reg in
-    let ranged = ranged_paths ~binding pred in
-    List.iter
-      (fun path ->
-        cache.Cache_iface.note_selective ~dataset ~path
-          ~ranged:(List.mem path ranged))
-      (selective_paths ~binding pred)
-
-(* The morsel/batch skip test for a scan driving over the raw dataset:
-   [true] proves [lo, hi) holds no qualifying row. Callers never build one
-   for a filling scan (skipped morsels would leave holes in the OID-aligned
-   fill segments), and the test stands down dynamically under a degraded
-   fault policy (Skip_row / Null_fill): their per-row error tallies are part
-   of the observable result, and skipping changes which faulty rows get
-   probed. Under Fail_fast a skip is no different from a warm cache hit —
-   raw bytes of rows that provably cannot match simply go unparsed. Safe on
-   any worker domain — pure zone reads plus atomic counter ticks. *)
-let zone_skip ctx ~dataset ~binding preds : (lo:int -> hi:int -> bool) option =
-  let cache = Registry.cache ctx.reg in
-  let conjs =
-    List.concat_map (fun pred -> zone_conjuncts ctx.cenv ~binding pred) preds
-  in
-  let tests =
-    List.filter_map
-      (fun (path, arm) ->
-        match cache.Cache_iface.lookup_zones ~dataset ~path with
-        | Some zm -> Some (zm, arm)
-        | None -> None)
-      conjs
-  in
-  (* Sorted-projection tests, one per promoted path: the path's conjunct
-     arms resolve to a test list, one binary-search seek turns it into a
-     zone bitmap (memoized until the bound parameters change — workers race
-     on the memo benignly: recomputation is deterministic), and the morsel
-     test reads the bitmap. Where a zone map needs clustered data to skip,
-     the bitmap proves zones empty on any row order. *)
-  let proj_tests =
-    let by_path = Hashtbl.create 4 in
-    List.iter
-      (fun (path, arm) ->
-        let arms = try Hashtbl.find by_path path with Not_found -> [] in
-        Hashtbl.replace by_path path (arm :: arms))
-      conjs;
-    Hashtbl.fold
-      (fun path arms acc ->
-        match cache.Cache_iface.lookup_projection ~dataset ~path with
-        | None -> acc
-        | Some pr ->
-          let memo = Atomic.make None in
-          let test ~lo ~hi =
-            (* an arm whose parameter holds a non-orderable value yields no
-               test; the remaining conjuncts still bound a sound (wider)
-               band — fewer tests only marks MORE zones *)
-            let ts = List.filter_map (fun arm -> arm ()) arms in
-            if ts = [] then false
-            else
-              let bits =
-                match Atomic.get memo with
-                | Some (ts', bits) when ts' = ts -> bits
-                | _ ->
-                  Counters.add_sorted_seeks 1;
-                  let bits = Projection.zones_for pr ts in
-                  Atomic.set memo (Some (ts, bits));
-                  bits
-              in
-              match bits with
-              | None -> false
-              | Some b ->
-                Counters.add_zone_checks 1;
-                not (Projection.range_may_match pr b ~lo ~hi)
-          in
-          test :: acc)
-      by_path []
-  in
-  match tests, proj_tests with
-  | [], [] -> None
-  | _ ->
-    Some
-      (fun ~lo ~hi ->
-        (match Fault.policy () with
-        | Fault.Fail_fast -> true
-        | Fault.Skip_row | Fault.Null_fill -> false)
-        && (List.exists
-              (fun (zm, arm) ->
-                match arm () with
-                | None -> false
-                | Some test ->
-                  Counters.add_zone_checks 1;
-                  not (Zonemap.may_match_range zm ~lo ~hi test))
-              tests
-           || List.exists (fun t -> t ~lo ~hi) proj_tests))
-
-let zone_skip_merge a b =
-  match a, b with
-  | None, s | s, None -> s
-  | Some f, Some g -> Some (fun ~lo ~hi -> f ~lo ~hi || g ~lo ~hi)
-
-(* The shard-testable conjuncts of [pred]: [zone_conjuncts] shapes plus
-   string equality, which the per-shard Bloom filters can refute even
-   though zone maps cannot. *)
-let shard_conjuncts cenv ~binding pred =
-  List.filter_map
-    (fun c ->
-      match c with
-      | Expr.Binop (op, l, r) -> (
-        let test_of op (v : Value.t) =
-          match op, v with
-          | Expr.Eq, Value.String s -> Some (St_eq_str s)
-          | _ -> Option.map (fun t -> St_cmp t) (zone_test op v)
-        in
-        let testable lhs rhs op =
-          match path_of lhs, rhs with
-          | Some (v, path), Expr.Const value
-            when String.equal v binding && path <> "" ->
-            Option.map
-              (fun t ->
-                let fixed = Some t in
-                (path, fun () -> fixed))
-              (test_of op value)
-          | Some (v, path), Expr.Param p
-            when String.equal v binding && path <> "" && zone_op op <> None ->
-            let slot = Exprc.param_slot cenv p in
-            Some (path, fun () -> test_of op !slot)
-          | _ -> None
-        in
-        match testable l r op with
-        | Some _ as hit -> hit
-        | None -> testable r l (zone_flip op))
-      | _ -> None)
-    (Expr.conjuncts pred)
-
-(* May any row of a shard with digest [dg] satisfy [test]? Soundness
-   mirrors [Expr.cmp]: Null compares false (an all-null shard matches
-   nothing); a numeric constant equals only numeric values (so the
-   numeric-only min/max bound equality and the Bloom filter refines it);
-   ordering across kinds follows [Value.compare], so ordering tests prune
-   only all-numeric shards; a data NaN folded [sd_min] to -inf at digest
-   time (OCaml's compare orders NaN below everything). False here must
-   mean "no row can match" — every uncertain case answers [true]. *)
-let digest_may_match (dg : Registry.shard_digest) (test : shard_test) =
-  let open Registry in
-  if dg.sd_rows = 0 || dg.sd_nonnull = 0 then false
-  else
-    match test with
-    | St_none -> false
-    | St_cmp (Zonemap.T_str (op, s)) -> (
-      (* digests keep numeric min/max only: string ordering cannot be
-         refuted, string equality goes through the Bloom filter *)
-      match op with
-      | Zonemap.Eq ->
-        (not dg.sd_keyed)
-        || Proteus_storage.Bloom.mem dg.sd_bloom
-             (Proteus_storage.Bloom.key_string s)
-      | _ -> true)
-    | St_cmp t -> (
-      let op, c =
-        match t with
-        | Zonemap.T_int (op, c) -> (op, float_of_int c)
-        | Zonemap.T_float (op, c) -> (op, c)
-        | Zonemap.T_str _ -> assert false (* handled above *)
-      in
-      if Float.is_nan c then true
-      else
-        match op with
-        | Zonemap.Eq ->
-          dg.sd_min <= c && c <= dg.sd_max
-          && (not dg.sd_keyed
-             || Proteus_storage.Bloom.mem dg.sd_bloom
-                  (Proteus_storage.Bloom.key_float c))
-        | _ when not dg.sd_all_numeric -> true
-        | Zonemap.Lt -> dg.sd_min < c
-        | Zonemap.Le -> dg.sd_min <= c
-        | Zonemap.Gt -> dg.sd_max > c
-        | Zonemap.Ge -> dg.sd_max >= c)
-    | St_eq_str s ->
-      (not dg.sd_keyed)
-      || Proteus_storage.Bloom.mem dg.sd_bloom (Proteus_storage.Bloom.key_string s)
-    | St_range (lo, hi) ->
-      dg.sd_max >= float_of_int lo && dg.sd_min <= float_of_int hi
-    | St_in_set ks ->
-      Array.exists
-        (fun k ->
-          let f = float_of_int k in
-          dg.sd_min <= f && f <= dg.sd_max
-          && (not dg.sd_keyed
-             || Proteus_storage.Bloom.mem dg.sd_bloom
-                  (Proteus_storage.Bloom.key_int k)))
-        ks
-
-let make_shard_state reg cenv ~dataset ~binding ~preds =
-  match Registry.shards reg dataset with
-  | Some layout when Array.length layout > 0 ->
-    Some
-      {
-        ss_reg = reg;
-        ss_binding = binding;
-        ss_layout = layout;
-        ss_tests =
-          List.concat_map (fun p -> shard_conjuncts cenv ~binding p) preds;
-        ss_pruned = Array.make (Array.length layout) false;
-      }
-  | _ -> None
-
-(* Join-key tests, evaluated at arm time (after the build phase ran): for
-   every Inner spine hash join whose probe key is [binding.path], the
-   materialized build keys bound what a probe row must carry — a small
-   distinct set probes the Bloom filters per key, a large one tests range
-   disjointness. An empty Inner build side proves the whole pipeline
-   empty regardless of key shape. Left-outer joins pass unmatched probe
-   rows through and never prune. *)
-let shard_join_tests ~binding (joins : (int, shared_join) Hashtbl.t) =
-  Hashtbl.fold
-    (fun _ (sj : shared_join) acc ->
-      if sj.sj_kind <> Plan.Inner then acc
-      else if !(sj.sj_rows) = 0 then ("", St_none) :: acc
-      else
-        match sj.sj_left_key, sj.sj_mode with
-        | Some lk, `Radix -> (
-          match path_of lk with
-          | Some (v, path) when String.equal v binding && path <> "" -> (
-            let ks = !(sj.sj_ikeys) in
-            let n = Array.length ks in
-            if n = 0 then acc
-            else begin
-              let lo = ref ks.(0) and hi = ref ks.(0) in
-              Array.iter
-                (fun k ->
-                  if k < !lo then lo := k;
-                  if k > !hi then hi := k)
-                ks;
-              let small_set =
-                if n > 1024 then None
-                else begin
-                  let s = Array.copy ks in
-                  Array.sort compare s;
-                  let m = ref 1 in
-                  for i = 1 to n - 1 do
-                    if s.(i) <> s.(!m - 1) then begin
-                      s.(!m) <- s.(i);
-                      incr m
-                    end
-                  done;
-                  if !m <= 64 then Some (Array.sub s 0 !m) else None
-                end
-              in
-              match small_set with
-              | Some s -> (path, St_in_set s) :: acc
-              | None -> (path, St_range (!lo, !hi)) :: acc
-            end)
-          | _ -> acc)
-        | _ -> acc)
-    joins []
-
-(* Arm once per run: reset the bitmap, stand down under degraded fault
-   policies (their per-row error tallies are observable, exactly like the
-   zone skip above), resolve the conjunct arms against currently bound
-   parameters, fold in the join-key tests, and mark every shard some test
-   refutes. Digests build lazily on first use (memoized per member). *)
-let shard_arm (st : shard_state) ~joins =
-  Array.fill st.ss_pruned 0 (Array.length st.ss_pruned) false;
-  match Fault.policy () with
-  | Fault.Skip_row | Fault.Null_fill -> ()
-  | Fault.Fail_fast ->
-    let tests =
-      List.filter_map
-        (fun (path, arm) -> Option.map (fun t -> (path, t)) (arm ()))
-        st.ss_tests
-      @
-      match joins with
-      | Some js -> shard_join_tests ~binding:st.ss_binding js
-      | None -> []
-    in
-    if tests <> [] then begin
-      let pruned = ref 0 in
-      Array.iteri
-        (fun i (sh : Registry.shard_info) ->
-          if
-            sh.Registry.sh_rows > 0
-            (* an open breaker means the scatter will skip this member
-               anyway — don't spend digest builds on it *)
-            && not (Registry.breaker_blocked st.ss_reg sh.Registry.sh_member)
-          then begin
-            let prune =
-              List.exists
-                (fun (path, t) ->
-                  match t with
-                  | St_none -> true
-                  | _ -> (
-                    match
-                      Registry.shard_digest st.ss_reg
-                        ~member:sh.Registry.sh_member ~path
-                    with
-                    | None -> false
-                    | Some dg ->
-                      Counters.add_zone_checks 1;
-                      not (digest_may_match dg t)))
-                tests
-            in
-            if prune then begin
-              st.ss_pruned.(i) <- true;
-              incr pruned
-            end
-          end)
-        st.ss_layout;
-      if !pruned > 0 then Counters.add_shards_pruned !pruned
-    end
-
-(* The morsel/batch skip: [true] iff every shard overlapping [lo, hi) is
-   pruned (empty shards overlap nothing). Before the first arm the bitmap
-   is all-false, so the test is a no-op. *)
-let shard_skip (st : shard_state) : lo:int -> hi:int -> bool =
-  let layout = st.ss_layout in
-  let n = Array.length layout in
-  fun ~lo ~hi ->
-    hi > lo
-    && begin
-         (* first shard whose end exceeds lo *)
-         let i = ref 0 in
-         let l = ref 0 and r = ref (n - 1) in
-         while !l < !r do
-           let mid = (!l + !r) / 2 in
-           let sh = layout.(mid) in
-           if sh.Registry.sh_offset + sh.Registry.sh_rows > lo then r := mid
-           else l := mid + 1
-         done;
-         i := !l;
-         let ok = ref true in
-         while !ok && !i < n && layout.(!i).Registry.sh_offset < hi do
-           let sh = layout.(!i) in
-           if
-             sh.Registry.sh_rows > 0
-             && sh.Registry.sh_offset + sh.Registry.sh_rows > lo
-             && not st.ss_pruned.(!i)
-           then ok := false;
-           incr i
-         done;
-         !ok
-       end
-
-(* ------------------------------------------------------------------ *)
-(* Join-side pruning of probe morsels/batches. After an Inner hash-join
-   build materialized its keys, a probe row whose join key misses every
-   build key contributes nothing downstream — so a morsel whose promoted
-   key-column metadata (sorted projection, zone map, Bloom filter over
-   the build keys) proves every row a miss can skip outright, exactly
-   like a refuted pushed-down conjunct. Computed at arm time (after the
-   builds ran) once per run; the returned closure is safe on any worker
-   domain (pure reads + counter ticks). Left-outer joins pass unmatched
-   probe rows through and never prune; degraded fault policies stand the
-   test down per call, like [zone_skip]. *)
-
-(* distinct build keys when few enough to test per-key; None = use range *)
-let ikeys_small_set ks =
-  let n = Array.length ks in
-  if n = 0 || n > 1024 then None
-  else begin
-    let s = Array.copy ks in
-    Array.sort compare s;
-    let m = ref 1 in
-    for i = 1 to n - 1 do
-      if s.(i) <> s.(!m - 1) then begin
-        s.(!m) <- s.(i);
-        incr m
-      end
-    done;
-    if !m <= 64 then Some (Array.sub s 0 !m) else None
-  end
-
-let join_skip ctx ~dataset ~binding (joins : (int, shared_join) Hashtbl.t) :
-    (lo:int -> hi:int -> bool) option =
-  let cache = Registry.cache ctx.reg in
-  let tests =
-    Hashtbl.fold
-      (fun _ (sj : shared_join) acc ->
-        if sj.sj_kind <> Plan.Inner then acc
-        else if !(sj.sj_rows) = 0 then
-          (* empty Inner build: every probe morsel is provably empty *)
-          (fun ~lo:_ ~hi:_ -> true) :: acc
-        else
-          match sj.sj_left_key, sj.sj_mode with
-          | Some lk, `Radix -> (
-            match path_of lk with
-            | Some (v, path) when String.equal v binding && path <> "" -> (
-              let ks = !(sj.sj_ikeys) in
-              let n = Array.length ks in
-              if n = 0 then acc
-              else begin
-                let kmin = ref ks.(0) and kmax = ref ks.(0) in
-                Array.iter
-                  (fun k ->
-                    if k < !kmin then kmin := k;
-                    if k > !kmax then kmax := k)
-                  ks;
-                let kmin = !kmin and kmax = !kmax in
-                let small = ikeys_small_set ks in
-                let proj =
-                  match cache.Cache_iface.lookup_projection ~dataset ~path with
-                  | None -> None
-                  | Some pr -> (
-                    (* seek the build keys into a zone bitmap once, here at
-                       arm time: marked zones are the only ones that can
-                       hold a matching probe key *)
-                    let ts =
-                      match small with
-                      | Some s ->
-                        Projection.zones_union pr
-                          (Array.to_list
-                             (Array.map (fun k -> Zonemap.T_int (Zonemap.Eq, k)) s))
-                      | None ->
-                        Projection.zones_for pr
-                          [ Zonemap.T_int (Zonemap.Ge, kmin);
-                            Zonemap.T_int (Zonemap.Le, kmax) ]
-                    in
-                    match ts with
-                    | None -> None
-                    | Some bits ->
-                      Counters.add_sorted_seeks 1;
-                      Some
-                        (fun ~lo ~hi ->
-                          Counters.add_zone_checks 1;
-                          not (Projection.range_may_match pr bits ~lo ~hi)))
-                in
-                match proj with
-                | Some t -> t :: acc
-                | None -> (
-                  match cache.Cache_iface.lookup_zones ~dataset ~path with
-                  | None -> acc
-                  | Some zm -> (
-                    (* Bloom over the build keys refines zone ranges too
-                       narrow for min/max disjointness to refute *)
-                    let bloom = Bloom.create n in
-                    Array.iter (fun k -> Bloom.add bloom (Bloom.key_int k)) ks;
-                    match small with
-                    | Some s ->
-                      (fun ~lo ~hi ->
-                        Counters.add_zone_checks 1;
-                        not
-                          (Array.exists
-                             (fun k ->
-                               Zonemap.may_match_range zm ~lo ~hi
-                                 (Zonemap.T_int (Zonemap.Eq, k)))
-                             s))
-                      :: acc
-                    | None ->
-                      (fun ~lo ~hi ->
-                        Counters.add_zone_checks 1;
-                        match Zonemap.range_bounds zm ~lo ~hi with
-                        | None -> false
-                        | Some Zonemap.R_all_null ->
-                          (* Null never equals an Inner join key *)
-                          true
-                        | Some (Zonemap.R_float (zlo, zhi)) ->
-                          zhi < float_of_int kmin || zlo > float_of_int kmax
-                        | Some (Zonemap.R_int (zlo, zhi)) ->
-                          zhi < kmin || zlo > kmax
-                          || (* narrow overlap: every candidate key must
-                                also be Bloom-absent from the build *)
-                          (let plo = max zlo kmin and phi = min zhi kmax in
-                           phi - plo <= 256
-                           && begin
-                                let miss = ref true in
-                                let v = ref plo in
-                                while !miss && !v <= phi do
-                                  if Bloom.mem bloom (Bloom.key_int !v) then
-                                    miss := false;
-                                  incr v
-                                done;
-                                !miss
-                              end))
-                      :: acc))
-              end)
-            | _ -> acc)
-          | _ -> acc)
-      joins []
-  in
-  match tests with
-  | [] -> None
-  | tests ->
-    Some
-      (fun ~lo ~hi ->
-        (match Fault.policy () with
-        | Fault.Fail_fast -> true
-        | Fault.Skip_row | Fault.Null_fill -> false)
-        && List.exists (fun t -> t ~lo ~hi) tests
-        && begin
-             Counters.add_probe_morsels_skipped 1;
-             true
-           end)
-
-(* Feed the promotion signal and extend the fragment's zone skip for one
-   predicate applying to the driving scan's rows — shared by Select filter
-   nodes and root Reduce predicates. *)
-let bfrag_zone_pred ctx (frag : bfrag) pred : bfrag =
-  match frag.bf_zone with
-  | None -> frag
-  | Some (dataset, binding) ->
-    note_selective ctx ~dataset ~binding pred;
-    (* a shard state exists only on non-filling serial drives, so appending
-       tests needs no fill guard of its own *)
-    (match frag.bf_shard with
-    | Some st ->
-      st.ss_tests <- st.ss_tests @ shard_conjuncts ctx.cenv ~binding pred
-    | None -> ());
-    if Option.is_none frag.bf_fill && Option.is_none frag.bf_session then
-      {
-        frag with
-        bf_skip = zone_skip_merge frag.bf_skip (zone_skip ctx ~dataset ~binding [ pred ]);
-      }
-    else frag
+(* One more predicate over the driving scan's rows (a Select filter node or
+   a root Reduce predicate): feed the promotion signal and the fragment's
+   pruning handle. On a parallel spine the handle belongs to the fleet
+   drive, which collected every spine predicate already. *)
+let bfrag_prune_pred ctx (frag : bfrag) pred =
+  match frag.bf_prune with
+  | None -> ()
+  | Some t ->
+    if template ctx then Prune.note t pred;
+    if not (par_spine ctx) then Prune.add_pred t pred
 
 (* Drive a fragment: emit batches (morsel by morsel on a parallel spine),
    reset the selection to the identity, run the filter nodes, hand the
@@ -1206,21 +550,13 @@ let bfrag_driver ctx (frag : bfrag) ~bs
     Counters.add_batch_selected n;
     if n > 0 then sink ~base ~sel ~n
   in
-  (* Zone skip at batch granularity: finer than the dispenser's morsel test
-     (a batch inside a provably-empty zone drops even when its morsel
-     survived), and the only skip the serial batch lane gets. *)
-  let jskip = ref None in
+  (* Pruning at batch granularity: the serial lane's only skip, and on a
+     static-partition spine (which bypasses the dispenser) the fleet's *)
   let on_batch ~base ~len =
     Fault.check_cancel ();
-    let skip =
-      (match frag.bf_skip with
-      | Some test -> test ~lo:base ~hi:(base + len)
-      | None -> false)
-      || (match !jskip with
-         | Some test -> test ~lo:base ~hi:(base + len)
-         | None -> false)
-    in
-    if skip then Counters.add_morsels_skipped 1 else work ~base ~len
+    match frag.bf_prune with
+    | Some t when Prune.skip t ~lo:base ~hi:(base + len) -> ()
+    | _ -> work ~base ~len
   in
   match ctx.par with
   | Some p when p.par_spine -> (
@@ -1244,28 +580,16 @@ let bfrag_driver ctx (frag : bfrag) ~bs
         in
         loop ())
   | _ -> (
-    (* serial drive: arm shard pruning and the join-side skip at thunk
-       start, each run — a serial join's build already ran (build thunk
-       precedes the probe thunk), so [bf_joins] holds its final keys *)
-    let arm () =
-      (match frag.bf_shard with
-      | Some st -> shard_arm st ~joins:frag.bf_joins
-      | None -> ());
-      jskip :=
-        match frag.bf_joins, frag.bf_zone with
-        | Some joins, Some (dataset, binding)
-          when Option.is_none frag.bf_fill && Option.is_none frag.bf_session ->
-          join_skip ctx ~dataset ~binding joins
-        | _ -> None
-    in
+    (* serial drive: arm pruning at thunk start, each run — a serial join's
+       build thunk precedes the probe thunk, so its keys are final *)
     match frag.bf_session with
     | None ->
       fun () ->
-        arm ();
+        Option.iter Prune.arm frag.bf_prune;
         frag.bf_run ~batch:bs ~on_batch
     | Some s ->
       (* serial batch lane over a filling scan: this driver owns the
-         session's arm/commit/release lifecycle *)
+         session's arm/commit/release lifecycle (and never prunes) *)
       fun () ->
         Registry.session_arm s;
         (try frag.bf_run ~batch:bs ~on_batch
@@ -1306,16 +630,13 @@ let rec compile_bfrag (ctx : ctx) (p : Plan.t) : bfrag option =
         | _ -> (Registry.scan ctx.reg ~whole ~dataset ~required, true)
       in
       Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr scan.Registry.sc_source);
-      let shard_st =
-        (* serial, non-filling drives only: a parallel spine prunes at the
-           fleet dispenser, a filling scan owns a segment per batch *)
+      let prune =
         match ctx.par with
-        | Some pp when pp.par_spine -> None
-        | _ -> (
-          match scan.Registry.sc_fill with
-          | Some _ -> None
-          | None ->
-            make_shard_state ctx.reg ctx.cenv ~dataset ~binding ~preds:[])
+        | Some pp when pp.par_spine -> pp.par_prune
+        | _ ->
+          Some
+            (Prune.create ctx.reg ~slots:ctx.slots ~dataset ~binding
+               ~filling:(scan.Registry.sc_fill <> None) [])
       in
       Some
         {
@@ -1327,10 +648,7 @@ let rec compile_bfrag (ctx : ctx) (p : Plan.t) : bfrag option =
           bf_fill = scan.Registry.sc_fill_sel;
           bf_session = (if owns then scan.Registry.sc_fill else None);
           bf_dataset = scan.Registry.sc_dataset;
-          bf_skip = Option.map shard_skip shard_st;
-          bf_zone = Some (dataset, binding);
-          bf_shard = shard_st;
-          bf_joins = None;
+          bf_prune = prune;
         }
     | Plan.Select { pred; input = Plan.Scan { dataset; binding; _ } as scan_node }
       when select_paths ctx binding <> None -> (
@@ -1359,11 +677,7 @@ let rec compile_bfrag (ctx : ctx) (p : Plan.t) : bfrag option =
             bf_fill = None;
             bf_session = None;
             bf_dataset = dataset;
-            bf_skip = None;
-            (* packed rows are not dataset OIDs: zone maps do not apply *)
-            bf_zone = None;
-            bf_shard = None;
-            bf_joins = None;
+            bf_prune = None;
           }
       in
       match ctx.par with
@@ -1386,7 +700,7 @@ and bfrag_filter ctx ~bs frag pred =
   match frag with
   | None -> None
   | Some f ->
-    let f = bfrag_zone_pred ctx f pred in
+    bfrag_prune_pred ctx f pred;
     Some
       {
         f with
@@ -1406,18 +720,11 @@ type drive = {
   dr_count : int;
   dr_select : (Cache_iface.packed * Expr.t option) option;
   dr_fill : Registry.fill_session option;
-  dr_skip : (lo:int -> hi:int -> bool) option;
-      (** zone-map morsel skip armed on the fleet dispenser (never together
-          with [dr_fill]) *)
-  dr_arm : ((int, shared_join) Hashtbl.t option -> unit) option;
-      (** shard-pruning arm hook, called by the fleet driver after the
-          build phases (so join-key tests see the materialized keys) and
-          before any morsel is dispensed *)
-  dr_join_skip :
-    ((int, shared_join) Hashtbl.t -> (lo:int -> hi:int -> bool) option) option;
-      (** join-side morsel-skip maker: given the run's materialized build
-          state (post-build, like [dr_arm]), summarize the Inner-join keys
-          probing this scan and return a skip to merge onto the dispenser *)
+  dr_prune : Prune.t option;
+      (** pruning handle of the driving scan (None over σ-packed rows),
+          armed by the fleet driver after the build phases, so join-key
+          tests see the materialized keys, and before any morsel is
+          dispensed *)
 }
 
 (* Walk the spine to the driving scan. [None] means this sub-plan cannot
@@ -1428,7 +735,7 @@ type drive = {
    morsel spine as per-segment buffers, committed by the fleet driver. *)
 (* [preds] accumulates the predicates that apply to every row the driving
    scan emits — spine Selects plus (for the Reduce drivers) the root
-   predicate — so the scan can arm a zone-map morsel skip. Crossing a
+   predicate — so the scan's pruning handle can test them. Crossing a
    Project or Unnest drops them: those nodes can rebind names, and pushdown
    already sank scan-only conjuncts below them. *)
 let rec spine_drive ?(preds = []) (actx : ctx) (p : Plan.t) : drive option =
@@ -1443,10 +750,7 @@ let rec spine_drive ?(preds = []) (actx : ctx) (p : Plan.t) : drive option =
           dr_count = packed.Cache_iface.length;
           dr_select = Some (packed, residual);
           dr_fill = None;
-          (* σ-packed rows are not dataset OIDs: zones do not apply *)
-          dr_skip = None;
-          dr_arm = None;
-          dr_join_skip = None;
+          dr_prune = None;
         }
     | None ->
       if select_cache_should_store actx ~dataset ~binding ~pred then None
@@ -1460,28 +764,15 @@ let rec spine_drive ?(preds = []) (actx : ctx) (p : Plan.t) : drive option =
 and drive_scan actx ~dataset ~binding ~preds =
   let required, whole = scan_required actx binding in
   let scan = Registry.scan actx.reg ~whole ~dataset ~required in
-  let dr_skip, dr_arm, dr_join_skip =
-    (* a filling scan owns an OID-aligned segment for every morsel: never
-       skip under an armed session *)
-    match scan.Registry.sc_fill with
-    | Some _ -> (None, None, None)
-    | None ->
-      let zskip = zone_skip actx ~dataset ~binding preds in
-      let shard_st =
-        make_shard_state actx.reg actx.cenv ~dataset ~binding ~preds
-      in
-      ( zone_skip_merge zskip (Option.map shard_skip shard_st),
-        Option.map (fun st joins -> shard_arm st ~joins) shard_st,
-        Some (fun joins -> join_skip actx ~dataset ~binding joins) )
-  in
   Some
     {
       dr_count = scan.Registry.sc_count;
       dr_select = None;
       dr_fill = scan.Registry.sc_fill;
-      dr_skip;
-      dr_arm;
-      dr_join_skip;
+      dr_prune =
+        Some
+          (Prune.create actx.reg ~slots:actx.slots ~dataset ~binding
+             ~filling:(scan.Registry.sc_fill <> None) preds);
     }
 
 (* Compile [domains] pipeline instances of [subplan] — worker 0 first: the
@@ -1498,6 +789,10 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
   let disp = Pool.Dispenser.create () in
   let builds = ref [] in
   let joins : (int, shared_join) Hashtbl.t = Hashtbl.create 4 in
+  Option.iter
+    (fun t ->
+      Prune.add_joins t (fun () -> Hashtbl.fold (fun _ sj acc -> prune_join sj :: acc) joins []))
+    drive.dr_prune;
   let mk w =
     let p =
       {
@@ -1514,6 +809,7 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
         par_builds = builds;
         par_select = drive.dr_select;
         par_fill = drive.dr_fill;
+        par_prune = drive.dr_prune;
       }
     in
     let ctx =
@@ -1535,7 +831,6 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
   let instances = Array.init domains (fun w -> if w = 0 then template else mk w) in
   let run_fleet wire =
     Pool.Dispenser.reset disp ~total:drive.dr_count ~workers:domains;
-    Pool.Dispenser.set_skip disp drive.dr_skip;
     builds := [];
     (* Cold parallel run: arm the shared fill session before the fan-out so
        every worker's per-morsel segments land in a fresh run; commit them
@@ -1547,22 +842,11 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
     let runners = Array.make domains (fun () -> ()) in
     runners.(0) <- wire 0 instances.(0);
     List.iter (fun b -> Counters.time Counters.Build b) (List.rev !builds);
-    (* shard pruning arms here: after the builds (join-key tests read the
+    (* pruning arms here: after the builds (join-key tests read the
        materialized build keys) and before the dispenser hands out any
        morsel — the pre-dispatch prune of scatter-gather execution *)
-    (match drive.dr_arm with
-    | Some arm -> arm (Some joins)
-    | None -> ());
-    (* join-side morsel skip, armed with the same post-build visibility:
-       merged onto the base skip for this run only (the reset above
-       re-installs the base, so no merge accumulates across runs) *)
-    (match drive.dr_join_skip with
-    | Some mk -> (
-      match mk joins with
-      | Some jskip ->
-        Pool.Dispenser.set_skip disp (zone_skip_merge drive.dr_skip (Some jskip))
-      | None -> ())
-    | None -> ());
+    Option.iter Prune.arm drive.dr_prune;
+    Pool.Dispenser.set_skip disp (Option.map Prune.skip drive.dr_prune);
     for w = 1 to domains - 1 do
       runners.(w) <- wire w instances.(w)
     done;
@@ -1574,8 +858,7 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
          Registry.session_release s;
          raise e);
       Counters.time Counters.Fill (fun () -> Registry.session_commit s));
-    Counters.add_morsels (Pool.Dispenser.dispensed disp);
-    Counters.add_morsels_skipped (Pool.Dispenser.skipped disp)
+    Counters.add_morsels (Pool.Dispenser.dispensed disp)
   in
   (instances, disp, run_fleet)
 
@@ -1772,7 +1055,7 @@ and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
     compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred
 
 and compile_select_scan ctx ~pred ~dataset ~binding ~scan =
-  note_selective ctx ~dataset ~binding pred;
+  if template ctx then Prune.note_selective (Registry.cache ctx.reg) ~dataset ~binding pred;
   match ctx.par with
   | Some p when p.par_spine -> (
     (* the sigma-cache decision was resolved once during pre-analysis
@@ -2196,7 +1479,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
   let par_build =
     match ctx.par with
     | Some pp when pp.par_worker = 0 && build_fan pp.par_domains > 1 -> (
-      let actx = { ctx with cenv = Hashtbl.create 16; par = None; splice = None } in
+      let actx = { ctx with par = None; splice = None } in
       match spine_drive actx right with
       | None -> None
       | Some bdrive ->
@@ -2335,28 +1618,16 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
         sj_ikeys = ikey_vec;
       }
   | None -> (
-    (* serial lane: publish the same build state to the probe fragment, so
-       its driver (which runs after the build thunk) can arm shard pruning
-       and the join-side batch skip against the materialized keys — the
-       pruning that used to need the parallel fleet's build barrier *)
+    (* serial lane: hand the build's keys to the probe fragment's pruning
+       handle, which its driver arms after the build thunk ran *)
     match left_lane with
-    | (`Spill (_, frag, _) | `Batch (_, frag, _, _, _))
-      when kind = Plan.Inner && mode = `Radix ->
-      let js = Hashtbl.create 1 in
-      Hashtbl.replace js 0
-        {
-          sj_cols = [];
-          sj_rows = mat_rows;
-          sj_radix = radix;
-          sj_table = table;
-          sj_mode = mode;
-          sj_kind = kind;
-          sj_residual = residual;
-          sj_left_key =
-            (match equi with Some (lk, _) when use_hash -> Some lk | _ -> None);
-          sj_ikeys = ikey_vec;
-        };
-      frag.bf_joins <- Some js
+    | (`Spill (_, frag, _) | `Batch (_, frag, _, _, _)) when mode = `Radix ->
+      Option.iter
+        (fun t ->
+          Prune.add_joins t (fun () ->
+              [ { Prune.kind; rows = !mat_rows; probe_key = Option.map fst equi;
+                  keys = !ikey_vec } ]))
+        frag.bf_prune
     | _ -> ()));
   fun consumer ->
     let mat_consumer () =
@@ -2692,7 +1963,7 @@ let prepare_with (ctx : ctx) (plan : Plan.t) : unit -> Value.t =
       match pred with
       | Expr.Const (Value.Bool true) -> frag
       | p ->
-        let frag = bfrag_zone_pred ctx frag p in
+        bfrag_prune_pred ctx frag p;
         {
           frag with
           bf_nodes = frag.bf_nodes @ [ bfilter_node ctx ~bs ~src:frag.bf_src ~branch:false p ];
@@ -2926,7 +2197,7 @@ let par_batch_reduce reg required ~slots ~batch:bs ~domains ~(drive : drive)
           match pred with
           | Expr.Const (Value.Bool true) -> frag
           | pr ->
-            let frag = bfrag_zone_pred ctx frag pr in
+            bfrag_prune_pred ctx frag pr;
             {
               frag with
               bf_nodes =

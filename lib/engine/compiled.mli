@@ -68,7 +68,7 @@ val execute_par :
     A plan may contain {!Expr.Param} nodes (SQL [?] / [$name]). Preparing
     such a plan stages every closure exactly once against mutable parameter
     slots; {!bind} writes new constants into the slots and the same engine
-    re-runs — no re-staging, no re-analysis. Zone-map morsel skips re-arm
+    re-runs — no re-staging, no re-analysis. Pruning ({!Prune}) re-arms
     from the currently bound values on every run, and parameterized
     predicates are excluded from σ-result and join-build caching (their
     result sets change per bind). *)

@@ -33,9 +33,16 @@ type snapshot = {
           arena installation) *)
   morsels : int;         (** morsels handed out by parallel fleet dispensers *)
   morsels_skipped : int;
-      (** morsels/batches skipped outright because a zone map proved no row
-          could satisfy a pushed-down comparison *)
-  zone_checks : int;     (** zone-map range tests evaluated by scan drivers *)
+      (** morsels (fleet dispenser) and batches (batch driver) skipped
+          outright because a pruning summary proved no row could qualify:
+          a zone map or sorted projection refuting a pushed-down
+          comparison, a range lying wholly in pruned shards, or an Inner
+          join build's key summary refuting the probe key (which also
+          ticks [probe_morsels_skipped]) *)
+  zone_checks : int;
+      (** summary tests evaluated by the pruning layer: zone-map,
+          sorted-projection and join-key tests per morsel/batch, plus one
+          shard-digest test per (shard, test) when a run arms *)
   sorted_seeks : int;
       (** binary-search seeks into a sorted projection: one per range-conjunct
           resolution that narrowed the value-ordered copy to a zone bitmap *)

@@ -161,10 +161,9 @@ module Dispenser = struct
     mutable morsel : int;
     handed : int Atomic.t;  (* morsels dispensed since the last reset *)
     mutable skip : (lo:int -> hi:int -> bool) option;
-        (* zone-map test: [true] proves the range yields no qualifying row,
+        (* pruning test: [true] proves the range yields no qualifying row,
            so the morsel is dropped instead of dispensed. Must be safe to
            call from any worker domain (pure reads + atomic counters). *)
-    skipped : int Atomic.t;  (* morsels dropped by [skip] since last reset *)
   }
 
   let create () =
@@ -174,7 +173,6 @@ module Dispenser = struct
       morsel = 1;
       handed = Atomic.make 0;
       skip = None;
-      skipped = Atomic.make 0;
     }
 
   (* ~64 morsels per input bounds scheduling overhead while still smoothing
@@ -189,7 +187,6 @@ module Dispenser = struct
     t.total <- total;
     Atomic.set t.handed 0;
     t.skip <- None;
-    Atomic.set t.skipped 0;
     Atomic.set t.cursor 0
 
   let set_skip t test = t.skip <- test
@@ -202,15 +199,11 @@ module Dispenser = struct
     else begin
       let hi = min t.total (lo + t.morsel) in
       match t.skip with
-      | Some test when test ~lo ~hi ->
-        Atomic.incr t.skipped;
-        next t
+      | Some test when test ~lo ~hi -> next t
       | _ ->
         Atomic.incr t.handed;
         Some (lo / t.morsel, lo, hi)
     end
 
   let dispensed t = Atomic.get t.handed
-
-  let skipped t = Atomic.get t.skipped
 end

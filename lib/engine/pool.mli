@@ -50,14 +50,12 @@ module Dispenser : sig
       {!morsels}, fewer when a run is cancelled early. *)
   val dispensed : t -> int
 
-  (** [set_skip t (Some test)] arms a zone-map skip test: a morsel whose
+  (** [set_skip t (Some test)] arms a pruning test: a morsel whose
       range satisfies [test ~lo ~hi] (a proof that no row in [lo, hi) can
       qualify) is dropped instead of dispensed. [test] runs on whichever
-      worker pulls the morsel, so it must be domain-safe. Cleared by
-      {!reset}. Skipped morsels keep their index in the morsel grid — the
-      per-morsel partial merge is oblivious to skipping. *)
+      worker pulls the morsel, so it must be domain-safe, and it counts
+      its own skips. Cleared by {!reset}. Skipped morsels keep their index
+      in the morsel grid — the per-morsel partial merge is oblivious to
+      skipping. *)
   val set_skip : t -> (lo:int -> hi:int -> bool) option -> unit
-
-  (** Morsels dropped by the skip test since the last {!reset}. *)
-  val skipped : t -> int
 end

@@ -23,7 +23,7 @@ type shard_info = { sh_member : string; sh_offset : int; sh_rows : int }
 (* Per-(shard, path) pruning digest, built lazily on first use and
    memoized. [sd_min]/[sd_max] span the {e numeric} non-null values only
    (under [Expr.cmp], a numeric constant can only ever equal or order
-   against numeric values — see DESIGN.md section 14 for the soundness
+   against numeric values — see DESIGN.md section 17 for the soundness
    argument); [sd_all_numeric] says no non-null non-numeric value exists,
    which ordering tests require; [sd_keyed] says every non-null value got
    a canonical Bloom key (numerics and strings do, bools/records do not),
@@ -729,12 +729,12 @@ let shard_digest t ~member ~path =
               | Value.Int k | Value.Date k ->
                 observe_num (float_of_int k) (Proteus_storage.Bloom.key_int k)
               | Value.Float f ->
-                (* OCaml's [compare] orders NaN below every float, so a data
-                   NaN satisfies [col < c] for any c: fold it to -inf so
-                   ordering tests can never prune a NaN-bearing shard. *)
+                (* [Expr.cmp]'s [Float.compare] orders NaN below every float,
+                   -inf included, so a data NaN is the shard's minimum:
+                   pruning compares bounds under that same order. *)
                 if Float.is_nan f then begin
                   incr nonnull;
-                  mn := neg_infinity;
+                  mn := f;
                   Proteus_storage.Bloom.add bloom (Proteus_storage.Bloom.key_float f)
                 end
                 else observe_num f (Proteus_storage.Bloom.key_float f)

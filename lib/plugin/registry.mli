@@ -218,7 +218,7 @@ type shard_info = { sh_member : string; sh_offset : int; sh_rows : int }
 (** Pruning digest of one (member, path): row/non-null counts, min/max
     over the numeric non-null values, and a Bloom filter over canonical
     keys. [sd_all_numeric] gates ordering tests, [sd_keyed] gates
-    Bloom-absence tests — see DESIGN.md section 14 for soundness w.r.t.
+    Bloom-absence tests — see DESIGN.md section 17 for soundness w.r.t.
     [Expr.cmp] Null/float semantics. *)
 type shard_digest = {
   sd_rows : int;

@@ -69,8 +69,9 @@ let of_column ?zone (col : Column.t) : t option =
             | Some v ->
               let z = i / zone in
               empty.(z) <- false;
-              if v < lo.(z) then lo.(z) <- v;
-              if v > hi.(z) then hi.(z) <- v
+              (* [Float.compare] order, as [Expr.cmp]: a NaN is the lowest *)
+              if Float.compare v lo.(z) < 0 then lo.(z) <- v;
+              if Float.compare v hi.(z) > 0 then hi.(z) <- v
           done;
           Some (Z_float (lo, hi))
         | None, None -> None
@@ -127,6 +128,18 @@ let of_column ?zone (col : Column.t) : t option =
         if mask.(i) then None else Some dict.(codes.(i)))
   | Column.Bools _ | Column.Strings _ | Column.Nullmask _ -> None
 
+(* Float bounds against a float constant, compared the way [Expr.cmp]
+   compares floats: [Float.compare], whose total order puts NaN below every
+   other float (IEEE operators would refute [x > nan] and miss a NaN row
+   under [x < c]). *)
+let float_may_match lo hi op c =
+  match op with
+  | Eq -> Float.compare lo c <= 0 && Float.compare c hi <= 0
+  | Lt -> Float.compare lo c < 0
+  | Le -> Float.compare lo c <= 0
+  | Gt -> Float.compare hi c > 0
+  | Ge -> Float.compare hi c >= 0
+
 (* Can any non-null row of zone [z] satisfy [column op constant]?
    Conservative: [true] means "maybe", [false] is a proof of no match. *)
 let zone_may_match t z (test : test) =
@@ -140,30 +153,11 @@ let zone_may_match t z (test : test) =
       | Le -> lo.(z) <= c
       | Gt -> hi.(z) > c
       | Ge -> hi.(z) >= c)
-    | Z_int (lo, hi), T_float (op, c) -> (
+    | Z_int (lo, hi), T_float (op, c) ->
       (* [Expr.cmp] compares Int-vs-Float through float conversion *)
-      let flo = float_of_int lo.(z) and fhi = float_of_int hi.(z) in
-      match op with
-      | Eq -> flo <= c && c <= fhi
-      | Lt -> flo < c
-      | Le -> flo <= c
-      | Gt -> fhi > c
-      | Ge -> fhi >= c)
-    | Z_float (lo, hi), T_float (op, c) -> (
-      match op with
-      | Eq -> lo.(z) <= c && c <= hi.(z)
-      | Lt -> lo.(z) < c
-      | Le -> lo.(z) <= c
-      | Gt -> hi.(z) > c
-      | Ge -> hi.(z) >= c)
-    | Z_float (lo, hi), T_int (op, c) -> (
-      let c = float_of_int c in
-      match op with
-      | Eq -> lo.(z) <= c && c <= hi.(z)
-      | Lt -> lo.(z) < c
-      | Le -> lo.(z) <= c
-      | Gt -> hi.(z) > c
-      | Ge -> hi.(z) >= c)
+      float_may_match (float_of_int lo.(z)) (float_of_int hi.(z)) op c
+    | Z_float (lo, hi), T_float (op, c) -> float_may_match lo.(z) hi.(z) op c
+    | Z_float (lo, hi), T_int (op, c) -> float_may_match lo.(z) hi.(z) op (float_of_int c)
     | Z_str (lo, hi), T_str (op, c) -> (
       (* [Expr.cmp] orders strings with [String.compare] *)
       let clo = String.compare lo.(z) c and chi = String.compare hi.(z) c in
@@ -219,8 +213,8 @@ let range_bounds t ~lo ~hi : range_info option =
       for z = z0 to z1 do
         if not t.empty.(z) then begin
           seen := true;
-          if blo.(z) < !mn then mn := blo.(z);
-          if bhi.(z) > !mx then mx := bhi.(z)
+          if Float.compare blo.(z) !mn < 0 then mn := blo.(z);
+          if Float.compare bhi.(z) !mx > 0 then mx := bhi.(z)
         end
       done;
       Some (if !seen then R_float (!mn, !mx) else R_all_null)

@@ -224,6 +224,39 @@ let test_left_outer () =
               (scan_parts "parts"))))
     [ "parts"; "empty_parts" ]
 
+(* a parameterized build side: the parallel build's fan-out analysis
+   resolves the parameter from the engine's slots, at every domain count
+   and batch size, and a rebind re-arms the same engine *)
+let test_parameterized_build () =
+  let reg = Lazy.force registry in
+  let plan cat =
+    Plan.reduce
+      [
+        Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+        Plan.agg ~name:"q" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "qty"));
+      ]
+      (Plan.join ~pred:join_pred (scan_orders "orders")
+         (Plan.select Expr.(Field (var "p", "cat") ==. cat) (scan_parts "parts")))
+  in
+  List.iter
+    (fun bs ->
+      List.iter
+        (fun d ->
+          let b =
+            Compiled.prepare_bound_par ~batch_size:bs reg ~domains:d
+              (plan (Expr.Param "cat"))
+          in
+          List.iter
+            (fun cat ->
+              Compiled.bind b [ ("cat", Value.Int cat) ];
+              Alcotest.check check_value
+                (Fmt.str "cat = %d (domains=%d, batch=%d)" cat d bs)
+                (Interp.run ~lookup (plan (Expr.int cat)))
+                (b.Compiled.bd_run ()))
+            [ 3; 5 ])
+        domain_counts)
+    batch_sizes
+
 (* join feeding a group-by: partitioned parallel build + partitioned
    parallel aggregation in one pipeline *)
 let test_join_group_by () =
@@ -322,6 +355,7 @@ let () =
           Alcotest.test_case "duplicate-heavy keys" `Quick test_duplicate_heavy;
           Alcotest.test_case "residual predicate" `Quick test_residual_predicate;
           Alcotest.test_case "left outer" `Quick test_left_outer;
+          Alcotest.test_case "parameterized build side" `Quick test_parameterized_build;
         ] );
       ( "group-by",
         [

@@ -528,6 +528,174 @@ let test_eviction_falls_back () =
   Alcotest.check check_value "requery after invalidate" expected_between
     (Executor.run reg ~engine:Executor.Engine_compiled qa)
 
+(* --- soundness of the one refutation test --------------------------------- *)
+
+(* Property: whenever [Prune.may_match] refutes a range, no row in it
+   satisfies the conjunct (or join-key membership) under [Expr] comparison
+   semantics — for every summary kind (zone map, sorted projection, shard
+   digest) over adversarial columns (nulls, NaN, -0.0, infinities, extreme
+   ints, int/float mixed comparisons, dictionary strings), random
+   conjuncts (five ops, constant or bound parameter, either operand
+   order), random join-key sets and random unaligned ranges. *)
+
+module Prune = Proteus_engine.Prune
+
+type col_kind = C_int | C_float | C_str
+
+type case = {
+  kind : col_kind;
+  values : Value.t array;
+  zone : int;
+  conjs : (Expr.binop * Value.t * bool * bool) list;
+      (* op, operand, operand-is-parameter, operand-first *)
+  keys : int array;
+  ranges : (int * int) list;
+}
+
+let gen_case =
+  let open QCheck2.Gen in
+  let null_or g = frequency [ (1, pure Value.Null); (6, g) ] in
+  (* past 2^53 distinct ints share a float image *)
+  let wide_int =
+    frequency
+      [ (1, int);
+        (2, oneofl [ max_int; max_int - 1; min_int; min_int + 1; 1 lsl 53; (1 lsl 53) + 1;
+                     -(1 lsl 53); -(1 lsl 53) - 1 ]) ]
+  in
+  let gen_float =
+    frequency
+      [ (6, map (fun i -> float_of_int i /. 4.) (int_range (-200) 200));
+        (1, oneofl [ Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity ]) ]
+  in
+  let gen_value = function
+    | C_int -> null_or (map (fun i -> Value.Int i) (frequency [ (4, int_range (-60) 60); (1, wide_int) ]))
+    | C_float -> null_or (map (fun f -> Value.Float f) gen_float)
+    | C_str -> null_or (map (fun s -> Value.String s) (oneofl [ ""; "a"; "b"; "bb"; "c"; "zz" ]))
+  in
+  let gen_operand =
+    oneof
+      [ map (fun i -> Value.Int i) (frequency [ (3, int_range (-60) 60); (1, wide_int) ]);
+        map (fun f -> Value.Float f) gen_float;
+        map (fun s -> Value.String s) (oneofl [ ""; "a"; "b"; "bb"; "c"; "zz" ]) ]
+  in
+  let gen_keys =
+    oneof
+      [ pure [||];
+        array_size (int_range 1 200) (int_range (-60) 60);
+        array_size (int_range 65 300) wide_int ]
+  in
+  oneofl [ C_int; C_float; C_str ] >>= fun kind ->
+  int_range 1 120 >>= fun n ->
+  array_size (pure n) (gen_value kind) >>= fun values ->
+  int_range 1 9 >>= fun zone ->
+  list_size (int_range 1 3)
+    (quad (oneofl Expr.[ Eq; Lt; Le; Gt; Ge ]) gen_operand bool bool)
+  >>= fun conjs ->
+  gen_keys >>= fun keys ->
+  list_size (int_range 1 8)
+    (map (fun (a, b) -> if a <= b then (a, b + 1) else (b, a + 1)) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))))
+  >>= fun ranges -> pure { kind; values; zone; conjs; keys; ranges }
+
+let print_case c =
+  Fmt.str "kind=%s zone=%d values=[%a] conjs=[%a] keys=[%a] ranges=[%a]"
+    (match c.kind with C_int -> "int" | C_float -> "float" | C_str -> "str")
+    c.zone
+    Fmt.(array ~sep:(any ";") Value.pp) c.values
+    Fmt.(list ~sep:(any "; ") (fun ppf (op, v, param, first) ->
+         let arg = Fmt.str "%s%a" (if param then "?=" else "") Value.pp v in
+         let op =
+           match (op : Expr.binop) with
+           | Eq -> "=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | _ -> ">="
+         in
+         if first then pf ppf "%s %s x" arg op else pf ppf "x %s %s" op arg))
+    c.conjs
+    Fmt.(array ~sep:(any ";") int) c.keys
+    Fmt.(list ~sep:(any ";") (pair ~sep:(any ",") int int)) c.ranges
+
+let refutation_sound c =
+  let n = Array.length c.values in
+  let ty =
+    match c.kind with C_int -> Ptype.Int | C_float -> Ptype.Float | C_str -> Ptype.String
+  in
+  let col =
+    let col = Column.of_values (Ptype.Option ty) (Array.to_list c.values) in
+    match c.kind with C_str -> Option.get (Column.promote_strings col) | _ -> col
+  in
+  let digest =
+    let db = Proteus.Db.create () in
+    Proteus.Db.register_rows db ~name:"m"
+      ~element:(Ptype.Record [ ("x", Ptype.Option ty) ])
+      (Array.to_list (Array.map (fun v -> Value.record [ ("x", v) ]) c.values));
+    Registry.shard_digest (Proteus.Db.registry db) ~member:"m" ~path:"x"
+  in
+  let zones = Zonemap.of_column ~zone:c.zone col in
+  let projection = Projection.of_column col in
+  (* one Expr conjunct per generated shape; parameters bound by name *)
+  let x = Expr.(Field (var "r", "x")) in
+  let env = ref [] in
+  let conjuncts =
+    List.mapi
+      (fun i (op, v, param, first) ->
+        let arg =
+          if param then begin
+            let p = Fmt.str "p%d" i in
+            env := (p, v) :: !env;
+            Expr.Param p
+          end
+          else Expr.Const v
+        in
+        if first then Expr.Binop (op, arg, x) else Expr.Binop (op, x, arg))
+      c.conjs
+  in
+  let holds e i =
+    Expr.eval_pred [ ("r", Value.record [ ("x", c.values.(i)) ]) ] (Expr.bind_params !env e)
+  in
+  let cmp_of e =
+    List.filter_map
+      (fun (path, op, arg) ->
+        let v =
+          match (arg : Expr.t) with
+          | Expr.Param p -> List.assoc p !env
+          | Expr.Const v -> v
+          | _ -> Value.Null
+        in
+        if path = "x" then Prune.cmp_test op v else None)
+      (Prune.conjuncts ~binding:"r" e)
+  in
+  (* (test, row predicate) pairs: each conjunct alone, their conjunction,
+     and the join-key membership *)
+  let checks =
+    List.map (fun e -> (Prune.Cmp (cmp_of e), holds e)) conjuncts
+    @ [ (Prune.Cmp (List.concat_map cmp_of conjuncts),
+         fun i -> List.for_all (fun e -> holds e i) conjuncts);
+        (Prune.keys c.keys,
+         fun i ->
+           Array.exists
+             (fun k -> Expr.apply_binop Expr.Eq c.values.(i) (Value.Int k) = Value.Bool true)
+             c.keys) ]
+    |> List.filter (function Prune.Cmp [], _ -> false | _ -> true)
+  in
+  let sound summary ~lo ~hi truth =
+    Prune.may_match summary (fst truth) ~lo ~hi
+    || not (List.exists (snd truth) (List.init (hi - lo) (fun j -> lo + j)))
+  in
+  List.for_all
+    (fun ((test, _) as truth) ->
+      (match zones with
+       | Some zm -> List.for_all (fun (lo, hi) -> sound (Prune.Zones zm) ~lo ~hi truth) c.ranges
+       | None -> true)
+      && (match Option.bind projection (fun pr -> Prune.seek pr test) with
+          | Some band -> List.for_all (fun (lo, hi) -> sound band ~lo ~hi truth) c.ranges
+          | None -> true)
+      && match digest with
+         | Some dg -> sound (Prune.Digest dg) ~lo:0 ~hi:n truth
+         | None -> true)
+    checks
+
+let refutation_prop =
+  QCheck2.Test.make ~name:"refutation is sound" ~count:1000 ~print:print_case gen_case
+    refutation_sound
+
 let () =
   Alcotest.run "projection"
     [
@@ -568,4 +736,5 @@ let () =
       ( "fallback",
         [ Alcotest.test_case "eviction falls back" `Quick
             test_eviction_falls_back ] );
+      ("soundness", [ QCheck_alcotest.to_alcotest refutation_prop ]);
     ]
