@@ -76,7 +76,11 @@ let scaling_records : (string * int * int * float) list ref = ref []
 (* (cell, shards, median seconds, shards pruned, shards total) *)
 let pruning_records : (string * int * float * int * int) list ref = ref []
 
+(* One warming run first: a statement prepared before its inputs are cached
+   keeps the raw path on every run, so without it whichever width a cell
+   measures first would time a cold-staged engine. *)
 let measure_at db ~domains plan =
+  ignore (Proteus.Db.run_plan ~domains db plan);
   let prepared = Proteus.Db.prepare_plan ~domains db plan in
   Util.measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ()))
 

@@ -84,9 +84,10 @@ let domains =
     value
     & opt int 1
     & info [ "domains" ] ~docv:"N"
-        ~doc:"Run the compiled engine with morsel-driven parallel execution \
-              over $(docv) OCaml domains; 1 (the default) is the serial \
-              engine. Composes with the default --engine only.")
+        ~doc:"Run the compiled engine's morsel-driven fleet over $(docv) \
+              OCaml domains; 1 (the default) runs the same fleet with one \
+              worker, and every width prints the same rows in the same \
+              order. Composes with the default --engine only.")
 
 let batch_size =
   Arg.(

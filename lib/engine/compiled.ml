@@ -117,7 +117,7 @@ let prune_join (sj : shared_join) : Prune.join =
    compiles build sides and publishes [shared_join]s; workers > 0 compile
    probe-only spines against them. [par_spine] is true only on the path
    from the root to the driving (left-most) scan — everything off that
-   path compiles and runs exactly as in the serial engine. *)
+   path compiles and runs exactly as in the non-fleet compile. *)
 type par = {
   par_worker : int;
   par_spine : bool;
@@ -709,13 +709,13 @@ and bfrag_filter ctx ~bs frag pred =
 
 (* ------------------------------------------------------------------ *)
 (* Fleet compilation: N pipeline instances over a shared morsel dispenser.
-   Shared by the root parallel drivers (par_reduce and friends, below) and
-   by the parallel join build inside [compile_join]. *)
+   Shared by the root drivers (par_reduce and friends, below) and by the
+   parallel join build inside [compile_join]. *)
 
 (* What drives the fan-out: the row count the dispenser carves into
    morsels, plus the pre-resolved sigma-cache decision for a driving
    select-over-scan (resolved once so all instances agree and the cache's
-   statistics tick once per query, as in the serial engine). *)
+   statistics tick once per query). *)
 type drive = {
   dr_count : int;
   dr_select : (Cache_iface.packed * Expr.t option) option;
@@ -1060,7 +1060,7 @@ and compile_select_scan ctx ~pred ~dataset ~binding ~scan =
   | Some p when p.par_spine -> (
     (* the sigma-cache decision was resolved once during pre-analysis
        ([par_select]) so that N pipeline instances agree and the cache's
-       stat counters tick once per query, as in the serial engine *)
+       stat counters tick once per query *)
     match p.par_select with
     | Some (packed, residual) -> (
       count_lane ctx Counters.add_lanes_tuple;
@@ -1081,7 +1081,7 @@ and compile_select_scan ctx ~pred ~dataset ~binding ~scan =
               if pred_c () then consumer ()))
     | None ->
       (* plain filter over the (morsel-driven) scan; the store-electing case
-         fell back to the serial engine during pre-analysis *)
+         fell back to the non-fleet compile during pre-analysis *)
       let run_input = compile ctx scan in
       let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
       fun consumer ->
@@ -1886,9 +1886,9 @@ let fuse_projects (plan : Plan.t) : Plan.t =
   in
   fuse plan
 
-(* Whether [compile_bfrag] will take this fragment (same decision tree,
-   no compilation side effects — cache lookups go through the memo, so the
-   later real compile observes the same, single, lookup). *)
+(* Whether [compile_bfrag] will take this fragment on a fleet spine (same
+   decision tree, no compilation side effects — cache lookups go through
+   the memo, so the spine's pre-analysis observes a single lookup). *)
 let rec batchable_shape ctx (p : Plan.t) =
   ctx.batch <> None
   &&
@@ -1896,15 +1896,18 @@ let rec batchable_shape ctx (p : Plan.t) =
   | Plan.Scan _ -> true
   | Plan.Select { pred; input = Plan.Scan { dataset; binding; _ }; _ }
     when select_paths ctx binding <> None -> (
-    match ctx.par with
-    | Some pp when pp.par_spine -> true
-    | _ -> (
-      let paths = Option.get (select_paths ctx binding) in
-      match lookup_select_memo ctx ~dataset ~binding ~pred ~paths with
-      | Some _ -> true
-      | None -> not (select_cache_should_store ctx ~dataset ~binding ~pred)))
+    let paths = Option.get (select_paths ctx binding) in
+    match lookup_select_memo ctx ~dataset ~binding ~pred ~paths with
+    | Some _ -> true
+    | None -> not (select_cache_should_store ctx ~dataset ~binding ~pred))
   | Plan.Select { input; _ } -> batchable_shape ctx input
   | _ -> false
+
+(* Drive a non-fleet root pipeline under [drive_phase] — unless a spliced
+   fleet below it attributes its own phases, which nesting would count
+   twice. *)
+let drive_root ctx has_join f =
+  if Option.is_some ctx.splice then f () else drive_phase has_join f
 
 (* The scalar (tuple-lane) Reduce: compile the input pipeline and fold
    per-tuple aggregate steps over it. *)
@@ -1927,100 +1930,22 @@ let reduce_tuple (ctx : ctx) ~monoid_output ~pred ~input : unit -> Value.t =
       | [ s ] -> fun () -> if pred_c () then s ()
       | ss -> fun () -> if pred_c () then List.iter (fun s -> s ()) ss
     in
-    drive_phase has_join (run_input consumer);
+    drive_root ctx has_join (run_input consumer);
     (match instances with
     | [ (_, i) ] -> i.value ()
     | many -> Value.record (List.map (fun (n, (i : Agg.instance)) -> (n, i.value ())) many))
 
+(* The non-fleet root: the fallback for shapes that cannot fan out, and
+   the serial consumer above a spliced fleet. *)
 let prepare_with (ctx : ctx) (plan : Plan.t) : unit -> Value.t =
-  let cenv = ctx.cenv in
   match plan with
-  | Plan.Reduce { monoid_output; pred; input }
-    when (match (ctx.splice, ctx.batch) with
-         | None, Some _ ->
-           Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) monoid_output)
-           && batchable_shape ctx input
-         | _ -> false)
-         && compile_bfrag ctx input = None ->
-    (* [batchable_shape] accepted the fragment but the compile refused it —
-       the scan elects cache fills under an active error policy, which only
-       the tuple lane's probe-then-commit drivers handle *)
-    reduce_tuple ctx ~monoid_output ~pred ~input
-  | Plan.Reduce { monoid_output; pred; input }
-    when (match (ctx.splice, ctx.batch) with
-         | None, Some _ ->
-           Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) monoid_output)
-           && batchable_shape ctx input
-         | _ -> false) ->
-    (* batch lane all the way to the root: the fragment feeds array-level
-       accumulator loops; the Reduce predicate is one more (non-branch)
-       filter node. Lanes fold in selection order with exactly the scalar
-       step's operations, so the result is bit-identical to the tuple
-       lane — floats included. *)
-    let bs = Option.get ctx.batch in
-    let frag = Option.get (compile_bfrag ctx input) in
-    let frag =
-      match pred with
-      | Expr.Const (Value.Bool true) -> frag
-      | p ->
-        bfrag_prune_pred ctx frag p;
-        {
-          frag with
-          bf_nodes = frag.bf_nodes @ [ bfilter_node ctx ~bs ~src:frag.bf_src ~branch:false p ];
-        }
-    in
-    let seek = frag.bf_src.Source.seek in
-    let bfactories =
-      List.map
-        (fun (a : Plan.agg) ->
-          let scalar = Exprc.compile cenv a.expr in
-          let batch = Exprc.compile_batch cenv ~batch_size:bs a.expr in
-          match Agg.batch_factory a.monoid ~seek ~scalar ~batch with
-          | Some f -> (a.agg_name, f)
-          | None -> assert false (* mergeable excludes collection monoids *))
-        monoid_output
-    in
-    count_lane ctx Counters.add_lanes_batch;
-    fun () ->
-      let instances = List.map (fun (n, f) -> (n, f ())) bfactories in
-      let sink =
-        match List.map (fun (_, (i : Agg.binstance)) -> i.bstep) instances with
-        | [ s ] -> s
-        | ss -> fun ~base ~sel ~n -> List.iter (fun s -> s ~base ~sel ~n) ss
-      in
-      Counters.time Counters.Scan (bfrag_driver ctx frag ~bs sink);
-      (match instances with
-      | [ (_, i) ] -> i.bvalue ()
-      | many ->
-        Value.record (List.map (fun (n, (i : Agg.binstance)) -> (n, i.bvalue ())) many))
-  | Plan.Reduce { monoid_output; pred; input } ->
-    let run_input = compile ctx input in
-    let pred_c = Exprc.to_pred (Exprc.compile cenv pred) in
-    let has_join = plan_has_join input in
-    let factories =
-      List.map
-        (fun (a : Plan.agg) ->
-          (a.agg_name, Agg.factory a.monoid (Exprc.compile cenv a.expr)))
-        monoid_output
-    in
-    fun () ->
-      let instances = List.map (fun (n, f) -> (n, f ())) factories in
-      let steps = List.map (fun (_, (i : Agg.instance)) -> i.step) instances in
-      let consumer =
-        match steps with
-        | [ s ] -> fun () -> if pred_c () then s ()
-        | ss -> fun () -> if pred_c () then List.iter (fun s -> s ()) ss
-      in
-      drive_phase has_join (run_input consumer);
-      (match instances with
-      | [ (_, i) ] -> i.value ()
-      | many -> Value.record (List.map (fun (n, (i : Agg.instance)) -> (n, i.value ())) many))
+  | Plan.Reduce { monoid_output; pred; input } -> reduce_tuple ctx ~monoid_output ~pred ~input
   | _ ->
     let run = compile ctx plan in
     let visible = Plan.bindings plan in
     let has_join = plan_has_join plan in
     let getters =
-      List.map (fun b -> (b, Exprc.to_val (Exprc.compile cenv (Expr.Var b)))) visible
+      List.map (fun b -> (b, Exprc.to_val (Exprc.compile ctx.cenv (Expr.Var b)))) visible
     in
     let shape =
       match getters with
@@ -2029,54 +1954,8 @@ let prepare_with (ctx : ctx) (plan : Plan.t) : unit -> Value.t =
     in
     fun () ->
       let rows = ref [] in
-      drive_phase has_join (run (fun () -> rows := shape () :: !rows));
+      drive_root ctx has_join (run (fun () -> rows := shape () :: !rows));
       Value.bag (List.rev !rows)
-
-let prepare_slotted ~batch_size (reg : Registry.t) ~slots (plan : Plan.t) :
-    unit -> Value.t =
-  let plan = fuse_projects plan in
-  let ctx =
-    {
-      reg;
-      cenv = new_cenv slots;
-      slots;
-      required = build_required plan;
-      par = None;
-      batch = (if batch_size > 0 then Some batch_size else None);
-      sel_memo = Hashtbl.create 4;
-      splice = None;
-    }
-  in
-  prepare_with ctx plan
-
-let prepare ?(batch_size = default_batch_size) reg plan =
-  prepare_slotted ~batch_size reg ~slots:[] plan
-
-(* A prepared engine plus its parameter slots: rebinding writes the slots
-   and re-runs the same staged closures — no re-compilation. *)
-type bound = {
-  bd_run : unit -> Value.t;
-  bd_params : (string * Value.t ref) list;
-}
-
-let bind (b : bound) env =
-  List.iter
-    (fun (name, v) ->
-      match List.assoc_opt name b.bd_params with
-      | Some slot -> slot := v
-      | None -> Perror.plan_error "unknown parameter ?%s" name)
-    env
-
-let fresh_slots plan =
-  List.map
-    (fun n -> (n, ref Value.Null))
-    (Proteus_algebra.Analysis.params plan)
-
-let prepare_bound ?(batch_size = default_batch_size) reg plan =
-  let slots = fresh_slots plan in
-  { bd_run = prepare_slotted ~batch_size reg ~slots plan; bd_params = slots }
-
-let execute ?batch_size reg plan = prepare ?batch_size reg plan ()
 
 (* ------------------------------------------------------------------ *)
 (* Morsel-driven parallel execution (Section "Parallelism substitution"
@@ -2102,12 +1981,46 @@ let rec bottom_breaker (p : Plan.t) : Plan.t option =
   | Plan.Nest { input; _ } | Plan.Sort { input; _ } | Plan.Reduce { input; _ } -> (
     match bottom_breaker input with Some b -> Some b | None -> Some p)
 
+let merge_parts monoids acc parts =
+  List.map2 (fun m (a, b) -> Agg.merge m a b) monoids (List.combine acc parts)
+
+(* The root Reduce drivers' merge: [all.(w).(mi)] holds the accumulators
+   worker [w] folded morsel [mi] into. Partials merge in morsel order (then
+   worker order, which a morsel reached at most once) and finalize; when no
+   morsel produced a row the result is a fresh accumulator set's value, as
+   a fold over nothing. *)
+let merge_morsels (monoid_output : Plan.agg list) disp all ~partial ~empty =
+  let monoids = List.map (fun (a : Plan.agg) -> a.monoid) monoid_output in
+  let merged = ref None in
+  Counters.time Counters.Merge (fun () ->
+      for mi = 0 to Pool.Dispenser.morsels disp - 1 do
+        Array.iter
+          (fun buckets ->
+            match buckets.(mi) with
+            | None -> ()
+            | Some insts ->
+              let parts = List.map partial insts in
+              merged :=
+                Some
+                  (match !merged with
+                  | None -> parts
+                  | Some acc -> merge_parts monoids acc parts))
+          all
+      done);
+  let finals =
+    match !merged with
+    | Some parts -> List.map2 Agg.finalize monoids parts
+    | None -> empty ()
+  in
+  match List.map2 (fun (a : Plan.agg) v -> (a.agg_name, v)) monoid_output finals with
+  | [ (_, v) ] -> v
+  | many -> Value.record many
+
 (* Root Reduce over primitive monoids: every morsel folds into its own
    accumulator set; partials merge in morsel order (deterministic for any
    worker count, since the morsel size does not depend on it). *)
 let par_reduce reg required ~slots ~batch ~domains ~(drive : drive) ~monoid_output ~pred
     input =
-  let monoids = List.map (fun (a : Plan.agg) -> a.monoid) monoid_output in
   let instances, disp, run_fleet =
     compile_instances reg required ~slots ~batch ~domains ~drive input ~stage:compile
       ~finish:(fun ctx p compiled ->
@@ -2147,35 +2060,9 @@ let par_reduce reg required ~slots ~batch ~domains ~(drive : drive) ~monoid_outp
       run_input consumer
     in
     drive_phase has_join (fun () -> run_fleet wire);
-    let nm = Pool.Dispenser.morsels disp in
-    let merged = ref None in
-    Counters.time Counters.Merge (fun () ->
-        for mi = 0 to nm - 1 do
-          for w = 0 to domains - 1 do
-            match all.(w).(mi) with
-            | None -> ()
-            | Some insts ->
-              let parts = List.map (fun (i : Agg.instance) -> i.partial ()) insts in
-              merged :=
-                Some
-                  (match !merged with
-                  | None -> parts
-                  | Some acc ->
-                    List.map2
-                      (fun m (a, b) -> Agg.merge m a b)
-                      monoids (List.combine acc parts))
-          done
-        done);
-    let finals =
-      match !merged with
-      | Some parts -> List.map2 Agg.finalize monoids parts
-      | None ->
-        (* empty input: a fresh accumulator's value, as in the serial engine *)
-        List.map (fun (_, f) -> ((f () : Agg.instance)).value ()) factories0
-    in
-    match List.map2 (fun (a : Plan.agg) v -> (a.agg_name, v)) monoid_output finals with
-    | [ (_, v) ] -> v
-    | many -> Value.record many
+    merge_morsels monoid_output disp all
+      ~partial:(fun (i : Agg.instance) -> i.partial ())
+      ~empty:(fun () -> List.map (fun (_, f) -> ((f () : Agg.instance)).value ()) factories0)
 
 (* Root Reduce on the batch lane: each worker drives its compiled fragment
    morsel by morsel; a fresh set of batch accumulators per morsel, partials
@@ -2183,7 +2070,6 @@ let par_reduce reg required ~slots ~batch ~domains ~(drive : drive) ~monoid_outp
    batch and tuple lanes agree bit-for-bit at every domain count. *)
 let par_batch_reduce reg required ~slots ~batch:bs ~domains ~(drive : drive)
     ~monoid_output ~pred input =
-  let monoids = List.map (fun (a : Plan.agg) -> a.monoid) monoid_output in
   let instances, disp, run_fleet =
     compile_instances reg required ~slots ~batch:(Some bs) ~domains ~drive input
       ~stage:compile_bfrag
@@ -2246,33 +2132,9 @@ let par_batch_reduce reg required ~slots ~batch:bs ~domains ~(drive : drive)
       bfrag_driver ctx frag ~bs sink
     in
     Counters.time Counters.Scan (fun () -> run_fleet wire);
-    let nm = Pool.Dispenser.morsels disp in
-    let merged = ref None in
-    Counters.time Counters.Merge (fun () ->
-        for mi = 0 to nm - 1 do
-          for w = 0 to domains - 1 do
-            match all.(w).(mi) with
-            | None -> ()
-            | Some insts ->
-              let parts = List.map (fun (i : Agg.binstance) -> i.bpartial ()) insts in
-              merged :=
-                Some
-                  (match !merged with
-                  | None -> parts
-                  | Some acc ->
-                    List.map2
-                      (fun m (a, b) -> Agg.merge m a b)
-                      monoids (List.combine acc parts))
-          done
-        done);
-    let finals =
-      match !merged with
-      | Some parts -> List.map2 Agg.finalize monoids parts
-      | None -> List.map (fun f -> ((f () : Agg.binstance)).bvalue ()) bfactories0
-    in
-    match List.map2 (fun (a : Plan.agg) v -> (a.agg_name, v)) monoid_output finals with
-    | [ (_, v) ] -> v
-    | many -> Value.record many
+    merge_morsels monoid_output disp all
+      ~partial:(fun (i : Agg.binstance) -> i.bpartial ())
+      ~empty:(fun () -> List.map (fun f -> ((f () : Agg.binstance)).bvalue ()) bfactories0)
 
 (* Root Reduce into a single collection monoid (the shape of a plain
    SELECT): qualifying values buffer per morsel and concatenate in morsel
@@ -2348,6 +2210,30 @@ let buffered_splice reg required ~slots ~batch ~domains ~(drive : drive) subplan
           done
         done)
 
+(* Merge per-worker groups into key order and emit each group.
+   [groups.(w)] lists worker [w]'s (key, cell) pairs. A stable sort of
+   their positions, concatenated in worker order, puts each key's cells
+   together in worker order, and their partials fold in that order: the
+   association depends on the domain count alone. [emit] gets the key,
+   the first worker's cell and the merged partials. *)
+let merge_groups monoids ~cmp ~partials groups emit =
+  let entries = Array.concat (Array.to_list (Array.map Array.of_list groups)) in
+  let key i = fst entries.(i) in
+  let perm = Array.init (Array.length entries) Fun.id in
+  Array.stable_sort (fun i j -> cmp (key i) (key j)) perm;
+  let n = Array.length perm in
+  let i = ref 0 in
+  while !i < n do
+    let k, c = entries.(perm.(!i)) in
+    let parts = ref (partials c) in
+    incr i;
+    while !i < n && cmp k (key perm.(!i)) = 0 do
+      parts := merge_parts monoids !parts (partials (snd entries.(perm.(!i))));
+      incr i
+    done;
+    emit k c !parts
+  done
+
 (* Parallelism substitution at a Nest over primitive monoids (the GROUP BY
    breaker): partitioned parallel group-by. Each domain scans one static
    contiguous chunk of the input into a single persistent group table it
@@ -2355,9 +2241,11 @@ let buffered_splice reg required ~slots ~batch ~domains ~(drive : drive) subplan
    re-merge — and the per-domain tables merge once, at pipeline end, in
    domain order; the merged groups emit sorted by key. Static chunks make
    the worker-to-rows mapping deterministic at a fixed domain count, so a
-   given (data, domains) pair always folds in the same association (the
-   serial engine emits in first-encounter order instead; group-by output
-   order carries no contract). *)
+   given (data, domains) pair always folds in the same association. Key
+   order makes the output rows the same at every width, one domain
+   included (the non-fleet Nest, left for spines that cannot fan out,
+   emits in first-encounter order; group-by output order carries no
+   contract). *)
 let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs ~pred
     ~binding input ~(serial_cenv : Exprc.cenv) () =
   let monoids = List.map (fun (a : Plan.agg) -> a.monoid) aggs in
@@ -2392,19 +2280,14 @@ let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs
       group_reg := Value.record (key_fields @ agg_fields);
       consumer ()
     in
-    let merge_parts acc parts =
-      List.map2 (fun m (a, b) -> Agg.merge m a b) monoids (List.combine acc parts)
-    in
     let partials insts = List.map (fun (i : Agg.instance) -> i.partial ()) insts in
     if int_key then begin
       let kname = match keys with [ (n, _) ] -> n | _ -> assert false in
       fun () ->
-        let tables : (int, Agg.instance list) Hashtbl.t array =
-          Array.init domains (fun _ -> Hashtbl.create 64)
-        in
+        let groups = Array.make domains [] in
         let wire w (run_input, pred_c, ckeys, factories, (_ : par)) =
           let kget = match ckeys with [ (_, Exprc.C_int g) ] -> g | _ -> assert false in
-          let tbl = tables.(w) in
+          let tbl : (int, Agg.instance list) Hashtbl.t = Hashtbl.create 64 in
           let consumer () =
             if pred_c () then begin
               let k = kget () in
@@ -2414,6 +2297,7 @@ let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs
                 | None ->
                   let insts = List.map (fun f -> f ()) factories in
                   Hashtbl.add tbl k insts;
+                  groups.(w) <- (k, insts) :: groups.(w);
                   Counters.add_materialized 1;
                   insts
               in
@@ -2423,28 +2307,16 @@ let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs
           run_input consumer
         in
         drive_phase has_join (fun () -> run_fleet wire);
-        let merged : (int, Value.t list) Hashtbl.t = Hashtbl.create 64 in
         Counters.time Counters.Merge (fun () ->
-            for w = 0 to domains - 1 do
-              Hashtbl.iter
-                (fun k insts ->
-                  let parts = partials insts in
-                  match Hashtbl.find_opt merged k with
-                  | None -> Hashtbl.replace merged k parts
-                  | Some acc -> Hashtbl.replace merged k (merge_parts acc parts))
-                tables.(w)
-            done);
-        let ks = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) merged []) in
-        List.iter (fun k -> emit [ (kname, Value.Int k) ] (Hashtbl.find merged k)) ks
+            merge_groups monoids ~cmp:Int.compare ~partials groups (fun k _ parts ->
+                emit [ (kname, Value.Int k) ] parts))
     end
     else
       fun () ->
-        let tables : (Value.t list * Agg.instance list) VH.t array =
-          Array.init domains (fun _ -> VH.create 64)
-        in
+        let groups = Array.make domains [] in
         let wire w (run_input, pred_c, ckeys, factories, (_ : par)) =
           let key_getters = List.map (fun (_, c) -> Exprc.to_val c) ckeys in
-          let tbl = tables.(w) in
+          let tbl : (Value.t list * Agg.instance list) VH.t = VH.create 64 in
           let consumer () =
             if pred_c () then begin
               let kvs = List.map (fun g -> g ()) key_getters in
@@ -2455,6 +2327,7 @@ let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs
                 | None ->
                   let cell = (kvs, List.map (fun f -> f ()) factories) in
                   VH.add tbl key cell;
+                  groups.(w) <- (key, cell) :: groups.(w);
                   Counters.add_materialized (List.length kvs);
                   cell
               in
@@ -2464,116 +2337,101 @@ let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs
           run_input consumer
         in
         drive_phase has_join (fun () -> run_fleet wire);
-        let merged : (Value.t list * Value.t list) VH.t = VH.create 64 in
         Counters.time Counters.Merge (fun () ->
-            for w = 0 to domains - 1 do
-              VH.iter
-                (fun key (kvs, insts) ->
-                  let parts = partials insts in
-                  match VH.find_opt merged key with
-                  | None -> VH.replace merged key (kvs, parts)
-                  | Some (_, acc) -> VH.replace merged key (kvs, merge_parts acc parts))
-                tables.(w)
-            done);
-        let groups = VH.fold (fun key _ acc -> key :: acc) merged [] in
-        let groups = List.sort Value.compare groups in
-        List.iter
-          (fun key ->
-            let kvs, parts = VH.find merged key in
-            let key_fields = List.map2 (fun (n, _) v -> (n, v)) keys kvs in
-            emit key_fields parts)
-          groups
+            merge_groups monoids ~cmp:Value.compare
+              ~partials:(fun (_, insts) -> partials insts)
+              groups
+              (fun _ (kvs, _) parts ->
+                emit (List.map2 (fun (n, _) v -> (n, v)) keys kvs) parts))
 
-let prepare_par_slotted ~batch_size (reg : Registry.t) ~domains ~slots
-    (plan : Plan.t) : unit -> Value.t =
+(* Stage [plan] as a fleet of [domains] workers ([domains = 1] runs the same
+   fleet inline). The root Reduce drivers fan out the whole spine; other
+   roots splice a fleet in at the breaker closest to the driving scan
+   behind a serial consumer. The non-fleet [prepare_with] remains only for
+   shapes that cannot fan out: a driving select that elects a σ-result
+   store, non-mergeable aggregates, and breakers with no drivable spine. *)
+let prepare_slotted ~batch_size (reg : Registry.t) ~domains ~slots (plan : Plan.t) :
+    unit -> Value.t =
   let domains = max 1 domains in
-  if domains <= 1 then prepare_slotted ~batch_size reg ~slots plan
-  else begin
-    let plan = fuse_projects plan in
-    let batch = if batch_size > 0 then Some batch_size else None in
-    let required = build_required plan in
-    let actx =
-      {
-        reg;
-        cenv = new_cenv slots;
-        slots;
-        required;
-        par = None;
-        batch;
-        sel_memo = Hashtbl.create 4;
-        splice = None;
-      }
-    in
-    let serial () = prepare_slotted ~batch_size reg ~slots plan in
-    let spliced target mk =
-      let cenv = new_cenv slots in
-      let ctx =
-        {
-          reg;
-          cenv;
-          slots;
-          required;
-          par = None;
-          batch;
-          sel_memo = Hashtbl.create 4;
-          splice = Some (target, mk cenv);
-        }
-      in
-      prepare_with ctx plan
-    in
-    let splice_fallback () =
-      match bottom_breaker plan with
-      | Some (Plan.Nest { keys; aggs; pred; binding; input } as target) -> (
-        if not (Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) aggs)) then
-          serial ()
-        else
-          match spine_drive actx input with
-          | Some drive ->
-            spliced target (fun serial_cenv ->
-                nest_splice reg required ~slots ~batch ~domains ~drive ~keys ~aggs ~pred
-                  ~binding input ~serial_cenv)
-          | None -> serial ())
-      | Some (Plan.Sort { input; _ }) -> (
-        match spine_drive actx input with
-        | Some drive ->
-          spliced input (fun serial_cenv ->
-              buffered_splice reg required ~slots ~batch ~domains ~drive input ~serial_cenv)
-        | None -> serial ())
-      | Some _ -> serial ()
-      | None -> (
-        match spine_drive actx plan with
-        | Some drive ->
-          spliced plan (fun serial_cenv ->
-              buffered_splice reg required ~slots ~batch ~domains ~drive plan ~serial_cenv)
-        | None -> serial ())
-    in
-    match plan with
-    | Plan.Reduce { monoid_output; pred; input } -> (
-      match spine_drive ~preds:[ pred ] actx input with
-      | None -> splice_fallback ()
+  let plan = fuse_projects plan in
+  let batch = if batch_size > 0 then Some batch_size else None in
+  let required = build_required plan in
+  (* one σ-cache memo per prepare: the spine analysis and whichever compile
+     follows it observe a single lookup per driving select *)
+  let sel_memo = Hashtbl.create 4 in
+  let ctx_with cenv splice =
+    { reg; cenv; slots; required; par = None; batch; sel_memo; splice }
+  in
+  let actx = ctx_with (new_cenv slots) None in
+  let serial () = prepare_with (ctx_with (new_cenv slots) None) plan in
+  let spliced target mk =
+    let cenv = new_cenv slots in
+    prepare_with (ctx_with cenv (Some (target, mk cenv))) plan
+  in
+  let mergeable aggs = Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) aggs) in
+  let splice_fallback () =
+    match bottom_breaker plan with
+    | Some (Plan.Nest { keys; aggs; pred; binding; input } as target) when mergeable aggs -> (
+      match spine_drive actx input with
       | Some drive ->
-        if Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) monoid_output) then (
-          match batch with
-          | Some bs when batchable_shape actx input ->
-            par_batch_reduce reg required ~slots ~batch:bs ~domains ~drive ~monoid_output
-              ~pred input
-          | _ ->
-            par_reduce reg required ~slots ~batch ~domains ~drive ~monoid_output ~pred
-              input)
-        else (
-          match monoid_output with
-          | [ ({ monoid = Monoid.Collection coll; _ } as agg) ] ->
-            par_collect_reduce reg required ~slots ~batch ~domains ~drive ~coll ~agg ~pred
-              input
-          | _ -> serial ()))
-    | _ -> splice_fallback ()
-  end
+        spliced target (fun serial_cenv ->
+            nest_splice reg required ~slots ~batch ~domains ~drive ~keys ~aggs ~pred
+              ~binding input ~serial_cenv)
+      | None -> serial ())
+    | Some (Plan.Sort { input; _ }) -> (
+      match spine_drive actx input with
+      | Some drive ->
+        spliced input (fun serial_cenv ->
+            buffered_splice reg required ~slots ~batch ~domains ~drive input ~serial_cenv)
+      | None -> serial ())
+    | Some _ -> serial ()
+    | None -> (
+      match spine_drive actx plan with
+      | Some drive ->
+        spliced plan (fun serial_cenv ->
+            buffered_splice reg required ~slots ~batch ~domains ~drive plan ~serial_cenv)
+      | None -> serial ())
+  in
+  match plan with
+  | Plan.Reduce { monoid_output; pred; input } -> (
+    match spine_drive ~preds:[ pred ] actx input with
+    | None -> splice_fallback ()
+    | Some drive -> (
+      match batch, monoid_output with
+      | Some bs, _ when mergeable monoid_output && batchable_shape actx input ->
+        par_batch_reduce reg required ~slots ~batch:bs ~domains ~drive ~monoid_output ~pred
+          input
+      | _ when mergeable monoid_output ->
+        par_reduce reg required ~slots ~batch ~domains ~drive ~monoid_output ~pred input
+      | _, [ ({ monoid = Monoid.Collection coll; _ } as agg) ] ->
+        par_collect_reduce reg required ~slots ~batch ~domains ~drive ~coll ~agg ~pred input
+      | _ -> serial ()))
+  | _ -> splice_fallback ()
+
+(* A prepared engine plus its parameter slots: rebinding writes the slots
+   and re-runs the same staged closures — no re-compilation. *)
+type bound = {
+  bd_run : unit -> Value.t;
+  bd_params : (string * Value.t ref) list;
+}
+
+let bind (b : bound) env =
+  List.iter
+    (fun (name, v) ->
+      match List.assoc_opt name b.bd_params with
+      | Some slot -> slot := v
+      | None -> Perror.plan_error "unknown parameter ?%s" name)
+    env
+
+let fresh_slots plan =
+  List.map
+    (fun n -> (n, ref Value.Null))
+    (Proteus_algebra.Analysis.params plan)
+
 
 let prepare_par ?(batch_size = default_batch_size) reg ~domains plan =
-  prepare_par_slotted ~batch_size reg ~domains ~slots:[] plan
+  prepare_slotted ~batch_size reg ~domains ~slots:[] plan
 
 let prepare_bound_par ?(batch_size = default_batch_size) reg ~domains plan =
   let slots = fresh_slots plan in
-  { bd_run = prepare_par_slotted ~batch_size reg ~domains ~slots plan; bd_params = slots }
-
-let execute_par ?batch_size reg ~domains plan = prepare_par ?batch_size reg ~domains plan ()
+  { bd_run = prepare_slotted ~batch_size reg ~domains ~slots plan; bd_params = slots }

@@ -1,7 +1,7 @@
 (** The on-demand engine of Section 5: one specialized implementation per
     query.
 
-    [execute] traverses the physical plan once, in post-order DFS exactly as
+    [prepare_par] traverses the physical plan once, in post-order DFS exactly as
     the paper describes, and for every visited operator constructs the
     closures that implement it — typed accessors from the input plug-ins,
     typed expression closures from the expression generators, typed
@@ -24,8 +24,28 @@ open Proteus_plugin
 (** Default batch size of the vectorized lane (rows per batch). *)
 val default_batch_size : int
 
-(** [execute registry plan] compiles and runs [plan]. Result shape matches
-    {!Proteus_algebra.Interp.run}. Raises [Perror.*] on malformed plans.
+(** Every expression appearing anywhere in a plan (shared by the Volcano
+    executor's required-path analysis). *)
+val all_exprs : Proteus_algebra.Plan.t -> Expr.t list
+
+(** [prepare_par registry ~domains plan] compiles the plan and returns a
+    thunk that can be executed repeatedly (each run re-scans the inputs).
+    Used to separate "code generation" time from execution time, as the
+    paper reports them separately (~50ms compilation per query). Result
+    shape matches {!Proteus_algebra.Interp.run}. Raises [Perror.*] on
+    malformed plans.
+
+    Execution is morsel-driven over [domains] OCaml domains (DESIGN.md,
+    "Parallelism substitution"); [domains <= 1] runs the same fleet with
+    one worker, inline on the calling domain. The streaming segment of the
+    plan's spine is compiled once per worker — each instance owning its
+    closures and scan cursor — and driven by a shared morsel dispenser;
+    per-morsel partial results merge on the calling domain in morsel
+    order, so results are deterministic for any domain count, and a
+    spliced group-by emits its groups in key order at every width. Shapes
+    that cannot fan out — a driving select that elects a σ-result store,
+    non-mergeable aggregates, a breaker with no drivable spine — take the
+    non-fleet compile instead.
 
     [batch_size] sizes the vectorized execution lane (DESIGN.md Section 8):
     scan→select→...→aggregate pipeline fragments run over fixed-size
@@ -33,35 +53,8 @@ val default_batch_size : int
     at the first operator that is not batch-capable. [batch_size <= 0]
     disables the lane entirely (pure tuple-at-a-time execution). Both
     lanes produce bit-identical results, floats included. *)
-val execute : ?batch_size:int -> Registry.t -> Proteus_algebra.Plan.t -> Value.t
-
-(** Every expression appearing anywhere in a plan (shared by the Volcano
-    executor's required-path analysis). *)
-val all_exprs : Proteus_algebra.Plan.t -> Expr.t list
-
-(** [prepare registry plan] compiles the plan and returns a thunk that can
-    be executed repeatedly (each run re-scans the inputs). Used to separate
-    "code generation" time from execution time, as the paper reports them
-    separately (~50ms compilation per query). *)
-val prepare : ?batch_size:int -> Registry.t -> Proteus_algebra.Plan.t -> unit -> Value.t
-
-(** [prepare_par registry ~domains plan] is {!prepare} with morsel-driven
-    parallel execution over [domains] OCaml domains (DESIGN.md,
-    "Parallelism substitution"): the streaming segment of the plan's spine
-    is compiled once per domain — each instance owning its closures and
-    scan cursor — and driven by a shared morsel dispenser; per-morsel
-    partial results merge on the calling domain in morsel order, so
-    results are deterministic for any domain count. [domains <= 1] is
-    exactly {!prepare}. Plans (or plan segments) that cannot fan out —
-    cold scans that would fill cache columns, collection-monoid group-bys
-    — silently fall back to the serial engine. *)
 val prepare_par :
   ?batch_size:int -> Registry.t -> domains:int -> Proteus_algebra.Plan.t -> unit -> Value.t
-
-(** [execute_par registry ~domains plan] prepares with {!prepare_par} and
-    runs once. *)
-val execute_par :
-  ?batch_size:int -> Registry.t -> domains:int -> Proteus_algebra.Plan.t -> Value.t
 
 (** {1 Parameterized engines (prepare once, run many)}
 
@@ -84,10 +77,6 @@ type bound = {
     [Perror.Plan_error] on a name no slot exists for. Parameters absent
     from [env] keep their previous value. *)
 val bind : bound -> (string * Value.t) list -> unit
-
-(** {!prepare} returning the parameter slots alongside the run thunk. *)
-val prepare_bound :
-  ?batch_size:int -> Registry.t -> Proteus_algebra.Plan.t -> bound
 
 (** {!prepare_par} returning the parameter slots alongside the run thunk. *)
 val prepare_bound_par :

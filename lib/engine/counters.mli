@@ -31,7 +31,9 @@ type snapshot = {
   fill_ns : int;
       (** wall clock committing segmented cache fills (blit assembly +
           arena installation) *)
-  morsels : int;         (** morsels handed out by parallel fleet dispensers *)
+  morsels : int;
+      (** morsels handed out by fleet dispensers — at every width, since a
+          one-domain query runs a one-worker fleet *)
   morsels_skipped : int;
       (** morsels (fleet dispenser) and batches (batch driver) skipped
           outright because a pruning summary proved no row could qualify:

@@ -1,13 +1,12 @@
 open Proteus_model
 
-type engine = Engine_compiled | Engine_volcano | Engine_parallel of int
+type engine = Engine_compiled | Engine_volcano
 
-let run ?batch_size reg ~engine plan =
+let run ?batch_size ?(domains = 1) reg ~engine plan =
   Proteus_algebra.Plan.validate plan;
   match engine with
-  | Engine_compiled -> Compiled.execute ?batch_size reg plan
+  | Engine_compiled -> Compiled.prepare_par ?batch_size reg ~domains plan ()
   | Engine_volcano -> Volcano.execute reg plan
-  | Engine_parallel domains -> Compiled.execute_par ?batch_size reg ~domains plan
 
 type outcome =
   | Completed of Value.t * Fault.report
@@ -15,14 +14,14 @@ type outcome =
   | Timed_out of Fault.report
   | Cancelled of Fault.report
 
-let run_guarded ?batch_size ?(policy = Fault.Fail_fast) ?max_errors ?timeout_ms
+let run_guarded ?batch_size ?domains ?(policy = Fault.Fail_fast) ?max_errors ?timeout_ms
     reg ~engine plan =
   let deadline =
     Option.map (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.)) timeout_ms
   in
   let ctx = Fault.install ~policy ?max_errors ?deadline () in
   Fun.protect ~finally:Fault.clear (fun () ->
-      match run ?batch_size reg ~engine plan with
+      match run ?batch_size ?domains reg ~engine plan with
       | v -> Completed (v, Fault.report ctx)
       | exception e ->
         let r = Fault.report ctx in

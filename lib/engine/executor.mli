@@ -3,16 +3,14 @@
 type engine =
   | Engine_compiled  (** the on-demand specialized engine (Section 5) *)
   | Engine_volcano   (** the iterator interpreter baseline *)
-  | Engine_parallel of int
-      (** the specialized engine with morsel-driven parallel execution over
-          N OCaml domains; [Engine_parallel 1] is exactly
-          [Engine_compiled] *)
 
 (** [run registry ~engine plan] validates and executes [plan].
-    [batch_size] configures the specialized engine's vectorized lane
-    (see {!Compiled.execute}); the Volcano engine ignores it. *)
+    [batch_size] configures the specialized engine's vectorized lane and
+    [domains] (default 1) its morsel-driven fleet width (see
+    {!Compiled.prepare_par}); the Volcano engine ignores both. *)
 val run :
   ?batch_size:int ->
+  ?domains:int ->
   Proteus_plugin.Registry.t ->
   engine:engine ->
   Proteus_algebra.Plan.t ->
@@ -39,6 +37,7 @@ type outcome =
     (parallel runs already serialize on the domain pool). *)
 val run_guarded :
   ?batch_size:int ->
+  ?domains:int ->
   ?policy:Proteus_model.Fault.policy ->
   ?max_errors:int ->
   ?timeout_ms:int ->

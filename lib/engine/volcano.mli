@@ -13,7 +13,7 @@ open Proteus_model
 open Proteus_plugin
 
 (** [execute registry plan] interprets [plan]. Result shape matches
-    {!Proteus_algebra.Interp.run} and {!Compiled.execute}. *)
+    {!Proteus_algebra.Interp.run} and {!Compiled.prepare_par}. *)
 val execute : Registry.t -> Proteus_algebra.Plan.t -> Value.t
 
 (** How scans obtain their data. The baseline systems of the evaluation

@@ -15,17 +15,7 @@ type t = {
   hooks : (string -> unit) list ref;
 }
 
-type engine = Proteus_engine.Executor.engine =
-  | Engine_compiled
-  | Engine_volcano
-  | Engine_parallel of int
-
-(* ~domains:n is sugar for Engine_parallel n over the default engine; an
-   explicitly chosen engine wins *)
-let resolve_engine engine domains =
-  match engine, domains with
-  | Engine_compiled, Some n when n > 1 -> Engine_parallel n
-  | engine, _ -> engine
+type engine = Proteus_engine.Executor.engine = Engine_compiled | Engine_volcano
 
 let create ?cache_budget ?(caching = Manager.default_config) () =
   let catalog = Catalog.create ?cache_budget () in
@@ -269,10 +259,9 @@ let bind_all params plan =
 
 let run_plan ?(engine = Executor.Engine_compiled) ?domains ?batch_size ?(optimize = true)
     ?(params = []) t plan =
-  let engine = resolve_engine engine domains in
   let plan = bind_all params plan in
   let plan = if optimize then Proteus_optimizer.Optimizer.optimize t.catalog plan else plan in
-  Executor.run ?batch_size t.registry ~engine plan
+  Executor.run ?batch_size ?domains t.registry ~engine plan
 
 let of_calc t calc = Proteus_optimizer.Optimizer.plan_of_calculus t.catalog calc
 
@@ -370,15 +359,13 @@ let wrap_ordering t (stmt : Proteus_lang.Sql.statement) =
       Perror.unsupported "ORDER BY/LIMIT requires a row-returning statement")
 
 let sql ?(engine = Executor.Engine_compiled) ?domains ?batch_size ?(params = []) t q =
-  let engine = resolve_engine engine domains in
   let stmt = Proteus_lang.Sql.parse_statement ~resolve:(resolver t) q in
-  Executor.run ?batch_size t.registry ~engine (bind_all params (wrap_ordering t stmt))
+  Executor.run ?batch_size ?domains t.registry ~engine (bind_all params (wrap_ordering t stmt))
 
 let comprehension ?(engine = Executor.Engine_compiled) ?domains ?batch_size
     ?(params = []) t q =
-  let engine = resolve_engine engine domains in
   let calc = Proteus_lang.Comprehension.parse q in
-  Executor.run ?batch_size t.registry ~engine (bind_all params (of_calc t calc))
+  Executor.run ?batch_size ?domains t.registry ~engine (bind_all params (of_calc t calc))
 
 type outcome = Proteus_engine.Executor.outcome =
   | Completed of Value.t * Fault.report
@@ -388,26 +375,23 @@ type outcome = Proteus_engine.Executor.outcome =
 
 let run_plan_guarded ?(engine = Executor.Engine_compiled) ?domains ?batch_size
     ?policy ?max_errors ?timeout_ms ?(optimize = true) ?(params = []) t plan =
-  let engine = resolve_engine engine domains in
   let plan = bind_all params plan in
   let plan =
     if optimize then Proteus_optimizer.Optimizer.optimize t.catalog plan else plan
   in
-  Executor.run_guarded ?batch_size ?policy ?max_errors ?timeout_ms t.registry
+  Executor.run_guarded ?batch_size ?domains ?policy ?max_errors ?timeout_ms t.registry
     ~engine plan
 
 let sql_guarded ?(engine = Executor.Engine_compiled) ?domains ?batch_size ?policy
     ?max_errors ?timeout_ms ?(params = []) t q =
-  let engine = resolve_engine engine domains in
   let stmt = Proteus_lang.Sql.parse_statement ~resolve:(resolver t) q in
-  Executor.run_guarded ?batch_size ?policy ?max_errors ?timeout_ms t.registry
+  Executor.run_guarded ?batch_size ?domains ?policy ?max_errors ?timeout_ms t.registry
     ~engine (bind_all params (wrap_ordering t stmt))
 
 let comprehension_guarded ?(engine = Executor.Engine_compiled) ?domains ?batch_size
     ?policy ?max_errors ?timeout_ms ?(params = []) t q =
-  let engine = resolve_engine engine domains in
   let calc = Proteus_lang.Comprehension.parse q in
-  Executor.run_guarded ?batch_size ?policy ?max_errors ?timeout_ms t.registry
+  Executor.run_guarded ?batch_size ?domains ?policy ?max_errors ?timeout_ms t.registry
     ~engine (bind_all params (of_calc t calc))
 
 let plan_sql t q = wrap_ordering t (Proteus_lang.Sql.parse_statement ~resolve:(resolver t) q)
@@ -415,10 +399,6 @@ let plan_sql t q = wrap_ordering t (Proteus_lang.Sql.parse_statement ~resolve:(r
 let plan_comprehension t q = of_calc t (Proteus_lang.Comprehension.parse q)
 
 type prepared = { compile_seconds : float; run : unit -> Value.t }
-
-let prepare_compiled ?(domains = 1) ?batch_size t plan =
-  if domains > 1 then Proteus_engine.Compiled.prepare_par ?batch_size t.registry ~domains plan
-  else Proteus_engine.Compiled.prepare ?batch_size t.registry plan
 
 (* A staged engine snapshots registry state — cache iface, structural
    indexes, cached columns — at prepare time. The registry's generation
@@ -428,8 +408,8 @@ let prepare_compiled ?(domains = 1) ?batch_size t plan =
    evictions within a generation do NOT re-stage: an engine holding an
    evicted column keeps reading its (still-correct) copy until the next
    generation bump. *)
-let staged ?domains ?batch_size t ~t0 plan =
-  let stage () = prepare_compiled ?domains ?batch_size t plan in
+let staged ?(domains = 1) ?batch_size t ~t0 plan =
+  let stage () = Proteus_engine.Compiled.prepare_par ?batch_size t.registry ~domains plan in
   let cell = ref (Registry.generation t.registry, stage ()) in
   let compile_seconds = Unix.gettimeofday () -. t0 in
   let run () =

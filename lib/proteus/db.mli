@@ -153,18 +153,16 @@ val append : t -> name:string -> string -> unit
 (** {1 Querying} *)
 
 type engine = Proteus_engine.Executor.engine =
-  | Engine_compiled
-  | Engine_volcano
-  | Engine_parallel of int
-      (** the specialized engine, morsel-parallel over N OCaml domains *)
+  | Engine_compiled  (** the specialized engine, morsel-driven over [domains] *)
+  | Engine_volcano  (** the iterator interpreter; ignores [domains] *)
 
 (** [sql db q] parses, optimizes, compiles and runs a SQL statement.
     Unqualified columns resolve against the registered schemas.
 
-    [domains] (default 1) runs the specialized engine with morsel-driven
-    parallel execution over that many OCaml domains; [~domains:1] is
-    exactly the serial engine, and an explicit [engine] takes precedence
-    over [domains].
+    [domains] (default 1) is the width of the specialized engine's
+    morsel-driven fleet: that many OCaml domains share the input's morsels;
+    [~domains:1] runs the same fleet with one worker. Results do not depend
+    on it, row order included. The Volcano engine ignores it.
 
     [batch_size] (default {!Proteus_engine.Compiled.default_batch_size})
     sizes the specialized engine's vectorized lane; [0] disables it
@@ -292,7 +290,7 @@ val prepare_comprehension :
   ?domains:int -> ?batch_size:int -> ?params:(string * Value.t) list -> t -> string -> prepared
 
 (** [prepare_plan db plan] optimizes and compiles an algebra plan.
-    [domains] > 1 prepares the morsel-parallel engine. *)
+    [domains] (default 1) is the fleet width, as in {!sql}. *)
 val prepare_plan :
   ?domains:int ->
   ?batch_size:int ->

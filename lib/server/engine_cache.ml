@@ -194,11 +194,7 @@ let acquire t ?(domains = 1) ?batch_size plan =
                promote a column, whose hook re-enters [invalidate_dataset]
                on this very thread *)
             let t0 = Unix.gettimeofday () in
-            let bound =
-              if domains > 1 then
-                Compiled.prepare_bound_par ~batch_size:batch reg ~domains pplan
-              else Compiled.prepare_bound ~batch_size:batch reg pplan
-            in
+            let bound = Compiled.prepare_bound_par ~batch_size:batch reg ~domains pplan in
             let dt = Unix.gettimeofday () -. t0 in
             Mutex.lock t.mu;
             t.c_compile <- t.c_compile +. dt;

@@ -14,7 +14,8 @@
    leased engine → release with the outcome's cleanliness, which drives
    the cache's install/quarantine decision. Within-query parallelism
    ([domains > 1]) still serializes on the engine pool's global lock; the
-   scheduler's concurrency is across serial engines. *)
+   scheduler's concurrency is across one-domain engines, whose one-worker
+   fleets run inline without taking it. *)
 
 open Proteus_model
 module Executor = Proteus_engine.Executor

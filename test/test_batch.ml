@@ -17,6 +17,9 @@ module Manager = Proteus_cache.Manager
 
 let check_value = Alcotest.testable Value.pp Value.equal
 
+let execute ?batch_size ?(domains = 1) reg plan =
+  Compiled.prepare_par ?batch_size reg ~domains plan ()
+
 (* --- one relational dataset in all four formats ---------------------------- *)
 
 let item_type =
@@ -169,19 +172,19 @@ let registry = lazy (Registry.create (make_catalog ()))
 let check_lanes ?(name = "plan") plan =
   let reg = Lazy.force registry in
   let expected = sort_bag (Interp.run ~lookup plan) in
-  let tuple = Compiled.execute ~batch_size:0 reg plan in
+  let tuple = execute ~batch_size:0 reg plan in
   let volcano = Volcano.execute reg plan in
   Alcotest.check check_value (name ^ " (tuple vs oracle)") expected (sort_bag tuple);
   Alcotest.check check_value (name ^ " (volcano vs oracle)") expected (sort_bag volcano);
   List.iter
     (fun bs ->
-      let batch = Compiled.execute ~batch_size:bs reg plan in
+      let batch = execute ~batch_size:bs reg plan in
       Alcotest.check check_value (Fmt.str "%s (batch %d == tuple)" name bs) tuple batch)
     [ 1; 7; 256; 1024; 4096 ];
   List.iter
     (fun domains ->
-      let tuple_par = Compiled.execute_par ~batch_size:0 reg ~domains plan in
-      let batch_par = Compiled.execute_par reg ~domains plan in
+      let tuple_par = execute ~batch_size:0 reg ~domains plan in
+      let batch_par = execute reg ~domains plan in
       Alcotest.check check_value
         (Fmt.str "%s (batch == tuple, %d domains)" name domains)
         tuple_par batch_par;
@@ -308,8 +311,8 @@ let test_spill_collect () =
   let reg = Lazy.force registry in
   (* order-sensitive equality between the lanes *)
   Alcotest.check check_value "bag order across lanes"
-    (Compiled.execute ~batch_size:0 reg plan)
-    (Compiled.execute reg plan);
+    (execute ~batch_size:0 reg plan)
+    (execute reg plan);
   check_lanes ~name:"collect bag" plan
 
 let test_spill_group_by () =
@@ -343,14 +346,14 @@ let test_spill_sort () =
   let reg = Lazy.force registry in
   let expected = Interp.run ~lookup plan in
   Alcotest.check check_value "sort (tuple)" expected
-    (Compiled.execute ~batch_size:0 reg plan);
-  Alcotest.check check_value "sort (batch)" expected (Compiled.execute reg plan);
+    (execute ~batch_size:0 reg plan);
+  Alcotest.check check_value "sort (batch)" expected (execute reg plan);
   List.iter
     (fun domains ->
       Alcotest.check check_value
         (Fmt.str "sort (batch, %d domains)" domains)
         expected
-        (Compiled.execute_par reg ~domains plan))
+        (execute reg ~domains plan))
     [ 2; 4 ]
 
 let test_spill_unnest () =
@@ -405,10 +408,10 @@ let test_float_bit_identity () =
       ]
       (Plan.scan ~dataset:"harmonic" ~binding:"x" ())
   in
-  let tuple = Compiled.execute ~batch_size:0 reg plan in
+  let tuple = execute ~batch_size:0 reg plan in
   List.iter
     (fun bs ->
-      let batch = Compiled.execute ~batch_size:bs reg plan in
+      let batch = execute ~batch_size:bs reg plan in
       List.iter
         (fun f ->
           Alcotest.(check int64)
@@ -418,8 +421,8 @@ let test_float_bit_identity () =
     [ 1; 7; 256; 1024; 4096 ];
   List.iter
     (fun domains ->
-      let tuple_par = Compiled.execute_par ~batch_size:0 reg ~domains plan in
-      let batch_par = Compiled.execute_par reg ~domains plan in
+      let tuple_par = execute ~batch_size:0 reg ~domains plan in
+      let batch_par = execute reg ~domains plan in
       List.iter
         (fun f ->
           Alcotest.(check int64)
@@ -429,8 +432,8 @@ let test_float_bit_identity () =
     [ 2; 3; 4 ];
   (* and the batch lane is itself deterministic across domain counts *)
   Alcotest.check check_value "batch lane: 2 == 4 domains"
-    (Compiled.execute_par reg ~domains:2 plan)
-    (Compiled.execute_par reg ~domains:4 plan)
+    (execute reg ~domains:2 plan)
+    (execute reg ~domains:4 plan)
 
 (* --- counters: the lane decision and batch statistics are observable ------- *)
 
@@ -443,7 +446,7 @@ let test_counters () =
       (Plan.scan ~dataset:"items_col" ~binding:"x" ())
   in
   Counters.reset ();
-  ignore (Compiled.execute reg plan);
+  ignore (execute reg plan);
   let s = Counters.snapshot () in
   Alcotest.(check int) "tuples" 800 s.Counters.tuples;
   Alcotest.(check int) "batch rows" 800 s.Counters.batch_rows;
@@ -454,7 +457,7 @@ let test_counters () =
   Alcotest.(check bool) "density = 0.5" true
     (Float.abs (Counters.selection_density s -. 0.5) < 1e-9);
   Counters.reset ();
-  ignore (Compiled.execute ~batch_size:0 reg plan);
+  ignore (execute ~batch_size:0 reg plan);
   let s = Counters.snapshot () in
   Alcotest.(check int) "tuple lane: no batches" 0 s.Counters.batches;
   Alcotest.(check int) "tuple lane counted" 1 s.Counters.lanes_tuple;
@@ -501,8 +504,8 @@ let test_cache_parity () =
     List.iteri
       (fun i plan ->
         let name = Fmt.str "round %d query %d" round i in
-        let tuple = Compiled.execute ~batch_size:0 reg_t plan in
-        let batch = Compiled.execute reg_b plan in
+        let tuple = execute ~batch_size:0 reg_t plan in
+        let batch = execute reg_b plan in
         Alcotest.check check_value name tuple batch)
       workload
   done;

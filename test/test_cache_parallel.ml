@@ -133,10 +133,12 @@ let workload =
 (* Run the workload cold on a fresh session, returning (results, cache
    snapshot, stats). The cache snapshot holds every (dataset, path) field
    column present after the run. *)
-let cold_run ~engine ~batch_size () =
+let cold_run ?domains ~engine ~batch_size () =
   let mgr, reg = make_session () in
   let results =
-    List.map (fun plan -> sort_bag (Executor.run ~batch_size reg ~engine plan)) workload
+    List.map
+      (fun plan -> sort_bag (Executor.run ~batch_size ?domains reg ~engine plan))
+      workload
   in
   let iface = Manager.iface mgr in
   let columns =
@@ -166,7 +168,7 @@ let test_cold_matrix () =
     (fun (domains, batch_size) ->
       let name = Fmt.str "domains=%d batch=%d" domains batch_size in
       let _, reg, results, columns, stats =
-        cold_run ~engine:(Executor.Engine_parallel domains) ~batch_size ()
+        cold_run ~domains ~engine:Executor.Engine_compiled ~batch_size ()
       in
       List.iteri
         (fun i (expected, got) ->
@@ -216,7 +218,7 @@ let test_cold_matrix () =
             (List.nth base_results i)
             (sort_bag
                (Executor.run ~batch_size reg
-                  ~engine:(Executor.Engine_parallel domains) plan)))
+                  ~domains ~engine:Executor.Engine_compiled plan)))
         workload)
     [ (1, 0); (1, 256); (1, 1024); (2, 0); (2, 256); (2, 1024); (4, 0); (4, 256);
       (4, 1024) ]
@@ -226,7 +228,8 @@ let test_warm_stores_nothing () =
   let run () =
     List.iter
       (fun plan ->
-        ignore (Executor.run ~batch_size:256 reg ~engine:(Executor.Engine_parallel 4) plan))
+        ignore
+          (Executor.run ~batch_size:256 reg ~domains:4 ~engine:Executor.Engine_compiled plan))
       workload
   in
   run ();
@@ -244,7 +247,7 @@ let test_warm_stores_nothing () =
 let test_morsel_counter () =
   let _, reg = make_session () in
   Counters.reset ();
-  ignore (Executor.run reg ~engine:(Executor.Engine_parallel 4) (List.hd workload));
+  ignore (Executor.run reg ~domains:4 ~engine:Executor.Engine_compiled (List.hd workload));
   let s = Counters.snapshot () in
   Alcotest.(check bool) "morsels dispensed" true (s.Counters.morsels > 0);
   Counters.reset ()
@@ -276,7 +279,7 @@ let test_fail_fast_releases_segments () =
   let mgr, reg = make_session () in
   let _seeks = Faultgen.inject reg ~dataset:"items_csv" ~fail_at:(fun r -> r = 400) in
   (match
-     Executor.run_guarded reg ~engine:(Executor.Engine_parallel 4)
+     Executor.run_guarded reg ~domains:4 ~engine:Executor.Engine_compiled
        (scan_plan "items_csv")
    with
   | Executor.Failed _ -> ()
@@ -296,7 +299,7 @@ let test_skip_row_quarantines_compacted_fill () =
       let _ = Faultgen.inject reg ~dataset:"items_csv" ~fail_at:(fun r -> r mod 97 = 3) in
       (match
          Executor.run_guarded ~batch_size ~policy:Fault.Skip_row reg
-           ~engine:(Executor.Engine_parallel domains) (scan_plan "items_csv")
+           ~domains ~engine:Executor.Engine_compiled (scan_plan "items_csv")
        with
       | Executor.Completed (_, report) ->
         Alcotest.(check bool) (name ^ " rows skipped") true (report.Fault.rp_skipped > 0)
@@ -314,7 +317,7 @@ let test_skip_row_clean_installs () =
   let mgr, reg = make_session () in
   (match
      Executor.run_guarded ~batch_size:256 ~policy:Fault.Skip_row reg
-       ~engine:(Executor.Engine_parallel 4) (scan_plan "items_csv")
+       ~domains:4 ~engine:Executor.Engine_compiled (scan_plan "items_csv")
    with
   | Executor.Completed (_, report) ->
     Alcotest.(check int) "no errors" 0 report.Fault.rp_errors

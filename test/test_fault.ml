@@ -87,17 +87,17 @@ let grp_q = "SELECT grp, SUM(price) AS s FROM items WHERE k >= 0 GROUP BY grp"
 (* --- engine configurations ---------------------------------------------- *)
 
 let cfgs =
-  [ ("serial", Db.Engine_compiled, None);
-    ("tuple", Db.Engine_compiled, Some 0);
-    ("batch256", Db.Engine_compiled, Some 256);
-    ("batch1024", Db.Engine_compiled, Some 1024);
-    ("volcano", Db.Engine_volcano, None);
-    ("par2", Db.Engine_parallel 2, None);
-    ("par4", Db.Engine_parallel 4, None);
-    ("par4b256", Db.Engine_parallel 4, Some 256) ]
+  [ ("serial", (Db.Engine_compiled, 1), None);
+    ("tuple", (Db.Engine_compiled, 1), Some 0);
+    ("batch256", (Db.Engine_compiled, 1), Some 256);
+    ("batch1024", (Db.Engine_compiled, 1), Some 1024);
+    ("volcano", (Db.Engine_volcano, 1), None);
+    ("par2", (Db.Engine_compiled, 2), None);
+    ("par4", (Db.Engine_compiled, 4), None);
+    ("par4b256", (Db.Engine_compiled, 4), Some 256) ]
 
-let guarded ?policy ?max_errors ?timeout_ms (_, engine, batch) mk q =
-  Db.sql_guarded ~engine ?batch_size:batch ?policy ?max_errors ?timeout_ms (mk ()) q
+let guarded ?policy ?max_errors ?timeout_ms (_, (engine, domains), batch) mk q =
+  Db.sql_guarded ~engine ~domains ?batch_size:batch ?policy ?max_errors ?timeout_ms (mk ()) q
 
 let completed name = function
   | Db.Completed (v, r) -> (v, r)
@@ -229,7 +229,7 @@ let test_deadline () =
       match guarded ~timeout_ms:0 cfg (db_csv csv_valid) agg_q with
       | Db.Timed_out _ -> ()
       | _ -> Alcotest.failf "%s: expected Timed_out under a 0ms deadline" name)
-    [ List.hd cfgs; ("par4", Db.Engine_parallel 4, None) ]
+    [ List.hd cfgs; ("par4", (Db.Engine_compiled, 4), None) ]
 
 (* --- cache quarantine ----------------------------------------------------- *)
 
@@ -261,13 +261,10 @@ let test_counters () =
       List.iter
         (fun batch ->
           let name = Fmt.str "d%d/b%d" domains batch in
-          let engine =
-            if domains = 1 then Db.Engine_compiled else Db.Engine_parallel domains
-          in
           Counters.reset ();
           let _ =
             completed name
-              (Db.sql_guarded ~engine ~batch_size:batch ~policy:Fault.Skip_row
+              (Db.sql_guarded ~domains ~batch_size:batch ~policy:Fault.Skip_row
                  (db_csv csv_corrupt ()) agg_q)
           in
           let s = Counters.snapshot () in

@@ -24,13 +24,13 @@ let test_morsel0_fault_cancels_peers () =
   Db.set_caching db false;
   Db.register_csv db ~name:"items" ~element:item_ty ~contents ();
   (* sanity: the uninjected parallel run completes *)
-  let expected = Db.sql ~engine:(Db.Engine_parallel 4) db q in
+  let expected = Db.sql ~domains:4 db q in
   ignore expected;
   (* inject: any access in morsel 0 (rows 0..15) raises *)
   let seeks =
     Faultgen.inject (Db.registry db) ~dataset:"items" ~fail_at:(fun row -> row < 16)
   in
-  (match Db.sql_guarded ~engine:(Db.Engine_parallel 4) db q with
+  (match Db.sql_guarded ~domains:4 db q with
   | Db.Failed (_, Perror.Parse_error _) -> ()
   | Db.Failed (_, e) -> Alcotest.failf "unexpected failure: %a" Perror.pp_exn e
   | Db.Completed _ -> Alcotest.fail "injected fault should fail the query"
@@ -47,12 +47,12 @@ let test_budget_abort_cancels_peers () =
      accessors, hiding the fault *)
   Db.set_caching db false;
   Db.register_csv db ~name:"items" ~element:item_ty ~contents ();
-  ignore (Db.sql ~engine:(Db.Engine_parallel 4) db q);
+  ignore (Db.sql ~domains:4 db q);
   let seeks =
     Faultgen.inject (Db.registry db) ~dataset:"items" ~fail_at:(fun row -> row < 16)
   in
   (match
-     Db.sql_guarded ~engine:(Db.Engine_parallel 4) ~policy:Fault.Skip_row ~max_errors:2
+     Db.sql_guarded ~domains:4 ~policy:Fault.Skip_row ~max_errors:2
        db q
    with
   | Db.Failed (_, Fault.Budget_exceeded _) -> ()
@@ -69,10 +69,10 @@ let test_skip_over_injection_completes () =
      accessors, hiding the fault *)
   Db.set_caching db false;
   Db.register_csv db ~name:"items" ~element:item_ty ~contents ();
-  let clean = Db.sql ~engine:(Db.Engine_parallel 4) db q in
+  let clean = Db.sql ~domains:4 db q in
   ignore clean;
   ignore (Faultgen.inject (Db.registry db) ~dataset:"items" ~fail_at:(fun row -> row < 16));
-  match Db.sql_guarded ~engine:(Db.Engine_parallel 4) ~policy:Fault.Skip_row db q with
+  match Db.sql_guarded ~domains:4 ~policy:Fault.Skip_row db q with
   | Db.Completed (_, r) ->
     Alcotest.(check int) "skipped" 16 r.Fault.rp_skipped
   | _ -> Alcotest.fail "expected Completed under Skip_row"

@@ -1,5 +1,5 @@
 (* Differential tests for the morsel-parallel engine: on the same plans and
-   datasets (every format plug-in), [Engine_parallel n] must agree with the
+   datasets (every format plug-in), [~domains:n] must agree with the
    serial compiled engine, the Volcano interpreter and the reference algebra
    evaluator — and must be deterministic across domain counts, including
    float aggregates and cache side effects. *)
@@ -145,8 +145,8 @@ let check_par ?(name = "plan") plan =
   let expected = sort_bag (Interp.run ~lookup plan) in
   let serial = Executor.run reg ~engine:Executor.Engine_compiled plan in
   let volcano = Executor.run reg ~engine:Executor.Engine_volcano plan in
-  let p2 = Executor.run reg ~engine:(Executor.Engine_parallel 2) plan in
-  let p4 = Executor.run reg ~engine:(Executor.Engine_parallel 4) plan in
+  let p2 = Executor.run reg ~domains:2 ~engine:Executor.Engine_compiled plan in
+  let p4 = Executor.run reg ~domains:4 ~engine:Executor.Engine_compiled plan in
   Alcotest.check check_value (name ^ " (serial)") expected (sort_bag serial);
   Alcotest.check check_value (name ^ " (volcano)") expected (sort_bag volcano);
   Alcotest.check check_value (name ^ " (2 domains)") expected (sort_bag p2);
@@ -164,7 +164,7 @@ let check_par_ordered ?(name = "plan") plan =
       Alcotest.check check_value
         (Fmt.str "%s (%d domains)" name n)
         expected
-        (Executor.run reg ~engine:(Executor.Engine_parallel n) plan))
+        (Executor.run reg ~domains:n ~engine:Executor.Engine_compiled plan))
     [ 2; 3; 4 ]
 
 let item_datasets = [ "items_csv"; "items_json"; "items_row"; "items_col" ]
@@ -330,7 +330,7 @@ let test_float_determinism () =
       ]
       (Plan.scan ~dataset:"harmonic" ~binding:"x" ())
   in
-  let at n = Executor.run reg ~engine:(Executor.Engine_parallel n) plan in
+  let at n = Executor.run reg ~domains:n ~engine:Executor.Engine_compiled plan in
   let base = at 2 in
   List.iter
     (fun n ->
@@ -349,7 +349,7 @@ let test_float_determinism () =
     (Float.abs (serial -. par) <= 1e-12 *. Float.abs serial);
   Alcotest.check check_value "repeat run bit-identical" base (at 2)
 
-(* --- Engine_parallel 1 is exactly the serial engine ----------------------- *)
+(* --- one domain is the default width ---------------------------------------- *)
 
 let test_one_domain_is_serial () =
   let reg = Lazy.force registry in
@@ -360,10 +360,67 @@ let test_one_domain_is_serial () =
       ~binding:"grp"
       (Plan.scan ~dataset:"items_row" ~binding:"x" ())
   in
-  (* order-sensitive: the serial engine's first-encounter group order *)
+  (* order-sensitive *)
   Alcotest.check check_value "identical incl. row order"
     (Executor.run reg ~engine:Executor.Engine_compiled plan)
-    (Executor.run reg ~engine:(Executor.Engine_parallel 1) plan)
+    (Executor.run reg ~domains:1 ~engine:Executor.Engine_compiled plan)
+
+(* --- output does not depend on the domain count ---------------------------- *)
+
+(* Group keys whose first-encounter order differs from key order: [6 - grp]
+   meets 6, 5, ..., 0 (unboxed int key), [name] meets n0, n1, ..., n12,
+   which sorts n0, n1, n10, n11, n12, n2, ... (boxed string key). One
+   domain runs the same one-worker fleet as N domains, so every width
+   emits the same rows in the same order. *)
+let test_domain_independent () =
+  let reg = Lazy.force registry in
+  let group_by ds key =
+    Plan.nest
+      ~keys:[ ("g", key) ]
+      ~aggs:
+        [
+          Plan.agg ~name:"n" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+          Plan.agg ~name:"total" (Monoid.Primitive Monoid.Sum)
+            Expr.(Field (var "x", "price"));
+        ]
+      ~binding:"grp"
+      (Plan.scan ~dataset:ds ~binding:"x" ())
+  in
+  let keys =
+    [ ("int", Expr.(int 6 -. Field (var "x", "grp")));
+      ("string", Expr.(Field (var "x", "name"))) ]
+  in
+  List.iter
+    (fun ds ->
+      List.iter
+        (fun (kname, key) ->
+          let plan = group_by ds key in
+          let expected = sort_bag (Interp.run ~lookup plan) in
+          let run domains batch_size =
+            Executor.run ~batch_size ~domains reg ~engine:Executor.Engine_compiled plan
+          in
+          let base = run 1 0 in
+          List.iter
+            (fun domains ->
+              List.iter
+                (fun batch_size ->
+                  let name = Fmt.str "%s %s key d=%d b=%d" ds kname domains batch_size in
+                  let got = run domains batch_size in
+                  Alcotest.check check_value (name ^ " vs oracle") expected (sort_bag got);
+                  Alcotest.check check_value (name ^ " == d=1 b=0, order included") base got)
+                [ 0; 1024 ])
+            [ 1; 2; 4 ])
+        keys)
+    [ "items_csv"; "items_json"; "items_row" ];
+  (* the one-domain run of a spine-drivable Reduce is a morsel fleet *)
+  Counters.reset ();
+  ignore
+    (Executor.run ~domains:1 reg ~engine:Executor.Engine_compiled
+       (Plan.reduce
+          [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
+          (Plan.scan ~dataset:"items_csv" ~binding:"x" ())));
+  Alcotest.(check bool) "one domain dispenses morsels" true
+    ((Counters.snapshot ()).Counters.morsels > 0)
 
 (* --- caching: a parallel session leaves bit-identical caches -------------- *)
 
@@ -415,7 +472,7 @@ let test_cache_parity () =
       (fun i plan ->
         let name = Fmt.str "round %d query %d" round i in
         let serial = Executor.run reg_s ~engine:Executor.Engine_compiled plan in
-        let par = Executor.run reg_p ~engine:(Executor.Engine_parallel 4) plan in
+        let par = Executor.run reg_p ~domains:4 ~engine:Executor.Engine_compiled plan in
         Alcotest.check check_value name (sort_bag serial) (sort_bag par))
       workload
   done;
@@ -544,6 +601,8 @@ let () =
           Alcotest.test_case "float aggregates across domain counts" `Quick
             test_float_determinism;
           Alcotest.test_case "one domain is serial" `Quick test_one_domain_is_serial;
+          Alcotest.test_case "output independent of domain count" `Quick
+            test_domain_independent;
         ] );
       ( "caching",
         [ Alcotest.test_case "parallel session parity" `Quick test_cache_parity ] );

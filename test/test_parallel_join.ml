@@ -141,7 +141,7 @@ let check_join ?(name = "plan") plan =
         (fun d ->
           let par =
             Executor.run ~batch_size:bs reg
-              ~engine:(Executor.Engine_parallel d) plan
+              ~domains:d ~engine:Executor.Engine_compiled plan
           in
           Alcotest.check check_value
             (Fmt.str "%s (domains=%d, batch=%d)" name d bs)
@@ -319,7 +319,7 @@ let test_sorted_group_by () =
           Alcotest.check check_value
             (Fmt.str "sorted nest (domains=%d, batch=%d)" d bs)
             expected
-            (Executor.run ~batch_size:bs reg ~engine:(Executor.Engine_parallel d) plan))
+            (Executor.run ~batch_size:bs reg ~domains:d ~engine:Executor.Engine_compiled plan))
         domain_counts)
     batch_sizes
 
@@ -338,7 +338,9 @@ let test_repeat_determinism () =
       ~binding:"g"
       (Plan.join ~pred:join_pred (scan_orders "orders") (scan_parts "dup_parts"))
   in
-  let at d = Executor.run ~batch_size:256 reg ~engine:(Executor.Engine_parallel d) plan in
+  let at d =
+    Executor.run ~batch_size:256 reg ~domains:d ~engine:Executor.Engine_compiled plan
+  in
   let base = at 4 in
   Alcotest.check check_value "repeat run bit-identical" base (at 4);
   Alcotest.check check_value "2 == 4 domains" (sort_bag (at 2)) (sort_bag base)

@@ -198,7 +198,7 @@ let test_differential () =
                       (fun (pname, p) (_, want) ->
                         let got =
                           Executor.run ~batch_size:bs reg
-                            ~engine:(Executor.Engine_parallel domains) p
+                            ~domains ~engine:Executor.Engine_compiled p
                         in
                         Alcotest.check check_value
                           (Fmt.str "%s/%s pass%d %s bs=%d %s" ds cfg_name pass
@@ -213,12 +213,12 @@ let test_differential () =
 
 (* --- sorted projections: skip where zone maps are powerless --------------- *)
 
-let warm_then_measure reg ~runs plan ~engine ~batch_size =
+let warm_then_measure ?domains reg ~runs plan ~engine ~batch_size =
   for _ = 1 to runs do
     ignore (Executor.run ~batch_size reg ~engine:Executor.Engine_compiled plan)
   done;
   Counters.reset ();
-  let r = Executor.run ~batch_size reg ~engine plan in
+  let r = Executor.run ~batch_size ?domains reg ~engine plan in
   (r, Counters.snapshot ())
 
 let expected_between =
@@ -231,7 +231,7 @@ let test_sorted_skip_parallel () =
   let mgr, reg = make_session ~config:promote_config () in
   let plan = between_plan "pcsv" in
   let r, s =
-    warm_then_measure reg ~runs:4 plan ~engine:(Executor.Engine_parallel 4)
+    warm_then_measure reg ~runs:4 plan ~domains:4 ~engine:Executor.Engine_compiled
       ~batch_size:1024
   in
   Alcotest.check check_value "between count" expected_between r;
@@ -252,7 +252,7 @@ let test_sorted_skip_parallel () =
      (only the ragged 32-row tail zone misses its planted 0 and may skip) *)
   let _, reg0 = make_session ~config:noproj_config () in
   let r0, s0 =
-    warm_then_measure reg0 ~runs:4 plan ~engine:(Executor.Engine_parallel 4)
+    warm_then_measure reg0 ~runs:4 plan ~domains:4 ~engine:Executor.Engine_compiled
       ~batch_size:1024
   in
   Alcotest.check check_value "zone-only same result" expected_between r0;
@@ -289,7 +289,7 @@ let test_sorted_skip_nullmask () =
             (List.init 100 (fun j -> 300 + j))))
   in
   let r, s =
-    warm_then_measure reg ~runs:4 plan ~engine:(Executor.Engine_parallel 2)
+    warm_then_measure reg ~runs:4 plan ~domains:2 ~engine:Executor.Engine_compiled
       ~batch_size:1024
   in
   Alcotest.check check_value "nullmask band count" expected r;
@@ -354,7 +354,7 @@ let test_slot_column () =
     (s.Counters.slot_reads > 0);
   (* parallel parity on the promoted layout *)
   Alcotest.check check_value "slot parallel parity" want
-    (Executor.run ~batch_size:256 reg ~engine:(Executor.Engine_parallel 4) plan)
+    (Executor.run ~batch_size:256 reg ~domains:4 ~engine:Executor.Engine_compiled plan)
 
 (* --- join-side pruning: min/max + Bloom summaries from the build ---------- *)
 
@@ -386,7 +386,9 @@ let test_join_prune () =
     (s.Counters.probe_morsels_skipped > 0);
   (* parallel lane: the dispenser skip armed after the build barrier *)
   Counters.reset ();
-  let rp = Executor.run ~batch_size:1024 reg ~engine:(Executor.Engine_parallel 4) plan in
+  let rp =
+    Executor.run ~batch_size:1024 reg ~domains:4 ~engine:Executor.Engine_compiled plan
+  in
   let sp = Counters.snapshot () in
   Alcotest.check check_value "parallel join result" expected_join rp;
   Alcotest.(check bool)

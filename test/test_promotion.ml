@@ -137,7 +137,7 @@ let test_differential () =
                       (fun (pname, p) (_, want) ->
                         let got =
                           Executor.run ~batch_size:bs reg
-                            ~engine:(Executor.Engine_parallel domains) p
+                            ~domains ~engine:Executor.Engine_compiled p
                         in
                         Alcotest.check check_value
                           (Fmt.str "%s/%s pass%d %s bs=%d %s" ds cfg_name pass
@@ -153,19 +153,19 @@ let test_differential () =
 (* --- zone-map skipping: clustered, scrambled, all-null ------------------- *)
 
 (* Warm the cache and cross the promotion threshold, then measure one run. *)
-let warm_then_measure reg ~runs plan ~engine ~batch_size =
+let warm_then_measure ?domains reg ~runs plan ~engine ~batch_size =
   for _ = 1 to runs do
     ignore (Executor.run ~batch_size reg ~engine:Executor.Engine_compiled plan)
   done;
   Counters.reset ();
-  let r = Executor.run ~batch_size reg ~engine plan in
+  let r = Executor.run ~batch_size ?domains reg ~engine plan in
   (r, Counters.snapshot ())
 
 let test_zone_skip_clustered () =
   let mgr, reg = make_session ~config:promote_config () in
   let plan = count ~pred:Expr.(x "k" <. int 40) "pcsv" in
   let r, s =
-    warm_then_measure reg ~runs:4 plan ~engine:(Executor.Engine_parallel 4)
+    warm_then_measure reg ~runs:4 plan ~domains:4 ~engine:Executor.Engine_compiled
       ~batch_size:1024
   in
   Alcotest.check check_value "clustered count" (Value.Int 40) r;
@@ -198,7 +198,7 @@ let test_zone_skip_scrambled () =
   let _, reg = make_session ~config:promote_config () in
   let plan = count ~pred:Expr.(x "u" <. int 40) "pcsv" in
   let r, _ =
-    warm_then_measure reg ~runs:4 plan ~engine:(Executor.Engine_parallel 4)
+    warm_then_measure reg ~runs:4 plan ~domains:4 ~engine:Executor.Engine_compiled
       ~batch_size:1024
   in
   (* u is a permutation of 0..n-1, so the count matches the clustered one;
@@ -210,7 +210,7 @@ let test_zone_skip_all_null () =
   let mgr, reg = make_session ~config:promote_config () in
   let plan = count ~pred:Expr.(x "m" <. int 5) "pnull" in
   let r, s =
-    warm_then_measure reg ~runs:4 plan ~engine:(Executor.Engine_parallel 2)
+    warm_then_measure reg ~runs:4 plan ~domains:2 ~engine:Executor.Engine_compiled
       ~batch_size:1024
   in
   (* Null < 5 is false for every row; all-null zones prove it wholesale *)
@@ -260,7 +260,7 @@ let test_dict_parity () =
        (count ~pred:Expr.(x "s" ==. str "no-such") "pjson"));
   (* parallel + small batches agree with the decoded-string path *)
   Alcotest.check check_value "dict parallel parity" expected_like
-    (Executor.run ~batch_size:256 reg ~engine:(Executor.Engine_parallel 4) like_plan)
+    (Executor.run ~batch_size:256 reg ~domains:4 ~engine:Executor.Engine_compiled like_plan)
 
 (* --- eviction of a promoted column falls back cleanly --------------------- *)
 

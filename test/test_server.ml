@@ -148,20 +148,13 @@ let test_parameterize_slots () =
 let rebind_vs_fresh ~domains ~batch_size db ds =
   let reg = Db.registry db in
   let param_plan = agg_plan ds (Expr.param "p") in
-  let bound =
-    if domains > 1 then Compiled.prepare_bound_par ~batch_size reg ~domains param_plan
-    else Compiled.prepare_bound ~batch_size reg param_plan
-  in
+  let bound = Compiled.prepare_bound_par ~batch_size reg ~domains param_plan in
   List.iter
     (fun v ->
       Compiled.bind bound [ ("p", Value.Int v) ];
       let got = bound.Compiled.bd_run () in
       let fresh_plan = agg_plan ds (Expr.int v) in
-      let expect =
-        if domains > 1 then
-          Compiled.execute_par ~batch_size reg ~domains fresh_plan
-        else Compiled.execute ~batch_size reg fresh_plan
-      in
+      let expect = Compiled.prepare_par ~batch_size reg ~domains fresh_plan () in
       Alcotest.check check_value
         (Fmt.str "%s domains=%d batch=%d p=%d" ds domains batch_size v)
         expect got)
@@ -190,7 +183,7 @@ let test_rebind_after_promotion () =
   let reg = Db.registry db in
   (* drive the column past the promotion threshold *)
   for _ = 1 to 4 do
-    ignore (Compiled.execute reg (agg_plan "items_csv" (Expr.int 100)))
+    ignore (Compiled.prepare_par reg ~domains:1 (agg_plan "items_csv" (Expr.int 100)) ())
   done;
   Alcotest.(check bool) "k promoted" true
     (Proteus_cache.Manager.is_promoted (Db.cache_manager db)
@@ -203,11 +196,15 @@ let test_rebind_after_promotion () =
 
 let test_unbound_param_reads_null () =
   let db = make_db () in
-  let bound = Compiled.prepare_bound (Db.registry db) (agg_plan "items_row" (Expr.param "p")) in
+  let bound =
+    Compiled.prepare_bound_par (Db.registry db) ~domains:1
+      (agg_plan "items_row" (Expr.param "p"))
+  in
   (* comparisons against an unbound (Null) slot are false: empty selection,
      same as a predicate no row satisfies *)
   Alcotest.check check_value "unbound slot selects nothing"
-    (Compiled.execute (Db.registry db) (agg_plan "items_row" (Expr.int (-1))))
+    (Compiled.prepare_par (Db.registry db) ~domains:1
+       (agg_plan "items_row" (Expr.int (-1))) ())
     (bound.Compiled.bd_run ());
   Alcotest.check_raises "unknown name"
     (Perror.Plan_error "unknown parameter ?nope") (fun () ->
@@ -352,7 +349,7 @@ let test_cache_invalidation_on_promotion () =
      including the resident one staged against the pre-promotion layout *)
   let reg = Db.registry db in
   for i = 1 to 6 do
-    ignore (Compiled.execute reg (agg_plan "items_csv" (Expr.int (30 + i))))
+    ignore (Compiled.prepare_par reg ~domains:1 (agg_plan "items_csv" (Expr.int (30 + i))) ())
   done;
   Alcotest.(check bool) "k promoted" true
     (Proteus_cache.Manager.is_promoted (Db.cache_manager db)
