@@ -536,6 +536,21 @@ let run jsons csvs q raw_params engine domains batch_size shards policy max_erro
                sorted-projections=%d slot-columns=%d@."
               cs.Proteus_cache.Manager.promotions cs.zone_maps cs.dict_columns
               cs.sorted_projections cs.slot_columns;
+          (* how each raw file's structural index came to be: one full
+             build, then rows indexed by extension over appends *)
+          List.iter
+            (fun (name, _, _) ->
+              match Proteus_plugin.Registry.index_info (Proteus.Db.registry db) name with
+              | Some i ->
+                Fmt.epr "index %s: rows-built=%d rows-extended=%d fixed-layout=%b@." name
+                  i.Proteus_plugin.Registry.built_rows i.extended_rows i.fixed_schema
+              | None -> ())
+            files;
+          if cs.Proteus_cache.Manager.tail_rows > 0 || cs.layouts_extended > 0
+             || cs.layouts_dropped > 0
+          then
+            Fmt.epr "cache appends: tail-rows=%d layouts-extended=%d layouts-dropped=%d@."
+              cs.Proteus_cache.Manager.tail_rows cs.layouts_extended cs.layouts_dropped;
           Fmt.epr "%a" pp_report report
         end;
         0

@@ -64,8 +64,11 @@ type stats = {
   promotions : int;       (* columns promoted past the workload threshold *)
   zone_maps : int;        (* zone-map side structures built *)
   dict_columns : int;     (* string columns re-encoded as dictionaries *)
-  sorted_projections : int;  (* value-ordered copies + OID permutations *)
+  sorted_projections : int;  (* value-order OID permutations *)
   slot_columns : int;     (* columns pre-parsed straight from format indexes *)
+  tail_rows : int;        (* appended rows filled into kept cached columns *)
+  layouts_extended : int; (* columns, zone maps, projections extended by appends *)
+  layouts_dropped : int;  (* of those, dropped: the appended rows broke them *)
 }
 
 type t = {
@@ -110,6 +113,9 @@ type t = {
   mutable dict_columns : int;
   mutable sorted_projections : int;
   mutable slot_columns : int;
+  mutable tail_rows : int;
+  mutable layouts_extended : int;
+  mutable layouts_dropped : int;
 }
 
 and access_acc = {
@@ -158,6 +164,9 @@ let create ?(config = default_config) catalog =
     dict_columns = 0;
     sorted_projections = 0;
     slot_columns = 0;
+    tail_rows = 0;
+    layouts_extended = 0;
+    layouts_dropped = 0;
   }
 
 (* Serialize every entry point; deliver promotion-hook notifications after
@@ -214,7 +223,7 @@ let build_zones t (dataset, path) col =
 (* Sorted projections are the second promotion tier: only columns whose
    workload showed RANGE predicates earn the sort + permutation — equality
    probes and plain reads are already served by zone maps/dictionaries, and
-   on unclustered data only the sorted copy can prove morsels empty. *)
+   on unclustered data only the value order can prove morsels empty. *)
 let build_projection t (dataset, path) col =
   if
     t.config.promote_projections
@@ -311,6 +320,12 @@ let lookup_field t ~dataset ~path =
     t.field_misses <- t.field_misses + 1;
     None
 
+(* A field block's eviction takes its side structures with it. *)
+let evict_field t key () =
+  Hashtbl.remove t.fields key;
+  Hashtbl.remove t.zones key;
+  Hashtbl.remove t.projections key
+
 let store_field t ~dataset ~path ~bias col =
   (* An already-promoted string column installs directly in its dictionary
      layout (e.g. a re-fill after eviction, or the first fill after the
@@ -327,12 +342,7 @@ let store_field t ~dataset ~path ~bias col =
   in
   let id = field_id dataset path in
   let size = Column.byte_size col in
-  (match
-     Memory.Arena.put t.arena ~id ~size ~bias ~on_evict:(fun () ->
-         Hashtbl.remove t.fields (dataset, path);
-         Hashtbl.remove t.zones (dataset, path);
-         Hashtbl.remove t.projections (dataset, path))
-   with
+  (match Memory.Arena.put t.arena ~id ~size ~bias ~on_evict:(evict_field t (dataset, path)) with
   | () ->
     Hashtbl.replace t.fields (dataset, path) col;
     t.field_stores <- t.field_stores + 1;
@@ -541,6 +551,9 @@ let stats t = with_mu t @@ fun () ->
     dict_columns = t.dict_columns;
     sorted_projections = t.sorted_projections;
     slot_columns = t.slot_columns;
+    tail_rows = t.tail_rows;
+    layouts_extended = t.layouts_extended;
+    layouts_dropped = t.layouts_dropped;
   }
 
 let field_bytes_for t ~dataset = with_mu t @@ fun () ->
@@ -577,17 +590,9 @@ let resident_bytes t = with_mu t @@ fun () ->
         List.fold_left (fun acc e -> acc + packed_size e.se_packed) acc !entries)
       t.selects 0
 
-let invalidate_dataset t ~dataset = with_mu t @@ fun () ->
-  let field_keys =
-    Hashtbl.fold
-      (fun (ds, path) _ acc -> if String.equal ds dataset then (ds, path) :: acc else acc)
-      t.fields []
-  in
-  List.iter
-    (fun (ds, path) ->
-      Hashtbl.remove t.fields (ds, path);
-      Memory.Arena.remove t.arena (field_id ds path))
-    field_keys;
+(* Plan-derived results over [dataset]: materialized join sides and
+   sigma-results. *)
+let drop_plan_results t ~dataset =
   let packed_keys =
     Hashtbl.fold
       (fun key (_, datasets) acc -> if List.mem dataset datasets then key :: acc else acc)
@@ -598,26 +603,119 @@ let invalidate_dataset t ~dataset = with_mu t @@ fun () ->
       Hashtbl.remove t.packed key;
       Memory.Arena.remove t.arena (packed_id key))
     packed_keys;
-  (match Hashtbl.find_opt t.selects dataset with
+  match Hashtbl.find_opt t.selects dataset with
   | Some entries ->
     List.iter (fun e -> Memory.Arena.remove t.arena e.se_id) !entries;
     Hashtbl.remove t.selects dataset
-  | None -> ());
+  | None -> ()
+
+let keys_of tbl dataset =
+  Hashtbl.fold
+    (fun (ds, path) _ acc -> if String.equal ds dataset then (ds, path) :: acc else acc)
+    tbl []
+
+let drop_field t (ds, path) =
+  Hashtbl.remove t.fields (ds, path);
+  Memory.Arena.remove t.arena (field_id ds path)
+
+let invalidate_dataset t ~dataset = with_mu t @@ fun () ->
+  List.iter (drop_field t) (keys_of t.fields dataset);
+  drop_plan_results t ~dataset;
   (* the dataset changed: access history, promotions and zone maps derived
      from its old contents are stale *)
-  let adaptive_keys tbl =
-    Hashtbl.fold
-      (fun (ds, path) _ acc -> if String.equal ds dataset then (ds, path) :: acc else acc)
-      tbl []
-  in
-  List.iter (Hashtbl.remove t.access) (adaptive_keys t.access);
-  List.iter (Hashtbl.remove t.zones) (adaptive_keys t.zones);
-  List.iter (Hashtbl.remove t.projections) (adaptive_keys t.projections);
+  List.iter (Hashtbl.remove t.access) (keys_of t.access dataset);
+  List.iter (Hashtbl.remove t.zones) (keys_of t.zones dataset);
+  List.iter (Hashtbl.remove t.projections) (keys_of t.projections dataset);
   List.iter
     (fun (ds, path) ->
       Hashtbl.remove t.promoted (ds, path);
       Stats.drop_promoted (Catalog.stats t.catalog ds) path)
-    (adaptive_keys t.promoted)
+    (keys_of t.promoted dataset)
+
+(* The appended rows [from, count) of one cached path, read through the
+   grown source; [None] when a row does not read cleanly — a fill over the
+   grown dataset would not have committed either. *)
+let tail_column (d : Dataset.t) (src : Proteus_plugin.Source.t) ~from path =
+  match
+    let ty = Proteus_plugin.Source.field_type d.Dataset.element path in
+    let access = src.Proteus_plugin.Source.field path in
+    let b = Column.Builder.create ty in
+    for i = from to src.Proteus_plugin.Source.count - 1 do
+      src.Proteus_plugin.Source.seek i;
+      Column.Builder.add_value b (access.Proteus_plugin.Access.get_val ())
+    done;
+    Column.Builder.finish b
+  with
+  | col -> Some col
+  | exception (Perror.Parse_error _ | Perror.Type_error _ | Perror.Plan_error _) -> None
+
+(* An append grew [dataset] from [from] rows to [src]'s count. Rows
+   [0, from) did not change, so everything derived from them stays:
+   cached columns keep their rows and gain the appended ones, zone maps and
+   sorted projections extend over them, and access history and promotions
+   carry on. What a tail breaks is dropped (a row that does not parse
+   drops its column, a NaN drops a projection). Join sides and
+   sigma-results are plan-derived and dropped. *)
+let extend_dataset t ~dataset ~source ~from =
+  let d = Catalog.find t.catalog dataset in
+  let paths = with_mu t (fun () -> keys_of t.fields dataset) in
+  (* the parsing happens outside the lock *)
+  let tails = List.map (fun key -> (key, tail_column d source ~from (snd key))) paths in
+  with_mu t @@ fun () ->
+  drop_plan_results t ~dataset;
+  let extended () = t.layouts_extended <- t.layouts_extended + 1 in
+  let dropped () = t.layouts_dropped <- t.layouts_dropped + 1 in
+  List.iter
+    (fun (key, tail) ->
+      match Hashtbl.find_opt t.fields key, tail with
+      | Some col, Some tail when Column.length col = from -> (
+        let grown =
+          match Column.append col tail with
+          | col -> (
+            match
+              Memory.Arena.put t.arena ~id:(field_id (fst key) (snd key))
+                ~size:(Column.byte_size col) ~bias:(Dataset.bias d.Dataset.format)
+                ~on_evict:(evict_field t key)
+            with
+            | () -> Some col
+            | exception Invalid_argument _ -> None (* larger than the whole arena *))
+          | exception Invalid_argument _ -> None (* mismatched layouts *)
+        in
+        match grown with
+        | Some col ->
+          Hashtbl.replace t.fields key col;
+          t.tail_rows <- t.tail_rows + Column.length tail;
+          extended ();
+          let grow tbl f =
+            match Hashtbl.find_opt tbl key with
+            | None -> ()
+            | Some s -> (
+              match f s col with
+              | Some s ->
+                Hashtbl.replace tbl key s;
+                extended ()
+              | None ->
+                Hashtbl.remove tbl key;
+                dropped ())
+          in
+          grow t.zones Zonemap.extend;
+          grow t.projections Projection.extend
+        | None ->
+          drop_field t key;
+          dropped ())
+      | Some _, _ ->
+        drop_field t key;
+        dropped ()
+      | None, _ -> ())
+    tails;
+  (* side structures never outlive their column *)
+  List.iter
+    (fun key ->
+      if not (Hashtbl.mem t.fields key) then begin
+        Hashtbl.remove t.zones key;
+        Hashtbl.remove t.projections key
+      end)
+    (keys_of t.zones dataset @ keys_of t.projections dataset)
 
 let clear t = with_mu t @@ fun () ->
   Hashtbl.iter (fun (ds, path) _ -> Memory.Arena.remove t.arena (field_id ds path)) t.fields;

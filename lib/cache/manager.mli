@@ -41,7 +41,7 @@ type config = {
   promote_projections : bool;
       (** adaptive storage 2.0: promoted numeric columns whose workload
           showed range predicates additionally materialize a sorted
-          projection (value-ordered copy + OID permutation), so range scans
+          projection (the OID permutation in value order), so range scans
           skip morsels even on unclustered data. Default true (inert unless
           [promote] is on) *)
 }
@@ -96,11 +96,20 @@ type stats = {
                         at promotion of an already-filled column) *)
   dict_columns : int;  (** string columns re-encoded as dictionaries *)
   sorted_projections : int;
-      (** sorted projections built (value-ordered copy + OID permutation)
+      (** sorted projections built (OID permutation in value order)
           for promoted columns with observed range predicates *)
   slot_columns : int;
       (** typed columns materialized straight from format-index spans at
           promotion (pre-parsed JSON slot columns) *)
+  tail_rows : int;
+      (** appended rows filled into kept cached columns, summed over
+          columns ({!extend_dataset}) *)
+  layouts_extended : int;
+      (** cached columns, zone maps and sorted projections extended over
+          appended rows instead of dropped *)
+  layouts_dropped : int;
+      (** of those, dropped because the appended rows broke them: a row
+          that does not parse, a NaN under a projection *)
 }
 
 val stats : t -> stats
@@ -136,5 +145,16 @@ val resident_bytes : t -> int
     dataset (the paper's update handling: affected auxiliary structures are
     dropped and rebuilt). *)
 val invalidate_dataset : t -> dataset:string -> unit
+
+(** [extend_dataset t ~dataset ~source ~from] follows an append that grew
+    [dataset] from [from] rows to [source]'s count, rows [\[0, from)]
+    unchanged. Cached columns keep their rows and read only the appended
+    ones through [source]; zone maps and sorted projections extend over
+    them; access history and promotions stay. A column whose appended rows
+    do not all read cleanly is dropped (the next scan refills it), as is a
+    projection a NaN arrived under. Materialized join sides and
+    sigma-results over the dataset are dropped: they are plan-derived. *)
+val extend_dataset :
+  t -> dataset:string -> source:Proteus_plugin.Source.t -> from:int -> unit
 
 val clear : t -> unit

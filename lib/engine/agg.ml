@@ -32,9 +32,17 @@ let factory (m : Monoid.t) (c : Exprc.compiled) : unit -> instance =
       { step = (fun () -> s := !s + get ()); value; partial = value }
   | Monoid.Primitive Monoid.Sum, Exprc.C_float get ->
     fun () ->
-      let s = ref 0. in
-      let value () = Value.Float !s in
-      { step = (fun () -> s := !s +. get ()); value; partial = value }
+      (* over no rows a sum is [Int 0], as [Monoid]'s accumulator has it *)
+      let s = ref 0. and seen = ref false in
+      let value () = if !seen then Value.Float !s else Value.Int 0 in
+      {
+        step =
+          (fun () ->
+            s := !s +. get ();
+            seen := true);
+        value;
+        partial = value;
+      }
   | Monoid.Primitive Monoid.Max, Exprc.C_int get ->
     fun () ->
       let best = ref min_int and seen = ref false in
@@ -212,15 +220,16 @@ let batch_factory (m : Monoid.t) ~(seek : int -> unit) ~(scalar : Exprc.compiled
   | Monoid.Primitive Monoid.Sum, Some (Exprc.B_float (buf, k)) ->
     Some
       (fun () ->
-        let s = ref 0. in
-        let value () = Value.Float !s in
+        let s = ref 0. and seen = ref false in
+        let value () = if !seen then Value.Float !s else Value.Int 0 in
         {
           bstep =
             (fun ~base ~sel ~n ->
               k ~base ~sel ~n;
               for i = 0 to n - 1 do
                 s := !s +. buf.(sel.(i))
-              done);
+              done;
+              if n > 0 then seen := true);
           bvalue = value;
           bpartial = value;
         })

@@ -47,7 +47,7 @@ type snapshot = {
           shard-digest test per (shard, test) when a run arms *)
   sorted_seeks : int;
       (** binary-search seeks into a sorted projection: one per range-conjunct
-          resolution that narrowed the value-ordered copy to a zone bitmap *)
+          resolution that narrowed the value order to a zone bitmap *)
   probe_morsels_skipped : int;
       (** probe-side morsels/batches skipped because the join build's key
           summary (min/max, Bloom filter) proved them free of matches *)

@@ -214,7 +214,10 @@ let may_match summary test ~lo ~hi =
          let rec hit i = i <= span && (Bloom.mem bloom (Bloom.key_int (plo + i)) || hit (i + 1)) in
          hit 0))
   | Band (pr, bits), _ -> Projection.range_may_match pr bits ~lo ~hi
-  | Digest dg, _ -> digest_may_match dg test
+  | Digest dg, _ ->
+    (* a digest of fewer rows than asked about summarizes a prefix: the
+       rows past it are unknown *)
+    hi > dg.Registry.sd_rows || digest_may_match dg test
 
 (* ------------------------------------------------------------------ *)
 (* The handle.                                                         *)
@@ -332,7 +335,7 @@ let prune_shards t tests =
                  | None -> false
                  | Some dg ->
                    Counters.add_zone_checks 1;
-                   not (digest_may_match dg test)))
+                   not (may_match (Digest dg) test ~lo:0 ~hi:sh.Registry.sh_rows)))
              tests
       in
       t.pruned.(i) <- p;

@@ -61,7 +61,11 @@ val seek : Proteus_storage.Projection.t -> test -> summary option
 (** [may_match summary test ~lo ~hi] is [false] only if no row in
     [\[lo, hi)] can satisfy [test] under [Expr] comparison semantics
     (Null compares false, int/float compare through float conversion).
-    Digests describe a whole shard and ignore the range. *)
+    Every summary covers a prefix of the rows (a zone map or projection
+    its column's rows, a digest its member's rows when it was built):
+    rows past that prefix — appended since — are never refuted. A digest
+    describes its rows as a whole, so it refutes [\[lo, hi)] only when
+    [hi] is within them. *)
 val may_match : summary -> test -> lo:int -> hi:int -> bool
 
 (** {1 The handle} *)

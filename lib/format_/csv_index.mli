@@ -18,7 +18,21 @@ type t
     [Perror.Parse_error] when the row is accessed. *)
 val build : Csv.config -> ?every:int -> string -> t
 
+(** [extend t src] indexes [src], whose prefix is the source [t] indexed
+    (an append), re-scanning only from the start of [t]'s last row — an
+    append may complete it — and keeping every earlier row's entries. The
+    result answers every query exactly as [build] over [src] does. A
+    fixed-width index stays fixed-width while the new rows conform;
+    otherwise its per-row arrays are materialized from the fixed layout.
+    [None] when the append changed [t]'s last row (it continued a row left
+    inside an open quote): the old rows are then not a prefix of the new
+    ones and the caller rebuilds. *)
+val extend : t -> string -> t option
+
 val config : t -> Csv.config
+
+(** The source string the index was built over. *)
+val source : t -> string
 val row_count : t -> int
 val stride : t -> int
 

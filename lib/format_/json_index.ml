@@ -15,16 +15,14 @@ type entry = { start : int; stop : int; kind : kind }
 
    Objects too large for the packed widths fall back to a boxed "wide"
    representation. *)
-type packed_obj = {
-  base : int;
-  size : int;
-  pdata : Bytes.t;
-  nentries : int;   (* excluding the root *)
-  nlevel0 : int;    (* 0 in fixed-schema mode *)
-}
-
 type obj_repr =
-  | Packed of packed_obj
+  | Packed of {
+      base : int;
+      size : int;
+      pdata : Bytes.t;
+      nentries : int;   (* excluding the root *)
+      nlevel0 : int;    (* 0 in fixed-schema mode *)
+    }
   | Wide of {
       w_base : int;
       w_size : int;
@@ -149,6 +147,7 @@ let index_object src pos =
         let i = Json.skip_ws src after_name in
         if i >= n || src.[i] <> ':' then fail i "expected ':'";
         let vstart = Json.skip_ws src (i + 1) in
+        if vstart >= n then fail vstart "unexpected end of input";
         let path = if prefix = "" then name else prefix ^ "." ^ name in
         let vend =
           match src.[vstart] with
@@ -248,7 +247,9 @@ let pack_object ~path_id ~keep_level0 ~base ~stop entries level0 : obj_repr =
           |> Array.of_list;
       }
 
-let build src =
+(* Index every object from byte [pos] on, in document order:
+   (base, stop, entries, sorted Level 0) per object. *)
+let scan_objects src pos =
   let n = String.length src in
   let objects = ref [] in
   let rec go pos =
@@ -259,65 +260,62 @@ let build src =
       go stop
     end
   in
-  go 0;
-  let objs = Array.of_list (List.rev !objects) in
-  (* Fixed-schema detection: identical Level-0 keyset and identical document
-     order of slots across all objects. *)
+  go pos;
+  Array.of_list (List.rev !objects)
+
+(* Identical Level-0 keyset and identical document order of slots. *)
+let same_level0 a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun (pa, sa) (pb, sb) -> String.equal pa pb && sa = sb) a b
+
+(* Path interning into [path_ids], recording new names (newest first). *)
+let intern path_ids names p =
+  match Hashtbl.find_opt path_ids p with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length path_ids in
+    if id > 0xFFFF then
+      Perror.unsupported
+        "json index: more than 65536 field paths (first overflowing path: %S)" p;
+    Hashtbl.replace path_ids p id;
+    names := p :: !names;
+    id
+
+let pack ~path_id ~fixed (base, stop, entries, l0) =
+  (* slots stored 0-based relative to the first non-root entry *)
+  let l0 = Array.to_list (Array.map (fun (p, s) -> (p, s - 1)) l0) in
+  pack_object ~path_id ~keep_level0:(not fixed) ~base ~stop entries l0
+
+(* The sorted distinct paths of [objs]' Level 0s. *)
+let level0_paths objs =
+  let tbl = Hashtbl.create 64 in
+  Array.iter (fun (_, _, _, l0) -> Array.iter (fun (p, _) -> Hashtbl.replace tbl p ()) l0) objs;
+  Hashtbl.fold (fun p () acc -> p :: acc) tbl [] |> List.sort String.compare
+
+let build src =
+  let objs = scan_objects src 0 in
+  (* Fixed-schema detection: every object shares the first one's Level 0. *)
   let fixed =
     if Array.length objs = 0 then None
     else begin
       let _, _, _, first = objs.(0) in
-      let same =
-        Array.for_all
-          (fun (_, _, _, l0) ->
-            Array.length l0 = Array.length first
-            && Array.for_all2
-                 (fun (pa, sa) (pb, sb) -> String.equal pa pb && sa = sb)
-                 l0 first)
-          objs
-      in
-      if same && Array.length first > 0 then Some first else None
+      if Array.length first > 0 && Array.for_all (fun (_, _, _, l0) -> same_level0 l0 first) objs
+      then Some first
+      else None
     end
   in
-  let path_ids = Hashtbl.create 64 in
-  let names = ref [] and next_id = ref 0 in
-  let path_id p =
-    match Hashtbl.find_opt path_ids p with
-    | Some id -> id
-    | None ->
-      let id = !next_id in
-      if id > 0xFFFF then
-        Perror.unsupported
-          "json index: more than 65536 field paths (first overflowing path: %S)"
-          p;
-      Hashtbl.replace path_ids p id;
-      names := p :: !names;
-      incr next_id;
-      id
-  in
+  let path_ids = Hashtbl.create 64 and names = ref [] in
   let all_paths =
     match fixed with
     | Some m -> Array.to_list (Array.map fst m)
-    | None ->
-      let tbl = Hashtbl.create 64 in
-      Array.iter
-        (fun (_, _, _, l0) -> Array.iter (fun (p, _) -> Hashtbl.replace tbl p ()) l0)
-        objs;
-      Hashtbl.fold (fun p () acc -> p :: acc) tbl [] |> List.sort String.compare
+    | None -> level0_paths objs
   in
   (* register paths in a deterministic order *)
-  List.iter (fun p -> ignore (path_id p)) all_paths;
-  let objects =
-    Array.map
-      (fun (base, stop, entries, l0) ->
-        (* slots stored 0-based relative to the first non-root entry *)
-        let l0 = Array.to_list (Array.map (fun (p, s) -> (p, s - 1)) l0) in
-        pack_object ~path_id ~keep_level0:(fixed = None) ~base ~stop entries l0)
-      objs
-  in
+  List.iter (fun p -> ignore (intern path_ids names p)) all_paths;
+  let path_id = intern path_ids names in
   {
     src;
-    objects;
+    objects = Array.map (pack ~path_id ~fixed:(fixed <> None)) objs;
     shared = fixed;
     all_paths;
     path_ids;
@@ -330,6 +328,35 @@ let object_span t obj =
   match t.objects.(obj) with
   | Packed { base; size; _ } -> (base, base + size)
   | Wide { w_base; w_size; _ } -> (w_base, w_base + w_size)
+
+(* Objects are self-delimiting and the old source parsed whole, so the
+   appended objects start after the last indexed one. New paths intern
+   after the old ones, into a copy: readers of [t] keep their table. *)
+let extend t src =
+  let n = Array.length t.objects in
+  if n = 0 then Some (build src)
+  else begin
+    let tail = scan_objects src (snd (object_span t (n - 1))) in
+    match t.shared with
+    | Some m when not (Array.for_all (fun (_, _, _, l0) -> same_level0 l0 m) tail) -> None
+    | shared ->
+      let path_ids = Hashtbl.copy t.path_ids and names = ref [] in
+      let fresh =
+        List.filter (fun p -> not (Hashtbl.mem path_ids p)) (level0_paths tail)
+      in
+      List.iter (fun p -> ignore (intern path_ids names p)) fresh;
+      let path_id = intern path_ids names in
+      Some
+        {
+          src;
+          objects =
+            Array.append t.objects (Array.map (pack ~path_id ~fixed:(shared <> None)) tail);
+          shared;
+          all_paths = List.merge String.compare t.all_paths fresh;
+          path_ids;
+          path_names = Array.append t.path_names (Array.of_list (List.rev !names));
+        }
+  end
 
 let paths t = t.all_paths
 

@@ -28,6 +28,13 @@ type t
     Raises [Perror.Parse_error] on malformed JSON. *)
 val build : string -> t
 
+(** [extend t src] indexes [src], whose prefix is the source [t] indexed
+    (an append), indexing only the objects after [t]'s last one and keeping
+    every earlier object's entries. The result answers every query exactly
+    as [build] over [src] does. [None] when [t] has a fixed schema that an
+    appended object does not share: the caller rebuilds. *)
+val extend : t -> string -> t option
+
 val source : t -> string
 val object_count : t -> int
 val is_fixed_schema : t -> bool

@@ -59,7 +59,7 @@ type t = {
           that cannot satisfy a pushed-down comparison *)
   lookup_projection : dataset:string -> path:string -> Projection.t option;
       (** the sorted projection of a {e promoted} cached column, if any:
-          a value-ordered copy + OID permutation that proves morsels empty
+          an OID permutation in value order that proves morsels empty
           under range conjuncts even when the data is unclustered *)
   note_slot_column : dataset:string -> path:string -> unit;
       (** the registry materialized a promoted path straight from a format

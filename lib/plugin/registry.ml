@@ -12,7 +12,13 @@ type index_info = {
   input_bytes : int;
   build_seconds : float;
   fixed_schema : bool;
+  built_rows : int;
+  extended_rows : int;
 }
+
+(* The structural index behind a CSV or JSON factory, kept so an append
+   can extend it. *)
+type index = Csv_ix of Csv_index.t | Json_ix of Json_index.t
 
 (* One shard of a shard set: a member dataset plus its slice of the global
    row space. Offsets are assigned in member order, so the concatenated
@@ -50,6 +56,9 @@ type t = {
   sources : (string, Source.t) Hashtbl.t;
   factories : (string, unit -> Source.t) Hashtbl.t;
   infos : (string, index_info) Hashtbl.t;
+  indexes : (string, index) Hashtbl.t;
+  corrupt : (string, unit) Hashtbl.t;
+      (* datasets whose cold-statistics pass met a corrupt numeric field *)
   shard_sets : (string, string list) Hashtbl.t;
   shard_layouts : (string, shard_info array) Hashtbl.t;
       (* refreshed on every parent view build, so layouts track member
@@ -62,14 +71,15 @@ type t = {
          concurrently *)
   build_mu : Mutex.t;
       (* guards the memoization tables ([sources], [factories], [infos],
-         [shard_layouts]): hedged member builds resolve factories from
-         concurrent domains. Heavy work (index builds, thunk invocation)
-         runs outside it — a racing double-build is resolved by
-         first-install-wins. *)
+         [indexes], [corrupt], [shard_layouts]): hedged member builds
+         resolve factories from concurrent domains. Heavy work (index
+         builds, thunk invocation) runs outside it — a racing double-build
+         is resolved by first-install-wins. *)
   generation : int Atomic.t;
-      (* bumped on every [invalidate] and [set_cache]: prepared engines
-         capture the stamp and re-stage when it moved, so a prepared
-         statement observes dataset updates and caching-mode flips *)
+      (* bumped on every [invalidate], [extend] and [set_cache]: prepared
+         engines capture the stamp and re-stage when it moved, so a
+         prepared statement observes dataset updates and caching-mode
+         flips *)
   mutable interposer : interposer option;
   mutable retry : Proteus_resilience.Policy.t;
       (* member-build retry budget; the default preserves the original
@@ -93,6 +103,8 @@ let create ?(cache = Cache_iface.disabled) catalog =
     sources = Hashtbl.create 16;
     factories = Hashtbl.create 16;
     infos = Hashtbl.create 16;
+    indexes = Hashtbl.create 16;
+    corrupt = Hashtbl.create 4;
     shard_sets = Hashtbl.create 4;
     shard_layouts = Hashtbl.create 4;
     digests = Hashtbl.create 16;
@@ -127,8 +139,9 @@ let set_cache t c =
 
 (* Cold-access statistics: cardinality plus min/max of numeric top-level
    fields, observed through the freshly built source — in a single pass
-   that observes every numeric path per seek. *)
-let collect_stats t (d : Dataset.t) (src : Source.t) =
+   that observes every numeric path per seek. After an append only the
+   rows from [from] on are observed: cardinality and min/max only grow. *)
+let collect_stats ?(from = 0) t (d : Dataset.t) (src : Source.t) =
   let stats = Catalog.stats t.catalog d.name in
   Stats.set_cardinality stats src.Source.count;
   let numeric_paths =
@@ -151,7 +164,7 @@ let collect_stats t (d : Dataset.t) (src : Source.t) =
       numeric_paths
   in
   if accessors <> [] then
-    for i = 0 to src.Source.count - 1 do
+    for i = from to src.Source.count - 1 do
       if i land 1023 = 0 then Fault.check_cancel ();
       src.Source.seek i;
       List.iter
@@ -159,12 +172,12 @@ let collect_stats t (d : Dataset.t) (src : Source.t) =
           match access.Access.get_val () with
           | v -> Stats.observe stats path v
           | exception Perror.Type_error _ -> ()
-          (* statistics are advisory: under a degraded error policy a
-             corrupt field must not abort the query from the stats pass
-             (the scan's own accounting owns error reporting) *)
-          | exception Perror.Parse_error _
-            when Fault.skipping () || Fault.null_filling () ->
-            ())
+          | exception (Perror.Parse_error _ as e) ->
+            with_lock t.build_mu (fun () -> Hashtbl.replace t.corrupt d.name ());
+            (* statistics are advisory: under a degraded error policy a
+               corrupt field must not abort the query from the stats pass
+               (the scan's own accounting owns error reporting) *)
+            if not (Fault.skipping () || Fault.null_filling ()) then raise e)
         accessors
     done
 
@@ -176,11 +189,59 @@ let with_dataset_context name f =
     raise (Perror.Parse_error { what = what ^ ":" ^ name; pos; msg })
   | Perror.Unsupported m -> Perror.unsupported "%s (dataset %s)" m name
 
+(* A source view over a structural index: a private cursor plus
+   accessors over the shared read-only index. *)
+let view_of_index (d : Dataset.t) = function
+  | Csv_ix index ->
+    let config = Csv_index.config index and schema = Dataset.schema d in
+    let src = Csv_index.source index in
+    fun () -> Csv_plugin.make ~config ~schema ~index ~src
+  | Json_ix index ->
+    let element = d.element in
+    fun () -> Json_plugin.make ~element ~index
+
+let index_rows = function
+  | Csv_ix ix -> Csv_index.row_count ix
+  | Json_ix ix -> Json_index.object_count ix
+
+let index_bytes = function
+  | Csv_ix ix -> Csv_index.byte_size ix
+  | Json_ix ix -> Json_index.byte_size ix
+
+let index_fixed = function
+  | Csv_ix ix -> Csv_index.is_fixed_width ix
+  | Json_ix ix -> Json_index.is_fixed_schema ix
+
 (* The heavy per-dataset artifacts (parsed row pages, structural indexes)
    are built once; the returned thunk stamps out cheap source views — each
    a private cursor plus accessors over the shared read-only artifact, so
    parallel workers can scan the same dataset independently. *)
 let build_factory t (d : Dataset.t) : unit -> Source.t =
+  let indexed build =
+    let bytes = Catalog.contents t.catalog d in
+    let t0 = Unix.gettimeofday () in
+    let index = with_dataset_context d.name (fun () -> build bytes) in
+    let rows = index_rows index in
+    let info =
+      {
+        size_bytes = index_bytes index;
+        input_bytes = String.length bytes;
+        build_seconds = Unix.gettimeofday () -. t0;
+        fixed_schema = index_fixed index;
+        built_rows = rows;
+        extended_rows = 0;
+      }
+    in
+    with_lock t.build_mu (fun () ->
+        Hashtbl.replace t.infos d.name info;
+        Hashtbl.replace t.indexes d.name index);
+    Log.info (fun m ->
+        m "built %s index for %s: %d rows, %.1f%% of input%s"
+          (Dataset.format_name d.format) d.name rows
+          (100. *. float_of_int info.size_bytes /. float_of_int (max 1 info.input_bytes))
+          (if info.fixed_schema then " (fixed layout)" else ""));
+    view_of_index d index
+  in
   match d.format, d.location with
   | Dataset.Binary_row, Dataset.Rows page -> fun () -> Binary_plugin.of_rowpage page
   | Dataset.Binary_column, Dataset.Columns cols ->
@@ -192,44 +253,9 @@ let build_factory t (d : Dataset.t) : unit -> Source.t =
     in
     fun () -> Binary_plugin.of_rowpage page
   | Dataset.Csv config, (Dataset.File _ | Dataset.Blob _) ->
-    let bytes = Catalog.contents t.catalog d in
-    let t0 = Unix.gettimeofday () in
-    let index = with_dataset_context d.name (fun () -> Csv_index.build config bytes) in
-    let info =
-      {
-        size_bytes = Csv_index.byte_size index;
-        input_bytes = String.length bytes;
-        build_seconds = Unix.gettimeofday () -. t0;
-        fixed_schema = Csv_index.is_fixed_width index;
-      }
-    in
-    with_lock t.build_mu (fun () -> Hashtbl.replace t.infos d.name info);
-    Log.info (fun m ->
-        m "built CSV index for %s: %d rows, %.1f%% of input" d.name
-          (Csv_index.row_count index)
-          (100. *. float_of_int info.size_bytes /. float_of_int (max 1 info.input_bytes)));
-    let schema = Dataset.schema d in
-    fun () -> Csv_plugin.make ~config ~schema ~index ~src:bytes
+    indexed (fun bytes -> Csv_ix (Csv_index.build config bytes))
   | Dataset.Json, (Dataset.File _ | Dataset.Blob _) ->
-    let bytes = Catalog.contents t.catalog d in
-    let t0 = Unix.gettimeofday () in
-    let index = with_dataset_context d.name (fun () -> Json_index.build bytes) in
-    let info =
-      {
-        size_bytes = Json_index.byte_size index;
-        input_bytes = String.length bytes;
-        build_seconds = Unix.gettimeofday () -. t0;
-        fixed_schema = Json_index.is_fixed_schema index;
-      }
-    in
-    with_lock t.build_mu (fun () -> Hashtbl.replace t.infos d.name info);
-    Log.info (fun m ->
-        m "built JSON index for %s: %d objects, %.1f%% of input%s" d.name
-          (Json_index.object_count index)
-          (100. *. float_of_int info.size_bytes /. float_of_int (max 1 info.input_bytes))
-          (if info.fixed_schema then " (fixed schema)" else ""));
-    let element = d.element in
-    fun () -> Json_plugin.make ~element ~index
+    indexed (fun bytes -> Json_ix (Json_index.build bytes))
   | (Dataset.Csv _ | Dataset.Json), (Dataset.Rows _ | Dataset.Columns _)
   | Dataset.Binary_row, Dataset.Columns _
   | Dataset.Binary_column, (Dataset.File _ | Dataset.Blob _ | Dataset.Rows _) ->
@@ -389,6 +415,34 @@ let breaker t name =
         Hashtbl.replace t.breakers name b;
         b)
 
+(* What an update of [name] stales beyond its own artifacts: its shard
+   parents' concat views and layouts, and its pruning digests. Bumps the
+   generation, so prepared engines re-stage. *)
+let drop_dependents t name =
+  with_lock t.build_mu (fun () ->
+      Hashtbl.iter
+        (fun parent members ->
+          if List.mem name members then begin
+            Hashtbl.remove t.sources parent;
+            Hashtbl.remove t.factories parent;
+            Hashtbl.remove t.shard_layouts parent
+          end)
+        t.shard_sets);
+  Mutex.lock t.shard_mu;
+  let prefix = name ^ "\x00" in
+  let stale =
+    Hashtbl.fold
+      (fun k _ acc ->
+        if String.length k >= String.length prefix
+           && String.sub k 0 (String.length prefix) = prefix
+        then k :: acc
+        else acc)
+      t.digests []
+  in
+  List.iter (Hashtbl.remove t.digests) stale;
+  Mutex.unlock t.shard_mu;
+  Atomic.incr t.generation
+
 (* Resolution is memoized under [build_mu], but the heavy work — eager
    index builds in [build_factory], thunk invocations — runs outside it:
    a shard parent's thunk re-enters [factory] per member, and hedged
@@ -507,37 +561,16 @@ and invalidate_artifacts t name =
       Hashtbl.remove t.sources name;
       Hashtbl.remove t.factories name;
       Hashtbl.remove t.infos name;
+      Hashtbl.remove t.indexes name;
+      Hashtbl.remove t.corrupt name;
       Hashtbl.remove t.shard_layouts name;
       let stale_slots =
         Hashtbl.fold
           (fun (ds, p) () acc -> if String.equal ds name then (ds, p) :: acc else acc)
           t.slot_cols []
       in
-      List.iter (Hashtbl.remove t.slot_cols) stale_slots;
-      (* a member update stales its parents' concat views, layouts and
-         digests *)
-      Hashtbl.iter
-        (fun parent members ->
-          if List.mem name members then begin
-            Hashtbl.remove t.sources parent;
-            Hashtbl.remove t.factories parent;
-            Hashtbl.remove t.shard_layouts parent
-          end)
-        t.shard_sets);
-  Mutex.lock t.shard_mu;
-  let prefix = name ^ "\x00" in
-  let stale =
-    Hashtbl.fold
-      (fun k _ acc ->
-        if String.length k >= String.length prefix
-           && String.sub k 0 (String.length prefix) = prefix
-        then k :: acc
-        else acc)
-      t.digests []
-  in
-  List.iter (Hashtbl.remove t.digests) stale;
-  Mutex.unlock t.shard_mu;
-  Atomic.incr t.generation
+      List.iter (Hashtbl.remove t.slot_cols) stale_slots);
+  drop_dependents t name
 
 (* Full invalidation (re-registration, updates): artifacts plus the
    member's breaker — a re-registered member starts with a clean circuit,
@@ -545,6 +578,83 @@ and invalidate_artifacts t name =
 let invalidate t name =
   invalidate_artifacts t name;
   with_lock t.shard_mu (fun () -> Hashtbl.remove t.breakers name)
+
+(* An append grew [name]'s byte image. Extend its structural index over
+   the appended bytes only, observe the appended rows' statistics, hand
+   [tail] a view over the grown index and the first appended row (the
+   caching manager fills the appended rows of its columns there, before
+   any query can see the grown view), then swap the grown index in.
+   Anything else — no index built yet, a tail that breaks a
+   specialization or does not parse, a corrupt numeric field — falls back
+   to {!invalidate}: the next access rebuilds and reports as it always
+   did. [true] iff the index was extended. *)
+let extend t name ~tail =
+  let d = Catalog.find t.catalog name in
+  let bytes = Catalog.contents t.catalog d in
+  let grown =
+    match with_lock t.build_mu (fun () -> Hashtbl.find_opt t.indexes name) with
+    | None -> None
+    | Some old -> (
+      match
+        match old with
+        | Csv_ix ix -> Option.map (fun ix -> Csv_ix ix) (Csv_index.extend ix bytes)
+        | Json_ix ix -> Option.map (fun ix -> Json_ix ix) (Json_index.extend ix bytes)
+      with
+      | Some index -> Some (old, index)
+      | None -> None
+      (* whatever stops the extension, the rebuild meets again and reports
+         at the next access, as it always did *)
+      | exception _ -> None)
+  in
+  (* Cold statistics observe the appended rows first. Their pass is where
+     a first access meets a corrupt numeric field and fails, so a dataset
+     holding one takes the rebuild: the next access then fails (or, under
+     a degraded policy, skips) exactly as a fresh session's first does.
+     Without a shared source no statistics were collected yet, and the
+     first [source] call observes every row. *)
+  let stats_ok (old, index) =
+    let corrupt () = with_lock t.build_mu (fun () -> Hashtbl.mem t.corrupt name) in
+    (not (with_lock t.build_mu (fun () -> Hashtbl.mem t.sources name)))
+    || (not (corrupt ()))
+       && begin
+            (try collect_stats ~from:(index_rows old) t d (view_of_index d index ())
+             with Perror.Parse_error _ -> ());
+            not (corrupt ())
+          end
+  in
+  with_lock t.shard_mu (fun () -> Hashtbl.remove t.breakers name);
+  match grown with
+  | Some ((old, index) as g) when stats_ok g ->
+    let from = index_rows old and rows = index_rows index in
+    let genuine = view_of_index d index in
+    tail (genuine ()) ~from;
+    let f = match t.interposer with Some ip -> ip name genuine | None -> genuine in
+    (* the shared view only anchors statistics; views handed to scans come
+       from [f], through the interposer *)
+    let shared = genuine () in
+    with_lock t.build_mu (fun () ->
+        Hashtbl.replace t.indexes name index;
+        Hashtbl.replace t.factories name f;
+        (match Hashtbl.find_opt t.infos name with
+        | Some i ->
+          Hashtbl.replace t.infos name
+            {
+              i with
+              size_bytes = index_bytes index;
+              input_bytes = String.length bytes;
+              fixed_schema = index_fixed index;
+              extended_rows = i.extended_rows + (rows - from);
+            }
+        | None -> ());
+        if Hashtbl.mem t.sources name then Hashtbl.replace t.sources name shared);
+    drop_dependents t name;
+    Log.info (fun m ->
+        m "extended %s index for %s: %d + %d rows" (Dataset.format_name d.format) name from
+          (rows - from));
+    true
+  | Some _ | None ->
+    invalidate_artifacts t name;
+    false
 
 let source t name =
   match with_lock t.build_mu (fun () -> Hashtbl.find_opt t.sources name) with

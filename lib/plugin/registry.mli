@@ -14,7 +14,10 @@ type index_info = {
   size_bytes : int;
   input_bytes : int;
   build_seconds : float;
-  fixed_schema : bool;  (** meaningful for JSON only *)
+  fixed_schema : bool;  (** fixed-schema JSON / fixed-width CSV *)
+  built_rows : int;  (** rows the last full build indexed *)
+  extended_rows : int;
+      (** rows indexed since by extending the index over appends *)
 }
 
 val create : ?cache:Cache_iface.t -> Catalog.t -> t
@@ -67,6 +70,17 @@ val slot_column : t -> dataset:string -> path:string -> bool
     dataset's circuit breaker: a re-registered member starts with a clean
     circuit. *)
 val invalidate : t -> string -> unit
+
+(** [extend t name ~tail] follows an append to [name]'s byte image: the
+    structural index is extended over the appended bytes only and the
+    dataset's views, statistics and factory move to the grown index, which
+    bumps {!generation}. Before anything can see the grown view, [tail src
+    ~from] gets a view over it and the index of the first appended row, so
+    the caching manager can fill its columns' appended rows. Returns
+    [false] — having done {!invalidate} instead — when no index was built
+    yet, or when the appended bytes break a specialization (a fixed JSON
+    schema), fail to parse, or continue the last old row. *)
+val extend : t -> string -> tail:(Source.t -> from:int -> unit) -> bool
 
 (** {1 Resilience}
 

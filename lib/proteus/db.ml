@@ -149,10 +149,23 @@ let append t ~name contents =
   in
   let mem = Catalog.memory t.catalog in
   let current = Memory.contents mem blob in
-  Memory.register_blob mem ~name:blob (current ^ contents);
-  (* drop and rebuild affected auxiliary structures (Section 4) *)
-  Registry.invalidate t.registry name;
-  Manager.invalidate_dataset t.cache ~dataset:name;
+  (* appended CSV rows start a row of their own: a last row without its
+     terminator would otherwise absorb the first appended one *)
+  let sep =
+    match d.Dataset.format with
+    | Dataset.Csv _
+      when contents <> "" && current <> "" && current.[String.length current - 1] <> '\n' ->
+      "\n"
+    | _ -> ""
+  in
+  Memory.register_blob mem ~name:blob (String.concat "" [ current; sep; contents ]);
+  (* extend what was derived from the unchanged prefix; rebuild only when
+     the appended bytes break it *)
+  if
+    not
+      (Registry.extend t.registry name ~tail:(fun source ~from ->
+           Manager.extend_dataset t.cache ~dataset:name ~source ~from))
+  then Manager.invalidate_dataset t.cache ~dataset:name;
   notify_invalidate t name;
   invalidate_shard_parents t name
 

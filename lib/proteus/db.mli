@@ -143,11 +143,18 @@ val register_sharded_rows :
 val drop : t -> string -> unit
 
 (** [append db ~name contents] appends raw bytes to a blob-backed CSV or
-    JSON dataset — the append-like workloads of Section 4. Affected
-    auxiliary structures (structural indexes, caches) are dropped and
-    rebuilt on the next access, exactly as the paper prescribes for
-    updates. Raises [Perror.Plan_error] for datasets without a raw byte
-    image. *)
+    JSON dataset — the append-like workloads of Section 4. A CSV image
+    whose last row lacks its terminator gets one first, so the appended
+    rows never fuse with it. Everything derived from the unchanged prefix
+    is extended over the appended bytes instead of rebuilt: the structural
+    index indexes only the new rows, cold statistics observe only them,
+    cached columns fill only them, and zone maps, sorted projections,
+    dictionaries, access history and promotions carry over (DESIGN.md
+    section 18). When the appended bytes break a specialization the
+    structures are dropped and rebuilt on the next access, as the paper
+    prescribes for updates. Compiled plans over the dataset (and its shard
+    sets) are invalidated either way. Raises [Perror.Plan_error] for
+    datasets without a raw byte image. *)
 val append : t -> name:string -> string -> unit
 
 (** {1 Querying} *)

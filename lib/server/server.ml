@@ -151,11 +151,24 @@ let resilience_line () =
 
 let promotion_line db =
   let ps = Proteus.Db.cache_stats db in
+  (* rows the structural indexes took in by extension over appends, not by
+     a rebuild *)
+  let extended =
+    List.fold_left
+      (fun acc name ->
+        match Proteus_plugin.Registry.index_info (Proteus.Db.registry db) name with
+        | Some i -> acc + i.Proteus_plugin.Registry.extended_rows
+        | None -> acc)
+      0
+      (Proteus_catalog.Catalog.names (Proteus.Db.catalog db))
+  in
   Fmt.str
     "promotions=%d zone-maps=%d dict-columns=%d sorted-projections=%d \
-     slot-columns=%d"
+     slot-columns=%d index-rows-extended=%d tail-rows=%d layouts-extended=%d \
+     layouts-dropped=%d"
     ps.Proteus_cache.Manager.promotions ps.zone_maps ps.dict_columns
-    ps.sorted_projections ps.slot_columns
+    ps.sorted_projections ps.slot_columns extended ps.tail_rows ps.layouts_extended
+    ps.layouts_dropped
 
 let engine_line () =
   let module C = Proteus_engine.Counters in

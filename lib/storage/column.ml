@@ -61,6 +61,48 @@ let promote_strings (c : t) : t option =
   | Dicts _ | Nullmask (_, Dicts _) -> Some c
   | Ints _ | Floats _ | Bools _ | Nullmask _ -> None
 
+(* [append a b]: [a]'s rows then [b]'s, in [a]'s layout. A dictionary
+   column takes plain strings and extends its dictionary in first-seen
+   order, so the result is what [promote_strings] makes of the
+   concatenation; a null mask is kept when either side has one. *)
+let append (a : t) (b : t) : t =
+  let split = function Nullmask (m, c) -> (Some m, c) | c -> (None, c) in
+  let ma, ca = split a and mb, cb = split b in
+  let la = length ca and lb = length cb in
+  if lb = 0 then a
+  else begin
+    let data =
+      match ca, cb with
+      | Ints x, Ints y -> Ints (Array.append x y)
+      | Floats x, Floats y -> Floats (Array.append x y)
+      | Bools x, Bools y -> Bools (Array.append x y)
+      | Strings x, Strings y -> Strings (Array.append x y)
+      | Dicts (codes, dict), Strings y ->
+        let tbl = Hashtbl.create (2 * Array.length dict) in
+        Array.iteri (fun c s -> Hashtbl.replace tbl s c) dict;
+        let extra = ref [] and next = ref (Array.length dict) in
+        let ycodes =
+          Array.map
+            (fun s ->
+              match Hashtbl.find_opt tbl s with
+              | Some c -> c
+              | None ->
+                let c = !next in
+                Hashtbl.add tbl s c;
+                extra := s :: !extra;
+                incr next;
+                c)
+            y
+        in
+        Dicts (Array.append codes ycodes, Array.append dict (Array.of_list (List.rev !extra)))
+      | _ -> invalid_arg "Column.append: layouts differ"
+    in
+    let mask m n = match m with Some m -> m | None -> Array.make n false in
+    match ma, mb with
+    | None, None -> data
+    | _ -> Nullmask (Array.append (mask ma la) (mask mb lb), data)
+  end
+
 module Builder = struct
   type column = t
 

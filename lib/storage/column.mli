@@ -33,6 +33,12 @@ val dict_encode : string array -> int array * string array
     [Dicts] layout; identity on already-promoted columns, [None] otherwise. *)
 val promote_strings : t -> t option
 
+(** [append a b] is [a]'s rows followed by [b]'s, in [a]'s layout: a
+    dictionary column [a] takes a plain string column [b] and extends its
+    dictionary in first-seen order. A null mask is kept when either side
+    has one. Raises [Invalid_argument] on mismatched layouts. *)
+val append : t -> t -> t
+
 (** [of_values ty vs] packs boxed values into a typed column. Null values
     force a [Nullmask] wrapper. *)
 val of_values : Ptype.t -> Value.t list -> t

@@ -12,7 +12,9 @@
    Determinism: callers size zones with [zone_rows], the same formula the
    morsel dispenser uses, so the zone grid is a pure function of the row
    count — independent of the domain count or batch size that happened to
-   fill the cache — and zones line up 1:1 with full-scan morsels. *)
+   fill the cache — and zones line up 1:1 with full-scan morsels. A map
+   extended over appended rows keeps the width it was built with; its
+   zones then straddle morsels, which [may_match_range] handles exactly. *)
 
 type bounds =
   | Z_int of int array * int array     (* per-zone lo / hi over non-nulls *)
@@ -40,18 +42,39 @@ type op = Eq | Lt | Le | Gt | Ge
 
 type test = T_int of op * int | T_float of op * float | T_str of op * string
 
-let of_column ?zone (col : Column.t) : t option =
+(* Zone bounds over [col], reusing [prev]'s complete zones: only the zone
+   [prev] left partial and the zones past it are computed. [prev] must
+   describe a prefix of [col] at the same zone width and bound kind;
+   anything else recomputes from row 0. *)
+let build ?prev ~zone (col : Column.t) : t option =
+  let seed n ~kind lo0 hi0 =
+    (* per-zone arrays of [nz] zones, the first [z0] taken from [prev] *)
+    let nz = (n + zone - 1) / zone in
+    let z0, plo, phi, pempty =
+      match prev with
+      | Some p when p.zone = zone && p.rows <= n -> (
+        match kind p.bounds with
+        | Some (plo, phi) -> (p.rows / zone, plo, phi, p.empty)
+        | None -> (0, [||], [||], [||]))
+      | _ -> (0, [||], [||], [||])
+    in
+    let lo = Array.make nz lo0 and hi = Array.make nz hi0 in
+    let empty = Array.make nz true in
+    Array.blit plo 0 lo 0 z0;
+    Array.blit phi 0 hi 0 z0;
+    Array.blit pempty 0 empty 0 z0;
+    (z0 * zone, lo, hi, empty)
+  in
   let build n get_int get_float =
     if n = 0 then None
     else begin
-      let zone = match zone with Some z -> max 1 z | None -> zone_rows n in
-      let nz = (n + zone - 1) / zone in
-      let empty = Array.make nz true in
-      let bounds =
+      let bounds, empty =
         match get_int, get_float with
         | Some geti, _ ->
-          let lo = Array.make nz max_int and hi = Array.make nz min_int in
-          for i = 0 to n - 1 do
+          let from, lo, hi, empty =
+            seed n max_int min_int ~kind:(function Z_int (l, h) -> Some (l, h) | _ -> None)
+          in
+          for i = from to n - 1 do
             match geti i with
             | None -> ()
             | Some v ->
@@ -60,10 +83,13 @@ let of_column ?zone (col : Column.t) : t option =
               if v < lo.(z) then lo.(z) <- v;
               if v > hi.(z) then hi.(z) <- v
           done;
-          Some (Z_int (lo, hi))
+          (Some (Z_int (lo, hi)), empty)
         | None, Some getf ->
-          let lo = Array.make nz infinity and hi = Array.make nz neg_infinity in
-          for i = 0 to n - 1 do
+          let from, lo, hi, empty =
+            seed n infinity neg_infinity
+              ~kind:(function Z_float (l, h) -> Some (l, h) | _ -> None)
+          in
+          for i = from to n - 1 do
             match getf i with
             | None -> ()
             | Some v ->
@@ -73,8 +99,8 @@ let of_column ?zone (col : Column.t) : t option =
               if Float.compare v lo.(z) < 0 then lo.(z) <- v;
               if Float.compare v hi.(z) > 0 then hi.(z) <- v
           done;
-          Some (Z_float (lo, hi))
-        | None, None -> None
+          (Some (Z_float (lo, hi)), empty)
+        | None, None -> (None, [||])
       in
       match bounds with
       | Some bounds -> Some { zone; rows = n; bounds; empty }
@@ -87,11 +113,10 @@ let of_column ?zone (col : Column.t) : t option =
   let build_str n get =
     if n = 0 then None
     else begin
-      let zone = match zone with Some z -> max 1 z | None -> zone_rows n in
-      let nz = (n + zone - 1) / zone in
-      let empty = Array.make nz true in
-      let lo = Array.make nz "" and hi = Array.make nz "" in
-      for i = 0 to n - 1 do
+      let from, lo, hi, empty =
+        seed n "" "" ~kind:(function Z_str (l, h) -> Some (l, h) | _ -> None)
+      in
+      for i = from to n - 1 do
         match get i with
         | None -> ()
         | Some v ->
@@ -127,6 +152,15 @@ let of_column ?zone (col : Column.t) : t option =
     build_str (Array.length codes) (fun i ->
         if mask.(i) then None else Some dict.(codes.(i)))
   | Column.Bools _ | Column.Strings _ | Column.Nullmask _ -> None
+
+let of_column ?zone (col : Column.t) : t option =
+  let zone = match zone with Some z -> max 1 z | None -> zone_rows (Column.length col) in
+  build ~zone col
+
+(* After an append: the column grew past the rows [t] covers. The zone
+   width stays [t]'s, so [t]'s complete zones carry over unchanged and the
+   result equals [of_column ~zone:t.zone col]. *)
+let extend t (col : Column.t) = build ~prev:t ~zone:t.zone col
 
 (* Float bounds against a float constant, compared the way [Expr.cmp]
    compares floats: [Float.compare], whose total order puts NaN below every

@@ -81,7 +81,13 @@ let test_csv_index_fixed_width () =
   let idx = Csv_index.build cfg src in
   Alcotest.(check bool) "fixed" true (Csv_index.is_fixed_width idx);
   let s, e = Csv_index.field_span idx ~row:2 ~field:1 in
-  Alcotest.(check string) "field" "88" (String.sub src s (e - s))
+  Alcotest.(check string) "field" "88" (String.sub src s (e - s));
+  (* a blank line between equal rows breaks the arithmetic placement *)
+  let src = "11,22,33\n\n44,55,66\n" in
+  let idx = Csv_index.build cfg src in
+  Alcotest.(check bool) "blank line: not fixed" false (Csv_index.is_fixed_width idx);
+  let s, e = Csv_index.field_span idx ~row:1 ~field:1 in
+  Alcotest.(check string) "field after blank line" "55" (String.sub src s (e - s))
 
 let test_csv_index_variable_width () =
   let src = "1,2,3\n1000,2,3\n" in

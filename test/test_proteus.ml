@@ -190,6 +190,17 @@ let test_append () =
        false
      with Perror.Plan_error _ -> true)
 
+(* Regression: an image whose last row lacks its newline must not absorb
+   the first appended row ("3,4" ^ "5,6" read as one row "3,45,6"). *)
+let test_append_without_trailing_newline () =
+  let db = Db.create () in
+  Db.register_csv db ~name:"t"
+    ~element:(Ptype.Record [ ("a", Ptype.Int); ("b", Ptype.Int) ])
+    ~contents:"1,2\n3,4" ();
+  Db.append db ~name:"t" "5,6\n";
+  Alcotest.check check_value "three rows" (Value.Int 3) (Db.sql db "SELECT COUNT(*) FROM t");
+  Alcotest.check check_value "sum of b" (Value.Int 12) (Db.sql db "SELECT SUM(b) FROM t")
+
 let test_caching_toggle () =
   let db = make_db () in
   Db.set_caching db false;
@@ -524,6 +535,8 @@ let () =
           Alcotest.test_case "explain" `Quick test_explain_has_pushdown;
           Alcotest.test_case "drop and requery" `Quick test_drop_and_requery;
           Alcotest.test_case "append" `Quick test_append;
+          Alcotest.test_case "append without trailing newline" `Quick
+            test_append_without_trailing_newline;
           Alcotest.test_case "caching toggle" `Quick test_caching_toggle;
           Alcotest.test_case "order by + limit" `Quick test_order_by_limit;
           Alcotest.test_case "order by hidden key" `Quick test_order_by_hidden_key;
