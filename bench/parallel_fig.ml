@@ -184,9 +184,7 @@ let promotion_cells () =
         (fun (name, plan) ->
           let prepared = Proteus.Db.prepare_plan ~domains:max_domains db plan in
           let t = Util.measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ())) in
-          Proteus_engine.Counters.reset ();
-          ignore (prepared.Proteus.Db.run ());
-          let s = Proteus_engine.Counters.snapshot () in
+          let _, s = Proteus_engine.Executor.measure prepared.Proteus.Db.run in
           let total =
             s.Proteus_engine.Counters.morsels_skipped + s.Proteus_engine.Counters.morsels
           in

@@ -108,16 +108,13 @@ let records : (string * string * float * Counters.snapshot) list ref = ref []
 
 let cell ~experiment ~name db query =
   let run () =
-    ignore (Proteus.Db.run_plan ~engine:Proteus.Db.Engine_compiled
-              ~batch_size:1024 db query)
+    Proteus.Db.run_plan ~engine:Proteus.Db.Engine_compiled ~batch_size:1024 db query
   in
   (* enough passes to cross any promotion threshold and fill caches before
      the median is taken *)
-  for _ = 1 to 3 do run () done;
-  let t = Util.measure_n 7 run in
-  Counters.reset ();
-  run ();
-  let s = Counters.snapshot () in
+  for _ = 1 to 3 do ignore (run ()) done;
+  let t = Util.measure_n 7 (fun () -> ignore (run ())) in
+  let _, s = Proteus_engine.Executor.measure run in
   records := (experiment, name, t, s) :: !records;
   (t, s)
 

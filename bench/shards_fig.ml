@@ -117,9 +117,11 @@ let pruning_cells () =
           let db = make_db ~shards in
           Proteus.Db.set_caching db false;
           let t = measure_at db ~domains:max_domains plan in
-          Counters.reset ();
-          ignore (Proteus.Db.run_plan ~domains:max_domains db plan);
-          let pruned = (Counters.snapshot ()).Counters.shards_pruned in
+          let _, s =
+            Proteus_engine.Executor.measure (fun () ->
+                Proteus.Db.run_plan ~domains:max_domains db plan)
+          in
+          let pruned = s.Counters.shards_pruned in
           pruning_records := (name, shards, t, pruned, shards) :: !pruning_records;
           Fmt.pr "   pruning, %s, %s: %.2fms (pruned %d/%d)@." name
             (if shards <= 1 then "single file" else Fmt.str "%d shards" shards)

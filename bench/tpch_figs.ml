@@ -315,11 +315,7 @@ let fig10 (e : bin_env) =
     tune (Q.join ~orders:"orders" ~lineitem:"lineitem" ~order_count:oc ~variant:Q.JCount ~selectivity:0.2)
   in
   let module C = Proteus_engine.Counters in
-  let snap run =
-    C.reset ();
-    ignore (run ());
-    C.snapshot ()
-  in
+  let snap run = snd (Proteus_engine.Executor.measure run) in
   let monet = snap (fun () -> B.Colstore.run e.b_monet plan) in
   let compiled = snap (fun () -> proteus_run e.b_proteus plan) in
   let volcano =

@@ -230,7 +230,8 @@ let stats =
     value
     & flag
     & info [ "stats" ]
-        ~doc:"Print the engine's proxy performance counters after the query \
+        ~doc:"Print the proxy performance counters of the query (with \
+              $(b,--repeat), of the last pass's query) \
               (tuples, branch points, batches, selection density, lane per \
               pipeline) plus per-phase wall-clock attribution \
               (scan/build/probe/merge, summed across domains) and, under a \
@@ -472,7 +473,6 @@ let run jsons csvs q raw_params engine domains batch_size shards policy max_erro
       0
     end
     else begin
-      if stats then Proteus_engine.Counters.reset ();
       let files =
         List.map (fun (n, p, _) -> (n, p, "json")) jsons
         @ List.map (fun (n, p, _) -> (n, p, "csv")) csvs
@@ -495,7 +495,6 @@ let run jsons csvs q raw_params engine domains batch_size shards policy max_erro
       let rec warm_up k =
         if k <= 1 then None
         else begin
-          if stats then Proteus_engine.Counters.reset ();
           let t0 = Unix.gettimeofday () in
           match run_pass () with
           | Proteus.Db.Completed _ ->
@@ -506,7 +505,6 @@ let run jsons csvs q raw_params engine domains batch_size shards policy max_erro
         end
       in
       let early = warm_up repeat in
-      if stats then Proteus_engine.Counters.reset ();
       let t0 = Unix.gettimeofday () in
       let outcome = match early with Some f -> f | None -> run_pass () in
       let elapsed = Unix.gettimeofday () -. t0 in
@@ -522,8 +520,7 @@ let run jsons csvs q raw_params engine domains batch_size shards policy max_erro
           | v -> Fmt.pr "%a@." Value.pp v));
         Fmt.epr "(%d ms)@." (int_of_float (elapsed *. 1000.));
         if stats then begin
-          Fmt.epr "%a@." Proteus_engine.Counters.pp
-            (Proteus_engine.Counters.snapshot ());
+          Fmt.epr "%a@." Proteus_engine.Counters.pp report.Fault.rp_stats;
           let cs = Proteus.Db.cache_stats db in
           if cs.Proteus_cache.Manager.fill_commits > 0 || cs.quarantined > 0 then
             Fmt.epr

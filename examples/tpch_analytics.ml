@@ -50,9 +50,11 @@ let () =
   in
   List.iter
     (fun (name, engine) ->
-      Proteus_engine.Counters.reset ();
-      let _, secs = time (fun () -> Proteus.Db.run_plan ~engine db plan) in
-      let c = Proteus_engine.Counters.snapshot () in
+      let (_, c), secs =
+        time (fun () ->
+            Proteus_engine.Executor.measure (fun () ->
+                Proteus.Db.run_plan ~engine db plan))
+      in
       Fmt.pr "  %-9s %6.1f ms   (%a)@." name (secs *. 1000.)
         Proteus_engine.Counters.pp c)
     [ ("compiled", Proteus.Db.Engine_compiled); ("volcano", Proteus.Db.Engine_volcano) ];

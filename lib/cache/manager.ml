@@ -86,7 +86,7 @@ type t = {
          compiled plans that baked in the pre-promotion layout (no zone
          skip, undictionarized probes) *)
   mutable promo_fired : (string * string) list;  (* pending hook calls *)
-  fields : (string * string, Column.t) Hashtbl.t;    (* (dataset, path) *)
+  fields : (string * string, field) Hashtbl.t;    (* (dataset, path) *)
   packed : (string, Cache_iface.packed * string list) Hashtbl.t;  (* key -> (cols, datasets) *)
   selects : (string, select_entry list ref) Hashtbl.t;  (* dataset -> entries *)
   (* workload-adaptive promotion (adaptive storage 2.0): per-column access
@@ -117,6 +117,13 @@ type t = {
   mutable layouts_extended : int;
   mutable layouts_dropped : int;
 }
+
+(* A cached column and where it came from: [slot] marks one the registry
+   materialized straight from format-index spans, so its hits are slot
+   reads. The mark lives and dies with the entry — a drop or an eviction
+   takes it away, so a later refill starts unmarked; an append extending
+   the column keeps it. *)
+and field = { col : Column.t; slot : bool }
 
 and access_acc = {
   mutable reads : int;      (* cache-lookup hits for the column *)
@@ -252,12 +259,12 @@ let promote_now t dataset path =
   t.promo_fired <- (dataset, path) :: t.promo_fired;
   Stats.note_promoted (Catalog.stats t.catalog dataset) path;
   (match Hashtbl.find_opt t.fields (dataset, path) with
-  | Some col -> (
+  | Some ({ col; _ } as f) -> (
     build_zones t (dataset, path) col;
     build_projection t (dataset, path) col;
     match Column.promote_strings col with
     | Some dcol when dcol != col ->
-      Hashtbl.replace t.fields (dataset, path) dcol;
+      Hashtbl.replace t.fields (dataset, path) { f with col = dcol };
       t.dict_columns <- t.dict_columns + 1;
       (* the dictionary layout is what the string zone map is built over *)
       build_zones t (dataset, path) dcol
@@ -282,7 +289,7 @@ let note_selective t ~dataset ~path ~ranged =
          the column is in hand, so the projection builds right here *)
       if is_promoted t ~dataset ~path then
         match Hashtbl.find_opt t.fields (dataset, path) with
-        | Some col -> build_projection t (dataset, path) col
+        | Some { col; _ } -> build_projection t (dataset, path) col
         | None -> ()
     end;
     maybe_promote t dataset path
@@ -298,11 +305,22 @@ let lookup_projection t ~dataset ~path =
   else None
 
 (* The registry reports a promotion-time materialization straight from a
-   format index (pre-parsed slot column) — bookkeeping + costing signal. *)
+   format index (pre-parsed slot column) — provenance on the installed
+   entry, bookkeeping and a costing signal. A block the arena refused has
+   no entry, and no slot column. *)
 let note_slot_column t ~dataset ~path =
-  t.slot_columns <- t.slot_columns + 1;
-  Stats.note_rich_layout (Catalog.stats t.catalog dataset) path;
-  Log.info (fun m -> m "slot column materialized for %s.%s" dataset path)
+  match Hashtbl.find_opt t.fields (dataset, path) with
+  | Some f ->
+    Hashtbl.replace t.fields (dataset, path) { f with slot = true };
+    t.slot_columns <- t.slot_columns + 1;
+    Stats.note_rich_layout (Catalog.stats t.catalog dataset) path;
+    Log.info (fun m -> m "slot column materialized for %s.%s" dataset path)
+  | None -> ()
+
+let slot_column t ~dataset ~path =
+  match Hashtbl.find_opt t.fields (dataset, path) with
+  | Some f -> f.slot
+  | None -> false
 
 let lookup_field t ~dataset ~path =
   match Hashtbl.find_opt t.fields (dataset, path) with
@@ -315,7 +333,7 @@ let lookup_field t ~dataset ~path =
       maybe_promote t dataset path
     end;
     (* the promotion may just have swapped the layout in place *)
-    Hashtbl.find_opt t.fields (dataset, path)
+    Option.map (fun f -> f.col) (Hashtbl.find_opt t.fields (dataset, path))
   | None ->
     t.field_misses <- t.field_misses + 1;
     None
@@ -342,9 +360,17 @@ let store_field t ~dataset ~path ~bias col =
   in
   let id = field_id dataset path in
   let size = Column.byte_size col in
+  (* a fill landing on a resident slot column (its query elected the fill
+     before the promotion hook materialized the column) stores the same
+     rows: the entry stays a slot column *)
+  let slot =
+    match Hashtbl.find_opt t.fields (dataset, path) with
+    | Some f -> f.slot
+    | None -> false
+  in
   (match Memory.Arena.put t.arena ~id ~size ~bias ~on_evict:(evict_field t (dataset, path)) with
   | () ->
-    Hashtbl.replace t.fields (dataset, path) col;
+    Hashtbl.replace t.fields (dataset, path) { col; slot };
     t.field_stores <- t.field_stores + 1;
     (* fill-session commit lands here: record the zone-map (and, for
        promoted range-hot columns, the sorted-projection) side structures
@@ -522,6 +548,8 @@ let iface t : Cache_iface.t =
     note_slot_column =
       (fun ~dataset ~path ->
         with_mu t (fun () -> note_slot_column t ~dataset ~path));
+    slot_column =
+      (fun ~dataset ~path -> with_mu t (fun () -> slot_column t ~dataset ~path));
   }
 
 let is_promoted t ~dataset ~path = with_mu t (fun () -> is_promoted t ~dataset ~path)
@@ -558,14 +586,15 @@ let stats t = with_mu t @@ fun () ->
 
 let field_bytes_for t ~dataset = with_mu t @@ fun () ->
   Hashtbl.fold
-    (fun (ds, _) col acc ->
+    (fun (ds, _) { col; _ } acc ->
       if String.equal ds dataset then acc + Column.byte_size col else acc)
     t.fields 0
 
 let bytes_for t ~dataset = with_mu t @@ fun () ->
   let fields =
     Hashtbl.fold
-      (fun (ds, _) col acc -> if String.equal ds dataset then acc + Column.byte_size col else acc)
+      (fun (ds, _) { col; _ } acc ->
+        if String.equal ds dataset then acc + Column.byte_size col else acc)
       t.fields 0
   in
   let packed =
@@ -583,7 +612,7 @@ let bytes_for t ~dataset = with_mu t @@ fun () ->
   fields + packed + selects
 
 let resident_bytes t = with_mu t @@ fun () ->
-  Hashtbl.fold (fun _ col acc -> acc + Column.byte_size col) t.fields 0
+  Hashtbl.fold (fun _ { col; _ } acc -> acc + Column.byte_size col) t.fields 0
   + Hashtbl.fold (fun _ (p, _) acc -> acc + packed_size p) t.packed 0
   + Hashtbl.fold
       (fun _ entries acc ->
@@ -668,7 +697,7 @@ let extend_dataset t ~dataset ~source ~from =
   List.iter
     (fun (key, tail) ->
       match Hashtbl.find_opt t.fields key, tail with
-      | Some col, Some tail when Column.length col = from -> (
+      | Some ({ col; _ } as f), Some tail when Column.length col = from -> (
         let grown =
           match Column.append col tail with
           | col -> (
@@ -683,7 +712,7 @@ let extend_dataset t ~dataset ~source ~from =
         in
         match grown with
         | Some col ->
-          Hashtbl.replace t.fields key col;
+          Hashtbl.replace t.fields key { f with col };
           t.tail_rows <- t.tail_rows + Column.length tail;
           extended ();
           let grow tbl f =

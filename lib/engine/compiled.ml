@@ -1150,7 +1150,7 @@ and compile_select_scan_serial ctx ~pred ~dataset ~binding ~scan =
       (* install-on-commit: a sigma-result built while rows were being
          skipped (or that aborted mid-scan) is a partial answer — quarantine
          it instead of registering it as the cached result *)
-      let e0 = Fault.errors_total () in
+      let e0 = Fault.query_errors () in
       let qid = "select:" ^ dataset ^ "." ^ binding in
       (match
          (run_input (fun () ->
@@ -1169,7 +1169,7 @@ and compile_select_scan_serial ctx ~pred ~dataset ~binding ~scan =
       | exception e ->
         cache.Cache_iface.quarantine ~id:qid;
         raise e);
-      if Fault.errors_total () > e0 then cache.Cache_iface.quarantine ~id:qid
+      if Fault.query_errors () > e0 then cache.Cache_iface.quarantine ~id:qid
       else
         cache.Cache_iface.store_select ~dataset ~binding ~pred ~paths ~bias
           {
@@ -1698,7 +1698,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
           | None -> false
       in
       if not loaded then begin
-        let e0 = Fault.errors_total () in
+        let e0 = Fault.query_errors () in
         (match par_build with
         | Some fleet -> fleet ()
         | None -> right_runner ());
@@ -1710,7 +1710,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
         List.iter (fun slot -> slot.ps_arr := Vec.to_array slot.ps_vec) payload;
         (* a build side materialized while rows were being skipped is a
            partial relation: keep it for this query, never install it *)
-        if packable && Fault.errors_total () > e0 then
+        if packable && Fault.query_errors () > e0 then
           cache.Cache_iface.quarantine ~id:cache_key
         else if packable then begin
           let cols =

@@ -1,209 +1,5 @@
-type snapshot = {
-  tuples : int;
-  dispatches : int;
-  materialized : int;
-  branch_points : int;
-  batches : int;
-  batch_rows : int;
-  batch_selected : int;
-  lanes_batch : int;
-  lanes_tuple : int;
-  scan_ns : int;
-  build_ns : int;
-  probe_ns : int;
-  merge_ns : int;
-  fill_ns : int;
-  morsels : int;
-  morsels_skipped : int;
-  zone_checks : int;
-  sorted_seeks : int;
-  probe_morsels_skipped : int;
-  slot_reads : int;
-  shards_pruned : int;
-  dict_probes : int;
-  errors_seen : int;
-  rows_skipped : int;
-  fields_nulled : int;
-  shards_retried : int;
-  shards_hedged : int;
-  breaker_open : int;
-  shed : int;
-}
+(* The engine's name for the query counters. They live in the model layer
+   beside the fault context that owns them, so the plug-in and resilience
+   layers tick the same cells (see {!Proteus_model.Tally}). *)
 
-type phase = Scan | Build | Probe | Merge | Fill
-
-(* Domain-safe counters: one atomic cell per (hashed) domain id, summed at
-   snapshot time. Each worker domain lands on its own cell in the common
-   case (domain ids are small sequential ints), so increments stay
-   uncontended; [fetch_and_add] keeps counts exact even if two domains ever
-   collide on a slot. *)
-let slots = 64
-
-type counter = int Atomic.t array
-
-let make_counter () : counter = Array.init slots (fun _ -> Atomic.make 0)
-
-let tuples = make_counter ()
-let dispatches = make_counter ()
-let materialized = make_counter ()
-let branch_points = make_counter ()
-let batches = make_counter ()
-let batch_rows = make_counter ()
-let batch_selected = make_counter ()
-let lanes_batch = make_counter ()
-let lanes_tuple = make_counter ()
-let scan_ns = make_counter ()
-let build_ns = make_counter ()
-let probe_ns = make_counter ()
-let merge_ns = make_counter ()
-let fill_ns = make_counter ()
-let morsels = make_counter ()
-let morsels_skipped = make_counter ()
-let zone_checks = make_counter ()
-let sorted_seeks = make_counter ()
-let probe_morsels_skipped = make_counter ()
-let shards_pruned = make_counter ()
-let dict_probes = make_counter ()
-
-let slot () = (Domain.self () :> int) land (slots - 1)
-
-let add (c : counter) n = ignore (Atomic.fetch_and_add c.(slot ()) n)
-
-let total (c : counter) = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c
-
-let zero (c : counter) = Array.iter (fun a -> Atomic.set a 0) c
-
-let reset () =
-  zero tuples;
-  zero dispatches;
-  zero materialized;
-  zero branch_points;
-  zero batches;
-  zero batch_rows;
-  zero batch_selected;
-  zero lanes_batch;
-  zero lanes_tuple;
-  zero scan_ns;
-  zero build_ns;
-  zero probe_ns;
-  zero merge_ns;
-  zero fill_ns;
-  zero morsels;
-  zero morsels_skipped;
-  zero zone_checks;
-  zero sorted_seeks;
-  zero probe_morsels_skipped;
-  zero shards_pruned;
-  zero dict_probes;
-  Proteus_model.Fault.reset_totals ();
-  Proteus_resilience.Stats.reset ();
-  Proteus_plugin.Pstats.reset ()
-
-let snapshot () =
-  {
-    tuples = total tuples;
-    dispatches = total dispatches;
-    materialized = total materialized;
-    branch_points = total branch_points;
-    batches = total batches;
-    batch_rows = total batch_rows;
-    batch_selected = total batch_selected;
-    lanes_batch = total lanes_batch;
-    lanes_tuple = total lanes_tuple;
-    scan_ns = total scan_ns;
-    build_ns = total build_ns;
-    probe_ns = total probe_ns;
-    merge_ns = total merge_ns;
-    fill_ns = total fill_ns;
-    morsels = total morsels;
-    morsels_skipped = total morsels_skipped;
-    zone_checks = total zone_checks;
-    sorted_seeks = total sorted_seeks;
-    probe_morsels_skipped = total probe_morsels_skipped;
-    (* the plugin layer owns this one (slot-column routing happens at scan
-       construction, below the engine) — mirrored like the fault totals *)
-    slot_reads = Proteus_plugin.Pstats.slot_reads_total ();
-    shards_pruned = total shards_pruned;
-    dict_probes = total dict_probes;
-    (* The fault layer owns these (it already accounts them atomically per
-       record call); the snapshot just mirrors its totals. *)
-    errors_seen = Proteus_model.Fault.errors_total ();
-    rows_skipped = Proteus_model.Fault.skipped_total ();
-    fields_nulled = Proteus_model.Fault.nulled_total ();
-    (* likewise the resilience layer's totals *)
-    shards_retried = Proteus_resilience.Stats.retries_total ();
-    shards_hedged = Proteus_resilience.Stats.hedges_total ();
-    breaker_open = Proteus_resilience.Stats.breaker_open_total ();
-    shed = Proteus_resilience.Stats.shed_total ();
-  }
-
-let add_tuples n = add tuples n
-let add_dispatches n = add dispatches n
-let add_materialized n = add materialized n
-let add_branch_points n = add branch_points n
-let add_batches n = add batches n
-let add_batch_rows n = add batch_rows n
-let add_batch_selected n = add batch_selected n
-let add_lanes_batch n = add lanes_batch n
-let add_lanes_tuple n = add lanes_tuple n
-let add_morsels n = add morsels n
-let add_morsels_skipped n = add morsels_skipped n
-let add_zone_checks n = add zone_checks n
-let add_sorted_seeks n = add sorted_seeks n
-let add_probe_morsels_skipped n = add probe_morsels_skipped n
-let add_shards_pruned n = add shards_pruned n
-let add_dict_probes n = add dict_probes n
-
-let phase_counter = function
-  | Scan -> scan_ns
-  | Build -> build_ns
-  | Probe -> probe_ns
-  | Merge -> merge_ns
-  | Fill -> fill_ns
-
-let add_phase_ns ph n = add (phase_counter ph) n
-
-(* Per-phase wall clock, cumulative across domains: a span timed on two
-   domains at once contributes twice, so sums can exceed elapsed time on a
-   parallel run — they answer "where did the work go", not "how long did
-   the query take". Exceptions propagate with the partial span recorded. *)
-let time ph f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      add_phase_ns ph (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)))
-    f
-
-let selection_density s =
-  if s.batch_rows = 0 then 1.
-  else float_of_int s.batch_selected /. float_of_int s.batch_rows
-
-let ms ns = float_of_int ns /. 1e6
-
-let pp ppf s =
-  Fmt.pf ppf
-    "tuples=%d dispatches=%d materialized=%d branches=%d batches=%d \
-     batch-rows=%d batch-selected=%d (density %.3f) lanes: %d batch / %d tuple"
-    s.tuples s.dispatches s.materialized s.branch_points s.batches s.batch_rows
-    s.batch_selected (selection_density s) s.lanes_batch s.lanes_tuple;
-  if s.morsels > 0 || s.morsels_skipped > 0 then
-    Fmt.pf ppf " morsels=%d" s.morsels;
-  if s.morsels_skipped > 0 || s.zone_checks > 0 then
-    Fmt.pf ppf " zone-checks=%d morsels-skipped=%d" s.zone_checks s.morsels_skipped;
-  if s.sorted_seeks > 0 then Fmt.pf ppf " sorted-seeks=%d" s.sorted_seeks;
-  if s.probe_morsels_skipped > 0 then
-    Fmt.pf ppf " probe-morsels-skipped=%d" s.probe_morsels_skipped;
-  if s.slot_reads > 0 then Fmt.pf ppf " slot-reads=%d" s.slot_reads;
-  if s.shards_pruned > 0 then Fmt.pf ppf " shards-pruned=%d" s.shards_pruned;
-  if s.dict_probes > 0 then Fmt.pf ppf " dict-probes=%d" s.dict_probes;
-  if s.scan_ns + s.build_ns + s.probe_ns + s.merge_ns + s.fill_ns > 0 then begin
-    Fmt.pf ppf " phases[ms]: scan=%.2f build=%.2f probe=%.2f merge=%.2f"
-      (ms s.scan_ns) (ms s.build_ns) (ms s.probe_ns) (ms s.merge_ns);
-    if s.fill_ns > 0 then Fmt.pf ppf " fill=%.2f" (ms s.fill_ns)
-  end;
-  if s.errors_seen + s.rows_skipped + s.fields_nulled > 0 then
-    Fmt.pf ppf " faults: errors=%d skipped=%d nulled=%d" s.errors_seen
-      s.rows_skipped s.fields_nulled;
-  if s.shards_retried + s.shards_hedged + s.breaker_open + s.shed > 0 then
-    Fmt.pf ppf " shards-retried=%d shards-hedged=%d breaker-open=%d shed=%d"
-      s.shards_retried s.shards_hedged s.breaker_open s.shed
+include Proteus_model.Tally

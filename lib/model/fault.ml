@@ -7,8 +7,12 @@
    ([Skip_row] probes each row's required accessors before committing the
    tuple to the pipeline; [Null_fill] wraps accessors to substitute
    [Value.Null]); the engines check the cancellation token at morsel/batch
-   boundaries; the cache layer compares error counts around a fill to
-   quarantine partially-filled columns.
+   boundaries; the cache layer compares the query's error count around a
+   fill to quarantine partially-filled columns.
+
+   The context also owns the query's counters ({!Tally}): every layer ticks
+   the active context's cells, and {!finish} returns them in the report and
+   folds them into the process totals.
 
    Determinism: errors are accounted into per-morsel cells keyed by the
    morsel index the recording domain is currently scanning (serial runs use
@@ -38,6 +42,7 @@ type report = {
   rp_nulled : int;        (** field reads nulled under [Null_fill] *)
   rp_samples : sample list;            (** first [sample_cap] in scan order *)
   rp_by_source : (string * int) list;  (** error count per dataset, sorted *)
+  rp_stats : Tally.snapshot;  (** the query's counters and phase times *)
 }
 
 exception Budget_exceeded of int
@@ -75,6 +80,7 @@ type ctx = {
   cx_errors : int Atomic.t;
   cx_mu : Mutex.t;
   cx_cells : (int, cell) Hashtbl.t;
+  cx_tally : Tally.t;
   cx_parent : ctx option;
       (* a forked child (hedged build attempt) carries a private flag so it
          can be cancelled alone, but chains to its parent: the parent's
@@ -91,28 +97,21 @@ type ctx = {
 let current_key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let get_ctx () = Domain.DLS.get current_key
-let set_ctx c = Domain.DLS.set current_key c
+
+(* Installing a context also routes the domain's counter ticks into it
+   (re-installing the one already active keeps the domain's block). *)
+let set_ctx c =
+  match get_ctx (), c with
+  | Some a, Some b when a == b -> ()
+  | _ ->
+    Domain.DLS.set current_key c;
+    Tally.attach (Option.map (fun c -> c.cx_tally) c)
 
 (* Which morsel the calling domain is scanning: the engines set this from
    their morsel loops; serial drivers leave it at 0. *)
 let morsel_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let set_morsel m = Domain.DLS.get morsel_key := m
-
-(* Process-wide totals behind the engine's proxy counters; they tick on
-   every recorded error and are reset by [Counters.reset]. *)
-let g_errors = Atomic.make 0
-let g_skipped = Atomic.make 0
-let g_nulled = Atomic.make 0
-
-let errors_total () = Atomic.get g_errors
-let skipped_total () = Atomic.get g_skipped
-let nulled_total () = Atomic.get g_nulled
-
-let reset_totals () =
-  Atomic.set g_errors 0;
-  Atomic.set g_skipped 0;
-  Atomic.set g_nulled 0
 
 let active () = get_ctx () <> None
 
@@ -140,6 +139,7 @@ let install ~policy ?(max_errors = max_int) ?deadline () =
       cx_errors = Atomic.make 0;
       cx_mu = Mutex.create ();
       cx_cells = Hashtbl.create 8;
+      cx_tally = Tally.create ();
       cx_parent = None;
     }
   in
@@ -148,10 +148,10 @@ let install ~policy ?(max_errors = max_int) ?deadline () =
   ctx
 
 (* [fork parent] is a child context sharing the parent's policy, deadline,
-   budget and accounting cells, but with a private cancellation flag that
-   chains to the parent's: cancelling the child (a hedge loser) never
-   touches the parent or its other children, while cancelling the parent
-   reaches them all. *)
+   budget, accounting cells and counters, but with a private cancellation
+   flag that chains to the parent's: cancelling the child (a hedge loser)
+   never touches the parent or its other children, while cancelling the
+   parent reaches them all. *)
 let fork parent =
   { parent with cx_flag = Atomic.make R_none; cx_parent = Some parent }
 
@@ -187,6 +187,11 @@ let check_cancel () =
         ignore (Atomic.compare_and_set ctx.cx_flag R_none R_deadline);
         raise Timed_out
       | _ -> ()))
+
+(* Errors the active query has recorded so far (0 with no query: only a
+   degraded policy, which needs a context, records any). *)
+let query_errors () =
+  match get_ctx () with None -> 0 | Some c -> Atomic.get c.cx_errors
 
 let budget_hit ctx = Atomic.get ctx.cx_errors > ctx.cx_max_errors
 
@@ -234,22 +239,30 @@ let record_in ctx ~source ~row ~skipped ~nulled e =
 (* [record_skip ~source ~row e] accounts one row dropped by [Skip_row].
    Raises [Budget_exceeded] when the error budget is crossed. *)
 let record_skip ~source ~row e =
-  ignore (Atomic.fetch_and_add g_errors 1);
-  ignore (Atomic.fetch_and_add g_skipped 1);
   match get_ctx () with
   | None -> ()
-  | Some ctx -> record_in ctx ~source ~row ~skipped:1 ~nulled:0 e
+  | Some ctx ->
+    Tally.add_errors_seen 1;
+    Tally.add_rows_skipped 1;
+    record_in ctx ~source ~row ~skipped:1 ~nulled:0 e
 
 (* [record_null ~source ~row e] accounts one field read nulled by
    [Null_fill]. Raises [Budget_exceeded] when the budget is crossed. *)
 let record_null ~source ~row e =
-  ignore (Atomic.fetch_and_add g_errors 1);
-  ignore (Atomic.fetch_and_add g_nulled 1);
   match get_ctx () with
   | None -> ()
-  | Some ctx -> record_in ctx ~source ~row ~skipped:0 ~nulled:1 e
+  | Some ctx ->
+    Tally.add_errors_seen 1;
+    Tally.add_fields_nulled 1;
+    record_in ctx ~source ~row ~skipped:0 ~nulled:1 e
 
-let report ctx =
+(* [finish ctx] ends the query [ctx] was installed for, on the domain that
+   installed it, once every worker is done: it uninstalls the context,
+   folds the query's counters into the process totals and returns its
+   report. *)
+let finish ctx =
+  clear ();
+  let stats = Tally.fold ctx.cx_tally in
   Mutex.lock ctx.cx_mu;
   let cells =
     Hashtbl.fold (fun m c acc -> (m, c) :: acc) ctx.cx_cells []
@@ -282,6 +295,7 @@ let report ctx =
     rp_nulled = nulled;
     rp_samples = samples;
     rp_by_source = by_source;
+    rp_stats = stats;
   }
 
 let empty_report =
@@ -292,6 +306,7 @@ let empty_report =
     rp_nulled = 0;
     rp_samples = [];
     rp_by_source = [];
+    rp_stats = Tally.zero;
   }
 
 let pp_sample ppf s =

@@ -33,6 +33,7 @@ type t = {
   lookup_zones : dataset:string -> path:string -> Zonemap.t option;
   lookup_projection : dataset:string -> path:string -> Projection.t option;
   note_slot_column : dataset:string -> path:string -> unit;
+  slot_column : dataset:string -> path:string -> bool;
       (* a promoted path was materialized straight from format-index spans
          (pre-parsed slot column); feeds manager stats and costing *)
 }
@@ -53,4 +54,5 @@ let disabled =
     lookup_zones = (fun ~dataset:_ ~path:_ -> None);
     lookup_projection = (fun ~dataset:_ ~path:_ -> None);
     note_slot_column = (fun ~dataset:_ ~path:_ -> ());
+    slot_column = (fun ~dataset:_ ~path:_ -> false);
   }

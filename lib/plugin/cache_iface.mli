@@ -63,7 +63,13 @@ type t = {
           under range conjuncts even when the data is unclustered *)
   note_slot_column : dataset:string -> path:string -> unit;
       (** the registry materialized a promoted path straight from a format
-          index (pre-parsed slot column) — manager stats/costing signal *)
+          index (pre-parsed slot column) and stored it: the manager marks
+          the installed entry (no-op when the arena refused the block) —
+          provenance plus a stats/costing signal *)
+  slot_column : dataset:string -> path:string -> bool;
+      (** whether the cached column of [dataset.path] is a pre-parsed slot
+          column; the mark belongs to the cached entry, so a drop or an
+          eviction takes it and a later refill starts unmarked *)
 }
 
 (** A cache handle that never hits and never stores (caching disabled). *)

@@ -90,10 +90,6 @@ type t = {
   breakers : (string, Proteus_resilience.Breaker.t) Hashtbl.t;
       (* per-member circuit state, living beside the digest cache and
          cleared with it on member re-registration *)
-  slot_cols : (string * string, unit) Hashtbl.t;
-      (* (dataset, path) pairs materialized straight from format-index
-         spans at promotion time: cache hits on them are slot reads
-         (guarded by [build_mu]; cleared on [invalidate]) *)
 }
 
 let create ?(cache = Cache_iface.disabled) catalog =
@@ -116,7 +112,6 @@ let create ?(cache = Cache_iface.disabled) catalog =
     hedge = None;
     breaker_cfg = Proteus_resilience.Breaker.default_config;
     breakers = Hashtbl.create 8;
-    slot_cols = Hashtbl.create 8;
   }
 
 let with_lock mu f =
@@ -522,7 +517,7 @@ and build_member t ~element m =
   let br = breaker t m in
   match R.Breaker.admit br with
   | R.Breaker.Reject ->
-    R.Stats.add_breaker_open 1;
+    Tally.add_breaker_open 1;
     degrade
       (Perror.Parse_error
          {
@@ -534,7 +529,7 @@ and build_member t ~element m =
     let budgeted () =
       R.Policy.run t.retry ~retryable:Fault.recoverable
         ~on_retry:(fun ~attempt:_ _ ->
-          R.Stats.add_retries 1;
+          Tally.add_shards_retried 1;
           invalidate_artifacts t m)
         (fun _ -> factory t m ())
     in
@@ -563,13 +558,7 @@ and invalidate_artifacts t name =
       Hashtbl.remove t.infos name;
       Hashtbl.remove t.indexes name;
       Hashtbl.remove t.corrupt name;
-      Hashtbl.remove t.shard_layouts name;
-      let stale_slots =
-        Hashtbl.fold
-          (fun (ds, p) () acc -> if String.equal ds name then (ds, p) :: acc else acc)
-          t.slot_cols []
-      in
-      List.iter (Hashtbl.remove t.slot_cols) stale_slots);
+      Hashtbl.remove t.shard_layouts name);
   drop_dependents t name
 
 (* Full invalidation (re-registration, updates): artifacts plus the
@@ -897,13 +886,13 @@ type fill_session = {
   fs_cache : unit -> Cache_iface.t;
   fs_lock : Mutex.t;  (* guards fs_segs: one lock per segment open, not per row *)
   mutable fs_segs : (int * Proteus_storage.Column.Builder.t list) list;
-  mutable fs_e0 : int;  (* Fault.errors_total at arm time *)
+  mutable fs_e0 : int;  (* the query's error count at arm time *)
 }
 
 let session_arm s =
   Mutex.lock s.fs_lock;
   s.fs_segs <- [];
-  s.fs_e0 <- Fault.errors_total ();
+  s.fs_e0 <- Fault.query_errors ();
   Mutex.unlock s.fs_lock
 
 (* Open one segment starting at row [start]: fresh builders (one per elected
@@ -942,7 +931,7 @@ let session_commit s =
   let segs = List.sort (fun (a, _) (b, _) -> compare (a : int) b) s.fs_segs in
   s.fs_segs <- [];
   Mutex.unlock s.fs_lock;
-  if Fault.errors_total () <> s.fs_e0 then quarantine_all s
+  if Fault.query_errors () <> s.fs_e0 then quarantine_all s
   else begin
     let open Proteus_storage.Column in
     let cache = s.fs_cache () in
@@ -1027,14 +1016,7 @@ let materialize_field t ~dataset ~path =
         let col = Proteus_storage.Column.Builder.finish builder in
         t.cache.Cache_iface.store_field ~dataset ~path
           ~bias:(Dataset.bias d.Dataset.format) col;
-        (* confirm the install (the arena may refuse oversized blocks)
-           before claiming slot-read routing for the path *)
-        match t.cache.Cache_iface.lookup_field ~dataset ~path with
-        | Some _ ->
-          with_lock t.build_mu (fun () ->
-              Hashtbl.replace t.slot_cols (dataset, path) ());
-          t.cache.Cache_iface.note_slot_column ~dataset ~path
-        | None -> ()
+        t.cache.Cache_iface.note_slot_column ~dataset ~path
       end
     with e when Fault.recoverable e ->
       Log.debug (fun m ->
@@ -1044,8 +1026,7 @@ let materialize_field t ~dataset ~path =
 
 (* Is the cache hit for [(dataset, path)] served by a pre-parsed slot
    column? Consulted once per scan construction for observability. *)
-let slot_column t ~dataset ~path =
-  with_lock t.build_mu (fun () -> Hashtbl.mem t.slot_cols (dataset, path))
+let slot_column t ~dataset ~path = t.cache.Cache_iface.slot_column ~dataset ~path
 
 let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
   let d = Catalog.find t.catalog dataset in
@@ -1081,7 +1062,7 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
            slot column instead of span decoding (ticked at construction —
            the read loop itself stays untouched) *)
         if slot_column t ~dataset ~path then
-          Pstats.add_slot_reads raw.Source.count;
+          Tally.add_slot_reads raw.Source.count;
         hits := path :: !hits
       | None ->
         if fill && not (Fault.null_filling ()) then

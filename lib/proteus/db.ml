@@ -436,7 +436,7 @@ let staged ?(domains = 1) ?batch_size t ~t0 plan =
         r
       end
     in
-    r ()
+    Executor.as_query r
   in
   { compile_seconds; run }
 

@@ -163,7 +163,7 @@ let run t ~key f =
         return_outcome (result_of primary)
       end
       else begin
-        Stats.add_hedges 1;
+        Tally.add_shards_hedged 1;
         match spawn parent f with
         | exception _ ->
           (* no domain for the hedge: wait the primary out *)

@@ -4,7 +4,7 @@
    control is the queue bound (submissions beyond it are rejected with
    [Overloaded] instead of piling up latency) and the in-flight bound is
    the worker count. Each query runs under its own fault context
-   ({!Proteus_model.Fault.install}, domain-local since PR-7) with an
+   ({!Proteus_engine.Executor.query}, domain-local) with an
    absolute deadline measured from SUBMIT time, so queue wait counts
    against the budget and a query that waited past its deadline is
    answered [Timed_out] without staging anything.
@@ -100,8 +100,8 @@ let deadline_of job =
     (fun ms -> job.jb_submitted +. (float_of_int ms /. 1000.))
     job.jb_req.rq_timeout_ms
 
-(* One query, on a worker domain. Mirrors [Executor.run_guarded]'s outcome
-   classification, but around a cache lease instead of a fresh compile. *)
+(* One query, on a worker domain: [Executor.query]'s lifecycle around a
+   cache lease instead of a fresh compile. *)
 let run_query t job =
   let rq = job.jb_req in
   let deadline = deadline_of job in
@@ -124,29 +124,17 @@ let run_query t job =
         Engine_cache.acquire t.cache ~domains:rq.rq_domains
           ?batch_size:rq.rq_batch_size plan
       in
-      let ctx = Fault.install ~policy:Fault.Fail_fast ?deadline () in
-      Mutex.lock t.mu;
-      Hashtbl.replace t.inflight job.jb_id ctx;
-      Mutex.unlock t.mu;
       let outcome =
-        Fun.protect
-          ~finally:(fun () ->
+        Executor.query ?deadline
+          ~on_ctx:(fun ctx ->
             Mutex.lock t.mu;
-            Hashtbl.remove t.inflight job.jb_id;
-            Mutex.unlock t.mu;
-            Fault.clear ())
-          (fun () ->
-            match Engine_cache.run lease with
-            | v -> Executor.Completed (v, Fault.report ctx)
-            | exception e ->
-              let r = Fault.report ctx in
-              (match e with
-              | Fault.Timed_out | Fault.Cancelled ->
-                if Fault.deadline_hit ctx then Executor.Timed_out r
-                else if e = Fault.Timed_out then Executor.Timed_out r
-                else Executor.Cancelled r
-              | e -> Executor.Failed (r, e)))
+            Hashtbl.replace t.inflight job.jb_id ctx;
+            Mutex.unlock t.mu)
+          (fun () -> Engine_cache.run lease)
       in
+      Mutex.lock t.mu;
+      Hashtbl.remove t.inflight job.jb_id;
+      Mutex.unlock t.mu;
       let clean =
         match outcome with
         | Executor.Completed (_, r) -> r.Fault.rp_errors = 0
@@ -295,7 +283,6 @@ let submit t rq =
       | None -> false
     then begin
       t.c_shed <- t.c_shed + 1;
-      Proteus_resilience.Stats.add_shed 1;
       Error `Infeasible
     end
     else begin

@@ -143,11 +143,12 @@ let handle_run sched cfg ~client ~params ~timeout_ms sql out =
     | Executor.Failed (_, e) ->
       Printf.fprintf out "err error: %s\n" (exn_message e))
 
-let resilience_line () =
-  let module RS = Proteus_resilience.Stats in
+(* Process totals, except [shed]: a shed query never started, so the
+   scheduler owns that count. *)
+let resilience_line (ss : Scheduler.stats) =
+  let c = Proteus_engine.Counters.snapshot () in
   Fmt.str "shards-retried=%d shards-hedged=%d breaker-open=%d shed=%d"
-    (RS.retries_total ()) (RS.hedges_total ()) (RS.breaker_open_total ())
-    (RS.shed_total ())
+    c.shards_retried c.shards_hedged c.breaker_open ss.shed
 
 let promotion_line db =
   let ps = Proteus.Db.cache_stats db in
@@ -179,13 +180,13 @@ let engine_line () =
     s.C.morsels s.C.morsels_skipped s.C.sorted_seeks s.C.probe_morsels_skipped
     s.C.slot_reads
 
-let handle_stats sched out =
+let stats_line sched =
   let cs = Engine_cache.stats (Scheduler.engine_cache sched) in
   let ss = Scheduler.stats sched in
-  Printf.fprintf out "stats cache %s scheduler %s resilience %s promotion %s engine %s\n"
+  Printf.sprintf "stats cache %s scheduler %s resilience %s promotion %s engine %s"
     (Fmt.str "%a" Engine_cache.pp_stats cs)
     (Fmt.str "%a" Scheduler.pp_stats ss)
-    (resilience_line ())
+    (resilience_line ss)
     (promotion_line (Scheduler.db sched))
     (engine_line ())
 
@@ -275,7 +276,7 @@ let handle_connection sched cfg ~draining fd =
              params := [];
              positional := 0;
              timeout_ms := None
-           | "stats" -> handle_stats sched out
+           | "stats" -> output_string out (stats_line sched ^ "\n")
            | "health" -> handle_health sched ~draining out
            | "quit" ->
              output_string out "bye\n";

@@ -53,6 +53,9 @@ val parse_value : string -> Value.t
     positional slot counted by [positional]. *)
 val parse_param : positional:int ref -> string -> string * Value.t
 
+(** The [stats] verb's reply line (without the newline). *)
+val stats_line : Scheduler.t -> string
+
 (** Client helper: connect, run [f in_channel out_channel], close. *)
 val with_connection :
   ?host:string -> port:int -> (in_channel -> out_channel -> 'a) -> 'a

@@ -445,9 +445,7 @@ let test_counters () =
       [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
       (Plan.scan ~dataset:"items_col" ~binding:"x" ())
   in
-  Counters.reset ();
-  ignore (execute reg plan);
-  let s = Counters.snapshot () in
+  let _, s = Executor.measure (fun () -> execute reg plan) in
   Alcotest.(check int) "tuples" 800 s.Counters.tuples;
   Alcotest.(check int) "batch rows" 800 s.Counters.batch_rows;
   Alcotest.(check int) "batch selected" 400 s.Counters.batch_selected;
@@ -456,12 +454,9 @@ let test_counters () =
   Alcotest.(check bool) "batches emitted" true (s.Counters.batches > 0);
   Alcotest.(check bool) "density = 0.5" true
     (Float.abs (Counters.selection_density s -. 0.5) < 1e-9);
-  Counters.reset ();
-  ignore (execute ~batch_size:0 reg plan);
-  let s = Counters.snapshot () in
+  let _, s = Executor.measure (fun () -> execute ~batch_size:0 reg plan) in
   Alcotest.(check int) "tuple lane: no batches" 0 s.Counters.batches;
-  Alcotest.(check int) "tuple lane counted" 1 s.Counters.lanes_tuple;
-  Counters.reset ()
+  Alcotest.(check int) "tuple lane counted" 1 s.Counters.lanes_tuple
 
 (* --- caching: a batched session leaves bit-identical cache columns --------- *)
 

@@ -246,11 +246,11 @@ let test_warm_stores_nothing () =
 
 let test_morsel_counter () =
   let _, reg = make_session () in
-  Counters.reset ();
-  ignore (Executor.run reg ~domains:4 ~engine:Executor.Engine_compiled (List.hd workload));
-  let s = Counters.snapshot () in
-  Alcotest.(check bool) "morsels dispensed" true (s.Counters.morsels > 0);
-  Counters.reset ()
+  let _, s =
+    Executor.measure (fun () ->
+        Executor.run reg ~domains:4 ~engine:Executor.Engine_compiled (List.hd workload))
+  in
+  Alcotest.(check bool) "morsels dispensed" true (s.Counters.morsels > 0)
 
 (* --- fault interaction: segments never install from a dirty run ----------- *)
 
@@ -337,6 +337,40 @@ let test_skip_row_clean_installs () =
   Alcotest.(check int) "nothing quarantined" 0 stats.Manager.quarantined;
   Alcotest.(check bool) "fill committed" true (stats.Manager.fill_commits > 0)
 
+(* Install-on-commit looks at the filling query's own errors: a Skip_row
+   error another query records on another domain, under its own context,
+   while B's fill session is armed, must not quarantine B's clean fill. *)
+let test_cross_session_commit () =
+  let mgr, reg = make_session () in
+  let dataset = "items_json" in
+  let (), _ =
+    Executor.measure (fun () ->
+        let sc = Registry.scan reg ~dataset ~required:cacheable_paths in
+        let session =
+          match sc.Registry.sc_fill with
+          | Some s -> s
+          | None -> Alcotest.fail "the scan elected no fill"
+        in
+        Registry.session_arm session;
+        let view = Registry.scan_view ~session reg ~dataset ~required:cacheable_paths in
+        view.Registry.sc_run_range ~lo:0 ~hi:view.Registry.sc_count ~on_tuple:ignore;
+        Domain.join
+          (Domain.spawn (fun () ->
+               let ctx = Fault.install ~policy:Fault.Skip_row () in
+               Fault.record_skip ~source:"items_csv" ~row:3
+                 (Perror.Parse_error { what = "k"; pos = -1; msg = "injected" });
+               let r = Fault.finish ctx in
+               Alcotest.(check int) "the other query saw its error" 1 r.Fault.rp_errors));
+        Registry.session_commit session)
+  in
+  let iface = Manager.iface mgr in
+  List.iter
+    (fun path ->
+      if iface.Cache_iface.lookup_field ~dataset ~path = None then
+        Alcotest.failf "%s.%s quarantined by another query's error" dataset path)
+    cacheable_paths;
+  Alcotest.(check int) "nothing quarantined" 0 (Manager.stats mgr).Manager.quarantined
+
 let () =
   Alcotest.run "cache_parallel"
     [
@@ -355,5 +389,7 @@ let () =
             test_skip_row_quarantines_compacted_fill;
           Alcotest.test_case "clean skip-row installs" `Quick
             test_skip_row_clean_installs;
+          Alcotest.test_case "another query's error never quarantines" `Quick
+            test_cross_session_commit;
         ] );
     ]

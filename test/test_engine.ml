@@ -510,12 +510,9 @@ let test_counters_contrast () =
       [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
       (Plan.scan ~dataset:"items_row" ~binding:"x" ())
   in
-  Counters.reset ();
-  ignore (Executor.run reg ~engine:Executor.Engine_compiled plan);
-  let compiled = Counters.snapshot () in
-  Counters.reset ();
-  ignore (Executor.run reg ~engine:Executor.Engine_volcano plan);
-  let volcano = Counters.snapshot () in
+  let stats engine = snd (Executor.measure (fun () -> Executor.run reg ~engine plan)) in
+  let compiled = stats Executor.Engine_compiled in
+  let volcano = stats Executor.Engine_volcano in
   Alcotest.(check int) "same tuples" compiled.Counters.tuples volcano.Counters.tuples;
   Alcotest.(check int) "compiled has zero dispatches" 0 compiled.Counters.dispatches;
   Alcotest.(check bool) "volcano pays per-tuple dispatch" true

@@ -253,7 +253,7 @@ let test_cache_quarantine () =
   Alcotest.(check bool) "re-run hits" true (s2.Manager.field_hits > s1.Manager.field_hits);
   Alcotest.check check_value "cached value identical" v1 v2
 
-(* --- Counters mirror the fault totals ------------------------------------ *)
+(* --- a query's counters carry its fault counts ---------------------------- *)
 
 let test_counters () =
   List.iter
@@ -261,13 +261,12 @@ let test_counters () =
       List.iter
         (fun batch ->
           let name = Fmt.str "d%d/b%d" domains batch in
-          Counters.reset ();
-          let _ =
+          let _, r =
             completed name
               (Db.sql_guarded ~domains ~batch_size:batch ~policy:Fault.Skip_row
                  (db_csv csv_corrupt ()) agg_q)
           in
-          let s = Counters.snapshot () in
+          let s = r.Fault.rp_stats in
           Alcotest.(check int) (name ^ " errors_seen") n_picked s.Counters.errors_seen;
           Alcotest.(check int) (name ^ " rows_skipped") n_picked s.Counters.rows_skipped;
           Alcotest.(check int) (name ^ " fields_nulled") 0 s.Counters.fields_nulled)

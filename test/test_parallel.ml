@@ -413,14 +413,14 @@ let test_domain_independent () =
         keys)
     [ "items_csv"; "items_json"; "items_row" ];
   (* the one-domain run of a spine-drivable Reduce is a morsel fleet *)
-  Counters.reset ();
-  ignore
-    (Executor.run ~domains:1 reg ~engine:Executor.Engine_compiled
-       (Plan.reduce
-          [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
-          (Plan.scan ~dataset:"items_csv" ~binding:"x" ())));
-  Alcotest.(check bool) "one domain dispenses morsels" true
-    ((Counters.snapshot ()).Counters.morsels > 0)
+  let _, s =
+    Executor.measure (fun () ->
+        Executor.run ~domains:1 reg ~engine:Executor.Engine_compiled
+          (Plan.reduce
+             [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
+             (Plan.scan ~dataset:"items_csv" ~binding:"x" ())))
+  in
+  Alcotest.(check bool) "one domain dispenses morsels" true (s.Counters.morsels > 0)
 
 (* --- caching: a parallel session leaves bit-identical caches -------------- *)
 
@@ -501,18 +501,63 @@ let test_cache_parity () =
     [ "items_csv"; "items_json" ];
   Alcotest.(check bool) "at least one field column compared" true !some_cached
 
-(* --- counters are domain-safe (no lost increments) ------------------------ *)
+(* --- counters are domain-safe (no lost increments), in a query's per-domain
+   blocks and in the process totals ticked with no query active ---------- *)
 
 let test_counters_domain_safe () =
-  Counters.reset ();
   let n = 25_000 in
-  Pool.run ~domains:4 (fun _ ->
-      for _ = 1 to n do
-        Counters.add_tuples 1
-      done);
-  let s = Counters.snapshot () in
+  let tick () =
+    Pool.run ~domains:4 (fun _ ->
+        for _ = 1 to n do
+          Counters.add_tuples 1
+        done)
+  in
+  let before = Counters.snapshot () in
+  let (), s = Executor.measure tick in
   Alcotest.(check int) "no lost increments" (4 * n) s.Counters.tuples;
-  Counters.reset ()
+  tick ();
+  Alcotest.(check int) "query folded, loose ticks counted" (8 * n)
+    ((Counters.snapshot ()).Counters.tuples - before.Counters.tuples)
+
+(* Two queries on two domains whose ids share a counter-cache slot (ids 64
+   apart) each keep exactly their own counts: the domain that lost the slot
+   ticks through its domain-local block. *)
+let test_counters_slot_collision () =
+  let me = (Domain.self () :> int) in
+  let rec colliding () =
+    let d = Domain.spawn (fun () -> ()) in
+    if (Domain.get_id d :> int) land 63 = (me + 63) land 63 then Domain.join d
+    else begin
+      Domain.join d;
+      colliding ()
+    end
+  in
+  colliding ();
+  let attached = Atomic.make false and done_ = Atomic.make false in
+  let wait a = while not (Atomic.get a) do Domain.cpu_relax () done in
+  let tick k = for _ = 1 to k do Counters.add_tuples 1 done in
+  let (), mine =
+    Executor.measure (fun () ->
+        tick 100;
+        let other =
+          Domain.spawn (fun () ->
+              Alcotest.(check int) "ids collide" (me land 63)
+                ((Domain.self () :> int) land 63);
+              let (), s =
+                Executor.measure (fun () ->
+                    Atomic.set attached true;
+                    tick 7;
+                    wait done_)
+              in
+              s)
+        in
+        wait attached;
+        tick 100;
+        Atomic.set done_ true;
+        Alcotest.(check int) "the other query's own count" 7
+          (Domain.join other).Counters.tuples)
+  in
+  Alcotest.(check int) "this query's own count" 200 mine.Counters.tuples
 
 (* --- the dispenser hands out [0, total) exactly once ---------------------- *)
 
@@ -609,6 +654,8 @@ let () =
       ( "runtime",
         [
           Alcotest.test_case "counters domain-safe" `Quick test_counters_domain_safe;
+          Alcotest.test_case "counters survive slot collisions" `Quick
+            test_counters_slot_collision;
           Alcotest.test_case "dispenser coverage" `Quick test_dispenser_coverage;
         ] );
       ( "stats",

@@ -217,9 +217,7 @@ let warm_then_measure ?domains reg ~runs plan ~engine ~batch_size =
   for _ = 1 to runs do
     ignore (Executor.run ~batch_size reg ~engine:Executor.Engine_compiled plan)
   done;
-  Counters.reset ();
-  let r = Executor.run ~batch_size ?domains reg ~engine plan in
-  (r, Counters.snapshot ())
+  Executor.measure (fun () -> Executor.run ~batch_size ?domains reg ~engine plan)
 
 let expected_between =
   Value.Int
@@ -310,13 +308,12 @@ let test_policy_stand_down () =
   done;
   List.iter
     (fun policy ->
-      Counters.reset ();
       match
         Executor.run_guarded ~batch_size:1024 ~policy reg
           ~engine:Executor.Engine_compiled plan
       with
-      | Executor.Completed (r, _) ->
-          let s = Counters.snapshot () in
+      | Executor.Completed (r, report) ->
+          let s = report.Fault.rp_stats in
           Alcotest.check check_value
             (Fmt.str "%s result" (Fault.policy_name policy))
             expected_between r;
@@ -356,6 +353,38 @@ let test_slot_column () =
   Alcotest.check check_value "slot parallel parity" want
     (Executor.run ~batch_size:256 reg ~domains:4 ~engine:Executor.Engine_compiled plan)
 
+(* Slot-read provenance lives on the cached column: once the arena evicts
+   the slot column, the cold refill is an ordinary fill and its reads are
+   no slot reads. *)
+let test_slot_mark_dies_with_column () =
+  let mgr, reg = make_session ~config:slot_config () in
+  let plan =
+    Plan.reduce
+      ~pred:Expr.(x "v" >=. float 1000.)
+      [ Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) (x "v") ]
+      (Plan.scan ~dataset:"pjson" ~binding:"x" ())
+  in
+  let run () =
+    Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan
+  in
+  let want, s =
+    warm_then_measure reg ~runs:3 plan ~engine:Executor.Engine_compiled
+      ~batch_size:1024
+  in
+  Alcotest.(check bool) "slot column serves reads first" true (s.Counters.slot_reads > 0);
+  let arena = Memory.Arena.of_mgr (Catalog.memory (Registry.catalog reg)) in
+  Memory.Arena.put arena ~id:"ballast" ~size:(Memory.Arena.budget arena)
+    ~bias:Memory.Arena.Bias_binary ~on_evict:ignore;
+  Memory.Arena.remove arena "ballast";
+  Alcotest.(check bool) "slot column evicted" false
+    (Registry.slot_column reg ~dataset:"pjson" ~path:"v");
+  ignore (run ());
+  Alcotest.(check bool) "refilled cold" true
+    ((Manager.iface mgr).Cache_iface.lookup_field ~dataset:"pjson" ~path:"v" <> None);
+  let r, s = Executor.measure run in
+  Alcotest.check check_value "refilled sum" want r;
+  Alcotest.(check int) "no slot reads from the refill" 0 s.Counters.slot_reads
+
 (* --- join-side pruning: min/max + Bloom summaries from the build ---------- *)
 
 let expected_join =
@@ -375,9 +404,10 @@ let test_join_prune () =
   let plan = join_plan "pcsv" in
   ignore (Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan);
   (* serial lane: batches skipped out of the probe drive *)
-  Counters.reset ();
-  let r = Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan in
-  let s = Counters.snapshot () in
+  let r, s =
+    Executor.measure (fun () ->
+        Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan)
+  in
   Alcotest.check check_value "serial join result" expected_join r;
   Alcotest.(check bool)
     (Fmt.str "serial probe skips (probe-skipped=%d)"
@@ -385,11 +415,10 @@ let test_join_prune () =
     true
     (s.Counters.probe_morsels_skipped > 0);
   (* parallel lane: the dispenser skip armed after the build barrier *)
-  Counters.reset ();
-  let rp =
-    Executor.run ~batch_size:1024 reg ~domains:4 ~engine:Executor.Engine_compiled plan
+  let rp, sp =
+    Executor.measure (fun () ->
+        Executor.run ~batch_size:1024 reg ~domains:4 ~engine:Executor.Engine_compiled plan)
   in
-  let sp = Counters.snapshot () in
   Alcotest.check check_value "parallel join result" expected_join rp;
   Alcotest.(check bool)
     (Fmt.str "parallel probe skips (probe-skipped=%d)"
@@ -411,9 +440,10 @@ let test_join_prune_projection_keys () =
   let _, reg_ref = make_session ~config:Manager.config_disabled () in
   let want = Executor.run ~batch_size:0 reg_ref ~engine:Executor.Engine_compiled plan in
   ignore (Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan);
-  Counters.reset ();
-  let r = Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan in
-  let s = Counters.snapshot () in
+  let r, s =
+    Executor.measure (fun () ->
+        Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan)
+  in
   Alcotest.check check_value "projection-pruned join result" want r;
   Alcotest.(check bool)
     (Fmt.str "projection prunes the probe (probe-skipped=%d)"
@@ -431,9 +461,10 @@ let test_join_empty_build_skips_all () =
   let plan = join_plan ~dim:empty_dim "pcsv" in
   (* no promotion warm-up needed: an empty build prunes unconditionally *)
   ignore (Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan);
-  Counters.reset ();
-  let r = Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan in
-  let s = Counters.snapshot () in
+  let r, s =
+    Executor.measure (fun () ->
+        Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan)
+  in
   Alcotest.check check_value "empty build -> empty result"
     (Value.record [ ("c", Value.Int 0); ("w", Value.Int 0) ])
     r;
@@ -457,9 +488,10 @@ let test_left_outer_join_never_prunes () =
          (Plan.scan ~dataset:"pdim" ~binding:"d" ()))
   in
   ignore (Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan);
-  Counters.reset ();
-  let r = Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan in
-  let s = Counters.snapshot () in
+  let r, s =
+    Executor.measure (fun () ->
+        Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan)
+  in
   (* every probe row survives an outer join: pruning must not arm *)
   Alcotest.check check_value "outer join keeps all rows" (Value.Int n_rows) r;
   Alcotest.(check int) "outer join never prunes" 0
@@ -727,7 +759,9 @@ let () =
         ] );
       ( "slot",
         [ Alcotest.test_case "span-built column serves reads" `Quick
-            test_slot_column ] );
+            test_slot_column;
+          Alcotest.test_case "slot mark dies with its column" `Quick
+            test_slot_mark_dies_with_column ] );
       ( "join",
         [
           Alcotest.test_case "both lanes prune the probe" `Quick

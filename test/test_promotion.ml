@@ -157,9 +157,7 @@ let warm_then_measure ?domains reg ~runs plan ~engine ~batch_size =
   for _ = 1 to runs do
     ignore (Executor.run ~batch_size reg ~engine:Executor.Engine_compiled plan)
   done;
-  Counters.reset ();
-  let r = Executor.run ~batch_size ?domains reg ~engine plan in
-  (r, Counters.snapshot ())
+  Executor.measure (fun () -> Executor.run ~batch_size ?domains reg ~engine plan)
 
 let test_zone_skip_clustered () =
   let mgr, reg = make_session ~config:promote_config () in

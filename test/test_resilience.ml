@@ -13,7 +13,6 @@ module Plan = Proteus_algebra.Plan
 module Policy = Proteus_resilience.Policy
 module Breaker = Proteus_resilience.Breaker
 module Hedge = Proteus_resilience.Hedge
-module RStats = Proteus_resilience.Stats
 module Registry = Proteus_plugin.Registry
 module Counters = Proteus_engine.Counters
 module Scheduler = Proteus_server.Scheduler
@@ -146,15 +145,14 @@ let test_hedge_threshold () =
   (* a fast f never hedges; a slow f hedges and still returns its value *)
   let h = Hedge.create ~floor_ms:5. () in
   Alcotest.(check int) "fast run" 1 (Hedge.run h ~key:"k" (fun () -> 1));
-  RStats.reset ();
-  let v =
-    Hedge.run h ~key:"slow" (fun () ->
-        Unix.sleepf 0.03;
-        42)
+  let v, s =
+    Executor.measure (fun () ->
+        Hedge.run h ~key:"slow" (fun () ->
+            Unix.sleepf 0.03;
+            42))
   in
   Alcotest.(check int) "slow run value" 42 v;
-  Alcotest.(check bool) "slow run hedged" true (RStats.hedges_total () >= 1);
-  RStats.reset ()
+  Alcotest.(check bool) "slow run hedged" true (s.Counters.shards_hedged >= 1)
 
 (* --- sharded fixtures ------------------------------------------------------ *)
 
@@ -237,9 +235,10 @@ let test_hedged_identity () =
           let reg = Db.registry db in
           Registry.set_hedge reg (Some (Hedge.create ~floor_ms:3. ()));
           let hits = Faultgen.stall reg ~dataset:"sh__s2" ~ms:40 () in
-          Counters.reset ();
-          let v = Db.run_plan ~domains ~batch_size db (agg_plan "sh") in
-          let s = Counters.snapshot () in
+          let v, s =
+            Executor.measure (fun () ->
+                Db.run_plan ~domains ~batch_size db (agg_plan "sh"))
+          in
           let tag p = Fmt.str "d=%d b=%d %s" domains batch_size p in
           Alcotest.check check_value (tag "hedged == unhedged") baseline v;
           Alcotest.(check int) (tag "stall fired") 1 (Atomic.get hits);
@@ -259,13 +258,11 @@ let test_hedge_beats_straggler () =
   let clean = Db.run_plan db (agg_plan "sh") in
   Registry.set_hedge reg (Some (Hedge.create ~floor_ms:5. ()));
   ignore (Faultgen.stall reg ~dataset:"sh__s3" ~ms:stall_ms ());
-  Counters.reset ();
   let t0 = Unix.gettimeofday () in
-  let v = Db.run_plan db (agg_plan "sh") in
+  let v, s = Executor.measure (fun () -> Db.run_plan db (agg_plan "sh")) in
   let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   Alcotest.check check_value "stalled run identical" clean v;
-  Alcotest.(check bool) "hedge fired" true
-    ((Counters.snapshot ()).Counters.shards_hedged >= 1);
+  Alcotest.(check bool) "hedge fired" true (s.Counters.shards_hedged >= 1);
   Alcotest.(check bool)
     (Fmt.str "beat the straggler (%.0fms < %dms)" elapsed_ms stall_ms)
     true
@@ -278,13 +275,12 @@ let test_hedge_stands_down_degraded () =
   let reg = Db.registry db in
   Registry.set_hedge reg (Some (Hedge.create ~floor_ms:1. ()));
   ignore (Faultgen.stall reg ~dataset:"sh__s1" ~ms:20 ());
-  Counters.reset ();
-  let v, _ =
+  let v, report =
     completed (Db.run_plan_guarded ~policy:Fault.Skip_row db (count_plan "sh"))
   in
   Alcotest.check check_value "skip-policy result" (Value.Int 200) v;
   Alcotest.(check int) "no hedge under skip" 0
-    (Counters.snapshot ()).Counters.shards_hedged
+    report.Fault.rp_stats.Counters.shards_hedged
 
 (* --- retry budgets over flaky members -------------------------------------- *)
 
@@ -296,7 +292,6 @@ let test_flaky_within_budget () =
   Registry.set_retry_policy reg
     (Policy.make ~attempts:3 ~base_backoff_ms:0.2 ~max_backoff_ms:1. ());
   let calls = Faultgen.flaky reg ~dataset:"sh__s1" ~failures:2 () in
-  Counters.reset ();
   let v, report =
     completed (Db.run_plan_guarded ~policy:Fault.Fail_fast db (count_plan "sh"))
   in
@@ -309,7 +304,7 @@ let test_flaky_within_budget () =
     true
     (Atomic.get calls >= 3);
   Alcotest.(check int) "two retries counted" 2
-    (Counters.snapshot ()).Counters.shards_retried
+    report.Fault.rp_stats.Counters.shards_retried
 
 (* budget exhaustion under each error policy: Fail_fast surfaces the
    member's error; Skip_row/Null_fill degrade it to an empty shard with a
@@ -361,12 +356,11 @@ let test_breaker_scatter_cycle () =
     (List.assoc "sh__s1" (Registry.breaker_states reg) = Breaker.Open);
   (* open: the next query skips the member without invoking its factory *)
   let before = Atomic.get calls in
-  Counters.reset ();
   let v, report = degraded () in
   Alcotest.check check_value "q3 skips the open member" (Value.Int 150) v;
   Alcotest.(check int) "plug-in untouched while open" before (Atomic.get calls);
   Alcotest.(check bool) "breaker-open counted" true
-    ((Counters.snapshot ()).Counters.breaker_open >= 1);
+    (report.Fault.rp_stats.Counters.breaker_open >= 1);
   Alcotest.(check bool) "skip recorded in the report" true
     (report.Fault.rp_skipped >= 1);
   (* after the cooldown a half-open probe runs the (now healed) member *)

@@ -13,6 +13,7 @@ module Analysis = Proteus_algebra.Analysis
 module Fingerprint = Proteus_algebra.Fingerprint
 module Compiled = Proteus_engine.Compiled
 module Executor = Proteus_engine.Executor
+module Counters = Proteus_engine.Counters
 module Engine_cache = Proteus_server.Engine_cache
 module Scheduler = Proteus_server.Scheduler
 module Server = Proteus_server.Server
@@ -457,6 +458,87 @@ let test_concurrent_matches_serial () =
       Alcotest.(check bool) "later rounds hit the engine cache" true
         (s.Engine_cache.hits >= List.length queries))
 
+(* Each query's report carries its own counters, so two queries running at
+   once on two workers each see exactly what they see running alone. *)
+let test_concurrent_reports () =
+  let pair =
+    [ "SELECT COUNT(1), SUM(price) FROM items_csv WHERE k < 500";
+      "SELECT COUNT(1) FROM items_json WHERE grp = 3" ]
+  in
+  let report tk =
+    match (Scheduler.await tk).Scheduler.cp_outcome with
+    | Executor.Completed (_, r) -> r.Fault.rp_stats
+    | _ -> Alcotest.fail "query did not complete"
+  in
+  let submit sched q =
+    match Scheduler.submit sched (Scheduler.request q) with
+    | Ok tk -> tk
+    | Error _ -> Alcotest.fail "submit refused"
+  in
+  let rounds = 3 in
+  (* solo: one worker, one query at a time (cold round, then warm ones) *)
+  let solo =
+    let sched = Scheduler.create ~workers:1 (make_db ()) in
+    Fun.protect
+      ~finally:(fun () -> Scheduler.shutdown sched)
+      (fun () ->
+        List.init rounds (fun _ ->
+            List.map (fun q -> report (submit sched q)) pair))
+  in
+  let sched = Scheduler.create ~workers:2 (make_db ()) in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.shutdown sched)
+    (fun () ->
+      List.iteri
+        (fun round alone ->
+          let tickets = List.map (submit sched) pair in
+          List.iteri
+            (fun i (tk, (a : Counters.snapshot)) ->
+              let s = report tk in
+              let check what f =
+                Alcotest.(check int) (Fmt.str "round %d query %d %s" round i what) (f a) (f s)
+              in
+              check "tuples" (fun s -> s.Counters.tuples);
+              check "morsels" (fun s -> s.Counters.morsels);
+              check "morsels_skipped" (fun s -> s.Counters.morsels_skipped))
+            (List.combine tickets alone))
+        solo)
+
+(* The [stats] verb's resilience segment keeps its text; its [shed=] is the
+   scheduler's own count. *)
+let test_stats_shed () =
+  let sched = Scheduler.create ~workers:0 (make_db ()) in
+  let q = "SELECT COUNT(1) FROM items_csv" in
+  let submit ?timeout_ms () = Scheduler.submit sched (Scheduler.request ?timeout_ms q) in
+  (* seed the service-time estimate, queue one job, then shed a deadline
+     the queue wait alone exceeds *)
+  ignore (submit ());
+  Alcotest.(check bool) "seed ran" true (Scheduler.drain_one sched);
+  ignore (submit ());
+  (match submit ~timeout_ms:0 () with
+  | Error `Infeasible -> ()
+  | _ -> Alcotest.fail "an infeasible deadline must shed");
+  let line = Server.stats_line sched in
+  let segment =
+    let words = String.split_on_char ' ' line in
+    let rec after = function
+      | "resilience" :: rest -> rest
+      | _ :: rest -> after rest
+      | [] -> Alcotest.fail "no resilience segment"
+    in
+    let rec upto = function "promotion" :: _ | [] -> [] | w :: rest -> w :: upto rest in
+    upto (after words)
+  in
+  let key w = List.hd (String.split_on_char '=' w) in
+  Alcotest.(check (list string)) "resilience keys"
+    [ "shards-retried"; "shards-hedged"; "breaker-open"; "shed" ]
+    (List.map key segment);
+  Alcotest.(check string) "shed from the scheduler"
+    (Fmt.str "shed=%d" (Scheduler.stats sched).Scheduler.shed)
+    (List.nth segment 3);
+  Alcotest.(check int) "one shed" 1 (Scheduler.stats sched).Scheduler.shed;
+  Scheduler.shutdown ~drain_timeout_ms:10 sched
+
 let test_scheduler_params_and_hits () =
   let db = make_db () in
   let sched = Scheduler.create ~workers:2 db in
@@ -676,6 +758,10 @@ let () =
         [
           Alcotest.test_case "concurrent == serial" `Quick
             test_concurrent_matches_serial;
+          Alcotest.test_case "concurrent reports == solo reports" `Quick
+            test_concurrent_reports;
+          Alcotest.test_case "stats verb reads the scheduler's shed" `Quick
+            test_stats_shed;
           Alcotest.test_case "params and hits" `Quick test_scheduler_params_and_hits;
           Alcotest.test_case "admission control" `Quick test_scheduler_overload;
           Alcotest.test_case "deadline" `Quick test_scheduler_deadline;

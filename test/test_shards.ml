@@ -14,6 +14,7 @@ module Plan = Proteus_algebra.Plan
 module Db = Proteus.Db
 module Registry = Proteus_plugin.Registry
 module Counters = Proteus_engine.Counters
+module Executor = Proteus_engine.Executor
 
 let check_value = Alcotest.testable Value.pp Value.equal
 
@@ -158,9 +159,8 @@ let count_plan ?(pred = Expr.bool true) ds =
   Plan.reduce ~pred [ count ] (Plan.scan ~dataset:ds ~binding:"x" ())
 
 let pruned_run ?domains ?batch_size db plan =
-  Counters.reset ();
-  let v = Db.run_plan ?domains ?batch_size db plan in
-  (v, (Counters.snapshot ()).Counters.shards_pruned)
+  let v, s = Executor.measure (fun () -> Db.run_plan ?domains ?batch_size db plan) in
+  (v, s.Counters.shards_pruned)
 
 (* clustered keys over 8 shards: a selective range predicate must prune the
    shards whose [min,max] cannot overlap it *)
@@ -247,9 +247,8 @@ let test_prune_join_keys () =
          (Plan.scan ~dataset:"build" ~binding:"g" ()))
   in
   let expected = Db.run_plan ~domains:2 db (join "single") in
-  Counters.reset ();
-  let got = Db.run_plan ~domains:2 db (join "sh8") in
-  let pruned = (Counters.snapshot ()).Counters.shards_pruned in
+  let got, s = Executor.measure (fun () -> Db.run_plan ~domains:2 db (join "sh8")) in
+  let pruned = s.Counters.shards_pruned in
   Alcotest.check check_value "join result" expected got;
   (* build keys 110..119 live in shard 1 of 8 (rows 100..199) *)
   Alcotest.(check int) "join shards pruned" 7 pruned
