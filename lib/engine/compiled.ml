@@ -69,12 +69,11 @@ let all_exprs = Proteus_algebra.Analysis.all_exprs
    and fanning out wider than the hardware only buys minor-GC barrier syncs
    — so cap it at the machine's core count. [PROTEUS_PAR_BUILD=1] forces the
    requested width (differential tests exercise the partitioned paths on
-   any box); [PROTEUS_PAR_BUILD=0] forces the serial build. *)
+   any box). *)
 let build_fan requested =
   match Sys.getenv_opt "PROTEUS_PAR_BUILD" with
-  | Some "0" -> 1
   | Some ("1" | "force") -> requested
-  | _ -> if Domain.recommended_domain_count () > 1 then requested else 1
+  | _ -> min requested (Domain.recommended_domain_count ())
 
 let rec plan_has_join (p : Plan.t) =
   match p with
@@ -113,15 +112,22 @@ let prune_join (sj : shared_join) : Prune.join =
     keys = !(sj.sj_ikeys);
   }
 
-(* Per-pipeline-instance parallel state. Worker 0 is the template: it
-   compiles build sides and publishes [shared_join]s; workers > 0 compile
-   probe-only spines against them. [par_spine] is true only on the path
-   from the root to the driving (left-most) scan — everything off that
-   path compiles and runs exactly as in the non-fleet compile. *)
+(* What the driving select-over-scan of a fleet reads: the raw rows, a
+   cached σ-result (plus the residual a subsuming match re-applies), or the
+   raw rows while storing their σ-result. The spine analysis resolves it
+   once per fleet, so every instance agrees and the cache's statistics tick
+   once per query. *)
+type sigma =
+  | Raw
+  | Hit of Cache_iface.packed * Expr.t option
+  | Store
+
+(* Per-pipeline-instance fleet state. Worker 0 is the template: it compiles
+   build sides and publishes [shared_join]s; workers > 0 compile probe-only
+   spines against them. Every scan a compile reaches is the driving scan of
+   some fleet's spine: build sides run as fleets of their own. *)
 type par = {
   par_worker : int;
-  par_spine : bool;
-  par_domains : int;  (** fleet width, for nested (build-side) fan-out *)
   par_disp : Pool.Dispenser.t;
   par_morsel : int ref;  (** index of the morsel this worker is scanning *)
   par_static : (int * int) option;
@@ -133,13 +139,12 @@ type par = {
   par_join_ctr : int ref;  (** spine joins seen so far by this instance *)
   par_builds : (unit -> unit) list ref;
       (** build phases the template registers; run serially before fan-out *)
-  par_select : (Cache_iface.packed * Expr.t option) option;
-      (** pre-resolved sigma-cache decision for the driving select-scan *)
+  par_select : sigma;  (** the driving select-scan's σ-cache decision *)
   par_fill : Registry.fill_session option;
-      (** shared segmented-fill session of the driving scan (cold parallel
-          run): every worker's view fills per-morsel segments into it; the
-          fleet driver arms it before the run and commits (or releases) it
-          after — see [Registry.fill_session] *)
+      (** shared segmented-fill session of the driving scan (cold run):
+          every worker's view fills per-morsel segments into it; the fleet
+          driver arms it before the run and commits (or releases) it after —
+          see [Registry.fill_session] *)
   par_prune : Prune.t option;
       (** the driving scan's pruning handle, shared by every instance and
           armed by the fleet driver *)
@@ -154,23 +159,21 @@ type ctx = {
           staged closures *)
   required : (string * [ `Whole | `Paths of string list ]) list;
   par : par option;
+      (** [None] only for the serial consumer above a spliced fleet *)
+  domains : int;  (** the query's requested width, for build fan-out *)
   batch : int option;
       (** batch-lane size for scan→select→...→aggregate fragments;
           [None] = tuple lane only *)
-  sel_memo : (string, (Cache_iface.packed * Expr.t option) option) Hashtbl.t;
-      (** per-prepare memo of sigma-cache lookups so a batch-lane attempt
-          and a tuple-lane fallback observe a single lookup (the cache's
-          stat counters tick once per query, as before) *)
   splice : (Plan.t * (unit -> (unit -> unit) -> unit -> unit)) option;
       (** parallelism substitution: when the serial compile reaches this
           exact plan node, the provided maker supplies its producer (a
-          parallel fleet behind a serial replay) instead of compiling it *)
+          fleet behind a serial replay) instead of compiling it *)
 }
 
 (* Parameter slots: one shared [Value.t ref] per parameter name, registered
-   into every compilation environment the engine creates (serial,
-   per-worker fleet instances, splice consumers) so a single rebind re-arms
-   them all — the compiled closures read the slot at evaluation time. *)
+   into every compilation environment the engine creates (per-worker fleet
+   instances, splice consumers) so a single rebind re-arms them all — the
+   compiled closures read the slot at evaluation time. *)
 let new_cenv (slots : (string * Value.t ref) list) : Exprc.cenv =
   let cenv : Exprc.cenv = Hashtbl.create 16 in
   List.iter
@@ -178,15 +181,14 @@ let new_cenv (slots : (string * Value.t ref) list) : Exprc.cenv =
     slots;
   cenv
 
-let par_spine ctx = match ctx.par with Some p -> p.par_spine | None -> false
-
-let off_spine ctx =
+(* The fleet instance a scan is compiled in: only a fleet drives a scan. *)
+let spine ctx =
   match ctx.par with
-  | Some p when p.par_spine -> { ctx with par = Some { p with par_spine = false } }
-  | _ -> ctx
+  | Some p -> p
+  | None -> Perror.plan_error "scan compiled outside a fleet"
 
-(* The morsel loop replacing the full scan loop on a parallel spine: pull
-   the next row range from the shared dispenser until the input is dry. *)
+(* The morsel loop of a fleet's driving scan: pull the next row range from
+   the shared dispenser until the input is dry. *)
 let par_runner (p : par) run_range consumer () =
   let on_tuple () =
     Counters.add_tuples 1;
@@ -234,7 +236,6 @@ let extract_equi pred left_bound right_bound =
 type payload_slot = {
   ps_binding : string;
   ps_path : string;  (* "" = whole record *)
-  ps_get : unit -> Value.t;   (* compiled against the live build pipeline *)
   ps_vec : Vec.t;
   ps_arr : Value.t array ref; (* swapped in after materialization *)
   ps_packable : bool;
@@ -275,8 +276,8 @@ let select_cache_should_store ctx ~dataset ~binding ~pred =
         paths
     | None -> false)
 
-(* Per-match emission at a join probe, shared by the serial and worker
-   paths: position the materialized-row cursor, apply the residual, feed the
+(* Per-match emission at a join probe, shared by the template and worker
+   probes: position the materialized-row cursor, apply the residual, feed the
    consumer; reports whether the row qualified (for outer-join padding). *)
 let make_emit ~pred_c ~(m_cur : int ref) ~(consumer : unit -> unit) : int -> bool =
   match pred_c with
@@ -391,20 +392,26 @@ let batch_probe_sink ~(kind : Plan.join_kind) ~(radix : Radix.t option ref)
 
 let default_batch_size = 1024
 
-let lookup_select_memo ctx ~dataset ~binding ~pred ~paths =
-  match Hashtbl.find_opt ctx.sel_memo binding with
-  | Some r -> r
-  | None ->
-    let r =
-      (* a parameterized predicate selects a different result set on every
-         bind: its σ-result must never be served from (or key) the cache *)
-      if Expr.has_param pred then None
-      else
-        (Registry.cache ctx.reg).Cache_iface.lookup_select ~dataset ~binding ~pred
-          ~paths
-    in
-    Hashtbl.replace ctx.sel_memo binding r;
-    r
+(* The σ-cache lookup of a driving select-scan. The spine analysis makes
+   it once per fleet and hands the answer to every instance ([par_select]),
+   so the cache's stat counters tick once per query. A parameterized
+   predicate selects a different result set on every bind: its σ-result
+   must never be served from (or key) the cache. *)
+let lookup_select ctx ~dataset ~binding ~pred ~paths =
+  if Expr.has_param pred then None
+  else (Registry.cache ctx.reg).Cache_iface.lookup_select ~dataset ~binding ~pred ~paths
+
+(* Cache matching replaced a sigma-over-scan sub-tree with a scan of a
+   materialized binary result (Section 6 "Cache Matching"): register the
+   binding over the cached columns. *)
+let packed_source ctx ~dataset ~binding (packed : Cache_iface.packed) =
+  let element =
+    (Proteus_catalog.Catalog.find (Registry.catalog ctx.reg) dataset)
+      .Proteus_catalog.Dataset.element
+  in
+  let src = Binary_plugin.of_columns ~element packed.Cache_iface.cols in
+  Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr src);
+  src
 
 (* One filter: compacts the first [n] entries of [sel] in place against the
    elements at [base + sel.(i)]; returns the surviving count. *)
@@ -416,12 +423,11 @@ type bfilter = base:int -> sel:int array -> n:int -> int
 type bnode = { bn_branch : bool; bn_filters : bfilter list }
 
 (* A batch-compiled fragment: the driving source (its cursor serves spill
-   seeks and shim fills), the two batch drivers, and the filter nodes in
+   seeks and shim fills), the morsel's batch driver, and the filter nodes in
    scan-to-root order. *)
 type bfrag = {
   bf_src : Source.t;
-  bf_run : batch:int -> on_batch:(base:int -> len:int -> unit) -> unit;
-  bf_run_range :
+  bf_range :
     lo:int -> hi:int -> batch:int -> on_batch:(base:int -> len:int -> unit) -> unit;
   bf_nodes : bnode list;
   bf_probe : (unit -> unit) option;
@@ -429,15 +435,10 @@ type bfrag = {
   bf_fill : (base:int -> sel:int array -> n:int -> unit) option;
       (* cold-run cache fill: one segment per batch, filled on the
          probe-surviving selection before query filters narrow it *)
-  bf_session : Registry.fill_session option;
-      (* Some only when THIS driver owns the session lifecycle (serial batch
-         lane); on a parallel spine the fleet driver arms/commits instead *)
   bf_dataset : string;  (* for fault attribution *)
   bf_prune : Prune.t option;
-      (* pruning handle of a scan over raw dataset rows (None over σ-packed
-         rows, which are not dataset OIDs): the serial lane owns one per
-         fragment and arms it per run; a parallel spine shares the fleet
-         drive's, armed by the fleet driver *)
+      (* the fleet drive's pruning handle, armed by the fleet driver (None
+         over σ-packed rows, which are not dataset OIDs) *)
 }
 
 (* Compile one predicate into per-conjunct filters: a vectorized kernel
@@ -494,19 +495,16 @@ let template ctx = match ctx.par with Some p -> p.par_worker = 0 | None -> true
 let count_lane ctx add = if template ctx then add 1
 
 (* One more predicate over the driving scan's rows (a Select filter node or
-   a root Reduce predicate): feed the promotion signal and the fragment's
-   pruning handle. On a parallel spine the handle belongs to the fleet
-   drive, which collected every spine predicate already. *)
+   a root Reduce predicate): feed the promotion signal. The pruning handle
+   belongs to the fleet drive, which collected every spine predicate
+   already. *)
 let bfrag_prune_pred ctx (frag : bfrag) pred =
   match frag.bf_prune with
-  | None -> ()
-  | Some t ->
-    if template ctx then Prune.note t pred;
-    if not (par_spine ctx) then Prune.add_pred t pred
+  | Some t when template ctx -> Prune.note t pred
+  | _ -> ()
 
-(* Drive a fragment: emit batches (morsel by morsel on a parallel spine),
-   reset the selection to the identity, run the filter nodes, hand the
-   surviving lanes to [sink]. *)
+(* Drive a fragment: emit batches morsel by morsel, reset the selection to
+   the identity, run the filter nodes, hand the surviving lanes to [sink]. *)
 let bfrag_driver ctx (frag : bfrag) ~bs
     (sink : base:int -> sel:int array -> n:int -> unit) : unit -> unit =
   let sel = Array.make bs 0 in
@@ -550,53 +548,34 @@ let bfrag_driver ctx (frag : bfrag) ~bs
     Counters.add_batch_selected n;
     if n > 0 then sink ~base ~sel ~n
   in
-  (* Pruning at batch granularity: the serial lane's only skip, and on a
-     static-partition spine (which bypasses the dispenser) the fleet's *)
+  (* Pruning at batch granularity, inside each morsel — on a static-partition
+     spine, which bypasses the dispenser, the fleet's only skip *)
   let on_batch ~base ~len =
     Fault.check_cancel ();
     match frag.bf_prune with
     | Some t when Prune.skip t ~lo:base ~hi:(base + len) -> ()
     | _ -> work ~base ~len
   in
-  match ctx.par with
-  | Some p when p.par_spine -> (
-    match p.par_static with
-    | Some (lo, hi) ->
-      fun () ->
-        if hi > lo then begin
-          Fault.set_morsel p.par_worker;
-          frag.bf_run_range ~lo ~hi ~batch:bs ~on_batch
-        end
-    | None ->
-      fun () ->
-        let rec loop () =
-          match Pool.Dispenser.next p.par_disp with
-          | None -> ()
-          | Some (m, lo, hi) ->
-            p.par_morsel := m;
-            Fault.set_morsel m;
-            frag.bf_run_range ~lo ~hi ~batch:bs ~on_batch;
-            loop ()
-        in
-        loop ())
-  | _ -> (
-    (* serial drive: arm pruning at thunk start, each run — a serial join's
-       build thunk precedes the probe thunk, so its keys are final *)
-    match frag.bf_session with
-    | None ->
-      fun () ->
-        Option.iter Prune.arm frag.bf_prune;
-        frag.bf_run ~batch:bs ~on_batch
-    | Some s ->
-      (* serial batch lane over a filling scan: this driver owns the
-         session's arm/commit/release lifecycle (and never prunes) *)
-      fun () ->
-        Registry.session_arm s;
-        (try frag.bf_run ~batch:bs ~on_batch
-         with e ->
-           Registry.session_release s;
-           raise e);
-        Counters.time Counters.Fill (fun () -> Registry.session_commit s))
+  let p = spine ctx in
+  match p.par_static with
+  | Some (lo, hi) ->
+    fun () ->
+      if hi > lo then begin
+        Fault.set_morsel p.par_worker;
+        frag.bf_range ~lo ~hi ~batch:bs ~on_batch
+      end
+  | None ->
+    fun () ->
+      let rec loop () =
+        match Pool.Dispenser.next p.par_disp with
+        | None -> ()
+        | Some (m, lo, hi) ->
+          p.par_morsel := m;
+          Fault.set_morsel m;
+          frag.bf_range ~lo ~hi ~batch:bs ~on_batch;
+          loop ()
+      in
+      loop ()
 
 (* The spill boundary: surviving lanes re-enter the tuple lane by cursor
    seek, so every downstream closure is exactly the serial one. *)
@@ -619,46 +598,29 @@ let rec compile_bfrag (ctx : ctx) (p : Plan.t) : bfrag option =
   | Some bs -> (
     match p with
     | Plan.Scan { dataset; binding; fields = _ } ->
+      (* worker view; on a cold run it fills the fleet's shared session
+         (the fleet driver owns the commit lifecycle) *)
+      let pp = spine ctx in
       let required, whole = scan_required ctx binding in
-      let scan, owns =
-        match ctx.par with
-        | Some pp when pp.par_spine ->
-          (* worker view; on a cold run it fills the fleet's shared session
-             (the fleet driver owns the commit lifecycle) *)
-          (Registry.scan_view ctx.reg ~whole ~dataset ~required ?session:pp.par_fill,
-           false)
-        | _ -> (Registry.scan ctx.reg ~whole ~dataset ~required, true)
+      let scan =
+        Registry.scan_view ctx.reg ~whole ~dataset ~required ?session:pp.par_fill
       in
       Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr scan.Registry.sc_source);
-      let prune =
-        match ctx.par with
-        | Some pp when pp.par_spine -> pp.par_prune
-        | _ ->
-          Some
-            (Prune.create ctx.reg ~slots:ctx.slots ~dataset ~binding
-               ~filling:(scan.Registry.sc_fill <> None) [])
-      in
       Some
         {
           bf_src = scan.Registry.sc_source;
-          bf_run = scan.Registry.sc_run_batches;
-          bf_run_range = scan.Registry.sc_run_range_batches;
+          bf_range = scan.Registry.sc_range_batches;
           bf_nodes = [];
           bf_probe = scan.Registry.sc_probe;
           bf_fill = scan.Registry.sc_fill_sel;
-          bf_session = (if owns then scan.Registry.sc_fill else None);
           bf_dataset = scan.Registry.sc_dataset;
-          bf_prune = prune;
+          bf_prune = pp.par_prune;
         }
     | Plan.Select { pred; input = Plan.Scan { dataset; binding; _ } as scan_node }
       when select_paths ctx binding <> None -> (
-      let of_packed (packed : Cache_iface.packed) residual =
-        let element =
-          (Proteus_catalog.Catalog.find (Registry.catalog ctx.reg) dataset)
-            .Proteus_catalog.Dataset.element
-        in
-        let src = Binary_plugin.of_columns ~element packed.Cache_iface.cols in
-        Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr src);
+      match (spine ctx).par_select with
+      | Hit (packed, residual) ->
+        let src = packed_source ctx ~dataset ~binding packed in
         let nodes =
           match residual with
           | None -> []
@@ -667,32 +629,20 @@ let rec compile_bfrag (ctx : ctx) (p : Plan.t) : bfrag option =
         Some
           {
             bf_src = src;
-            bf_run = (fun ~batch ~on_batch -> Source.run_batches src ~batch ~on_batch);
-            bf_run_range =
+            bf_range =
               (fun ~lo ~hi ~batch ~on_batch ->
                 Source.run_range_batches src ~lo ~hi ~batch ~on_batch);
             bf_nodes = nodes;
             (* cached σ-result columns are binary: nothing to probe or fill *)
             bf_probe = None;
             bf_fill = None;
-            bf_session = None;
             bf_dataset = dataset;
             bf_prune = None;
           }
-      in
-      match ctx.par with
-      | Some pp when pp.par_spine -> (
-        match pp.par_select with
-        | Some (packed, residual) -> of_packed packed residual
-        | None -> bfrag_filter ctx ~bs (compile_bfrag ctx scan_node) pred)
-      | _ -> (
-        let paths = Option.get (select_paths ctx binding) in
-        match lookup_select_memo ctx ~dataset ~binding ~pred ~paths with
-        | Some (packed, residual) -> of_packed packed residual
-        | None when select_cache_should_store ctx ~dataset ~binding ~pred ->
-          (* the tuple lane materializes cache columns as it filters *)
-          None
-        | None -> bfrag_filter ctx ~bs (compile_bfrag ctx scan_node) pred))
+      | Store ->
+        (* the tuple lane materializes the σ-result as it filters *)
+        None
+      | Raw -> bfrag_filter ctx ~bs (compile_bfrag ctx scan_node) pred)
     | Plan.Select { pred; input } -> bfrag_filter ctx ~bs (compile_bfrag ctx input) pred
     | _ -> None)
 
@@ -709,8 +659,8 @@ and bfrag_filter ctx ~bs frag pred =
 
 (* ------------------------------------------------------------------ *)
 (* Fleet compilation: N pipeline instances over a shared morsel dispenser.
-   Shared by the root drivers (par_reduce and friends, below) and by the
-   parallel join build inside [compile_join]. *)
+   Shared by the root drivers (par_reduce and friends, below), the splices
+   below a breaker, and every join build inside [compile_join]. *)
 
 (* What drives the fan-out: the row count the dispenser carves into
    morsels, plus the pre-resolved sigma-cache decision for a driving
@@ -718,74 +668,87 @@ and bfrag_filter ctx ~bs frag pred =
    statistics tick once per query). *)
 type drive = {
   dr_count : int;
-  dr_select : (Cache_iface.packed * Expr.t option) option;
+  dr_select : sigma;
   dr_fill : Registry.fill_session option;
   dr_prune : Prune.t option;
-      (** pruning handle of the driving scan (None over σ-packed rows),
-          armed by the fleet driver after the build phases, so join-key
-          tests see the materialized keys, and before any morsel is
-          dispensed *)
+      (** pruning handle of the driving scan (None over σ-packed rows and
+          under a σ-result store, which must see every row), armed by the
+          fleet driver after the build phases, so join-key tests see the
+          materialized keys, and before any morsel is dispensed *)
 }
 
-(* Walk the spine to the driving scan. [None] means this sub-plan cannot
-   fan out: a breaker sits on the spine, or the driving select-scan elects a
-   sigma-result store (one compacted result set cannot be assembled from
-   morsel ranges without their own segment protocol — that store stays
-   serial). A cache-filling scan no longer falls back: its fills ride the
-   morsel spine as per-segment buffers, committed by the fleet driver. *)
-(* [preds] accumulates the predicates that apply to every row the driving
+(* The pipeline breaker closest to the driving scan; everything below it
+   streams and can fan out, everything above it runs serially over the
+   merged stream. *)
+let rec bottom_breaker (p : Plan.t) : Plan.t option =
+  match p with
+  | Plan.Scan _ -> None
+  | Plan.Select { input; _ } | Plan.Project { input; _ } | Plan.Unnest { input; _ } ->
+    bottom_breaker input
+  | Plan.Join { left; _ } -> bottom_breaker left
+  | Plan.Nest { input; _ } | Plan.Sort { input; _ } | Plan.Reduce { input; _ } -> (
+    match bottom_breaker input with Some b -> Some b | None -> Some p)
+
+(* Walk a breaker-free spine to the driving scan. A cache-filling scan
+   fills per-morsel segments, committed by the fleet driver; a driving
+   select-scan that elects a σ-result store runs its fleet at width 1 (see
+   [compile_instances]). [preds] accumulates the predicates that apply to every row the driving
    scan emits — spine Selects plus (for the Reduce drivers) the root
    predicate — so the scan's pruning handle can test them. Crossing a
    Project or Unnest drops them: those nodes can rebind names, and pushdown
    already sank scan-only conjuncts below them. *)
-let rec spine_drive ?(preds = []) (actx : ctx) (p : Plan.t) : drive option =
+let rec spine_drive ?(preds = []) (actx : ctx) (p : Plan.t) : drive =
   match p with
   | Plan.Select { pred; input = Plan.Scan { dataset; binding; _ }; _ }
     when select_paths actx binding <> None -> (
     let paths = Option.get (select_paths actx binding) in
-    match lookup_select_memo actx ~dataset ~binding ~pred ~paths with
+    match lookup_select actx ~dataset ~binding ~pred ~paths with
     | Some (packed, residual) ->
-      Some
-        {
-          dr_count = packed.Cache_iface.length;
-          dr_select = Some (packed, residual);
-          dr_fill = None;
-          dr_prune = None;
-        }
+      {
+        dr_count = packed.Cache_iface.length;
+        dr_select = Hit (packed, residual);
+        dr_fill = None;
+        dr_prune = None;
+      }
     | None ->
-      if select_cache_should_store actx ~dataset ~binding ~pred then None
-      else drive_scan actx ~dataset ~binding ~preds:(pred :: preds))
-  | Plan.Scan { dataset; binding; _ } -> drive_scan actx ~dataset ~binding ~preds
+      let store = select_cache_should_store actx ~dataset ~binding ~pred in
+      drive_scan actx ~store ~dataset ~binding ~preds:(pred :: preds))
+  | Plan.Scan { dataset; binding; _ } -> drive_scan actx ~store:false ~dataset ~binding ~preds
   | Plan.Select { pred; input; _ } -> spine_drive ~preds:(pred :: preds) actx input
   | Plan.Project { input; _ } | Plan.Unnest { input; _ } -> spine_drive actx input
   | Plan.Join { left; _ } -> spine_drive ~preds actx left
-  | Plan.Nest _ | Plan.Sort _ | Plan.Reduce _ -> None
+  | Plan.Nest _ | Plan.Sort _ | Plan.Reduce _ ->
+    Perror.plan_error "spine analysis reached a breaker"
 
-and drive_scan actx ~dataset ~binding ~preds =
+and drive_scan actx ~store ~dataset ~binding ~preds =
   let required, whole = scan_required actx binding in
   let scan = Registry.scan actx.reg ~whole ~dataset ~required in
-  Some
-    {
-      dr_count = scan.Registry.sc_count;
-      dr_select = None;
-      dr_fill = scan.Registry.sc_fill;
-      dr_prune =
-        Some
-          (Prune.create actx.reg ~slots:actx.slots ~dataset ~binding
-             ~filling:(scan.Registry.sc_fill <> None) preds);
-    }
+  {
+    dr_count = scan.Registry.sc_count;
+    dr_select = (if store then Store else Raw);
+    dr_fill = scan.Registry.sc_fill;
+    dr_prune =
+      (if store then None
+       else
+         Some
+           (Prune.create actx.reg ~slots:actx.slots ~dataset ~binding
+              ~filling:(scan.Registry.sc_fill <> None) preds));
+  }
 
-(* Compile [domains] pipeline instances of [subplan] — worker 0 first: the
+(* Compile the pipeline instances of [subplan] — worker 0 first: the
    template compiles join build sides and publishes their state for the
-   probe-only instances. [finish w ctx par compiled] extracts whatever the
-   caller needs from each instance. Returns the instances plus the per-run
-   fleet driver: rearm the dispenser, stage the template (registering the
-   run's build phases), run the builds serially, stage the workers, fan
-   out. [static] pins worker [w] to the [w]-th contiguous chunk of the
-   input instead of the dispenser, for drivers that keep per-worker state
-   across the whole scan. *)
-let compile_instances reg required ~slots ~batch ~domains ?(static = false)
-    ~(drive : drive) subplan ~stage ~finish =
+   probe-only instances. [width] instances run, except under a σ-result
+   store, which assembles one compacted result in row order and so runs
+   one. [finish w ctx par compiled] extracts whatever the caller needs from
+   each instance. Returns the instances plus the per-run fleet driver:
+   rearm the dispenser, stage the template (registering the run's build
+   phases), run the builds serially, stage the workers, fan out. [static]
+   pins worker [w] to the [w]-th contiguous chunk of the input instead of
+   the dispenser, for drivers that keep per-worker state across the whole
+   scan. *)
+let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) subplan
+    ~stage ~finish =
+  let width = match drive.dr_select with Store -> 1 | Raw | Hit _ -> width in
   let disp = Pool.Dispenser.create () in
   let builds = ref [] in
   let joins : (int, shared_join) Hashtbl.t = Hashtbl.create 4 in
@@ -797,12 +760,10 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
     let p =
       {
         par_worker = w;
-        par_spine = true;
-        par_domains = domains;
         par_disp = disp;
         par_morsel = ref w;
         par_static =
-          (if static then Some (Pool.chunk ~total:drive.dr_count ~parts:domains w)
+          (if static then Some (Pool.chunk ~total:drive.dr_count ~parts:width w)
            else None);
         par_joins = joins;
         par_join_ctr = ref 0;
@@ -814,13 +775,9 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
     in
     let ctx =
       {
-        reg;
-        cenv = new_cenv slots;
-        slots;
-        required;
+        actx with
+        cenv = new_cenv actx.slots;
         par = Some p;
-        batch;
-        sel_memo = Hashtbl.create 4;
         splice = None;
       }
     in
@@ -828,18 +785,18 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
     finish ctx p compiled
   in
   let template = mk 0 in
-  let instances = Array.init domains (fun w -> if w = 0 then template else mk w) in
+  let instances = Array.init width (fun w -> if w = 0 then template else mk w) in
   let run_fleet wire =
-    Pool.Dispenser.reset disp ~total:drive.dr_count ~workers:domains;
+    Pool.Dispenser.reset disp ~total:drive.dr_count ~workers:width;
     builds := [];
-    (* Cold parallel run: arm the shared fill session before the fan-out so
-       every worker's per-morsel segments land in a fresh run; commit them
-       in row order after a clean run, release (quarantine) on any raise —
-       the install-on-commit contract, now spanning the whole fleet. *)
+    (* Cold run: arm the shared fill session before the fan-out so every
+       worker's per-morsel segments land in a fresh run; commit them in row
+       order after a clean run, release (quarantine) on any raise — the
+       install-on-commit contract, spanning the whole fleet. *)
     (match drive.dr_fill with
     | Some s -> Registry.session_arm s
     | None -> ());
-    let runners = Array.make domains (fun () -> ()) in
+    let runners = Array.make width (fun () -> ()) in
     runners.(0) <- wire 0 instances.(0);
     List.iter (fun b -> Counters.time Counters.Build b) (List.rev !builds);
     (* pruning arms here: after the builds (join-key tests read the
@@ -847,13 +804,13 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
        morsel — the pre-dispatch prune of scatter-gather execution *)
     Option.iter Prune.arm drive.dr_prune;
     Pool.Dispenser.set_skip disp (Option.map Prune.skip drive.dr_prune);
-    for w = 1 to domains - 1 do
+    for w = 1 to width - 1 do
       runners.(w) <- wire w instances.(w)
     done;
     (match drive.dr_fill with
-    | None -> Pool.run ~domains (fun w -> runners.(w) ())
+    | None -> Pool.run ~domains:width (fun w -> runners.(w) ())
     | Some s ->
-      (try Pool.run ~domains (fun w -> runners.(w) ())
+      (try Pool.run ~domains:width (fun w -> runners.(w) ())
        with e ->
          Registry.session_release s;
          raise e);
@@ -862,6 +819,52 @@ let compile_instances reg required ~slots ~batch ~domains ?(static = false)
   in
   (instances, disp, run_fleet)
 
+let merge_parts monoids acc parts =
+  List.map2 (fun m (a, b) -> Agg.merge m a b) monoids (List.combine acc parts)
+
+(* Merge per-worker groups into key order and emit each group.
+   [groups.(w)] lists worker [w]'s (key, cell) pairs. A stable sort of
+   their positions, concatenated in worker order, puts each key's cells
+   together in worker order, and their partials fold in that order: the
+   association depends on the domain count alone. [emit] gets the key,
+   the first worker's cell and the merged partials. *)
+let merge_groups monoids ~cmp ~partials groups emit =
+  let entries = Array.concat (Array.to_list (Array.map Array.of_list groups)) in
+  let key i = fst entries.(i) in
+  let perm = Array.init (Array.length entries) Fun.id in
+  Array.stable_sort (fun i j -> cmp (key i) (key j)) perm;
+  let n = Array.length perm in
+  let i = ref 0 in
+  while !i < n do
+    let k, c = entries.(perm.(!i)) in
+    let parts = ref (partials c) in
+    incr i;
+    while !i < n && cmp k (key perm.(!i)) = 0 do
+      parts := merge_parts monoids !parts (partials (snd entries.(perm.(!i))));
+      incr i
+    done;
+    emit k c !parts
+  done
+
+let mergeable aggs = Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) aggs)
+
+(* A root Reduce into a single collection monoid (the shape of a plain
+   SELECT) buffers per morsel instead of merging partials. *)
+let lone_collection (aggs : Plan.agg list) =
+  match aggs with
+  | [ ({ monoid = Monoid.Collection coll; _ } as agg) ] -> Some (coll, agg)
+  | _ -> None
+
+(* One producer of a join's build side: its compiled pipeline, the build
+   key and payload compiled against that pipeline, and the cursor naming
+   the morsel it is scanning. *)
+type build_src = {
+  bs_run : (unit -> unit) -> unit -> unit;
+  bs_key : Exprc.compiled option;
+  bs_pays : Exprc.compiled array;
+  bs_morsel : int ref;
+}
+
 let rec compile (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
   match ctx.splice with
   | Some (target, mk) when target == p -> mk ()
@@ -869,27 +872,16 @@ let rec compile (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
 
 and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
   match p with
-  | Plan.Scan { dataset; binding; fields = _ } -> (
+  | Plan.Scan { dataset; binding; fields = _ } ->
+    (* the driving scan of a fleet: a private cursor view over the shared
+       index, driven by the morsel dispenser; on a cold run the view also
+       fills per-morsel cache segments into the shared session *)
+    let p = spine ctx in
+    count_lane ctx Counters.add_lanes_tuple;
     let required, whole = scan_required ctx binding in
-    match ctx.par with
-    | Some p when p.par_spine ->
-      (* the driving scan of a parallel pipeline: a private cursor view over
-         the shared index, driven by the morsel dispenser; on a cold run the
-         view also fills per-morsel cache segments into the shared session *)
-      count_lane ctx Counters.add_lanes_tuple;
-      let scan =
-        Registry.scan_view ctx.reg ~whole ~dataset ~required ?session:p.par_fill
-      in
-      Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr scan.Registry.sc_source);
-      par_runner p scan.Registry.sc_run_range
-    | _ ->
-      count_lane ctx Counters.add_lanes_tuple;
-      let scan = Registry.scan ctx.reg ~whole ~dataset ~required in
-      Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr scan.Registry.sc_source);
-      fun consumer () ->
-        scan.Registry.sc_run ~on_tuple:(fun () ->
-            Counters.add_tuples 1;
-            consumer ()))
+    let scan = Registry.scan_view ctx.reg ~whole ~dataset ~required ?session:p.par_fill in
+    Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr scan.Registry.sc_source);
+    par_runner p scan.Registry.sc_range
   | Plan.Select { pred; input } -> (
     match compile_bfrag ctx p with
     | Some frag -> bfrag_spill ctx frag ~bs:(Option.get ctx.batch)
@@ -917,8 +909,8 @@ and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
           consumer ())
   | Plan.Unnest { outer; path; binding; pred; input } -> compile_unnest ctx ~outer ~path ~binding ~pred ~input
   | Plan.Nest { keys; aggs; pred; binding; input } -> (
-    if par_spine ctx then
-      Perror.plan_error "Nest on a parallel spine (the driver must fall back)";
+    if ctx.par <> None then
+      Perror.plan_error "Nest on a fleet spine (the driver must splice below it)";
     let run_input = compile ctx input in
     let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
     let compiled_keys = List.map (fun (n, e) -> (n, Exprc.compile ctx.cenv e)) keys in
@@ -1002,8 +994,8 @@ and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
               emit consumer key_fields instances)
             (List.rev !order))
   | Plan.Sort { keys; limit; input } ->
-    if par_spine ctx then
-      Perror.plan_error "Sort on a parallel spine (the driver must fall back)";
+    if ctx.par <> None then
+      Perror.plan_error "Sort on a fleet spine (the driver must splice below it)";
     let run_input = compile ctx input in
     let visible = Plan.bindings input in
     (* getters against the live pipeline, compiled before re-registration *)
@@ -1056,71 +1048,31 @@ and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
 
 and compile_select_scan ctx ~pred ~dataset ~binding ~scan =
   if template ctx then Prune.note_selective (Registry.cache ctx.reg) ~dataset ~binding pred;
-  match ctx.par with
-  | Some p when p.par_spine -> (
-    (* the sigma-cache decision was resolved once during pre-analysis
-       ([par_select]) so that N pipeline instances agree and the cache's
-       stat counters tick once per query *)
-    match p.par_select with
-    | Some (packed, residual) -> (
-      count_lane ctx Counters.add_lanes_tuple;
-      let element =
-        (Proteus_catalog.Catalog.find (Registry.catalog ctx.reg) dataset)
-          .Proteus_catalog.Dataset.element
-      in
-      let src = Binary_plugin.of_columns ~element packed.Cache_iface.cols in
-      Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr src);
-      let run_range ~lo ~hi ~on_tuple = Source.run_range src ~lo ~hi ~on_tuple in
-      match residual with
-      | None -> par_runner p run_range
-      | Some residual ->
-        let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv residual) in
-        fun consumer ->
-          par_runner p run_range (fun () ->
-              Counters.add_branch_points 1;
-              if pred_c () then consumer ()))
-    | None ->
-      (* plain filter over the (morsel-driven) scan; the store-electing case
-         fell back to the non-fleet compile during pre-analysis *)
-      let run_input = compile ctx scan in
-      let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-      fun consumer ->
-        run_input (fun () ->
-            Counters.add_branch_points 1;
-            if pred_c () then consumer ()))
-  | _ -> compile_select_scan_serial ctx ~pred ~dataset ~binding ~scan
-
-and compile_select_scan_serial ctx ~pred ~dataset ~binding ~scan =
-  let paths = Option.get (select_paths ctx binding) in
-  let cache = Registry.cache ctx.reg in
-  match lookup_select_memo ctx ~dataset ~binding ~pred ~paths with
-  | Some (packed, residual) -> (
-    (* cache matching replaced this sigma-over-scan sub-tree with a scan of a
-       materialized binary result (Section 6 "Cache Matching"); a subsuming
-       match re-applies the stricter predicate as residual *)
+  let filter run_input pred =
+    let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
+    fun consumer ->
+      run_input (fun () ->
+          Counters.add_branch_points 1;
+          if pred_c () then consumer ())
+  in
+  let p = spine ctx in
+  match p.par_select with
+  | Hit (packed, residual) -> (
+    (* a subsuming match re-applies the stricter predicate as residual *)
     count_lane ctx Counters.add_lanes_tuple;
-    let element =
-      (Proteus_catalog.Catalog.find (Registry.catalog ctx.reg) dataset)
-        .Proteus_catalog.Dataset.element
-    in
-    let src = Binary_plugin.of_columns ~element packed.Cache_iface.cols in
-    Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr src);
+    let src = packed_source ctx ~dataset ~binding packed in
+    let run_input = par_runner p (Source.run_range src) in
     match residual with
-    | None ->
-      fun consumer () ->
-        Source.run src ~on_tuple:(fun () ->
-            Counters.add_tuples 1;
-            consumer ())
-    | Some residual ->
-      let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv residual) in
-      fun consumer () ->
-        Source.run src ~on_tuple:(fun () ->
-            Counters.add_tuples 1;
-            Counters.add_branch_points 1;
-            if pred_c () then consumer ()))
-  | None when select_cache_should_store ctx ~dataset ~binding ~pred ->
+    | None -> run_input
+    | Some residual -> filter run_input residual)
+  | Raw -> filter (compile ctx scan) pred
+  | Store ->
     (* explicit caching close to the leaves: materialize the qualifying rows'
-       required fields as a side-effect and register the sigma-result *)
+       required fields as a side-effect and register the sigma-result. The
+       fleet runs one worker ([compile_instances]), so its runner scans every
+       morsel in row order into one set of builders. *)
+    let paths = Option.get (select_paths ctx binding) in
+    let cache = Registry.cache ctx.reg in
     let run_input = compile ctx scan in
     let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
     let src =
@@ -1179,13 +1131,6 @@ and compile_select_scan_serial ctx ~pred ~dataset ~binding ~scan =
                 (fun (p, b, _) -> (p, Proteus_storage.Column.Builder.finish b))
                 builders;
           }
-  | None ->
-    let run_input = compile ctx scan in
-    let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-    fun consumer ->
-      run_input (fun () ->
-          Counters.add_branch_points 1;
-          if pred_c () then consumer ())
 
 and compile_unnest ctx ~outer ~path ~binding ~pred ~input =
   let run_input = compile ctx input in
@@ -1244,71 +1189,80 @@ and compile_unnest ctx ~outer ~path ~binding ~pred ~input =
           end)
 
 and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
-  (* On a parallel spine the template instance (worker 0) compiles the build
+  (* On a fleet spine the template instance (worker 0) compiles the build
      side and publishes its materialized state under a per-spine join index;
      worker instances compile probe-only pipelines against it. Spine joins
      are numbered in compile order, which is identical across instances
-     because every instance walks the same left spine. *)
+     because every instance walks the same left spine. A join above a
+     spliced breaker builds and probes on the serial consumer. *)
   let share =
     match ctx.par with
-    | Some p when p.par_spine ->
+    | Some p ->
       let idx = !(p.par_join_ctr) in
       incr p.par_join_ctr;
       Some (p, idx)
-    | _ -> None
+    | None -> None
   in
   match share with
   | Some (p, idx) when p.par_worker > 0 ->
     compile_join_probe ctx (Hashtbl.find p.par_joins idx) ~left
   | _ ->
-  (* the build (right) side never fans out: it runs to completion, serially,
-     before probe morsels are handed out *)
-  let run_right = compile (off_spine ctx) right in
   let right_bindings = Plan.bindings right in
   (* Payload: what the ancestors (and the residual predicate) read from the
      build side. The global required-paths analysis over-approximates this
      safely. *)
-  let payload : payload_slot list =
+  let payload_exprs =
     List.concat_map
       (fun b ->
-        let mk path e =
-          let c = Exprc.compile ctx.cenv e in
-          let packable, ty =
-            match c with
-            | Exprc.C_int _ -> (true, Some Ptype.Int)
-            | Exprc.C_float _ -> (true, Some Ptype.Float)
-            | Exprc.C_bool _ -> (true, Some Ptype.Bool)
-            | Exprc.C_str _ -> (true, Some Ptype.String)
-            | Exprc.C_val _ -> (false, None)
-          in
-          {
-            ps_binding = b;
-            ps_path = path;
-            ps_get = Exprc.to_val c;
-            ps_vec = Vec.create ();
-            ps_arr = ref [||];
-            ps_packable = packable;
-            ps_ty = ty;
-          }
-        in
         match List.assoc_opt b ctx.required with
-        | Some `Whole | None -> [ mk "" (Expr.Var b) ]
+        | Some `Whole | None -> [ (b, "", Expr.Var b) ]
         | Some (`Paths ps) ->
-          List.map (fun p -> mk p (Expr.path b (String.split_on_char '.' p))) ps)
+          List.map (fun p -> (b, p, Expr.path b (String.split_on_char '.' p))) ps)
       right_bindings
   in
   (* Keys: prefer the optimizer's choice, else extract one here. *)
-  let left_bindings_of p = Plan.bindings p in
   let equi =
     match left_key, right_key with
     | Some l, Some r -> Some (l, r)
-    | _ -> extract_equi pred (left_bindings_of left) right_bindings
+    | _ -> extract_equi pred (Plan.bindings left) right_bindings
   in
   let use_hash = algo = Plan.Radix_hash && equi <> None in
-  let right_key_get =
-    match equi with
-    | Some (_, rk) when use_hash -> Some (Exprc.compile ctx.cenv rk)
-    | _ -> None
+  (* the build side runs first on producers of its own (a fleet, or a
+     serial consumer over a splice); key and payload representations come
+     from the template producer, and the unboxed int-key lane needs every
+     producer's key in it *)
+  let srcs, build_morsels, build_run =
+    build_sources ctx right
+      ~key:(match equi with Some (_, rk) when use_hash -> Some rk | _ -> None)
+      ~pays:(List.map (fun (_, _, e) -> e) payload_exprs)
+  in
+  let src0 = srcs.(0) in
+  let int_build =
+    Array.for_all
+      (fun src -> match src.bs_key with Some (Exprc.C_int _) -> true | _ -> false)
+      srcs
+  in
+  let prim_ty (c : Exprc.compiled) =
+    match c with
+    | Exprc.C_int _ -> Some Ptype.Int
+    | Exprc.C_float _ -> Some Ptype.Float
+    | Exprc.C_bool _ -> Some Ptype.Bool
+    | Exprc.C_str _ -> Some Ptype.String
+    | Exprc.C_val _ -> None
+  in
+  let payload : payload_slot list =
+    List.mapi
+      (fun i (b, path, _) ->
+        let ty = prim_ty src0.bs_pays.(i) in
+        {
+          ps_binding = b;
+          ps_path = path;
+          ps_vec = Vec.create ();
+          ps_arr = ref [||];
+          ps_packable = ty <> None;
+          ps_ty = ty;
+        })
+      payload_exprs
   in
   let key_vec = Vec.create () in
   (* Implicit-caching key: fingerprint of the build side wrapped in a
@@ -1326,14 +1280,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
     in
     "joinside:" ^ Fingerprint.plan (Plan.Project { binding = "__m"; fields; input = right })
   in
-  let key_ty =
-    match right_key_get with
-    | Some (Exprc.C_int _) -> Some Ptype.Int
-    | Some (Exprc.C_float _) -> Some Ptype.Float
-    | Some (Exprc.C_str _) -> Some Ptype.String
-    | Some (Exprc.C_bool _) -> Some Ptype.Bool
-    | Some (Exprc.C_val _) | None -> None
-  in
+  let key_ty = Option.bind src0.bs_key prim_ty in
   let packable =
     (* a parameterized build side (or key) materializes different rows per
        bound value: its columns must never land in (or be served from) the
@@ -1343,22 +1290,6 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
     && key_ty <> None
     && (not (Proteus_algebra.Analysis.has_params right))
     && not (match equi with Some (_, rk) -> Expr.has_param rk | None -> false)
-  in
-  let right_key_val = Option.map Exprc.to_val right_key_get in
-  (* integer-keyed joins take the radix-clustered path (the radix hash join
-     the paper adopts from [39]/[9]); other key types use a boxed table *)
-  let int_keys =
-    match right_key_get with Some (Exprc.C_int g) -> Some g | _ -> None
-  in
-  let ikey_vec = ref [||] and ikey_n = ref 0 in
-  let ikey_push k =
-    if !ikey_n >= Array.length !ikey_vec then begin
-      let bigger = Array.make (max 64 (2 * !ikey_n)) 0 in
-      Array.blit !ikey_vec 0 bigger 0 !ikey_n;
-      ikey_vec := bigger
-    end;
-    !ikey_vec.(!ikey_n) <- k;
-    ikey_n := !ikey_n + 1
   in
   let bias =
     let ranks =
@@ -1394,7 +1325,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
   let left_lane =
     let batch_try =
       match ctx.batch with
-      | Some bs when int_keys <> None && use_hash -> (
+      | Some bs when int_build && use_hash -> (
         match compile_bfrag ctx left with
         | Some frag -> Some (bs, frag)
         | None -> None)
@@ -1446,13 +1377,6 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
     | Expr.Const (Value.Bool true) -> None
     | residual -> Some (Exprc.to_pred (Exprc.compile ctx.cenv residual))
   in
-  (* the radix path needs unboxed keys on BOTH sides; a probe key compiled
-     against materialized rows is boxed, so such joins use the boxed table *)
-  let int_keys =
-    match int_keys, left_key_get with
-    | Some g, Some (Exprc.C_int _) -> Some g
-    | _ -> None
-  in
   (* The materialized build state lives at the compile stage so probe-only
      worker pipelines can share it read-only; the build phase rearms it at
      the start of every run. *)
@@ -1461,145 +1385,93 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
   let table : int list VH.t = VH.create 1024 in
   let radix : Radix.t option ref = ref None in
   let keys = ref [||] in
+  let ikeys = ref [||] in
+  (* the radix path needs unboxed keys on BOTH sides; a probe key compiled
+     against materialized rows is boxed, so such joins use the boxed table *)
   let mode =
-    match left_key_get, int_keys with
-    | Some (Exprc.C_int _), Some _ -> `Radix
-    | Some _, _ -> `Boxed
-    | None, _ -> `Loop
+    match left_key_get with
+    | Some (Exprc.C_int _) when int_build -> `Radix
+    | Some _ -> `Boxed
+    | None -> `Loop
   in
-  (* Parallel build-side materialization: on a multi-domain spine the
-     template compiles a fleet of build-side instances that scan morsels
-     into per-(worker, morsel) buffers; the buffers concatenate in morsel
-     order — the serial scan order — into the very vectors the serial
-     epilogue (cache packing, clustering) already works on. The inner
-     fleet's [Pool.run] is safe because builds run before the outer
-     fan-out. Falls back to the serial build when the build side cannot
-     fan out (breaker on its spine, cache-filling scan) or when an
-     instance's key does not land in the template's lane. *)
-  let par_build =
-    match ctx.par with
-    | Some pp when pp.par_worker = 0 && build_fan pp.par_domains > 1 -> (
-      let actx = { ctx with par = None; splice = None } in
-      match spine_drive actx right with
-      | None -> None
-      | Some bdrive ->
-        let bdomains = build_fan pp.par_domains in
-        let rk_opt =
-          match equi with Some (_, rk) when use_hash -> Some rk | _ -> None
-        in
-        let slot_expr slot =
-          if slot.ps_path = "" then Expr.Var slot.ps_binding
-          else Expr.path slot.ps_binding (String.split_on_char '.' slot.ps_path)
-        in
-        let instances, bdisp, brun_fleet =
-          compile_instances ctx.reg ctx.required ~slots:ctx.slots ~batch:ctx.batch
-            ~domains:bdomains ~drive:bdrive right ~stage:compile
-            ~finish:(fun ictx ip compiled ->
-              let key_lane =
-                match rk_opt with
-                | None -> `None
-                | Some rk -> (
-                  let c = Exprc.compile ictx.cenv rk in
-                  if int_keys <> None then
-                    match c with Exprc.C_int g -> `Int g | _ -> `Mismatch
-                  else if right_key_val <> None then `Val (Exprc.to_val c)
-                  else `None)
-              in
-              let pays =
-                Array.of_list
-                  (List.map
-                     (fun slot -> Exprc.to_val (Exprc.compile ictx.cenv (slot_expr slot)))
-                     payload)
-              in
-              (compiled, key_lane, pays, ip))
-        in
-        let lanes_ok =
-          Array.for_all
-            (fun (_, kl, _, _) -> match kl with `Mismatch -> false | _ -> true)
-            instances
-        in
-        if not lanes_ok then None
-        else
-          Some
-            (fun () ->
-              let nm = ref 0 in
-              let all = Array.make bdomains [||] in
-              let wire w (run_input, key_lane, pays, (ip : par)) =
-                let buckets = Array.make (Pool.Dispenser.morsels bdisp) None in
-                all.(w) <- buckets;
-                nm := Pool.Dispenser.morsels bdisp;
-                let npay = Array.length pays in
-                let cur = ref (-1) in
-                let cur_buf = ref (ref 0, IVec.create (), Vec.create (), [||]) in
-                let consumer () =
-                  let mi = !(ip.par_morsel) in
-                  if !cur <> mi then begin
-                    cur := mi;
-                    let b =
-                      ( ref 0,
-                        IVec.create (),
-                        Vec.create (),
-                        Array.init npay (fun _ -> Vec.create ()) )
-                    in
-                    buckets.(mi) <- Some b;
-                    cur_buf := b
-                  end;
-                  let count, bik, bkv, bpay = !cur_buf in
-                  incr count;
-                  (match key_lane with
-                  | `Int g -> IVec.push bik (g ())
-                  | `Val g -> Vec.push bkv (g ())
-                  | `None | `Mismatch -> ());
-                  Array.iteri
-                    (fun i g ->
-                      Vec.push bpay.(i) (g ());
-                      Counters.add_materialized 1)
-                    pays
-                in
-                run_input consumer
-              in
-              brun_fleet wire;
-              (* concatenate per-morsel buffers in morsel order: each morsel
-                 went to exactly one worker, so this is the serial row
-                 order, bit for bit. A totals pass sizes the destinations
-                 exactly, then every buffer lands with one [Array.blit]
-                 instead of a per-row push loop — and the int-key scratch
-                 comes out trimmed, so the radix build consumes it without
-                 the epilogue's [Array.sub] copy. *)
-              let pay_slots = Array.of_list payload in
-              let tot_rows = ref 0 and tot_ik = ref 0 and tot_kv = ref 0 in
-              let tot_pay = Array.make (Array.length pay_slots) 0 in
-              Array.iter
-                (Array.iter (function
-                  | None -> ()
-                  | Some (count, bik, bkv, bpay) ->
-                    tot_rows := !tot_rows + !count;
-                    tot_ik := !tot_ik + bik.IVec.n;
-                    tot_kv := !tot_kv + bkv.Vec.n;
-                    Array.iteri
-                      (fun i v -> tot_pay.(i) <- tot_pay.(i) + v.Vec.n)
-                      bpay))
-                all;
-              mat_rows := !mat_rows + !tot_rows;
-              if Array.length !ikey_vec <> !ikey_n + !tot_ik then begin
-                let bigger = Array.make (!ikey_n + !tot_ik) 0 in
-                Array.blit !ikey_vec 0 bigger 0 !ikey_n;
-                ikey_vec := bigger
-              end;
-              Vec.reserve key_vec !tot_kv;
-              Array.iteri (fun i n -> Vec.reserve pay_slots.(i).ps_vec n) tot_pay;
-              for mi = 0 to !nm - 1 do
-                for w = 0 to bdomains - 1 do
-                  match all.(w).(mi) with
-                  | None -> ()
-                  | Some (_, bik, bkv, bpay) ->
-                    Array.blit bik.IVec.a 0 !ikey_vec !ikey_n bik.IVec.n;
-                    ikey_n := !ikey_n + bik.IVec.n;
-                    Vec.append key_vec bkv;
-                    Array.iteri (fun i v -> Vec.append pay_slots.(i).ps_vec v) bpay
-                done
-              done))
-    | _ -> None
+  (* Build-side materialization: every producer scans its morsels into
+     per-(producer, morsel) buffers; the buffers concatenate in morsel
+     order — the build input's row order, bit for bit — into the vectors
+     the epilogue (cache packing, clustering) works on. A totals pass sizes
+     the destinations exactly, then every buffer lands with one
+     [Array.blit], and the int-key array comes out exact, so the radix
+     build consumes it without a copy. *)
+  let materialize () =
+    let width = Array.length srcs in
+    let nm = ref 0 in
+    let all = Array.make width [||] in
+    let wire w src =
+      nm := build_morsels ();
+      let buckets = Array.make !nm None in
+      all.(w) <- buckets;
+      let key_lane =
+        match mode, src.bs_key with
+        | `Radix, Some (Exprc.C_int g) -> `Int g
+        | `Boxed, Some c -> `Val (Exprc.to_val c)
+        | _ -> `None
+      in
+      let pays = Array.map Exprc.to_val src.bs_pays in
+      let npay = Array.length pays in
+      let cur = ref (-1) in
+      let cur_buf = ref (ref 0, IVec.create (), Vec.create (), [||]) in
+      let consumer () =
+        let mi = !(src.bs_morsel) in
+        if !cur <> mi then begin
+          cur := mi;
+          let b =
+            (ref 0, IVec.create (), Vec.create (), Array.init npay (fun _ -> Vec.create ()))
+          in
+          buckets.(mi) <- Some b;
+          cur_buf := b
+        end;
+        let count, bik, bkv, bpay = !cur_buf in
+        incr count;
+        (match key_lane with
+        | `Int g -> IVec.push bik (g ())
+        | `Val g -> Vec.push bkv (g ())
+        | `None -> ());
+        Array.iteri
+          (fun i g ->
+            Vec.push bpay.(i) (g ());
+            Counters.add_materialized 1)
+          pays
+      in
+      src.bs_run consumer
+    in
+    build_run wire;
+    let pay_slots = Array.of_list payload in
+    let tot_rows = ref 0 and tot_ik = ref 0 and tot_kv = ref 0 in
+    let tot_pay = Array.make (Array.length pay_slots) 0 in
+    Array.iter
+      (Array.iter (function
+        | None -> ()
+        | Some (count, bik, bkv, bpay) ->
+          tot_rows := !tot_rows + !count;
+          tot_ik := !tot_ik + bik.IVec.n;
+          tot_kv := !tot_kv + bkv.Vec.n;
+          Array.iteri (fun i v -> tot_pay.(i) <- tot_pay.(i) + v.Vec.n) bpay))
+      all;
+    mat_rows := !tot_rows;
+    if Array.length !ikeys <> !tot_ik then ikeys := Array.make !tot_ik 0;
+    Vec.reserve key_vec !tot_kv;
+    Array.iteri (fun i n -> Vec.reserve pay_slots.(i).ps_vec n) tot_pay;
+    let ik_n = ref 0 in
+    for mi = 0 to !nm - 1 do
+      for w = 0 to width - 1 do
+        match all.(w).(mi) with
+        | None -> ()
+        | Some (_, bik, bkv, bpay) ->
+          Array.blit bik.IVec.a 0 !ikeys !ik_n bik.IVec.n;
+          ik_n := !ik_n + bik.IVec.n;
+          Vec.append key_vec bkv;
+          Array.iteri (fun i v -> Vec.append pay_slots.(i).ps_vec v) bpay
+      done
+    done
   in
   (match share with
   | Some (p, idx) ->
@@ -1615,36 +1487,10 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
         sj_residual = residual;
         sj_left_key =
           (match equi with Some (lk, _) when use_hash -> Some lk | _ -> None);
-        sj_ikeys = ikey_vec;
+        sj_ikeys = ikeys;
       }
-  | None -> (
-    (* serial lane: hand the build's keys to the probe fragment's pruning
-       handle, which its driver arms after the build thunk ran *)
-    match left_lane with
-    | (`Spill (_, frag, _) | `Batch (_, frag, _, _, _)) when mode = `Radix ->
-      Option.iter
-        (fun t ->
-          Prune.add_joins t (fun () ->
-              [ { Prune.kind; rows = !mat_rows; probe_key = Option.map fst equi;
-                  keys = !ikey_vec } ]))
-        frag.bf_prune
-    | _ -> ()));
+  | None -> ());
   fun consumer ->
-    let mat_consumer () =
-      incr mat_rows;
-      (match int_keys with
-      | Some g -> ikey_push (g ())
-      | None -> (
-        match right_key_val with
-        | Some kv -> Vec.push key_vec (kv ())
-        | None -> ()));
-      List.iter
-        (fun slot ->
-          Vec.push slot.ps_vec (slot.ps_get ());
-          Counters.add_materialized 1)
-        payload
-    in
-    let right_runner = run_right mat_consumer in
     let emit_match = make_emit ~pred_c ~m_cur ~consumer in
     let probe_consumer =
       join_probe ~kind ~mode ~left_key:left_key_get ~rows:mat_rows ~radix ~table
@@ -1665,8 +1511,6 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
             probe ~base ~sel ~n)
     in
     let build () =
-      mat_rows := 0;
-      ikey_n := 0;
       Vec.clear key_vec;
       List.iter (fun slot -> Vec.clear slot.ps_vec) payload;
       let cache = Registry.cache ctx.reg in
@@ -1677,9 +1521,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
           | Some packed ->
             mat_rows := packed.Cache_iface.length;
             (match List.assoc_opt "__key" packed.Cache_iface.cols with
-            | Some (Proteus_storage.Column.Ints a) when int_keys <> None ->
-              ikey_vec := Array.copy a;
-              ikey_n := Array.length a
+            | Some (Proteus_storage.Column.Ints a) when mode = `Radix -> ikeys := Array.copy a
             | Some kcol ->
               keys :=
                 Array.init packed.Cache_iface.length
@@ -1699,14 +1541,8 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
       in
       if not loaded then begin
         let e0 = Fault.query_errors () in
-        (match par_build with
-        | Some fleet -> fleet ()
-        | None -> right_runner ());
+        materialize ();
         keys := Vec.to_array key_vec;
-        (* trim the int-key scratch to its live prefix (the parallel build's
-           blit concat already leaves it exact — no copy in that case) *)
-        if int_keys <> None && Array.length !ikey_vec <> !ikey_n then
-          ikey_vec := Array.sub !ikey_vec 0 !ikey_n;
         List.iter (fun slot -> slot.ps_arr := Vec.to_array slot.ps_vec) payload;
         (* a build side materialized while rows were being skipped is a
            partial relation: keep it for this query, never install it *)
@@ -1715,9 +1551,8 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
         else if packable then begin
           let cols =
             ( "__key",
-              match int_keys with
-              | Some _ -> Proteus_storage.Column.Ints (Array.copy !ikey_vec)
-              | None ->
+              if mode = `Radix then Proteus_storage.Column.Ints (Array.copy !ikeys)
+              else
                 Proteus_storage.Column.of_values
                   (Option.value key_ty ~default:Ptype.Int)
                   (Array.to_list !keys) )
@@ -1735,15 +1570,11 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
         end
       end;
       (* cluster/build the index over the materialized keys: partitioned
-         parallel clustering on a multi-domain spine (safe here — builds
-         run before the outer fan-out), serial two-pass otherwise *)
-      match left_key_get, int_keys with
-      | Some _, Some _ ->
-        let bdomains =
-          match ctx.par with Some p -> build_fan p.par_domains | None -> 1
-        in
-        radix := Some (Radix.build_par ~domains:bdomains !ikey_vec)
-      | Some _, None ->
+         clustering at the build fan-out (safe here — builds run before any
+         outer fan-out), a hash table over boxed keys otherwise *)
+      match mode with
+      | `Radix -> radix := Some (Radix.build_par ~domains:(build_fan ctx.domains) !ikeys)
+      | `Boxed ->
         VH.reset table;
         let ks = !keys in
         for row = Array.length ks - 1 downto 0 do
@@ -1753,12 +1584,11 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
             let prev = try VH.find table k with Not_found -> [] in
             VH.replace table k (row :: prev)
         done
-      | None, _ -> ()
+      | `Loop -> ()
     in
     match share with
     | Some (p, _) ->
-      (* template: the build phase runs once, before fan-out (in parallel
-         itself when the build side can fan out) *)
+      (* template: the build phase runs once, before fan-out *)
       p.par_builds := build :: !(p.par_builds);
       fun () -> Counters.time Counters.Probe left_runner
     | None ->
@@ -1828,357 +1658,15 @@ and compile_join_probe ctx (sj : shared_join) ~left =
     in
     fun () -> Counters.time Counters.Probe left_runner
 
-(* Sort materializes the whole record of every binding it carries, so those
-   bindings' producers must be able to reconstruct full values. *)
-let rec sort_bindings (p : Plan.t) =
-  (match p with Plan.Sort { input; _ } -> Plan.bindings input | _ -> [])
-  @ List.concat_map sort_bindings (Plan.children p)
-
-let build_required (plan : Plan.t) =
-  let required = Exprc.required_paths (all_exprs plan) in
-  List.fold_left
-    (fun req b -> (b, `Whole) :: List.remove_assoc b req)
-    required (sort_bindings plan)
-
-(* Project fusion: a Reduce directly over a Project inlines the projected
-   field expressions into the fold's predicate and aggregate expressions,
-   so a scan→select→project→aggregate pipeline keeps a batchable shape
-   (and the tuple lane skips a boxed record per tuple). Pure expression
-   substitution — same precedent as projection pushdown, which already
-   skips evaluating fields nobody reads. *)
-let fuse_projects (plan : Plan.t) : Plan.t =
-  let exception Keep in
-  let rec subst binding fields (e : Expr.t) : Expr.t =
-    match e with
-    | Expr.Var v when v = binding -> Expr.Record_ctor fields
-    | Expr.Const _ | Expr.Param _ | Expr.Var _ -> e
-    | Expr.Field (Expr.Var v, f) when v = binding -> (
-      match List.assoc_opt f fields with
-      | Some fe -> fe
-      | None -> raise Keep (* missing field: keep the Project's runtime error *))
-    | Expr.Field (x, f) -> Expr.Field (subst binding fields x, f)
-    | Expr.Binop (op, a, b) ->
-      Expr.Binop (op, subst binding fields a, subst binding fields b)
-    | Expr.Unop (op, a) -> Expr.Unop (op, subst binding fields a)
-    | Expr.If (c, t, f) ->
-      Expr.If (subst binding fields c, subst binding fields t, subst binding fields f)
-    | Expr.Record_ctor fs ->
-      Expr.Record_ctor (List.map (fun (n, x) -> (n, subst binding fields x)) fs)
-    | Expr.Coll_ctor (c, xs) -> Expr.Coll_ctor (c, List.map (subst binding fields) xs)
-  in
-  let rec fuse (p : Plan.t) =
-    match p with
-    | Plan.Reduce { monoid_output; pred; input = Plan.Project { binding; fields; input } }
-      -> (
-      try
-        fuse
-          (Plan.Reduce
-             {
-               monoid_output =
-                 List.map
-                   (fun (a : Plan.agg) -> { a with Plan.expr = subst binding fields a.expr })
-                   monoid_output;
-               pred = subst binding fields pred;
-               input;
-             })
-      with Keep -> p)
-    | _ -> p
-  in
-  fuse plan
-
-(* Whether [compile_bfrag] will take this fragment on a fleet spine (same
-   decision tree, no compilation side effects — cache lookups go through
-   the memo, so the spine's pre-analysis observes a single lookup). *)
-let rec batchable_shape ctx (p : Plan.t) =
-  ctx.batch <> None
-  &&
-  match p with
-  | Plan.Scan _ -> true
-  | Plan.Select { pred; input = Plan.Scan { dataset; binding; _ }; _ }
-    when select_paths ctx binding <> None -> (
-    let paths = Option.get (select_paths ctx binding) in
-    match lookup_select_memo ctx ~dataset ~binding ~pred ~paths with
-    | Some _ -> true
-    | None -> not (select_cache_should_store ctx ~dataset ~binding ~pred))
-  | Plan.Select { input; _ } -> batchable_shape ctx input
-  | _ -> false
-
-(* Drive a non-fleet root pipeline under [drive_phase] — unless a spliced
-   fleet below it attributes its own phases, which nesting would count
-   twice. *)
-let drive_root ctx has_join f =
-  if Option.is_some ctx.splice then f () else drive_phase has_join f
-
-(* The scalar (tuple-lane) Reduce: compile the input pipeline and fold
-   per-tuple aggregate steps over it. *)
-let reduce_tuple (ctx : ctx) ~monoid_output ~pred ~input : unit -> Value.t =
-  let cenv = ctx.cenv in
-  let run_input = compile ctx input in
-  let pred_c = Exprc.to_pred (Exprc.compile cenv pred) in
-  let has_join = plan_has_join input in
-  let factories =
-    List.map
-      (fun (a : Plan.agg) ->
-        (a.agg_name, Agg.factory a.monoid (Exprc.compile cenv a.expr)))
-      monoid_output
-  in
-  fun () ->
-    let instances = List.map (fun (n, f) -> (n, f ())) factories in
-    let steps = List.map (fun (_, (i : Agg.instance)) -> i.step) instances in
-    let consumer =
-      match steps with
-      | [ s ] -> fun () -> if pred_c () then s ()
-      | ss -> fun () -> if pred_c () then List.iter (fun s -> s ()) ss
-    in
-    drive_root ctx has_join (run_input consumer);
-    (match instances with
-    | [ (_, i) ] -> i.value ()
-    | many -> Value.record (List.map (fun (n, (i : Agg.instance)) -> (n, i.value ())) many))
-
-(* The non-fleet root: the fallback for shapes that cannot fan out, and
-   the serial consumer above a spliced fleet. *)
-let prepare_with (ctx : ctx) (plan : Plan.t) : unit -> Value.t =
-  match plan with
-  | Plan.Reduce { monoid_output; pred; input } -> reduce_tuple ctx ~monoid_output ~pred ~input
-  | _ ->
-    let run = compile ctx plan in
-    let visible = Plan.bindings plan in
-    let has_join = plan_has_join plan in
-    let getters =
-      List.map (fun b -> (b, Exprc.to_val (Exprc.compile ctx.cenv (Expr.Var b)))) visible
-    in
-    let shape =
-      match getters with
-      | [ (_, g) ] -> g
-      | gs -> fun () -> Value.record (List.map (fun (b, g) -> (b, g ())) gs)
-    in
-    fun () ->
-      let rows = ref [] in
-      drive_root ctx has_join (run (fun () -> rows := shape () :: !rows));
-      Value.bag (List.rev !rows)
-
-(* ------------------------------------------------------------------ *)
-(* Morsel-driven parallel execution (Section "Parallelism substitution"
-   in DESIGN.md).
-
-   The driver analyses the spine — the path from the root through
-   Select/Project/Unnest and join probe (left) sides down to the driving
-   scan — and instantiates the compiled pipeline once per domain. Each
-   instance owns its closures and its scan cursor; they share the morsel
-   dispenser, the (template-built) join build sides, and nothing else.
-   Per-morsel partial states are merged on the calling domain in morsel
-   order, so results do not depend on which worker ran which morsel. *)
-
-(* The pipeline breaker closest to the driving scan; everything below it
-   streams and can fan out, everything above it runs serially over the
-   merged stream. *)
-let rec bottom_breaker (p : Plan.t) : Plan.t option =
-  match p with
-  | Plan.Scan _ -> None
-  | Plan.Select { input; _ } | Plan.Project { input; _ } | Plan.Unnest { input; _ } ->
-    bottom_breaker input
-  | Plan.Join { left; _ } -> bottom_breaker left
-  | Plan.Nest { input; _ } | Plan.Sort { input; _ } | Plan.Reduce { input; _ } -> (
-    match bottom_breaker input with Some b -> Some b | None -> Some p)
-
-let merge_parts monoids acc parts =
-  List.map2 (fun m (a, b) -> Agg.merge m a b) monoids (List.combine acc parts)
-
-(* The root Reduce drivers' merge: [all.(w).(mi)] holds the accumulators
-   worker [w] folded morsel [mi] into. Partials merge in morsel order (then
-   worker order, which a morsel reached at most once) and finalize; when no
-   morsel produced a row the result is a fresh accumulator set's value, as
-   a fold over nothing. *)
-let merge_morsels (monoid_output : Plan.agg list) disp all ~partial ~empty =
-  let monoids = List.map (fun (a : Plan.agg) -> a.monoid) monoid_output in
-  let merged = ref None in
-  Counters.time Counters.Merge (fun () ->
-      for mi = 0 to Pool.Dispenser.morsels disp - 1 do
-        Array.iter
-          (fun buckets ->
-            match buckets.(mi) with
-            | None -> ()
-            | Some insts ->
-              let parts = List.map partial insts in
-              merged :=
-                Some
-                  (match !merged with
-                  | None -> parts
-                  | Some acc -> merge_parts monoids acc parts))
-          all
-      done);
-  let finals =
-    match !merged with
-    | Some parts -> List.map2 Agg.finalize monoids parts
-    | None -> empty ()
-  in
-  match List.map2 (fun (a : Plan.agg) v -> (a.agg_name, v)) monoid_output finals with
-  | [ (_, v) ] -> v
-  | many -> Value.record many
-
-(* Root Reduce over primitive monoids: every morsel folds into its own
-   accumulator set; partials merge in morsel order (deterministic for any
-   worker count, since the morsel size does not depend on it). *)
-let par_reduce reg required ~slots ~batch ~domains ~(drive : drive) ~monoid_output ~pred
-    input =
-  let instances, disp, run_fleet =
-    compile_instances reg required ~slots ~batch ~domains ~drive input ~stage:compile
-      ~finish:(fun ctx p compiled ->
-        let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-        let factories =
-          List.map
-            (fun (a : Plan.agg) ->
-              (a.agg_name, Agg.factory a.monoid (Exprc.compile ctx.cenv a.expr)))
-            monoid_output
-        in
-        (compiled, pred_c, factories, p))
-  in
-  let _, _, factories0, _ = instances.(0) in
-  let has_join = plan_has_join input in
-  fun () ->
-    let all = Array.make domains [||] in
-    let wire w (run_input, pred_c, factories, (p : par)) =
-      let buckets = Array.make (Pool.Dispenser.morsels disp) None in
-      all.(w) <- buckets;
-      let cur = ref (-1) in
-      let cur_step = ref (fun () -> ()) in
-      let consumer () =
-        if pred_c () then begin
-          let mi = !(p.par_morsel) in
-          if !cur <> mi then begin
-            cur := mi;
-            let insts = List.map (fun (_, f) -> f ()) factories in
-            buckets.(mi) <- Some insts;
-            cur_step :=
-              (match insts with
-              | [ (i : Agg.instance) ] -> i.step
-              | is -> fun () -> List.iter (fun (i : Agg.instance) -> i.step ()) is)
-          end;
-          !cur_step ()
-        end
-      in
-      run_input consumer
-    in
-    drive_phase has_join (fun () -> run_fleet wire);
-    merge_morsels monoid_output disp all
-      ~partial:(fun (i : Agg.instance) -> i.partial ())
-      ~empty:(fun () -> List.map (fun (_, f) -> ((f () : Agg.instance)).value ()) factories0)
-
-(* Root Reduce on the batch lane: each worker drives its compiled fragment
-   morsel by morsel; a fresh set of batch accumulators per morsel, partials
-   merged in morsel order — the exact merge structure of [par_reduce], so
-   batch and tuple lanes agree bit-for-bit at every domain count. *)
-let par_batch_reduce reg required ~slots ~batch:bs ~domains ~(drive : drive)
-    ~monoid_output ~pred input =
-  let instances, disp, run_fleet =
-    compile_instances reg required ~slots ~batch:(Some bs) ~domains ~drive input
-      ~stage:compile_bfrag
-      ~finish:(fun ctx p frag ->
-        let frag =
-          match frag with
-          | Some f -> f
-          | None -> Perror.plan_error "batch lane: fragment refused on a parallel spine"
-        in
-        let frag =
-          match pred with
-          | Expr.Const (Value.Bool true) -> frag
-          | pr ->
-            bfrag_prune_pred ctx frag pr;
-            {
-              frag with
-              bf_nodes =
-                frag.bf_nodes @ [ bfilter_node ctx ~bs ~src:frag.bf_src ~branch:false pr ];
-            }
-        in
-        let seek = frag.bf_src.Source.seek in
-        let bfactories =
-          List.map
-            (fun (a : Plan.agg) ->
-              match
-                Agg.batch_factory a.monoid ~seek ~scalar:(Exprc.compile ctx.cenv a.expr)
-                  ~batch:(Exprc.compile_batch ctx.cenv ~batch_size:bs a.expr)
-              with
-              | Some f -> f
-              | None -> assert false (* mergeable excludes collection monoids *))
-            monoid_output
-        in
-        (frag, bfactories, ctx, p))
-  in
-  Counters.add_lanes_batch 1;
-  let _, bfactories0, _, _ = instances.(0) in
-  fun () ->
-    let all = Array.make domains [||] in
-    let wire w (frag, bfactories, ctx, (p : par)) =
-      let buckets = Array.make (Pool.Dispenser.morsels disp) None in
-      all.(w) <- buckets;
-      let cur = ref (-1) in
-      let nop ~base:_ ~sel:_ ~n:_ = () in
-      let cur_step = ref nop in
-      let sink ~base ~sel ~n =
-        let mi = !(p.par_morsel) in
-        if !cur <> mi then begin
-          cur := mi;
-          let insts = List.map (fun f -> f ()) bfactories in
-          buckets.(mi) <- Some insts;
-          cur_step :=
-            (match insts with
-            | [ (i : Agg.binstance) ] -> i.bstep
-            | is ->
-              fun ~base ~sel ~n ->
-                List.iter (fun (i : Agg.binstance) -> i.bstep ~base ~sel ~n) is)
-        end;
-        !cur_step ~base ~sel ~n
-      in
-      bfrag_driver ctx frag ~bs sink
-    in
-    Counters.time Counters.Scan (fun () -> run_fleet wire);
-    merge_morsels monoid_output disp all
-      ~partial:(fun (i : Agg.binstance) -> i.bpartial ())
-      ~empty:(fun () -> List.map (fun f -> ((f () : Agg.binstance)).bvalue ()) bfactories0)
-
-(* Root Reduce into a single collection monoid (the shape of a plain
-   SELECT): qualifying values buffer per morsel and concatenate in morsel
-   order — exactly the serial scan order. *)
-let par_collect_reduce reg required ~slots ~batch ~domains ~(drive : drive) ~coll
-    ~(agg : Plan.agg) ~pred input =
-  let _, disp, run_fleet =
-    compile_instances reg required ~slots ~batch ~domains ~drive input ~stage:compile
-      ~finish:(fun ctx p compiled ->
-        let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-        let get = Exprc.to_val (Exprc.compile ctx.cenv agg.expr) in
-        (compiled, pred_c, get, p))
-  in
-  let has_join = plan_has_join input in
-  fun () ->
-    let all = Array.make domains [||] in
-    let wire w (run_input, pred_c, get, (p : par)) =
-      let buckets = Array.make (Pool.Dispenser.morsels disp) [] in
-      all.(w) <- buckets;
-      let m = p.par_morsel in
-      let consumer () = if pred_c () then buckets.(!m) <- get () :: buckets.(!m) in
-      run_input consumer
-    in
-    drive_phase has_join (fun () -> run_fleet wire);
-    let nm = Pool.Dispenser.morsels disp in
-    let out = ref [] in
-    Counters.time Counters.Merge (fun () ->
-        for mi = nm - 1 downto 0 do
-          for w = domains - 1 downto 0 do
-            List.iter (fun v -> out := v :: !out) all.(w).(mi)
-          done
-        done);
-    Monoid.collect coll !out
-
 (* Parallelism substitution for a streaming sub-plan under a serial
-   consumer (a Sort, or the bag-collecting root): N instances scan and
-   buffer their visible bindings' values per morsel; the buffered rows
-   replay serially, in morsel order — the serial scan order — through
-   boxed registers the consumer's getters read. *)
-let buffered_splice reg required ~slots ~batch ~domains ~(drive : drive) subplan
-    ~(serial_cenv : Exprc.cenv) () =
+   consumer (a Sort, a non-mergeable Nest or Reduce, the bag-collecting
+   root): the instances scan and buffer their visible bindings' values per
+   morsel; the buffered rows replay serially, in morsel order — the scan
+   order — through boxed registers the consumer's getters read. *)
+and buffered_splice actx ~width ~(drive : drive) subplan ~(serial_cenv : Exprc.cenv) () =
   let visible = Plan.bindings subplan in
-  let _, disp, run_fleet =
-    compile_instances reg required ~slots ~batch ~domains ~drive subplan ~stage:compile
+  let instances, disp, run_fleet =
+    compile_instances actx ~width ~drive subplan ~stage:compile
       ~finish:(fun ctx p compiled ->
         let getters =
           List.map (fun b -> Exprc.to_val (Exprc.compile ctx.cenv (Expr.Var b))) visible
@@ -2188,8 +1676,9 @@ let buffered_splice reg required ~slots ~batch ~domains ~(drive : drive) subplan
   let regs = List.map (fun b -> (b, ref Value.Null)) visible in
   List.iter (fun (b, r) -> Hashtbl.replace serial_cenv b (Exprc.Boxed_repr r)) regs;
   let has_join = plan_has_join subplan in
+  let width = Array.length instances in
   fun consumer () ->
-    let all = Array.make domains [||] in
+    let all = Array.make width [||] in
     let wire w (run_input, getters, (p : par)) =
       let buckets = Array.make (Pool.Dispenser.morsels disp) [] in
       all.(w) <- buckets;
@@ -2201,7 +1690,7 @@ let buffered_splice reg required ~slots ~batch ~domains ~(drive : drive) subplan
     let nm = Pool.Dispenser.morsels disp in
     Counters.time Counters.Merge (fun () ->
         for mi = 0 to nm - 1 do
-          for w = 0 to domains - 1 do
+          for w = 0 to width - 1 do
             List.iter
               (fun row ->
                 List.iter2 (fun (_, r) v -> r := v) regs row;
@@ -2209,30 +1698,6 @@ let buffered_splice reg required ~slots ~batch ~domains ~(drive : drive) subplan
               (List.rev all.(w).(mi))
           done
         done)
-
-(* Merge per-worker groups into key order and emit each group.
-   [groups.(w)] lists worker [w]'s (key, cell) pairs. A stable sort of
-   their positions, concatenated in worker order, puts each key's cells
-   together in worker order, and their partials fold in that order: the
-   association depends on the domain count alone. [emit] gets the key,
-   the first worker's cell and the merged partials. *)
-let merge_groups monoids ~cmp ~partials groups emit =
-  let entries = Array.concat (Array.to_list (Array.map Array.of_list groups)) in
-  let key i = fst entries.(i) in
-  let perm = Array.init (Array.length entries) Fun.id in
-  Array.stable_sort (fun i j -> cmp (key i) (key j)) perm;
-  let n = Array.length perm in
-  let i = ref 0 in
-  while !i < n do
-    let k, c = entries.(perm.(!i)) in
-    let parts = ref (partials c) in
-    incr i;
-    while !i < n && cmp k (key perm.(!i)) = 0 do
-      parts := merge_parts monoids !parts (partials (snd entries.(perm.(!i))));
-      incr i
-    done;
-    emit k c !parts
-  done
 
 (* Parallelism substitution at a Nest over primitive monoids (the GROUP BY
    breaker): partitioned parallel group-by. Each domain scans one static
@@ -2243,17 +1708,16 @@ let merge_groups monoids ~cmp ~partials groups emit =
    the worker-to-rows mapping deterministic at a fixed domain count, so a
    given (data, domains) pair always folds in the same association. Key
    order makes the output rows the same at every width, one domain
-   included (the non-fleet Nest, left for spines that cannot fan out,
-   emits in first-encounter order; group-by output order carries no
-   contract). *)
-let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs ~pred
-    ~binding input ~(serial_cenv : Exprc.cenv) () =
+   included (the serial Nest over a buffered splice, for non-mergeable
+   aggregates, emits in first-encounter order; group-by output order
+   carries no contract). *)
+and nest_splice actx ~width ~(drive : drive) ~keys ~aggs ~pred ~binding input
+    ~(serial_cenv : Exprc.cenv) () =
   let monoids = List.map (fun (a : Plan.agg) -> a.monoid) aggs in
   let names = List.map (fun (a : Plan.agg) -> a.agg_name) aggs in
   let has_join = plan_has_join input in
   let instances, _disp, run_fleet =
-    compile_instances reg required ~slots ~batch ~domains ~static:true ~drive input
-      ~stage:compile
+    compile_instances actx ~width ~static:true ~drive input ~stage:compile
       ~finish:(fun ctx p compiled ->
         let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
         let ckeys = List.map (fun (n, e) -> (n, Exprc.compile ctx.cenv e)) keys in
@@ -2264,6 +1728,7 @@ let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs
         in
         (compiled, pred_c, ckeys, factories, p))
   in
+  let domains = Array.length instances in
   (* the unboxed single-int-key grouping applies only when every instance
      compiled the key to the int lane *)
   let int_key =
@@ -2344,69 +1809,408 @@ let nest_splice reg required ~slots ~batch ~domains ~(drive : drive) ~keys ~aggs
               (fun _ (kvs, _) parts ->
                 emit (List.map2 (fun (n, _) v -> (n, v)) keys kvs) parts))
 
-(* Stage [plan] as a fleet of [domains] workers ([domains = 1] runs the same
-   fleet inline). The root Reduce drivers fan out the whole spine; other
-   roots splice a fleet in at the breaker closest to the driving scan
-   behind a serial consumer. The non-fleet [prepare_with] remains only for
-   shapes that cannot fan out: a driving select that elects a σ-result
-   store, non-mergeable aggregates, and breakers with no drivable spine. *)
+(* The fleet below [p]'s bottom breaker, as the node the serial compile
+   replaces plus its maker: a mergeable Nest becomes the partitioned
+   group-by; any other breaker (Sort, non-mergeable Nest or Reduce)
+   consumes its input through a buffered splice, as does a breaker-free
+   [p] as a whole. *)
+and splice_at actx ~width p =
+  match bottom_breaker p with
+  | Some (Plan.Nest { keys; aggs; pred; binding; input } as target) when mergeable aggs ->
+    let drive = spine_drive actx input in
+    ( target,
+      fun serial_cenv ->
+        nest_splice actx ~width ~drive ~keys ~aggs ~pred ~binding input ~serial_cenv )
+  | Some breaker ->
+    let input = List.hd (Plan.children breaker) in
+    let drive = spine_drive actx input in
+    (input, fun serial_cenv -> buffered_splice actx ~width ~drive input ~serial_cenv)
+  | None ->
+    let drive = spine_drive actx p in
+    (p, fun serial_cenv -> buffered_splice actx ~width ~drive p ~serial_cenv)
+
+(* The serial consumer of [p] over the fleet [splice_at] splices in. *)
+and spliced_ctx actx ~width p =
+  let target, mk = splice_at actx ~width p in
+  let cenv = new_cenv actx.slots in
+  { actx with cenv; par = None; splice = Some (target, mk cenv) }
+
+(* The producers of a join's build side, each with the build [key] and
+   payload [pays] compiled against its own pipeline, plus the per-run
+   morsel count and the driver that runs [wire w src] on every producer. A
+   breaker-free build side is a fleet of [build_fan] workers over a
+   dispenser of its own; one whose spine holds a breaker gets the root's
+   treatment — a serial consumer over a fleet spliced in below its bottom
+   breaker — and is one producer over one morsel. Builds run before any
+   outer fan-out, so the inner [Pool.run] never nests. *)
+and build_sources ctx right ~key ~pays =
+  let width = build_fan ctx.domains in
+  let finish (ictx : ctx) morsel run =
+    {
+      bs_run = run;
+      bs_key = Option.map (Exprc.compile ictx.cenv) key;
+      bs_pays = Array.of_list (List.map (Exprc.compile ictx.cenv) pays);
+      bs_morsel = morsel;
+    }
+  in
+  match bottom_breaker right with
+  | None ->
+    let srcs, disp, run_fleet =
+      compile_instances ctx ~width ~drive:(spine_drive ctx right) right ~stage:compile
+        ~finish:(fun ictx ip run -> finish ictx ip.par_morsel run)
+    in
+    (srcs, (fun () -> Pool.Dispenser.morsels disp), run_fleet)
+  | Some _ ->
+    let sctx = spliced_ctx ctx ~width right in
+    let run = compile sctx right in
+    let src = finish sctx (ref 0) run in
+    ([| src |], (fun () -> 1), fun wire -> wire 0 src ())
+
+(* A Sort, and the buffered splice below a Nest or Reduce whose aggregates
+   neither merge nor collect, carry the whole record of every binding
+   visible at their input, so those bindings' producers must be able to
+   reconstruct full values. *)
+let rec buffered_bindings (p : Plan.t) =
+  (match p with
+  | Plan.Sort { input; _ } -> Plan.bindings input
+  | Plan.Nest { aggs; input; _ } when not (mergeable aggs) -> Plan.bindings input
+  | Plan.Reduce { monoid_output; input; _ }
+    when not (mergeable monoid_output || lone_collection monoid_output <> None) ->
+    Plan.bindings input
+  | _ -> [])
+  @ List.concat_map buffered_bindings (Plan.children p)
+
+let build_required (plan : Plan.t) =
+  let required = Exprc.required_paths (all_exprs plan) in
+  List.fold_left
+    (fun req b -> (b, `Whole) :: List.remove_assoc b req)
+    required (buffered_bindings plan)
+
+(* Project fusion: a Reduce directly over a Project inlines the projected
+   field expressions into the fold's predicate and aggregate expressions,
+   so a scan→select→project→aggregate pipeline keeps a batchable shape
+   (and the tuple lane skips a boxed record per tuple). Pure expression
+   substitution — same precedent as projection pushdown, which already
+   skips evaluating fields nobody reads. *)
+let fuse_projects (plan : Plan.t) : Plan.t =
+  let exception Keep in
+  let rec subst binding fields (e : Expr.t) : Expr.t =
+    match e with
+    | Expr.Var v when v = binding -> Expr.Record_ctor fields
+    | Expr.Const _ | Expr.Param _ | Expr.Var _ -> e
+    | Expr.Field (Expr.Var v, f) when v = binding -> (
+      match List.assoc_opt f fields with
+      | Some fe -> fe
+      | None -> raise Keep (* missing field: keep the Project's runtime error *))
+    | Expr.Field (x, f) -> Expr.Field (subst binding fields x, f)
+    | Expr.Binop (op, a, b) ->
+      Expr.Binop (op, subst binding fields a, subst binding fields b)
+    | Expr.Unop (op, a) -> Expr.Unop (op, subst binding fields a)
+    | Expr.If (c, t, f) ->
+      Expr.If (subst binding fields c, subst binding fields t, subst binding fields f)
+    | Expr.Record_ctor fs ->
+      Expr.Record_ctor (List.map (fun (n, x) -> (n, subst binding fields x)) fs)
+    | Expr.Coll_ctor (c, xs) -> Expr.Coll_ctor (c, List.map (subst binding fields) xs)
+  in
+  let rec fuse (p : Plan.t) =
+    match p with
+    | Plan.Reduce { monoid_output; pred; input = Plan.Project { binding; fields; input } }
+      -> (
+      try
+        fuse
+          (Plan.Reduce
+             {
+               monoid_output =
+                 List.map
+                   (fun (a : Plan.agg) -> { a with Plan.expr = subst binding fields a.expr })
+                   monoid_output;
+               pred = subst binding fields pred;
+               input;
+             })
+      with Keep -> p)
+    | _ -> p
+  in
+  fuse plan
+
+(* The serial consumer above a spliced fleet: fold the root Reduce's
+   aggregates, or collect the visible bindings into a bag. *)
+let prepare_with (ctx : ctx) (plan : Plan.t) : unit -> Value.t =
+  match plan with
+  | Plan.Reduce { monoid_output; pred; input } ->
+    let run_input = compile ctx input in
+    let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
+    let factories =
+      List.map
+        (fun (a : Plan.agg) ->
+          (a.agg_name, Agg.factory a.monoid (Exprc.compile ctx.cenv a.expr)))
+        monoid_output
+    in
+    fun () ->
+      let instances = List.map (fun (n, f) -> (n, f ())) factories in
+      let steps = List.map (fun (_, (i : Agg.instance)) -> i.step) instances in
+      let consumer =
+        match steps with
+        | [ s ] -> fun () -> if pred_c () then s ()
+        | ss -> fun () -> if pred_c () then List.iter (fun s -> s ()) ss
+      in
+      run_input consumer ();
+      (match instances with
+      | [ (_, i) ] -> i.value ()
+      | many ->
+        Value.record (List.map (fun (n, (i : Agg.instance)) -> (n, i.value ())) many))
+  | _ ->
+    let run = compile ctx plan in
+    let visible = Plan.bindings plan in
+    let getters =
+      List.map (fun b -> (b, Exprc.to_val (Exprc.compile ctx.cenv (Expr.Var b)))) visible
+    in
+    let shape =
+      match getters with
+      | [ (_, g) ] -> g
+      | gs -> fun () -> Value.record (List.map (fun (b, g) -> (b, g ())) gs)
+    in
+    fun () ->
+      let rows = ref [] in
+      run (fun () -> rows := shape () :: !rows) ();
+      Value.bag (List.rev !rows)
+
+(* ------------------------------------------------------------------ *)
+(* Morsel-driven parallel execution (Section "Parallelism substitution"
+   in DESIGN.md).
+
+   The driver analyses the spine — the path from the root through
+   Select/Project/Unnest and join probe (left) sides down to the driving
+   scan — and instantiates the compiled pipeline once per domain. Each
+   instance owns its closures and its scan cursor; they share the morsel
+   dispenser, the (template-built) join build sides, and nothing else.
+   Per-morsel partial states are merged on the calling domain in morsel
+   order, so results do not depend on which worker ran which morsel. *)
+
+(* The root Reduce drivers' merge: [all.(w).(mi)] holds the accumulators
+   worker [w] folded morsel [mi] into. Partials merge in morsel order (then
+   worker order, which a morsel reached at most once) and finalize; when no
+   morsel produced a row the result is a fresh accumulator set's value, as
+   a fold over nothing. *)
+let merge_morsels (monoid_output : Plan.agg list) disp all ~partial ~empty =
+  let monoids = List.map (fun (a : Plan.agg) -> a.monoid) monoid_output in
+  let merged = ref None in
+  Counters.time Counters.Merge (fun () ->
+      for mi = 0 to Pool.Dispenser.morsels disp - 1 do
+        Array.iter
+          (fun buckets ->
+            match buckets.(mi) with
+            | None -> ()
+            | Some insts ->
+              let parts = List.map partial insts in
+              merged :=
+                Some
+                  (match !merged with
+                  | None -> parts
+                  | Some acc -> merge_parts monoids acc parts))
+          all
+      done);
+  let finals =
+    match !merged with
+    | Some parts -> List.map2 Agg.finalize monoids parts
+    | None -> empty ()
+  in
+  match List.map2 (fun (a : Plan.agg) v -> (a.agg_name, v)) monoid_output finals with
+  | [ (_, v) ] -> v
+  | many -> Value.record many
+
+(* Root Reduce over primitive monoids: every morsel folds into its own
+   accumulator set; partials merge in morsel order (deterministic for any
+   worker count, since the morsel size does not depend on it). *)
+let par_reduce actx ~(drive : drive) ~monoid_output ~pred input =
+  let instances, disp, run_fleet =
+    compile_instances actx ~width:actx.domains ~drive input ~stage:compile
+      ~finish:(fun ctx p compiled ->
+        let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
+        let factories =
+          List.map
+            (fun (a : Plan.agg) ->
+              (a.agg_name, Agg.factory a.monoid (Exprc.compile ctx.cenv a.expr)))
+            monoid_output
+        in
+        (compiled, pred_c, factories, p))
+  in
+  let _, _, factories0, _ = instances.(0) in
+  let has_join = plan_has_join input in
+  fun () ->
+    let all = Array.make (Array.length instances) [||] in
+    let wire w (run_input, pred_c, factories, (p : par)) =
+      let buckets = Array.make (Pool.Dispenser.morsels disp) None in
+      all.(w) <- buckets;
+      let cur = ref (-1) in
+      let cur_step = ref (fun () -> ()) in
+      let consumer () =
+        if pred_c () then begin
+          let mi = !(p.par_morsel) in
+          if !cur <> mi then begin
+            cur := mi;
+            let insts = List.map (fun (_, f) -> f ()) factories in
+            buckets.(mi) <- Some insts;
+            cur_step :=
+              (match insts with
+              | [ (i : Agg.instance) ] -> i.step
+              | is -> fun () -> List.iter (fun (i : Agg.instance) -> i.step ()) is)
+          end;
+          !cur_step ()
+        end
+      in
+      run_input consumer
+    in
+    drive_phase has_join (fun () -> run_fleet wire);
+    merge_morsels monoid_output disp all
+      ~partial:(fun (i : Agg.instance) -> i.partial ())
+      ~empty:(fun () -> List.map (fun (_, f) -> ((f () : Agg.instance)).value ()) factories0)
+
+(* Root Reduce on the batch lane: each worker drives its compiled fragment
+   morsel by morsel; a fresh set of batch accumulators per morsel, partials
+   merged in morsel order — the exact merge structure of [par_reduce], so
+   batch and tuple lanes agree bit-for-bit at every domain count. *)
+let par_batch_reduce actx ~bs ~(drive : drive) ~monoid_output ~pred input =
+  let instances, disp, run_fleet =
+    compile_instances actx ~width:actx.domains ~drive input ~stage:compile_bfrag
+      ~finish:(fun ctx p frag ->
+        let frag =
+          match frag with
+          | Some f -> f
+          | None -> Perror.plan_error "batch lane: fragment refused on a parallel spine"
+        in
+        let frag =
+          match pred with
+          | Expr.Const (Value.Bool true) -> frag
+          | pr ->
+            bfrag_prune_pred ctx frag pr;
+            {
+              frag with
+              bf_nodes =
+                frag.bf_nodes @ [ bfilter_node ctx ~bs ~src:frag.bf_src ~branch:false pr ];
+            }
+        in
+        let seek = frag.bf_src.Source.seek in
+        let bfactories =
+          List.map
+            (fun (a : Plan.agg) ->
+              match
+                Agg.batch_factory a.monoid ~seek ~scalar:(Exprc.compile ctx.cenv a.expr)
+                  ~batch:(Exprc.compile_batch ctx.cenv ~batch_size:bs a.expr)
+              with
+              | Some f -> f
+              | None -> assert false (* mergeable excludes collection monoids *))
+            monoid_output
+        in
+        (frag, bfactories, ctx, p))
+  in
+  Counters.add_lanes_batch 1;
+  let _, bfactories0, _, _ = instances.(0) in
+  fun () ->
+    let all = Array.make (Array.length instances) [||] in
+    let wire w (frag, bfactories, ctx, (p : par)) =
+      let buckets = Array.make (Pool.Dispenser.morsels disp) None in
+      all.(w) <- buckets;
+      let cur = ref (-1) in
+      let nop ~base:_ ~sel:_ ~n:_ = () in
+      let cur_step = ref nop in
+      let sink ~base ~sel ~n =
+        let mi = !(p.par_morsel) in
+        if !cur <> mi then begin
+          cur := mi;
+          let insts = List.map (fun f -> f ()) bfactories in
+          buckets.(mi) <- Some insts;
+          cur_step :=
+            (match insts with
+            | [ (i : Agg.binstance) ] -> i.bstep
+            | is ->
+              fun ~base ~sel ~n ->
+                List.iter (fun (i : Agg.binstance) -> i.bstep ~base ~sel ~n) is)
+        end;
+        !cur_step ~base ~sel ~n
+      in
+      bfrag_driver ctx frag ~bs sink
+    in
+    Counters.time Counters.Scan (fun () -> run_fleet wire);
+    merge_morsels monoid_output disp all
+      ~partial:(fun (i : Agg.binstance) -> i.bpartial ())
+      ~empty:(fun () -> List.map (fun f -> ((f () : Agg.binstance)).bvalue ()) bfactories0)
+
+(* Root Reduce into a single collection monoid (the shape of a plain
+   SELECT): qualifying values buffer per morsel and concatenate in morsel
+   order — exactly the scan order. *)
+let par_collect_reduce actx ~(drive : drive) ~coll ~(agg : Plan.agg) ~pred input =
+  let instances, disp, run_fleet =
+    compile_instances actx ~width:actx.domains ~drive input ~stage:compile
+      ~finish:(fun ctx p compiled ->
+        let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
+        let get = Exprc.to_val (Exprc.compile ctx.cenv agg.expr) in
+        (compiled, pred_c, get, p))
+  in
+  let has_join = plan_has_join input in
+  let domains = Array.length instances in
+  fun () ->
+    let all = Array.make domains [||] in
+    let wire w (run_input, pred_c, get, (p : par)) =
+      let buckets = Array.make (Pool.Dispenser.morsels disp) [] in
+      all.(w) <- buckets;
+      let m = p.par_morsel in
+      let consumer () = if pred_c () then buckets.(!m) <- get () :: buckets.(!m) in
+      run_input consumer
+    in
+    drive_phase has_join (fun () -> run_fleet wire);
+    let nm = Pool.Dispenser.morsels disp in
+    let out = ref [] in
+    Counters.time Counters.Merge (fun () ->
+        for mi = nm - 1 downto 0 do
+          for w = domains - 1 downto 0 do
+            List.iter (fun v -> out := v :: !out) all.(w).(mi)
+          done
+        done);
+    Monoid.collect coll !out
+
+(* Whether [compile_bfrag] takes this spine: Select*-over-Scan. *)
+let rec batchable_shape (p : Plan.t) =
+  match p with
+  | Plan.Scan _ -> true
+  | Plan.Select { input; _ } -> batchable_shape input
+  | _ -> false
+
+(* Stage [plan] as fleets of [domains] workers ([domains = 1] runs the same
+   fleet inline). A root Reduce over a breaker-free spine fans the whole
+   spine out when its aggregates merge (or collect); every other root is a
+   serial consumer over a fleet spliced in at the breaker closest to the
+   driving scan. *)
 let prepare_slotted ~batch_size (reg : Registry.t) ~domains ~slots (plan : Plan.t) :
     unit -> Value.t =
   let domains = max 1 domains in
   let plan = fuse_projects plan in
   let batch = if batch_size > 0 then Some batch_size else None in
-  let required = build_required plan in
-  (* one σ-cache memo per prepare: the spine analysis and whichever compile
-     follows it observe a single lookup per driving select *)
-  let sel_memo = Hashtbl.create 4 in
-  let ctx_with cenv splice =
-    { reg; cenv; slots; required; par = None; batch; sel_memo; splice }
+  let actx =
+    {
+      reg;
+      cenv = new_cenv slots;
+      slots;
+      required = build_required plan;
+      par = None;
+      domains;
+      batch;
+      splice = None;
+    }
   in
-  let actx = ctx_with (new_cenv slots) None in
-  let serial () = prepare_with (ctx_with (new_cenv slots) None) plan in
-  let spliced target mk =
-    let cenv = new_cenv slots in
-    prepare_with (ctx_with cenv (Some (target, mk cenv))) plan
-  in
-  let mergeable aggs = Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) aggs) in
-  let splice_fallback () =
-    match bottom_breaker plan with
-    | Some (Plan.Nest { keys; aggs; pred; binding; input } as target) when mergeable aggs -> (
-      match spine_drive actx input with
-      | Some drive ->
-        spliced target (fun serial_cenv ->
-            nest_splice reg required ~slots ~batch ~domains ~drive ~keys ~aggs ~pred
-              ~binding input ~serial_cenv)
-      | None -> serial ())
-    | Some (Plan.Sort { input; _ }) -> (
-      match spine_drive actx input with
-      | Some drive ->
-        spliced input (fun serial_cenv ->
-            buffered_splice reg required ~slots ~batch ~domains ~drive input ~serial_cenv)
-      | None -> serial ())
-    | Some _ -> serial ()
-    | None -> (
-      match spine_drive actx plan with
-      | Some drive ->
-        spliced plan (fun serial_cenv ->
-            buffered_splice reg required ~slots ~batch ~domains ~drive plan ~serial_cenv)
-      | None -> serial ())
-  in
+  let root_fleet () = prepare_with (spliced_ctx actx ~width:domains plan) plan in
   match plan with
-  | Plan.Reduce { monoid_output; pred; input } -> (
-    match spine_drive ~preds:[ pred ] actx input with
-    | None -> splice_fallback ()
-    | Some drive -> (
-      match batch, monoid_output with
-      | Some bs, _ when mergeable monoid_output && batchable_shape actx input ->
-        par_batch_reduce reg required ~slots ~batch:bs ~domains ~drive ~monoid_output ~pred
-          input
-      | _ when mergeable monoid_output ->
-        par_reduce reg required ~slots ~batch ~domains ~drive ~monoid_output ~pred input
-      | _, [ ({ monoid = Monoid.Collection coll; _ } as agg) ] ->
-        par_collect_reduce reg required ~slots ~batch ~domains ~drive ~coll ~agg ~pred input
-      | _ -> serial ()))
-  | _ -> splice_fallback ()
+  | Plan.Reduce { monoid_output; pred; input } when bottom_breaker input = None -> (
+    let drive = spine_drive ~preds:[ pred ] actx input in
+    match batch, monoid_output with
+    | Some bs, _
+      when mergeable monoid_output && drive.dr_select <> Store && batchable_shape input ->
+      par_batch_reduce actx ~bs ~drive ~monoid_output ~pred input
+    | _ when mergeable monoid_output -> par_reduce actx ~drive ~monoid_output ~pred input
+    | _ -> (
+      match lone_collection monoid_output with
+      | Some (coll, agg) -> par_collect_reduce actx ~drive ~coll ~agg ~pred input
+      | None -> root_fleet ()))
+  | _ -> root_fleet ()
 
 (* A prepared engine plus its parameter slots: rebinding writes the slots
    and re-runs the same staged closures — no re-compilation. *)

@@ -42,10 +42,11 @@ val all_exprs : Proteus_algebra.Plan.t -> Expr.t list
     closures and scan cursor — and driven by a shared morsel dispenser;
     per-morsel partial results merge on the calling domain in morsel
     order, so results are deterministic for any domain count, and a
-    spliced group-by emits its groups in key order at every width. Shapes
-    that cannot fan out — a driving select that elects a σ-result store,
-    non-mergeable aggregates, a breaker with no drivable spine — take the
-    non-fleet compile instead.
+    spliced group-by emits its groups in key order at every width. Every
+    scan runs as a fleet: join build sides on fleets of their own, a
+    driving select that elects a σ-result store on a one-worker fleet, and
+    the input of a Sort or of non-mergeable aggregates through a buffered
+    fleet that replays its rows in scan order.
 
     [batch_size] sizes the vectorized execution lane (DESIGN.md Section 8):
     scan→select→...→aggregate pipeline fragments run over fixed-size

@@ -7,7 +7,7 @@
     probing the scan. One refutation test, {!may_match}, decides each
     (summary, test) pair. A scan driver holds one {!t}: built once per
     driving scan, {!arm}ed once per run after the join builds, and asked
-    {!skip} per batch (serial lane) or per morsel (fleet dispenser). *)
+    {!skip} per morsel (fleet dispenser) and per batch (batch lane). *)
 
 open Proteus_model
 open Proteus_plugin
@@ -92,9 +92,6 @@ val create :
   filling:bool ->
   Expr.t list ->
   t
-
-(** [add_pred t pred] adds one more predicate holding on qualifying rows. *)
-val add_pred : t -> Expr.t -> unit
 
 (** [note t pred] is {!note_selective} for the handle's scan. *)
 val note : t -> Expr.t -> unit

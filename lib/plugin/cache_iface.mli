@@ -45,8 +45,7 @@ type t = {
           partially-filled or hole-y cache block) *)
   note_fill : dataset:string -> segments:int -> rows:int -> unit;
       (** account one committed segmented fill: [segments] per-range buffers
-          were blit-assembled into [rows]-row cache columns for [dataset]
-          (serial fills count as a single segment) *)
+          were blit-assembled into [rows]-row cache columns for [dataset] *)
   note_selective : dataset:string -> path:string -> ranged:bool -> unit;
       (** workload feedback: the engine compiled a selective comparison
           conjunct over [dataset.path] — the promotion policy's signal that

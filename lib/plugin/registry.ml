@@ -871,12 +871,12 @@ let shard_digest t ~member ~path =
 (* --- segmented cache fills ------------------------------------------------ *)
 
 (* A fill session is the unit of install-on-commit cache materialization for
-   one dataset scan. Workers (or the serial loop, or the batch driver) fill
-   per-range {e segments} — private column builders keyed by their start row
-   — and a successful run commits them in ascending start order with one
-   [Array.blit] per segment ({!Proteus_storage.Column.Builder.concat}), so
-   the installed columns are bit-identical to a serial fill at any domain
-   count and batch size. A run that recorded errors, skipped rows, or died
+   one dataset scan. Fleet workers (per morsel on the tuple lane, per batch
+   on the batch lane) fill per-range {e segments} — private column builders
+   keyed by their start row — and a successful run commits them in
+   ascending start order with one [Array.blit] per segment
+   ({!Proteus_storage.Column.Builder.concat}), so the installed columns are
+   bit-identical at any domain count and batch size. A run that recorded errors, skipped rows, or died
    mid-scan releases every segment as quarantined: no partially-filled cache
    ever installs (DESIGN.md section 10 semantics, now on the morsel spine). *)
 type fill_session = {
@@ -955,15 +955,11 @@ let session_dataset s = s.fs_dataset
 type scan = {
   sc_source : Source.t;
   sc_count : int;
-  sc_run : on_tuple:(unit -> unit) -> unit;
-  sc_run_range : lo:int -> hi:int -> on_tuple:(unit -> unit) -> unit;
-  sc_run_batches : batch:int -> on_batch:(base:int -> len:int -> unit) -> unit;
-  sc_run_range_batches :
+  sc_range : lo:int -> hi:int -> on_tuple:(unit -> unit) -> unit;
+  sc_range_batches :
     lo:int -> hi:int -> batch:int -> on_batch:(base:int -> len:int -> unit) -> unit;
-  sc_fills : bool;
   sc_fill : fill_session option;
   sc_fill_sel : (base:int -> sel:int array -> n:int -> unit) option;
-  sc_cache_hits : string list;
   sc_probe : (unit -> unit) option;
   sc_dataset : string;
 }
@@ -1051,7 +1047,6 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
      never be installed as if it were the field's true contents. *)
   let routed = Hashtbl.create 8 in
   let to_fill = ref [] in
-  let hits = ref [] in
   List.iter
     (fun path ->
       match t.cache.Cache_iface.lookup_field ~dataset ~path with
@@ -1062,8 +1057,7 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
            slot column instead of span decoding (ticked at construction —
            the read loop itself stays untouched) *)
         if slot_column t ~dataset ~path then
-          Tally.add_slot_reads raw.Source.count;
-        hits := path :: !hits
+          Tally.add_slot_reads raw.Source.count
       | None ->
         if fill && not (Fault.null_filling ()) then
           let ty = try Some (Source.field_type d.element path) with Perror.Plan_error _ -> None in
@@ -1134,21 +1128,17 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
       done
   in
   (* The fill specification for this scan object: (path, ty, raw accessor)
-     in required order, plus the session the segments land in. A filling
-     [scan] owns a private session (and runs its own arm/commit lifecycle in
-     [sc_run]); a [scan_view] given a shared session fills that session's
-     elected paths through its {e own} raw accessors while the engine owns
-     the lifecycle around the whole fleet. *)
-  let fills_spec, sess, owns_session =
+     in required order, plus the session the segments land in — a filling
+     [scan]'s private session, or the shared one a [scan_view] was given,
+     filled through the view's {e own} raw accessors. Either way the engine
+     owns the arm/commit/release lifecycle around the whole fleet. *)
+  let fills_spec, sess =
     match session with
     | Some s ->
-      ( List.map
-          (fun (path, ty) -> (path, ty, raw.Source.field path))
-          s.fs_paths,
-        Some s, false )
+      (List.map (fun (path, ty) -> (path, ty, raw.Source.field path)) s.fs_paths, Some s)
     | None -> (
       match List.rev !to_fill with
-      | [] -> ([], None, false)
+      | [] -> ([], None)
       | spec ->
         let s =
           {
@@ -1161,39 +1151,21 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
             fs_e0 = 0;
           }
         in
-        (spec, Some s, true))
+        (spec, Some s))
   in
-  (* Tuple lane: fill one segment covering [lo, hi) while scanning it. Fills
-     run after the Skip_row probe admits the row, so a skip run's segments
-     are compacted (and the error delta quarantines them at commit). *)
-  let run_range_filling s ~lo ~hi ~on_tuple =
-    let builders = session_open s ~start:lo in
-    let fills = List.map2 (fun (_, _, access) b -> make_fill access b) fills_spec builders in
-    policy_run ~lo ~hi ~on_tuple:(fun () ->
-        List.iter (fun f -> f ()) fills;
-        on_tuple ())
-  in
-  let sc_run ~on_tuple =
+  (* Tuple lane: one morsel [lo, hi); with a session it fills one segment
+     keyed by [lo] while scanning it. Fills run after the Skip_row probe
+     admits the row, so a skip run's segments are compacted (and the error
+     delta quarantines them at commit). *)
+  let sc_range ~lo ~hi ~on_tuple =
     match sess with
-    | Some s when owns_session ->
-      (* serial filling scan: one segment spanning the whole dataset, same
-         arm/commit/release lifecycle the engine runs around a fleet *)
-      session_arm s;
-      (try run_range_filling s ~lo:0 ~hi:raw.Source.count ~on_tuple
-       with e ->
-         session_release s;
-         raise e);
-      session_commit s
-    | _ ->
-      if Fault.active () then policy_run ~lo:0 ~hi:raw.Source.count ~on_tuple
-      else Source.run sc_source ~on_tuple
-  in
-  let sc_run_range ~lo ~hi ~on_tuple =
-    match sess with
-    | Some s when not owns_session ->
-      (* per-worker morsel of a parallel cold run: segment keyed by [lo] *)
-      run_range_filling s ~lo ~hi ~on_tuple
-    | _ ->
+    | Some s ->
+      let builders = session_open s ~start:lo in
+      let fills = List.map2 (fun (_, _, access) b -> make_fill access b) fills_spec builders in
+      policy_run ~lo ~hi ~on_tuple:(fun () ->
+          List.iter (fun f -> f ()) fills;
+          on_tuple ())
+    | None ->
       if Fault.active () then policy_run ~lo ~hi ~on_tuple
       else Source.run_range sc_source ~lo ~hi ~on_tuple
   in
@@ -1201,10 +1173,7 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
      [sc_fill_sel] on the probe-surviving selection (before query filters
      narrow it), one segment per batch, so cache columns still come out
      identical to the tuple lane's at every batch size. *)
-  let sc_run_batches ~batch ~on_batch =
-    Source.run_batches sc_source ~batch ~on_batch
-  in
-  let sc_run_range_batches ~lo ~hi ~batch ~on_batch =
+  let sc_range_batches ~lo ~hi ~batch ~on_batch =
     Source.run_range_batches sc_source ~lo ~hi ~batch ~on_batch
   in
   let sc_fill_sel =
@@ -1284,22 +1253,18 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
   {
     sc_source;
     sc_count = raw.Source.count;
-    sc_run;
-    sc_run_range;
-    sc_run_batches;
-    sc_run_range_batches;
-    sc_fills = fills_spec <> [];
+    sc_range;
+    sc_range_batches;
     sc_fill = sess;
     sc_fill_sel;
-    sc_cache_hits = List.rev !hits;
     sc_probe = probe;
     sc_dataset = dataset;
   }
 
 let scan ?(whole = false) t ~dataset ~required =
-  (* every compiled engine owns a private cursor over the shared artifacts
-     (index, parsed pages): concurrent sessions can then run serial engines
-     over the same dataset without racing on seek state *)
+  (* a private cursor over the shared artifacts (index, parsed pages), so
+     concurrent sessions never race on seek state; its fill session, when
+     the policy elects fills, is the one a fleet's views share *)
   scan_of t ~dataset ~required ~whole ~raw:(fresh_source t dataset) ~fill:true
     ~session:None
 

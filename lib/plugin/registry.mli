@@ -134,12 +134,12 @@ val breaker_blocked : t -> string -> bool
 
 (** A segmented cache-fill in flight: per-range column builders keyed by
     their start row, committed in ascending start order with one [Array.blit]
-    per segment — so a parallel cold run installs columns bit-identical to a
-    serial fill. Created by a filling {!scan} (which owns its lifecycle
-    inside [sc_run]); shared across the {!scan_view}s of a parallel fleet,
-    whose driver runs {!session_arm} before the run, {!session_commit} after
-    a clean one, and {!session_release} when the run raises. A session whose
-    run recorded errors (skipped rows leave compacted, hole-y segments) is
+    per segment — so a cold run installs columns bit-identical at every
+    width. Created by a filling {!scan} and shared across the
+    {!scan_view}s of the fleet that drives it, whose driver runs
+    {!session_arm} before the run, {!session_commit} after a clean one, and
+    {!session_release} when the run raises. A session whose run recorded
+    errors (skipped rows leave compacted, hole-y segments) is
     quarantined at commit, never installed — the DESIGN.md section 10
     install-on-commit contract, kept on the morsel spine. *)
 type fill_session
@@ -155,33 +155,25 @@ type scan = {
       (** like {!source}, but [field] serves cache-hit paths from their
           binary cache columns *)
   sc_count : int;  (** row count of the underlying source *)
-  sc_run : on_tuple:(unit -> unit) -> unit;
-      (** full scan; populates cache columns for the required paths the
-          policy elects (one whole-dataset segment, committed at scan end) *)
-  sc_run_range : lo:int -> hi:int -> on_tuple:(unit -> unit) -> unit;
-      (** scan one OID morsel [lo, hi); on a view with a shared session it
-          fills one cache segment keyed by [lo] as a side effect *)
-  sc_run_batches : batch:int -> on_batch:(base:int -> len:int -> unit) -> unit;
-      (** full scan as fixed-size batches (the batch lane's driver); never
-          fills inline — the driver fills per batch through [sc_fill_sel] *)
-  sc_run_range_batches :
+  sc_range : lo:int -> hi:int -> on_tuple:(unit -> unit) -> unit;
+      (** scan one OID morsel [lo, hi) — every scan is driven morsel by
+          morsel; with a fill session it fills one cache segment keyed by
+          [lo] as a side effect *)
+  sc_range_batches :
     lo:int -> hi:int -> batch:int -> on_batch:(base:int -> len:int -> unit) -> unit;
-      (** one OID morsel as batches; never fills inline *)
-  sc_fills : bool;
-      (** whether driving this scan fills cache columns as a side effect
-          (serial filling scan, or view wired to a shared fill session) *)
+      (** one OID morsel as fixed-size batches (the batch lane's driver);
+          never fills inline — the driver fills per batch through
+          [sc_fill_sel] *)
   sc_fill : fill_session option;
-      (** the scan's fill session: a filling {!scan} exposes its private
-          session here so a driver that bypasses [sc_run] (the batch lane,
-          the parallel engine) can run the arm/commit/release lifecycle and
-          share the session with per-worker views *)
+      (** the scan's fill session: a filling {!scan} exposes the session
+          its policy elected here so the fleet driver can run the
+          arm/commit/release lifecycle and share it with per-worker views *)
   sc_fill_sel : (base:int -> sel:int array -> n:int -> unit) option;
       (** [sc_fill_sel ~base ~sel ~n] fills rows [base + sel.(0..n-1)] into
           a fresh segment keyed by [base] — the batch lane's fill: called on
           the probe-surviving selection of each batch, before query filters
           narrow it. Vector-capable paths gather through the plug-in's
           native batch fill; the rest seek per selected row. *)
-  sc_cache_hits : string list;  (** required paths served from cache *)
   sc_probe : (unit -> unit) option;
       (** reads every fallible accessor the query requires at the current
           cursor (plus the format's structural validator and, when [whole],
@@ -196,7 +188,9 @@ type scan = {
     probe must cover the full element, not just [required]. Scan drivers
     honour the active {!Proteus_model.Fault} policy: they skip faulty rows
     (probe-then-commit), check the cancellation token at row-chunk
-    boundaries, and quarantine cache fills of runs that saw errors. *)
+    boundaries, and quarantine cache fills of runs that saw errors. The
+    engine reads a driving scan's row count and fill session from it; the
+    fleet's workers then scan through {!scan_view}s sharing that session. *)
 val scan : ?whole:bool -> t -> dataset:string -> required:string list -> scan
 
 (** [scan_view t ~dataset ~required] is like {!scan} but over a
@@ -204,7 +198,7 @@ val scan : ?whole:bool -> t -> dataset:string -> required:string list -> scan
     scan of morsel-driven parallel execution. Cache-hit paths still route
     to their (read-only) cache columns. Passing [?session] (a filling scan's
     [sc_fill]) makes the view fill that shared session's elected paths
-    through its own raw accessors: each [sc_run_range] morsel (tuple lane)
+    through its own raw accessors: each [sc_range] morsel (tuple lane)
     or [sc_fill_sel] batch (batch lane) lands in its own segment, and the
     fleet driver commits them in row order — the parallel cold run. *)
 val scan_view :

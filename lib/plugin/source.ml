@@ -18,12 +18,6 @@ type t = {
   validate : (unit -> unit) option;
 }
 
-let run t ~on_tuple =
-  for i = 0 to t.count - 1 do
-    t.seek i;
-    on_tuple ()
-  done
-
 let run_range t ~lo ~hi ~on_tuple =
   for i = lo to hi - 1 do
     t.seek i;
@@ -38,9 +32,6 @@ let run_range_batches _t ~lo ~hi ~batch ~on_batch =
     on_batch ~base:!base ~len;
     base := !base + len
   done
-
-let run_batches t ~batch ~on_batch =
-  run_range_batches t ~lo:0 ~hi:t.count ~batch ~on_batch
 
 let boxed_iter t =
   let i = ref 0 in

@@ -52,26 +52,18 @@ type t = {
           row; plain [Fail_fast] scans never call it. *)
 }
 
-(** [run t ~on_tuple] is the scan loop: seek 0..count-1, calling [on_tuple]
-    at each position. *)
-val run : t -> on_tuple:(unit -> unit) -> unit
-
-(** [run_range t ~lo ~hi ~on_tuple] scans the half-open OID range [lo, hi)
-    — one morsel of the full scan. *)
+(** [run_range t ~lo ~hi ~on_tuple] is the scan loop over the half-open OID
+    range [lo, hi) — one morsel: seek each position, then call [on_tuple]. *)
 val run_range : t -> lo:int -> hi:int -> on_tuple:(unit -> unit) -> unit
 
-(** [run_batches t ~batch ~on_batch] drives the scan as fixed-size batches:
-    [on_batch ~base ~len] is called for each OID range [base, base + len)
-    ([len <= batch]; only the last batch is short). The batch lane's scan
-    loop: no cursor motion happens here — batch consumers read via
-    {!Access.t} fills (or seek themselves for the shim/spill paths). *)
-val run_batches :
-  t -> batch:int -> on_batch:(base:int -> len:int -> unit) -> unit
-
-(** [run_range_batches t ~lo ~hi ~batch ~on_batch] batches the half-open
-    OID range [lo, hi) — one morsel of the full scan as a batch sequence.
-    Batch boundaries depend only on [lo]/[hi]/[batch], never on the worker,
-    so morsel-parallel batch execution stays deterministic. *)
+(** [run_range_batches t ~lo ~hi ~batch ~on_batch] drives one morsel
+    [lo, hi) as fixed-size batches: [on_batch ~base ~len] is called for each
+    OID range [base, base + len) ([len <= batch]; only the last batch is
+    short). The batch lane's scan loop: no cursor motion happens here —
+    batch consumers read via {!Access.t} fills (or seek themselves for the
+    shim/spill paths). Batch boundaries depend only on [lo]/[hi]/[batch],
+    never on the worker, so morsel-parallel batch execution stays
+    deterministic. *)
 val run_range_batches :
   t -> lo:int -> hi:int -> batch:int -> on_batch:(base:int -> len:int -> unit) -> unit
 

@@ -353,7 +353,7 @@ let test_cross_session_commit () =
         in
         Registry.session_arm session;
         let view = Registry.scan_view ~session reg ~dataset ~required:cacheable_paths in
-        view.Registry.sc_run_range ~lo:0 ~hi:view.Registry.sc_count ~on_tuple:ignore;
+        view.Registry.sc_range ~lo:0 ~hi:view.Registry.sc_count ~on_tuple:ignore;
         Domain.join
           (Domain.spawn (fun () ->
                let ctx = Fault.install ~policy:Fault.Skip_row () in

@@ -14,6 +14,7 @@ open Proteus_plugin
 open Proteus_engine
 module Plan = Proteus_algebra.Plan
 module Interp = Proteus_algebra.Interp
+module Manager = Proteus_cache.Manager
 
 (* force the partitioned build paths even on single-core test boxes — the
    engine otherwise caps the build fan-out at the machine's core count *)
@@ -98,12 +99,19 @@ let make_catalog () =
   reg_parts "big_parts" big_parts;
   reg_parts "dup_parts" dup_parts;
   reg_parts "empty_parts" empty_parts;
+  Memory.register_blob mem ~name:"parts.csv"
+    (Proteus_format.Csv.of_records Proteus_format.Csv.default_config
+       (Schema.of_type part_type) parts);
+  Catalog.register cat
+    (Dataset.make ~name:"parts_csv"
+       ~format:(Dataset.Csv Proteus_format.Csv.default_config)
+       ~location:(Dataset.Blob "parts.csv") ~element:part_type);
   cat
 
 let lookup name =
   match name with
   | "orders" | "orders_json" -> orders
-  | "parts" -> parts
+  | "parts" | "parts_csv" -> parts
   | "big_parts" -> big_parts
   | "dup_parts" -> dup_parts
   | "empty_parts" -> empty_parts
@@ -345,6 +353,223 @@ let test_repeat_determinism () =
   Alcotest.check check_value "repeat run bit-identical" base (at 4);
   Alcotest.check check_value "2 == 4 domains" (sort_bag (at 2)) (sort_bag base)
 
+(* --- every scan is a fleet ----------------------------------------------- *)
+
+(* Bags compare element-wise in order; the reference evaluator and the
+   engine may enumerate groups (and their bags) differently, so compare
+   with every bag sorted, at any depth. *)
+let rec canon (v : Value.t) =
+  match v with
+  | Value.Coll (Ptype.Bag, es) ->
+    Value.Coll (Ptype.Bag, List.sort Value.compare (List.map canon es))
+  | Value.Coll (c, es) -> Value.Coll (c, List.map canon es)
+  | Value.Record fs -> Value.Record (Array.map (fun (n, x) -> (n, canon x)) fs)
+  | v -> v
+
+(* one oracle, every domain count x both lanes *)
+let check_fleet ~name plan =
+  let reg = Lazy.force registry in
+  let expected = canon (Interp.run ~lookup plan) in
+  List.iter
+    (fun bs ->
+      List.iter
+        (fun d ->
+          Alcotest.check check_value
+            (Fmt.str "%s (domains=%d, batch=%d)" name d bs)
+            expected
+            (canon
+               (Executor.run ~batch_size:bs reg ~domains:d
+                  ~engine:Executor.Engine_compiled plan)))
+        domain_counts)
+    [ 0; 1024 ]
+
+let bag_of e = Plan.agg ~name:"b" (Monoid.Collection Ptype.Bag) e
+
+(* non-mergeable aggregates: the serial Nest consumes a buffered splice *)
+let test_group_bag () =
+  check_fleet ~name:"group by with a bag per group"
+    (Plan.nest
+       ~keys:[ ("cat", Expr.(Field (var "o", "qty"))) ]
+       ~aggs:
+         [
+           Plan.agg ~name:"n" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+           bag_of Expr.(Field (var "o", "oid"));
+         ]
+       ~binding:"g"
+       (Plan.select Expr.(Field (var "o", "oid") <. int 600) (scan_orders "orders_json")))
+
+(* non-mergeable root Reduce: the serial fold consumes a buffered splice *)
+let test_reduce_count_bag () =
+  check_fleet ~name:"reduce count + bag"
+    (Plan.reduce
+       [
+         Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+         bag_of Expr.(Field (var "o", "amt"));
+       ]
+       (Plan.join ~pred:join_pred
+          (Plan.select Expr.(Field (var "o", "oid") <. int 300) (scan_orders "orders"))
+          (scan_parts "parts")))
+
+(* a build side whose spine holds a breaker: a serial consumer over a
+   spliced group-by fleet *)
+let test_build_group_by () =
+  check_fleet ~name:"join over a GROUP BY build side"
+    (Plan.reduce
+       [
+         Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+         Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "g", "n"));
+         Plan.agg ~name:"q" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "qty"));
+       ]
+       (Plan.join
+          ~pred:Expr.(Field (var "o", "qty") ==. Field (var "g", "cat"))
+          (scan_orders "orders")
+          (Plan.nest
+             ~keys:[ ("cat", Expr.(Field (var "p", "cat"))) ]
+             ~aggs:[ Plan.agg ~name:"n" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
+             ~binding:"g" (scan_parts "big_parts"))))
+
+(* joins above a spliced breaker: the probe streams the replayed rows on
+   the serial consumer, the build runs as a fleet of its own *)
+let test_join_above_splice () =
+  check_fleet ~name:"join above a spliced nest"
+    (Plan.project ~binding:"r"
+       ~fields:
+         [
+           ("pid", Expr.(Field (var "g", "pid")));
+           ("n", Expr.(Field (var "g", "n")));
+           ("amt", Expr.(Field (var "g", "amt")));
+           ("cat", Expr.(Field (var "p", "cat")));
+         ]
+    @@ Plan.join
+       ~pred:Expr.(Field (var "g", "pid") ==. Field (var "p", "pid"))
+       (Plan.nest
+          ~keys:[ ("pid", Expr.(Field (var "o", "pid"))) ]
+          ~aggs:
+            [
+              Plan.agg ~name:"n" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+              Plan.agg ~name:"amt" (Monoid.Primitive Monoid.Sum)
+                Expr.(Field (var "o", "amt"));
+            ]
+          ~binding:"g" (scan_orders "orders"))
+       (scan_parts "parts"));
+  check_fleet ~name:"join above a spliced sort"
+    (Plan.reduce
+       [
+         Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+         Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "amt"));
+       ]
+       (Plan.join ~pred:join_pred
+          (Plan.sort
+             ~keys:[ (Expr.(Field (var "o", "amt")), Plan.Desc) ]
+             (Plan.select Expr.(Field (var "o", "oid") <. int 500) (scan_orders "orders")))
+          (scan_parts "dup_parts")))
+
+let fresh_session ?config () =
+  let cat = make_catalog () in
+  let mgr = Manager.create ?config cat in
+  (mgr, Registry.create ~cache:(Manager.iface mgr) cat)
+
+(* a driving select that elects a σ-result store rides a one-worker fleet:
+   a cold run stores the result, a warm run reads it back, and the stored
+   columns are bit-identical at every requested width and lane *)
+let test_select_store () =
+  let pred = Expr.(Field (var "o", "qty") <. int 5) in
+  let plan =
+    Plan.reduce
+      [
+        Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+        Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "amt"));
+        Plan.agg ~name:"q" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "qty"));
+      ]
+      (Plan.select pred (scan_orders "orders_json"))
+  in
+  let expected = Interp.run ~lookup plan in
+  let bits (packed : Cache_iface.packed) =
+    List.map
+      (fun (path, col) -> (path, Marshal.to_string col [ Marshal.No_sharing ]))
+      packed.Cache_iface.cols
+  in
+  let stored =
+    List.concat_map
+      (fun bs ->
+        List.map
+          (fun d ->
+            let name = Fmt.str "sigma store (domains=%d, batch=%d)" d bs in
+            let mgr, reg =
+              fresh_session
+                ~config:{ Manager.default_config with cache_select_results = true }
+                ()
+            in
+            let run () =
+              Executor.run ~batch_size:bs reg ~domains:d ~engine:Executor.Engine_compiled plan
+            in
+            Alcotest.check check_value (name ^ " cold") expected (run ());
+            Alcotest.(check int) (name ^ " stored once") 1
+              (Manager.stats mgr).Manager.select_stores;
+            Alcotest.check check_value (name ^ " warm") expected (run ());
+            Alcotest.(check int) (name ^ " warm hit") 1
+              (Manager.stats mgr).Manager.select_hits;
+            match
+              (Manager.iface mgr).Cache_iface.lookup_select ~dataset:"orders_json"
+                ~binding:"o" ~pred ~paths:[]
+            with
+            | Some (packed, None) -> (name, bits packed)
+            | _ -> Alcotest.failf "%s: no exact σ-result stored" name)
+          domain_counts)
+      [ 0; 1024 ]
+  in
+  let _, base = List.hd stored in
+  List.iter
+    (fun (name, cols) ->
+      Alcotest.(check (list (pair string string))) (name ^ " columns bit-identical") base cols)
+    stored
+
+(* A cold one-domain join over a CSV build side builds on a one-worker
+   fleet: its cache fill commits one segment per morsel, and the query's
+   morsel count is the probe's plus the build's. Left outer, so no
+   join-key pruning thins the probe's morsels. *)
+let test_one_domain_build_fleet () =
+  let plan =
+    Plan.reduce
+      [
+        Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+        Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "amt"));
+      ]
+      (Plan.join ~kind:Plan.Left_outer ~pred:join_pred (scan_orders "orders")
+         (scan_parts "parts_csv"))
+  in
+  let probe_only =
+    Plan.reduce
+      [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
+      (scan_orders "orders")
+  in
+  let build_morsels =
+    let d = Pool.Dispenser.create () in
+    Pool.Dispenser.reset d ~total:(List.length parts) ~workers:1;
+    Pool.Dispenser.morsels d
+  in
+  List.iter
+    (fun bs ->
+      let name = Fmt.str "batch=%d" bs in
+      let mgr, reg = fresh_session () in
+      let run plan =
+        Executor.measure (fun () ->
+            Executor.run ~batch_size:bs reg ~domains:1 ~engine:Executor.Engine_compiled plan)
+      in
+      let _, probe = run probe_only in
+      let got, s = run plan in
+      Alcotest.check check_value (name ^ " vs oracle") (Interp.run ~lookup plan) got;
+      let st = Manager.stats mgr in
+      Alcotest.(check int) (name ^ " one fill commit") 1 st.Manager.fill_commits;
+      Alcotest.(check bool)
+        (Fmt.str "%s build fill segmented (%d segments)" name st.Manager.fill_segments)
+        true
+        (st.Manager.fill_segments > 1);
+      Alcotest.(check int) (name ^ " morsels = probe + build")
+        (probe.Counters.morsels + build_morsels)
+        s.Counters.morsels)
+    [ 0; 1024 ]
+
 let () =
   Alcotest.run "parallel_join"
     [
@@ -365,5 +590,15 @@ let () =
           Alcotest.test_case "partitioned nest" `Quick test_partitioned_group_by;
           Alcotest.test_case "sorted nest (Q1 shape)" `Quick test_sorted_group_by;
           Alcotest.test_case "repeat determinism" `Quick test_repeat_determinism;
+        ] );
+      ( "fleets",
+        [
+          Alcotest.test_case "group by with a bag per group" `Quick test_group_bag;
+          Alcotest.test_case "reduce count + bag" `Quick test_reduce_count_bag;
+          Alcotest.test_case "join over a group-by build side" `Quick test_build_group_by;
+          Alcotest.test_case "join above a spliced breaker" `Quick test_join_above_splice;
+          Alcotest.test_case "sigma-result store" `Quick test_select_store;
+          Alcotest.test_case "one-domain build is a fleet" `Quick
+            test_one_domain_build_fleet;
         ] );
     ]
