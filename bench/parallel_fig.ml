@@ -88,7 +88,7 @@ let promo_records : (string * string * int * float * float) list ref = ref []
    measures first would time a cold-staged engine. *)
 let measure_at db ~domains plan =
   ignore (Proteus.Db.run_plan ~domains db plan);
-  let prepared = Proteus.Db.prepare_plan ~domains db plan in
+  let prepared = Proteus.Db.prepare ~domains db plan in
   Util.measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ()))
 
 let domain_counts =
@@ -182,7 +182,7 @@ let promotion_cells () =
       Fmt.pr "   promotion %s:" mode;
       List.iter
         (fun (name, plan) ->
-          let prepared = Proteus.Db.prepare_plan ~domains:max_domains db plan in
+          let prepared = Proteus.Db.prepare ~domains:max_domains db plan in
           let t = Util.measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ())) in
           let _, s = Proteus_engine.Executor.measure prepared.Proteus.Db.run in
           let total =
@@ -347,7 +347,7 @@ let run_all (je : Tpch_figs.json_env) (be : Tpch_figs.bin_env) =
   Fmt.pr "   batch-size sweep, bin Q6-shape:";
   List.iter
     (fun bs ->
-      let prepared = Proteus.Db.prepare_plan ~batch_size:bs bdb sweep_plan in
+      let prepared = Proteus.Db.prepare ~batch_size:bs bdb sweep_plan in
       let t = Util.measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ())) in
       records := (Fmt.str "bin Q6-shape (batch=%d)" bs, 1, t) :: !records;
       Fmt.pr " b%d=%.2fms" bs (Util.ms t))

@@ -81,7 +81,7 @@ let pruning_records : (string * int * float * int * int) list ref = ref []
    measures first would time a cold-staged engine. *)
 let measure_at db ~domains plan =
   ignore (Proteus.Db.run_plan ~domains db plan);
-  let prepared = Proteus.Db.prepare_plan ~domains db plan in
+  let prepared = Proteus.Db.prepare ~domains db plan in
   Util.measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ()))
 
 (* Non-selective scan, warm caches: every shard runs, so the cell is pure

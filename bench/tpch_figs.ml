@@ -425,8 +425,8 @@ let fig13 () =
         (fun sel ->
           let plan = mk sel in
           (* engine generation happens once; samples time pure execution *)
-          let p_base = Proteus.Db.prepare_plan base plan in
-          let p_cached = Proteus.Db.prepare_plan cached plan in
+          let p_base = Proteus.Db.prepare base plan in
+          let p_cached = Proteus.Db.prepare cached plan in
           let t_base = Util.measure_n 9 (fun () -> ignore (p_base.Proteus.Db.run ())) in
           let t_cached =
             Util.measure_n 9 (fun () -> ignore (p_cached.Proteus.Db.run ()))

@@ -463,13 +463,13 @@ let run jsons csvs q raw_params engine domains batch_size shards policy max_erro
     register_inputs db ~shards ~verbose jsons csvs;
     configure_resilience db ~retry_budget ~hedge_ms;
     install_env_stall db;
+    let plan () =
+      if is_comprehension q then Proteus.Db.plan_comprehension db q
+      else Proteus.Db.plan_sql db q
+    in
     if explain then begin
-      let plan =
-        if is_comprehension q then Proteus.Db.plan_comprehension db q
-        else Proteus.Db.plan_sql db q
-      in
       print_string
-        (Proteus_optimizer.Optimizer.explain (Proteus.Db.catalog db) plan);
+        (Proteus_optimizer.Optimizer.explain (Proteus.Db.catalog db) (plan ()));
       0
     end
     else begin
@@ -482,12 +482,14 @@ let run jsons csvs q raw_params engine domains batch_size shards policy max_erro
           Fmt.pf ppf "%a@." Fault.pp_report r
       in
       let run_pass () =
-        if is_comprehension q then
-          Proteus.Db.comprehension_guarded ~engine ~domains ~batch_size ~policy
-            ?max_errors ?timeout_ms ~params db q
-        else
-          Proteus.Db.sql_guarded ~engine ~domains ~batch_size ~policy ?max_errors
-            ?timeout_ms ~params db q
+        let deadline =
+          Option.map
+            (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+            timeout_ms
+        in
+        Proteus_engine.Executor.query ~policy ?max_errors ?deadline (fun () ->
+            Proteus.Db.run_plan ~engine ~domains ~batch_size ~optimize:false ~params db
+              (plan ()))
       in
       (* warm-up passes: cold fill first, then warm cache, then (with
          --promote) promoted layouts; the printed result and the --stats

@@ -50,7 +50,8 @@ let () =
 
   (* the same session also speaks the comprehension syntax *)
   let flagged =
-    Proteus.Db.comprehension db
-      "for { r <- reviews, r.stars <= 2 } yield bag (product: r.product, text: r.text)"
+    Proteus.Db.run_plan ~optimize:false db
+      (Proteus.Db.plan_comprehension db
+         "for { r <- reviews, r.stars <= 2 } yield bag (product: r.product, text: r.text)")
   in
   Fmt.pr "flagged reviews: %a@." Value.pp flagged

@@ -46,6 +46,6 @@ let () =
   Fmt.pr "query: %s@.@." query;
   let plan = Proteus.Db.plan_comprehension db query in
   Fmt.pr "physical plan:@.%s@.@." (Proteus_algebra.Plan.to_string plan);
-  let result = Proteus.Db.comprehension db query in
+  let result = Proteus.Db.run_plan ~optimize:false db plan in
   Fmt.pr "result:@.";
   List.iter (fun row -> Fmt.pr "  %a@." Value.pp row) (Value.elements result)

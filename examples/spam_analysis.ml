@@ -37,18 +37,20 @@ let () =
 
   (* JSON + unnest: which advertised hosts get clicked *)
   let hot_urls =
-    Proteus.Db.comprehension db
-      "for { j <- spam_json, u <- j.urls, u.clicks > 10 } group by u.host as host \
-       yield count(*) as hits, sum(u.clicks) as clicks"
+    Proteus.Db.run_plan ~optimize:false db
+      (Proteus.Db.plan_comprehension db
+         "for { j <- spam_json, u <- j.urls, u.clicks > 10 } group by u.host as host \
+          yield count(*) as hits, sum(u.clicks) as clicks")
   in
   Fmt.pr "@.hot advertised hosts:@.";
   List.iter (fun r -> Fmt.pr "  %a@." Value.pp r) (Value.elements hot_urls);
 
   (* cross-format 3-way join *)
   let cross =
-    Proteus.Db.comprehension db
-      "for { b <- spam_bin, c <- spam_csv, j <- spam_json, b.mid = c.mid, \
-       b.mid = j.mid, j.score >= 0.8 } yield count(*) as hits, max(b.weight) as w"
+    Proteus.Db.run_plan ~optimize:false db
+      (Proteus.Db.plan_comprehension db
+         "for { b <- spam_bin, c <- spam_csv, j <- spam_json, b.mid = c.mid, \
+          b.mid = j.mid, j.score >= 0.8 } yield count(*) as hits, max(b.weight) as w")
   in
   Fmt.pr "@.high-score mails across all three datasets: %a@." Value.pp cross;
 

@@ -82,9 +82,9 @@ type t = {
   mutable on_promote : (string -> string -> unit) list;
       (* promotion hooks (dataset, path), fired OUTSIDE the lock in
          registration order: the db layer materializes pre-parsed slot
-         columns for promoted JSON paths, then the engine cache invalidates
-         compiled plans that baked in the pre-promotion layout (no zone
-         skip, undictionarized probes) *)
+         columns for promoted JSON paths and moves the registry
+         generation, which retires staged engines that baked in the
+         pre-promotion layout (no zone skip, undictionarized probes) *)
   mutable promo_fired : (string * string) list;  (* pending hook calls *)
   fields : (string * string, field) Hashtbl.t;    (* (dataset, path) *)
   packed : (string, Cache_iface.packed * string list) Hashtbl.t;  (* key -> (cols, datasets) *)
@@ -177,8 +177,7 @@ let create ?(config = default_config) catalog =
   }
 
 (* Serialize every entry point; deliver promotion-hook notifications after
-   the lock drops so the hook may call back into the manager (or into an
-   engine cache that does). *)
+   the lock drops so the hook may call back into the manager. *)
 let with_mu t f =
   Mutex.lock t.mu;
   match f () with

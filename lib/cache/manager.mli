@@ -61,10 +61,11 @@ val iface : t -> Proteus_plugin.Cache_iface.t
 
 (** [set_on_promote t f] registers [f dataset path] to run after a column
     promotes (outside the manager's lock). Hooks accumulate and fire in
-    registration order: the db layer materializes pre-parsed slot columns
-    for promoted JSON paths, then the server's engine cache drops compiled
-    plans that baked in the pre-promotion layout — no zone skip, no
-    dictionary probe. *)
+    registration order. The db layer's hook materializes pre-parsed slot
+    columns for promoted JSON paths and moves the registry generation, so
+    prepared statements and the server's engine cache re-stage the plans
+    that baked in the pre-promotion layout — no zone skip, no dictionary
+    probe. *)
 val set_on_promote : t -> (string -> string -> unit) -> unit
 
 (** {1 Introspection} *)

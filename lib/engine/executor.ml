@@ -56,9 +56,3 @@ let as_query f = if Fault.active () then f () else fst (measure f)
 let run ?batch_size ?domains reg ~engine plan =
   as_query (fun () -> execute ?batch_size ?domains reg ~engine plan)
 
-let run_guarded ?batch_size ?domains ?policy ?max_errors ?timeout_ms reg ~engine plan =
-  let deadline =
-    Option.map (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.)) timeout_ms
-  in
-  query ?policy ?max_errors ?deadline (fun () ->
-      execute ?batch_size ?domains reg ~engine plan)

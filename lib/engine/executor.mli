@@ -31,28 +31,14 @@ type outcome =
   | Cancelled of Proteus_model.Fault.report
       (** the cancellation token fired without a recorded failure *)
 
-(** [run_guarded reg ~engine plan] executes under an error policy
-    ([Fail_fast] when omitted — exactly {!run}'s semantics, but returning
-    [Failed] instead of raising). [max_errors] bounds the recoverable
-    errors a degraded policy may absorb before the query aborts;
-    [timeout_ms] sets a deadline enforced cooperatively at morsel/batch
-    boundaries. Runs as one {!query}. *)
-val run_guarded :
-  ?batch_size:int ->
-  ?domains:int ->
-  ?policy:Proteus_model.Fault.policy ->
-  ?max_errors:int ->
-  ?timeout_ms:int ->
-  Proteus_plugin.Registry.t ->
-  engine:engine ->
-  Proteus_algebra.Plan.t ->
-  outcome
-
-(** [query f] is the lifecycle of one query: install a fresh
-    {!Proteus_model.Fault} context (policy, budget, absolute [deadline]),
-    show it to [on_ctx] (e.g. to register it for cancellation), run [f]
-    under it, fold its counters into the process totals, and classify the
-    outcome from the context. Never raises. *)
+(** [query f] is the lifecycle of one query, and a guarded run is [query]
+    around a plain one ([fun () -> run reg ~engine plan]): install a fresh
+    {!Proteus_model.Fault} context (policy — [Fail_fast] when omitted —,
+    [max_errors] budget, absolute [deadline] enforced cooperatively at
+    morsel/batch boundaries), show it to [on_ctx] (e.g. to register it for
+    cancellation), run [f] under it, fold its counters into the process
+    totals, and classify the outcome from the context. Never raises: what
+    [f] raises, front-end errors included, becomes [Failed]. *)
 val query :
   ?policy:Proteus_model.Fault.policy ->
   ?max_errors:int ->

@@ -984,8 +984,11 @@ let make_fill (access : Access.t) builder : unit -> unit =
    of re-running numparse/span decoding per tuple. Fired from the manager's
    promotion hook (outside its lock); recoverable failures abandon the
    materialization without recording faults — the hook may run mid-query
-   and must never perturb that query's error accounting. *)
+   and must never perturb that query's error accounting. Every promotion
+   moves the generation, materialized or not: staged engines baked in the
+   pre-promotion layout. *)
 let materialize_field t ~dataset ~path =
+  Fun.protect ~finally:(fun () -> Atomic.incr t.generation) @@ fun () ->
   match Catalog.find_opt t.catalog dataset with
   | Some d when d.Dataset.format = Dataset.Json -> (
     try

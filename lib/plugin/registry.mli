@@ -26,9 +26,11 @@ val catalog : t -> Catalog.t
 val cache : t -> Cache_iface.t
 val set_cache : t -> Cache_iface.t -> unit
 
-(** A stamp bumped by {!invalidate} and {!set_cache}. Prepared engines
-    capture it at staging time and re-stage when it has moved, so prepared
-    statements observe dataset updates and caching-mode changes. *)
+(** The one staleness stamp for staged engines: bumped by {!invalidate},
+    {!extend}, shard-set changes, {!set_cache}, {!set_interposer} and
+    {!materialize_field} (promotions). Prepared statements and the server's engine cache capture
+    it at staging time and re-stage when it has moved, so they observe
+    dataset updates, caching-mode changes and promoted layouts. *)
 val generation : t -> int
 
 (** [source t name] is the raw source for a dataset (builds the structural
@@ -57,8 +59,9 @@ val index_info : t -> string -> index_info option
     slot accessors (a {e pre-parsed slot column}), so later promoted reads
     skip numparse/span decoding entirely. No-op for non-JSON datasets,
     already-cached paths, and paths the cache policy rejects; recoverable
-    failures abandon the materialization silently. Wired as a promotion
-    hook by the db facade. *)
+    failures abandon the materialization silently. Moves {!generation}
+    either way (a promotion changes the layout staged engines baked in).
+    Wired as the promotion hook by the db facade. *)
 val materialize_field : t -> dataset:string -> path:string -> unit
 
 (** Whether cache hits on [(dataset, path)] are served by a pre-parsed slot

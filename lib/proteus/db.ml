@@ -9,10 +9,6 @@ type t = {
   catalog : Catalog.t;
   registry : Registry.t;
   cache : Manager.t;
-  (* observers of dataset-level invalidation (register / drop / append);
-     the server's engine cache subscribes to drop compiled plans whose
-     inputs changed *)
-  hooks : (string -> unit) list ref;
 }
 
 type engine = Proteus_engine.Executor.engine = Engine_compiled | Engine_volcano
@@ -22,36 +18,35 @@ let create ?cache_budget ?(caching = Manager.default_config) () =
   let cache = Manager.create ~config:caching catalog in
   let registry = Registry.create ~cache:(Manager.iface cache) catalog in
   (* promotion-time slot columns: a hot JSON path materializes into a typed
-     cache column straight from the format index the moment it promotes
-     (registered first, so later hooks — e.g. the server's engine-cache
-     invalidation — observe the already-materialized layout) *)
+     cache column straight from the format index the moment it promotes;
+     the registry generation then moves, so staged engines re-stage over
+     the promoted layout *)
   Manager.set_on_promote cache (fun dataset path ->
       Registry.materialize_field registry ~dataset ~path);
-  { catalog; registry; cache; hooks = ref [] }
+  { catalog; registry; cache }
 
 let catalog t = t.catalog
 let registry t = t.registry
 let cache_manager t = t.cache
 let cache_stats t = Manager.stats t.cache
 
-let on_invalidate t f = t.hooks := f :: !(t.hooks)
-
-let notify_invalidate t name = List.iter (fun f -> f name) (List.rev !(t.hooks))
-
 let set_caching ?(clear = false) t enabled =
   if clear then Manager.clear t.cache;
   Registry.set_cache t.registry
     (if enabled then Manager.iface t.cache else Proteus_plugin.Cache_iface.disabled)
 
+(* An update must also reach shard sets containing [name]: the registry
+   already drops their concatenated views, but the caching manager keys on
+   the parent's dataset name. *)
+let invalidate_shard_parents t name =
+  List.iter
+    (fun parent -> Manager.invalidate_dataset t.cache ~dataset:parent)
+    (Registry.shard_parents t.registry name)
+
 let register t d =
   Catalog.register t.catalog d;
   Registry.invalidate t.registry d.Dataset.name;
-  notify_invalidate t d.Dataset.name;
-  List.iter
-    (fun parent ->
-      Manager.invalidate_dataset t.cache ~dataset:parent;
-      notify_invalidate t parent)
-    (Registry.shard_parents t.registry d.Dataset.name)
+  invalidate_shard_parents t d.Dataset.name
 
 let register_csv t ~name ?(config = Proteus_format.Csv.default_config) ~element
     ~contents () =
@@ -116,21 +111,10 @@ let register_columns_of t ~name ~element records =
   in
   register_columns t ~name ~element cols
 
-(* Invalidation must also reach shard sets containing [name]: the registry
-   already drops their concatenated indexes, but plan caches and the
-   server's engine cache key on the parent's dataset name. *)
-let invalidate_shard_parents t name =
-  List.iter
-    (fun parent ->
-      Manager.invalidate_dataset t.cache ~dataset:parent;
-      notify_invalidate t parent)
-    (Registry.shard_parents t.registry name)
-
 let drop t name =
   Catalog.remove t.catalog name;
   Registry.invalidate t.registry name;
   Manager.invalidate_dataset t.cache ~dataset:name;
-  notify_invalidate t name;
   invalidate_shard_parents t name
 
 let append t ~name contents =
@@ -166,20 +150,17 @@ let append t ~name contents =
       (Registry.extend t.registry name ~tail:(fun source ~from ->
            Manager.extend_dataset t.cache ~dataset:name ~source ~from))
   then Manager.invalidate_dataset t.cache ~dataset:name;
-  notify_invalidate t name;
   invalidate_shard_parents t name
 
 (* {2 Shard sets} *)
 
 let register_shard_set t ~name ~members =
   Registry.register_shard_set t.registry ~name ~members;
-  Manager.invalidate_dataset t.cache ~dataset:name;
-  notify_invalidate t name
+  Manager.invalidate_dataset t.cache ~dataset:name
 
 let add_shard t ~name ~member =
   Registry.add_shard t.registry ~name ~member;
-  Manager.invalidate_dataset t.cache ~dataset:name;
-  notify_invalidate t name
+  Manager.invalidate_dataset t.cache ~dataset:name
 
 let shard_member_name name i = Fmt.str "%s__s%d" name i
 
@@ -371,14 +352,12 @@ let wrap_ordering t (stmt : Proteus_lang.Sql.statement) =
     | _ ->
       Perror.unsupported "ORDER BY/LIMIT requires a row-returning statement")
 
-let sql ?(engine = Executor.Engine_compiled) ?domains ?batch_size ?(params = []) t q =
-  let stmt = Proteus_lang.Sql.parse_statement ~resolve:(resolver t) q in
-  Executor.run ?batch_size ?domains t.registry ~engine (bind_all params (wrap_ordering t stmt))
+let plan_sql t q = wrap_ordering t (Proteus_lang.Sql.parse_statement ~resolve:(resolver t) q)
 
-let comprehension ?(engine = Executor.Engine_compiled) ?domains ?batch_size
-    ?(params = []) t q =
-  let calc = Proteus_lang.Comprehension.parse q in
-  Executor.run ?batch_size ?domains t.registry ~engine (bind_all params (of_calc t calc))
+let plan_comprehension t q = of_calc t (Proteus_lang.Comprehension.parse q)
+
+let sql ?engine ?domains ?batch_size ?params t q =
+  run_plan ?engine ?domains ?batch_size ~optimize:false ?params t (plan_sql t q)
 
 type outcome = Proteus_engine.Executor.outcome =
   | Completed of Value.t * Fault.report
@@ -386,44 +365,24 @@ type outcome = Proteus_engine.Executor.outcome =
   | Timed_out of Fault.report
   | Cancelled of Fault.report
 
-let run_plan_guarded ?(engine = Executor.Engine_compiled) ?domains ?batch_size
-    ?policy ?max_errors ?timeout_ms ?(optimize = true) ?(params = []) t plan =
-  let plan = bind_all params plan in
-  let plan =
-    if optimize then Proteus_optimizer.Optimizer.optimize t.catalog plan else plan
-  in
-  Executor.run_guarded ?batch_size ?domains ?policy ?max_errors ?timeout_ms t.registry
-    ~engine plan
-
-let sql_guarded ?(engine = Executor.Engine_compiled) ?domains ?batch_size ?policy
-    ?max_errors ?timeout_ms ?(params = []) t q =
-  let stmt = Proteus_lang.Sql.parse_statement ~resolve:(resolver t) q in
-  Executor.run_guarded ?batch_size ?domains ?policy ?max_errors ?timeout_ms t.registry
-    ~engine (bind_all params (wrap_ordering t stmt))
-
-let comprehension_guarded ?(engine = Executor.Engine_compiled) ?domains ?batch_size
-    ?policy ?max_errors ?timeout_ms ?(params = []) t q =
-  let calc = Proteus_lang.Comprehension.parse q in
-  Executor.run_guarded ?batch_size ?domains ?policy ?max_errors ?timeout_ms t.registry
-    ~engine (bind_all params (of_calc t calc))
-
-let plan_sql t q = wrap_ordering t (Proteus_lang.Sql.parse_statement ~resolve:(resolver t) q)
-
-let plan_comprehension t q = of_calc t (Proteus_lang.Comprehension.parse q)
-
 type prepared = { compile_seconds : float; run : unit -> Value.t }
 
 (* A staged engine snapshots registry state — cache iface, structural
-   indexes, cached columns — at prepare time. The registry's generation
-   stamp moves on every dataset registration/drop/append and on
-   [set_caching], so comparing it before each run tells us the snapshot
-   went stale: re-stage against the same plan and keep going. Arena
-   evictions within a generation do NOT re-stage: an engine holding an
-   evicted column keeps reading its (still-correct) copy until the next
-   generation bump. *)
-let staged ?(domains = 1) ?batch_size t ~t0 plan =
+   indexes, cached and promoted columns — at prepare time. The registry's
+   generation stamp moves on every dataset registration/drop/append, shard
+   change, promotion and [set_caching], so comparing it before each run
+   tells us the snapshot went stale: re-stage against the same plan and
+   keep going. Arena evictions within a generation do NOT re-stage: an
+   engine holding an evicted column keeps reading its (still-correct) copy
+   until the next generation bump. *)
+let prepare ?(domains = 1) ?batch_size ?(optimize = true) ?(params = []) t plan =
+  let t0 = Unix.gettimeofday () in
+  let plan = bind_all params plan in
+  let plan = if optimize then Proteus_optimizer.Optimizer.optimize t.catalog plan else plan in
+  Proteus_algebra.Plan.validate plan;
   let stage () = Proteus_engine.Compiled.prepare_par ?batch_size t.registry ~domains plan in
-  let cell = ref (Registry.generation t.registry, stage ()) in
+  let gen = Registry.generation t.registry in
+  let cell = ref (gen, stage ()) in
   let compile_seconds = Unix.gettimeofday () -. t0 in
   let run () =
     let gen = Registry.generation t.registry in
@@ -439,25 +398,6 @@ let staged ?(domains = 1) ?batch_size t ~t0 plan =
     Executor.as_query r
   in
   { compile_seconds; run }
-
-let prepare_plan ?domains ?batch_size ?(params = []) t plan =
-  let t0 = Unix.gettimeofday () in
-  let plan = bind_all params plan in
-  let plan = Proteus_optimizer.Optimizer.optimize t.catalog plan in
-  Proteus_algebra.Plan.validate plan;
-  staged ?domains ?batch_size t ~t0 plan
-
-let prepare_sql ?domains ?batch_size ?(params = []) t q =
-  let t0 = Unix.gettimeofday () in
-  let stmt = Proteus_lang.Sql.parse_statement ~resolve:(resolver t) q in
-  let plan = bind_all params (wrap_ordering t stmt) in
-  Proteus_algebra.Plan.validate plan;
-  staged ?domains ?batch_size t ~t0 plan
-
-let prepare_comprehension ?domains ?batch_size ?params t q =
-  let calc = Proteus_lang.Comprehension.parse q in
-  prepare_plan ?domains ?batch_size ?params t
-    (Proteus_calculus.To_algebra.run (Proteus_calculus.Normalize.run calc))
 
 let refresh_stats t =
   List.iter

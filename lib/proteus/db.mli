@@ -8,10 +8,17 @@
     generation (closure compilation) → execution — and the session's caching
     manager adapts the storage to the workload as a side effect.
 
+    A query is a plan ({!plan_sql}, {!plan_comprehension} or one built by
+    hand) and {!run_plan} runs it; {!prepare} stages it once to run many
+    times, and a guarded run is {!Proteus_engine.Executor.query} around a
+    plain one.
+
     {[
       let db = Proteus.Db.create () in
       Proteus.Db.register_json db ~name:"sailors" ~element:... ~contents;
-      Proteus.Db.sql db "SELECT COUNT(*) FROM sailors WHERE age > 30"
+      Proteus.Db.sql db "SELECT COUNT(*) FROM sailors WHERE age > 30";
+      Proteus.Db.run_plan ~optimize:false db
+        (Proteus.Db.plan_comprehension db "for { s <- sailors } yield sum(s.id)")
     ]} *)
 
 open Proteus_model
@@ -39,12 +46,6 @@ val cache_stats : t -> Proteus_cache.Manager.stats
     statements re-stage on their next run and the server's engine cache
     stops serving engines staged against the old cache interface. *)
 val set_caching : ?clear:bool -> t -> bool -> unit
-
-(** [on_invalidate db f] registers [f dataset] to run whenever a dataset's
-    derived structures are dropped ([register] over an existing name,
-    {!drop}, {!append}). The server's compiled-engine cache subscribes to
-    evict plans whose inputs changed. *)
-val on_invalidate : t -> (string -> unit) -> unit
 
 (** {1 Dataset registration} *)
 
@@ -163,8 +164,17 @@ type engine = Proteus_engine.Executor.engine =
   | Engine_compiled  (** the specialized engine, morsel-driven over [domains] *)
   | Engine_volcano  (** the iterator interpreter; ignores [domains] *)
 
-(** [sql db q] parses, optimizes, compiles and runs a SQL statement.
-    Unqualified columns resolve against the registered schemas.
+(** [plan_sql db q] is the optimized plan of a SQL statement (EXPLAIN).
+    Unqualified columns resolve against the registered schemas. *)
+val plan_sql : t -> string -> Proteus_algebra.Plan.t
+
+(** [plan_comprehension db q] — the optimized plan of a
+    [for {...} yield ...] comprehension. *)
+val plan_comprehension : t -> string -> Proteus_algebra.Plan.t
+
+(** [run_plan db plan] optimizes ([optimize], default [true]), compiles and
+    runs an algebra plan: the one way to run a query. A comprehension runs
+    as [run_plan ~optimize:false db (plan_comprehension db q)].
 
     [domains] (default 1) is the width of the specialized engine's
     morsel-driven fleet: that many OCaml domains share the input's morsels;
@@ -178,26 +188,6 @@ type engine = Proteus_engine.Executor.engine =
     [params] binds query parameters ([?] positional — named ["1"], ["2"], …
     in appearance order — or [$name]). Raises [Perror.Plan_error] if any
     parameter is left unbound. *)
-val sql :
-  ?engine:engine ->
-  ?domains:int ->
-  ?batch_size:int ->
-  ?params:(string * Value.t) list ->
-  t ->
-  string ->
-  Value.t
-
-(** [comprehension db q] — same for the [for {...} yield ...] syntax. *)
-val comprehension :
-  ?engine:engine ->
-  ?domains:int ->
-  ?batch_size:int ->
-  ?params:(string * Value.t) list ->
-  t ->
-  string ->
-  Value.t
-
-(** [run_plan db plan] optimizes and runs an already-built algebra plan. *)
 val run_plan :
   ?engine:engine ->
   ?domains:int ->
@@ -208,19 +198,34 @@ val run_plan :
   Proteus_algebra.Plan.t ->
   Value.t
 
+(** [sql db q] is [run_plan ~optimize:false ?params db (plan_sql db q)]. *)
+val sql :
+  ?engine:engine ->
+  ?domains:int ->
+  ?batch_size:int ->
+  ?params:(string * Value.t) list ->
+  t ->
+  string ->
+  Value.t
+
 (** {1 Guarded (fault-tolerant) querying}
 
-    The [_guarded] variants run under a per-query error policy
-    ({!Proteus_model.Fault.policy}) instead of failing on the first data
-    error: [Skip_row] drops rows whose required fields fail to parse,
-    [Null_fill] substitutes [Null] for unreadable fields, and the default
-    [Fail_fast] is exactly the plain entry point's semantics but returning
-    [Failed] instead of raising. The outcome carries a structured error
-    report (counts, first error samples with byte positions, per-source
-    breakdown). [max_errors] bounds the recoverable errors absorbed before
-    the query aborts; [timeout_ms] sets a cooperative deadline checked at
-    morsel/batch boundaries — on a parallel engine, one worker's failure or
-    an expired deadline stops its peers within one morsel. *)
+    A guarded run is
+    [Proteus_engine.Executor.query ?policy ?max_errors ?deadline
+       (fun () -> run_plan db plan)] (or around {!sql}). It runs under a
+    per-query error policy ({!Proteus_model.Fault.policy}) instead of
+    failing on the first data error: [Skip_row] drops rows whose required
+    fields fail to parse, [Null_fill] substitutes [Null] for unreadable
+    fields, and the default [Fail_fast] is exactly the plain run's
+    semantics but returning [Failed] instead of raising. The outcome
+    carries a structured error report (counts, first error samples with
+    byte positions, per-source breakdown). [max_errors] bounds the
+    recoverable errors absorbed before the query aborts; [deadline] is an
+    absolute [Unix.gettimeofday] time checked cooperatively at morsel/batch
+    boundaries — on a parallel engine, one worker's failure or an expired
+    deadline stops its peers within one morsel. Front-end errors inside the
+    thunk — a misspelled statement, an unknown table, an unbound parameter
+    — come back as [Failed] with their {!Perror} exception too. *)
 
 type outcome = Proteus_engine.Executor.outcome =
   | Completed of Value.t * Proteus_model.Fault.report
@@ -228,79 +233,34 @@ type outcome = Proteus_engine.Executor.outcome =
   | Timed_out of Proteus_model.Fault.report
   | Cancelled of Proteus_model.Fault.report
 
-val sql_guarded :
-  ?engine:engine ->
-  ?domains:int ->
-  ?batch_size:int ->
-  ?policy:Proteus_model.Fault.policy ->
-  ?max_errors:int ->
-  ?timeout_ms:int ->
-  ?params:(string * Value.t) list ->
-  t ->
-  string ->
-  outcome
-
-val comprehension_guarded :
-  ?engine:engine ->
-  ?domains:int ->
-  ?batch_size:int ->
-  ?policy:Proteus_model.Fault.policy ->
-  ?max_errors:int ->
-  ?timeout_ms:int ->
-  ?params:(string * Value.t) list ->
-  t ->
-  string ->
-  outcome
-
-val run_plan_guarded :
-  ?engine:engine ->
-  ?domains:int ->
-  ?batch_size:int ->
-  ?policy:Proteus_model.Fault.policy ->
-  ?max_errors:int ->
-  ?timeout_ms:int ->
-  ?optimize:bool ->
-  ?params:(string * Value.t) list ->
-  t ->
-  Proteus_algebra.Plan.t ->
-  outcome
-
-(** [plan_sql db q] is the optimized physical plan (EXPLAIN). *)
-val plan_sql : t -> string -> Proteus_algebra.Plan.t
-
-val plan_comprehension : t -> string -> Proteus_algebra.Plan.t
-
 (** {1 Prepared queries}
 
-    [prepare_*] separates engine generation from execution, as the paper
+    [prepare] separates engine generation from execution, as the paper
     reports them separately (LLVM compilation is ~50 ms per query there;
     closure staging here is far cheaper). The prepared thunk can run
     repeatedly; every run re-scans the inputs.
 
     Staleness: the staged engine snapshots registry state at prepare time.
     Each run compares the registry's generation stamp (moved by dataset
-    registration, {!drop}, {!append} and {!set_caching}) and transparently
-    re-stages when it changed, so a prepared statement observes dataset
-    updates and caching-mode flips. Cache-arena evictions within a
-    generation keep the snapshot: the engine retains its (still-correct)
-    column copies until the next generation bump. *)
+    registration, {!drop}, {!append}, shard changes, column promotions and
+    {!set_caching}) and transparently re-stages when it changed, so a
+    prepared statement observes dataset updates, promoted layouts and
+    caching-mode flips. Cache-arena evictions within a generation keep the
+    snapshot: the engine retains its (still-correct) column copies until
+    the next generation bump. *)
 
 type prepared = {
   compile_seconds : float;  (** time spent generating this query's engine *)
   run : unit -> Value.t;
 }
 
-val prepare_sql :
-  ?domains:int -> ?batch_size:int -> ?params:(string * Value.t) list -> t -> string -> prepared
-
-val prepare_comprehension :
-  ?domains:int -> ?batch_size:int -> ?params:(string * Value.t) list -> t -> string -> prepared
-
-(** [prepare_plan db plan] optimizes and compiles an algebra plan.
-    [domains] (default 1) is the fleet width, as in {!sql}. *)
-val prepare_plan :
+(** [prepare db plan] binds, optimizes (as {!run_plan}'s [optimize]) and
+    compiles an algebra plan: [prepare ~optimize:false db (plan_sql db q)]
+    for SQL. [domains] (default 1) is the fleet width, as in {!run_plan}. *)
+val prepare :
   ?domains:int ->
   ?batch_size:int ->
+  ?optimize:bool ->
   ?params:(string * Value.t) list ->
   t ->
   Proteus_algebra.Plan.t ->

@@ -11,20 +11,24 @@
      the registry's lazily-built artifacts (structural indexes, cold
      statistics, source factories) are never built from two domains at
      once.
-   - [t.mu] guards only the table, the counters and the per-dataset
-     invalidation epochs, and is NEVER held across staging or a run:
-     staging a selective engine can itself promote a column, and the
-     promotion hook re-enters [invalidate_dataset] on the same thread —
-     which must be free to take [t.mu].
+   - [t.mu] guards only the table and the counters, and is NEVER held
+     across staging or a run, so a hit never waits behind a compile.
    - each entry carries its own run mutex: a compiled engine owns cursor
      state and parameter slots, so one engine serves one query at a time;
      a second session hitting the same shape blocks on the entry, not on
      the cache.
 
+   Staleness: an engine bakes in its inputs' layout, so it serves only the
+   registry generation it was staged under (every register, drop, append,
+   shard change, promotion and [set_caching] moves it). The table holds
+   engines of one generation, [t.swept]; the first lookup, install or
+   [stats] read that sees the generation move drops them all, counted as
+   invalidations.
+
    Quarantine (install-on-commit, mirroring the data-cache rule): a fresh
    compile is NOT installed at stage time. The caller runs it first and
    releases the lease with [~clean] reflecting the outcome; only a clean
-   run (no errors recorded, no abort, inputs not invalidated meanwhile)
+   run (no errors recorded, no abort, generation unmoved meanwhile)
    installs the engine for reuse. A cached engine whose run comes back
    unclean is evicted on the spot — degraded runs never poison later
    sessions. *)
@@ -41,12 +45,7 @@ type key = { k_shape : string; k_domains : int; k_batch : int }
 type entry = {
   e_key : key;
   e_bound : Compiled.bound;
-  e_datasets : string list;
   e_generation : int;  (* registry generation the engine was staged under *)
-  e_inval : (string * int) list;
-      (* per-dataset invalidation counts at stage time: vetoes the install
-         of an in-flight engine whose input was dropped/appended/promoted
-         while it was running *)
   e_mu : Mutex.t;  (* one run at a time per engine *)
   mutable e_stamp : int;  (* LRU clock *)
 }
@@ -56,7 +55,7 @@ type stats = {
   misses : int;
   installs : int;
   evictions : int;      (* capacity pressure *)
-  invalidations : int;  (* dataset updates, promotions, generation moves *)
+  invalidations : int;  (* entries dropped because the generation moved *)
   poisoned : int;       (* engines dropped because their run was unclean *)
   entries : int;
   compile_seconds : float;  (* cumulative staging time across misses *)
@@ -68,7 +67,7 @@ type t = {
   compile_mu : Mutex.t;  (* serializes optimize + stage; never nested inside mu *)
   mu : Mutex.t;
   table : (key, entry) Hashtbl.t;
-  inval : (string, int) Hashtbl.t;  (* dataset -> invalidation count *)
+  mutable swept : int;  (* the generation every resident entry was staged under *)
   mutable clock : int;
   mutable c_hits : int;
   mutable c_misses : int;
@@ -79,23 +78,6 @@ type t = {
   mutable c_compile : float;
 }
 
-let inval_count t ds = Option.value (Hashtbl.find_opt t.inval ds) ~default:0
-
-let invalidate_dataset t ds =
-  Mutex.lock t.mu;
-  Hashtbl.replace t.inval ds (inval_count t ds + 1);
-  let doomed =
-    Hashtbl.fold
-      (fun k e acc -> if List.mem ds e.e_datasets then (k, e) :: acc else acc)
-      t.table []
-  in
-  List.iter
-    (fun (k, _) ->
-      Hashtbl.remove t.table k;
-      t.c_invalidations <- t.c_invalidations + 1)
-    doomed;
-  Mutex.unlock t.mu
-
 let create ?(capacity = 64) db =
   let t =
     {
@@ -104,7 +86,7 @@ let create ?(capacity = 64) db =
       compile_mu = Mutex.create ();
       mu = Mutex.create ();
       table = Hashtbl.create 64;
-      inval = Hashtbl.create 16;
+      swept = Registry.generation (Proteus.Db.registry db);
       clock = 0;
       c_hits = 0;
       c_misses = 0;
@@ -115,12 +97,18 @@ let create ?(capacity = 64) db =
       c_compile = 0.;
     }
   in
-  (* engines bake in the input layout, so both update paths and layout
-     promotions (PR-6 zone maps / dictionaries) must drop affected plans *)
-  Proteus.Db.on_invalidate db (fun ds -> invalidate_dataset t ds);
-  Proteus_cache.Manager.set_on_promote (Proteus.Db.cache_manager db)
-    (fun ds _path -> invalidate_dataset t ds);
   t
+
+(* The current registry generation, after dropping the entries of an older
+   one. Caller holds [t.mu]. *)
+let sweep t =
+  let gen = Registry.generation (Proteus.Db.registry t.db) in
+  if gen <> t.swept then begin
+    t.c_invalidations <- t.c_invalidations + Hashtbl.length t.table;
+    Hashtbl.clear t.table;
+    t.swept <- gen
+  end;
+  gen
 
 type lease = {
   l_cache : t;
@@ -158,56 +146,30 @@ let acquire t ?(domains = 1) ?batch_size plan =
         let key =
           { k_shape = Fingerprint.plan pplan; k_domains = domains; k_batch = batch }
         in
-        let gen = Registry.generation reg in
-        let datasets = List.sort_uniq String.compare (Plan.datasets pplan) in
-        (* table lookup under t.mu; the epoch snapshot is taken BEFORE
-           staging so an invalidation racing the compile vetoes the install *)
+        (* the generation is read BEFORE staging, so a move racing the
+           compile or the first run vetoes the install *)
         Mutex.lock t.mu;
-        let cached =
-          match Hashtbl.find_opt t.table key with
-          | Some e when e.e_generation = gen ->
-            t.c_hits <- t.c_hits + 1;
-            t.clock <- t.clock + 1;
-            e.e_stamp <- t.clock;
-            Some e
-          | Some _ ->
-            (* staged under an older registry generation (set_caching flip,
-               a registration the dataset hooks could not attribute) *)
-            Hashtbl.remove t.table key;
-            t.c_invalidations <- t.c_invalidations + 1;
-            None
-          | None -> None
-        in
-        let snapshot =
-          match cached with
-          | Some _ -> []
-          | None ->
-            t.c_misses <- t.c_misses + 1;
-            List.map (fun ds -> (ds, inval_count t ds)) datasets
-        in
+        let gen = sweep t in
+        let cached = Hashtbl.find_opt t.table key in
+        (match cached with
+        | Some e ->
+          t.c_hits <- t.c_hits + 1;
+          t.clock <- t.clock + 1;
+          e.e_stamp <- t.clock
+        | None -> t.c_misses <- t.c_misses + 1);
         Mutex.unlock t.mu;
         let entry, was_hit, dt =
           match cached with
           | Some e -> (e, true, 0.)
           | None ->
-            (* staged outside t.mu: compiling a selective predicate can
-               promote a column, whose hook re-enters [invalidate_dataset]
-               on this very thread *)
             let t0 = Unix.gettimeofday () in
             let bound = Compiled.prepare_bound_par ~batch_size:batch reg ~domains pplan in
             let dt = Unix.gettimeofday () -. t0 in
             Mutex.lock t.mu;
             t.c_compile <- t.c_compile +. dt;
             Mutex.unlock t.mu;
-            ( {
-                e_key = key;
-                e_bound = bound;
-                e_datasets = datasets;
-                e_generation = gen;
-                e_inval = snapshot;
-                e_mu = Mutex.create ();
-                e_stamp = 0;
-              },
+            ( { e_key = key; e_bound = bound; e_generation = gen; e_mu = Mutex.create ();
+                e_stamp = 0 },
               false,
               dt )
         in
@@ -235,11 +197,7 @@ let release l ~clean =
            t.c_poisoned <- t.c_poisoned + 1
          | _ -> ()
      end
-     else if
-       clean
-       && e.e_generation = Registry.generation (Proteus.Db.registry t.db)
-       && List.for_all (fun (ds, n) -> inval_count t ds = n) e.e_inval
-       && not (Hashtbl.mem t.table e.e_key)
+     else if clean && e.e_generation = sweep t && not (Hashtbl.mem t.table e.e_key)
      then begin
        t.clock <- t.clock + 1;
        e.e_stamp <- t.clock;
@@ -268,6 +226,7 @@ let release l ~clean =
 
 let stats t =
   Mutex.lock t.mu;
+  ignore (sweep t);
   let s =
     {
       hits = t.c_hits;
@@ -282,11 +241,6 @@ let stats t =
   in
   Mutex.unlock t.mu;
   s
-
-let clear t =
-  Mutex.lock t.mu;
-  Hashtbl.reset t.table;
-  Mutex.unlock t.mu
 
 let pp_stats ppf s =
   Fmt.pf ppf

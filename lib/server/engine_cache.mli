@@ -6,11 +6,12 @@
     only in constants share one staged engine, and a hit re-binds the
     slots instead of re-staging closures.
 
-    Invalidation: entries are dropped when any input dataset is updated
-    ({!Proteus.Db.drop} / {!Proteus.Db.append} / re-registration), when the
-    caching manager promotes one of their columns (the engine baked in the
-    pre-promotion layout), and when the registry generation moves
-    ([set_caching]). Quarantine: freshly staged engines install only after
+    Invalidation: an engine serves only the registry generation it was
+    staged under ({!Proteus_plugin.Registry.generation}: moved by dataset
+    registration, {!Proteus.Db.drop}, {!Proteus.Db.append}, shard changes,
+    column promotions and {!Proteus.Db.set_caching}). Entries of an older
+    generation are dropped at the next lookup, install or {!stats} read.
+    Quarantine: freshly staged engines install only after
     their first run ends clean; a cached engine whose run degrades or
     errors is evicted instead of reused. *)
 
@@ -18,9 +19,8 @@ open Proteus_model
 
 type t
 
-(** [create ?capacity db] also subscribes to [db]'s dataset-invalidation
-    hook and the cache manager's promotion hook. [capacity] is the LRU
-    bound on resident engines (default 64). *)
+(** [create ?capacity db] — [capacity] is the LRU bound on resident
+    engines (default 64). *)
 val create : ?capacity:int -> Proteus.Db.t -> t
 
 (** A checked-out engine: holds the entry's run mutex from {!acquire}
@@ -30,9 +30,8 @@ type lease
 (** [acquire t plan] optimizes, parameterizes and keys [plan] (which must
     have no unbound user parameters), returning a hit lease (slots
     re-bound to this query's constants) or staging a fresh engine on miss.
-    Compiles are serialized under the cache's compile lock (which is never
-    held while touching the table, so invalidation hooks can fire from
-    inside a compile). *)
+    Compiles are serialized under the cache's compile lock; the table's
+    lock is never held across a compile, so hits do not wait behind one. *)
 val acquire : t -> ?domains:int -> ?batch_size:int -> Proteus_algebra.Plan.t -> lease
 
 val run : lease -> Value.t
@@ -47,16 +46,12 @@ val hit : lease -> bool
 (** Staging time paid by this lease (0 on a hit). *)
 val compile_seconds : lease -> float
 
-val invalidate_dataset : t -> string -> unit
-
-val clear : t -> unit
-
 type stats = {
   hits : int;
   misses : int;
   installs : int;
   evictions : int;      (** capacity pressure *)
-  invalidations : int;  (** dataset updates, promotions, generation moves *)
+  invalidations : int;  (** entries dropped because the registry generation moved *)
   poisoned : int;       (** engines dropped because their run was unclean *)
   entries : int;
   compile_seconds : float;  (** cumulative staging time across misses *)

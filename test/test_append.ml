@@ -184,7 +184,9 @@ let pp_answer = function
   | Error -> "error"
 
 let answer c db q =
-  match Db.sql_guarded ~domains:c.domains ~policy:c.policy db q with
+  match
+    Proteus_engine.Executor.query ~policy:c.policy (fun () -> Db.sql ~domains:c.domains db q)
+  with
   | Db.Completed (v, report) -> Answer (sort_bag v, report.Fault.rp_skipped)
   | Db.Failed _ | Db.Timed_out _ | Db.Cancelled _ -> Error
 

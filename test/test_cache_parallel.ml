@@ -279,8 +279,9 @@ let test_fail_fast_releases_segments () =
   let mgr, reg = make_session () in
   let _seeks = Faultgen.inject reg ~dataset:"items_csv" ~fail_at:(fun r -> r = 400) in
   (match
-     Executor.run_guarded reg ~domains:4 ~engine:Executor.Engine_compiled
-       (scan_plan "items_csv")
+     Executor.query (fun () ->
+         Executor.run reg ~domains:4 ~engine:Executor.Engine_compiled
+           (scan_plan "items_csv"))
    with
   | Executor.Failed _ -> ()
   | _ -> Alcotest.fail "injected Fail_fast run did not fail");
@@ -298,8 +299,9 @@ let test_skip_row_quarantines_compacted_fill () =
       let mgr, reg = make_session () in
       let _ = Faultgen.inject reg ~dataset:"items_csv" ~fail_at:(fun r -> r mod 97 = 3) in
       (match
-         Executor.run_guarded ~batch_size ~policy:Fault.Skip_row reg
-           ~domains ~engine:Executor.Engine_compiled (scan_plan "items_csv")
+         Executor.query ~policy:Fault.Skip_row (fun () ->
+             Executor.run ~batch_size reg ~domains ~engine:Executor.Engine_compiled
+               (scan_plan "items_csv"))
        with
       | Executor.Completed (_, report) ->
         Alcotest.(check bool) (name ^ " rows skipped") true (report.Fault.rp_skipped > 0)
@@ -316,8 +318,9 @@ let test_skip_row_clean_installs () =
   let _, _, _, base_columns, _ = Lazy.force baseline in
   let mgr, reg = make_session () in
   (match
-     Executor.run_guarded ~batch_size:256 ~policy:Fault.Skip_row reg
-       ~domains:4 ~engine:Executor.Engine_compiled (scan_plan "items_csv")
+     Executor.query ~policy:Fault.Skip_row (fun () ->
+         Executor.run ~batch_size:256 reg ~domains:4 ~engine:Executor.Engine_compiled
+           (scan_plan "items_csv"))
    with
   | Executor.Completed (_, report) ->
     Alcotest.(check int) "no errors" 0 report.Fault.rp_errors

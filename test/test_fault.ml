@@ -97,7 +97,12 @@ let cfgs =
     ("par4b256", (Db.Engine_compiled, 4), Some 256) ]
 
 let guarded ?policy ?max_errors ?timeout_ms (_, (engine, domains), batch) mk q =
-  Db.sql_guarded ~engine ~domains ?batch_size:batch ?policy ?max_errors ?timeout_ms (mk ()) q
+  let db = mk () in
+  let deadline =
+    Option.map (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.)) timeout_ms
+  in
+  Executor.query ?policy ?max_errors ?deadline (fun () ->
+      Db.sql ~engine ~domains ?batch_size:batch db q)
 
 let completed name = function
   | Db.Completed (v, r) -> (v, r)
@@ -199,27 +204,51 @@ let test_null_fill_json () =
 let test_fail_fast_default () =
   (* clean input: guarded run is exactly the plain run plus an empty report *)
   let plain = Db.sql (db_csv csv_valid ()) agg_q in
-  let v, r = completed "clean" (Db.sql_guarded (db_csv csv_valid ()) agg_q) in
+  let db = db_csv csv_valid () in
+  let v, r = completed "clean" (Executor.query (fun () -> Db.sql db agg_q)) in
   Alcotest.check check_value "clean value" plain v;
   Alcotest.(check int) "clean errors" 0 r.Fault.rp_errors;
   (* corrupt input: plain raises, guarded returns Failed with the same error *)
   (match Db.sql (db_csv csv_corrupt ()) agg_q with
   | _ -> Alcotest.fail "plain run over corrupt input should raise"
   | exception Perror.Parse_error _ -> ());
-  match Db.sql_guarded (db_csv csv_corrupt ()) agg_q with
+  let db = db_csv csv_corrupt () in
+  match Executor.query (fun () -> Db.sql db agg_q) with
   | Db.Failed (_, Perror.Parse_error _) -> ()
   | _ -> Alcotest.fail "guarded Fail_fast should report Failed (Parse_error)"
+
+(* --- front-end errors are part of the guarded query ------------------------ *)
+
+let test_front_end_errors () =
+  let db = db_csv csv_valid () in
+  let parse = function Perror.Parse_error _ -> true | _ -> false in
+  let plan = function Perror.Plan_error _ -> true | _ -> false in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (what, q, expected) ->
+          let name = Fmt.str "%s, domains %d" what domains in
+          match Executor.query (fun () -> Db.sql ~domains db q) with
+          | Db.Failed (_, e) when expected e -> ()
+          | Db.Failed (_, e) -> Alcotest.failf "%s: wrong error %a" name Perror.pp_exn e
+          | _ -> Alcotest.failf "%s: expected Failed" name)
+        [ ("misspelled statement", "SELEKT COUNT(*) FROM items", parse);
+          ("unknown table", "SELECT COUNT(*) FROM nope", plan);
+          ("unbound ?", "SELECT COUNT(*) FROM items WHERE k < ?", plan) ])
+    [ 1; 4 ]
 
 (* --- error budget and deadline ------------------------------------------ *)
 
 let test_error_budget () =
-  (match Db.sql_guarded ~policy:Fault.Skip_row ~max_errors:3 (db_csv csv_corrupt ()) agg_q with
+  let db = db_csv csv_corrupt () in
+  (match Executor.query ~policy:Fault.Skip_row ~max_errors:3 (fun () -> Db.sql db agg_q) with
   | Db.Failed (r, Fault.Budget_exceeded n) ->
     Alcotest.(check bool) "budget count" true (n > 3);
     Alcotest.(check bool) "errors recorded" true (r.Fault.rp_errors > 3)
   | _ -> Alcotest.fail "expected Failed (Budget_exceeded)");
   (* a budget of n_picked absorbs the whole file *)
-  match Db.sql_guarded ~policy:Fault.Skip_row ~max_errors:n_picked (db_csv csv_corrupt ()) agg_q with
+  let db = db_csv csv_corrupt () in
+  match Executor.query ~policy:Fault.Skip_row ~max_errors:n_picked (fun () -> Db.sql db agg_q) with
   | Db.Completed (_, r) -> Alcotest.(check int) "at budget" n_picked r.Fault.rp_errors
   | _ -> Alcotest.fail "budget of n_picked should complete"
 
@@ -236,7 +265,9 @@ let test_deadline () =
 let test_cache_quarantine () =
   let db = db_csv csv_corrupt () in
   let m = Db.cache_manager db in
-  let _, r = completed "skip" (Db.sql_guarded ~policy:Fault.Skip_row db agg_q) in
+  let _, r =
+    completed "skip" (Executor.query ~policy:Fault.Skip_row (fun () -> Db.sql db agg_q))
+  in
   Alcotest.(check int) "errors" n_picked r.Fault.rp_errors;
   let s = Manager.stats m in
   Alcotest.(check bool) "fills quarantined" true (s.Manager.quarantined > 0);
@@ -261,10 +292,11 @@ let test_counters () =
       List.iter
         (fun batch ->
           let name = Fmt.str "d%d/b%d" domains batch in
+          let db = db_csv csv_corrupt () in
           let _, r =
             completed name
-              (Db.sql_guarded ~domains ~batch_size:batch ~policy:Fault.Skip_row
-                 (db_csv csv_corrupt ()) agg_q)
+              (Executor.query ~policy:Fault.Skip_row (fun () ->
+                   Db.sql ~domains ~batch_size:batch db agg_q))
           in
           let s = r.Fault.rp_stats in
           Alcotest.(check int) (name ^ " errors_seen") n_picked s.Counters.errors_seen;
@@ -310,8 +342,9 @@ let test_csv_ragged_rows () =
   (* both shapes are flagged, positioned and skippable under the policy *)
   List.iter
     (fun (what, contents, lo) ->
+      let db = db_two contents in
       match
-        Db.sql_guarded ~policy:Fault.Skip_row (db_two contents) "SELECT SUM(b) AS s FROM t"
+        Executor.query ~policy:Fault.Skip_row (fun () -> Db.sql db "SELECT SUM(b) AS s FROM t")
       with
       | Db.Completed (v, r) ->
         Alcotest.check check_value (what ^ " skip value")
@@ -379,6 +412,7 @@ let () =
           Alcotest.test_case "null fill (csv)" `Slow test_null_fill_csv;
           Alcotest.test_case "null fill (json)" `Slow test_null_fill_json;
           Alcotest.test_case "fail fast default" `Quick test_fail_fast_default;
+          Alcotest.test_case "front-end errors fail the query" `Quick test_front_end_errors;
         ] );
       ( "limits",
         [

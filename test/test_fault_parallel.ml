@@ -4,6 +4,7 @@
 
 open Proteus_model
 module Db = Proteus.Db
+module Executor = Proteus_engine.Executor
 
 let n_rows = 800 (* 16-row morsels -> 50 morsels *)
 
@@ -30,7 +31,7 @@ let test_morsel0_fault_cancels_peers () =
   let seeks =
     Faultgen.inject (Db.registry db) ~dataset:"items" ~fail_at:(fun row -> row < 16)
   in
-  (match Db.sql_guarded ~domains:4 db q with
+  (match Executor.query (fun () -> Db.sql ~domains:4 db q) with
   | Db.Failed (_, Perror.Parse_error _) -> ()
   | Db.Failed (_, e) -> Alcotest.failf "unexpected failure: %a" Perror.pp_exn e
   | Db.Completed _ -> Alcotest.fail "injected fault should fail the query"
@@ -52,8 +53,8 @@ let test_budget_abort_cancels_peers () =
     Faultgen.inject (Db.registry db) ~dataset:"items" ~fail_at:(fun row -> row < 16)
   in
   (match
-     Db.sql_guarded ~domains:4 ~policy:Fault.Skip_row ~max_errors:2
-       db q
+     Executor.query ~policy:Fault.Skip_row ~max_errors:2 (fun () ->
+         Db.sql ~domains:4 db q)
    with
   | Db.Failed (_, Fault.Budget_exceeded _) -> ()
   | _ -> Alcotest.fail "expected Failed (Budget_exceeded)");
@@ -72,7 +73,7 @@ let test_skip_over_injection_completes () =
   let clean = Db.sql ~domains:4 db q in
   ignore clean;
   ignore (Faultgen.inject (Db.registry db) ~dataset:"items" ~fail_at:(fun row -> row < 16));
-  match Db.sql_guarded ~domains:4 ~policy:Fault.Skip_row db q with
+  match Executor.query ~policy:Fault.Skip_row (fun () -> Db.sql ~domains:4 db q) with
   | Db.Completed (_, r) ->
     Alcotest.(check int) "skipped" 16 r.Fault.rp_skipped
   | _ -> Alcotest.fail "expected Completed under Skip_row"

@@ -309,8 +309,8 @@ let test_policy_stand_down () =
   List.iter
     (fun policy ->
       match
-        Executor.run_guarded ~batch_size:1024 ~policy reg
-          ~engine:Executor.Engine_compiled plan
+        Executor.query ~policy (fun () ->
+            Executor.run ~batch_size:1024 reg ~engine:Executor.Engine_compiled plan)
       with
       | Executor.Completed (r, report) ->
           let s = report.Fault.rp_stats in

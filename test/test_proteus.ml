@@ -74,6 +74,9 @@ let make_db () =
 
 let db = lazy (make_db ())
 
+let comprehension ?engine db q =
+  Db.run_plan ?engine ~optimize:false db (Db.plan_comprehension db q)
+
 let both_engines name f =
   let db = Lazy.force db in
   f db Db.Engine_compiled;
@@ -121,14 +124,14 @@ let test_comprehension_nested () =
           0 sailors
       in
       Alcotest.check check_value "adult kids" (Value.Int expected)
-        (Db.comprehension ~engine db
+        (comprehension ~engine db
            "for { s <- sailors, c <- s.children, c.age > 10 } yield count(*)"))
 
 let test_comprehension_three_formats () =
   both_engines "three formats" (fun db engine ->
       (* sailors (JSON) joined to orders (binary) joined to lineitems (CSV) *)
       let v =
-        Db.comprehension ~engine db
+        comprehension ~engine db
           "for { s <- sailors, o <- orders, l <- lineitem, s.id = o.o_orderkey, \
            o.o_orderkey = l.l_orderkey, l.l_quantity < 40 } yield count(*)"
       in
@@ -204,11 +207,11 @@ let test_append_without_trailing_newline () =
 let test_caching_toggle () =
   let db = make_db () in
   Db.set_caching db false;
-  ignore (Db.comprehension db "for { s <- sailors } yield sum(s.id)");
+  ignore (comprehension db "for { s <- sailors } yield sum(s.id)");
   Alcotest.(check int) "nothing cached" 0
     (Proteus_cache.Manager.stats (Db.cache_manager db)).Proteus_cache.Manager.field_stores;
   Db.set_caching db true;
-  ignore (Db.comprehension db "for { s <- sailors } yield sum(s.id)");
+  ignore (comprehension db "for { s <- sailors } yield sum(s.id)");
   Alcotest.(check bool) "cached after enabling" true
     ((Proteus_cache.Manager.stats (Db.cache_manager db)).Proteus_cache.Manager.field_stores
     > 0)
@@ -384,9 +387,12 @@ let test_output_table () =
 
 (* --- prepared queries + stats refresh --------------------------------------- *)
 
-let test_prepare_sql () =
+let test_prepare_statement () =
   let db = Lazy.force db in
-  let p = Db.prepare_sql db "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 10" in
+  let p =
+    Db.prepare ~optimize:false db
+      (Db.plan_sql db "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 10")
+  in
   Alcotest.(check bool) "compile time measured" true (p.Db.compile_seconds >= 0.0);
   let r1 = p.Db.run () and r2 = p.Db.run () in
   Alcotest.check check_value "re-runnable" r1 r2;
@@ -521,7 +527,7 @@ let () =
         ] );
       ( "prepared",
         [
-          Alcotest.test_case "prepare sql" `Quick test_prepare_sql;
+          Alcotest.test_case "prepare sql" `Quick test_prepare_statement;
           Alcotest.test_case "refresh stats" `Quick test_refresh_stats;
         ] );
       ( "facade",

@@ -276,7 +276,7 @@ let test_hedge_stands_down_degraded () =
   Registry.set_hedge reg (Some (Hedge.create ~floor_ms:1. ()));
   ignore (Faultgen.stall reg ~dataset:"sh__s1" ~ms:20 ());
   let v, report =
-    completed (Db.run_plan_guarded ~policy:Fault.Skip_row db (count_plan "sh"))
+    completed (Executor.query ~policy:Fault.Skip_row (fun () -> Db.run_plan db (count_plan "sh")))
   in
   Alcotest.check check_value "skip-policy result" (Value.Int 200) v;
   Alcotest.(check int) "no hedge under skip" 0
@@ -293,7 +293,7 @@ let test_flaky_within_budget () =
     (Policy.make ~attempts:3 ~base_backoff_ms:0.2 ~max_backoff_ms:1. ());
   let calls = Faultgen.flaky reg ~dataset:"sh__s1" ~failures:2 () in
   let v, report =
-    completed (Db.run_plan_guarded ~policy:Fault.Fail_fast db (count_plan "sh"))
+    completed (Executor.query ~policy:Fault.Fail_fast (fun () -> Db.run_plan db (count_plan "sh")))
   in
   Alcotest.check check_value "full count despite flakiness" (Value.Int 200) v;
   Alcotest.(check int) "zero user-visible errors" 0 report.Fault.rp_errors;
@@ -319,14 +319,14 @@ let test_flaky_exhaustion_policies () =
       let calls = Faultgen.flaky reg ~dataset:"sh__s1" ~failures:99 () in
       match policy with
       | Fault.Fail_fast -> (
-        match Db.run_plan_guarded ~policy db (count_plan "sh") with
+        match Executor.query ~policy (fun () -> Db.run_plan db (count_plan "sh")) with
         | Db.Failed (_, Perror.Parse_error _) ->
           Alcotest.(check int) "fail-fast: budget bounds attempts" 2
             (Atomic.get calls)
         | Db.Failed (_, e) -> Alcotest.failf "wrong error: %a" Perror.pp_exn e
         | _ -> Alcotest.fail "exhausted fail-fast must fail")
       | _ ->
-        let v, report = completed (Db.run_plan_guarded ~policy db (count_plan "sh")) in
+        let v, report = completed (Executor.query ~policy (fun () -> Db.run_plan db (count_plan "sh"))) in
         (* 200 rows minus the degraded member's 50 *)
         Alcotest.check check_value
           (Fmt.str "%s: healthy members scan" (Fault.policy_name policy))
@@ -345,7 +345,7 @@ let test_breaker_scatter_cycle () =
   Registry.set_breaker_config reg { Breaker.threshold = 2; cooldown_ms = 50. };
   let calls = Faultgen.flaky reg ~dataset:"sh__s1" ~failures:2 () in
   let degraded () =
-    completed (Db.run_plan_guarded ~policy:Fault.Skip_row db (count_plan "sh"))
+    completed (Executor.query ~policy:Fault.Skip_row (fun () -> Db.run_plan db (count_plan "sh")))
   in
   (* two failing queries accumulate the consecutive failures that open *)
   let v, _ = degraded () in
@@ -382,7 +382,7 @@ let test_breaker_reregistration_resets () =
     { Breaker.threshold = 1; cooldown_ms = 60_000. };
   ignore (Faultgen.flaky reg ~dataset:"sh__s1" ~failures:1 ());
   let degraded () =
-    completed (Db.run_plan_guarded ~policy:Fault.Skip_row db (count_plan "sh"))
+    completed (Executor.query ~policy:Fault.Skip_row (fun () -> Db.run_plan db (count_plan "sh")))
   in
   let v, _ = degraded () in
   Alcotest.check check_value "q1 degrades" (Value.Int 150) v;

@@ -231,7 +231,7 @@ let test_sql_params () =
 
 let test_prepared_staleness () =
   let db = make_db () in
-  let p = Db.prepare_sql db "SELECT COUNT(1) FROM items_csv WHERE k >= 0" in
+  let p = Db.prepare ~optimize:false db (Db.plan_sql db "SELECT COUNT(1) FROM items_csv WHERE k >= 0") in
   Alcotest.check check_value "first run" (Value.Int 800) (p.Db.run ());
   (* dataset update: the prepared engine must observe the append *)
   Db.append db ~name:"items_csv"
@@ -246,6 +246,36 @@ let test_prepared_staleness () =
   Alcotest.check check_value "after set_caching false" (Value.Int 810) (p.Db.run ());
   Db.set_caching db true;
   Alcotest.check check_value "after set_caching true" (Value.Int 810) (p.Db.run ())
+
+let test_prepared_follows_promotion () =
+  let caching =
+    { Proteus_cache.Manager.default_config with promote = true; promote_threshold = 2 }
+  in
+  List.iter
+    (fun ds ->
+      let db = make_db ~caching () in
+      let reg = Db.registry db in
+      let plan = agg_plan ds (Expr.int 40) in
+      let p = Db.prepare db plan in
+      let gen = Proteus_plugin.Registry.generation reg in
+      (* selective fresh compiles drive k past the promotion threshold, as
+         in the engine-cache promotion test *)
+      for i = 1 to 6 do
+        ignore (Compiled.prepare_par reg ~domains:1 (agg_plan ds (Expr.int (30 + i))) ())
+      done;
+      Alcotest.(check bool) (ds ^ ": k promoted") true
+        (Proteus_cache.Manager.is_promoted (Db.cache_manager db) ~dataset:ds ~path:"k");
+      Alcotest.(check bool) (ds ^ ": promotion moved the generation") true
+        (Proteus_plugin.Registry.generation reg > gen);
+      (* the statement re-stages over the promoted layout: same answer and
+         the same skips, seeks and slot reads as a fresh run *)
+      let v, s = Executor.measure p.Db.run in
+      let v', s' = Executor.measure (fun () -> Db.run_plan db plan) in
+      Alcotest.check check_value (ds ^ ": answer") v' v;
+      Alcotest.(check (list int)) (ds ^ ": skipped / seeks / slot reads")
+        [ s'.Counters.morsels_skipped; s'.Counters.sorted_seeks; s'.Counters.slot_reads ]
+        [ s.Counters.morsels_skipped; s.Counters.sorted_seeks; s.Counters.slot_reads ])
+    [ "items_csv"; "items_json" ]
 
 (* --- engine cache -------------------------------------------------------- *)
 
@@ -742,6 +772,8 @@ let () =
           Alcotest.test_case "sql ?params" `Quick test_sql_params;
           Alcotest.test_case "prepared statements observe updates" `Quick
             test_prepared_staleness;
+          Alcotest.test_case "prepared statements follow promotions" `Quick
+            test_prepared_follows_promotion;
         ] );
       ( "engine-cache",
         [

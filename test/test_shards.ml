@@ -297,7 +297,7 @@ let completed = function
 
 let test_failed_shard_fail_fast () =
   let db = make_bad_db () in
-  match Db.run_plan_guarded ~policy:Fault.Fail_fast db (count_plan "shbad") with
+  match Executor.query ~policy:Fault.Fail_fast (fun () -> Db.run_plan db (count_plan "shbad")) with
   | Db.Failed (_, Perror.Parse_error _) -> ()
   | Db.Failed (_, e) -> Alcotest.failf "wrong error: %a" Perror.pp_exn e
   | _ -> Alcotest.fail "fail-fast over a broken shard must fail"
@@ -305,7 +305,7 @@ let test_failed_shard_fail_fast () =
 let test_failed_shard_skip () =
   let db = make_bad_db () in
   let v, report =
-    completed (Db.run_plan_guarded ~policy:Fault.Skip_row db (count_plan "shbad"))
+    completed (Executor.query ~policy:Fault.Skip_row (fun () -> Db.run_plan db (count_plan "shbad")))
   in
   (* the broken member degrades to an empty shard; the healthy ones scan *)
   Alcotest.check check_value "skip count" (Value.Int 80) v;
@@ -313,7 +313,7 @@ let test_failed_shard_skip () =
 
 let test_failed_shard_heal () =
   let db = make_bad_db () in
-  (match Db.run_plan_guarded ~policy:Fault.Fail_fast db (count_plan "shbad") with
+  (match Executor.query ~policy:Fault.Fail_fast (fun () -> Db.run_plan db (count_plan "shbad")) with
   | Db.Failed _ -> ()
   | _ -> Alcotest.fail "broken shard should fail first");
   (* re-registering the member invalidates the parent (failures are never
@@ -342,7 +342,7 @@ let test_failed_shard_retry () =
         raise (Perror.Parse_error { what = "json:m0"; pos = 0; msg = "flaky" })
       else genuine ());
   let v, report =
-    completed (Db.run_plan_guarded ~policy:Fault.Fail_fast db (count_plan "shflaky"))
+    completed (Executor.query ~policy:Fault.Fail_fast (fun () -> Db.run_plan db (count_plan "shflaky")))
   in
   Alcotest.check check_value "retried count" (Value.Int 80) v;
   Alcotest.(check int) "wrapper called twice" 2 !calls;
