@@ -7,8 +7,6 @@
       Section 5.2 "Specializing per Dataset Contents";
    C. implicit caching of join build sides (reusing the materialized side
       of a previous radix join) — Section 6;
-   D. sigma-result caching with predicate subsumption — the future-work
-      extension of Section 6;
    E. the vectorized lane (batch kernels over selection vectors) vs the
       staged tuple-at-a-time lane of the same specialized engine. *)
 
@@ -116,31 +114,6 @@ let run_all () =
   in
   Fmt.pr "C. implicit join-side caching: rebuild %8.2fms   reuse %8.2fms (%.1fx)@."
     (Util.ms t_cold) (Util.ms t_reuse) (t_cold /. t_reuse);
-
-  (* D: sigma-result caching + subsumption. Two sessions: the raw arm never
-     caches (otherwise its own warm-up would serve later samples); the
-     cached arm is primed with a weaker predicate and every timed run is a
-     subsuming match with a residual re-filter. *)
-  let register_li db =
-    Proteus.Db.register_json db ~name:"li_json" ~element:Tpch.lineitem_type
-      ~contents:(Tpch.lineitem_json d)
-  in
-  let db_raw = mk_db ~register:register_li () in
-  let db_sel =
-    mk_db
-      ~caching:{ Manager.config_disabled with cache_select_results = true; subsumption = true }
-      ~register:register_li ()
-  in
-  let sel k = Q.projection ~lineitem:"li_json" ~order_count:oc ~variant:Q.Agg4 ~selectivity:k in
-  ignore (Proteus.Db.run_plan db_sel (sel 0.5)) (* prime the sigma-cache *);
-  let t_raw = Util.measure (fun () -> ignore (Proteus.Db.run_plan db_raw (sel 0.2))) in
-  let t_subsumed = Util.measure (fun () -> ignore (Proteus.Db.run_plan db_sel (sel 0.2))) in
-  let stats = Manager.stats (Proteus.Db.cache_manager db_sel) in
-  Fmt.pr
-    "D. sigma-result caching: raw %8.2fms   subsumed re-filter %8.2fms (%.1fx; %d \
-     subsumed matches)@."
-    (Util.ms t_raw) (Util.ms t_subsumed) (t_raw /. t_subsumed)
-    stats.Manager.select_subsumed;
 
   (* E: vectorized vs staged tuple execution — same plan, same specialized
      engine, over binary columns where batch getters are memcpy-like; a

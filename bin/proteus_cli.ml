@@ -409,15 +409,21 @@ let line_col src pos =
 (* Map a Parse_error's [what] to the offending file: index-build errors are
    wrapped as "format:dataset"; access-time errors carry the bare format
    name, which still identifies the file when a unique registered dataset
-   has that format. *)
+   has that format. Front-end inputs (sql, comprehension, typespec, date,
+   number) name no file. *)
 let locate_file files what =
   match String.index_opt what ':' with
   | Some i ->
     let ds = String.sub what (i + 1) (String.length what - i - 1) in
     List.find_opt (fun (name, _, _) -> name = ds) files
-  | None ->
-    let fmt = if what = "csv" then "csv" else "json" in
-    (match List.filter (fun (_, _, f) -> f = fmt) files with
+  | None -> (
+    let fmt =
+      match what with
+      | "csv" | "csv-infer" -> Some "csv"
+      | "json" | "json-index" -> Some "json"
+      | _ -> None
+    in
+    match List.filter (fun (_, _, f) -> Some f = fmt) files with
     | [ one ] -> Some one
     | _ -> None)
 

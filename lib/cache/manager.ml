@@ -12,8 +12,6 @@ type config = {
   cache_json_fields : bool;
   cache_strings : bool;
   cache_join_sides : bool;
-  cache_select_results : bool;
-  subsumption : bool;
   promote : bool;
   promote_threshold : int;
   promote_projections : bool;
@@ -27,8 +25,6 @@ let default_config =
     cache_json_fields = true;
     cache_strings = false;
     cache_join_sides = true;
-    cache_select_results = false;
-    subsumption = true;
     promote = false;
     promote_threshold = 3;
     promote_projections = true;
@@ -40,8 +36,6 @@ let config_disabled =
     cache_json_fields = false;
     cache_strings = false;
     cache_join_sides = false;
-    cache_select_results = false;
-    subsumption = false;
     promote = false;
     promote_threshold = 3;
     promote_projections = false;
@@ -54,9 +48,6 @@ type stats = {
   packed_hits : int;
   packed_misses : int;
   packed_stores : int;
-  select_hits : int;      (* exact σ-result matches *)
-  select_subsumed : int;  (* matches that needed a residual re-filter *)
-  select_stores : int;
   quarantined : int;      (* fills discarded: producing run saw errors/abort *)
   fill_commits : int;     (* committed segmented fills (one per dataset scan) *)
   fill_segments : int;    (* per-(worker,morsel) segments blit-assembled *)
@@ -88,7 +79,6 @@ type t = {
   mutable promo_fired : (string * string) list;  (* pending hook calls *)
   fields : (string * string, field) Hashtbl.t;    (* (dataset, path) *)
   packed : (string, Cache_iface.packed * string list) Hashtbl.t;  (* key -> (cols, datasets) *)
-  selects : (string, select_entry list ref) Hashtbl.t;  (* dataset -> entries *)
   (* workload-adaptive promotion (adaptive storage 2.0): per-column access
      accounting, promoted-column set, and zone-map side structures *)
   access : (string * string, access_acc) Hashtbl.t;
@@ -101,9 +91,6 @@ type t = {
   mutable packed_hits : int;
   mutable packed_misses : int;
   mutable packed_stores : int;
-  mutable select_hits : int;
-  mutable select_subsumed : int;
-  mutable select_stores : int;
   mutable quarantined : int;
   mutable fill_commits : int;
   mutable fill_segments : int;
@@ -131,13 +118,6 @@ and access_acc = {
   mutable ranged : int;     (* of those, range (not equality) comparisons *)
 }
 
-and select_entry = {
-  se_id : string;            (* arena block id *)
-  se_pred : Expr.t;          (* canonicalized over binding "$0" *)
-  se_paths : string list;
-  se_packed : Cache_iface.packed;
-}
-
 let create ?(config = default_config) catalog =
   {
     config;
@@ -148,7 +128,6 @@ let create ?(config = default_config) catalog =
     promo_fired = [];
     fields = Hashtbl.create 32;
     packed = Hashtbl.create 16;
-    selects = Hashtbl.create 8;
     access = Hashtbl.create 32;
     promoted = Hashtbl.create 8;
     zones = Hashtbl.create 8;
@@ -159,9 +138,6 @@ let create ?(config = default_config) catalog =
     packed_hits = 0;
     packed_misses = 0;
     packed_stores = 0;
-    select_hits = 0;
-    select_subsumed = 0;
-    select_stores = 0;
     quarantined = 0;
     fill_commits = 0;
     fill_segments = 0;
@@ -429,74 +405,6 @@ let store_packed t ~key ~datasets ~bias p =
       Log.warn (fun m -> m "packed cache %s larger than arena; skipped" key)
   end
 
-(* --- sigma-result caching with subsumption (Section 6 extension) --------- *)
-
-let subset a b = List.for_all (fun x -> List.mem x b) a
-
-let canon ~binding pred = Expr.rename binding "$0" pred
-
-let lookup_select t ~dataset ~binding ~pred ~paths =
-  match Hashtbl.find_opt t.selects dataset with
-  | None -> None
-  | Some entries ->
-    let q = canon ~binding pred in
-    let exact =
-      List.find_opt
-        (fun e -> Expr.equal e.se_pred q && subset paths e.se_paths)
-        !entries
-    in
-    (match exact with
-    | Some e ->
-      t.select_hits <- t.select_hits + 1;
-      ignore (Memory.Arena.touch t.arena e.se_id);
-      Some (e.se_packed, None)
-    | None when t.config.subsumption ->
-      let weaker =
-        List.find_opt
-          (fun e -> subset paths e.se_paths && Subsume.covers ~cached:e.se_pred ~query:q)
-          !entries
-      in
-      (match weaker with
-      | Some e ->
-        t.select_subsumed <- t.select_subsumed + 1;
-        ignore (Memory.Arena.touch t.arena e.se_id);
-        Some (e.se_packed, Some pred)
-      | None -> None)
-    | None -> None)
-
-let store_select t ~dataset ~binding ~pred ~paths ~bias packed =
-  let q = canon ~binding pred in
-  let id = Fmt.str "select:%s:%d" dataset (Hashtbl.hash (Expr.to_string q, paths)) in
-  let entries =
-    match Hashtbl.find_opt t.selects dataset with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.replace t.selects dataset cell;
-      cell
-  in
-  match
-    Memory.Arena.put t.arena ~id ~size:(packed_size packed) ~bias ~on_evict:(fun () ->
-        entries := List.filter (fun e -> not (String.equal e.se_id id)) !entries)
-  with
-  | () ->
-    entries :=
-      { se_id = id; se_pred = q; se_paths = paths; se_packed = packed }
-      :: List.filter (fun e -> not (String.equal e.se_id id)) !entries;
-    t.select_stores <- t.select_stores + 1;
-    Log.info (fun m ->
-        m "cached sigma-result over %s (%d rows): %a" dataset packed.Cache_iface.length
-          Expr.pp q)
-  | exception Invalid_argument _ ->
-    Log.warn (fun m -> m "sigma-result cache for %s larger than arena; skipped" dataset)
-
-let should_cache_select t ~dataset =
-  t.config.cache_select_results
-  &&
-  match (Catalog.find t.catalog dataset).Dataset.format with
-  | Dataset.Csv _ | Dataset.Json -> true
-  | Dataset.Binary_row | Dataset.Binary_column -> false
-
 (* Install-on-commit accounting: the fill was computed but its producing
    run recorded errors (or aborted), so nothing was stored. *)
 let quarantine t ~id =
@@ -524,14 +432,6 @@ let iface t : Cache_iface.t =
     store_packed =
       (fun ~key ~datasets ~bias p ->
         with_mu t (fun () -> store_packed t ~key ~datasets ~bias p));
-    lookup_select =
-      (fun ~dataset ~binding ~pred ~paths ->
-        with_mu t (fun () -> lookup_select t ~dataset ~binding ~pred ~paths));
-    store_select =
-      (fun ~dataset ~binding ~pred ~paths ~bias p ->
-        with_mu t (fun () -> store_select t ~dataset ~binding ~pred ~paths ~bias p));
-    should_cache_select =
-      (fun ~dataset -> with_mu t (fun () -> should_cache_select t ~dataset));
     quarantine = (fun ~id -> with_mu t (fun () -> quarantine t ~id));
     note_fill =
       (fun ~dataset ~segments ~rows ->
@@ -566,9 +466,6 @@ let stats t = with_mu t @@ fun () ->
     packed_hits = t.packed_hits;
     packed_misses = t.packed_misses;
     packed_stores = t.packed_stores;
-    select_hits = t.select_hits;
-    select_subsumed = t.select_subsumed;
-    select_stores = t.select_stores;
     quarantined = t.quarantined;
     fill_commits = t.fill_commits;
     fill_segments = t.fill_segments;
@@ -602,24 +499,13 @@ let bytes_for t ~dataset = with_mu t @@ fun () ->
         if List.mem dataset datasets then acc + packed_size p else acc)
       t.packed 0
   in
-  let selects =
-    match Hashtbl.find_opt t.selects dataset with
-    | Some entries ->
-      List.fold_left (fun acc e -> acc + packed_size e.se_packed) 0 !entries
-    | None -> 0
-  in
-  fields + packed + selects
+  fields + packed
 
 let resident_bytes t = with_mu t @@ fun () ->
   Hashtbl.fold (fun _ { col; _ } acc -> acc + Column.byte_size col) t.fields 0
   + Hashtbl.fold (fun _ (p, _) acc -> acc + packed_size p) t.packed 0
-  + Hashtbl.fold
-      (fun _ entries acc ->
-        List.fold_left (fun acc e -> acc + packed_size e.se_packed) acc !entries)
-      t.selects 0
 
-(* Plan-derived results over [dataset]: materialized join sides and
-   sigma-results. *)
+(* Plan-derived results over [dataset]: materialized join sides. *)
 let drop_plan_results t ~dataset =
   let packed_keys =
     Hashtbl.fold
@@ -630,12 +516,7 @@ let drop_plan_results t ~dataset =
     (fun key ->
       Hashtbl.remove t.packed key;
       Memory.Arena.remove t.arena (packed_id key))
-    packed_keys;
-  match Hashtbl.find_opt t.selects dataset with
-  | Some entries ->
-    List.iter (fun e -> Memory.Arena.remove t.arena e.se_id) !entries;
-    Hashtbl.remove t.selects dataset
-  | None -> ()
+    packed_keys
 
 let keys_of tbl dataset =
   Hashtbl.fold
@@ -682,8 +563,8 @@ let tail_column (d : Dataset.t) (src : Proteus_plugin.Source.t) ~from path =
    cached columns keep their rows and gain the appended ones, zone maps and
    sorted projections extend over them, and access history and promotions
    carry on. What a tail breaks is dropped (a row that does not parse
-   drops its column, a NaN drops a projection). Join sides and
-   sigma-results are plan-derived and dropped. *)
+   drops its column, a NaN drops a projection). Join sides are
+   plan-derived and dropped. *)
 let extend_dataset t ~dataset ~source ~from =
   let d = Catalog.find t.catalog dataset in
   let paths = with_mu t (fun () -> keys_of t.fields dataset) in
@@ -749,14 +630,10 @@ let clear t = with_mu t @@ fun () ->
   Hashtbl.iter (fun (ds, path) _ -> Memory.Arena.remove t.arena (field_id ds path)) t.fields;
   Hashtbl.iter (fun key _ -> Memory.Arena.remove t.arena (packed_id key)) t.packed;
   Hashtbl.iter
-    (fun _ entries -> List.iter (fun e -> Memory.Arena.remove t.arena e.se_id) !entries)
-    t.selects;
-  Hashtbl.iter
     (fun (ds, path) () -> Stats.drop_promoted (Catalog.stats t.catalog ds) path)
     t.promoted;
   Hashtbl.reset t.fields;
   Hashtbl.reset t.packed;
-  Hashtbl.reset t.selects;
   Hashtbl.reset t.access;
   Hashtbl.reset t.promoted;
   Hashtbl.reset t.zones;

@@ -22,13 +22,6 @@ type config = {
   cache_json_fields : bool;
   cache_strings : bool;      (** default false, as in the paper *)
   cache_join_sides : bool;
-  cache_select_results : bool;
-      (** materialize sigma-over-scan results (explicit caching operators near
-          the leaves); default false *)
-  subsumption : bool;
-      (** let a cached weaker predicate answer a stricter query with a
-          residual re-filter — the future-work extension of Section 6;
-          default true (only observable when sigma-results exist) *)
   promote : bool;
       (** workload-adaptive promotion: track per-column reads and
           selective-predicate compilations; past [promote_threshold],
@@ -77,9 +70,6 @@ type stats = {
   packed_hits : int;
   packed_misses : int;
   packed_stores : int;
-  select_hits : int;
-  select_subsumed : int;
-  select_stores : int;
   quarantined : int;
       (** fills computed but discarded because the producing run recorded
           errors or aborted (install-on-commit; see {!Cache_iface.t}) *)
@@ -131,7 +121,7 @@ val lookup_projection :
   t -> dataset:string -> path:string -> Proteus_storage.Projection.t option
 
 (** [bytes_for t ~dataset] is the total resident cache bytes built from one
-    dataset (field caches plus materialized join sides and sigma-results). *)
+    dataset (field caches plus materialized join sides). *)
 val bytes_for : t -> dataset:string -> int
 
 (** [field_bytes_for t ~dataset] counts only the OID-aligned field-cache
@@ -153,8 +143,8 @@ val invalidate_dataset : t -> dataset:string -> unit
     ones through [source]; zone maps and sorted projections extend over
     them; access history and promotions stay. A column whose appended rows
     do not all read cleanly is dropped (the next scan refills it), as is a
-    projection a NaN arrived under. Materialized join sides and
-    sigma-results over the dataset are dropped: they are plan-derived. *)
+    projection a NaN arrived under. Materialized join sides over the
+    dataset are dropped: they are plan-derived. *)
 val extend_dataset :
   t -> dataset:string -> source:Proteus_plugin.Source.t -> from:int -> unit
 

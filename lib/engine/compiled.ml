@@ -112,16 +112,6 @@ let prune_join (sj : shared_join) : Prune.join =
     keys = !(sj.sj_ikeys);
   }
 
-(* What the driving select-over-scan of a fleet reads: the raw rows, a
-   cached σ-result (plus the residual a subsuming match re-applies), or the
-   raw rows while storing their σ-result. The spine analysis resolves it
-   once per fleet, so every instance agrees and the cache's statistics tick
-   once per query. *)
-type sigma =
-  | Raw
-  | Hit of Cache_iface.packed * Expr.t option
-  | Store
-
 (* Per-pipeline-instance fleet state. Worker 0 is the template: it compiles
    build sides and publishes [shared_join]s; workers > 0 compile probe-only
    spines against them. Every scan a compile reaches is the driving scan of
@@ -139,13 +129,12 @@ type par = {
   par_join_ctr : int ref;  (** spine joins seen so far by this instance *)
   par_builds : (unit -> unit) list ref;
       (** build phases the template registers; run serially before fan-out *)
-  par_select : sigma;  (** the driving select-scan's σ-cache decision *)
   par_fill : Registry.fill_session option;
       (** shared segmented-fill session of the driving scan (cold run):
           every worker's view fills per-morsel segments into it; the fleet
           driver arms it before the run and commits (or releases) it after —
           see [Registry.fill_session] *)
-  par_prune : Prune.t option;
+  par_prune : Prune.t;
       (** the driving scan's pruning handle, shared by every instance and
           armed by the fleet driver *)
 }
@@ -249,32 +238,6 @@ let scan_required ctx binding =
   | Some (`Paths ps) -> (ps, false)
   | Some `Whole -> ([], true)
   | None -> ([], false)
-
-(* sigma-result caching applies when the scan's required paths are all
-   primitive (packable into binary columns) *)
-let select_paths ctx binding =
-  match List.assoc_opt binding ctx.required with
-  | Some (`Paths ps) when ps <> [] -> Some ps
-  | _ -> None
-
-let select_cache_should_store ctx ~dataset ~binding ~pred =
-  (* never materialize a σ-result under a parameterized predicate: the
-     stored rows would be valid only for the values bound at fill time *)
-  (not (Expr.has_param pred))
-  && (Registry.cache ctx.reg).Cache_iface.should_cache_select ~dataset
-  &&
-  match select_paths ctx binding with
-  | None -> false
-  | Some paths -> (
-    match Proteus_catalog.Catalog.find_opt (Registry.catalog ctx.reg) dataset with
-    | Some d ->
-      List.for_all
-        (fun p ->
-          match Source.field_type d.Proteus_catalog.Dataset.element p with
-          | ty -> Ptype.is_primitive (Ptype.unwrap_option ty)
-          | exception Perror.Plan_error _ -> false)
-        paths
-    | None -> false)
 
 (* Per-match emission at a join probe, shared by the template and worker
    probes: position the materialized-row cursor, apply the residual, feed the
@@ -392,27 +355,6 @@ let batch_probe_sink ~(kind : Plan.join_kind) ~(radix : Radix.t option ref)
 
 let default_batch_size = 1024
 
-(* The σ-cache lookup of a driving select-scan. The spine analysis makes
-   it once per fleet and hands the answer to every instance ([par_select]),
-   so the cache's stat counters tick once per query. A parameterized
-   predicate selects a different result set on every bind: its σ-result
-   must never be served from (or key) the cache. *)
-let lookup_select ctx ~dataset ~binding ~pred ~paths =
-  if Expr.has_param pred then None
-  else (Registry.cache ctx.reg).Cache_iface.lookup_select ~dataset ~binding ~pred ~paths
-
-(* Cache matching replaced a sigma-over-scan sub-tree with a scan of a
-   materialized binary result (Section 6 "Cache Matching"): register the
-   binding over the cached columns. *)
-let packed_source ctx ~dataset ~binding (packed : Cache_iface.packed) =
-  let element =
-    (Proteus_catalog.Catalog.find (Registry.catalog ctx.reg) dataset)
-      .Proteus_catalog.Dataset.element
-  in
-  let src = Binary_plugin.of_columns ~element packed.Cache_iface.cols in
-  Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr src);
-  src
-
 (* One filter: compacts the first [n] entries of [sel] in place against the
    elements at [base + sel.(i)]; returns the surviving count. *)
 type bfilter = base:int -> sel:int array -> n:int -> int
@@ -436,9 +378,6 @@ type bfrag = {
       (* cold-run cache fill: one segment per batch, filled on the
          probe-surviving selection before query filters narrow it *)
   bf_dataset : string;  (* for fault attribution *)
-  bf_prune : Prune.t option;
-      (* the fleet drive's pruning handle, armed by the fleet driver (None
-         over σ-packed rows, which are not dataset OIDs) *)
 }
 
 (* Compile one predicate into per-conjunct filters: a vectorized kernel
@@ -494,14 +433,11 @@ let template ctx = match ctx.par with Some p -> p.par_worker = 0 | None -> true
 
 let count_lane ctx add = if template ctx then add 1
 
-(* One more predicate over the driving scan's rows (a Select filter node or
-   a root Reduce predicate): feed the promotion signal. The pruning handle
-   belongs to the fleet drive, which collected every spine predicate
-   already. *)
-let bfrag_prune_pred ctx (frag : bfrag) pred =
-  match frag.bf_prune with
-  | Some t when template ctx -> Prune.note t pred
-  | _ -> ()
+(* One more predicate over the driving scan's rows (a Select of a
+   Select*-over-Scan spine, or a root Reduce predicate over one): feed the
+   promotion signal, in either lane. The pruning handle belongs to the
+   fleet drive, which collected every spine predicate already. *)
+let note_pred ctx pred = if template ctx then Prune.note (spine ctx).par_prune pred
 
 (* Drive a fragment: emit batches morsel by morsel, reset the selection to
    the identity, run the filter nodes, hand the surviving lanes to [sink]. *)
@@ -548,15 +484,13 @@ let bfrag_driver ctx (frag : bfrag) ~bs
     Counters.add_batch_selected n;
     if n > 0 then sink ~base ~sel ~n
   in
+  let p = spine ctx in
   (* Pruning at batch granularity, inside each morsel — on a static-partition
      spine, which bypasses the dispenser, the fleet's only skip *)
   let on_batch ~base ~len =
     Fault.check_cancel ();
-    match frag.bf_prune with
-    | Some t when Prune.skip t ~lo:base ~hi:(base + len) -> ()
-    | _ -> work ~base ~len
+    if not (Prune.skip p.par_prune ~lo:base ~hi:(base + len)) then work ~base ~len
   in
-  let p = spine ctx in
   match p.par_static with
   | Some (lo, hi) ->
     fun () ->
@@ -589,9 +523,15 @@ let bfrag_spill ctx (frag : bfrag) ~bs : (unit -> unit) -> unit -> unit =
           consumer ()
         done)
 
+(* Whether [compile_bfrag] takes this spine: Select*-over-Scan. *)
+let rec batchable_shape (p : Plan.t) =
+  match p with
+  | Plan.Scan _ -> true
+  | Plan.Select { input; _ } -> batchable_shape input
+  | _ -> false
+
 (* Batch-compile a Select*-over-Scan fragment; [None] falls back to the
-   tuple lane (batch disabled, store-electing sigma-cache scan,
-   unsupported shape). *)
+   tuple lane (batch disabled, unsupported shape). *)
 let rec compile_bfrag (ctx : ctx) (p : Plan.t) : bfrag option =
   match ctx.batch with
   | None -> None
@@ -614,35 +554,7 @@ let rec compile_bfrag (ctx : ctx) (p : Plan.t) : bfrag option =
           bf_probe = scan.Registry.sc_probe;
           bf_fill = scan.Registry.sc_fill_sel;
           bf_dataset = scan.Registry.sc_dataset;
-          bf_prune = pp.par_prune;
         }
-    | Plan.Select { pred; input = Plan.Scan { dataset; binding; _ } as scan_node }
-      when select_paths ctx binding <> None -> (
-      match (spine ctx).par_select with
-      | Hit (packed, residual) ->
-        let src = packed_source ctx ~dataset ~binding packed in
-        let nodes =
-          match residual with
-          | None -> []
-          | Some r -> [ bfilter_node ctx ~bs ~src ~branch:true r ]
-        in
-        Some
-          {
-            bf_src = src;
-            bf_range =
-              (fun ~lo ~hi ~batch ~on_batch ->
-                Source.run_range_batches src ~lo ~hi ~batch ~on_batch);
-            bf_nodes = nodes;
-            (* cached σ-result columns are binary: nothing to probe or fill *)
-            bf_probe = None;
-            bf_fill = None;
-            bf_dataset = dataset;
-            bf_prune = None;
-          }
-      | Store ->
-        (* the tuple lane materializes the σ-result as it filters *)
-        None
-      | Raw -> bfrag_filter ctx ~bs (compile_bfrag ctx scan_node) pred)
     | Plan.Select { pred; input } -> bfrag_filter ctx ~bs (compile_bfrag ctx input) pred
     | _ -> None)
 
@@ -650,7 +562,7 @@ and bfrag_filter ctx ~bs frag pred =
   match frag with
   | None -> None
   | Some f ->
-    bfrag_prune_pred ctx f pred;
+    note_pred ctx pred;
     Some
       {
         f with
@@ -663,18 +575,15 @@ and bfrag_filter ctx ~bs frag pred =
    below a breaker, and every join build inside [compile_join]. *)
 
 (* What drives the fan-out: the row count the dispenser carves into
-   morsels, plus the pre-resolved sigma-cache decision for a driving
-   select-over-scan (resolved once so all instances agree and the cache's
-   statistics tick once per query). *)
+   morsels, the driving scan's fill session on a cold run, and its pruning
+   handle. *)
 type drive = {
   dr_count : int;
-  dr_select : sigma;
   dr_fill : Registry.fill_session option;
-  dr_prune : Prune.t option;
-      (** pruning handle of the driving scan (None over σ-packed rows and
-          under a σ-result store, which must see every row), armed by the
-          fleet driver after the build phases, so join-key tests see the
-          materialized keys, and before any morsel is dispensed *)
+  dr_prune : Prune.t;
+      (** pruning handle of the driving scan, armed by the fleet driver
+          after the build phases, so join-key tests see the materialized
+          keys, and before any morsel is dispensed *)
 }
 
 (* The pipeline breaker closest to the driving scan; everything below it
@@ -690,72 +599,46 @@ let rec bottom_breaker (p : Plan.t) : Plan.t option =
     match bottom_breaker input with Some b -> Some b | None -> Some p)
 
 (* Walk a breaker-free spine to the driving scan. A cache-filling scan
-   fills per-morsel segments, committed by the fleet driver; a driving
-   select-scan that elects a σ-result store runs its fleet at width 1 (see
-   [compile_instances]). [preds] accumulates the predicates that apply to every row the driving
-   scan emits — spine Selects plus (for the Reduce drivers) the root
-   predicate — so the scan's pruning handle can test them. Crossing a
-   Project or Unnest drops them: those nodes can rebind names, and pushdown
-   already sank scan-only conjuncts below them. *)
+   fills per-morsel segments, committed by the fleet driver. [preds]
+   accumulates the predicates that apply to every row the driving scan
+   emits — spine Selects plus (for the Reduce drivers) the root predicate —
+   so the scan's pruning handle can test them. Crossing a Project or Unnest
+   drops them: those nodes can rebind names, and pushdown already sank
+   scan-only conjuncts below them. *)
 let rec spine_drive ?(preds = []) (actx : ctx) (p : Plan.t) : drive =
   match p with
-  | Plan.Select { pred; input = Plan.Scan { dataset; binding; _ }; _ }
-    when select_paths actx binding <> None -> (
-    let paths = Option.get (select_paths actx binding) in
-    match lookup_select actx ~dataset ~binding ~pred ~paths with
-    | Some (packed, residual) ->
-      {
-        dr_count = packed.Cache_iface.length;
-        dr_select = Hit (packed, residual);
-        dr_fill = None;
-        dr_prune = None;
-      }
-    | None ->
-      let store = select_cache_should_store actx ~dataset ~binding ~pred in
-      drive_scan actx ~store ~dataset ~binding ~preds:(pred :: preds))
-  | Plan.Scan { dataset; binding; _ } -> drive_scan actx ~store:false ~dataset ~binding ~preds
+  | Plan.Scan { dataset; binding; _ } ->
+    let required, whole = scan_required actx binding in
+    let scan = Registry.scan actx.reg ~whole ~dataset ~required in
+    {
+      dr_count = scan.Registry.sc_count;
+      dr_fill = scan.Registry.sc_fill;
+      dr_prune =
+        Prune.create actx.reg ~slots:actx.slots ~dataset ~binding
+          ~filling:(scan.Registry.sc_fill <> None) preds;
+    }
   | Plan.Select { pred; input; _ } -> spine_drive ~preds:(pred :: preds) actx input
   | Plan.Project { input; _ } | Plan.Unnest { input; _ } -> spine_drive actx input
   | Plan.Join { left; _ } -> spine_drive ~preds actx left
   | Plan.Nest _ | Plan.Sort _ | Plan.Reduce _ ->
     Perror.plan_error "spine analysis reached a breaker"
 
-and drive_scan actx ~store ~dataset ~binding ~preds =
-  let required, whole = scan_required actx binding in
-  let scan = Registry.scan actx.reg ~whole ~dataset ~required in
-  {
-    dr_count = scan.Registry.sc_count;
-    dr_select = (if store then Store else Raw);
-    dr_fill = scan.Registry.sc_fill;
-    dr_prune =
-      (if store then None
-       else
-         Some
-           (Prune.create actx.reg ~slots:actx.slots ~dataset ~binding
-              ~filling:(scan.Registry.sc_fill <> None) preds));
-  }
-
 (* Compile the pipeline instances of [subplan] — worker 0 first: the
    template compiles join build sides and publishes their state for the
-   probe-only instances. [width] instances run, except under a σ-result
-   store, which assembles one compacted result in row order and so runs
-   one. [finish w ctx par compiled] extracts whatever the caller needs from
-   each instance. Returns the instances plus the per-run fleet driver:
-   rearm the dispenser, stage the template (registering the run's build
-   phases), run the builds serially, stage the workers, fan out. [static]
-   pins worker [w] to the [w]-th contiguous chunk of the input instead of
-   the dispenser, for drivers that keep per-worker state across the whole
-   scan. *)
+   probe-only instances. [finish w ctx par compiled] extracts whatever the
+   caller needs from each instance. Returns the instances plus the per-run
+   fleet driver: rearm the dispenser, stage the template (registering the
+   run's build phases), run the builds serially, stage the workers, fan
+   out. [static] pins worker [w] to the [w]-th contiguous chunk of the input
+   instead of the dispenser, for drivers that keep per-worker state across
+   the whole scan. *)
 let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) subplan
     ~stage ~finish =
-  let width = match drive.dr_select with Store -> 1 | Raw | Hit _ -> width in
   let disp = Pool.Dispenser.create () in
   let builds = ref [] in
   let joins : (int, shared_join) Hashtbl.t = Hashtbl.create 4 in
-  Option.iter
-    (fun t ->
-      Prune.add_joins t (fun () -> Hashtbl.fold (fun _ sj acc -> prune_join sj :: acc) joins []))
-    drive.dr_prune;
+  Prune.add_joins drive.dr_prune (fun () ->
+      Hashtbl.fold (fun _ sj acc -> prune_join sj :: acc) joins []);
   let mk w =
     let p =
       {
@@ -768,7 +651,6 @@ let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) sub
         par_joins = joins;
         par_join_ctr = ref 0;
         par_builds = builds;
-        par_select = drive.dr_select;
         par_fill = drive.dr_fill;
         par_prune = drive.dr_prune;
       }
@@ -802,8 +684,8 @@ let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) sub
     (* pruning arms here: after the builds (join-key tests read the
        materialized build keys) and before the dispenser hands out any
        morsel — the pre-dispatch prune of scatter-gather execution *)
-    Option.iter Prune.arm drive.dr_prune;
-    Pool.Dispenser.set_skip disp (Option.map Prune.skip drive.dr_prune);
+    Prune.arm drive.dr_prune;
+    Pool.Dispenser.set_skip disp (Prune.skip drive.dr_prune);
     for w = 1 to width - 1 do
       runners.(w) <- wire w instances.(w)
     done;
@@ -885,17 +767,15 @@ and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
   | Plan.Select { pred; input } -> (
     match compile_bfrag ctx p with
     | Some frag -> bfrag_spill ctx frag ~bs:(Option.get ctx.batch)
-    | None -> (
-      match input with
-      | Plan.Scan { dataset; binding; _ } when select_paths ctx binding <> None ->
-        compile_select_scan ctx ~pred ~dataset ~binding ~scan:input
-      | _ ->
-        let run_input = compile ctx input in
-        let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-        fun consumer ->
-          run_input (fun () ->
-              Counters.add_branch_points 1;
-              if pred_c () then consumer ())))
+    | None ->
+      (* the promotion signal [bfrag_filter] feeds, when the batch lane is off *)
+      if batchable_shape input then note_pred ctx pred;
+      let run_input = compile ctx input in
+      let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
+      fun consumer ->
+        run_input (fun () ->
+            Counters.add_branch_points 1;
+            if pred_c () then consumer ()))
   | Plan.Project { binding; fields; input } ->
     let run_input = compile ctx input in
     let getters =
@@ -1045,92 +925,6 @@ and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
     Perror.plan_error "Reduce below the plan root is not supported"
   | Plan.Join { kind; algo; left; right; left_key; right_key; pred } ->
     compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred
-
-and compile_select_scan ctx ~pred ~dataset ~binding ~scan =
-  if template ctx then Prune.note_selective (Registry.cache ctx.reg) ~dataset ~binding pred;
-  let filter run_input pred =
-    let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-    fun consumer ->
-      run_input (fun () ->
-          Counters.add_branch_points 1;
-          if pred_c () then consumer ())
-  in
-  let p = spine ctx in
-  match p.par_select with
-  | Hit (packed, residual) -> (
-    (* a subsuming match re-applies the stricter predicate as residual *)
-    count_lane ctx Counters.add_lanes_tuple;
-    let src = packed_source ctx ~dataset ~binding packed in
-    let run_input = par_runner p (Source.run_range src) in
-    match residual with
-    | None -> run_input
-    | Some residual -> filter run_input residual)
-  | Raw -> filter (compile ctx scan) pred
-  | Store ->
-    (* explicit caching close to the leaves: materialize the qualifying rows'
-       required fields as a side-effect and register the sigma-result. The
-       fleet runs one worker ([compile_instances]), so its runner scans every
-       morsel in row order into one set of builders. *)
-    let paths = Option.get (select_paths ctx binding) in
-    let cache = Registry.cache ctx.reg in
-    let run_input = compile ctx scan in
-    let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-    let src =
-      match Hashtbl.find_opt ctx.cenv binding with
-      | Some (Exprc.Scan_repr src) -> src
-      | _ -> Perror.plan_error "scan binding %s not registered" binding
-    in
-    let typed =
-      List.map
-        (fun p ->
-          let a = src.Source.field p in
-          (p, Ptype.unwrap_option a.Access.ty, a))
-        paths
-    in
-    let bias =
-      Proteus_catalog.Dataset.bias
-        (Proteus_catalog.Catalog.find (Registry.catalog ctx.reg) dataset)
-          .Proteus_catalog.Dataset.format
-    in
-    fun consumer () ->
-      let builders =
-        List.map
-          (fun (p, ty, a) -> (p, Proteus_storage.Column.Builder.create ty, a))
-          typed
-      in
-      let rows = ref 0 in
-      (* install-on-commit: a sigma-result built while rows were being
-         skipped (or that aborted mid-scan) is a partial answer — quarantine
-         it instead of registering it as the cached result *)
-      let e0 = Fault.query_errors () in
-      let qid = "select:" ^ dataset ^ "." ^ binding in
-      (match
-         (run_input (fun () ->
-              Counters.add_branch_points 1;
-              if pred_c () then begin
-                incr rows;
-                List.iter
-                  (fun (_, b, a) ->
-                    Proteus_storage.Column.Builder.add_value b (a.Access.get_val ()))
-                  builders;
-                consumer ()
-              end))
-           ()
-       with
-      | () -> ()
-      | exception e ->
-        cache.Cache_iface.quarantine ~id:qid;
-        raise e);
-      if Fault.query_errors () > e0 then cache.Cache_iface.quarantine ~id:qid
-      else
-        cache.Cache_iface.store_select ~dataset ~binding ~pred ~paths ~bias
-          {
-            Cache_iface.length = !rows;
-            cols =
-              List.map
-                (fun (p, b, _) -> (p, Proteus_storage.Column.Builder.finish b))
-                builders;
-          }
 
 and compile_unnest ctx ~outer ~path ~binding ~pred ~input =
   let run_input = compile ctx input in
@@ -2020,11 +1814,14 @@ let merge_morsels (monoid_output : Plan.agg list) disp all ~partial ~empty =
 
 (* Root Reduce over primitive monoids: every morsel folds into its own
    accumulator set; partials merge in morsel order (deterministic for any
-   worker count, since the morsel size does not depend on it). *)
+   worker count, since the morsel size does not depend on it). Over a
+   Select*-over-Scan spine it feeds the root predicate to the promotion
+   signal, as [par_batch_reduce] does. *)
 let par_reduce actx ~(drive : drive) ~monoid_output ~pred input =
   let instances, disp, run_fleet =
     compile_instances actx ~width:actx.domains ~drive input ~stage:compile
       ~finish:(fun ctx p compiled ->
+        if batchable_shape input then note_pred ctx pred;
         let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
         let factories =
           List.map
@@ -2082,7 +1879,7 @@ let par_batch_reduce actx ~bs ~(drive : drive) ~monoid_output ~pred input =
           match pred with
           | Expr.Const (Value.Bool true) -> frag
           | pr ->
-            bfrag_prune_pred ctx frag pr;
+            note_pred ctx pr;
             {
               frag with
               bf_nodes =
@@ -2168,13 +1965,6 @@ let par_collect_reduce actx ~(drive : drive) ~coll ~(agg : Plan.agg) ~pred input
         done);
     Monoid.collect coll !out
 
-(* Whether [compile_bfrag] takes this spine: Select*-over-Scan. *)
-let rec batchable_shape (p : Plan.t) =
-  match p with
-  | Plan.Scan _ -> true
-  | Plan.Select { input; _ } -> batchable_shape input
-  | _ -> false
-
 (* Stage [plan] as fleets of [domains] workers ([domains = 1] runs the same
    fleet inline). A root Reduce over a breaker-free spine fans the whole
    spine out when its aggregates merge (or collect); every other root is a
@@ -2202,8 +1992,7 @@ let prepare_slotted ~batch_size (reg : Registry.t) ~domains ~slots (plan : Plan.
   | Plan.Reduce { monoid_output; pred; input } when bottom_breaker input = None -> (
     let drive = spine_drive ~preds:[ pred ] actx input in
     match batch, monoid_output with
-    | Some bs, _
-      when mergeable monoid_output && drive.dr_select <> Store && batchable_shape input ->
+    | Some bs, _ when mergeable monoid_output && batchable_shape input ->
       par_batch_reduce actx ~bs ~drive ~monoid_output ~pred input
     | _ when mergeable monoid_output -> par_reduce actx ~drive ~monoid_output ~pred input
     | _ -> (

@@ -43,10 +43,9 @@ val all_exprs : Proteus_algebra.Plan.t -> Expr.t list
     per-morsel partial results merge on the calling domain in morsel
     order, so results are deterministic for any domain count, and a
     spliced group-by emits its groups in key order at every width. Every
-    scan runs as a fleet: join build sides on fleets of their own, a
-    driving select that elects a σ-result store on a one-worker fleet, and
-    the input of a Sort or of non-mergeable aggregates through a buffered
-    fleet that replays its rows in scan order.
+    scan runs as a fleet: join build sides on fleets of their own, and the
+    input of a Sort or of non-mergeable aggregates through a buffered fleet
+    that replays its rows in scan order.
 
     [batch_size] sizes the vectorized execution lane (DESIGN.md Section 8):
     scan→select→...→aggregate pipeline fragments run over fixed-size
@@ -63,9 +62,9 @@ val prepare_par :
     such a plan stages every closure exactly once against mutable parameter
     slots; {!bind} writes new constants into the slots and the same engine
     re-runs — no re-staging, no re-analysis. Pruning ({!Prune}) re-arms
-    from the currently bound values on every run, and parameterized
-    predicates are excluded from σ-result and join-build caching (their
-    result sets change per bind). *)
+    from the currently bound values on every run, and a parameterized
+    build side is excluded from join-build caching (its rows change per
+    bind). *)
 
 type bound = {
   bd_run : unit -> Value.t;  (** run under the currently bound parameters *)

@@ -160,11 +160,13 @@ module Dispenser = struct
     mutable total : int;
     mutable morsel : int;
     handed : int Atomic.t;  (* morsels dispensed since the last reset *)
-    mutable skip : (lo:int -> hi:int -> bool) option;
+    mutable skip : lo:int -> hi:int -> bool;
         (* pruning test: [true] proves the range yields no qualifying row,
            so the morsel is dropped instead of dispensed. Must be safe to
            call from any worker domain (pure reads + atomic counters). *)
   }
+
+  let never ~lo:_ ~hi:_ = false
 
   let create () =
     {
@@ -172,7 +174,7 @@ module Dispenser = struct
       total = 0;
       morsel = 1;
       handed = Atomic.make 0;
-      skip = None;
+      skip = never;
     }
 
   (* ~64 morsels per input bounds scheduling overhead while still smoothing
@@ -186,7 +188,7 @@ module Dispenser = struct
     t.morsel <- max 16 (min 8192 (max 1 target));
     t.total <- total;
     Atomic.set t.handed 0;
-    t.skip <- None;
+    t.skip <- never;
     Atomic.set t.cursor 0
 
   let set_skip t test = t.skip <- test
@@ -198,11 +200,11 @@ module Dispenser = struct
     if lo >= t.total then None
     else begin
       let hi = min t.total (lo + t.morsel) in
-      match t.skip with
-      | Some test when test ~lo ~hi -> next t
-      | _ ->
+      if t.skip ~lo ~hi then next t
+      else begin
         Atomic.incr t.handed;
         Some (lo / t.morsel, lo, hi)
+      end
     end
 
   let dispensed t = Atomic.get t.handed

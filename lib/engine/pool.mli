@@ -50,12 +50,12 @@ module Dispenser : sig
       {!morsels}, fewer when a run is cancelled early. *)
   val dispensed : t -> int
 
-  (** [set_skip t (Some test)] arms a pruning test: a morsel whose
+  (** [set_skip t test] arms a pruning test: a morsel whose
       range satisfies [test ~lo ~hi] (a proof that no row in [lo, hi) can
       qualify) is dropped instead of dispensed. [test] runs on whichever
       worker pulls the morsel, so it must be domain-safe, and it counts
       its own skips. Cleared by {!reset}. Skipped morsels keep their index
       in the morsel grid — the per-morsel partial merge is oblivious to
       skipping. *)
-  val set_skip : t -> (lo:int -> hi:int -> bool) option -> unit
+  val set_skip : t -> (lo:int -> hi:int -> bool) -> unit
 end

@@ -10,21 +10,6 @@ type t = {
   lookup_packed : key:string -> packed option;
   store_packed :
     key:string -> datasets:string list -> bias:Memory.Arena.bias -> packed -> unit;
-  lookup_select :
-    dataset:string ->
-    binding:string ->
-    pred:Proteus_model.Expr.t ->
-    paths:string list ->
-    (packed * Proteus_model.Expr.t option) option;
-  store_select :
-    dataset:string ->
-    binding:string ->
-    pred:Proteus_model.Expr.t ->
-    paths:string list ->
-    bias:Memory.Arena.bias ->
-    packed ->
-    unit;
-  should_cache_select : dataset:string -> bool;
   quarantine : id:string -> unit;
   note_fill : dataset:string -> segments:int -> rows:int -> unit;
   note_selective : dataset:string -> path:string -> ranged:bool -> unit;
@@ -45,9 +30,6 @@ let disabled =
     should_cache_field = (fun ~dataset:_ ~path:_ ~ty:_ -> false);
     lookup_packed = (fun ~key:_ -> None);
     store_packed = (fun ~key:_ ~datasets:_ ~bias:_ _ -> ());
-    lookup_select = (fun ~dataset:_ ~binding:_ ~pred:_ ~paths:_ -> None);
-    store_select = (fun ~dataset:_ ~binding:_ ~pred:_ ~paths:_ ~bias:_ _ -> ());
-    should_cache_select = (fun ~dataset:_ -> false);
     quarantine = (fun ~id:_ -> ());
     note_fill = (fun ~dataset:_ ~segments:_ ~rows:_ -> ());
     note_selective = (fun ~dataset:_ ~path:_ ~ranged:_ -> ());

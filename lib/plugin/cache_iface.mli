@@ -20,24 +20,12 @@ type t = {
       (** the caching policy: e.g. eager for CSV/JSON primitives, never for
           variable-length strings (Section 6 "Cache Policies") *)
   lookup_packed : key:string -> packed option;
-      (** a materialized sub-plan result, keyed by plan fingerprint *)
+      (** a materialized join build side, keyed by the fingerprint of the
+          sub-plan that produced it *)
   store_packed :
     key:string -> datasets:string list -> bias:Memory.Arena.bias -> packed -> unit;
       (** [datasets] are the raw inputs the packed result derives from (for
           invalidation and accounting) *)
-  lookup_select :
-    dataset:string -> binding:string -> pred:Expr.t -> paths:string list ->
-    (packed * Expr.t option) option;
-      (** a materialized σ-over-scan result covering [pred] over [dataset]
-          and carrying at least [paths]. An exact predicate match returns
-          [(packed, None)]; a {e subsuming} match — a cached weaker
-          predicate, e.g. [x > 0] answering [x > 10] — returns the residual
-          predicate to re-apply (Section 6 lists this as future work; it is
-          implemented here behind a policy flag) *)
-  store_select :
-    dataset:string -> binding:string -> pred:Expr.t -> paths:string list ->
-    bias:Memory.Arena.bias -> packed -> unit;
-  should_cache_select : dataset:string -> bool;
   quarantine : id:string -> unit;
       (** account one fill discarded instead of installed because the
           producing scan saw errors or aborted (install-on-commit: a query

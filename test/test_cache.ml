@@ -156,11 +156,6 @@ let test_disabled_config_stores_nothing () =
   Alcotest.(check int) "no field stores" 0 s.Manager.field_stores;
   Alcotest.(check int) "no resident bytes" 0 (Manager.resident_bytes mgr)
 
-(* --- sigma-result caching and predicate subsumption ------------------------ *)
-
-let select_config =
-  { Manager.default_config with cache_select_results = true }
-
 let count_k_lt ds k =
   Plan.reduce
     [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
@@ -168,121 +163,53 @@ let count_k_lt ds k =
        Expr.(Field (var "x", "k") <. int k)
        (Plan.scan ~dataset:ds ~binding:"x" ()))
 
-let test_select_cache_exact_hit () =
-  let _, mgr, reg = make_session ~config:select_config () in
-  let r1 = Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 50) in
-  let s1 = Manager.stats mgr in
-  Alcotest.(check bool) "stored" true (s1.Manager.select_stores >= 1);
-  let r2 = Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 50) in
-  let s2 = Manager.stats mgr in
-  Alcotest.check check_value "same result" r1 r2;
-  Alcotest.(check bool) "exact hit" true (s2.Manager.select_hits > s1.Manager.select_hits)
-
-let test_select_cache_subsumption () =
-  let _, mgr, reg = make_session ~config:select_config () in
-  (* prime with the weaker predicate k < 80 *)
-  ignore (Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 80));
-  (* the stricter k < 20 must be answered from the cached superset *)
-  let r = Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 20) in
-  Alcotest.check check_value "correct despite reuse" (Value.Int 20) r;
+(* A select over a scan caches the field columns it read and nothing
+   plan-derived: every resident byte is an OID-aligned column. *)
+let test_select_caches_columns_only () =
+  let _, mgr, reg = make_session () in
+  List.iter
+    (fun ds ->
+      Alcotest.check check_value (ds ^ " count") (Value.Int 50)
+        (Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt ds 50)))
+    [ "items"; "items_csv" ];
   let s = Manager.stats mgr in
-  Alcotest.(check bool) "subsumed match" true (s.Manager.select_subsumed >= 1)
+  Alcotest.(check bool) "field columns stored" true (s.Manager.field_stores >= 2);
+  Alcotest.(check int) "no packed stores" 0 s.Manager.packed_stores;
+  Alcotest.(check int) "resident bytes are field columns"
+    (Manager.field_bytes_for mgr ~dataset:"items"
+    + Manager.field_bytes_for mgr ~dataset:"items_csv")
+    (Manager.resident_bytes mgr)
 
-let test_select_cache_no_false_subsumption () =
-  let _, mgr, reg = make_session ~config:select_config () in
-  (* prime with the stricter predicate; the weaker query must NOT reuse it *)
-  ignore (Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 20));
-  let r = Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 80) in
-  Alcotest.check check_value "full answer" (Value.Int 80) r;
-  Alcotest.(check int) "no subsumed match" 0 (Manager.stats mgr).Manager.select_subsumed
+(* A stricter predicate over the same column reads the column a looser one
+   cached: no new stores, only hits. *)
+let test_stricter_select_reads_cached_columns () =
+  let _, mgr, reg = make_session () in
+  Alcotest.check check_value "looser count" (Value.Int 80)
+    (Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 80));
+  let s1 = Manager.stats mgr in
+  Alcotest.check check_value "stricter count" (Value.Int 20)
+    (Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 20));
+  let s2 = Manager.stats mgr in
+  Alcotest.(check int) "no new field stores" s1.Manager.field_stores s2.Manager.field_stores;
+  Alcotest.(check bool) "column hit" true (s2.Manager.field_hits > s1.Manager.field_hits)
 
-let test_select_cache_subsumption_off () =
-  let config = { select_config with Manager.subsumption = false } in
-  let _, mgr, reg = make_session ~config () in
-  ignore (Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 80));
-  let r = Executor.run reg ~engine:Executor.Engine_compiled (count_k_lt "items" 20) in
-  Alcotest.check check_value "still correct" (Value.Int 20) r;
-  Alcotest.(check int) "no subsumption" 0 (Manager.stats mgr).Manager.select_subsumed
-
-(* Property: priming the sigma-cache with any predicate and then querying
-   with any other predicate must give exactly the uncached answer —
-   whatever combination of exact hit, subsumption, or miss occurs. *)
-let subsumption_sound_prop =
-  let open QCheck2.Gen in
-  let pred_gen =
-    let cmp =
-      oneofl [ Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge; Expr.Eq ]
-    in
-    let atom =
-      map2
-        (fun op k -> Expr.Binop (op, Expr.path "x" [ "k" ], Expr.int k))
-        cmp (int_range 0 100)
-    in
-    oneof [ atom; map2 (fun a b -> Expr.(a &&& b)) atom atom ]
-  in
-  QCheck2.Test.make ~name:"sigma-cache + subsumption is sound" ~count:100
-    (pair pred_gen pred_gen) (fun (prime, query) ->
-      let _, _, reg = make_session ~config:select_config () in
-      let plan pred =
-        Plan.reduce
-          [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
-            Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum)
-              Expr.(Field (var "x", "k")) ]
-          (Plan.select pred (Plan.scan ~dataset:"items" ~binding:"x" ()))
-      in
-      ignore (Executor.run reg ~engine:Executor.Engine_compiled (plan prime));
-      let cached = Executor.run reg ~engine:Executor.Engine_compiled (plan query) in
-      let _, _, reg_fresh = make_session ~config:Manager.config_disabled () in
-      let expected =
-        Executor.run reg_fresh ~engine:Executor.Engine_compiled (plan query)
-      in
-      Value.equal cached expected)
-
-let test_subsume_covers () =
-  let x op k = Expr.Binop (op, Expr.path "$0" [ "v" ], Expr.int k) in
-  let checks =
-    [
-      (* cached, query, expected *)
-      (x Expr.Lt 10, x Expr.Lt 5, true);
-      (x Expr.Lt 5, x Expr.Lt 10, false);
-      (x Expr.Lt 10, x Expr.Lt 10, true);
-      (x Expr.Le 10, x Expr.Lt 10, true);
-      (x Expr.Lt 10, x Expr.Le 10, false);
-      (x Expr.Gt 5, x Expr.Gt 10, true);
-      (x Expr.Gt 10, x Expr.Gt 5, false);
-      (x Expr.Lt 10, x Expr.Eq 5, true);
-      (x Expr.Lt 10, x Expr.Eq 10, false);
-      (Expr.bool true, x Expr.Lt 3, true);       (* full-scan cache covers all *)
-      (x Expr.Lt 10, Expr.bool true, false);     (* opposite direction *)
-      (* conjunctions: every cached conjunct needs an implying query conjunct *)
-      (Expr.(x Expr.Lt 10 &&& x Expr.Gt 0), Expr.(x Expr.Lt 5 &&& x Expr.Gt 2), true);
-      (Expr.(x Expr.Lt 10 &&& x Expr.Gt 5), x Expr.Lt 5, false);
-      (* unanalyzable cached conjunct blocks the match *)
-      ( Expr.Binop (Expr.Like, Expr.path "$0" [ "s" ], Expr.str "a%"),
-        x Expr.Lt 5, false );
-    ]
-  in
-  List.iteri
-    (fun i (cached, query, expected) ->
-      Alcotest.(check bool)
-        (Fmt.str "case %d" i)
-        expected
-        (Proteus_cache.Subsume.covers ~cached ~query))
-    checks
+(* Without a caching manager the registry holds the null cache interface:
+   a select over a scan reads the raw file on both lanes, every run. *)
+let test_select_without_manager () =
+  let cat, _, _ = make_session () in
+  let reg = Registry.create cat in
+  List.iter
+    (fun bs ->
+      for _ = 1 to 2 do
+        Alcotest.check check_value (Fmt.str "batch=%d count" bs) (Value.Int 30)
+          (Executor.run ~batch_size:bs reg ~engine:Executor.Engine_compiled
+             (count_k_lt "items_csv" 30))
+      done)
+    [ 0; 1024 ]
 
 let () =
   Alcotest.run "cache"
     [
-      ( "subsumption",
-        [
-          Alcotest.test_case "exact hit" `Quick test_select_cache_exact_hit;
-          Alcotest.test_case "subsumption reuse" `Quick test_select_cache_subsumption;
-          Alcotest.test_case "no false subsumption" `Quick
-            test_select_cache_no_false_subsumption;
-          Alcotest.test_case "subsumption off" `Quick test_select_cache_subsumption_off;
-          Alcotest.test_case "covers matrix" `Quick test_subsume_covers;
-          QCheck_alcotest.to_alcotest subsumption_sound_prop;
-        ] );
       ( "manager",
         [
           Alcotest.test_case "fill then hit" `Quick test_fill_then_hit;
@@ -295,5 +222,10 @@ let () =
           Alcotest.test_case "eviction under pressure" `Quick test_eviction_under_pressure;
           Alcotest.test_case "disabled stores nothing" `Quick
             test_disabled_config_stores_nothing;
+          Alcotest.test_case "select caches columns only" `Quick
+            test_select_caches_columns_only;
+          Alcotest.test_case "stricter select reads cached columns" `Quick
+            test_stricter_select_reads_cached_columns;
+          Alcotest.test_case "select without a manager" `Quick test_select_without_manager;
         ] );
     ]

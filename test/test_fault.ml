@@ -272,7 +272,6 @@ let test_cache_quarantine () =
   let s = Manager.stats m in
   Alcotest.(check bool) "fills quarantined" true (s.Manager.quarantined > 0);
   Alcotest.(check int) "no field caches installed" 0 s.Manager.field_stores;
-  Alcotest.(check int) "no select caches installed" 0 s.Manager.select_stores;
   (* a later clean query in the same session fills caches normally *)
   Db.register_csv db ~name:"clean" ~element:item_ty ~contents:csv_valid ();
   let q = "SELECT COUNT(*) AS c, SUM(price) AS s FROM clean WHERE k >= 0" in

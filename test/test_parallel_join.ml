@@ -469,61 +469,6 @@ let fresh_session ?config () =
   let mgr = Manager.create ?config cat in
   (mgr, Registry.create ~cache:(Manager.iface mgr) cat)
 
-(* a driving select that elects a σ-result store rides a one-worker fleet:
-   a cold run stores the result, a warm run reads it back, and the stored
-   columns are bit-identical at every requested width and lane *)
-let test_select_store () =
-  let pred = Expr.(Field (var "o", "qty") <. int 5) in
-  let plan =
-    Plan.reduce
-      [
-        Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
-        Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "amt"));
-        Plan.agg ~name:"q" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "qty"));
-      ]
-      (Plan.select pred (scan_orders "orders_json"))
-  in
-  let expected = Interp.run ~lookup plan in
-  let bits (packed : Cache_iface.packed) =
-    List.map
-      (fun (path, col) -> (path, Marshal.to_string col [ Marshal.No_sharing ]))
-      packed.Cache_iface.cols
-  in
-  let stored =
-    List.concat_map
-      (fun bs ->
-        List.map
-          (fun d ->
-            let name = Fmt.str "sigma store (domains=%d, batch=%d)" d bs in
-            let mgr, reg =
-              fresh_session
-                ~config:{ Manager.default_config with cache_select_results = true }
-                ()
-            in
-            let run () =
-              Executor.run ~batch_size:bs reg ~domains:d ~engine:Executor.Engine_compiled plan
-            in
-            Alcotest.check check_value (name ^ " cold") expected (run ());
-            Alcotest.(check int) (name ^ " stored once") 1
-              (Manager.stats mgr).Manager.select_stores;
-            Alcotest.check check_value (name ^ " warm") expected (run ());
-            Alcotest.(check int) (name ^ " warm hit") 1
-              (Manager.stats mgr).Manager.select_hits;
-            match
-              (Manager.iface mgr).Cache_iface.lookup_select ~dataset:"orders_json"
-                ~binding:"o" ~pred ~paths:[]
-            with
-            | Some (packed, None) -> (name, bits packed)
-            | _ -> Alcotest.failf "%s: no exact σ-result stored" name)
-          domain_counts)
-      [ 0; 1024 ]
-  in
-  let _, base = List.hd stored in
-  List.iter
-    (fun (name, cols) ->
-      Alcotest.(check (list (pair string string))) (name ^ " columns bit-identical") base cols)
-    stored
-
 (* A cold one-domain join over a CSV build side builds on a one-worker
    fleet: its cache fill commits one segment per morsel, and the query's
    morsel count is the probe's plus the build's. Left outer, so no
@@ -570,6 +515,44 @@ let test_one_domain_build_fleet () =
         s.Counters.morsels)
     [ 0; 1024 ]
 
+(* A driving select over a cold JSON scan runs as a fleet at every width
+   and lane: its cache fill commits once, one segment per morsel, and a
+   warm run reads the columns back without storing again. *)
+let test_driving_select_fleet () =
+  let plan =
+    Plan.reduce
+      [
+        Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+        Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "amt"));
+      ]
+      (Plan.select Expr.(Field (var "o", "qty") <. int 5) (scan_orders "orders_json"))
+  in
+  let expected = Interp.run ~lookup plan in
+  List.iter
+    (fun bs ->
+      List.iter
+        (fun d ->
+          let name = Fmt.str "domains=%d, batch=%d" d bs in
+          let mgr, reg = fresh_session () in
+          let run () =
+            Executor.run ~batch_size:bs reg ~domains:d ~engine:Executor.Engine_compiled plan
+          in
+          Alcotest.check check_value (name ^ " cold") expected (run ());
+          let cold = Manager.stats mgr in
+          Alcotest.(check int) (name ^ " one fill commit") 1 cold.Manager.fill_commits;
+          Alcotest.(check bool)
+            (Fmt.str "%s fill segmented (%d segments)" name cold.Manager.fill_segments)
+            true
+            (cold.Manager.fill_segments > 1);
+          Alcotest.check check_value (name ^ " warm") expected (run ());
+          let warm = Manager.stats mgr in
+          Alcotest.(check int) (name ^ " warm stores nothing") cold.Manager.field_stores
+            warm.Manager.field_stores;
+          Alcotest.(check bool) (name ^ " warm hits") true
+            (warm.Manager.field_hits > cold.Manager.field_hits))
+        domain_counts)
+    [ 0; 1024 ]
+
 let () =
   Alcotest.run "parallel_join"
     [
@@ -597,8 +580,8 @@ let () =
           Alcotest.test_case "reduce count + bag" `Quick test_reduce_count_bag;
           Alcotest.test_case "join over a group-by build side" `Quick test_build_group_by;
           Alcotest.test_case "join above a spliced breaker" `Quick test_join_above_splice;
-          Alcotest.test_case "sigma-result store" `Quick test_select_store;
           Alcotest.test_case "one-domain build is a fleet" `Quick
             test_one_domain_build_fleet;
+          Alcotest.test_case "driving select is a fleet" `Quick test_driving_select_fleet;
         ] );
     ]

@@ -314,6 +314,73 @@ let test_promotion_stats () =
   Alcotest.(check bool) "not promoted when off" false
     (Manager.is_promoted mgr0 ~dataset:"pcsv" ~path:"k")
 
+(* The promotion signal does not depend on the lane: a root Reduce
+   predicate and every Select of a Select*-over-Scan spine count at batch
+   size 0 exactly as they do on the batch lane. *)
+let check_lane_parity plans =
+  List.iter
+    (fun (name, plan) ->
+      let layouts bs =
+        let mgr, reg = make_session ~config:promote_config () in
+        for _ = 1 to 5 do
+          ignore (Executor.run ~batch_size:bs reg ~engine:Executor.Engine_compiled plan)
+        done;
+        let s = Manager.stats mgr in
+        [ s.Manager.promotions; s.Manager.zone_maps; s.Manager.sorted_projections ]
+      in
+      Alcotest.(check (list int))
+        (name ^ ": promotions, zone maps, sorted projections")
+        (layouts 1024) (layouts 0))
+    plans
+
+let stacked ds =
+  Plan.reduce [ agg_count ]
+    (Plan.select
+       Expr.(x "u" <. int 40)
+       (Plan.select Expr.(x "k" <. int 200) (Plan.scan ~dataset:ds ~binding:"x" ())))
+
+let test_lane_independent_signal () =
+  check_lane_parity
+    [ ("reduce pred", count ~pred:Expr.(x "k" <. int 40) "pcsv"); ("stacked selects", stacked "pcsv") ]
+
+let test_lane_independent_signal_json () =
+  check_lane_parity
+    [ ("reduce pred", count ~pred:Expr.(x "k" <. int 40) "pjson"); ("stacked selects", stacked "pjson") ]
+
+(* a select whose consumer reads the whole record still feeds the signal *)
+let test_lane_independent_signal_records () =
+  check_lane_parity
+    [ ( "bag of records",
+        Plan.reduce
+          [ Plan.agg ~name:"b" (Monoid.Collection Ptype.Bag) (Expr.var "x") ]
+          (Plan.select Expr.(x "k" <. int 40) (Plan.scan ~dataset:"pcsv" ~binding:"x" ())) ) ]
+
+(* The outer Select of a stacked spine promotes its column and prunes on
+   the tuple lane as on the batch lane: every drive holds a pruning handle
+   that collected every spine predicate. *)
+let test_zone_skip_stacked_selects () =
+  let plan =
+    Plan.reduce [ agg_count ]
+      (Plan.select
+         Expr.(x "k" <. int 40)
+         (Plan.select Expr.(x "u" <. int n_rows) (Plan.scan ~dataset:"pcsv" ~binding:"x" ())))
+  in
+  List.iter
+    (fun bs ->
+      let mgr, reg = make_session ~config:promote_config () in
+      let r, s =
+        warm_then_measure reg ~runs:4 plan ~domains:2 ~engine:Executor.Engine_compiled
+          ~batch_size:bs
+      in
+      Alcotest.check check_value (Fmt.str "batch=%d count" bs) (Value.Int 40) r;
+      Alcotest.(check bool) (Fmt.str "batch=%d outer column promoted" bs) true
+        (Manager.is_promoted mgr ~dataset:"pcsv" ~path:"k");
+      Alcotest.(check bool)
+        (Fmt.str "batch=%d skips morsels (skipped=%d)" bs s.Counters.morsels_skipped)
+        true
+        (s.Counters.morsels_skipped > 0))
+    [ 0; 1024 ]
+
 let () =
   Alcotest.run "promotion"
     [
@@ -326,6 +393,8 @@ let () =
           Alcotest.test_case "serial batch skips" `Quick test_zone_skip_serial_batches;
           Alcotest.test_case "scrambled exact" `Quick test_zone_skip_scrambled;
           Alcotest.test_case "all-null skips everything" `Quick test_zone_skip_all_null;
+          Alcotest.test_case "stacked selects skip on both lanes" `Quick
+            test_zone_skip_stacked_selects;
         ] );
       ( "dictionary",
         [ Alcotest.test_case "code-compare parity" `Quick test_dict_parity ] );
@@ -334,5 +403,10 @@ let () =
           Alcotest.test_case "eviction falls back" `Quick
             test_evicted_promoted_falls_back;
           Alcotest.test_case "stats surface" `Quick test_promotion_stats;
+          Alcotest.test_case "lane-independent signal" `Quick test_lane_independent_signal;
+          Alcotest.test_case "lane-independent signal (json)" `Quick
+            test_lane_independent_signal_json;
+          Alcotest.test_case "lane-independent signal (records)" `Quick
+            test_lane_independent_signal_records;
         ] );
     ]
