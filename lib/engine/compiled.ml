@@ -10,6 +10,13 @@ module VH = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
+module IH = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 (* Growable boxed vector for materialized join sides. *)
 module Vec = struct
   type t = { mutable a : Value.t array; mutable n : int }
@@ -85,19 +92,24 @@ let rec plan_has_join (p : Plan.t) =
    Probe instead. *)
 let drive_phase has_join f = if has_join then f () else Counters.time Counters.Scan f
 
-(* The build-side state a spine join publishes for probe-only worker
-   pipelines: materialized payload columns plus the finished lookup
-   structure, all read-only during the probe phase. *)
+(* A join's build-side state plus its probe recipe. The template (worker 0,
+   or the serial consumer above a splice) fills it and, on a fleet spine,
+   publishes it for the probe-only workers > 0: the materialized payload
+   columns and the finished lookup structure are read-only during the probe
+   phase, and the lane and key mode the template's probe compile chose are
+   the ones every instance follows. *)
 type shared_join = {
   sj_cols : (string * (string * Value.t array ref) list) list;
       (** per build-side binding: (path, materialized column) pairs *)
   sj_rows : int ref;
   sj_radix : Radix.t option ref;
   sj_table : int list VH.t;
-  sj_mode : [ `Radix | `Boxed | `Loop ];
   sj_kind : Plan.join_kind;
   sj_residual : Expr.t;
-  sj_left_key : Expr.t option;
+  sj_left_key : Expr.t option;  (** the probe key; [None] probes by nested loop *)
+  sj_int_build : bool;  (** every build producer's key sits in the int lane *)
+  mutable sj_mode : [ `Radix | `Boxed | `Loop ];
+  mutable sj_lane : [ `Batch | `Spill | `Tuple ];
   sj_ikeys : int array ref;
       (** alias of the build's int-key array, trimmed exact (meaningful when
           [sj_mode] is [`Radix]) — pruning summarizes it after the build
@@ -176,13 +188,10 @@ let spine ctx =
   | Some p -> p
   | None -> Perror.plan_error "scan compiled outside a fleet"
 
-(* The morsel loop of a fleet's driving scan: pull the next row range from
-   the shared dispenser until the input is dry. *)
-let par_runner (p : par) run_range consumer () =
-  let on_tuple () =
-    Counters.add_tuples 1;
-    consumer ()
-  in
+(* The morsel loop of a fleet's driving scan: run [range] over this
+   instance's static chunk, or over each row range the shared dispenser
+   hands out until the input is dry. *)
+let morsel_loop (p : par) (range : lo:int -> hi:int -> unit) =
   match p.par_static with
   | Some (lo, hi) ->
     if hi > lo then begin
@@ -190,7 +199,7 @@ let par_runner (p : par) run_range consumer () =
       (* static chunks are handed out in worker order, so the worker index
          keys the per-morsel error cell deterministically *)
       Fault.set_morsel p.par_worker;
-      run_range ~lo ~hi ~on_tuple
+      range ~lo ~hi
     end
   | None ->
     let rec loop () =
@@ -200,7 +209,7 @@ let par_runner (p : par) run_range consumer () =
         Fault.check_cancel ();
         p.par_morsel := m;
         Fault.set_morsel m;
-        run_range ~lo ~hi ~on_tuple;
+        range ~lo ~hi;
         loop ()
     in
     loop ()
@@ -239,9 +248,9 @@ let scan_required ctx binding =
   | Some `Whole -> ([], true)
   | None -> ([], false)
 
-(* Per-match emission at a join probe, shared by the template and worker
-   probes: position the materialized-row cursor, apply the residual, feed the
-   consumer; reports whether the row qualified (for outer-join padding). *)
+(* Per-match emission at a join probe: position the materialized-row
+   cursor, apply the residual, feed the consumer; reports whether the row
+   qualified (for outer-join padding). *)
 let make_emit ~pred_c ~(m_cur : int ref) ~(consumer : unit -> unit) : int -> bool =
   match pred_c with
   | None ->
@@ -259,64 +268,58 @@ let make_emit ~pred_c ~(m_cur : int ref) ~(consumer : unit -> unit) : int -> boo
       end
       else false
 
-(* The probe-side consumer of a join, over the (finished) build state:
-   radix index for unboxed int keys, boxed table otherwise, nested loop
-   when no equi key exists. *)
-let join_probe ~(kind : Plan.join_kind) ~mode ~left_key ~(rows : int ref)
-    ~(radix : Radix.t option ref) ~(table : int list VH.t) ~(null_row : bool ref)
-    ~(emit : int -> bool) ~(consumer : unit -> unit) : unit -> unit =
+(* The tuple-lane probe over the (finished) build state: radix index for
+   unboxed int keys, boxed table otherwise, nested loop when no equi key
+   exists. *)
+let join_probe (sj : shared_join) ~key ~(null_row : bool ref) ~(emit : int -> bool)
+    ~(consumer : unit -> unit) : unit -> unit =
   let pad matched =
-    if kind = Plan.Left_outer && not matched then begin
+    if sj.sj_kind = Plan.Left_outer && not matched then begin
       null_row := true;
       consumer ();
       null_row := false
     end
   in
-  match mode, left_key with
-  | `Radix, Some (Exprc.C_int lg) ->
+  match key with
+  | `Radix lg ->
     (* both sides integer-typed: radix probe, no boxing per tuple *)
     fun () ->
       let k = lg () in
       let matched = ref false in
-      (match !radix with
+      (match !(sj.sj_radix) with
       | Some r -> Radix.iter r k ~f:(fun row -> if emit row then matched := true)
       | None -> ());
       pad !matched
-  | `Boxed, Some kc ->
-    let kv = Exprc.to_val kc in
+  | `Boxed kv ->
     fun () ->
       let k = kv () in
       let matched = ref false in
       (match k with
       | Value.Null -> ()
       | k -> (
-        match VH.find_opt table k with
+        match VH.find_opt sj.sj_table k with
         | Some rows -> List.iter (fun r -> if emit r then matched := true) rows
         | None -> ()));
       pad !matched
-  | `Loop, _ ->
-    (* nested-loop fallback *)
+  | `Loop ->
     fun () ->
-      let n = !rows in
+      let n = !(sj.sj_rows) in
       let matched = ref false in
       for row = 0 to n - 1 do
         if emit row then matched := true
       done;
       pad !matched
-  | (`Radix | `Boxed), _ ->
-    Perror.plan_error "join probe: key representation mismatch across pipeline instances"
 
 (* The vectorized probe: the key kernel has already filled [kbuf] for the
    surviving lanes; each lane probes the radix index directly. The scan
    cursor seeks to a lane only when it actually matches (or pads), so
    non-matching lanes cost one array read and one index lookup — no cursor
    movement, no spill into the tuple lane. *)
-let batch_probe_sink ~(kind : Plan.join_kind) ~(radix : Radix.t option ref)
-    ~(kbuf : int array) ~(seek : int -> unit) ~(null_row : bool ref)
-    ~(emit : int -> bool) ~(consumer : unit -> unit) :
+let batch_probe_sink (sj : shared_join) ~(kbuf : int array) ~(seek : int -> unit)
+    ~(null_row : bool ref) ~(emit : int -> bool) ~(consumer : unit -> unit) :
     base:int -> sel:int array -> n:int -> unit =
  fun ~base ~sel ~n ->
-  let r = !radix in
+  let r = !(sj.sj_radix) in
   for i = 0 to n - 1 do
     let j = sel.(i) in
     let matched = ref false in
@@ -332,7 +335,7 @@ let batch_probe_sink ~(kind : Plan.join_kind) ~(radix : Radix.t option ref)
           end;
           if emit row then matched := true)
     | None -> ());
-    if kind = Plan.Left_outer && not !matched then begin
+    if sj.sj_kind = Plan.Left_outer && not !matched then begin
       if not !seeked then seek (base + j);
       null_row := true;
       consumer ();
@@ -491,25 +494,7 @@ let bfrag_driver ctx (frag : bfrag) ~bs
     Fault.check_cancel ();
     if not (Prune.skip p.par_prune ~lo:base ~hi:(base + len)) then work ~base ~len
   in
-  match p.par_static with
-  | Some (lo, hi) ->
-    fun () ->
-      if hi > lo then begin
-        Fault.set_morsel p.par_worker;
-        frag.bf_range ~lo ~hi ~batch:bs ~on_batch
-      end
-  | None ->
-    fun () ->
-      let rec loop () =
-        match Pool.Dispenser.next p.par_disp with
-        | None -> ()
-        | Some (m, lo, hi) ->
-          p.par_morsel := m;
-          Fault.set_morsel m;
-          frag.bf_range ~lo ~hi ~batch:bs ~on_batch;
-          loop ()
-      in
-      loop ()
+  fun () -> morsel_loop p (fun ~lo ~hi -> frag.bf_range ~lo ~hi ~batch:bs ~on_batch)
 
 (* The spill boundary: surviving lanes re-enter the tuple lane by cursor
    seek, so every downstream closure is exactly the serial one. *)
@@ -701,32 +686,127 @@ let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) sub
   in
   (instances, disp, run_fleet)
 
+(* Per-morsel cells of one fleet run. [cell_of cells w ~morsels morsel
+   fresh] wires worker [w]'s accessor: it returns the cell of the morsel
+   [morsel] names, opening it with [fresh] the first time the worker feeds
+   that morsel. [iter_cells] visits the cells in morsel order, then worker
+   order (a morsel reaches one worker): the scan order, whichever worker
+   ran which morsel. *)
+let cell_of (cells : 'c option array array) w ~morsels (morsel : int ref)
+    (fresh : unit -> 'c) : unit -> 'c =
+  let buckets = Array.make morsels None in
+  cells.(w) <- buckets;
+  fun () ->
+    match buckets.(!morsel) with
+    | Some c -> c
+    | None ->
+      let c = fresh () in
+      buckets.(!morsel) <- Some c;
+      c
+
+let iter_cells (cells : 'c option array array) f =
+  let morsels = Array.fold_left (fun n b -> max n (Array.length b)) 0 cells in
+  for mi = 0 to morsels - 1 do
+    Array.iter (fun b -> if mi < Array.length b then Option.iter f b.(mi)) cells
+  done
+
 let merge_parts monoids acc parts =
   List.map2 (fun m (a, b) -> Agg.merge m a b) monoids (List.combine acc parts)
 
 (* Merge per-worker groups into key order and emit each group.
-   [groups.(w)] lists worker [w]'s (key, cell) pairs. A stable sort of
-   their positions, concatenated in worker order, puts each key's cells
-   together in worker order, and their partials fold in that order: the
-   association depends on the domain count alone. [emit] gets the key,
-   the first worker's cell and the merged partials. *)
-let merge_groups monoids ~cmp ~partials groups emit =
+   [groups.(w)] lists worker [w]'s (key, accumulators) pairs. A stable sort
+   of their positions, concatenated in worker order, puts each key's
+   accumulators together in worker order, and their partials fold in that
+   order: the association depends on the domain count alone. [emit] gets
+   the key and the merged partials. *)
+let merge_groups monoids ~cmp groups emit =
   let entries = Array.concat (Array.to_list (Array.map Array.of_list groups)) in
   let key i = fst entries.(i) in
+  let partials i = List.map (fun (a : Agg.instance) -> a.partial ()) (snd entries.(i)) in
   let perm = Array.init (Array.length entries) Fun.id in
   Array.stable_sort (fun i j -> cmp (key i) (key j)) perm;
   let n = Array.length perm in
   let i = ref 0 in
   while !i < n do
-    let k, c = entries.(perm.(!i)) in
-    let parts = ref (partials c) in
+    let k = key perm.(!i) in
+    let parts = ref (partials perm.(!i)) in
     incr i;
     while !i < n && cmp k (key perm.(!i)) = 0 do
-      parts := merge_parts monoids !parts (partials (snd entries.(perm.(!i))));
+      parts := merge_parts monoids !parts (partials perm.(!i));
       incr i
     done;
-    emit k c !parts
+    emit k !parts
   done
+
+(* A group-by key lane: a single int-typed key groups over raw ints, no
+   boxing per row; any other key list groups over boxed lists. [reader]
+   stages a key reader from one instance's compiled keys; [fields] turns a
+   key back into the group's key fields. *)
+module type GROUP_KEY = sig
+  type t
+
+  module H : Hashtbl.S with type key = t
+
+  val cmp : t -> t -> int
+  val reader : Exprc.compiled list -> unit -> t
+  val fields : t -> (string * Value.t) list
+end
+
+let group_key (keys : (string * Expr.t) list) ~int_key : (module GROUP_KEY) =
+  if int_key then
+    (module struct
+      type t = int
+
+      module H = IH
+
+      let cmp = Int.compare
+
+      let reader = function [ Exprc.C_int g ] -> g | _ -> assert false
+      let kname = fst (List.hd keys)
+      let fields k = [ (kname, Value.Int k) ]
+    end)
+  else
+    (module struct
+      type t = Value.t
+
+      module H = VH
+
+      let cmp = Value.compare
+
+      let reader cs =
+        let gs = List.map Exprc.to_val cs in
+        fun () -> Value.Coll (Ptype.List, List.map (fun g -> g ()) gs)
+
+      let fields = function
+        | Value.Coll (_, kvs) -> List.map2 (fun (n, _) v -> (n, v)) keys kvs
+        | _ -> assert false
+    end)
+
+(* A group table over key lane [H]: [feed] folds the current row, when it
+   qualifies, into its group's accumulators, opening the group (and
+   reporting it to [opened]) on first sight; [clear] empties the table for
+   the next run. *)
+let group_table (type k) (module H : Hashtbl.S with type key = k) (kget : unit -> k) ~pred_c
+    ~factories ~nkeys ~(opened : k -> Agg.instance list -> unit) =
+  let tbl = H.create 64 in
+  let clear () = H.reset tbl in
+  let feed () =
+    if pred_c () then begin
+      let k = kget () in
+      let insts =
+        match H.find_opt tbl k with
+        | Some insts -> insts
+        | None ->
+          let insts = List.map (fun f -> f ()) factories in
+          H.add tbl k insts;
+          opened k insts;
+          Counters.add_materialized nkeys;
+          insts
+      in
+      List.iter (fun (i : Agg.instance) -> i.step ()) insts
+    end
+  in
+  (clear, feed)
 
 let mergeable aggs = Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) aggs)
 
@@ -763,7 +843,12 @@ and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
     let required, whole = scan_required ctx binding in
     let scan = Registry.scan_view ctx.reg ~whole ~dataset ~required ?session:p.par_fill in
     Hashtbl.replace ctx.cenv binding (Exprc.Scan_repr scan.Registry.sc_source);
-    par_runner p scan.Registry.sc_range
+    fun consumer () ->
+      let on_tuple () =
+        Counters.add_tuples 1;
+        consumer ()
+      in
+      morsel_loop p (scan.Registry.sc_range ~on_tuple)
   | Plan.Select { pred; input } -> (
     match compile_bfrag ctx p with
     | Some frag -> bfrag_spill ctx frag ~bs:(Option.get ctx.batch)
@@ -788,91 +873,44 @@ and compile_node (ctx : ctx) (p : Plan.t) : (unit -> unit) -> unit -> unit =
           reg := Value.record (List.map (fun (n, g) -> (n, g ())) getters);
           consumer ())
   | Plan.Unnest { outer; path; binding; pred; input } -> compile_unnest ctx ~outer ~path ~binding ~pred ~input
-  | Plan.Nest { keys; aggs; pred; binding; input } -> (
+  | Plan.Nest { keys; aggs; pred; binding; input } ->
     if ctx.par <> None then
       Perror.plan_error "Nest on a fleet spine (the driver must splice below it)";
     let run_input = compile ctx input in
     let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-    let compiled_keys = List.map (fun (n, e) -> (n, Exprc.compile ctx.cenv e)) keys in
+    let ckeys = List.map (fun (_, e) -> Exprc.compile ctx.cenv e) keys in
+    let (module K : GROUP_KEY) =
+      group_key keys ~int_key:(match ckeys with [ Exprc.C_int _ ] -> true | _ -> false)
+    in
     let factories =
       List.map
-        (fun (a : Plan.agg) -> (a.agg_name, Agg.factory a.monoid (Exprc.compile ctx.cenv a.expr)))
+        (fun (a : Plan.agg) -> Agg.factory a.monoid (Exprc.compile ctx.cenv a.expr))
         aggs
     in
     let group_reg = ref Value.Null in
     Hashtbl.replace ctx.cenv binding (Exprc.Boxed_repr group_reg);
-    let emit consumer key_fields instances =
-      let agg_fields =
-        List.map2 (fun (n, _) (i : Agg.instance) -> (n, i.value ())) factories instances
+    fun consumer ->
+      (* groups emit in first-encounter order *)
+      let order = ref [] in
+      let clear, feed =
+        group_table (module K.H) (K.reader ckeys) ~pred_c ~factories ~nkeys:(List.length keys)
+          ~opened:(fun k insts -> order := (k, insts) :: !order)
       in
-      group_reg := Value.record (key_fields @ agg_fields);
-      consumer ()
-    in
-    match compiled_keys with
-    | [ (kname, Exprc.C_int kget) ] ->
-      (* single integer grouping key: the hash-based grouping runs over raw
-         ints, no boxing per tuple *)
-      fun consumer ->
-        let groups : (int, Agg.instance list) Hashtbl.t = Hashtbl.create 64 in
-        let order = ref [] in
-        let feeder =
-          run_input (fun () ->
-              if pred_c () then begin
-                let k = kget () in
-                let instances =
-                  match Hashtbl.find_opt groups k with
-                  | Some instances -> instances
-                  | None ->
-                    let instances = List.map (fun (_, f) -> f ()) factories in
-                    Hashtbl.add groups k instances;
-                    order := k :: !order;
-                    Counters.add_materialized 1;
-                    instances
-                in
-                List.iter (fun (i : Agg.instance) -> i.step ()) instances
-              end)
-        in
-        fun () ->
-          Hashtbl.reset groups;
-          order := [];
-          feeder ();
-          List.iter
-            (fun k ->
-              emit consumer [ (kname, Value.Int k) ] (Hashtbl.find groups k))
-            (List.rev !order)
-    | _ ->
-      let key_getters = List.map (fun (n, c) -> (n, Exprc.to_val c)) compiled_keys in
-      fun consumer ->
-        let groups : (Value.t list * Agg.instance list) VH.t = VH.create 64 in
-        let order = ref [] in
-        let feeder =
-          run_input (fun () ->
-              if pred_c () then begin
-                let kvs = List.map (fun (_, g) -> g ()) key_getters in
-                let key = Value.Coll (Ptype.List, kvs) in
-                let _, instances =
-                  match VH.find_opt groups key with
-                  | Some cell -> cell
-                  | None ->
-                    let cell = (kvs, List.map (fun (_, f) -> f ()) factories) in
-                    VH.add groups key cell;
-                    order := key :: !order;
-                    Counters.add_materialized (List.length kvs);
-                    cell
-                in
-                List.iter (fun (i : Agg.instance) -> i.step ()) instances
-              end)
-        in
-        fun () ->
-          VH.reset groups;
-          order := [];
-          feeder ();
-          List.iter
-            (fun key ->
-              let kvs, instances = VH.find groups key in
-              let key_fields = List.map2 (fun (n, _) v -> (n, v)) keys kvs in
-              emit consumer key_fields instances)
-            (List.rev !order))
+      let feeder = run_input feed in
+      fun () ->
+        clear ();
+        order := [];
+        feeder ();
+        List.iter
+          (fun (k, insts) ->
+            let aggs =
+              List.map2
+                (fun (a : Plan.agg) (i : Agg.instance) -> (a.agg_name, i.value ()))
+                aggs insts
+            in
+            group_reg := Value.record (K.fields k @ aggs);
+            consumer ())
+          (List.rev !order)
   | Plan.Sort { keys; limit; input } ->
     if ctx.par <> None then
       Perror.plan_error "Sort on a fleet spine (the driver must splice below it)";
@@ -999,7 +1037,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
   in
   match share with
   | Some (p, idx) when p.par_worker > 0 ->
-    compile_join_probe ctx (Hashtbl.find p.par_joins idx) ~left
+    compile_probe ctx (Hashtbl.find p.par_joins idx) ~left
   | _ ->
   let right_bindings = Plan.bindings right in
   (* Payload: what the ancestors (and the residual predicate) read from the
@@ -1097,56 +1135,6 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
       (fun acc b -> if b > acc then b else acc)
       Proteus_storage.Memory.Arena.Bias_binary ranks
   in
-  (* Re-register build-side bindings: above the join they read the
-     materialized vectors. *)
-  let m_cur = ref 0 in
-  let null_row = ref false in
-  let by_binding = Hashtbl.create 4 in
-  List.iter
-    (fun slot ->
-      let cols = try Hashtbl.find by_binding slot.ps_binding with Not_found -> [] in
-      Hashtbl.replace by_binding slot.ps_binding ((slot.ps_path, slot.ps_arr) :: cols))
-    payload;
-  Hashtbl.iter
-    (fun b cols -> Hashtbl.replace ctx.cenv b (Exprc.Row_repr (cols, m_cur, null_row)))
-    by_binding;
-  (* Left side stays live (streaming probe). When the probe spine is a
-     batchable Select*-over-Scan fragment and both key sides sit in the
-     unboxed int lane, the probe itself joins the batch lane: the key
-     kernel fills a key array for the surviving lanes and each lane probes
-     the radix index directly — select→join pipelines no longer spill to
-     the tuple lane at the join. *)
-  let left_lane =
-    let batch_try =
-      match ctx.batch with
-      | Some bs when int_build && use_hash -> (
-        match compile_bfrag ctx left with
-        | Some frag -> Some (bs, frag)
-        | None -> None)
-      | _ -> None
-    in
-    match batch_try with
-    | Some (bs, frag) -> (
-      let lk = match equi with Some (lk, _) -> lk | None -> assert false in
-      match Exprc.compile ctx.cenv lk with
-      | Exprc.C_int _ as c -> (
-        match
-          Exprc.batch_int_fill ctx.cenv ~batch_size:bs
-            ~seek:frag.bf_src.Source.seek lk
-        with
-        | Some (kbuf, kfill) -> `Batch (bs, frag, kbuf, kfill, c)
-        | None -> `Spill (bs, frag, c))
-      | c -> `Spill (bs, frag, c))
-    | None -> `Tuple (compile ctx left)
-  in
-  let left_key_get =
-    match left_lane with
-    | `Batch (_, _, _, _, c) | `Spill (_, _, c) -> Some c
-    | `Tuple _ -> (
-      match equi with
-      | Some (lk, _) when use_hash -> Some (Exprc.compile ctx.cenv lk)
-      | _ -> None)
-  in
   (* Both index paths compare keys exactly (the radix index on raw ints,
      the boxed table via Value equality), so the equi conjunct needs no
      re-check: the residual predicate drops it, and joins whose other
@@ -1166,11 +1154,6 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
            (Expr.conjuncts pred))
     | _ -> pred
   in
-  let pred_c =
-    match residual with
-    | Expr.Const (Value.Bool true) -> None
-    | residual -> Some (Exprc.to_pred (Exprc.compile ctx.cenv residual))
-  in
   (* The materialized build state lives at the compile stage so probe-only
      worker pipelines can share it read-only; the build phase rearms it at
      the start of every run. *)
@@ -1180,14 +1163,30 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
   let radix : Radix.t option ref = ref None in
   let keys = ref [||] in
   let ikeys = ref [||] in
-  (* the radix path needs unboxed keys on BOTH sides; a probe key compiled
-     against materialized rows is boxed, so such joins use the boxed table *)
-  let mode =
-    match left_key_get with
-    | Some (Exprc.C_int _) when int_build -> `Radix
-    | Some _ -> `Boxed
-    | None -> `Loop
+  let by_binding = Hashtbl.create 4 in
+  List.iter
+    (fun slot ->
+      let cols = try Hashtbl.find by_binding slot.ps_binding with Not_found -> [] in
+      Hashtbl.replace by_binding slot.ps_binding ((slot.ps_path, slot.ps_arr) :: cols))
+    payload;
+  let sj =
+    {
+      sj_cols = Hashtbl.fold (fun b cols acc -> (b, cols) :: acc) by_binding [];
+      sj_rows = mat_rows;
+      sj_radix = radix;
+      sj_table = table;
+      sj_kind = kind;
+      sj_residual = residual;
+      sj_left_key = (match equi with Some (lk, _) when use_hash -> Some lk | _ -> None);
+      sj_int_build = int_build;
+      (* set by the probe compile below *)
+      sj_mode = `Loop;
+      sj_lane = `Tuple;
+      sj_ikeys = ikeys;
+    }
   in
+  (match share with Some (p, idx) -> Hashtbl.replace p.par_joins idx sj | None -> ());
+  let probe = compile_probe ctx sj ~left in
   (* Build-side materialization: every producer scans its morsels into
      per-(producer, morsel) buffers; the buffers concatenate in morsel
      order — the build input's row order, bit for bit — into the vectors
@@ -1196,34 +1195,22 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
      [Array.blit], and the int-key array comes out exact, so the radix
      build consumes it without a copy. *)
   let materialize () =
-    let width = Array.length srcs in
-    let nm = ref 0 in
-    let all = Array.make width [||] in
+    let cells = Array.make (Array.length srcs) [||] in
     let wire w src =
-      nm := build_morsels ();
-      let buckets = Array.make !nm None in
-      all.(w) <- buckets;
       let key_lane =
-        match mode, src.bs_key with
+        match sj.sj_mode, src.bs_key with
         | `Radix, Some (Exprc.C_int g) -> `Int g
         | `Boxed, Some c -> `Val (Exprc.to_val c)
         | _ -> `None
       in
       let pays = Array.map Exprc.to_val src.bs_pays in
       let npay = Array.length pays in
-      let cur = ref (-1) in
-      let cur_buf = ref (ref 0, IVec.create (), Vec.create (), [||]) in
+      let cell =
+        cell_of cells w ~morsels:(build_morsels ()) src.bs_morsel (fun () ->
+            (ref 0, IVec.create (), Vec.create (), Array.init npay (fun _ -> Vec.create ())))
+      in
       let consumer () =
-        let mi = !(src.bs_morsel) in
-        if !cur <> mi then begin
-          cur := mi;
-          let b =
-            (ref 0, IVec.create (), Vec.create (), Array.init npay (fun _ -> Vec.create ()))
-          in
-          buckets.(mi) <- Some b;
-          cur_buf := b
-        end;
-        let count, bik, bkv, bpay = !cur_buf in
+        let count, bik, bkv, bpay = cell () in
         incr count;
         (match key_lane with
         | `Int g -> IVec.push bik (g ())
@@ -1241,69 +1228,24 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
     let pay_slots = Array.of_list payload in
     let tot_rows = ref 0 and tot_ik = ref 0 and tot_kv = ref 0 in
     let tot_pay = Array.make (Array.length pay_slots) 0 in
-    Array.iter
-      (Array.iter (function
-        | None -> ()
-        | Some (count, bik, bkv, bpay) ->
-          tot_rows := !tot_rows + !count;
-          tot_ik := !tot_ik + bik.IVec.n;
-          tot_kv := !tot_kv + bkv.Vec.n;
-          Array.iteri (fun i v -> tot_pay.(i) <- tot_pay.(i) + v.Vec.n) bpay))
-      all;
+    iter_cells cells (fun (count, bik, bkv, bpay) ->
+        tot_rows := !tot_rows + !count;
+        tot_ik := !tot_ik + bik.IVec.n;
+        tot_kv := !tot_kv + bkv.Vec.n;
+        Array.iteri (fun i v -> tot_pay.(i) <- tot_pay.(i) + v.Vec.n) bpay);
     mat_rows := !tot_rows;
     if Array.length !ikeys <> !tot_ik then ikeys := Array.make !tot_ik 0;
     Vec.reserve key_vec !tot_kv;
     Array.iteri (fun i n -> Vec.reserve pay_slots.(i).ps_vec n) tot_pay;
     let ik_n = ref 0 in
-    for mi = 0 to !nm - 1 do
-      for w = 0 to width - 1 do
-        match all.(w).(mi) with
-        | None -> ()
-        | Some (_, bik, bkv, bpay) ->
-          Array.blit bik.IVec.a 0 !ikeys !ik_n bik.IVec.n;
-          ik_n := !ik_n + bik.IVec.n;
-          Vec.append key_vec bkv;
-          Array.iteri (fun i v -> Vec.append pay_slots.(i).ps_vec v) bpay
-      done
-    done
+    iter_cells cells (fun (_, bik, bkv, bpay) ->
+        Array.blit bik.IVec.a 0 !ikeys !ik_n bik.IVec.n;
+        ik_n := !ik_n + bik.IVec.n;
+        Vec.append key_vec bkv;
+        Array.iteri (fun i v -> Vec.append pay_slots.(i).ps_vec v) bpay)
   in
-  (match share with
-  | Some (p, idx) ->
-    let sj_cols = Hashtbl.fold (fun b cols acc -> (b, cols) :: acc) by_binding [] in
-    Hashtbl.replace p.par_joins idx
-      {
-        sj_cols;
-        sj_rows = mat_rows;
-        sj_radix = radix;
-        sj_table = table;
-        sj_mode = mode;
-        sj_kind = kind;
-        sj_residual = residual;
-        sj_left_key =
-          (match equi with Some (lk, _) when use_hash -> Some lk | _ -> None);
-        sj_ikeys = ikeys;
-      }
-  | None -> ());
   fun consumer ->
-    let emit_match = make_emit ~pred_c ~m_cur ~consumer in
-    let probe_consumer =
-      join_probe ~kind ~mode ~left_key:left_key_get ~rows:mat_rows ~radix ~table
-        ~null_row ~emit:emit_match ~consumer
-    in
-    let left_runner =
-      match left_lane with
-      | `Tuple run_left -> run_left probe_consumer
-      | `Spill (bs, frag, _) -> bfrag_spill ctx frag ~bs probe_consumer
-      | `Batch (bs, frag, kbuf, kfill, _) ->
-        count_lane ctx Counters.add_lanes_batch;
-        let probe =
-          batch_probe_sink ~kind ~radix ~kbuf ~seek:frag.bf_src.Source.seek
-            ~null_row ~emit:emit_match ~consumer
-        in
-        bfrag_driver ctx frag ~bs (fun ~base ~sel ~n ->
-            kfill ~base ~sel ~n;
-            probe ~base ~sel ~n)
-    in
+    let run_probe = probe consumer in
     let build () =
       Vec.clear key_vec;
       List.iter (fun slot -> Vec.clear slot.ps_vec) payload;
@@ -1315,7 +1257,8 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
           | Some packed ->
             mat_rows := packed.Cache_iface.length;
             (match List.assoc_opt "__key" packed.Cache_iface.cols with
-            | Some (Proteus_storage.Column.Ints a) when mode = `Radix -> ikeys := Array.copy a
+            | Some (Proteus_storage.Column.Ints a) when sj.sj_mode = `Radix ->
+              ikeys := Array.copy a
             | Some kcol ->
               keys :=
                 Array.init packed.Cache_iface.length
@@ -1345,7 +1288,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
         else if packable then begin
           let cols =
             ( "__key",
-              if mode = `Radix then Proteus_storage.Column.Ints (Array.copy !ikeys)
+              if sj.sj_mode = `Radix then Proteus_storage.Column.Ints (Array.copy !ikeys)
               else
                 Proteus_storage.Column.of_values
                   (Option.value key_ty ~default:Ptype.Int)
@@ -1366,7 +1309,7 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
       (* cluster/build the index over the materialized keys: partitioned
          clustering at the build fan-out (safe here — builds run before any
          outer fan-out), a hash table over boxed keys otherwise *)
-      match mode with
+      match sj.sj_mode with
       | `Radix -> radix := Some (Radix.build_par ~domains:(build_fan ctx.domains) !ikeys)
       | `Boxed ->
         VH.reset table;
@@ -1384,35 +1327,39 @@ and compile_join ctx ~kind ~algo ~left ~right ~left_key ~right_key ~pred =
     | Some (p, _) ->
       (* template: the build phase runs once, before fan-out *)
       p.par_builds := build :: !(p.par_builds);
-      fun () -> Counters.time Counters.Probe left_runner
+      run_probe
     | None ->
       fun () ->
         Counters.time Counters.Build build;
-        Counters.time Counters.Probe left_runner
+        run_probe ()
 
-(* A probe-only join instance for workers > 0: re-register the build-side
-   bindings over the template's materialized columns (with a private row
-   cursor), compile the left spine and the residual against them, and probe
-   the shared, finished lookup structure read-only. *)
-and compile_join_probe ctx (sj : shared_join) ~left =
+(* The probe side of a join, for every instance that runs one: the
+   template (worker 0, or the serial consumer above a splice) and the
+   probe-only workers > 0 alike. It re-registers the build-side bindings
+   over the materialized columns (with a private row cursor), compiles the
+   left spine, the probe key and the residual against them, and probes
+   the finished lookup structure. The template chooses the lane — the
+   batch probe when the spine is a batchable fragment and both key sides
+   sit in the unboxed int lane — and records it in [sj] with the key mode;
+   workers follow that record, and a worker whose compile disagrees with
+   it is a staging bug. *)
+and compile_probe ctx (sj : shared_join) ~left : (unit -> unit) -> unit -> unit =
+  let lead = template ctx in
   let m_cur = ref 0 in
   let null_row = ref false in
   List.iter
-    (fun (b, cols) ->
-      Hashtbl.replace ctx.cenv b (Exprc.Row_repr (cols, m_cur, null_row)))
+    (fun (b, cols) -> Hashtbl.replace ctx.cenv b (Exprc.Row_repr (cols, m_cur, null_row)))
     sj.sj_cols;
-  (* same probe-lane choice as the template: batch probe when the spine is
-     a batchable fragment and the key sits in the int lane *)
-  let left_lane =
-    match ctx.batch, sj.sj_left_key, sj.sj_mode with
-    | Some bs, Some lk, `Radix -> (
+  let try_batch = if lead then sj.sj_int_build else sj.sj_lane <> `Tuple in
+  let lane =
+    match ctx.batch, sj.sj_left_key with
+    | Some bs, Some lk when try_batch -> (
       match compile_bfrag ctx left with
       | Some frag -> (
         match Exprc.compile ctx.cenv lk with
         | Exprc.C_int _ as c -> (
           match
-            Exprc.batch_int_fill ctx.cenv ~batch_size:bs
-              ~seek:frag.bf_src.Source.seek lk
+            Exprc.batch_int_fill ctx.cenv ~batch_size:bs ~seek:frag.bf_src.Source.seek lk
           with
           | Some (kbuf, kfill) -> `Batch (bs, frag, kbuf, kfill, c)
           | None -> `Spill (bs, frag, c))
@@ -1421,10 +1368,26 @@ and compile_join_probe ctx (sj : shared_join) ~left =
     | _ -> `Tuple (compile ctx left)
   in
   let left_key =
-    match left_lane with
+    match lane with
     | `Batch (_, _, _, _, c) | `Spill (_, _, c) -> Some c
     | `Tuple _ -> Option.map (Exprc.compile ctx.cenv) sj.sj_left_key
   in
+  (* the radix path needs unboxed keys on BOTH sides; a probe key compiled
+     against materialized rows is boxed, so such joins use the boxed table *)
+  let key =
+    match left_key with
+    | Some (Exprc.C_int g) when sj.sj_int_build -> `Radix g
+    | Some c -> `Boxed (Exprc.to_val c)
+    | None -> `Loop
+  in
+  let mode = match key with `Radix _ -> `Radix | `Boxed _ -> `Boxed | `Loop -> `Loop in
+  let tag = match lane with `Batch _ -> `Batch | `Spill _ -> `Spill | `Tuple _ -> `Tuple in
+  if lead then begin
+    sj.sj_mode <- mode;
+    sj.sj_lane <- tag
+  end
+  else if mode <> sj.sj_mode || tag <> sj.sj_lane then
+    Perror.plan_error "join probe: lane or key mode differs across pipeline instances";
   let pred_c =
     match sj.sj_residual with
     | Expr.Const (Value.Bool true) -> None
@@ -1432,19 +1395,15 @@ and compile_join_probe ctx (sj : shared_join) ~left =
   in
   fun consumer ->
     let emit = make_emit ~pred_c ~m_cur ~consumer in
-    let probe_consumer () =
-      join_probe ~kind:sj.sj_kind ~mode:sj.sj_mode ~left_key ~rows:sj.sj_rows
-        ~radix:sj.sj_radix ~table:sj.sj_table ~null_row ~emit ~consumer
-    in
     let left_runner =
-      match left_lane with
-      | `Tuple run_left -> run_left (probe_consumer ())
-      | `Spill (bs, frag, _) -> bfrag_spill ctx frag ~bs (probe_consumer ())
+      match lane with
+      | `Tuple run_left -> run_left (join_probe sj ~key ~null_row ~emit ~consumer)
+      | `Spill (bs, frag, _) ->
+        bfrag_spill ctx frag ~bs (join_probe sj ~key ~null_row ~emit ~consumer)
       | `Batch (bs, frag, kbuf, kfill, _) ->
         count_lane ctx Counters.add_lanes_batch;
         let probe =
-          batch_probe_sink ~kind:sj.sj_kind ~radix:sj.sj_radix ~kbuf
-            ~seek:frag.bf_src.Source.seek ~null_row ~emit ~consumer
+          batch_probe_sink sj ~kbuf ~seek:frag.bf_src.Source.seek ~null_row ~emit ~consumer
         in
         bfrag_driver ctx frag ~bs (fun ~base ~sel ~n ->
             kfill ~base ~sel ~n;
@@ -1472,26 +1431,23 @@ and buffered_splice actx ~width ~(drive : drive) subplan ~(serial_cenv : Exprc.c
   let has_join = plan_has_join subplan in
   let width = Array.length instances in
   fun consumer () ->
-    let all = Array.make width [||] in
+    let cells = Array.make width [||] in
     let wire w (run_input, getters, (p : par)) =
-      let buckets = Array.make (Pool.Dispenser.morsels disp) [] in
-      all.(w) <- buckets;
-      let m = p.par_morsel in
-      let push () = buckets.(!m) <- List.map (fun g -> g ()) getters :: buckets.(!m) in
-      run_input push
+      let cell =
+        cell_of cells w ~morsels:(Pool.Dispenser.morsels disp) p.par_morsel (fun () -> ref [])
+      in
+      run_input (fun () ->
+          let rows = cell () in
+          rows := List.map (fun g -> g ()) getters :: !rows)
     in
     drive_phase has_join (fun () -> run_fleet wire);
-    let nm = Pool.Dispenser.morsels disp in
     Counters.time Counters.Merge (fun () ->
-        for mi = 0 to nm - 1 do
-          for w = 0 to width - 1 do
+        iter_cells cells (fun rows ->
             List.iter
               (fun row ->
                 List.iter2 (fun (_, r) v -> r := v) regs row;
                 consumer ())
-              (List.rev all.(w).(mi))
-          done
-        done)
+              (List.rev !rows)))
 
 (* Parallelism substitution at a Nest over primitive monoids (the GROUP BY
    breaker): partitioned parallel group-by. Each domain scans one static
@@ -1512,96 +1468,41 @@ and nest_splice actx ~width ~(drive : drive) ~keys ~aggs ~pred ~binding input
   let has_join = plan_has_join input in
   let instances, _disp, run_fleet =
     compile_instances actx ~width ~static:true ~drive input ~stage:compile
-      ~finish:(fun ctx p compiled ->
+      ~finish:(fun ctx _ compiled ->
         let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-        let ckeys = List.map (fun (n, e) -> (n, Exprc.compile ctx.cenv e)) keys in
+        let ckeys = List.map (fun (_, e) -> Exprc.compile ctx.cenv e) keys in
         let factories =
           List.map
             (fun (a : Plan.agg) -> Agg.factory a.monoid (Exprc.compile ctx.cenv a.expr))
             aggs
         in
-        (compiled, pred_c, ckeys, factories, p))
+        (compiled, pred_c, ckeys, factories))
   in
-  let domains = Array.length instances in
-  (* the unboxed single-int-key grouping applies only when every instance
-     compiled the key to the int lane *)
-  let int_key =
-    Array.for_all
-      (fun (_, _, ckeys, _, _) ->
-        match ckeys with [ (_, Exprc.C_int _) ] -> true | _ -> false)
-      instances
+  (* raw int keys only when every instance compiled the key to the int lane *)
+  let (module K : GROUP_KEY) =
+    group_key keys
+      ~int_key:
+        (Array.for_all (function _, _, [ Exprc.C_int _ ], _ -> true | _ -> false) instances)
   in
   let group_reg = ref Value.Null in
   Hashtbl.replace serial_cenv binding (Exprc.Boxed_repr group_reg);
-  fun consumer ->
-    let emit key_fields parts =
-      let agg_fields = List.map2 (fun n v -> (n, v)) names (List.map2 Agg.finalize monoids parts) in
-      group_reg := Value.record (key_fields @ agg_fields);
-      consumer ()
+  fun consumer () ->
+    let groups = Array.make (Array.length instances) [] in
+    let wire w (run_input, pred_c, ckeys, factories) =
+      let _, feed =
+        group_table (module K.H) (K.reader ckeys) ~pred_c ~factories ~nkeys:(List.length keys)
+          ~opened:(fun k insts -> groups.(w) <- (k, insts) :: groups.(w))
+      in
+      run_input feed
     in
-    let partials insts = List.map (fun (i : Agg.instance) -> i.partial ()) insts in
-    if int_key then begin
-      let kname = match keys with [ (n, _) ] -> n | _ -> assert false in
-      fun () ->
-        let groups = Array.make domains [] in
-        let wire w (run_input, pred_c, ckeys, factories, (_ : par)) =
-          let kget = match ckeys with [ (_, Exprc.C_int g) ] -> g | _ -> assert false in
-          let tbl : (int, Agg.instance list) Hashtbl.t = Hashtbl.create 64 in
-          let consumer () =
-            if pred_c () then begin
-              let k = kget () in
-              let insts =
-                match Hashtbl.find_opt tbl k with
-                | Some insts -> insts
-                | None ->
-                  let insts = List.map (fun f -> f ()) factories in
-                  Hashtbl.add tbl k insts;
-                  groups.(w) <- (k, insts) :: groups.(w);
-                  Counters.add_materialized 1;
-                  insts
-              in
-              List.iter (fun (i : Agg.instance) -> i.step ()) insts
-            end
-          in
-          run_input consumer
-        in
-        drive_phase has_join (fun () -> run_fleet wire);
-        Counters.time Counters.Merge (fun () ->
-            merge_groups monoids ~cmp:Int.compare ~partials groups (fun k _ parts ->
-                emit [ (kname, Value.Int k) ] parts))
-    end
-    else
-      fun () ->
-        let groups = Array.make domains [] in
-        let wire w (run_input, pred_c, ckeys, factories, (_ : par)) =
-          let key_getters = List.map (fun (_, c) -> Exprc.to_val c) ckeys in
-          let tbl : (Value.t list * Agg.instance list) VH.t = VH.create 64 in
-          let consumer () =
-            if pred_c () then begin
-              let kvs = List.map (fun g -> g ()) key_getters in
-              let key = Value.Coll (Ptype.List, kvs) in
-              let _, insts =
-                match VH.find_opt tbl key with
-                | Some cell -> cell
-                | None ->
-                  let cell = (kvs, List.map (fun f -> f ()) factories) in
-                  VH.add tbl key cell;
-                  groups.(w) <- (key, cell) :: groups.(w);
-                  Counters.add_materialized (List.length kvs);
-                  cell
-              in
-              List.iter (fun (i : Agg.instance) -> i.step ()) insts
-            end
-          in
-          run_input consumer
-        in
-        drive_phase has_join (fun () -> run_fleet wire);
-        Counters.time Counters.Merge (fun () ->
-            merge_groups monoids ~cmp:Value.compare
-              ~partials:(fun (_, insts) -> partials insts)
-              groups
-              (fun _ (kvs, _) parts ->
-                emit (List.map2 (fun (n, _) v -> (n, v)) keys kvs) parts))
+    drive_phase has_join (fun () -> run_fleet wire);
+    Counters.time Counters.Merge (fun () ->
+        merge_groups monoids ~cmp:K.cmp groups (fun k parts ->
+            let aggs =
+              List.map2 (fun n v -> (n, v)) names (List.map2 Agg.finalize monoids parts)
+            in
+            group_reg := Value.record (K.fields k @ aggs);
+            consumer ()))
 
 (* The fleet below [p]'s bottom breaker, as the node the serial compile
    replaces plus its maker: a mergeable Nest becomes the partitioned
@@ -1780,29 +1681,21 @@ let prepare_with (ctx : ctx) (plan : Plan.t) : unit -> Value.t =
    Per-morsel partial states are merged on the calling domain in morsel
    order, so results do not depend on which worker ran which morsel. *)
 
-(* The root Reduce drivers' merge: [all.(w).(mi)] holds the accumulators
-   worker [w] folded morsel [mi] into. Partials merge in morsel order (then
-   worker order, which a morsel reached at most once) and finalize; when no
-   morsel produced a row the result is a fresh accumulator set's value, as
-   a fold over nothing. *)
-let merge_morsels (monoid_output : Plan.agg list) disp all ~partial ~empty =
+(* The root Reduce drivers' merge: each morsel's cell holds the
+   accumulators (and their step) its worker folded it into. Partials merge
+   in morsel order and finalize; when no morsel produced a row the result
+   is a fresh accumulator set's value, as a fold over nothing. *)
+let merge_morsels (monoid_output : Plan.agg list) cells ~partial ~empty =
   let monoids = List.map (fun (a : Plan.agg) -> a.monoid) monoid_output in
   let merged = ref None in
   Counters.time Counters.Merge (fun () ->
-      for mi = 0 to Pool.Dispenser.morsels disp - 1 do
-        Array.iter
-          (fun buckets ->
-            match buckets.(mi) with
-            | None -> ()
-            | Some insts ->
-              let parts = List.map partial insts in
-              merged :=
-                Some
-                  (match !merged with
-                  | None -> parts
-                  | Some acc -> merge_parts monoids acc parts))
-          all
-      done);
+      iter_cells cells (fun (insts, _) ->
+          let parts = List.map partial insts in
+          merged :=
+            Some
+              (match !merged with
+              | None -> parts
+              | Some acc -> merge_parts monoids acc parts)));
   let finals =
     match !merged with
     | Some parts -> List.map2 Agg.finalize monoids parts
@@ -1834,31 +1727,20 @@ let par_reduce actx ~(drive : drive) ~monoid_output ~pred input =
   let _, _, factories0, _ = instances.(0) in
   let has_join = plan_has_join input in
   fun () ->
-    let all = Array.make (Array.length instances) [||] in
+    let cells = Array.make (Array.length instances) [||] in
     let wire w (run_input, pred_c, factories, (p : par)) =
-      let buckets = Array.make (Pool.Dispenser.morsels disp) None in
-      all.(w) <- buckets;
-      let cur = ref (-1) in
-      let cur_step = ref (fun () -> ()) in
-      let consumer () =
-        if pred_c () then begin
-          let mi = !(p.par_morsel) in
-          if !cur <> mi then begin
-            cur := mi;
+      let cell =
+        cell_of cells w ~morsels:(Pool.Dispenser.morsels disp) p.par_morsel (fun () ->
             let insts = List.map (fun (_, f) -> f ()) factories in
-            buckets.(mi) <- Some insts;
-            cur_step :=
-              (match insts with
+            ( insts,
+              match insts with
               | [ (i : Agg.instance) ] -> i.step
-              | is -> fun () -> List.iter (fun (i : Agg.instance) -> i.step ()) is)
-          end;
-          !cur_step ()
-        end
+              | is -> fun () -> List.iter (fun (i : Agg.instance) -> i.step ()) is ))
       in
-      run_input consumer
+      run_input (fun () -> if pred_c () then (snd (cell ())) ())
     in
     drive_phase has_join (fun () -> run_fleet wire);
-    merge_morsels monoid_output disp all
+    merge_morsels monoid_output cells
       ~partial:(fun (i : Agg.instance) -> i.partial ())
       ~empty:(fun () -> List.map (fun (_, f) -> ((f () : Agg.instance)).value ()) factories0)
 
@@ -1903,32 +1785,22 @@ let par_batch_reduce actx ~bs ~(drive : drive) ~monoid_output ~pred input =
   Counters.add_lanes_batch 1;
   let _, bfactories0, _, _ = instances.(0) in
   fun () ->
-    let all = Array.make (Array.length instances) [||] in
+    let cells = Array.make (Array.length instances) [||] in
     let wire w (frag, bfactories, ctx, (p : par)) =
-      let buckets = Array.make (Pool.Dispenser.morsels disp) None in
-      all.(w) <- buckets;
-      let cur = ref (-1) in
-      let nop ~base:_ ~sel:_ ~n:_ = () in
-      let cur_step = ref nop in
-      let sink ~base ~sel ~n =
-        let mi = !(p.par_morsel) in
-        if !cur <> mi then begin
-          cur := mi;
-          let insts = List.map (fun f -> f ()) bfactories in
-          buckets.(mi) <- Some insts;
-          cur_step :=
-            (match insts with
-            | [ (i : Agg.binstance) ] -> i.bstep
-            | is ->
-              fun ~base ~sel ~n ->
-                List.iter (fun (i : Agg.binstance) -> i.bstep ~base ~sel ~n) is)
-        end;
-        !cur_step ~base ~sel ~n
+      let cell =
+        cell_of cells w ~morsels:(Pool.Dispenser.morsels disp) p.par_morsel (fun () ->
+            let insts = List.map (fun f -> f ()) bfactories in
+            ( insts,
+              match insts with
+              | [ (i : Agg.binstance) ] -> i.bstep
+              | is ->
+                fun ~base ~sel ~n ->
+                  List.iter (fun (i : Agg.binstance) -> i.bstep ~base ~sel ~n) is ))
       in
-      bfrag_driver ctx frag ~bs sink
+      bfrag_driver ctx frag ~bs (fun ~base ~sel ~n -> (snd (cell ())) ~base ~sel ~n)
     in
     Counters.time Counters.Scan (fun () -> run_fleet wire);
-    merge_morsels monoid_output disp all
+    merge_morsels monoid_output cells
       ~partial:(fun (i : Agg.binstance) -> i.bpartial ())
       ~empty:(fun () -> List.map (fun f -> ((f () : Agg.binstance)).bvalue ()) bfactories0)
 
@@ -1944,26 +1816,28 @@ let par_collect_reduce actx ~(drive : drive) ~coll ~(agg : Plan.agg) ~pred input
         (compiled, pred_c, get, p))
   in
   let has_join = plan_has_join input in
-  let domains = Array.length instances in
   fun () ->
-    let all = Array.make domains [||] in
+    let cells = Array.make (Array.length instances) [||] in
     let wire w (run_input, pred_c, get, (p : par)) =
-      let buckets = Array.make (Pool.Dispenser.morsels disp) [] in
-      all.(w) <- buckets;
-      let m = p.par_morsel in
-      let consumer () = if pred_c () then buckets.(!m) <- get () :: buckets.(!m) in
-      run_input consumer
+      let cell =
+        cell_of cells w ~morsels:(Pool.Dispenser.morsels disp) p.par_morsel (fun () -> ref [])
+      in
+      run_input (fun () ->
+          if pred_c () then begin
+            let vs = cell () in
+            vs := get () :: !vs
+          end)
     in
     drive_phase has_join (fun () -> run_fleet wire);
-    let nm = Pool.Dispenser.morsels disp in
-    let out = ref [] in
-    Counters.time Counters.Merge (fun () ->
-        for mi = nm - 1 downto 0 do
-          for w = domains - 1 downto 0 do
-            List.iter (fun v -> out := v :: !out) all.(w).(mi)
-          done
-        done);
-    Monoid.collect coll !out
+    (* each cell holds its morsel's values newest first: stack the cells,
+       then prepend them last morsel first, each one reversed *)
+    let stack = ref [] in
+    let out =
+      Counters.time Counters.Merge (fun () ->
+          iter_cells cells (fun vs -> stack := !vs :: !stack);
+          List.fold_left (fun acc vs -> List.rev_append vs acc) [] !stack)
+    in
+    Monoid.collect coll out
 
 (* Stage [plan] as fleets of [domains] workers ([domains = 1] runs the same
    fleet inline). A root Reduce over a breaker-free spine fans the whole

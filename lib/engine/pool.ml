@@ -177,15 +177,15 @@ module Dispenser = struct
       skip = never;
     }
 
-  (* ~64 morsels per input bounds scheduling overhead while still smoothing
-     skew; clamped so tiny inputs stay one hand-off and huge ones keep
-     per-morsel buffers reasonable. The size deliberately does NOT depend
-     on the worker count: per-morsel partial aggregates merge in morsel
-     order, so a worker-independent partition makes merged results (float
-     association included) bit-identical for any domain count. *)
+  (* Morsels are the zone-map grid ([Zonemap.zone_rows]: ~64 per input,
+     clamped so tiny inputs stay one hand-off and huge ones keep per-morsel
+     buffers reasonable), so zones line up 1:1 with full-scan morsels. The
+     size deliberately does NOT depend on the worker count: per-morsel
+     partial aggregates merge in morsel order, so a worker-independent
+     partition makes merged results (float association included)
+     bit-identical for any domain count. *)
   let reset t ~total ~workers:_ =
-    let target = total / 64 in
-    t.morsel <- max 16 (min 8192 (max 1 target));
+    t.morsel <- Proteus_storage.Zonemap.zone_rows total;
     t.total <- total;
     Atomic.set t.handed 0;
     t.skip <- never;

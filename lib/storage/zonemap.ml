@@ -9,12 +9,13 @@
    and a zone whose non-null bounds exclude the constant is skippable even
    when nulls are interleaved.
 
-   Determinism: callers size zones with [zone_rows], the same formula the
-   morsel dispenser uses, so the zone grid is a pure function of the row
-   count — independent of the domain count or batch size that happened to
-   fill the cache — and zones line up 1:1 with full-scan morsels. A map
-   extended over appended rows keeps the width it was built with; its
-   zones then straddle morsels, which [may_match_range] handles exactly. *)
+   Determinism: callers size zones with [zone_rows], the formula the
+   morsel dispenser sizes morsels with, so the zone grid is a pure
+   function of the row count — independent of the domain count or batch
+   size that happened to fill the cache — and zones line up 1:1 with
+   full-scan morsels. A map extended over appended rows keeps the width it
+   was built with; its zones then straddle morsels, which
+   [may_match_range] handles exactly. *)
 
 type bounds =
   | Z_int of int array * int array     (* per-zone lo / hi over non-nulls *)
@@ -29,8 +30,8 @@ type t = {
   empty : bool array; (* zone has no non-null row: always skippable *)
 }
 
-(* Mirror of [Pool.Dispenser]'s morsel sizing (kept in sync by
-   test_promotion's alignment check): zones align with scan morsels. *)
+(* The row grid of zones and of scan morsels: [Pool.Dispenser] sizes its
+   morsels with this function too, so zones align with scan morsels. *)
 let zone_rows total = max 16 (min 8192 (max 1 (total / 64)))
 
 let zones t = Array.length t.empty

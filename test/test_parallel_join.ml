@@ -353,6 +353,88 @@ let test_repeat_determinism () =
   Alcotest.check check_value "repeat run bit-identical" base (at 4);
   Alcotest.check check_value "2 == 4 domains" (sort_bag (at 2)) (sort_bag base)
 
+(* --- every probe mode, join kind and placement --------------------------- *)
+
+(* The join probe modes, as a join over a given probe side: a radix int
+   key; a boxed float key (the orders against their own JSON copy); a
+   boxed key read from an inner join's materialized rows; a nested loop
+   with no equi conjunct. *)
+let probe_joins =
+  [
+    ("radix int key", fun kind left -> Plan.join ~kind ~pred:join_pred left (scan_parts "parts"));
+    ( "boxed float key",
+      fun kind left ->
+        Plan.join ~kind
+          ~pred:Expr.(Field (var "o", "amt") ==. Field (var "f", "amt"))
+          left
+          (Plan.select
+             Expr.(Field (var "f", "oid") <. int 150)
+             (Plan.scan ~dataset:"orders_json" ~binding:"f" ())) );
+    ( "boxed key over materialized rows",
+      fun kind left ->
+        Plan.join ~kind
+          ~pred:Expr.(Field (var "p", "cat") ==. Field (var "d", "pid"))
+          (Plan.join ~pred:join_pred left (scan_parts "parts"))
+          (Plan.scan ~dataset:"dup_parts" ~binding:"d" ()) );
+    ( "nested loop",
+      fun kind left ->
+        Plan.join ~kind
+          ~pred:Expr.(Field (var "o", "qty") <. Field (var "p", "cat"))
+          left (scan_parts "parts") );
+  ]
+
+(* a spine join probes the driving scan's fleet; a join above a spliced
+   sort probes the replayed rows on the serial consumer *)
+let probe_placements =
+  [
+    ("spine", Plan.select Expr.(Field (var "o", "oid") <. int 700) (scan_orders "orders"));
+    ( "above a spliced sort",
+      Plan.sort
+        ~keys:[ (Expr.(Field (var "o", "amt")), Plan.Desc) ]
+        (Plan.select Expr.(Field (var "o", "oid") <. int 500) (scan_orders "orders")) );
+  ]
+
+let probe_reduce join =
+  Plan.reduce
+    [
+      Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+      Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "amt"));
+      Plan.agg ~name:"q" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "o", "qty"));
+    ]
+    join
+
+let test_probe_modes () =
+  List.iter
+    (fun (mode, join) ->
+      List.iter
+        (fun (placement, left) ->
+          List.iter
+            (fun (kind, kname) ->
+              check_join
+                ~name:(Fmt.str "%s, %s, %s" mode kname placement)
+                (probe_reduce (join kind left)))
+            [ (Plan.Inner, "inner"); (Plan.Left_outer, "left outer") ])
+        probe_placements)
+    probe_joins
+
+(* Workers probe on the lane the template chose, and only the template
+   counts it: a join's per-query lane counts do not depend on the width. *)
+let test_probe_lanes () =
+  let reg = Lazy.force registry in
+  List.iter
+    (fun (mode, join) ->
+      let plan = probe_reduce (join Plan.Inner (snd (List.hd probe_placements))) in
+      let lanes d =
+        let _, s =
+          Executor.measure (fun () ->
+              Executor.run ~batch_size:1024 reg ~domains:d ~engine:Executor.Engine_compiled
+                plan)
+        in
+        s.Counters.lanes_batch
+      in
+      Alcotest.(check int) (mode ^ ": lanes_batch at 1 and 4 domains") (lanes 1) (lanes 4))
+    probe_joins
+
 (* --- every scan is a fleet ----------------------------------------------- *)
 
 (* Bags compare element-wise in order; the reference evaluator and the
@@ -566,6 +648,8 @@ let () =
           Alcotest.test_case "residual predicate" `Quick test_residual_predicate;
           Alcotest.test_case "left outer" `Quick test_left_outer;
           Alcotest.test_case "parameterized build side" `Quick test_parameterized_build;
+          Alcotest.test_case "every probe mode, kind and placement" `Quick test_probe_modes;
+          Alcotest.test_case "probe lanes independent of width" `Quick test_probe_lanes;
         ] );
       ( "group-by",
         [
