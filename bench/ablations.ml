@@ -13,8 +13,15 @@
 module Tpch = Proteus_tpch.Tpch
 module Q = Tpch.Queries
 module Manager = Proteus_cache.Manager
+module Json = Proteus_format.Json
 
-let sf = try float_of_string (Sys.getenv "PROTEUS_BENCH_SF_JSON") with Not_found -> 0.005
+(* Each ablation pits two variants of one design choice against each other;
+   [variant] names which side a cell measures. *)
+let pair ~figure cell (v1, t1) (v2, t2) =
+  let r variant t =
+    Util.record ~figure ~params:[ ("variant", Json.Str variant) ] cell t
+  in
+  [ r v1 t1; r v2 t2 ]
 
 let mk_db ?caching ~register () =
   let db = Proteus.Db.create ?caching () in
@@ -23,7 +30,7 @@ let mk_db ?caching ~register () =
   db
 
 let run_all () =
-  let d = Tpch.generate ~sf () in
+  let d = Tpch.generate ~sf:Tpch_figs.sf_json () in
   let oc = d.Tpch.order_count in
   Fmt.pr "@.== Ablations ==@.";
 
@@ -40,29 +47,32 @@ let run_all () =
       ()
   in
   Fmt.pr "A. engine-per-query vs Volcano interpretation:@.";
-  List.iter
-    (fun (label, plan) ->
-      let t_c =
-        Util.measure (fun () ->
-            ignore (Proteus.Db.run_plan ~engine:Proteus.Db.Engine_compiled db plan))
-      in
-      let t_v =
-        Util.measure (fun () ->
-            ignore (Proteus.Db.run_plan ~engine:Proteus.Db.Engine_volcano db plan))
-      in
-      Fmt.pr "   %-34s compiled %8.2fms   volcano %8.2fms   (%.1fx)@." label
-        (Util.ms t_c) (Util.ms t_v) (t_v /. t_c))
-    [
-      ( "4-agg scan, binary, sel=50%",
-        Q.projection ~lineitem:"li_col" ~order_count:oc ~variant:Q.Agg4 ~selectivity:0.5 );
-      ( "4-agg scan, raw JSON, sel=50%",
-        Q.projection ~lineitem:"li_json" ~order_count:oc ~variant:Q.Agg4 ~selectivity:0.5 );
-      ( "join, binary, sel=20%",
-        Q.join ~orders:"ord_col" ~lineitem:"li_col" ~order_count:oc ~variant:Q.JCount
-          ~selectivity:0.2 );
-      ( "group-by 4 aggs, binary",
-        Q.group_by ~lineitem:"li_col" ~order_count:oc ~aggregates:4 ~selectivity:1.0 );
-    ];
+  let a =
+    List.concat_map
+      (fun (label, plan) ->
+        let t_c =
+          Util.measure (fun () ->
+              ignore (Proteus.Db.run_plan ~engine:Proteus.Db.Engine_compiled db plan))
+        in
+        let t_v =
+          Util.measure (fun () ->
+              ignore (Proteus.Db.run_plan ~engine:Proteus.Db.Engine_volcano db plan))
+        in
+        Fmt.pr "   %-34s compiled %8.2fms   volcano %8.2fms   (%.1fx)@." label
+          (Util.ms t_c.median) (Util.ms t_v.median) (t_v.median /. t_c.median);
+        pair ~figure:"ablation_A" label ("compiled", t_c) ("volcano", t_v))
+      [
+        ( "4-agg scan, binary, sel=50%",
+          Q.projection ~lineitem:"li_col" ~order_count:oc ~variant:Q.Agg4 ~selectivity:0.5 );
+        ( "4-agg scan, raw JSON, sel=50%",
+          Q.projection ~lineitem:"li_json" ~order_count:oc ~variant:Q.Agg4 ~selectivity:0.5 );
+        ( "join, binary, sel=20%",
+          Q.join ~orders:"ord_col" ~lineitem:"li_col" ~order_count:oc ~variant:Q.JCount
+            ~selectivity:0.2 );
+        ( "group-by 4 aggs, binary",
+          Q.group_by ~lineitem:"li_col" ~order_count:oc ~aggregates:4 ~selectivity:1.0 );
+      ]
+  in
 
   (* B: fixed-schema JSON fast path. The TPC-H JSON writer emits every
      object with the same field order (machine-generated data), which the
@@ -86,7 +96,11 @@ let run_all () =
   Fmt.pr
     "B. structural index: fixed-schema fast path %8.2fms   flexible Level-0 %8.2fms \
      (%.2fx)@."
-    (Util.ms t_fixed) (Util.ms t_flex) (t_flex /. t_fixed);
+    (Util.ms t_fixed.median) (Util.ms t_flex.median) (t_flex.median /. t_fixed.median);
+  let b =
+    pair ~figure:"ablation_B" "4-agg scan, raw JSON, sel=100%" ("fixed-schema", t_fixed)
+      ("flexible", t_flex)
+  in
 
   (* C: implicit caching of join build sides *)
   let join_plan =
@@ -113,7 +127,11 @@ let run_all () =
     Util.measure (fun () -> ignore (Proteus.Db.run_plan db_joincache join_plan))
   in
   Fmt.pr "C. implicit join-side caching: rebuild %8.2fms   reuse %8.2fms (%.1fx)@."
-    (Util.ms t_cold) (Util.ms t_reuse) (t_cold /. t_reuse);
+    (Util.ms t_cold.median) (Util.ms t_reuse.median) (t_cold.median /. t_reuse.median);
+  let c =
+    pair ~figure:"ablation_C" "join, JSON x binary, sel=50%" ("rebuild", t_cold)
+      ("reuse", t_reuse)
+  in
 
   (* E: vectorized vs staged tuple execution — same plan, same specialized
      engine, over binary columns where batch getters are memcpy-like; a
@@ -133,4 +151,7 @@ let run_all () =
   Fmt.pr
     "E. vectorized lane, binary scan-agg sel=20%%: batch %8.2fms   tuple-at-a-time \
      %8.2fms (%.2fx)@."
-    (Util.ms t_batch) (Util.ms t_tuple) (t_tuple /. t_batch)
+    (Util.ms t_batch.median) (Util.ms t_tuple.median) (t_tuple.median /. t_batch.median);
+  a @ b @ c
+  @ pair ~figure:"ablation_E" "4-agg scan, binary, sel=20%" ("batch", t_batch)
+      ("tuple", t_tuple)

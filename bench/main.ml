@@ -1,100 +1,27 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 7) at laptop scale, then runs a Bechamel suite with
-   one statistically-sampled benchmark per figure/table.
+   evaluation (Section 7) at laptop scale, plus the engine's own figures
+   (parallel scaling, prepared statements, shards, hedging, promoted
+   layouts), and writes every measured cell to BENCH_engine.json.
 
    Run with: dune exec bench/main.exe
    Scale knobs: PROTEUS_BENCH_SF_JSON, PROTEUS_BENCH_SF_BIN,
-   PROTEUS_BENCH_SPAM_{JSON,CSV,BIN}. *)
-
-open Bechamel
-module Tpch = Proteus_tpch.Tpch
-module Q = Tpch.Queries
-module B = Proteus_baselines
-
-let bechamel_suite (je : Tpch_figs.json_env) (be : Tpch_figs.bin_env) =
-  (* one representative cell per experiment id, measured properly *)
-  let joc = je.Tpch_figs.jd.Tpch.order_count in
-  let boc = be.Tpch_figs.bd.Tpch.order_count in
-  let p_json plan = Staged.stage (fun () -> ignore (Proteus.Db.run_plan je.Tpch_figs.j_proteus plan)) in
-  let p_bin plan = Staged.stage (fun () -> ignore (Proteus.Db.run_plan be.Tpch_figs.b_proteus plan)) in
-  let tests =
-    [
-      Test.make ~name:"fig5_json_projections"
-        (p_json (Q.projection ~lineitem:"lineitem" ~order_count:joc ~variant:Q.Agg4 ~selectivity:0.5));
-      Test.make ~name:"fig6_bin_projections"
-        (p_bin (Q.projection ~lineitem:"lineitem" ~order_count:boc ~variant:Q.Agg4 ~selectivity:0.5));
-      Test.make ~name:"fig7_json_selections"
-        (p_json (Q.selection ~lineitem:"lineitem" ~order_count:joc ~predicates:4 ~selectivity:0.5));
-      Test.make ~name:"fig8_bin_selections"
-        (p_bin (Q.selection ~lineitem:"lineitem" ~order_count:boc ~predicates:4 ~selectivity:0.5));
-      Test.make ~name:"fig9_json_joins"
-        (p_json
-           (Q.join ~orders:"orders" ~lineitem:"lineitem" ~order_count:joc ~variant:Q.JAgg2
-              ~selectivity:0.2));
-      Test.make ~name:"fig10_bin_joins"
-        (p_bin
-           (Q.join ~orders:"orders" ~lineitem:"lineitem" ~order_count:boc ~variant:Q.JAgg2
-              ~selectivity:0.2));
-      Test.make ~name:"fig11_json_groupbys"
-        (p_json (Q.group_by ~lineitem:"lineitem" ~order_count:joc ~aggregates:4 ~selectivity:0.5));
-      Test.make ~name:"fig12_bin_groupbys"
-        (p_bin (Q.group_by ~lineitem:"lineitem" ~order_count:boc ~aggregates:4 ~selectivity:0.5));
-      Test.make ~name:"fig13_caching"
-        (* representative cached-predicate run over the caching session *)
-        (p_json (Q.projection ~lineitem:"lineitem" ~order_count:joc ~variant:Q.Count1 ~selectivity:0.1));
-      Test.make ~name:"fig14_symantec_q16"
-        (let s = Proteus_symantec.Symantec.generate
-                   ~params:{ Proteus_symantec.Symantec.default_params with
-                             json_objects = 500; csv_rows = 2_000; bin_rows = 3_000 } () in
-         let db = Proteus.Db.create () in
-         Proteus.Db.register_json db ~name:Proteus_symantec.Symantec.json_name
-           ~element:Proteus_symantec.Symantec.json_type ~contents:s.Proteus_symantec.Symantec.json_text;
-         let plan = List.assoc "Q16" (Proteus_symantec.Symantec.queries s) in
-         Staged.stage (fun () -> ignore (Proteus.Db.run_plan db plan)));
-      Test.make ~name:"table3_proteus_bin_phase"
-        (p_bin (Q.projection ~lineitem:"lineitem" ~order_count:boc ~variant:Q.Count1 ~selectivity:0.1));
-    ]
-  in
-  Test.make_grouped ~name:"paper" ~fmt:"%s/%s" tests
-
-let run_bechamel test =
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ instance ] test in
-  let results = Analyze.all ols instance raw in
-  Fmt.pr "@.== Bechamel suite: one sampled benchmark per experiment ==@.";
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> Float.nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ns) -> Fmt.pr "  %-34s %12.3f ms/run@." name (ns /. 1e6))
-    rows
+   PROTEUS_BENCH_SPAM_{JSON,CSV,BIN}, PROTEUS_BENCH_DOMAINS. *)
 
 let () =
   Fmt.pr "Proteus benchmark harness — regenerating the paper's evaluation@.";
   Fmt.pr "(shapes, not absolute numbers: the substrate is an OCaml simulator)@.";
-  let je, be = Tpch_figs.run_all () in
-  Symantec_fig.run_all ();
-  Parallel_fig.run_all je be;
-  Server_fig.run_all ();
-  Server_fig.splice_json "BENCH_engine.json";
-  Shards_fig.run_all ();
-  Shards_fig.splice_json "BENCH_engine.json";
-  Resilience_fig.run_all ();
-  Resilience_fig.splice_json "BENCH_engine.json";
-  Projection_fig.run_all ();
-  Projection_fig.splice_json "BENCH_engine.json";
-  Ablations.run_all ();
-  run_bechamel (bechamel_suite je be)
+  let je, be, tpch = Tpch_figs.run_all () in
+  let figures =
+    [
+      (fun () -> tpch);
+      Symantec_fig.run_all;
+      (fun () -> Parallel_fig.run_all je be);
+      Server_fig.run_all;
+      Shards_fig.run_all;
+      Resilience_fig.run_all;
+      Projection_fig.run_all;
+      Ablations.run_all;
+    ]
+  in
+  (* in order: a list literal would evaluate its figures right to left *)
+  Util.write_json "BENCH_engine.json" (List.concat_map (fun fig -> fig ()) figures)

@@ -4,7 +4,7 @@
    Three experiments, each cell median-of-k warm:
 
    - scrambled scan: outlier-planted data (every zone's [min,max] spans the
-     whole domain) under a 1% BETWEEN band. baseline = caching without
+     whole domain) under a 1% BETWEEN band. unpromoted = caching without
      promotion; zone_only = promotion without projections (min/max pruning is
      powerless here); sorted = the sorted projection isolates the band's
      zones and skips the rest.
@@ -22,6 +22,7 @@ module Value = Proteus_model.Value
 module Monoid = Proteus_model.Monoid
 module Manager = Proteus_cache.Manager
 module Counters = Proteus_engine.Counters
+module Json = Proteus_format.Json
 
 let fact_rows = 200_000
 let band_lo = 100_000
@@ -103,9 +104,6 @@ let join_query =
        (Plan.scan ~dataset:"fact" ~binding:"x" ())
        (Plan.scan ~dataset:"dim" ~binding:"d" ()))
 
-(* (experiment, cell, median_s, counters snapshot of one instrumented run) *)
-let records : (string * string * float * Counters.snapshot) list ref = ref []
-
 let cell ~experiment ~name db query =
   let run () =
     Proteus.Db.run_plan ~engine:Proteus.Db.Engine_compiled ~batch_size:1024 db query
@@ -114,39 +112,61 @@ let cell ~experiment ~name db query =
      the median is taken *)
   for _ = 1 to 3 do ignore (run ()) done;
   let t = Util.measure_n 7 (fun () -> ignore (run ())) in
+  (* the counters of one instrumented run *)
   let _, s = Proteus_engine.Executor.measure run in
-  records := (experiment, name, t, s) :: !records;
-  (t, s)
+  ( Util.record ~figure:"projection_layouts"
+      ~params:[ ("experiment", Json.Str experiment) ]
+      ~counters:
+        [
+          ("morsels", s.Counters.morsels);
+          ("morsels_skipped", s.Counters.morsels_skipped);
+          ("probe_morsels_skipped", s.Counters.probe_morsels_skipped);
+          ("slot_reads", s.Counters.slot_reads);
+        ]
+      name t,
+    t.Util.median,
+    s )
 
 let run_all () =
   Fmt.pr "@.== Adaptive storage 2.0: sorted projections, slots, join pruning ==@.";
-  (* scrambled scan: baseline / zone-only / sorted projection *)
-  let base_t, _ = cell ~experiment:"scrambled_scan" ~name:"baseline_pre_projection"
-      (make_db ()) scan_query in
-  let zone_t, zone_s = cell ~experiment:"scrambled_scan" ~name:"zone_only"
-      (make_db ~caching:zone_only_cfg ()) scan_query in
-  let proj_t, proj_s = cell ~experiment:"scrambled_scan" ~name:"sorted_projection"
-      (make_db ~caching:promote_cfg ()) scan_query in
-  let batches = (fact_rows + 1023) / 1024 in
-  Fmt.pr "   baseline: %.2fms  zone-only: %.2fms (skipped %d/%d)  sorted: %.2fms (skipped %d/%d)@."
-    (Util.ms base_t) (Util.ms zone_t) zone_s.Counters.morsels_skipped batches
-    (Util.ms proj_t) proj_s.Counters.morsels_skipped batches;
+  (* scrambled scan: unpromoted / zone-only / sorted projection *)
+  let r_base, base_t, _ =
+    cell ~experiment:"scrambled_scan" ~name:"unpromoted" (make_db ()) scan_query
+  in
+  let r_zone, zone_t, zone_s =
+    cell ~experiment:"scrambled_scan" ~name:"zone_only"
+      (make_db ~caching:zone_only_cfg ()) scan_query
+  in
+  let r_proj, proj_t, proj_s =
+    cell ~experiment:"scrambled_scan" ~name:"sorted_projection"
+      (make_db ~caching:promote_cfg ()) scan_query
+  in
+  (* skipped morsels out of all the scan's morsels, run or skipped *)
+  let skips (s : Counters.snapshot) = (s.morsels_skipped, s.morsels_skipped + s.morsels) in
+  let zone_skipped, zone_total = skips zone_s and proj_skipped, proj_total = skips proj_s in
+  Fmt.pr "   unpromoted: %.2fms  zone-only: %.2fms (skipped %d/%d)  sorted: %.2fms (skipped %d/%d)@."
+    (Util.ms base_t) (Util.ms zone_t) zone_skipped zone_total (Util.ms proj_t) proj_skipped
+    proj_total;
   Fmt.pr "   sorted vs zone-only: %.1fx, skip rate %.1f%% (target: >=3x, >=90%%)@."
     (zone_t /. proj_t)
-    (100. *. float_of_int proj_s.Counters.morsels_skipped /. float_of_int batches);
+    (100. *. float_of_int proj_skipped /. float_of_int (max 1 proj_total));
   (* json slots: span-decoded every run vs the pre-parsed slot column *)
   let span_db = make_db () in
   Proteus.Db.set_caching span_db false;
-  let span_t, _ = cell ~experiment:"json_slots" ~name:"span_decoded" span_db
-      json_query in
-  let slot_t, slot_s = cell ~experiment:"json_slots" ~name:"slot_column"
-      (make_db ~caching:slot_cfg ()) json_query in
+  let r_span, span_t, _ =
+    cell ~experiment:"json_slots" ~name:"span_decoded" span_db json_query
+  in
+  let r_slot, slot_t, slot_s =
+    cell ~experiment:"json_slots" ~name:"slot_column" (make_db ~caching:slot_cfg ())
+      json_query
+  in
   Fmt.pr "   span-decoded: %.2fms  slot: %.2fms (slot-reads=%d) — %.1fx (target >=2x)@."
     (Util.ms span_t) (Util.ms slot_t) slot_s.Counters.slot_reads
     (span_t /. slot_t);
   (* selective join: the build's key summary pruning the probe *)
-  let unarmed_t, _ = cell ~experiment:"selective_join" ~name:"unarmed"
-      (make_db ()) join_query in
+  let r_unarmed, unarmed_t, _ =
+    cell ~experiment:"selective_join" ~name:"unarmed" (make_db ()) join_query
+  in
   let armed_db = make_db ~caching:promote_cfg () in
   (* a ranged warm-up promotes the probe key, publishing its zone map *)
   let warm_key =
@@ -158,42 +178,14 @@ let run_all () =
     ignore (Proteus.Db.run_plan ~engine:Proteus.Db.Engine_compiled
               ~batch_size:1024 armed_db warm_key)
   done;
-  let armed_t, armed_s = cell ~experiment:"selective_join" ~name:"bloom_armed"
-      armed_db join_query in
-  Fmt.pr "   unarmed: %.2fms  armed: %.2fms (probe-skipped=%d/%d) — %.1fx@."
+  let r_armed, armed_t, armed_s =
+    cell ~experiment:"selective_join" ~name:"bloom_armed" armed_db join_query
+  in
+  Fmt.pr "   unarmed: %.2fms  armed: %.2fms (probe-skipped=%d) — %.1fx@."
     (Util.ms unarmed_t) (Util.ms armed_t)
-    armed_s.Counters.probe_morsels_skipped batches (unarmed_t /. armed_t);
+    armed_s.Counters.probe_morsels_skipped (unarmed_t /. armed_t);
   Util.print_note
     "zone maps see [min,max] = the whole domain in every zone here; only the \
      value-ordered projection can isolate the band, and only the build-side \
-     key summary can prune the join probe"
-
-let splice_json path =
-  let contents =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let cut = String.rindex contents '}' in
-  let buf = Buffer.create (String.length contents + 512) in
-  Buffer.add_string buf (String.sub contents 0 cut);
-  Buffer.add_string buf ",\n  \"projection_layouts\": [\n";
-  let recs = List.rev !records in
-  List.iteri
-    (fun i (experiment, name, t, s) ->
-      Buffer.add_string buf
-        (Fmt.str
-           "    {\"experiment\": %S, \"cell\": %S, \"median_ms\": %.4f, \
-            \"morsels_skipped\": %d, \"probe_morsels_skipped\": %d, \
-            \"slot_reads\": %d}%s\n"
-           experiment name (Util.ms t) s.Counters.morsels_skipped
-           s.Counters.probe_morsels_skipped s.Counters.slot_reads
-           (if i = List.length recs - 1 then "" else ",")))
-    recs;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "   spliced projection cells into %s@." path
+     key summary can prune the join probe";
+  [ r_base; r_zone; r_proj; r_span; r_slot; r_unarmed; r_armed ]

@@ -16,9 +16,7 @@ module Ptype = Proteus_model.Ptype
 module Monoid = Proteus_model.Monoid
 module Registry = Proteus_plugin.Registry
 module Hedge = Proteus_resilience.Hedge
-
-let max_domains =
-  try int_of_string (String.trim (Sys.getenv "PROTEUS_BENCH_DOMAINS")) with _ -> 4
+module Json = Proteus_format.Json
 
 let rows = 100_000
 let shards = 8
@@ -78,73 +76,58 @@ let inject_stall db ~ms =
              genuine ()));
   budget
 
-(* (cell, stall_ms, median seconds) *)
-let records : (string * int * float) list ref = ref []
-
-let cell name ~stall_ms t =
-  records := (name, stall_ms, t) :: !records;
-  Fmt.pr "   %s, stall=%dms: %.2fms@." name stall_ms (Util.ms t)
+(* [hedge_floor_ms] is [None] where hedging is off *)
+let cell name ~stall_ms ?hedge_floor_ms t =
+  Fmt.pr "   %s, stall=%dms%s: %.2fms@." name stall_ms
+    (match hedge_floor_ms with Some f -> Fmt.str ", hedge floor=%gms" f | None -> "")
+    (Util.ms t.Util.median);
+  Util.record ~figure:"resilience_hedging"
+    ~params:
+      [
+        ("stall_ms", Json.Int stall_ms);
+        ( "hedge_floor_ms",
+          match hedge_floor_ms with Some f -> Json.Float f | None -> Json.Null );
+        ("domains", Json.Int Util.max_domains);
+      ]
+    name t
 
 let run_all () =
   Fmt.pr "@.== Resilience: straggler hedging vs an injected stall ==@.";
+  let run db = ignore (Proteus.Db.run_plan ~domains:Util.max_domains db query) in
   let clean =
     let db = make_db () in
-    Util.measure_n 9 (fun () -> ignore (Proteus.Db.run_plan ~domains:max_domains db query))
+    cell "clean" ~stall_ms:0 (Util.measure_n 9 (fun () -> run db))
   in
-  cell "clean" ~stall_ms:0 clean;
-  List.iter
-    (fun ms ->
-      let stalled_unhedged =
-        let db = make_db () in
-        let budget = inject_stall db ~ms in
-        Util.measure_n 5 (fun () ->
-            Atomic.set budget 1;
-            ignore (Proteus.Db.run_plan ~domains:max_domains db query))
-      in
-      cell "stalled unhedged" ~stall_ms:ms stalled_unhedged;
-      let stalled_hedged =
-        let db = make_db () in
-        let budget = inject_stall db ~ms in
-        (* floor halfway to the stall: healthy builds stay below the
-           threshold (no wasted duplicates), the stalled one crosses it;
-           a clean warm-up run seeds the per-member latency EWMAs so the
-           3x-median arm is calibrated before measurement starts *)
-        Registry.set_hedge (Proteus.Db.registry db)
-          (Some (Hedge.create ~floor_ms:(float_of_int ms /. 2.) ()));
-        ignore (Proteus.Db.run_plan ~domains:max_domains db query);
-        Util.measure_n 5 (fun () ->
-            Atomic.set budget 1;
-            ignore (Proteus.Db.run_plan ~domains:max_domains db query))
-      in
-      cell "stalled hedged" ~stall_ms:ms stalled_hedged)
-    stall_sizes_ms;
+  let stalled =
+    List.concat_map
+      (fun ms ->
+        let stalled_unhedged =
+          let db = make_db () in
+          let budget = inject_stall db ~ms in
+          Util.measure_n 5 (fun () ->
+              Atomic.set budget 1;
+              run db)
+        in
+        let unhedged = cell "stalled unhedged" ~stall_ms:ms stalled_unhedged in
+        let hedge_floor_ms = float_of_int ms /. 2. in
+        let stalled_hedged =
+          let db = make_db () in
+          let budget = inject_stall db ~ms in
+          (* floor halfway to the stall: healthy builds stay below the
+             threshold (no wasted duplicates), the stalled one crosses it;
+             a clean warm-up run seeds the per-member latency EWMAs so the
+             3x-median arm is calibrated before measurement starts *)
+          Registry.set_hedge (Proteus.Db.registry db)
+            (Some (Hedge.create ~floor_ms:hedge_floor_ms ()));
+          run db;
+          Util.measure_n 5 (fun () ->
+              Atomic.set budget 1;
+              run db)
+        in
+        [ unhedged; cell "stalled hedged" ~stall_ms:ms ~hedge_floor_ms stalled_hedged ])
+      stall_sizes_ms
+  in
   Util.print_note
     "the unhedged cells pay the full stall every run; hedged cells should \
-     track the clean floor once the stall exceeds the hedge threshold"
-
-let splice_json path =
-  let contents =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let cut = String.rindex contents '}' in
-  let buf = Buffer.create (String.length contents + 512) in
-  Buffer.add_string buf (String.sub contents 0 cut);
-  Buffer.add_string buf ",\n  \"resilience_hedging\": [\n";
-  let recs = List.rev !records in
-  List.iteri
-    (fun i (name, stall_ms, t) ->
-      Buffer.add_string buf
-        (Fmt.str
-           "    {\"cell\": %S, \"stall_ms\": %d, \"median_ms\": %.4f}%s\n" name
-           stall_ms (Util.ms t)
-           (if i = List.length recs - 1 then "" else ",")))
-    recs;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "   spliced resilience cells into %s@." path
+     track the clean floor once the stall exceeds the hedge threshold";
+  clean :: stalled

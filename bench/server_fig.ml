@@ -1,173 +1,42 @@
-(* Prepare-once/run-many: the closed-loop load harness for the query
-   server. N client threads each drive a stream of parameterized queries
-   through the session scheduler (engine cache on), and the same stream as
-   per-query literal SQL that stages a fresh engine every time — the
-   before-curve of this PR. Reported per mode: sustained throughput and
-   the p50/p95/p99 latency curve, plus the engine-cache hit rate; a
-   separate cell isolates first-compile vs slot-rebind latency on one
-   shape. Results are spliced into BENCH_engine.json next to the parallel
-   engine's curves. *)
+(* Prepare-once/run-many: first-compile vs slot-rebind latency on one plan
+   shape, measured through the query server's engine cache itself. The miss
+   pays optimize + staging, the hits pay key computation + bind + run. Both
+   cells execute the query, so the ratio understates the raw staging
+   speedup. Throughput and tail latency of prepared serving over the wire
+   are the gated benchmark's [serve_prepared] workload (bench/e2e). *)
 
 module Value = Proteus_model.Value
 module Ptype = Proteus_model.Ptype
 module Schema = Proteus_model.Schema
-module Scheduler = Proteus_server.Scheduler
 module Engine_cache = Proteus_server.Engine_cache
-module Executor = Proteus_engine.Executor
+module Json = Proteus_format.Json
 
-let rows =
-  try int_of_string (String.trim (Sys.getenv "PROTEUS_BENCH_SERVER_ROWS"))
-  with _ -> 4_000
-
-let clients =
-  try int_of_string (String.trim (Sys.getenv "PROTEUS_BENCH_SERVER_CLIENTS"))
-  with _ -> 4
-
-let per_client =
-  try int_of_string (String.trim (Sys.getenv "PROTEUS_BENCH_SERVER_QUERIES"))
-  with _ -> 100
-
-(* Worker domains sized to the machine: every cross-domain ticket wakeup
-   is a context switch, and on a 1-core container a fleet wider than the
-   hardware measures scheduler thrash, not query processing. *)
-let workers =
-  try int_of_string (String.trim (Sys.getenv "PROTEUS_BENCH_SERVER_WORKERS"))
-  with _ -> max 1 (min clients (Domain.recommended_domain_count ()))
+let rows = 4_000
 
 let item_type =
   Ptype.Record
     [ ("k", Ptype.Int); ("grp", Ptype.Int); ("price", Ptype.Float);
       ("name", Ptype.String) ]
 
-let items =
-  List.init rows (fun i ->
-      Value.record
-        [ ("k", Value.Int i); ("grp", Value.Int (i mod 7));
-          ("price", Value.Float (float_of_int ((i * 37) mod 1000) /. 4.0));
-          ("name", Value.String (Fmt.str "n%d" (i mod 13))) ])
-
 let make_db () =
+  let items =
+    List.init rows (fun i ->
+        Value.record
+          [ ("k", Value.Int i); ("grp", Value.Int (i mod 7));
+            ("price", Value.Float (float_of_int ((i * 37) mod 1000) /. 4.0));
+            ("name", Value.String (Fmt.str "n%d" (i mod 13))) ])
+  in
   let db = Proteus.Db.create () in
   Proteus.Db.register_csv db ~name:"items_csv" ~element:item_type
     ~contents:
       (Proteus_format.Csv.of_records Proteus_format.Csv.default_config
          (Schema.of_type item_type) items)
     ();
-  Proteus.Db.register_json db ~name:"items_json" ~element:item_type
-    ~contents:
-      (String.concat "\n"
-         (List.map
-            (fun r ->
-              Proteus_format.Json.to_string (Proteus_format.Json.of_value r))
-            items));
-  Proteus.Db.register_rows db ~name:"items_row" ~element:item_type items;
   db
 
-(* The query mix: a handful of plan shapes, each visited with a rotating
-   parameter — the workload the engine cache exists for. [param i] keeps
-   every execution distinct so nothing degenerates into a result replay. *)
-let shapes =
-  [ ("SELECT COUNT(1), SUM(price) FROM items_csv WHERE k < ?",
-     fun i -> Value.Int ((i * 131) mod rows));
-    ("SELECT COUNT(1), SUM(price) FROM items_json WHERE k < ?",
-     fun i -> Value.Int ((i * 17) mod rows));
-    ("SELECT grp, COUNT(1) FROM items_row WHERE k >= ? GROUP BY grp ORDER BY grp",
-     fun i -> Value.Int ((i * 7) mod rows));
-    ("SELECT COUNT(1) FROM items_row WHERE grp = ?", fun i -> Value.Int (i mod 7)) ]
-
-let literal_sql sql v =
-  (* splice the parameter into the text, as a client without prepared
-     statements would — the per-query-compile baseline *)
-  let buf = Buffer.create (String.length sql + 8) in
-  String.iter
-    (function
-      | '?' -> Buffer.add_string buf (Fmt.str "%a" Value.pp v)
-      | c -> Buffer.add_char buf c)
-    sql;
-  Buffer.contents buf
-
-type load_result = {
-  lr_mode : string;
-  lr_throughput : float;  (* queries per second, sustained *)
-  lr_p50 : float;         (* seconds *)
-  lr_p95 : float;
-  lr_p99 : float;
-  lr_hit_rate : float;    (* engine-cache hits / lookups; 0 for the baseline *)
-}
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
-(* [closed_loop run_one] drives [clients] threads, each issuing
-   [per_client] queries back to back (closed loop: a client waits for its
-   answer before sending the next), and folds every per-query latency into
-   one curve. *)
-let closed_loop ~mode ~hit_rate run_one =
-  let latencies = Array.make (clients * per_client) 0. in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun c ->
-        Thread.create
-          (fun () ->
-            for i = 0 to per_client - 1 do
-              let q0 = Unix.gettimeofday () in
-              run_one c i;
-              latencies.((c * per_client) + i) <- Unix.gettimeofday () -. q0
-            done)
-          ())
-  in
-  List.iter Thread.join threads;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Array.sort compare latencies;
-  {
-    lr_mode = mode;
-    lr_throughput = float_of_int (clients * per_client) /. elapsed;
-    lr_p50 = percentile latencies 0.50;
-    lr_p95 = percentile latencies 0.95;
-    lr_p99 = percentile latencies 0.99;
-    lr_hit_rate = hit_rate ();
-  }
-
-let pick c i =
-  let sql, param = List.nth shapes ((c + i) mod List.length shapes) in
-  (sql, param i)
-
-let run_cached db =
-  let sched = Scheduler.create ~workers db in
-  Fun.protect
-    ~finally:(fun () -> Scheduler.shutdown sched)
-    (fun () ->
-      let hit_rate () =
-        let s = Engine_cache.stats (Scheduler.engine_cache sched) in
-        float_of_int s.Engine_cache.hits
-        /. float_of_int (max 1 (s.Engine_cache.hits + s.Engine_cache.misses))
-      in
-      closed_loop ~mode:"engine_cache" ~hit_rate (fun c i ->
-          let sql, v = pick c i in
-          match Scheduler.run sched (Scheduler.request ~params:[ ("1", v) ] sql) with
-          | Ok { Scheduler.cp_outcome = Executor.Completed _; _ } -> ()
-          | Ok _ -> failwith "server bench: query did not complete"
-          | Error _ -> failwith "server bench: query rejected"))
-
-let run_baseline db =
-  (* same closed loop, no prepared plans: every query re-enters the full
-     parse -> optimize -> stage pipeline, serialized the same way the
-     engine cache serializes compiles *)
-  let mu = Mutex.create () in
-  closed_loop ~mode:"baseline_per_query_compile" ~hit_rate:(fun () -> 0.) (fun c i ->
-      let sql, v = pick c i in
-      Mutex.lock mu;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock mu)
-        (fun () -> ignore (Proteus.Db.sql db (literal_sql sql v))))
-
-(* First-compile vs slot-rebind latency, measured on one shape through the
-   engine cache itself: the miss pays optimize + staging, the hits pay key
-   computation + bind + run. Run time is excluded from neither — both
-   cells execute the query — so the ratio understates the raw staging
-   speedup. *)
-let prepare_vs_rebind db =
+let run_all () =
+  Fmt.pr "@.== Query server: first compile vs cached re-bind ==@.";
+  let db = make_db () in
   let cache = Engine_cache.create db in
   let acquire v =
     let t0 = Unix.gettimeofday () in
@@ -179,83 +48,14 @@ let prepare_vs_rebind db =
     let dt = Unix.gettimeofday () -. t0 in
     ignore (Engine_cache.run lease);
     Engine_cache.release lease ~clean:true;
-    (dt, Engine_cache.compile_seconds lease)
+    dt
   in
-  let _, prepare = acquire 100 in
-  let rebinds =
-    List.sort compare
-      (List.init 21 (fun i -> fst (acquire (100 + (i * 53) mod rows))))
-  in
-  let rebind = List.nth rebinds (List.length rebinds / 2) in
-  (prepare, rebind)
-
-let results : load_result list ref = ref []
-let prepare_ms = ref 0.
-let rebind_ms = ref 0.
-
-let run_all () =
-  Fmt.pr
-    "@.== Query server: closed-loop load (%d clients x %d queries, %d worker \
-     domain%s) ==@."
-    clients per_client workers
-    (if workers = 1 then "" else "s");
-  let db = make_db () in
-  (* warm the storage side once so both modes measure query processing,
-     not first-touch index builds *)
-  List.iter
-    (fun (sql, param) -> ignore (Proteus.Db.sql db (literal_sql sql (param 1))))
-    shapes;
-  let cached = run_cached (make_db ()) in
-  let baseline = run_baseline db in
-  results := [ cached; baseline ];
-  List.iter
-    (fun r ->
-      Fmt.pr "   %-28s %8.0f q/s   p50=%6.2fms p95=%6.2fms p99=%6.2fms%s@."
-        r.lr_mode r.lr_throughput (Util.ms r.lr_p50) (Util.ms r.lr_p95)
-        (Util.ms r.lr_p99)
-        (if r.lr_hit_rate > 0. then Fmt.str "   hit-rate=%.3f" r.lr_hit_rate
-         else ""))
-    !results;
-  let prepare, rebind = prepare_vs_rebind (make_db ()) in
-  prepare_ms := Util.ms prepare;
-  rebind_ms := Util.ms rebind;
-  Fmt.pr "   first compile %.3fms, cached re-bind %.3fms (%.1fx)@." !prepare_ms
-    !rebind_ms
-    (!prepare_ms /. !rebind_ms)
-
-(* Splice the server sections into the JSON emitted by [Parallel_fig]:
-   drop the closing brace, append our keys. *)
-let splice_json path =
-  let contents =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let cut = String.rindex contents '}' in
-  let buf = Buffer.create (String.length contents + 1024) in
-  Buffer.add_string buf (String.sub contents 0 cut);
-  Buffer.add_string buf ",\n  \"server_load\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Fmt.str
-           "    {\"mode\": %S, \"clients\": %d, \"workers\": %d, \"queries\": \
-            %d, \"throughput_qps\": %.1f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, \
-            \"p99_ms\": %.4f, \"cache_hit_rate\": %.4f}%s\n"
-           r.lr_mode clients workers (clients * per_client) r.lr_throughput
-           (Util.ms r.lr_p50) (Util.ms r.lr_p95) (Util.ms r.lr_p99)
-           r.lr_hit_rate
-           (if i = List.length !results - 1 then "" else ",")))
-    !results;
-  Buffer.add_string buf
-    (Fmt.str
-       "  ],\n  \"prepare_vs_rebind\": {\"prepare_ms\": %.4f, \"rebind_ms\": \
-        %.4f, \"speedup\": %.1f}\n}\n"
-       !prepare_ms !rebind_ms
-       (!prepare_ms /. !rebind_ms));
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "   spliced server cells into %s@." path
+  let prepare = Util.once (acquire 100) in
+  let rebind = Util.summarize (List.init 21 (fun i -> acquire (100 + (i * 53) mod rows))) in
+  Fmt.pr "   first compile %.3fms, cached re-bind %.3fms (%.1fx)@."
+    (Util.ms prepare.Util.median) (Util.ms rebind.Util.median)
+    (prepare.Util.median /. rebind.Util.median);
+  List.map
+    (fun (cell, t) ->
+      Util.record ~figure:"prepare_vs_rebind" ~params:[ ("rows", Json.Int rows) ] cell t)
+    [ ("first compile", prepare); ("cached rebind", rebind) ]

@@ -2,7 +2,7 @@
    single-file engine, and pre-dispatch zone-map/Bloom pruning at two
    predicate selectivities (DESIGN.md section 14).
 
-   Two questions, each with an honest baseline in the emitted JSON:
+   Two questions, each with an honest baseline among the records:
    - what does splitting one file into N shards cost on a non-selective
      scan (fan-out/fan-in overhead vs the same rows in one file)?
    - what does pruning buy on a selective scan over clustered keys, where
@@ -14,9 +14,7 @@ module Expr = Proteus_model.Expr
 module Ptype = Proteus_model.Ptype
 module Monoid = Proteus_model.Monoid
 module Counters = Proteus_engine.Counters
-
-let max_domains =
-  try int_of_string (String.trim (Sys.getenv "PROTEUS_BENCH_DOMAINS")) with _ -> 4
+module Json = Proteus_format.Json
 
 let rows = 200_000
 let shard_counts = [ 2; 4; 8 ]
@@ -56,12 +54,8 @@ let make_db ~shards =
        ~shards:chunks ());
   db
 
-let tune plan =
-  Proteus_optimizer.Rewrite.extract_join_keys
-    (Proteus_optimizer.Rewrite.pushdown_selections plan)
-
 let scan_query frac =
-  tune
+  Util.tune
     (Plan.reduce
        ~pred:Expr.(Field (var "x", "k") <. int (rows * frac / 100))
        [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
@@ -69,126 +63,68 @@ let scan_query frac =
            (Expr.Field (Expr.var "x", "price")) ]
        (Plan.scan ~dataset:"events" ~binding:"x" ()))
 
-(* (cell, shards, domains, median seconds); shards = 1 is the single-file
-   baseline *)
-let scaling_records : (string * int * int * float) list ref = ref []
+let shard_label shards =
+  if shards <= 1 then "single file" else Fmt.str "%d shards" shards
 
-(* (cell, shards, median seconds, shards pruned, shards total) *)
-let pruning_records : (string * int * float * int * int) list ref = ref []
-
-(* One warming run first: a statement prepared before its inputs are cached
-   keeps the raw path on every run, so without it whichever width a cell
-   measures first would time a cold-staged engine. *)
-let measure_at db ~domains plan =
-  ignore (Proteus.Db.run_plan ~domains db plan);
-  let prepared = Proteus.Db.prepare ~domains db plan in
-  Util.measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ()))
+let at ?counters ~figure name ~shards ~domains t =
+  Util.record ~figure ?counters
+    ~params:[ ("shards", Json.Int shards); ("domains", Json.Int domains) ]
+    name t
 
 (* Non-selective scan, warm caches: every shard runs, so the cell is pure
    fan-out/fan-in overhead against the single file. *)
 let scaling_cells () =
   let plan = scan_query 100 in
-  List.iter
+  List.concat_map
     (fun shards ->
       let db = make_db ~shards in
-      Fmt.pr "   full scan, %s:"
-        (if shards <= 1 then "single file" else Fmt.str "%d shards" shards);
-      List.iter
-        (fun domains ->
-          let t = measure_at db ~domains plan in
-          scaling_records := ("full scan", shards, domains, t) :: !scaling_records;
-          Fmt.pr " %dd=%.2fms" domains (Util.ms t))
-        (List.sort_uniq compare [ 1; max_domains ]);
-      Fmt.pr "@.")
+      Fmt.pr "   full scan, %s:" (shard_label shards);
+      let records =
+        List.map
+          (fun domains ->
+            let t = Util.measure_at db ~domains plan in
+            Fmt.pr " %dd=%.2fms" domains (Util.ms t.Util.median);
+            at ~figure:"shard_scaling" "full scan" ~shards ~domains t)
+          (List.sort_uniq compare [ 1; Util.max_domains ])
+      in
+      Fmt.pr "@.";
+      records)
     (1 :: shard_counts)
 
 (* Selective scans over clustered keys, raw files (caching off so pruning
    arms — a cold cache fill deliberately stands down): at 1% selectivity
    7 of 8 shards are provably empty and never dispatched; at 50% half the
-   shards must run regardless. The single-file rows are the
-   baseline_single_file curve. *)
+   shards must run regardless. The single-file rows run the same queries
+   without shards. *)
 let pruning_cells () =
-  List.iter
+  let domains = Util.max_domains in
+  List.concat_map
     (fun frac ->
       let name = Fmt.str "selective %d%%" frac in
       let plan = scan_query frac in
-      List.iter
+      List.map
         (fun shards ->
           let db = make_db ~shards in
           Proteus.Db.set_caching db false;
-          let t = measure_at db ~domains:max_domains plan in
+          let t = Util.measure_at db ~domains plan in
           let _, s =
             Proteus_engine.Executor.measure (fun () ->
-                Proteus.Db.run_plan ~domains:max_domains db plan)
+                Proteus.Db.run_plan ~domains db plan)
           in
           let pruned = s.Counters.shards_pruned in
-          pruning_records := (name, shards, t, pruned, shards) :: !pruning_records;
-          Fmt.pr "   pruning, %s, %s: %.2fms (pruned %d/%d)@." name
-            (if shards <= 1 then "single file" else Fmt.str "%d shards" shards)
-            (Util.ms t) pruned shards)
+          Fmt.pr "   pruning, %s, %s: %.2fms (pruned %d/%d)@." name (shard_label shards)
+            (Util.ms t.Util.median) pruned shards;
+          at ~figure:"shard_pruning" ~counters:[ ("shards_pruned", pruned) ] name ~shards
+            ~domains t)
         [ 1; 8 ])
     [ 1; 50 ]
 
 let run_all () =
   Fmt.pr "@.== Sharded scatter-gather: scaling + zone-map/Bloom pruning ==@.";
-  scaling_cells ();
-  pruning_cells ();
+  let scaling = scaling_cells () in
+  let pruning = pruning_cells () in
   Util.print_note
     "full-scan cells measure fan-out/fan-in overhead (all shards run); \
      pruning cells run over raw files where provably-empty shards are \
-     never dispatched"
-
-let splice_json path =
-  let contents =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let cut = String.rindex contents '}' in
-  let buf = Buffer.create (String.length contents + 1024) in
-  Buffer.add_string buf (String.sub contents 0 cut);
-  Buffer.add_string buf ",\n  \"shard_scaling\": [\n";
-  let scaling = List.rev !scaling_records in
-  List.iteri
-    (fun i (cell, shards, domains, t) ->
-      Buffer.add_string buf
-        (Fmt.str
-           "    {\"cell\": %S, \"shards\": %d, \"domains\": %d, \"median_ms\": \
-            %.4f}%s\n"
-           cell shards domains (Util.ms t)
-           (if i = List.length scaling - 1 then "" else ",")))
-    scaling;
-  Buffer.add_string buf "  ],\n  \"shard_pruning\": [\n";
-  let pruning =
-    List.filter (fun (_, shards, _, _, _) -> shards > 1) (List.rev !pruning_records)
-  in
-  List.iteri
-    (fun i (cell, shards, t, pruned, total) ->
-      Buffer.add_string buf
-        (Fmt.str
-           "    {\"cell\": %S, \"shards\": %d, \"median_ms\": %.4f, \
-            \"shards_pruned\": %d, \"pruned_share\": %.3f}%s\n"
-           cell shards (Util.ms t) pruned
-           (float_of_int pruned /. float_of_int total)
-           (if i = List.length pruning - 1 then "" else ",")))
-    pruning;
-  (* the unsharded rows of the same queries: what the engine did before
-     shard sets existed, same key the other before/after curves use *)
-  let base =
-    List.filter (fun (_, shards, _, _, _) -> shards = 1) (List.rev !pruning_records)
-  in
-  Buffer.add_string buf "  ],\n  \"baseline_single_file\": [\n";
-  List.iteri
-    (fun i (cell, _, t, _, _) ->
-      Buffer.add_string buf
-        (Fmt.str "    {\"cell\": %S, \"shards\": 1, \"median_ms\": %.4f}%s\n" cell
-           (Util.ms t)
-           (if i = List.length base - 1 then "" else ",")))
-    base;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "   spliced shard cells into %s@." path
+     never dispatched";
+  scaling @ pruning

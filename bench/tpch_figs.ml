@@ -12,15 +12,10 @@ module Q = Tpch.Queries
 module B = Proteus_baselines
 module Cache_iface = Proteus_plugin.Cache_iface
 module Registry = Proteus_plugin.Registry
+module Json = Proteus_format.Json
 
 let sf_json = try float_of_string (Sys.getenv "PROTEUS_BENCH_SF_JSON") with Not_found -> 0.005
 let sf_bin = try float_of_string (Sys.getenv "PROTEUS_BENCH_SF_BIN") with Not_found -> 0.02
-
-(* plans handed to every system get the same optimizer courtesy the real
-   systems' own optimizers would provide: pushdown + join keys *)
-let tune plan =
-  Proteus_optimizer.Rewrite.extract_join_keys
-    (Proteus_optimizer.Rewrite.pushdown_selections plan)
 
 type json_env = {
   jd : Tpch.t;
@@ -30,8 +25,7 @@ type json_env = {
   j_monet : B.Colstore.t;
   j_dbmsc : B.Colstore.t;
   j_mongo : B.Docstore.t;
-  j_pg_load : float;
-  j_mongo_load : float;
+  j_setup : Util.record list;  (* index build vs baseline load times *)
 }
 
 type bin_env = {
@@ -100,7 +94,18 @@ let setup_json () =
       (info.Registry.build_seconds *. 1000.)
       (proteus_index_time *. 1000.) (j_pg_load *. 1000.) (j_mongo_load *. 1000.)
   | None -> ());
-  { jd; j_proteus; j_pg; j_dbmsx; j_monet; j_dbmsc; j_mongo; j_pg_load; j_mongo_load }
+  let setup (system, cell, t) =
+    Util.record ~figure:"setup" ~params:[ ("system", Json.Str system) ] cell (Util.once t)
+  in
+  let j_setup =
+    List.map setup
+      [
+        ("Proteus", "structural index build", proteus_index_time);
+        ("PostgreSQL", "jsonb load", j_pg_load);
+        ("MongoDB", "BSON load", j_mongo_load);
+      ]
+  in
+  { jd; j_proteus; j_pg; j_dbmsx; j_monet; j_dbmsc; j_mongo; j_setup }
 
 let setup_bin () =
   let bd = Tpch.generate ~sf:sf_bin () in
@@ -134,256 +139,176 @@ let setup_bin () =
     (List.length bd.Tpch.orders);
   { bd; b_proteus; b_pg; b_dbmsx; b_monet; b_dbmsc }
 
-(* run one plan on one system; None marks "not applicable", as the paper
-   excludes systems from experiments they cannot serve sensibly *)
-let cell run plan = Some (Util.measure (fun () -> ignore (run (tune plan))))
+(* The systems of each figure, as (name, run) columns. *)
+let json_systems e =
+  [
+    ("PostgreSQL", B.Rowstore.run e.j_pg);
+    ("DBMS-X", B.Rowstore.run e.j_dbmsx);
+    ("MonetDB", B.Colstore.run e.j_monet);
+    ("DBMS-C", B.Colstore.run e.j_dbmsc);
+    ("MongoDB", B.Docstore.run e.j_mongo);
+    ("Proteus", Proteus.Db.run_plan e.j_proteus);
+  ]
 
-let proteus_run db plan = Proteus.Db.run_plan db plan
+(* the JSON figures past Figure 5 leave the column stores out *)
+let json_doc_systems e =
+  List.filter (fun (name, _) -> name <> "MonetDB" && name <> "DBMS-C") (json_systems e)
 
-(* --- Figure 5: JSON projections -------------------------------------------- *)
+let bin_systems e =
+  [
+    ("PostgreSQL", B.Rowstore.run e.b_pg);
+    ("DBMS-X", B.Rowstore.run e.b_dbmsx);
+    ("MonetDB", B.Colstore.run e.b_monet);
+    ("DBMS-C", B.Colstore.run e.b_dbmsc);
+    ("Proteus", Proteus.Db.run_plan e.b_proteus);
+  ]
 
-let fig5 (e : json_env) =
-  let oc = e.jd.Tpch.order_count in
-  let rows =
-    List.concat_map
-      (fun (vname, variant) ->
-        List.map
-          (fun sel ->
-            let plan = Q.projection ~lineitem:"lineitem" ~order_count:oc ~variant ~selectivity:sel in
-            ( Fmt.str "%s sel=%.0f%%" vname (sel *. 100.),
-              [
-                cell (B.Rowstore.run e.j_pg) plan;
-                cell (B.Rowstore.run e.j_dbmsx) plan;
-                cell (B.Colstore.run e.j_monet) plan;
-                cell (B.Colstore.run e.j_dbmsc) plan;
-                cell (B.Docstore.run e.j_mongo) plan;
-                cell (proteus_run e.j_proteus) plan;
-              ] ))
-          Util.selectivities)
-      [ ("1 Aggr (Count)", Q.Count1); ("1 Aggr (Max)", Q.Max1); ("4 Aggr", Q.Agg4) ]
-  in
-  Util.print_table ~title:"Figure 5: JSON projections"
-    ~systems:[ "PostgreSQL"; "DBMS-X"; "MonetDB"; "DBMS-C"; "MongoDB"; "Proteus" ]
-    rows
+(* The rows of a figure: every (variant, selectivity) pair, labelled as the
+   paper's x axis. *)
+let sweep variants plan_of =
+  List.concat_map
+    (fun (vname, v) ->
+      List.map
+        (fun sel ->
+          ( Fmt.str "%s sel=%.0f%%" vname (sel *. 100.),
+            [ ("variant", Json.Str vname); ("selectivity", Json.Float sel) ],
+            plan_of v sel ))
+        Util.selectivities)
+    variants
 
-(* --- Figure 6: binary projections ------------------------------------------ *)
+let projections oc =
+  sweep
+    [ ("1 Aggr (Count)", Q.Count1); ("1 Aggr (Max)", Q.Max1); ("4 Aggr", Q.Agg4) ]
+    (fun variant selectivity ->
+      Q.projection ~lineitem:"lineitem" ~order_count:oc ~variant ~selectivity)
 
-let fig6 (e : bin_env) =
-  let oc = e.bd.Tpch.order_count in
-  let rows =
-    List.concat_map
-      (fun (vname, variant) ->
-        List.map
-          (fun sel ->
-            let plan = Q.projection ~lineitem:"lineitem" ~order_count:oc ~variant ~selectivity:sel in
-            ( Fmt.str "%s sel=%.0f%%" vname (sel *. 100.),
-              [
-                cell (B.Rowstore.run e.b_pg) plan;
-                cell (B.Rowstore.run e.b_dbmsx) plan;
-                cell (B.Colstore.run e.b_monet) plan;
-                cell (B.Colstore.run e.b_dbmsc) plan;
-                cell (proteus_run e.b_proteus) plan;
-              ] ))
-          Util.selectivities)
-      [ ("1 Aggr (Count)", Q.Count1); ("1 Aggr (Max)", Q.Max1); ("4 Aggr", Q.Agg4) ]
-  in
-  Util.print_table ~title:"Figure 6: binary projections"
-    ~systems:[ "PostgreSQL"; "DBMS-X"; "MonetDB"; "DBMS-C"; "Proteus" ]
-    rows
+let selections oc =
+  sweep
+    (List.map (fun p -> (Fmt.str "%d predicate(s)" p, p)) [ 1; 3; 4 ])
+    (fun predicates selectivity ->
+      Q.selection ~lineitem:"lineitem" ~order_count:oc ~predicates ~selectivity)
 
-(* --- Figures 7/8: selections ------------------------------------------------ *)
+let joins oc =
+  sweep
+    [ ("Join Count", Q.JCount); ("Join Max", Q.JMax); ("Join 2 Aggr", Q.JAgg2) ]
+    (fun variant selectivity ->
+      Q.join ~orders:"orders" ~lineitem:"lineitem" ~order_count:oc ~variant ~selectivity)
 
-let fig7 (e : json_env) =
-  let oc = e.jd.Tpch.order_count in
-  let rows =
-    List.concat_map
-      (fun predicates ->
-        List.map
-          (fun sel ->
-            let plan = Q.selection ~lineitem:"lineitem" ~order_count:oc ~predicates ~selectivity:sel in
-            ( Fmt.str "%d predicate(s) sel=%.0f%%" predicates (sel *. 100.),
-              [
-                cell (B.Rowstore.run e.j_pg) plan;
-                cell (B.Rowstore.run e.j_dbmsx) plan;
-                cell (B.Docstore.run e.j_mongo) plan;
-                cell (proteus_run e.j_proteus) plan;
-              ] ))
-          Util.selectivities)
-      [ 1; 3; 4 ]
-  in
-  Util.print_table ~title:"Figure 7: JSON selections"
-    ~systems:[ "PostgreSQL"; "DBMS-X"; "MongoDB"; "Proteus" ]
-    rows
+let group_bys oc =
+  sweep
+    (List.map (fun a -> (Fmt.str "%d Aggr" a, a)) [ 1; 3; 4 ])
+    (fun aggregates selectivity ->
+      Q.group_by ~lineitem:"lineitem" ~order_count:oc ~aggregates ~selectivity)
 
-let fig8 (e : bin_env) =
-  let oc = e.bd.Tpch.order_count in
-  let rows =
-    List.concat_map
-      (fun predicates ->
-        List.map
-          (fun sel ->
-            let plan = Q.selection ~lineitem:"lineitem" ~order_count:oc ~predicates ~selectivity:sel in
-            ( Fmt.str "%d predicate(s) sel=%.0f%%" predicates (sel *. 100.),
-              [
-                cell (B.Rowstore.run e.b_pg) plan;
-                cell (B.Rowstore.run e.b_dbmsx) plan;
-                cell (B.Colstore.run e.b_monet) plan;
-                cell (B.Colstore.run e.b_dbmsc) plan;
-                cell (proteus_run e.b_proteus) plan;
-              ] ))
-          Util.selectivities)
-      [ 1; 3; 4 ]
-  in
-  Util.print_table ~title:"Figure 8: binary selections"
-    ~systems:[ "PostgreSQL"; "DBMS-X"; "MonetDB"; "DBMS-C"; "Proteus" ]
-    rows
-
-(* --- Figure 9: JSON joins + unnest ------------------------------------------ *)
-
-let fig9 (e : json_env) =
-  let oc = e.jd.Tpch.order_count in
-  let join_rows =
-    List.concat_map
-      (fun (vname, variant) ->
-        List.map
-          (fun sel ->
-            let plan =
-              Q.join ~orders:"orders" ~lineitem:"lineitem" ~order_count:oc ~variant
-                ~selectivity:sel
-            in
-            ( Fmt.str "%s sel=%.0f%%" vname (sel *. 100.),
-              [
-                cell (B.Rowstore.run e.j_pg) plan;
-                cell (B.Rowstore.run e.j_dbmsx) plan;
-                (* the paper lists MongoDB's join result "only for the first
-                   query as an indication" *)
-                (if variant = Q.JCount && sel <= 0.1 then
-                   cell (B.Docstore.run e.j_mongo) plan
-                 else None);
-                cell (proteus_run e.j_proteus) plan;
-              ] ))
-          Util.selectivities)
-      [ ("Join Count", Q.JCount); ("Join Max", Q.JMax); ("Join 2 Aggr", Q.JAgg2) ]
-  in
-  let unnest_rows =
+(* Measure every (row, system) cell of one figure, print its table and
+   return one record per measured cell. [sits_out system label] marks the
+   cells the paper leaves empty, as it excludes systems from experiments they
+   cannot serve sensibly. *)
+let grid ?(sits_out = fun _ _ -> false) ~figure ~title systems rows =
+  let measured =
     List.map
-      (fun sel ->
-        let plan = Q.unnest_count ~denorm:"denorm" ~order_count:oc ~selectivity:sel in
-        ( Fmt.str "Unnest sel=%.0f%%" (sel *. 100.),
-          [
-            cell (B.Rowstore.run e.j_pg) plan;
-            cell (B.Rowstore.run e.j_dbmsx) plan;
-            cell (B.Docstore.run e.j_mongo) plan;
-            cell (proteus_run e.j_proteus) plan;
-          ] ))
-      Util.selectivities
+      (fun (label, params, plan) ->
+        ( label,
+          List.map
+            (fun (system, run) ->
+              if sits_out system label then None
+              else
+                let t = Util.measure (fun () -> ignore (run (Util.tune plan))) in
+                Some
+                  (t, Util.record ~figure ~params:(("system", Json.Str system) :: params) label t))
+            systems ))
+      rows
   in
-  Util.print_table ~title:"Figure 9: JSON joins and unnest"
-    ~systems:[ "PostgreSQL"; "DBMS-X"; "MongoDB"; "Proteus" ]
-    (join_rows @ unnest_rows)
+  Util.print_table ~title ~systems:(List.map fst systems)
+    (List.map (fun (label, cells) -> (label, List.map (Option.map fst) cells)) measured);
+  List.concat_map (fun (_, cells) -> List.filter_map (Option.map snd) cells) measured
 
-(* --- Figure 10: binary joins + counter proxies ------------------------------ *)
+(* --- Figures 5-12 ------------------------------------------------------------ *)
 
-let fig10 (e : bin_env) =
+let fig5 e =
+  grid ~figure:"fig5" ~title:"Figure 5: JSON projections" (json_systems e)
+    (projections e.jd.Tpch.order_count)
+
+let fig6 e =
+  grid ~figure:"fig6" ~title:"Figure 6: binary projections" (bin_systems e)
+    (projections e.bd.Tpch.order_count)
+
+let fig7 e =
+  grid ~figure:"fig7" ~title:"Figure 7: JSON selections" (json_doc_systems e)
+    (selections e.jd.Tpch.order_count)
+
+let fig8 e =
+  grid ~figure:"fig8" ~title:"Figure 8: binary selections" (bin_systems e)
+    (selections e.bd.Tpch.order_count)
+
+(* the paper lists MongoDB's join result "only for the first query as an
+   indication" *)
+let fig9 e =
+  let oc = e.jd.Tpch.order_count in
+  let unnests =
+    sweep [ ("Unnest", ()) ] (fun () selectivity ->
+        Q.unnest_count ~denorm:"denorm" ~order_count:oc ~selectivity)
+  in
+  grid ~figure:"fig9" ~title:"Figure 9: JSON joins and unnest"
+    ~sits_out:(fun system label ->
+      system = "MongoDB"
+      && String.starts_with ~prefix:"Join" label
+      && label <> "Join Count sel=10%")
+    (json_doc_systems e) (joins oc @ unnests)
+
+(* Figure 10 plus the paper's counter comparison at 20% selectivity: MonetDB
+   vs Proteus, hardware counters proxied by interpretation/materialization
+   counts. *)
+let fig10 e =
   let oc = e.bd.Tpch.order_count in
-  let rows =
-    List.concat_map
-      (fun (vname, variant) ->
-        List.map
-          (fun sel ->
-            let plan =
-              Q.join ~orders:"orders" ~lineitem:"lineitem" ~order_count:oc ~variant
-                ~selectivity:sel
-            in
-            ( Fmt.str "%s sel=%.0f%%" vname (sel *. 100.),
-              [
-                cell (B.Rowstore.run e.b_pg) plan;
-                cell (B.Rowstore.run e.b_dbmsx) plan;
-                cell (B.Colstore.run e.b_monet) plan;
-                cell (B.Colstore.run e.b_dbmsc) plan;
-                cell (proteus_run e.b_proteus) plan;
-              ] ))
-          Util.selectivities)
-      [ ("Join Count", Q.JCount); ("Join Max", Q.JMax); ("Join 2 Aggr", Q.JAgg2) ]
+  let cells =
+    grid ~figure:"fig10" ~title:"Figure 10: binary joins" (bin_systems e) (joins oc)
   in
-  Util.print_table ~title:"Figure 10: binary joins"
-    ~systems:[ "PostgreSQL"; "DBMS-X"; "MonetDB"; "DBMS-C"; "Proteus" ]
-    rows;
-  (* the paper's counter comparison at 20% selectivity: MonetDB vs Proteus,
-     hardware counters proxied by interpretation/materialization counts *)
   let plan =
-    tune (Q.join ~orders:"orders" ~lineitem:"lineitem" ~order_count:oc ~variant:Q.JCount ~selectivity:0.2)
+    Util.tune
+      (Q.join ~orders:"orders" ~lineitem:"lineitem" ~order_count:oc ~variant:Q.JCount
+         ~selectivity:0.2)
   in
   let module C = Proteus_engine.Counters in
-  let snap run = snd (Proteus_engine.Executor.measure run) in
-  let monet = snap (fun () -> B.Colstore.run e.b_monet plan) in
-  let compiled = snap (fun () -> proteus_run e.b_proteus plan) in
-  let volcano =
-    snap (fun () ->
-        Proteus.Db.run_plan ~engine:Proteus.Db.Engine_volcano e.b_proteus plan)
+  let counted name run =
+    let (_, s), t = Util.time_once (fun () -> Proteus_engine.Executor.measure run) in
+    let r =
+      Util.record ~figure:"fig10_counters"
+        ~params:[ ("selectivity", Json.Float 0.2) ]
+        ~counters:[ ("materialized", s.C.materialized); ("dispatches", s.C.dispatches) ]
+        name (Util.once t)
+    in
+    Fmt.pr "     %-22s %14d %14d@." name s.C.materialized s.C.dispatches;
+    (r, s)
   in
   Fmt.pr "   counter proxies (join, sel=20%%; hardware-counter analogues):@.";
   Fmt.pr "     %-22s %14s %14s@." "" "materialized" "interp.dispatch";
-  Fmt.pr "     %-22s %14d %14d@." "MonetDB-like (col-at-a-time)" monet.C.materialized
-    monet.C.dispatches;
-  Fmt.pr "     %-22s %14d %14d@." "interpreted (Volcano)" volcano.C.materialized
-    volcano.C.dispatches;
-  Fmt.pr "     %-22s %14d %14d@." "Proteus (compiled)" compiled.C.materialized
-    compiled.C.dispatches;
+  let r_monet, monet =
+    counted "MonetDB-like (col-at-a-time)" (fun () -> B.Colstore.run e.b_monet plan)
+  in
+  let r_volcano, volcano =
+    counted "interpreted (Volcano)" (fun () ->
+        Proteus.Db.run_plan ~engine:Proteus.Db.Engine_volcano e.b_proteus plan)
+  in
+  let r_compiled, compiled =
+    counted "Proteus (compiled)" (fun () -> Proteus.Db.run_plan e.b_proteus plan)
+  in
   let ratio a b = if b = 0 then Float.infinity else float_of_int a /. float_of_int b in
   Fmt.pr
     "     Proteus materializes %.1fx fewer values than the columnar engine \
      (the paper: 10x fewer LLC / 40x fewer dTLB misses) and removes all %d \
      per-tuple interpretation dispatches (the paper: 2x fewer branches)@."
     (ratio monet.C.materialized (max 1 compiled.C.materialized))
-    volcano.C.dispatches
+    volcano.C.dispatches;
+  cells @ [ r_monet; r_volcano; r_compiled ]
 
-(* --- Figures 11/12: group-bys ------------------------------------------------ *)
+let fig11 e =
+  grid ~figure:"fig11" ~title:"Figure 11: JSON group-bys" (json_doc_systems e)
+    (group_bys e.jd.Tpch.order_count)
 
-let fig11 (e : json_env) =
-  let oc = e.jd.Tpch.order_count in
-  let rows =
-    List.concat_map
-      (fun aggregates ->
-        List.map
-          (fun sel ->
-            let plan = Q.group_by ~lineitem:"lineitem" ~order_count:oc ~aggregates ~selectivity:sel in
-            ( Fmt.str "%d Aggr sel=%.0f%%" aggregates (sel *. 100.),
-              [
-                cell (B.Rowstore.run e.j_pg) plan;
-                cell (B.Rowstore.run e.j_dbmsx) plan;
-                cell (B.Docstore.run e.j_mongo) plan;
-                cell (proteus_run e.j_proteus) plan;
-              ] ))
-          Util.selectivities)
-      [ 1; 3; 4 ]
-  in
-  Util.print_table ~title:"Figure 11: JSON group-bys"
-    ~systems:[ "PostgreSQL"; "DBMS-X"; "MongoDB"; "Proteus" ]
-    rows
-
-let fig12 (e : bin_env) =
-  let oc = e.bd.Tpch.order_count in
-  let rows =
-    List.concat_map
-      (fun aggregates ->
-        List.map
-          (fun sel ->
-            let plan = Q.group_by ~lineitem:"lineitem" ~order_count:oc ~aggregates ~selectivity:sel in
-            ( Fmt.str "%d Aggr sel=%.0f%%" aggregates (sel *. 100.),
-              [
-                cell (B.Rowstore.run e.b_pg) plan;
-                cell (B.Rowstore.run e.b_dbmsx) plan;
-                cell (B.Colstore.run e.b_monet) plan;
-                cell (B.Colstore.run e.b_dbmsc) plan;
-                cell (proteus_run e.b_proteus) plan;
-              ] ))
-          Util.selectivities)
-      [ 1; 3; 4 ]
-  in
-  Util.print_table ~title:"Figure 12: binary group-bys"
-    ~systems:[ "PostgreSQL"; "DBMS-X"; "MonetDB"; "DBMS-C"; "Proteus" ]
-    rows
+let fig12 e =
+  grid ~figure:"fig12" ~title:"Figure 12: binary group-bys" (bin_systems e)
+    (group_bys e.bd.Tpch.order_count)
 
 (* --- Figure 13: effect of caching ------------------------------------------- *)
 
@@ -419,21 +344,26 @@ let fig13 () =
     *. float_of_int (Proteus_cache.Manager.resident_bytes mgr)
     /. float_of_int (String.length li));
   Fmt.pr "%-26s%14s%14s%14s@." "" "baseline" "cached-pred" "speedup";
-  List.iter
+  List.concat_map
     (fun (label, mk) ->
-      List.iter
+      List.concat_map
         (fun sel ->
           let plan = mk sel in
+          let cell = Fmt.str "%s sel=%.0f%%" label (sel *. 100.) in
           (* engine generation happens once; samples time pure execution *)
-          let p_base = Proteus.Db.prepare base plan in
-          let p_cached = Proteus.Db.prepare cached plan in
-          let t_base = Util.measure_n 9 (fun () -> ignore (p_base.Proteus.Db.run ())) in
-          let t_cached =
-            Util.measure_n 9 (fun () -> ignore (p_cached.Proteus.Db.run ()))
+          let time system db =
+            let prepared = Proteus.Db.prepare db plan in
+            let t = Util.measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ())) in
+            Util.record ~figure:"fig13"
+              ~params:[ ("system", Json.Str system); ("selectivity", Json.Float sel) ]
+              cell t
           in
-          Fmt.pr "%-26s%11.2fms %11.2fms %13.1fx@."
-            (Fmt.str "%s sel=%.0f%%" label (sel *. 100.))
-            (Util.ms t_base) (Util.ms t_cached) (t_base /. t_cached))
+          let r_base = time "baseline" base in
+          let r_cached = time "cached-pred" cached in
+          let t_base = r_base.Util.time.median and t_cached = r_cached.Util.time.median in
+          Fmt.pr "%-26s%11.2fms %11.2fms %13.1fx@." cell (Util.ms t_base)
+            (Util.ms t_cached) (t_base /. t_cached);
+          [ r_base; r_cached ])
         Util.selectivities)
     [
       ( "Projection template",
@@ -446,16 +376,15 @@ let fig13 () =
             ~selectivity:sel );
     ]
 
+(* The environments are returned for the parallel figure, which reuses the
+   loaded instances. *)
 let run_all () =
   let je = setup_json () in
   let be = setup_bin () in
-  fig5 je;
-  fig6 be;
-  fig7 je;
-  fig8 be;
-  fig9 je;
-  fig10 be;
-  fig11 je;
-  fig12 be;
-  fig13 ();
-  (je, be)
+  let figs =
+    [ (fun () -> je.j_setup); (fun () -> fig5 je); (fun () -> fig6 be);
+      (fun () -> fig7 je); (fun () -> fig8 be); (fun () -> fig9 je);
+      (fun () -> fig10 be); (fun () -> fig11 je); (fun () -> fig12 be); fig13 ]
+  in
+  (* in order: a list literal would evaluate its figures right to left *)
+  (je, be, List.concat_map (fun fig -> fig ()) figs)

@@ -10,7 +10,6 @@ module Log = (val Logs.src_log src_log : Logs.LOG)
 type config = {
   cache_csv_fields : bool;
   cache_json_fields : bool;
-  cache_strings : bool;
   cache_join_sides : bool;
   promote : bool;
   promote_threshold : int;
@@ -23,7 +22,6 @@ let default_config =
   {
     cache_csv_fields = true;
     cache_json_fields = true;
-    cache_strings = false;
     cache_join_sides = true;
     promote = false;
     promote_threshold = 3;
@@ -34,7 +32,6 @@ let config_disabled =
   {
     cache_csv_fields = false;
     cache_json_fields = false;
-    cache_strings = false;
     cache_join_sides = false;
     promote = false;
     promote_threshold = 3;
@@ -369,10 +366,10 @@ let should_cache_field t ~dataset ~path ~ty =
   let type_ok =
     match Ptype.unwrap_option ty with
     | Ptype.String ->
-      (* the paper's "never cache strings" flips to "cache as dictionary
-         when promoted": a hot, repeatedly-filtered string column is worth
-         its arena bytes once it stores as codes + dictionary *)
-      t.config.cache_strings || (t.config.promote && is_promoted t ~dataset ~path)
+      (* the paper never caches strings; promotion flips that to "cache as
+         dictionary": a hot, repeatedly-filtered string column is worth its
+         arena bytes once it stores as codes + dictionary *)
+      t.config.promote && is_promoted t ~dataset ~path
     | Ptype.Int | Ptype.Float | Ptype.Bool | Ptype.Date -> true
     | Ptype.Record _ | Ptype.Collection _ | Ptype.Option _ -> false
   in

@@ -20,7 +20,6 @@ open Proteus_catalog
 type config = {
   cache_csv_fields : bool;
   cache_json_fields : bool;
-  cache_strings : bool;      (** default false, as in the paper *)
   cache_join_sides : bool;
   promote : bool;
       (** workload-adaptive promotion: track per-column reads and

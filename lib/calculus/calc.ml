@@ -42,9 +42,6 @@ let to_string t = Fmt.str "%a" pp t
 
 let equal a b = a = b
 
-let bound_vars t =
-  List.filter_map (function Gen (x, _) -> Some x | Pred _ -> None) t.quals
-
 let rec free_vars t =
   let bound = ref [] in
   let free = ref [] in

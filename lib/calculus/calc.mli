@@ -45,9 +45,6 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool
 
-(** Variables bound by the generators of [t], in order. *)
-val bound_vars : t -> string list
-
 (** Free variables (referenced but not generator-bound). *)
 val free_vars : t -> string list
 

@@ -47,8 +47,6 @@ let any_promoted t = Hashtbl.length t.promoted > 0
 
 let note_rich_layout t path = Hashtbl.replace t.rich path ()
 
-let rich_layout t path = Hashtbl.mem t.rich path
-
 let any_rich_layout t = Hashtbl.length t.rich > 0
 
 let set_cardinality t n = t.card <- Some n

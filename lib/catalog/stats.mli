@@ -54,7 +54,6 @@ val any_promoted : t -> bool
     aggressively. [drop_promoted] clears the rich mark too. *)
 
 val note_rich_layout : t -> string -> unit
-val rich_layout : t -> string -> bool
 val any_rich_layout : t -> bool
 
 val clear : t -> unit

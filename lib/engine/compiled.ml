@@ -654,7 +654,7 @@ let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) sub
   let template = mk 0 in
   let instances = Array.init width (fun w -> if w = 0 then template else mk w) in
   let run_fleet wire =
-    Pool.Dispenser.reset disp ~total:drive.dr_count ~workers:width;
+    Pool.Dispenser.reset disp ~total:drive.dr_count;
     builds := [];
     (* Cold run: arm the shared fill session before the fan-out so every
        worker's per-morsel segments land in a fresh run; commit them in row

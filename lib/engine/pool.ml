@@ -184,7 +184,7 @@ module Dispenser = struct
      partial aggregates merge in morsel order, so a worker-independent
      partition makes merged results (float association included)
      bit-identical for any domain count. *)
-  let reset t ~total ~workers:_ =
+  let reset t ~total =
     t.morsel <- Proteus_storage.Zonemap.zone_rows total;
     t.total <- total;
     Atomic.set t.handed 0;

@@ -32,12 +32,12 @@ module Dispenser : sig
 
   val create : unit -> t
 
-  (** [reset t ~total ~workers] rearms the cursor over [0, total) and picks
-      a morsel size (aiming at ~64 morsels per input, clamped to
-      [16, 8192]). The size does not depend on [workers]: a
-      worker-independent partition keeps morsel-order merges of partial
-      results bit-identical for any domain count. *)
-  val reset : t -> total:int -> workers:int -> unit
+  (** [reset t ~total] rearms the cursor over [0, total) and picks a
+      morsel size (aiming at ~64 morsels per input, clamped to
+      [16, 8192]). The size depends on [total] alone, never on the number
+      of workers: a worker-independent partition keeps morsel-order merges
+      of partial results bit-identical for any domain count. *)
+  val reset : t -> total:int -> unit
 
   (** Number of morsels the current arming will hand out. *)
   val morsels : t -> int

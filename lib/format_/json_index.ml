@@ -480,13 +480,6 @@ let entry_span t ~obj ~slot sp =
       sp.sp_kind <- e.kind
     end
 
-let find_span_by_id t ~obj ~id sp =
-  match slot_by_id t ~obj ~id with
-  | -1 -> false
-  | s ->
-    entry_span t ~obj ~slot:s sp;
-    true
-
 let find t ~obj ~path =
   match t.shared with
   | Some m -> (

@@ -90,10 +90,6 @@ val entry_span : t -> obj:int -> slot:int -> span -> unit
     option: [-1] when the object lacks the field. *)
 val slot_by_id : t -> obj:int -> id:int -> int
 
-(** [find_span_by_id t ~obj ~id sp] fills [sp] with the field's span and
-    returns [true], or returns [false] when the object lacks the field. *)
-val find_span_by_id : t -> obj:int -> id:int -> span -> bool
-
 (** Span decoding, mirroring the entry readers below. *)
 
 val span_int : t -> span -> int

@@ -109,11 +109,3 @@ let collect c vs =
   | Bag -> Value.bag vs
   | List -> Value.list_ vs
   | Set -> Value.set vs
-
-let result_type m elem =
-  match m with
-  | Collection c -> Ptype.Collection (c, elem)
-  | Primitive Count -> Ptype.Int
-  | Primitive (All | Any) -> Ptype.Bool
-  | Primitive Avg -> Ptype.Float
-  | Primitive (Sum | Prod | Min | Max) -> elem

@@ -48,6 +48,3 @@ val acc_value : acc -> Value.t
     (sets are deduplicated). *)
 val collect : Ptype.coll -> Value.t list -> Value.t
 
-(** [result_type m elem] is the type produced by monoid [m] applied to
-    elements of type [elem]. *)
-val result_type : t -> Ptype.t -> Ptype.t

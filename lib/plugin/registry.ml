@@ -694,10 +694,8 @@ let set_interposer t ip =
 let interposer t = t.interposer
 
 let set_retry_policy t p = t.retry <- p
-let retry_policy t = t.retry
 
 let set_hedge t h = t.hedge <- h
-let hedge t = t.hedge
 
 let set_breaker_config t cfg =
   t.breaker_cfg <- cfg;
@@ -949,8 +947,6 @@ let session_commit s =
     cache.Cache_iface.note_fill ~dataset:s.fs_dataset ~segments:(List.length segs)
       ~rows
   end
-
-let session_dataset s = s.fs_dataset
 
 type scan = {
   sc_source : Source.t;

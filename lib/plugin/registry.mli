@@ -111,15 +111,11 @@ val interposer : t -> interposer option
     historical rebuild-once-from-scratch contract. *)
 val set_retry_policy : t -> Proteus_resilience.Policy.t -> unit
 
-val retry_policy : t -> Proteus_resilience.Policy.t
-
 (** The straggler hedge over member builds; [None] (the default) disables
     hedging. Only armed under [Fail_fast] — degraded policies record
     per-row errors into shared report cells, and a speculative duplicate
     would double-account them. *)
 val set_hedge : t -> Proteus_resilience.Hedge.t option -> unit
-
-val hedge : t -> Proteus_resilience.Hedge.t option
 
 (** Breaker thresholds for member circuits; existing breakers are dropped
     and recreated under the new config on next admission. *)
@@ -150,7 +146,6 @@ type fill_session
 val session_arm : fill_session -> unit
 val session_commit : fill_session -> unit
 val session_release : fill_session -> unit
-val session_dataset : fill_session -> string
 
 (** A cache-aware scan over one dataset. *)
 type scan = {

@@ -33,16 +33,6 @@ let run_range_batches _t ~lo ~hi ~batch ~on_batch =
     base := !base + len
   done
 
-let boxed_iter t =
-  let i = ref 0 in
-  fun () ->
-    if !i >= t.count then None
-    else begin
-      t.seek !i;
-      incr i;
-      Some (t.whole ())
-    end
-
 let field_type element path =
   let parts = String.split_on_char '.' path in
   let rec go ty parts nullable =

@@ -67,9 +67,6 @@ val run_range : t -> lo:int -> hi:int -> on_tuple:(unit -> unit) -> unit
 val run_range_batches :
   t -> lo:int -> hi:int -> batch:int -> on_batch:(base:int -> len:int -> unit) -> unit
 
-(** [boxed_iter t] is a pull-based boxed iterator (the Volcano scan). *)
-val boxed_iter : t -> unit -> Value.t option
-
 (** [field_type element path] resolves a dotted path against an element
     type; [Option] layers encountered on the way make the result nullable.
     Raises [Perror.Plan_error] for unknown fields. *)

@@ -13,11 +13,6 @@
 
 type state = Closed | Open | Half_open
 
-let state_name = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
 type config = { threshold : int; cooldown_ms : float }
 
 (* Three exhausted budgets back to back open the breaker; a short cooldown

@@ -4,8 +4,6 @@
 
 type state = Closed | Open | Half_open
 
-val state_name : state -> string
-
 type config = { threshold : int; cooldown_ms : float }
 
 (** threshold 3, cooldown 1000 ms. *)

@@ -170,34 +170,6 @@ let generate ?(params = default_params) () =
   in
   { params; json_text = Buffer.contents json_buf; csv_text; bin_records }
 
-(* Both renderings are newline-delimited, one record per line, with no
-   embedded newlines (no header, no quoted line breaks), so a contiguous
-   line split reproduces the single-file row sequence exactly. *)
-let split_lines_shards n text =
-  let lines =
-    match List.rev (String.split_on_char '\n' text) with
-    | "" :: rest -> List.rev rest
-    | all -> List.rev all
-  in
-  let len = List.length lines in
-  let n = max 1 (min n (max 1 len)) in
-  let base = len / n and extra = len mod n in
-  let rec take k acc l =
-    if k = 0 then (List.rev acc, l)
-    else match l with [] -> (List.rev acc, []) | x :: r -> take (k - 1) (x :: acc) r
-  in
-  let rec go i l =
-    if i = n then []
-    else
-      let sz = base + if i < extra then 1 else 0 in
-      let part, rest = take sz [] l in
-      (String.concat "\n" part ^ if part = [] then "" else "\n") :: go (i + 1) rest
-  in
-  go 0 lines
-
-let json_shards t n = split_lines_shards n t.json_text
-let csv_shards t n = split_lines_shards n t.csv_text
-
 (* --- the 50-query workload -------------------------------------------------- *)
 
 let f x n = Expr.Field (Expr.var x, n)

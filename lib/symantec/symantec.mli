@@ -53,14 +53,6 @@ val csv_name : string    (** "spam_csv" *)
 
 val bin_name : string    (** "spam_bin" *)
 
-(** Sharded renderings: the same newline-delimited text split into [n]
-    contiguous pieces (order preserved, sizes differing by at most one) —
-    inputs for {!Proteus.Db.register_sharded_json} /
-    [register_sharded_csv]. *)
-val json_shards : t -> int -> string list
-
-val csv_shards : t -> int -> string list
-
 (** The 50 queries, in order, with their identifiers ("Q1".."Q50"). *)
 val queries : t -> (string * Proteus_algebra.Plan.t) list
 

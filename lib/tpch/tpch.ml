@@ -137,35 +137,6 @@ let json_of ?(shuffle_fields = false) records =
 let lineitem_json ?shuffle_fields t = json_of ?shuffle_fields t.lineitems
 let orders_json ?shuffle_fields t = json_of ?shuffle_fields t.orders
 
-(* Contiguous n-way split preserving record order (leading chunks take the
-   remainder), so a shard set over the rendered pieces enumerates exactly
-   the single-file row sequence. *)
-let chunk_records n records =
-  let len = List.length records in
-  let n = max 1 (min n (max 1 len)) in
-  let base = len / n and extra = len mod n in
-  let rec take k acc l =
-    if k = 0 then (List.rev acc, l)
-    else match l with [] -> (List.rev acc, []) | x :: r -> take (k - 1) (x :: acc) r
-  in
-  let rec go i l =
-    if i = n then []
-    else
-      let sz = base + if i < extra then 1 else 0 in
-      let part, rest = take sz [] l in
-      part :: go (i + 1) rest
-  in
-  go 0 records
-
-let lineitem_csv_shards t n = List.map (csv_of lineitem_type) (chunk_records n t.lineitems)
-let orders_csv_shards t n = List.map (csv_of order_type) (chunk_records n t.orders)
-
-let lineitem_json_shards ?shuffle_fields t n =
-  List.map (json_of ?shuffle_fields) (chunk_records n t.lineitems)
-
-let orders_json_shards ?shuffle_fields t n =
-  List.map (json_of ?shuffle_fields) (chunk_records n t.orders)
-
 let denormalized_orders t =
   let by_key = Hashtbl.create 1024 in
   List.iter

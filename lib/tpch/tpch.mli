@@ -52,15 +52,6 @@ val lineitem_json : ?shuffle_fields:bool -> t -> string
 
 val orders_json : ?shuffle_fields:bool -> t -> string
 
-(** Sharded renderings: the same rows split into [n] contiguous pieces
-    (order preserved, sizes differing by at most one), each rendered as its
-    own file — inputs for {!Proteus.Db.register_sharded_csv} /
-    [register_sharded_json]. *)
-val lineitem_csv_shards : t -> int -> string list
-
-val orders_csv_shards : t -> int -> string list
-val lineitem_json_shards : ?shuffle_fields:bool -> t -> int -> string list
-val orders_json_shards : ?shuffle_fields:bool -> t -> int -> string list
 val denormalized_orders : t -> Value.t list
 val denormalized_json : ?shuffle_fields:bool -> t -> string
 

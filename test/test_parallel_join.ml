@@ -572,7 +572,7 @@ let test_one_domain_build_fleet () =
   in
   let build_morsels =
     let d = Pool.Dispenser.create () in
-    Pool.Dispenser.reset d ~total:(List.length parts) ~workers:1;
+    Pool.Dispenser.reset d ~total:(List.length parts);
     Pool.Dispenser.morsels d
   in
   List.iter
