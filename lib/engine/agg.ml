@@ -6,12 +6,9 @@ type instance = {
   partial : unit -> Value.t;
 }
 
-(* Avg is the one primitive whose final value is not mergeable: partials
+(* Avg is the one primitive whose final value does not merge: partials
    carry (sum, count) explicitly and [finalize] divides at the end. *)
 let avg_partial s n () = Value.record [ ("sum", Value.Float !s); ("n", Value.Int !n) ]
-
-let no_partial () =
-  Perror.unsupported "collection monoids have no mergeable partial aggregate"
 
 let boxed_factory prim (get : unit -> Value.t) () =
   let acc = Monoid.acc_create prim in
@@ -120,8 +117,8 @@ let factory (m : Monoid.t) (c : Exprc.compiled) : unit -> instance =
         partial = avg_partial s n;
       }
   | Monoid.Primitive Monoid.Avg, c ->
-    (* boxed Avg keeps explicit (sum, count) state so partials stay
-       mergeable; semantics match Monoid.acc_step (Null values skipped) *)
+    (* boxed Avg keeps explicit (sum, count) state so partials still
+       merge; semantics match Monoid.acc_step (Null values skipped) *)
     let get = Exprc.to_val c in
     fun () ->
       let s = ref 0. and n = ref 0 in
@@ -151,15 +148,16 @@ let factory (m : Monoid.t) (c : Exprc.compiled) : unit -> instance =
   | Monoid.Collection coll, c ->
     let get = Exprc.to_val c in
     fun () ->
+      (* values newest first: the partial reads them out as they are *)
       let acc = ref [] in
       {
         step = (fun () -> acc := get () :: !acc);
         value = (fun () -> Monoid.collect coll (List.rev !acc));
-        partial = no_partial;
+        partial = (fun () -> Value.list_ !acc);
       }
 
 (* ------------------------------------------------------------------- *)
-(* Batch instances: array-level partial loops for the mergeable monoids.
+(* Batch instances: array-level partial loops for the primitive monoids.
    Every vectorized step folds the selected lanes *in selection order*
    with exactly the operations of the scalar [step] above, so a batch
    aggregate is bit-identical (floats included) to stepping the scalar
@@ -172,10 +170,173 @@ type binstance = {
 }
 
 let batch_factory (m : Monoid.t) ~(seek : int -> unit) ~(scalar : Exprc.compiled)
-    ~(batch : Exprc.bcompiled option) : (unit -> binstance) option =
-  let scalar_fallback () =
-    (* per-lane seek + scalar step: correct for every primitive combo the
-       vector cases below don't cover (boxed, nullable, date exprs) *)
+    ~(batch : Exprc.bcompiled option) : unit -> binstance =
+  match m, batch with
+  | Monoid.Primitive Monoid.Count, _ ->
+    fun () ->
+      let n_acc = ref 0 in
+      let value () = Value.Int !n_acc in
+      {
+        bstep = (fun ~base:_ ~sel:_ ~n -> n_acc := !n_acc + n);
+        bvalue = value;
+        bpartial = value;
+      }
+  | Monoid.Primitive Monoid.Sum, Some (Exprc.B_int (buf, k)) ->
+    fun () ->
+      let s = ref 0 in
+      let value () = Value.Int !s in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              s := !s + buf.(sel.(i))
+            done);
+        bvalue = value;
+        bpartial = value;
+      }
+  | Monoid.Primitive Monoid.Sum, Some (Exprc.B_float (buf, k)) ->
+    fun () ->
+      let s = ref 0. and seen = ref false in
+      let value () = if !seen then Value.Float !s else Value.Int 0 in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              s := !s +. buf.(sel.(i))
+            done;
+            if n > 0 then seen := true);
+        bvalue = value;
+        bpartial = value;
+      }
+  | Monoid.Primitive Monoid.Max, Some (Exprc.B_int (buf, k)) ->
+    fun () ->
+      let best = ref min_int and seen = ref false in
+      let value () = if !seen then Value.Int !best else Value.Null in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              let v = buf.(sel.(i)) in
+              if v > !best then best := v
+            done;
+            if n > 0 then seen := true);
+        bvalue = value;
+        bpartial = value;
+      }
+  | Monoid.Primitive Monoid.Min, Some (Exprc.B_int (buf, k)) ->
+    fun () ->
+      let best = ref max_int and seen = ref false in
+      let value () = if !seen then Value.Int !best else Value.Null in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              let v = buf.(sel.(i)) in
+              if v < !best then best := v
+            done;
+            if n > 0 then seen := true);
+        bvalue = value;
+        bpartial = value;
+      }
+  | Monoid.Primitive Monoid.Max, Some (Exprc.B_float (buf, k)) ->
+    fun () ->
+      let best = ref neg_infinity and seen = ref false in
+      let value () = if !seen then Value.Float !best else Value.Null in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              let v = buf.(sel.(i)) in
+              if v > !best then best := v
+            done;
+            if n > 0 then seen := true);
+        bvalue = value;
+        bpartial = value;
+      }
+  | Monoid.Primitive Monoid.Min, Some (Exprc.B_float (buf, k)) ->
+    fun () ->
+      let best = ref infinity and seen = ref false in
+      let value () = if !seen then Value.Float !best else Value.Null in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              let v = buf.(sel.(i)) in
+              if v < !best then best := v
+            done;
+            if n > 0 then seen := true);
+        bvalue = value;
+        bpartial = value;
+      }
+  | Monoid.Primitive Monoid.Avg, Some (Exprc.B_int (buf, k)) ->
+    fun () ->
+      let s = ref 0. and cnt = ref 0 in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              s := !s +. float_of_int buf.(sel.(i))
+            done;
+            cnt := !cnt + n);
+        bvalue =
+          (fun () ->
+            if !cnt = 0 then Value.Null else Value.Float (!s /. float_of_int !cnt));
+        bpartial = avg_partial s cnt;
+      }
+  | Monoid.Primitive Monoid.Avg, Some (Exprc.B_float (buf, k)) ->
+    fun () ->
+      let s = ref 0. and cnt = ref 0 in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              s := !s +. buf.(sel.(i))
+            done;
+            cnt := !cnt + n);
+        bvalue =
+          (fun () ->
+            if !cnt = 0 then Value.Null else Value.Float (!s /. float_of_int !cnt));
+        bpartial = avg_partial s cnt;
+      }
+  | Monoid.Primitive Monoid.All, Some (Exprc.B_bool (buf, k)) ->
+    fun () ->
+      let b = ref true in
+      let value () = Value.Bool !b in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              b := !b && buf.(sel.(i))
+            done);
+        bvalue = value;
+        bpartial = value;
+      }
+  | Monoid.Primitive Monoid.Any, Some (Exprc.B_bool (buf, k)) ->
+    fun () ->
+      let b = ref false in
+      let value () = Value.Bool !b in
+      {
+        bstep =
+          (fun ~base ~sel ~n ->
+            k ~base ~sel ~n;
+            for i = 0 to n - 1 do
+              b := !b || buf.(sel.(i))
+            done);
+        bvalue = value;
+        bpartial = value;
+      }
+  | _ ->
+    (* per-lane seek + scalar step: correct for every combo the vector cases
+       above don't cover (collections, boxed, nullable, date exprs) *)
     let mk = factory m scalar in
     fun () ->
       let inst = mk () in
@@ -189,183 +350,13 @@ let batch_factory (m : Monoid.t) ~(seek : int -> unit) ~(scalar : Exprc.compiled
         bvalue = inst.value;
         bpartial = inst.partial;
       }
-  in
-  match m, batch with
-  | Monoid.Collection _, _ -> None
-  | Monoid.Primitive Monoid.Count, _ ->
-    Some
-      (fun () ->
-        let n_acc = ref 0 in
-        let value () = Value.Int !n_acc in
-        {
-          bstep = (fun ~base:_ ~sel:_ ~n -> n_acc := !n_acc + n);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive Monoid.Sum, Some (Exprc.B_int (buf, k)) ->
-    Some
-      (fun () ->
-        let s = ref 0 in
-        let value () = Value.Int !s in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                s := !s + buf.(sel.(i))
-              done);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive Monoid.Sum, Some (Exprc.B_float (buf, k)) ->
-    Some
-      (fun () ->
-        let s = ref 0. and seen = ref false in
-        let value () = if !seen then Value.Float !s else Value.Int 0 in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                s := !s +. buf.(sel.(i))
-              done;
-              if n > 0 then seen := true);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive Monoid.Max, Some (Exprc.B_int (buf, k)) ->
-    Some
-      (fun () ->
-        let best = ref min_int and seen = ref false in
-        let value () = if !seen then Value.Int !best else Value.Null in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                let v = buf.(sel.(i)) in
-                if v > !best then best := v
-              done;
-              if n > 0 then seen := true);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive Monoid.Min, Some (Exprc.B_int (buf, k)) ->
-    Some
-      (fun () ->
-        let best = ref max_int and seen = ref false in
-        let value () = if !seen then Value.Int !best else Value.Null in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                let v = buf.(sel.(i)) in
-                if v < !best then best := v
-              done;
-              if n > 0 then seen := true);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive Monoid.Max, Some (Exprc.B_float (buf, k)) ->
-    Some
-      (fun () ->
-        let best = ref neg_infinity and seen = ref false in
-        let value () = if !seen then Value.Float !best else Value.Null in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                let v = buf.(sel.(i)) in
-                if v > !best then best := v
-              done;
-              if n > 0 then seen := true);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive Monoid.Min, Some (Exprc.B_float (buf, k)) ->
-    Some
-      (fun () ->
-        let best = ref infinity and seen = ref false in
-        let value () = if !seen then Value.Float !best else Value.Null in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                let v = buf.(sel.(i)) in
-                if v < !best then best := v
-              done;
-              if n > 0 then seen := true);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive Monoid.Avg, Some (Exprc.B_int (buf, k)) ->
-    Some
-      (fun () ->
-        let s = ref 0. and cnt = ref 0 in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                s := !s +. float_of_int buf.(sel.(i))
-              done;
-              cnt := !cnt + n);
-          bvalue =
-            (fun () ->
-              if !cnt = 0 then Value.Null else Value.Float (!s /. float_of_int !cnt));
-          bpartial = avg_partial s cnt;
-        })
-  | Monoid.Primitive Monoid.Avg, Some (Exprc.B_float (buf, k)) ->
-    Some
-      (fun () ->
-        let s = ref 0. and cnt = ref 0 in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                s := !s +. buf.(sel.(i))
-              done;
-              cnt := !cnt + n);
-          bvalue =
-            (fun () ->
-              if !cnt = 0 then Value.Null else Value.Float (!s /. float_of_int !cnt));
-          bpartial = avg_partial s cnt;
-        })
-  | Monoid.Primitive Monoid.All, Some (Exprc.B_bool (buf, k)) ->
-    Some
-      (fun () ->
-        let b = ref true in
-        let value () = Value.Bool !b in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                b := !b && buf.(sel.(i))
-              done);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive Monoid.Any, Some (Exprc.B_bool (buf, k)) ->
-    Some
-      (fun () ->
-        let b = ref false in
-        let value () = Value.Bool !b in
-        {
-          bstep =
-            (fun ~base ~sel ~n ->
-              k ~base ~sel ~n;
-              for i = 0 to n - 1 do
-                b := !b || buf.(sel.(i))
-              done);
-          bvalue = value;
-          bpartial = value;
-        })
-  | Monoid.Primitive _, _ -> Some (scalar_fallback ())
+
+(* A collection partial lists its values newest first; [finalize] reverses
+   them once. *)
+let newest_first (v : Value.t) =
+  match v with
+  | Value.Coll (Ptype.List, vs) -> vs
+  | v -> Perror.type_error "malformed collection partial: %a" Value.pp v
 
 let merge (m : Monoid.t) (a : Value.t) (b : Value.t) : Value.t =
   match m with
@@ -391,7 +382,9 @@ let merge (m : Monoid.t) (a : Value.t) (b : Value.t) : Value.t =
     Monoid.acc_step acc b;
     Monoid.acc_value acc
   | Monoid.Collection _ ->
-    Perror.unsupported "collection monoids have no mergeable partial aggregate"
+    (* [a] holds the earlier values: only the later part is copied, so a left
+       fold over many parts stays linear in the values *)
+    Value.list_ (newest_first b @ newest_first a)
 
 let finalize (m : Monoid.t) (v : Value.t) : Value.t =
   match m with
@@ -400,10 +393,5 @@ let finalize (m : Monoid.t) (v : Value.t) : Value.t =
     | Some (Value.Float s), Some (Value.Int n) ->
       if n = 0 then Value.Null else Value.Float (s /. float_of_int n)
     | _ -> Perror.type_error "malformed Avg partial: %a" Value.pp v)
-  | _ -> v
-
-let mergeable ms =
-  List.for_all
-    (fun (m : Monoid.t) ->
-      match m with Monoid.Primitive _ -> true | Monoid.Collection _ -> false)
-    ms
+  | Monoid.Collection coll -> Monoid.collect coll (List.rev (newest_first v))
+  | Monoid.Primitive _ -> v

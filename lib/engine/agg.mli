@@ -8,17 +8,15 @@
     For morsel-driven parallel execution each worker folds its morsels into
     a private instance; [partial] then exports the worker's state and
     {!merge}/{!finalize} combine the per-worker partials into the final
-    aggregate ([Avg] exports a (sum, count) record, everything else its
-    plain accumulated value). *)
+    aggregate ([Avg] exports a (sum, count) record, a collection its values
+    newest first, everything else its plain accumulated value). *)
 
 open Proteus_model
 
 type instance = {
   step : unit -> unit;        (** fold the current tuple in *)
   value : unit -> Value.t;    (** read the final aggregate out *)
-  partial : unit -> Value.t;
-      (** read the mergeable partial state out; raises [Perror.Unsupported]
-          for collection monoids, which have no order-insensitive partial *)
+  partial : unit -> Value.t;  (** read the partial state out, for {!merge} *)
 }
 
 (** [factory monoid compiled] stages the accumulator for folding the values
@@ -37,24 +35,24 @@ type binstance = {
 
 (** [batch_factory m ~seek ~scalar ~batch] stages the batch accumulator:
     an array-level loop over [batch]'s kernel buffer when the monoid/lane
-    pair supports it, otherwise a per-lane [seek]-then-scalar-[step] shim.
-    [None] only for collection monoids (no mergeable partial, stay on the
-    tuple lane). *)
+    pair supports it, otherwise (collections included) a per-lane
+    [seek]-then-scalar-[step] shim. *)
 val batch_factory :
   Monoid.t ->
   seek:(int -> unit) ->
   scalar:Exprc.compiled ->
   batch:Exprc.bcompiled option ->
-  (unit -> binstance) option
+  unit ->
+  binstance
 
-(** [merge m a b] combines two partials of monoid [m]. Raises
-    [Perror.Unsupported] for collection monoids. *)
+(** [merge m a b] combines two partials of monoid [m], [a] folded over rows
+    that precede [b]'s. Collections concatenate [a]'s values before [b]'s,
+    copying only [b]'s: a left fold over n partials costs time linear in
+    their total values. *)
 val merge : Monoid.t -> Value.t -> Value.t -> Value.t
 
 (** [finalize m partial] turns a merged partial into the aggregate value
-    ([Avg] divides sum by count; every other monoid is the identity). *)
+    ([Avg] divides sum by count; a collection reverses its values into scan
+    order and builds the bag, set or list; every other monoid is the
+    identity). *)
 val finalize : Monoid.t -> Value.t -> Value.t
-
-(** Whether every monoid in the list supports partial-aggregate merging
-    (i.e. no collection monoids). *)
-val mergeable : Monoid.t list -> bool

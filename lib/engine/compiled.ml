@@ -808,15 +808,6 @@ let group_table (type k) (module H : Hashtbl.S with type key = k) (kget : unit -
   in
   (clear, feed)
 
-let mergeable aggs = Agg.mergeable (List.map (fun (a : Plan.agg) -> a.monoid) aggs)
-
-(* A root Reduce into a single collection monoid (the shape of a plain
-   SELECT) buffers per morsel instead of merging partials. *)
-let lone_collection (aggs : Plan.agg list) =
-  match aggs with
-  | [ ({ monoid = Monoid.Collection coll; _ } as agg) ] -> Some (coll, agg)
-  | _ -> None
-
 (* One producer of a join's build side: its compiled pipeline, the build
    key and payload compiled against that pipeline, and the cursor naming
    the morsel it is scanning. *)
@@ -1411,11 +1402,10 @@ and compile_probe ctx (sj : shared_join) ~left : (unit -> unit) -> unit -> unit 
     in
     fun () -> Counters.time Counters.Probe left_runner
 
-(* Parallelism substitution for a streaming sub-plan under a serial
-   consumer (a Sort, a non-mergeable Nest or Reduce, the bag-collecting
-   root): the instances scan and buffer their visible bindings' values per
-   morsel; the buffered rows replay serially, in morsel order — the scan
-   order — through boxed registers the consumer's getters read. *)
+(* Parallelism substitution for the streaming input of a Sort: the
+   instances scan and buffer their visible bindings' values per morsel; the
+   buffered rows replay serially, in morsel order — the scan order —
+   through boxed registers the Sort's getters read. *)
 and buffered_splice actx ~width ~(drive : drive) subplan ~(serial_cenv : Exprc.cenv) () =
   let visible = Plan.bindings subplan in
   let instances, disp, run_fleet =
@@ -1449,18 +1439,16 @@ and buffered_splice actx ~width ~(drive : drive) subplan ~(serial_cenv : Exprc.c
                 consumer ())
               (List.rev !rows)))
 
-(* Parallelism substitution at a Nest over primitive monoids (the GROUP BY
-   breaker): partitioned parallel group-by. Each domain scans one static
+(* Parallelism substitution at a bottom Nest (the GROUP BY breaker):
+   partitioned parallel group-by. Each domain scans one static
    contiguous chunk of the input into a single persistent group table it
    reuses across its whole range — no per-morsel table churn, no per-morsel
    re-merge — and the per-domain tables merge once, at pipeline end, in
    domain order; the merged groups emit sorted by key. Static chunks make
    the worker-to-rows mapping deterministic at a fixed domain count, so a
-   given (data, domains) pair always folds in the same association. Key
-   order makes the output rows the same at every width, one domain
-   included (the serial Nest over a buffered splice, for non-mergeable
-   aggregates, emits in first-encounter order; group-by output order
-   carries no contract). *)
+   given (data, domains) pair always folds in the same association, and a
+   collection's values stay in scan order. Key order makes the output rows
+   the same at every width, one domain included. *)
 and nest_splice actx ~width ~(drive : drive) ~keys ~aggs ~pred ~binding input
     ~(serial_cenv : Exprc.cenv) () =
   let monoids = List.map (fun (a : Plan.agg) -> a.monoid) aggs in
@@ -1504,29 +1492,25 @@ and nest_splice actx ~width ~(drive : drive) ~keys ~aggs ~pred ~binding input
             group_reg := Value.record (K.fields k @ aggs);
             consumer ()))
 
-(* The fleet below [p]'s bottom breaker, as the node the serial compile
-   replaces plus its maker: a mergeable Nest becomes the partitioned
-   group-by; any other breaker (Sort, non-mergeable Nest or Reduce)
-   consumes its input through a buffered splice, as does a breaker-free
-   [p] as a whole. *)
-and splice_at actx ~width p =
-  match bottom_breaker p with
-  | Some (Plan.Nest { keys; aggs; pred; binding; input } as target) when mergeable aggs ->
+(* The fleet below a bottom breaker, as the node the serial compile
+   replaces plus its maker: a Nest becomes the partitioned group-by; any
+   other breaker (a Sort) consumes its input through a buffered splice. *)
+and splice_at actx ~width (breaker : Plan.t) =
+  match breaker with
+  | Plan.Nest { keys; aggs; pred; binding; input } ->
     let drive = spine_drive actx input in
-    ( target,
+    ( breaker,
       fun serial_cenv ->
         nest_splice actx ~width ~drive ~keys ~aggs ~pred ~binding input ~serial_cenv )
-  | Some breaker ->
+  | _ ->
     let input = List.hd (Plan.children breaker) in
     let drive = spine_drive actx input in
     (input, fun serial_cenv -> buffered_splice actx ~width ~drive input ~serial_cenv)
-  | None ->
-    let drive = spine_drive actx p in
-    (p, fun serial_cenv -> buffered_splice actx ~width ~drive p ~serial_cenv)
 
-(* The serial consumer of [p] over the fleet [splice_at] splices in. *)
-and spliced_ctx actx ~width p =
-  let target, mk = splice_at actx ~width p in
+(* The serial consumer above [breaker] over the fleet [splice_at] splices
+   in. *)
+and spliced_ctx actx ~width breaker =
+  let target, mk = splice_at actx ~width breaker in
   let cenv = new_cenv actx.slots in
   { actx with cenv; par = None; splice = Some (target, mk cenv) }
 
@@ -1555,24 +1539,16 @@ and build_sources ctx right ~key ~pays =
         ~finish:(fun ictx ip run -> finish ictx ip.par_morsel run)
     in
     (srcs, (fun () -> Pool.Dispenser.morsels disp), run_fleet)
-  | Some _ ->
-    let sctx = spliced_ctx ctx ~width right in
+  | Some breaker ->
+    let sctx = spliced_ctx ctx ~width breaker in
     let run = compile sctx right in
     let src = finish sctx (ref 0) run in
     ([| src |], (fun () -> 1), fun wire -> wire 0 src ())
 
-(* A Sort, and the buffered splice below a Nest or Reduce whose aggregates
-   neither merge nor collect, carry the whole record of every binding
-   visible at their input, so those bindings' producers must be able to
-   reconstruct full values. *)
+(* A Sort carries the whole record of every binding visible at its input,
+   so those bindings' producers must be able to reconstruct full values. *)
 let rec buffered_bindings (p : Plan.t) =
-  (match p with
-  | Plan.Sort { input; _ } -> Plan.bindings input
-  | Plan.Nest { aggs; input; _ } when not (mergeable aggs) -> Plan.bindings input
-  | Plan.Reduce { monoid_output; input; _ }
-    when not (mergeable monoid_output || lone_collection monoid_output <> None) ->
-    Plan.bindings input
-  | _ -> [])
+  (match p with Plan.Sort { input; _ } -> Plan.bindings input | _ -> [])
   @ List.concat_map buffered_bindings (Plan.children p)
 
 let build_required (plan : Plan.t) =
@@ -1581,13 +1557,27 @@ let build_required (plan : Plan.t) =
     (fun req b -> (b, `Whole) :: List.remove_assoc b req)
     required (buffered_bindings plan)
 
-(* Project fusion: a Reduce directly over a Project inlines the projected
-   field expressions into the fold's predicate and aggregate expressions,
-   so a scan→select→project→aggregate pipeline keeps a batchable shape
-   (and the tuple lane skips a boxed record per tuple). Pure expression
-   substitution — same precedent as projection pushdown, which already
-   skips evaluating fields nobody reads. *)
-let fuse_projects (plan : Plan.t) : Plan.t =
+(* Every root folds: a Reduce root is its (aggregates, predicate, input);
+   any other root collects its visible bindings into a bag — the one
+   binding's value, or a record of them all. *)
+let root_fold (plan : Plan.t) =
+  match plan with
+  | Plan.Reduce { monoid_output; pred; input } -> (monoid_output, pred, input)
+  | _ ->
+    let shape =
+      match Plan.bindings plan with
+      | [ b ] -> Expr.Var b
+      | bs -> Expr.Record_ctor (List.map (fun b -> (b, Expr.Var b)) bs)
+    in
+    ([ Plan.agg ~name:"rows" (Monoid.Collection Ptype.Bag) shape ], Expr.bool true, plan)
+
+(* Project fusion: a root fold directly over a Project inlines the
+   projected field expressions into the fold's predicate and aggregate
+   expressions, so a scan→select→project→aggregate pipeline keeps a
+   batchable shape (and the tuple lane skips a boxed record per tuple).
+   Pure expression substitution — same precedent as projection pushdown,
+   which already skips evaluating fields nobody reads. *)
+let fuse_projects root =
   let exception Keep in
   let rec subst binding fields (e : Expr.t) : Expr.t =
     match e with
@@ -1607,67 +1597,42 @@ let fuse_projects (plan : Plan.t) : Plan.t =
       Expr.Record_ctor (List.map (fun (n, x) -> (n, subst binding fields x)) fs)
     | Expr.Coll_ctor (c, xs) -> Expr.Coll_ctor (c, List.map (subst binding fields) xs)
   in
-  let rec fuse (p : Plan.t) =
-    match p with
-    | Plan.Reduce { monoid_output; pred; input = Plan.Project { binding; fields; input } }
-      -> (
+  let rec fuse ((monoid_output, pred, input) as root) =
+    match input with
+    | Plan.Project { binding; fields; input } -> (
       try
         fuse
-          (Plan.Reduce
-             {
-               monoid_output =
-                 List.map
-                   (fun (a : Plan.agg) -> { a with Plan.expr = subst binding fields a.expr })
-                   monoid_output;
-               pred = subst binding fields pred;
-               input;
-             })
-      with Keep -> p)
-    | _ -> p
+          ( List.map
+              (fun (a : Plan.agg) -> { a with Plan.expr = subst binding fields a.expr })
+              monoid_output,
+            subst binding fields pred,
+            input )
+      with Keep -> root)
+    | _ -> root
   in
-  fuse plan
+  fuse root
 
-(* The serial consumer above a spliced fleet: fold the root Reduce's
-   aggregates, or collect the visible bindings into a bag. *)
-let prepare_with (ctx : ctx) (plan : Plan.t) : unit -> Value.t =
-  match plan with
-  | Plan.Reduce { monoid_output; pred; input } ->
-    let run_input = compile ctx input in
-    let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-    let factories =
-      List.map
-        (fun (a : Plan.agg) ->
-          (a.agg_name, Agg.factory a.monoid (Exprc.compile ctx.cenv a.expr)))
-        monoid_output
+(* The serial consumer above a spliced fleet: fold the root's aggregates. *)
+let prepare_with (ctx : ctx) ~monoid_output ~pred input : unit -> Value.t =
+  let run_input = compile ctx input in
+  let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
+  let factories =
+    List.map
+      (fun (a : Plan.agg) -> (a.agg_name, Agg.factory a.monoid (Exprc.compile ctx.cenv a.expr)))
+      monoid_output
+  in
+  fun () ->
+    let instances = List.map (fun (n, f) -> (n, f ())) factories in
+    let steps = List.map (fun (_, (i : Agg.instance)) -> i.step) instances in
+    let consumer =
+      match steps with
+      | [ s ] -> fun () -> if pred_c () then s ()
+      | ss -> fun () -> if pred_c () then List.iter (fun s -> s ()) ss
     in
-    fun () ->
-      let instances = List.map (fun (n, f) -> (n, f ())) factories in
-      let steps = List.map (fun (_, (i : Agg.instance)) -> i.step) instances in
-      let consumer =
-        match steps with
-        | [ s ] -> fun () -> if pred_c () then s ()
-        | ss -> fun () -> if pred_c () then List.iter (fun s -> s ()) ss
-      in
-      run_input consumer ();
-      (match instances with
-      | [ (_, i) ] -> i.value ()
-      | many ->
-        Value.record (List.map (fun (n, (i : Agg.instance)) -> (n, i.value ())) many))
-  | _ ->
-    let run = compile ctx plan in
-    let visible = Plan.bindings plan in
-    let getters =
-      List.map (fun b -> (b, Exprc.to_val (Exprc.compile ctx.cenv (Expr.Var b)))) visible
-    in
-    let shape =
-      match getters with
-      | [ (_, g) ] -> g
-      | gs -> fun () -> Value.record (List.map (fun (b, g) -> (b, g ())) gs)
-    in
-    fun () ->
-      let rows = ref [] in
-      run (fun () -> rows := shape () :: !rows) ();
-      Value.bag (List.rev !rows)
+    run_input consumer ();
+    match instances with
+    | [ (_, i) ] -> i.value ()
+    | many -> Value.record (List.map (fun (n, (i : Agg.instance)) -> (n, i.value ())) many)
 
 (* ------------------------------------------------------------------ *)
 (* Morsel-driven parallel execution (Section "Parallelism substitution"
@@ -1705,9 +1670,10 @@ let merge_morsels (monoid_output : Plan.agg list) cells ~partial ~empty =
   | [ (_, v) ] -> v
   | many -> Value.record many
 
-(* Root Reduce over primitive monoids: every morsel folds into its own
+(* Root Reduce over a breaker-free spine: every morsel folds into its own
    accumulator set; partials merge in morsel order (deterministic for any
-   worker count, since the morsel size does not depend on it). Over a
+   worker count, since the morsel size does not depend on it), so a
+   collection comes out in scan order. Over a
    Select*-over-Scan spine it feeds the root predicate to the promotion
    signal, as [par_batch_reduce] does. *)
 let par_reduce actx ~(drive : drive) ~monoid_output ~pred input =
@@ -1772,12 +1738,8 @@ let par_batch_reduce actx ~bs ~(drive : drive) ~monoid_output ~pred input =
         let bfactories =
           List.map
             (fun (a : Plan.agg) ->
-              match
-                Agg.batch_factory a.monoid ~seek ~scalar:(Exprc.compile ctx.cenv a.expr)
-                  ~batch:(Exprc.compile_batch ctx.cenv ~batch_size:bs a.expr)
-              with
-              | Some f -> f
-              | None -> assert false (* mergeable excludes collection monoids *))
+              Agg.batch_factory a.monoid ~seek ~scalar:(Exprc.compile ctx.cenv a.expr)
+                ~batch:(Exprc.compile_batch ctx.cenv ~batch_size:bs a.expr))
             monoid_output
         in
         (frag, bfactories, ctx, p))
@@ -1804,76 +1766,37 @@ let par_batch_reduce actx ~bs ~(drive : drive) ~monoid_output ~pred input =
       ~partial:(fun (i : Agg.binstance) -> i.bpartial ())
       ~empty:(fun () -> List.map (fun f -> ((f () : Agg.binstance)).bvalue ()) bfactories0)
 
-(* Root Reduce into a single collection monoid (the shape of a plain
-   SELECT): qualifying values buffer per morsel and concatenate in morsel
-   order — exactly the scan order. *)
-let par_collect_reduce actx ~(drive : drive) ~coll ~(agg : Plan.agg) ~pred input =
-  let instances, disp, run_fleet =
-    compile_instances actx ~width:actx.domains ~drive input ~stage:compile
-      ~finish:(fun ctx p compiled ->
-        let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
-        let get = Exprc.to_val (Exprc.compile ctx.cenv agg.expr) in
-        (compiled, pred_c, get, p))
-  in
-  let has_join = plan_has_join input in
-  fun () ->
-    let cells = Array.make (Array.length instances) [||] in
-    let wire w (run_input, pred_c, get, (p : par)) =
-      let cell =
-        cell_of cells w ~morsels:(Pool.Dispenser.morsels disp) p.par_morsel (fun () -> ref [])
-      in
-      run_input (fun () ->
-          if pred_c () then begin
-            let vs = cell () in
-            vs := get () :: !vs
-          end)
-    in
-    drive_phase has_join (fun () -> run_fleet wire);
-    (* each cell holds its morsel's values newest first: stack the cells,
-       then prepend them last morsel first, each one reversed *)
-    let stack = ref [] in
-    let out =
-      Counters.time Counters.Merge (fun () ->
-          iter_cells cells (fun vs -> stack := !vs :: !stack);
-          List.fold_left (fun acc vs -> List.rev_append vs acc) [] !stack)
-    in
-    Monoid.collect coll out
-
 (* Stage [plan] as fleets of [domains] workers ([domains = 1] runs the same
-   fleet inline). A root Reduce over a breaker-free spine fans the whole
-   spine out when its aggregates merge (or collect); every other root is a
-   serial consumer over a fleet spliced in at the breaker closest to the
+   fleet inline). Every root folds ([root_fold]): over a breaker-free spine
+   the whole spine fans out and per-morsel partials merge; otherwise a
+   serial fold consumes a fleet spliced in at the breaker closest to the
    driving scan. *)
 let prepare_slotted ~batch_size (reg : Registry.t) ~domains ~slots (plan : Plan.t) :
     unit -> Value.t =
   let domains = max 1 domains in
-  let plan = fuse_projects plan in
+  let monoid_output, pred, input = fuse_projects (root_fold plan) in
   let batch = if batch_size > 0 then Some batch_size else None in
   let actx =
     {
       reg;
       cenv = new_cenv slots;
       slots;
-      required = build_required plan;
+      required = build_required (Plan.Reduce { monoid_output; pred; input });
       par = None;
       domains;
       batch;
       splice = None;
     }
   in
-  let root_fleet () = prepare_with (spliced_ctx actx ~width:domains plan) plan in
-  match plan with
-  | Plan.Reduce { monoid_output; pred; input } when bottom_breaker input = None -> (
+  match bottom_breaker input with
+  | None -> (
     let drive = spine_drive ~preds:[ pred ] actx input in
-    match batch, monoid_output with
-    | Some bs, _ when mergeable monoid_output && batchable_shape input ->
+    match batch with
+    | Some bs when batchable_shape input ->
       par_batch_reduce actx ~bs ~drive ~monoid_output ~pred input
-    | _ when mergeable monoid_output -> par_reduce actx ~drive ~monoid_output ~pred input
-    | _ -> (
-      match lone_collection monoid_output with
-      | Some (coll, agg) -> par_collect_reduce actx ~drive ~coll ~agg ~pred input
-      | None -> root_fleet ()))
-  | _ -> root_fleet ()
+    | _ -> par_reduce actx ~drive ~monoid_output ~pred input)
+  | Some breaker ->
+    prepare_with (spliced_ctx actx ~width:domains breaker) ~monoid_output ~pred input
 
 (* A prepared engine plus its parameter slots: rebinding writes the slots
    and re-runs the same staged closures — no re-compilation. *)

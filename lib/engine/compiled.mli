@@ -37,15 +37,16 @@ val all_exprs : Proteus_algebra.Plan.t -> Expr.t list
 
     Execution is morsel-driven over [domains] OCaml domains (DESIGN.md,
     "Parallelism substitution"); [domains <= 1] runs the same fleet with
-    one worker, inline on the calling domain. The streaming segment of the
-    plan's spine is compiled once per worker — each instance owning its
-    closures and scan cursor — and driven by a shared morsel dispenser;
-    per-morsel partial results merge on the calling domain in morsel
-    order, so results are deterministic for any domain count, and a
-    spliced group-by emits its groups in key order at every width. Every
-    scan runs as a fleet: join build sides on fleets of their own, and the
-    input of a Sort or of non-mergeable aggregates through a buffered fleet
-    that replays its rows in scan order.
+    one worker, inline on the calling domain. Every root is a fold: a root
+    that is not a Reduce collects its visible bindings into a bag. The
+    streaming segment of the plan's spine is compiled once per worker —
+    each instance owning its closures and scan cursor — and driven by a
+    shared morsel dispenser; per-morsel partial results, collections
+    included, merge on the calling domain in morsel order, so results are
+    deterministic for any domain count, and a spliced group-by emits its
+    groups in key order at every width. Every scan runs as a fleet: join
+    build sides on fleets of their own, and the input of a Sort through a
+    buffered fleet that replays its rows in scan order.
 
     [batch_size] sizes the vectorized execution lane (DESIGN.md Section 8):
     scan→select→...→aggregate pipeline fragments run over fixed-size

@@ -214,17 +214,42 @@ let test_select_project () =
               (Plan.scan ~dataset:ds ~binding:"x" ()))))
     item_datasets
 
+(* Root collections of every kind (an empty one, one beside a Count),
+   each also equal to the serial run in exact scan order at every width
+   and lane. *)
 let test_collect_bag () =
+  let reg = Lazy.force registry in
+  let coll c e = Plan.agg ~name:"r" (Monoid.Collection c) e in
+  let price1 = Expr.(Field (var "x", "price") +. float 1.0) in
+  let every_morsel = Expr.(Field (var "x", "grp") <. int 3) in
   List.iter
     (fun ds ->
-      check_par ~name:ds
-        (Plan.reduce
-           ~pred:Expr.(Field (var "x", "k") <. int 40)
-           [
-             Plan.agg ~name:"r" (Monoid.Collection Ptype.Bag)
-               Expr.(Field (var "x", "price") +. float 1.0);
-           ]
-           (Plan.scan ~dataset:ds ~binding:"x" ())))
+      List.iter
+        (fun (pred, aggs) ->
+          let plan = Plan.reduce ~pred aggs (Plan.scan ~dataset:ds ~binding:"x" ()) in
+          check_par ~name:ds plan;
+          let serial = Executor.run ~batch_size:0 reg ~engine:Executor.Engine_compiled plan in
+          List.iter
+            (fun bs ->
+              List.iter
+                (fun d ->
+                  Alcotest.check check_value
+                    (Fmt.str "%s (domains=%d, batch=%d) in scan order" ds d bs)
+                    serial
+                    (Executor.run ~batch_size:bs ~domains:d reg
+                       ~engine:Executor.Engine_compiled plan))
+                [ 1; 2; 4 ])
+            [ 0; 1024 ])
+        [
+          (Expr.(Field (var "x", "k") <. int 40), [ coll Ptype.Bag price1 ]);
+          (every_morsel, [ coll Ptype.Bag price1 ]);
+          (every_morsel, [ coll Ptype.Set Expr.(Field (var "x", "grp")) ]);
+          (every_morsel, [ coll Ptype.List Expr.(Field (var "x", "name")) ]);
+          (Expr.bool false, [ coll Ptype.Bag price1 ]);
+          ( every_morsel,
+            [ Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
+              coll Ptype.Bag price1 ] );
+        ])
     item_datasets
 
 let test_group_by () =

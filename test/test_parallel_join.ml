@@ -467,30 +467,71 @@ let check_fleet ~name plan =
 
 let bag_of e = Plan.agg ~name:"b" (Monoid.Collection Ptype.Bag) e
 
-(* non-mergeable aggregates: the serial Nest consumes a buffered splice *)
+(* collection aggregates: per-group partials concatenate in the
+   partitioned group-by *)
 let test_group_bag () =
-  check_fleet ~name:"group by with a bag per group"
-    (Plan.nest
-       ~keys:[ ("cat", Expr.(Field (var "o", "qty"))) ]
-       ~aggs:
-         [
-           Plan.agg ~name:"n" (Monoid.Primitive Monoid.Count) (Expr.int 1);
-           bag_of Expr.(Field (var "o", "oid"));
-         ]
-       ~binding:"g"
-       (Plan.select Expr.(Field (var "o", "oid") <. int 600) (scan_orders "orders_json")))
+  let group ~pred agg =
+    Plan.nest
+      ~keys:[ ("cat", Expr.(Field (var "o", "qty"))) ]
+      ~aggs:[ Plan.agg ~name:"n" (Monoid.Primitive Monoid.Count) (Expr.int 1); agg ]
+      ~binding:"g"
+      (Plan.select pred (scan_orders "orders_json"))
+  in
+  let below600 = Expr.(Field (var "o", "oid") <. int 600) in
+  List.iter
+    (fun (name, plan) -> check_fleet ~name plan)
+    [
+      ("group by with a bag per group", group ~pred:below600 (bag_of Expr.(Field (var "o", "oid"))));
+      ( "group by with a set per group",
+        group ~pred:below600
+          (Plan.agg ~name:"s" (Monoid.Collection Ptype.Set) Expr.(Field (var "o", "pid"))) );
+      ( "group by with a list per group",
+        group ~pred:below600
+          (Plan.agg ~name:"l" (Monoid.Collection Ptype.List) Expr.(Field (var "o", "oid"))) );
+      ("group by over no rows", group ~pred:(Expr.bool false) (bag_of Expr.(Field (var "o", "oid"))));
+    ]
 
-(* non-mergeable root Reduce: the serial fold consumes a buffered splice *)
+(* root Reduce mixing primitive and collection monoids: one fleet fold; a
+   root collection is also the serial run in exact scan order *)
 let test_reduce_count_bag () =
-  check_fleet ~name:"reduce count + bag"
-    (Plan.reduce
-       [
-         Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1);
-         bag_of Expr.(Field (var "o", "amt"));
-       ]
-       (Plan.join ~pred:join_pred
-          (Plan.select Expr.(Field (var "o", "oid") <. int 300) (scan_orders "orders"))
-          (scan_parts "parts")))
+  let reg = Lazy.force registry in
+  let count = Plan.agg ~name:"c" (Monoid.Primitive Monoid.Count) (Expr.int 1) in
+  let joined =
+    Plan.join ~pred:join_pred
+      (Plan.select Expr.(Field (var "o", "oid") <. int 300) (scan_orders "orders"))
+      (scan_parts "parts")
+  in
+  List.iter
+    (fun (name, plan) ->
+      check_fleet ~name plan;
+      let serial = Executor.run ~batch_size:0 reg ~engine:Executor.Engine_compiled plan in
+      List.iter
+        (fun bs ->
+          List.iter
+            (fun d ->
+              Alcotest.check check_value
+                (Fmt.str "%s (domains=%d, batch=%d) in scan order" name d bs)
+                serial
+                (Executor.run ~batch_size:bs reg ~domains:d
+                   ~engine:Executor.Engine_compiled plan))
+            domain_counts)
+        [ 0; 1024 ])
+    [
+      ( "reduce count + bag",
+        Plan.reduce [ count; bag_of Expr.(Field (var "o", "amt")) ] joined );
+      ( "reduce count + set",
+        Plan.reduce
+          [ count; Plan.agg ~name:"s" (Monoid.Collection Ptype.Set) Expr.(Field (var "p", "cat")) ]
+          joined );
+      ( "reduce count + list",
+        Plan.reduce
+          [ count; Plan.agg ~name:"l" (Monoid.Collection Ptype.List) Expr.(Field (var "o", "oid")) ]
+          joined );
+      ( "reduce bag over no rows",
+        Plan.reduce ~pred:(Expr.bool false) [ bag_of Expr.(Field (var "o", "amt")) ] joined );
+      ( "reduce count + bag over a scan",
+        Plan.reduce [ count; bag_of Expr.(Field (var "o", "amt")) ] (scan_orders "orders_json") );
+    ]
 
 (* a build side whose spine holds a breaker: a serial consumer over a
    spliced group-by fleet *)
