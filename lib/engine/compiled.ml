@@ -132,11 +132,6 @@ type par = {
   par_worker : int;
   par_disp : Pool.Dispenser.t;
   par_morsel : int ref;  (** index of the morsel this worker is scanning *)
-  par_static : (int * int) option;
-      (** static-partition scheduling: this instance scans exactly this row
-          range instead of pulling morsels from the dispenser — used where a
-          worker keeps cross-morsel state (partitioned group-by), so the
-          worker-to-rows mapping is deterministic at a fixed domain count *)
   par_joins : (int, shared_join) Hashtbl.t;
   par_join_ctr : int ref;  (** spine joins seen so far by this instance *)
   par_builds : (unit -> unit) list ref;
@@ -147,8 +142,9 @@ type par = {
           driver arms it before the run and commits (or releases) it after —
           see [Registry.fill_session] *)
   par_prune : Prune.t;
-      (** the driving scan's pruning handle, shared by every instance and
-          armed by the fleet driver *)
+      (** the driving scan's pruning handle, shared by every instance: the
+          template feeds it the promotion signal; the fleet driver arms it
+          and hands its skip test to the dispenser *)
 }
 
 type ctx = {
@@ -188,31 +184,22 @@ let spine ctx =
   | Some p -> p
   | None -> Perror.plan_error "scan compiled outside a fleet"
 
-(* The morsel loop of a fleet's driving scan: run [range] over this
-   instance's static chunk, or over each row range the shared dispenser
-   hands out until the input is dry. *)
+(* The morsel loop of a fleet's driving scan: run [range] over each row
+   range the dispenser hands this worker until its cursor is dry. The
+   dispenser has already dropped the morsels pruning refutes; the morsel
+   index keys the worker's per-morsel cells and its fault cell. *)
 let morsel_loop (p : par) (range : lo:int -> hi:int -> unit) =
-  match p.par_static with
-  | Some (lo, hi) ->
-    if hi > lo then begin
+  let rec loop () =
+    match Pool.Dispenser.next ~worker:p.par_worker p.par_disp with
+    | None -> ()
+    | Some (m, lo, hi) ->
       Fault.check_cancel ();
-      (* static chunks are handed out in worker order, so the worker index
-         keys the per-morsel error cell deterministically *)
-      Fault.set_morsel p.par_worker;
-      range ~lo ~hi
-    end
-  | None ->
-    let rec loop () =
-      match Pool.Dispenser.next p.par_disp with
-      | None -> ()
-      | Some (m, lo, hi) ->
-        Fault.check_cancel ();
-        p.par_morsel := m;
-        Fault.set_morsel m;
-        range ~lo ~hi;
-        loop ()
-    in
-    loop ()
+      p.par_morsel := m;
+      Fault.set_morsel m;
+      range ~lo ~hi;
+      loop ()
+  in
+  loop ()
 
 let subset vars bound = List.for_all (fun v -> List.mem v bound) vars
 
@@ -448,7 +435,8 @@ let bfrag_driver ctx (frag : bfrag) ~bs
     (sink : base:int -> sel:int array -> n:int -> unit) : unit -> unit =
   let sel = Array.make bs 0 in
   let seek = frag.bf_src.Source.seek in
-  let work ~base ~len =
+  let on_batch ~base ~len =
+    Fault.check_cancel ();
     Counters.add_tuples len;
     Counters.add_batches 1;
     Counters.add_batch_rows len;
@@ -488,12 +476,6 @@ let bfrag_driver ctx (frag : bfrag) ~bs
     if n > 0 then sink ~base ~sel ~n
   in
   let p = spine ctx in
-  (* Pruning at batch granularity, inside each morsel — on a static-partition
-     spine, which bypasses the dispenser, the fleet's only skip *)
-  let on_batch ~base ~len =
-    Fault.check_cancel ();
-    if not (Prune.skip p.par_prune ~lo:base ~hi:(base + len)) then work ~base ~len
-  in
   fun () -> morsel_loop p (fun ~lo ~hi -> frag.bf_range ~lo ~hi ~batch:bs ~on_batch)
 
 (* The spill boundary: surviving lanes re-enter the tuple lane by cursor
@@ -614,10 +596,10 @@ let rec spine_drive ?(preds = []) (actx : ctx) (p : Plan.t) : drive =
    caller needs from each instance. Returns the instances plus the per-run
    fleet driver: rearm the dispenser, stage the template (registering the
    run's build phases), run the builds serially, stage the workers, fan
-   out. [static] pins worker [w] to the [w]-th contiguous chunk of the input
-   instead of the dispenser, for drivers that keep per-worker state across
-   the whole scan. *)
-let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) subplan
+   out. [worker_runs] pins worker [w] to the [w]-th contiguous run of the
+   dispenser's morsels instead of the shared cursor, for drivers that keep
+   per-worker state across the whole scan. *)
+let compile_instances (actx : ctx) ~width ?(worker_runs = false) ~(drive : drive) subplan
     ~stage ~finish =
   let disp = Pool.Dispenser.create () in
   let builds = ref [] in
@@ -630,9 +612,6 @@ let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) sub
         par_worker = w;
         par_disp = disp;
         par_morsel = ref w;
-        par_static =
-          (if static then Some (Pool.chunk ~total:drive.dr_count ~parts:width w)
-           else None);
         par_joins = joins;
         par_join_ctr = ref 0;
         par_builds = builds;
@@ -654,7 +633,7 @@ let compile_instances (actx : ctx) ~width ?(static = false) ~(drive : drive) sub
   let template = mk 0 in
   let instances = Array.init width (fun w -> if w = 0 then template else mk w) in
   let run_fleet wire =
-    Pool.Dispenser.reset disp ~total:drive.dr_count;
+    Pool.Dispenser.reset disp ~runs:(if worker_runs then width else 1) ~total:drive.dr_count;
     builds := [];
     (* Cold run: arm the shared fill session before the fan-out so every
        worker's per-morsel segments land in a fresh run; commit them in row
@@ -1440,22 +1419,23 @@ and buffered_splice actx ~width ~(drive : drive) subplan ~(serial_cenv : Exprc.c
               (List.rev !rows)))
 
 (* Parallelism substitution at a bottom Nest (the GROUP BY breaker):
-   partitioned parallel group-by. Each domain scans one static
-   contiguous chunk of the input into a single persistent group table it
-   reuses across its whole range — no per-morsel table churn, no per-morsel
-   re-merge — and the per-domain tables merge once, at pipeline end, in
-   domain order; the merged groups emit sorted by key. Static chunks make
-   the worker-to-rows mapping deterministic at a fixed domain count, so a
-   given (data, domains) pair always folds in the same association, and a
-   collection's values stay in scan order. Key order makes the output rows
-   the same at every width, one domain included. *)
+   partitioned parallel group-by. Each domain owns one contiguous run of
+   the dispenser's morsels — pruned, indexed and counted like any fleet's —
+   and folds it into a single persistent group table it reuses across its
+   whole run: no per-morsel table churn, no per-morsel re-merge. The
+   per-domain tables merge once, at pipeline end, in domain order; the
+   merged groups emit sorted by key. Worker runs make the worker-to-rows
+   mapping deterministic at a fixed domain count, so a given (data,
+   domains) pair always folds in the same association, and a collection's
+   values stay in scan order. Key order makes the output rows the same at
+   every width, one domain included. *)
 and nest_splice actx ~width ~(drive : drive) ~keys ~aggs ~pred ~binding input
     ~(serial_cenv : Exprc.cenv) () =
   let monoids = List.map (fun (a : Plan.agg) -> a.monoid) aggs in
   let names = List.map (fun (a : Plan.agg) -> a.agg_name) aggs in
   let has_join = plan_has_join input in
   let instances, _disp, run_fleet =
-    compile_instances actx ~width ~static:true ~drive input ~stage:compile
+    compile_instances actx ~width ~worker_runs:true ~drive input ~stage:compile
       ~finish:(fun ctx _ compiled ->
         let pred_c = Exprc.to_pred (Exprc.compile ctx.cenv pred) in
         let ckeys = List.map (fun (_, e) -> Exprc.compile ctx.cenv e) keys in

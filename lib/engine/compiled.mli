@@ -28,6 +28,12 @@ val default_batch_size : int
     executor's required-path analysis). *)
 val all_exprs : Proteus_algebra.Plan.t -> Expr.t list
 
+(** [root_fold plan] is the fold every root runs, as [(aggregates,
+    predicate, input)]: a Reduce root's own, and for any other root one
+    [Bag] aggregate collecting its visible bindings — the one binding's
+    value, or a record of them all. Shared with the Volcano executor. *)
+val root_fold : Proteus_algebra.Plan.t -> Proteus_algebra.Plan.agg list * Expr.t * Proteus_algebra.Plan.t
+
 (** [prepare_par registry ~domains plan] compiles the plan and returns a
     thunk that can be executed repeatedly (each run re-scans the inputs).
     Used to separate "code generation" time from execution time, as the

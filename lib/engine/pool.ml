@@ -137,11 +137,11 @@ let run ~domains f =
         | None -> ())
   end
 
-(* Static partitioning: worker [k] of [parts] owns the contiguous row range
-   [chunk ~total ~parts k). Unlike the dispenser there is no load balancing,
-   but the assignment is a pure function of (total, parts, k) — the
-   partitioned group-by and the parallel radix build use it so that which
-   rows a domain folds is deterministic, independent of scheduling. *)
+(* Static partitioning: worker [k] of [parts] owns the contiguous range
+   [chunk ~total ~parts k). Unlike a shared cursor there is no load
+   balancing, but the assignment is a pure function of (total, parts, k) —
+   the dispenser's worker runs and the parallel radix build use it so that
+   what a domain owns is deterministic, independent of scheduling. *)
 let chunk ~total ~parts k =
   if parts <= 1 then if k = 0 then (0, total) else (total, total)
   else begin
@@ -151,12 +151,15 @@ let chunk ~total ~parts k =
     (lo, lo + len)
   end
 
-(* The morsel dispenser: an atomic cursor over [0, total), handed out in
-   fixed-size chunks. Every worker pulls the next morsel when it finishes
-   its current one, so faster workers naturally take more of the input. *)
+(* The morsel dispenser: a grid of fixed-size morsels over [0, total),
+   handed out through atomic cursors. One shared cursor balances load —
+   every worker pulls the next morsel when it finishes its current one, so
+   faster workers take more of the input. One cursor per worker run pins
+   worker [k] to the [k]-th contiguous run of morsels instead, for fleets
+   that keep per-worker state across the whole scan. *)
 module Dispenser = struct
   type t = {
-    cursor : int Atomic.t;
+    mutable runs : (int Atomic.t * int) array;  (* each run's next row and end row *)
     mutable total : int;
     mutable morsel : int;
     handed : int Atomic.t;  (* morsels dispensed since the last reset *)
@@ -170,37 +173,42 @@ module Dispenser = struct
 
   let create () =
     {
-      cursor = Atomic.make 0;
+      runs = [| (Atomic.make 0, 0) |];
       total = 0;
       morsel = 1;
       handed = Atomic.make 0;
       skip = never;
     }
 
+  let morsels t = if t.total = 0 then 0 else (t.total + t.morsel - 1) / t.morsel
+
   (* Morsels are the zone-map grid ([Zonemap.zone_rows]: ~64 per input,
      clamped so tiny inputs stay one hand-off and huge ones keep per-morsel
-     buffers reasonable), so zones line up 1:1 with full-scan morsels. The
-     size deliberately does NOT depend on the worker count: per-morsel
-     partial aggregates merge in morsel order, so a worker-independent
-     partition makes merged results (float association included)
-     bit-identical for any domain count. *)
-  let reset t ~total =
+     buffers reasonable), so zones line up 1:1 with morsels. The size
+     deliberately does NOT depend on the worker count: per-morsel partial
+     aggregates merge in morsel order, so a worker-independent grid makes
+     merged results (float association included) bit-identical for any
+     domain count. Worker runs split that grid with [chunk]. *)
+  let reset ?(runs = 1) t ~total =
     t.morsel <- Proteus_storage.Zonemap.zone_rows total;
     t.total <- total;
+    let runs = max 1 runs in
+    t.runs <-
+      Array.init runs (fun k ->
+          let lo, hi = chunk ~total:(morsels t) ~parts:runs k in
+          (Atomic.make (lo * t.morsel), min total (hi * t.morsel)));
     Atomic.set t.handed 0;
-    t.skip <- never;
-    Atomic.set t.cursor 0
+    t.skip <- never
 
   let set_skip t test = t.skip <- test
 
-  let morsels t = if t.total = 0 then 0 else (t.total + t.morsel - 1) / t.morsel
-
-  let rec next t =
-    let lo = Atomic.fetch_and_add t.cursor t.morsel in
-    if lo >= t.total then None
+  let rec next ?(worker = 0) t =
+    let cursor, stop = t.runs.(if Array.length t.runs = 1 then 0 else worker) in
+    let lo = Atomic.fetch_and_add cursor t.morsel in
+    if lo >= stop then None
     else begin
-      let hi = min t.total (lo + t.morsel) in
-      if t.skip ~lo ~hi then next t
+      let hi = min stop (lo + t.morsel) in
+      if t.skip ~lo ~hi then next ~worker t
       else begin
         Atomic.incr t.handed;
         Some (lo / t.morsel, lo, hi)

@@ -18,36 +18,46 @@ val shutdown : unit -> unit
 
 (** [chunk ~total ~parts k] is the half-open contiguous range [lo, hi) owned
     by worker [k] when [0, total) is split statically into [parts] chunks of
-    near-equal size (the first [total mod parts] chunks get one extra row).
-    A pure function of its arguments — the partitioned group-by and the
-    parallel radix build rely on the assignment being independent of
-    scheduling. [k >= parts] yields an empty range. *)
+    near-equal size (the first [total mod parts] chunks get one extra).
+    A pure function of its arguments — the dispenser's worker runs (over
+    morsel indices) and the parallel radix build (over rows) rely on the
+    assignment being independent of scheduling. [k >= parts] yields an
+    empty range. *)
 val chunk : total:int -> parts:int -> int -> int * int
 
-(** The morsel dispenser: an [Atomic] cursor over a row range [0, total),
-    handed out in fixed-size morsels. Workers pull the next morsel as they
-    finish their current one, so load balances without work queues. *)
+(** The morsel dispenser: a grid of fixed-size morsels over a row range
+    [0, total), handed out through [Atomic] cursors. With one shared cursor
+    workers pull the next morsel as they finish their current one, so load
+    balances without work queues; with one cursor per worker run, worker
+    [k] owns the [k]-th contiguous run of morsels ({!chunk} over morsel
+    indices). Either way every morsel index, skip and count comes from the
+    same grid. *)
 module Dispenser : sig
   type t
 
   val create : unit -> t
 
-  (** [reset t ~total] rearms the cursor over [0, total) and picks a
-      morsel size (aiming at ~64 morsels per input, clamped to
+  (** [reset ?runs t ~total] rearms the dispenser over [0, total) and
+      picks a morsel size (aiming at ~64 morsels per input, clamped to
       [16, 8192]). The size depends on [total] alone, never on the number
-      of workers: a worker-independent partition keeps morsel-order merges
-      of partial results bit-identical for any domain count. *)
-  val reset : t -> total:int -> unit
+      of workers: a worker-independent grid keeps morsel-order merges of
+      partial results bit-identical for any domain count. [runs] (default
+      1: one shared cursor) splits the grid into that many worker runs,
+      one cursor each. *)
+  val reset : ?runs:int -> t -> total:int -> unit
 
   (** Number of morsels the current arming will hand out. *)
   val morsels : t -> int
 
-  (** [next t] is [Some (morsel_index, lo, hi)] — the half-open row range
-      [lo, hi) — or [None] when the input is exhausted. *)
-  val next : t -> (int * int * int) option
+  (** [next ?worker t] is [Some (morsel_index, lo, hi)] — the half-open
+      row range [lo, hi) — or [None] when the input (or, with worker runs,
+      worker [worker]'s run) is exhausted. [worker] (default 0) picks the
+      run; a shared cursor ignores it. *)
+  val next : ?worker:int -> t -> (int * int * int) option
 
   (** Morsels actually handed out since the last {!reset} — at most
-      {!morsels}, fewer when a run is cancelled early. *)
+      {!morsels}, fewer when a run is cancelled early or morsels are
+      skipped. *)
   val dispensed : t -> int
 
   (** [set_skip t test] arms a pruning test: a morsel whose

@@ -7,7 +7,7 @@
     probing the scan. One refutation test, {!may_match}, decides each
     (summary, test) pair. A scan driver holds one {!t}: built once per
     driving scan, {!arm}ed once per run after the join builds, and asked
-    {!skip} per morsel (fleet dispenser) and per batch (batch lane). *)
+    {!skip} per morsel by the fleet's dispenser, its only caller. *)
 
 open Proteus_model
 open Proteus_plugin

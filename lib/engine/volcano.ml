@@ -353,74 +353,51 @@ let rec open_plan (reg : provider)
         Some env)
   | Plan.Reduce _ -> Perror.plan_error "Reduce below the plan root is not supported"
 
+(* Every root folds, as in the compiled engine: a root that is not a Reduce
+   collects its visible bindings into a bag ([Compiled.root_fold]). *)
 let execute_with (reg : provider) (plan : Plan.t) : Value.t =
-  let required = Exprc.required_paths (Compiled.all_exprs plan) in
-  match plan with
-  | Plan.Reduce { monoid_output; pred; input } ->
-    let next = open_plan reg required input in
-    let psz = expr_size pred in
-    let accs =
-      List.map
-        (fun (a : Plan.agg) ->
-          match a.monoid with
-          | Monoid.Primitive prim -> `Prim (a, Monoid.acc_create prim, expr_size a.expr)
-          | Monoid.Collection c -> `Coll (a, c, ref [], expr_size a.expr))
-        monoid_output
-    in
-    let rec drain () =
-      match next () with
-      | None -> ()
-      | Some env ->
-        if eval_pred psz env pred then
-          List.iter
-            (function
-              | `Prim ((a : Plan.agg), acc, sz) -> Monoid.acc_step acc (eval sz env a.expr)
-              | `Coll ((a : Plan.agg), _, cell, sz) -> cell := eval sz env a.expr :: !cell)
-            accs;
-        drain ()
-    in
-    drain ();
-    let value = function
-      | `Prim (_, acc, _) -> Monoid.acc_value acc
-      | `Coll (_, c, cell, _) -> Monoid.collect c (List.rev !cell)
-    in
-    (match accs with
-    | [ one ] -> value one
-    | many ->
-      Value.record
-        (List.map
-           (fun a ->
-             let name =
-               match a with `Prim ((g : Plan.agg), _, _) -> g.agg_name | `Coll ((g : Plan.agg), _, _, _) -> g.agg_name
-             in
-             (name, value a))
-           many))
-  | _ ->
-    (* plans rooted at a raw binding stream expose whole records *)
-    let visible = Plan.bindings plan in
-    let required =
-      List.map (fun b -> (b, `Whole))
-        visible
-      @ List.filter (fun (b, _) -> not (List.mem b visible)) required
-    in
-    let next = open_plan reg required plan in
-    let shape env =
-      match visible with
-      | [ b ] -> ( match List.assoc_opt b env with Some v -> v | None -> Value.Null)
-      | bs ->
-        Value.record
-          (List.map
-             (fun b ->
-               (b, match List.assoc_opt b env with Some v -> v | None -> Value.Null))
-             bs)
-    in
-    let rec drain acc =
-      match next () with
-      | None -> Value.bag (List.rev acc)
-      | Some env -> drain (shape env :: acc)
-    in
-    drain []
-
+  let monoid_output, pred, input = Compiled.root_fold plan in
+  let required =
+    Exprc.required_paths (Compiled.all_exprs (Plan.Reduce { monoid_output; pred; input }))
+  in
+  let next = open_plan reg required input in
+  let psz = expr_size pred in
+  let accs =
+    List.map
+      (fun (a : Plan.agg) ->
+        match a.monoid with
+        | Monoid.Primitive prim -> `Prim (a, Monoid.acc_create prim, expr_size a.expr)
+        | Monoid.Collection c -> `Coll (a, c, ref [], expr_size a.expr))
+      monoid_output
+  in
+  let rec drain () =
+    match next () with
+    | None -> ()
+    | Some env ->
+      if eval_pred psz env pred then
+        List.iter
+          (function
+            | `Prim ((a : Plan.agg), acc, sz) -> Monoid.acc_step acc (eval sz env a.expr)
+            | `Coll ((a : Plan.agg), _, cell, sz) -> cell := eval sz env a.expr :: !cell)
+          accs;
+      drain ()
+  in
+  drain ();
+  let value = function
+    | `Prim (_, acc, _) -> Monoid.acc_value acc
+    | `Coll (_, c, cell, _) -> Monoid.collect c (List.rev !cell)
+  in
+  match accs with
+  | [ one ] -> value one
+  | many ->
+    Value.record
+      (List.map
+         (fun a ->
+           let name =
+             match a with `Prim ((g : Plan.agg), _, _) -> g.agg_name | `Coll ((g : Plan.agg), _, _, _) -> g.agg_name
+           in
+           (name, value a))
+         many)
 
 let execute (reg : Registry.t) (plan : Plan.t) : Value.t =
   let provider ~dataset ~required =

@@ -43,21 +43,20 @@ type snapshot = {
       (** morsels handed out by fleet dispensers — at every width, since a
           one-domain query runs a one-worker fleet *)
   morsels_skipped : int;
-      (** morsels (fleet dispenser) and batches (batch driver) skipped
-          outright because a pruning summary proved no row could qualify:
+      (** morsels the fleet dispenser skipped outright because a pruning summary proved no row could qualify:
           a zone map or sorted projection refuting a pushed-down
           comparison, a range lying wholly in pruned shards, or an Inner
           join build's key summary refuting the probe key (which also
           ticks [probe_morsels_skipped]) *)
   zone_checks : int;
       (** summary tests evaluated by the pruning layer: zone-map,
-          sorted-projection and join-key tests per morsel/batch, plus one
+          sorted-projection and join-key tests per morsel, plus one
           shard-digest test per (shard, test) when a run arms *)
   sorted_seeks : int;
       (** binary-search seeks into a sorted projection: one per range-conjunct
           resolution that narrowed the value order to a zone bitmap *)
   probe_morsels_skipped : int;
-      (** probe-side morsels/batches skipped because the join build's key
+      (** probe-side morsels skipped because the join build's key
           summary (min/max, Bloom filter) proved them free of matches *)
   slot_reads : int;
       (** rows served from a pre-parsed slot column — a cache column the

@@ -1183,56 +1183,27 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
          paths with a native plug-in fill) gather through a scratch array —
          the plug-in reads rows by OID with no cursor churn — and append the
          gathered prefix; the rest seek per selected row. *)
+      let module B = Proteus_storage.Column.Builder in
+      let gather (f : _ Access.fill) zero add =
+        let scratch = ref [||] in
+        fun b ~base ~sel ~n ->
+          let need = sel.(n - 1) + 1 in
+          if Array.length !scratch < need then scratch := Array.make (max need 1024) zero;
+          f base !scratch ~sel ~n;
+          let out = !scratch in
+          for i = 0 to n - 1 do
+            add b out.(sel.(i))
+          done
+      in
       let mk_filler (_, _, (access : Access.t)) =
-        let module B = Proteus_storage.Column.Builder in
         match
           ( access.Access.fill_int, access.Access.fill_float,
             access.Access.fill_bool, access.Access.fill_str )
         with
-        | Some f, _, _, _ ->
-          let scratch = ref [||] in
-          fun b ~base ~sel ~n ->
-            let need = sel.(n - 1) + 1 in
-            if Array.length !scratch < need then
-              scratch := Array.make (max need 1024) 0;
-            f base !scratch ~sel ~n;
-            let out = !scratch in
-            for i = 0 to n - 1 do
-              B.add_int b out.(sel.(i))
-            done
-        | _, Some f, _, _ ->
-          let scratch = ref [||] in
-          fun b ~base ~sel ~n ->
-            let need = sel.(n - 1) + 1 in
-            if Array.length !scratch < need then
-              scratch := Array.make (max need 1024) 0.;
-            f base !scratch ~sel ~n;
-            let out = !scratch in
-            for i = 0 to n - 1 do
-              B.add_float b out.(sel.(i))
-            done
-        | _, _, Some f, _ ->
-          let scratch = ref [||] in
-          fun b ~base ~sel ~n ->
-            let need = sel.(n - 1) + 1 in
-            if Array.length !scratch < need then
-              scratch := Array.make (max need 1024) false;
-            f base !scratch ~sel ~n;
-            let out = !scratch in
-            for i = 0 to n - 1 do
-              B.add_bool b out.(sel.(i))
-            done
-        | _, _, _, Some f ->
-          let scratch = ref [||] in
-          fun b ~base ~sel ~n ->
-            let need = sel.(n - 1) + 1 in
-            if Array.length !scratch < need then
-              scratch := Array.make (max need 1024) "";
-            f base !scratch ~sel ~n;
-            let out = !scratch in
-            for i = 0 to n - 1 do
-              B.add_string b out.(sel.(i))
-            done
+        | Some f, _, _, _ -> gather f 0 B.add_int
+        | _, Some f, _, _ -> gather f 0. B.add_float
+        | _, _, Some f, _ -> gather f false B.add_bool
+        | _, _, _, Some f -> gather f "" B.add_string
         | None, None, None, None ->
           fun b ~base ~sel ~n ->
             let fill = make_fill access b in

@@ -374,6 +374,42 @@ let test_float_determinism () =
     (Float.abs (serial -. par) <= 1e-12 *. Float.abs serial);
   Alcotest.check check_value "repeat run bit-identical" base (at 2)
 
+(* --- the GROUP BY float contract: fixed width, any run, any lane ---------- *)
+
+(* A GROUP BY worker folds its run of morsels into one group table and the
+   tables merge in worker order, so a float sum's association depends on
+   the width alone: at a fixed width, repeat runs and the tuple and batch
+   lanes are bit-identical over weights that do not sum exactly. *)
+let test_group_float_contract () =
+  let reg = Lazy.force registry in
+  let w = Expr.(Field (var "x", "w")) in
+  let plan =
+    Plan.nest
+      ~keys:[ ("g", Expr.Binop (Expr.Mod, Expr.(Field (var "x", "i")), Expr.int 5)) ]
+      ~aggs:
+        [
+          Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) w;
+          Plan.agg ~name:"a" (Monoid.Primitive Monoid.Avg) w;
+        ]
+      ~binding:"grp"
+      (Plan.select
+         Expr.(Field (var "x", "i") >=. int 10)
+         (Plan.scan ~dataset:"harmonic" ~binding:"x" ()))
+  in
+  let run domains batch_size =
+    Executor.run ~batch_size ~domains reg ~engine:Executor.Engine_compiled plan
+  in
+  List.iter
+    (fun domains ->
+      let base = run domains 0 in
+      List.iter
+        (fun (what, batch_size) ->
+          Alcotest.check check_value
+            (Fmt.str "domains=%d: %s bit-identical" domains what)
+            base (run domains batch_size))
+        [ ("repeat run", 0); ("batch 1024", 1024); ("batch repeat", 1024) ])
+    [ 2; 4 ]
+
 (* --- one domain is the default width ---------------------------------------- *)
 
 let test_one_domain_is_serial () =
@@ -623,6 +659,34 @@ let test_dispenser_coverage () =
         (Pool.Dispenser.morsels d))
     [ 1; 15; 16; 17; 800; 4096; 1_000_000 ]
 
+(* Worker runs split the same grid: worker [w] drains the [w]-th contiguous
+   run of morsels, and the runs, in worker order, cover the grid once. *)
+let test_dispenser_runs () =
+  let d = Pool.Dispenser.create () in
+  List.iter
+    (fun (total, runs) ->
+      Pool.Dispenser.reset d ~runs ~total;
+      let grid = Pool.Dispenser.morsels d in
+      let rec drain worker acc =
+        match Pool.Dispenser.next ~worker d with
+        | Some m -> drain worker (m :: acc)
+        | None -> List.rev acc
+      in
+      let seen = List.concat (List.init runs (fun w -> drain w [])) in
+      let tag = Fmt.str "total=%d runs=%d" total runs in
+      Alcotest.(check (list int)) (tag ^ ": morsel indices in order")
+        (List.init grid Fun.id) (List.map (fun (m, _, _) -> m) seen);
+      let cursor =
+        List.fold_left
+          (fun cursor (_, lo, hi) ->
+            Alcotest.(check int) (tag ^ ": contiguous lo") cursor lo;
+            hi)
+          0 seen
+      in
+      Alcotest.(check int) (tag ^ ": covers total") total cursor;
+      Alcotest.(check int) (tag ^ ": dispensed") grid (Pool.Dispenser.dispensed d))
+    [ (1, 4); (15, 2); (800, 3); (4096, 4); (1_000_000, 7) ]
+
 (* --- statistics collection: single pass, same numbers --------------------- *)
 
 let test_collect_stats () =
@@ -670,6 +734,8 @@ let () =
         [
           Alcotest.test_case "float aggregates across domain counts" `Quick
             test_float_determinism;
+          Alcotest.test_case "group-by floats at a fixed width" `Quick
+            test_group_float_contract;
           Alcotest.test_case "one domain is serial" `Quick test_one_domain_is_serial;
           Alcotest.test_case "output independent of domain count" `Quick
             test_domain_independent;
@@ -682,6 +748,7 @@ let () =
           Alcotest.test_case "counters survive slot collisions" `Quick
             test_counters_slot_collision;
           Alcotest.test_case "dispenser coverage" `Quick test_dispenser_coverage;
+          Alcotest.test_case "dispenser worker runs" `Quick test_dispenser_runs;
         ] );
       ( "stats",
         [ Alcotest.test_case "cold collection matches oracle" `Quick test_collect_stats ] );
