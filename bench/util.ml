@@ -47,11 +47,7 @@ let measure_n k f =
 (* 5 samples for fast cells, single-shot for slow ones *)
 let measure f = measure_n 5 f
 
-(* One warming run first: a statement prepared before its inputs are cached
-   keeps the raw path on every run, so without it whichever width a cell
-   measures first would time a cold-staged engine. *)
 let measure_at db ~domains plan =
-  ignore (Proteus.Db.run_plan ~domains db plan);
   let prepared = Proteus.Db.prepare ~domains db plan in
   measure_n 9 (fun () -> ignore (prepared.Proteus.Db.run ()))
 

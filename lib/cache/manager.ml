@@ -351,10 +351,12 @@ let store_field t ~dataset ~path ~bias col =
       build_zones t (dataset, path) col;
       if is_promoted t ~dataset ~path then build_projection t (dataset, path) col
     end;
-    Log.info (fun m -> m "cached %s.%s (%d bytes)" dataset path size)
+    Log.info (fun m -> m "cached %s.%s (%d bytes)" dataset path size);
+    true
   | exception Invalid_argument _ ->
     (* larger than the whole arena: skip caching rather than fail the query *)
-    Log.warn (fun m -> m "cache column %s.%s larger than arena; skipped" dataset path))
+    Log.warn (fun m -> m "cache column %s.%s larger than arena; skipped" dataset path);
+    false)
 
 let should_cache_field t ~dataset ~path ~ty =
   let format_ok =

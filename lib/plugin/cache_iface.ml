@@ -5,7 +5,7 @@ type packed = { length : int; cols : (string * Proteus_storage.Column.t) list }
 type t = {
   lookup_field : dataset:string -> path:string -> Column.t option;
   store_field :
-    dataset:string -> path:string -> bias:Memory.Arena.bias -> Column.t -> unit;
+    dataset:string -> path:string -> bias:Memory.Arena.bias -> Column.t -> bool;
   should_cache_field : dataset:string -> path:string -> ty:Proteus_model.Ptype.t -> bool;
   lookup_packed : key:string -> packed option;
   store_packed :
@@ -26,7 +26,7 @@ type t = {
 let disabled =
   {
     lookup_field = (fun ~dataset:_ ~path:_ -> None);
-    store_field = (fun ~dataset:_ ~path:_ ~bias:_ _ -> ());
+    store_field = (fun ~dataset:_ ~path:_ ~bias:_ _ -> false);
     should_cache_field = (fun ~dataset:_ ~path:_ ~ty:_ -> false);
     lookup_packed = (fun ~key:_ -> None);
     store_packed = (fun ~key:_ ~datasets:_ ~bias:_ _ -> ());

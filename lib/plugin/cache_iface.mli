@@ -15,7 +15,10 @@ type packed = {
 type t = {
   lookup_field : dataset:string -> path:string -> Column.t option;
       (** a binary column caching expression [x.path] over [dataset] *)
-  store_field : dataset:string -> path:string -> bias:Memory.Arena.bias -> Column.t -> unit;
+  store_field :
+    dataset:string -> path:string -> bias:Memory.Arena.bias -> Column.t -> bool;
+      (** [false] when the arena refused the column (larger than the whole
+          arena): nothing was installed *)
   should_cache_field : dataset:string -> path:string -> ty:Ptype.t -> bool;
       (** the caching policy: e.g. eager for CSV/JSON primitives, never for
           variable-length strings (Section 6 "Cache Policies") *)

@@ -76,10 +76,12 @@ type t = {
          builds, thunk invocation) runs outside it — a racing double-build
          is resolved by first-install-wins. *)
   generation : int Atomic.t;
-      (* bumped on every [invalidate], [extend] and [set_cache]: prepared
-         engines capture the stamp and re-stage when it moved, so a
-         prepared statement observes dataset updates and caching-mode
-         flips *)
+      (* bumped on every [invalidate], [extend], shard change, promotion,
+         [set_cache] and [set_interposer]: the layout staged engines baked
+         in is gone (a prepared handle re-stages, the engine cache drops it) *)
+  fills : int Atomic.t;
+      (* the fill stamp: bumped when a fill commit installs a column, so
+         handles staged to read it raw re-stage in place *)
   mutable interposer : interposer option;
   mutable retry : Proteus_resilience.Policy.t;
       (* member-build retry budget; the default preserves the original
@@ -107,6 +109,7 @@ let create ?(cache = Cache_iface.disabled) catalog =
     shard_mu = Mutex.create ();
     build_mu = Mutex.create ();
     generation = Atomic.make 0;
+    fills = Atomic.make 0;
     interposer = None;
     retry = Proteus_resilience.Policy.default;
     hedge = None;
@@ -114,19 +117,10 @@ let create ?(cache = Cache_iface.disabled) catalog =
     breakers = Hashtbl.create 8;
   }
 
-let with_lock mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-    Mutex.unlock mu;
-    v
-  | exception e ->
-    Mutex.unlock mu;
-    raise e
-
 let catalog t = t.catalog
 let cache t = t.cache
 let generation t = Atomic.get t.generation
+let fill_stamp t = Atomic.get t.fills
 
 let set_cache t c =
   t.cache <- c;
@@ -168,7 +162,7 @@ let collect_stats ?(from = 0) t (d : Dataset.t) (src : Source.t) =
           | v -> Stats.observe stats path v
           | exception Perror.Type_error _ -> ()
           | exception (Perror.Parse_error _ as e) ->
-            with_lock t.build_mu (fun () -> Hashtbl.replace t.corrupt d.name ());
+            Mutex.protect t.build_mu (fun () -> Hashtbl.replace t.corrupt d.name ());
             (* statistics are advisory: under a degraded error policy a
                corrupt field must not abort the query from the stats pass
                (the scan's own accounting owns error reporting) *)
@@ -227,7 +221,7 @@ let build_factory t (d : Dataset.t) : unit -> Source.t =
         extended_rows = 0;
       }
     in
-    with_lock t.build_mu (fun () ->
+    Mutex.protect t.build_mu (fun () ->
         Hashtbl.replace t.infos d.name info;
         Hashtbl.replace t.indexes d.name index);
     Log.info (fun m ->
@@ -402,7 +396,7 @@ let empty_view element =
 
 (* The member breaker, created on first use under the digest lock. *)
 let breaker t name =
-  with_lock t.shard_mu (fun () ->
+  Mutex.protect t.shard_mu (fun () ->
       match Hashtbl.find_opt t.breakers name with
       | Some b -> b
       | None ->
@@ -414,7 +408,7 @@ let breaker t name =
    parents' concat views and layouts, and its pruning digests. Bumps the
    generation, so prepared engines re-stage. *)
 let drop_dependents t name =
-  with_lock t.build_mu (fun () ->
+  Mutex.protect t.build_mu (fun () ->
       Hashtbl.iter
         (fun parent members ->
           if List.mem name members then begin
@@ -444,11 +438,11 @@ let drop_dependents t name =
    builds must be able to race. A racing double-resolution keeps the
    first installed factory. *)
 let rec factory t name =
-  match with_lock t.build_mu (fun () -> Hashtbl.find_opt t.factories name) with
+  match Mutex.protect t.build_mu (fun () -> Hashtbl.find_opt t.factories name) with
   | Some f -> f
   | None ->
     let shard_members =
-      with_lock t.build_mu (fun () -> Hashtbl.find_opt t.shard_sets name)
+      Mutex.protect t.build_mu (fun () -> Hashtbl.find_opt t.shard_sets name)
     in
     let f =
       match shard_members with
@@ -456,7 +450,7 @@ let rec factory t name =
       | None -> build_factory t (Catalog.find t.catalog name)
     in
     let f = match t.interposer with Some ip -> ip name f | None -> f in
-    with_lock t.build_mu (fun () ->
+    Mutex.protect t.build_mu (fun () ->
         match Hashtbl.find_opt t.factories name with
         | Some existing -> existing
         | None ->
@@ -489,7 +483,7 @@ and shard_factory t name members : unit -> Source.t =
     (* refresh on every build: counts track member updates and
        degrade/heal transitions, and a pruning layout must describe the
        very views the engine just got *)
-    with_lock t.build_mu (fun () -> Hashtbl.replace t.shard_layouts name layout);
+    Mutex.protect t.build_mu (fun () -> Hashtbl.replace t.shard_layouts name layout);
     concat_source ~element varr
 
 (* One member view for the scatter, through the resilience ladder:
@@ -552,7 +546,7 @@ and build_member t ~element m =
    and a breaker that reset on every retry could never accumulate the
    consecutive failures that open it. *)
 and invalidate_artifacts t name =
-  with_lock t.build_mu (fun () ->
+  Mutex.protect t.build_mu (fun () ->
       Hashtbl.remove t.sources name;
       Hashtbl.remove t.factories name;
       Hashtbl.remove t.infos name;
@@ -566,7 +560,7 @@ and invalidate_artifacts t name =
    which is how a healed source comes back before its cooldown expires. *)
 let invalidate t name =
   invalidate_artifacts t name;
-  with_lock t.shard_mu (fun () -> Hashtbl.remove t.breakers name)
+  Mutex.protect t.shard_mu (fun () -> Hashtbl.remove t.breakers name)
 
 (* An append grew [name]'s byte image. Extend its structural index over
    the appended bytes only, observe the appended rows' statistics, hand
@@ -581,7 +575,7 @@ let extend t name ~tail =
   let d = Catalog.find t.catalog name in
   let bytes = Catalog.contents t.catalog d in
   let grown =
-    match with_lock t.build_mu (fun () -> Hashtbl.find_opt t.indexes name) with
+    match Mutex.protect t.build_mu (fun () -> Hashtbl.find_opt t.indexes name) with
     | None -> None
     | Some old -> (
       match
@@ -602,8 +596,8 @@ let extend t name ~tail =
      Without a shared source no statistics were collected yet, and the
      first [source] call observes every row. *)
   let stats_ok (old, index) =
-    let corrupt () = with_lock t.build_mu (fun () -> Hashtbl.mem t.corrupt name) in
-    (not (with_lock t.build_mu (fun () -> Hashtbl.mem t.sources name)))
+    let corrupt () = Mutex.protect t.build_mu (fun () -> Hashtbl.mem t.corrupt name) in
+    (not (Mutex.protect t.build_mu (fun () -> Hashtbl.mem t.sources name)))
     || (not (corrupt ()))
        && begin
             (try collect_stats ~from:(index_rows old) t d (view_of_index d index ())
@@ -611,7 +605,7 @@ let extend t name ~tail =
             not (corrupt ())
           end
   in
-  with_lock t.shard_mu (fun () -> Hashtbl.remove t.breakers name);
+  Mutex.protect t.shard_mu (fun () -> Hashtbl.remove t.breakers name);
   match grown with
   | Some ((old, index) as g) when stats_ok g ->
     let from = index_rows old and rows = index_rows index in
@@ -621,7 +615,7 @@ let extend t name ~tail =
     (* the shared view only anchors statistics; views handed to scans come
        from [f], through the interposer *)
     let shared = genuine () in
-    with_lock t.build_mu (fun () ->
+    Mutex.protect t.build_mu (fun () ->
         Hashtbl.replace t.indexes name index;
         Hashtbl.replace t.factories name f;
         (match Hashtbl.find_opt t.infos name with
@@ -646,13 +640,13 @@ let extend t name ~tail =
     false
 
 let source t name =
-  match with_lock t.build_mu (fun () -> Hashtbl.find_opt t.sources name) with
+  match Mutex.protect t.build_mu (fun () -> Hashtbl.find_opt t.sources name) with
   | Some s -> s
   | None ->
     let d = Catalog.find t.catalog name in
     let s = factory t name () in
     let s, fresh =
-      with_lock t.build_mu (fun () ->
+      Mutex.protect t.build_mu (fun () ->
           match Hashtbl.find_opt t.sources name with
           | Some existing -> (existing, false)
           | None ->
@@ -677,7 +671,7 @@ let index_info t name = Hashtbl.find_opt t.infos name
    injected one. The dataset must already be registered. *)
 let install_factory t name f =
   let s = f () in
-  with_lock t.build_mu (fun () ->
+  Mutex.protect t.build_mu (fun () ->
       Hashtbl.replace t.factories name f;
       Hashtbl.remove t.shard_layouts name;
       Hashtbl.replace t.sources name s)
@@ -688,7 +682,7 @@ let set_interposer t ip =
   t.interposer <- ip;
   (* drop resolved factories so the (new) interposer wraps them on the
      next resolution; memoized sources and heavy artifacts survive *)
-  with_lock t.build_mu (fun () -> Hashtbl.reset t.factories);
+  Mutex.protect t.build_mu (fun () -> Hashtbl.reset t.factories);
   Atomic.incr t.generation
 
 let interposer t = t.interposer
@@ -701,17 +695,17 @@ let set_breaker_config t cfg =
   t.breaker_cfg <- cfg;
   (* existing breakers keep their old config; drop them so the next
      admission creates fresh ones under the new thresholds *)
-  with_lock t.shard_mu (fun () -> Hashtbl.reset t.breakers)
+  Mutex.protect t.shard_mu (fun () -> Hashtbl.reset t.breakers)
 
 let breaker_states t =
-  with_lock t.shard_mu (fun () ->
+  Mutex.protect t.shard_mu (fun () ->
       Hashtbl.fold
         (fun m b acc -> (m, Proteus_resilience.Breaker.state b) :: acc)
         t.breakers [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let breaker_blocked t name =
-  match with_lock t.shard_mu (fun () -> Hashtbl.find_opt t.breakers name) with
+  match Mutex.protect t.shard_mu (fun () -> Hashtbl.find_opt t.breakers name) with
   | None -> false
   | Some b -> Proteus_resilience.Breaker.blocking b
 
@@ -774,11 +768,11 @@ let add_shard t ~name ~member =
 let shards t name =
   if not (Hashtbl.mem t.shard_sets name) then None
   else begin
-    (match with_lock t.build_mu (fun () -> Hashtbl.find_opt t.shard_layouts name)
+    (match Mutex.protect t.build_mu (fun () -> Hashtbl.find_opt t.shard_layouts name)
      with
     | Some _ -> ()
     | None -> ignore (source t name));
-    with_lock t.build_mu (fun () -> Hashtbl.find_opt t.shard_layouts name)
+    Mutex.protect t.build_mu (fun () -> Hashtbl.find_opt t.shard_layouts name)
   end
 
 (* Build the pruning digest for one (member, path): row count, non-null
@@ -790,10 +784,7 @@ let shards t name =
 let shard_digest t ~member ~path =
   let key = member ^ "\x00" ^ path in
   let cached =
-    Mutex.lock t.shard_mu;
-    let c = Hashtbl.find_opt t.digests key in
-    Mutex.unlock t.shard_mu;
-    c
+    Mutex.protect t.shard_mu (fun () -> Hashtbl.find_opt t.digests key)
   in
   match cached with
   | Some dg -> dg
@@ -860,9 +851,7 @@ let shard_digest t ~member ~path =
           | Perror.Type_error _ -> None))
     in
     if dg <> None then begin
-      Mutex.lock t.shard_mu;
-      Hashtbl.replace t.digests key dg;
-      Mutex.unlock t.shard_mu
+      Mutex.protect t.shard_mu (fun () -> Hashtbl.replace t.digests key dg)
     end;
     dg
 
@@ -882,6 +871,7 @@ type fill_session = {
   fs_bias : Proteus_storage.Memory.Arena.bias;
   fs_paths : (string * Ptype.t) list;  (* elected fill paths, in required order *)
   fs_cache : unit -> Cache_iface.t;
+  fs_fills : int Atomic.t;  (* the registry's fill stamp *)
   fs_lock : Mutex.t;  (* guards fs_segs: one lock per segment open, not per row *)
   mutable fs_segs : (int * Proteus_storage.Column.Builder.t list) list;
   mutable fs_e0 : int;  (* the query's error count at arm time *)
@@ -901,9 +891,7 @@ let session_open s ~start =
   let builders =
     List.map (fun (_, ty) -> Proteus_storage.Column.Builder.create ty) s.fs_paths
   in
-  Mutex.lock s.fs_lock;
-  s.fs_segs <- (start, builders) :: s.fs_segs;
-  Mutex.unlock s.fs_lock;
+  Mutex.protect s.fs_lock (fun () -> s.fs_segs <- (start, builders) :: s.fs_segs);
   builders
 
 let quarantine_all s =
@@ -916,9 +904,7 @@ let quarantine_all s =
 (* Abort path: the producing run raised (error policy abort, cancellation,
    budget) — drop every segment and account the fills as quarantined. *)
 let session_release s =
-  Mutex.lock s.fs_lock;
-  s.fs_segs <- [];
-  Mutex.unlock s.fs_lock;
+  Mutex.protect s.fs_lock (fun () -> s.fs_segs <- []);
   quarantine_all s
 
 (* Commit: blit-assemble the segments in start order and install the columns
@@ -939,11 +925,14 @@ let session_commit s =
           acc + (match bs with b :: _ -> Builder.length b | [] -> 0))
         0 segs
     in
-    List.iteri
-      (fun i (path, ty) ->
-        let col = Builder.concat ty (List.map (fun (_, bs) -> List.nth bs i) segs) in
-        cache.Cache_iface.store_field ~dataset:s.fs_dataset ~path ~bias:s.fs_bias col)
-      s.fs_paths;
+    let installed =
+      List.mapi
+        (fun i (path, ty) ->
+          let col = Builder.concat ty (List.map (fun (_, bs) -> List.nth bs i) segs) in
+          cache.Cache_iface.store_field ~dataset:s.fs_dataset ~path ~bias:s.fs_bias col)
+        s.fs_paths
+    in
+    if List.mem true installed then Atomic.incr s.fs_fills;
     cache.Cache_iface.note_fill ~dataset:s.fs_dataset ~segments:(List.length segs)
       ~rows
   end
@@ -1009,8 +998,9 @@ let materialize_field t ~dataset ~path =
           fill ()
         done;
         let col = Proteus_storage.Column.Builder.finish builder in
-        t.cache.Cache_iface.store_field ~dataset ~path
-          ~bias:(Dataset.bias d.Dataset.format) col;
+        ignore
+          (t.cache.Cache_iface.store_field ~dataset ~path
+             ~bias:(Dataset.bias d.Dataset.format) col);
         t.cache.Cache_iface.note_slot_column ~dataset ~path
       end
     with e when Fault.recoverable e ->
@@ -1145,6 +1135,7 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
             fs_bias = bias;
             fs_paths = List.map (fun (p, ty, _) -> (p, ty)) spec;
             fs_cache = (fun () -> t.cache);
+            fs_fills = t.fills;
             fs_lock = Mutex.create ();
             fs_segs = [];
             fs_e0 = 0;

@@ -26,12 +26,17 @@ val catalog : t -> Catalog.t
 val cache : t -> Cache_iface.t
 val set_cache : t -> Cache_iface.t -> unit
 
-(** The one staleness stamp for staged engines: bumped by {!invalidate},
+(** The layout stamp for staged engines: bumped by {!invalidate},
     {!extend}, shard-set changes, {!set_cache}, {!set_interposer} and
-    {!materialize_field} (promotions). Prepared statements and the server's engine cache capture
-    it at staging time and re-stage when it has moved, so they observe
-    dataset updates, caching-mode changes and promoted layouts. *)
+    {!materialize_field} (promotions). A prepared handle
+    ([Proteus.Db.prepare]) captures it at staging time and re-stages when
+    it has moved, so it observes dataset updates, caching-mode changes and
+    promoted layouts; the server's engine cache drops the handle instead. *)
 val generation : t -> int
+
+(** The fill stamp: bumped when {!session_commit} installs a column (a
+    refused or quarantined fill leaves it), so handles re-stage to read it. *)
+val fill_stamp : t -> int
 
 (** [source t name] is the raw source for a dataset (builds the structural
     index on first access — the paper's "cold" query). No cache routing. *)
@@ -245,9 +250,6 @@ val register_shard_set : t -> name:string -> members:string list -> unit
 (** [add_shard t ~name ~member] appends one more (already-registered)
     member to a shard set — the immutable-shard growth path. *)
 val add_shard : t -> name:string -> member:string -> unit
-
-(** [shard_members t name] is the member list when [name] is a shard set. *)
-val shard_members : t -> string -> string list option
 
 (** [shard_parents t name] lists the shard sets containing [name]. *)
 val shard_parents : t -> string -> string list

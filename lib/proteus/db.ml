@@ -164,27 +164,26 @@ let add_shard t ~name ~member =
 
 let shard_member_name name i = Fmt.str "%s__s%d" name i
 
+(* Register each part as member [name__s<i>], then the shard set. *)
+let register_members t ~name register parts =
+  register_shard_set t ~name
+    ~members:
+      (List.mapi
+         (fun i part ->
+           let m = shard_member_name name i in
+           register m part;
+           m)
+         parts)
+
 let register_sharded_csv t ~name ?config ~element ~shards () =
-  let members =
-    List.mapi
-      (fun i contents ->
-        let m = shard_member_name name i in
-        register_csv t ~name:m ?config ~element ~contents ();
-        m)
-      shards
-  in
-  register_shard_set t ~name ~members
+  register_members t ~name
+    (fun m contents -> register_csv t ~name:m ?config ~element ~contents ())
+    shards
 
 let register_sharded_json t ~name ~element ~shards =
-  let members =
-    List.mapi
-      (fun i contents ->
-        let m = shard_member_name name i in
-        register_json t ~name:m ~element ~contents;
-        m)
-      shards
-  in
-  register_shard_set t ~name ~members
+  register_members t ~name
+    (fun m contents -> register_json t ~name:m ~element ~contents)
+    shards
 
 (* Contiguous n-way split, sizes differing by at most one (the leading
    chunks take the remainder), preserving record order — so the
@@ -207,15 +206,9 @@ let chunks n l =
   go 0 l
 
 let register_sharded_rows t ~name ~element ~shards records =
-  let members =
-    List.mapi
-      (fun i part ->
-        let m = shard_member_name name i in
-        register_rows t ~name:m ~element part;
-        m)
-      (chunks shards records)
-  in
-  register_shard_set t ~name ~members
+  register_members t ~name
+    (fun m part -> register_rows t ~name:m ~element part)
+    (chunks shards records)
 
 (* Column resolution against registered schemas: a column belongs to the
    unique table alias whose dataset's element type has a field of that
@@ -237,18 +230,16 @@ let resolver t : Proteus_lang.Sql.resolver =
   | [ (alias, _) ] -> Some alias
   | [] | _ :: _ :: _ -> ( match aliases with [ (a, _) ] -> Some a | _ -> None)
 
-(* Substitute the given parameter values and insist nothing is left over:
-   an engine staged over a dangling [Expr.Param] would read [Value.Null]
-   from its unbound slot, which is a silent wrong answer for a one-shot
-   query (prepare-once flows bind slots explicitly instead). *)
-let bind_all params plan =
-  let plan =
-    if params = [] then plan
-    else Proteus_algebra.Analysis.bind_params params plan
-  in
-  (match Proteus_algebra.Analysis.params plan with
+(* The one unbound-parameter check: an engine run over a dangling
+   [Expr.Param] would read [Value.Null] from its unset slot, a silent wrong
+   answer. *)
+let reject_unbound = function
   | [] -> ()
-  | p :: _ -> Perror.plan_error "unbound parameter ?%s (pass it via ~params)" p);
+  | p :: _ -> Perror.plan_error "unbound parameter ?%s" p
+
+let bind_all params plan =
+  let plan = if params = [] then plan else Proteus_algebra.Analysis.bind_params params plan in
+  reject_unbound (Proteus_algebra.Analysis.params plan);
   plan
 
 let run_plan ?(engine = Executor.Engine_compiled) ?domains ?batch_size ?(optimize = true)
@@ -365,39 +356,82 @@ type outcome = Proteus_engine.Executor.outcome =
   | Timed_out of Fault.report
   | Cancelled of Fault.report
 
-type prepared = { compile_seconds : float; run : unit -> Value.t }
+type staleness = Current | Refilled | Moved
 
-(* A staged engine snapshots registry state — cache iface, structural
-   indexes, cached and promoted columns — at prepare time. The registry's
-   generation stamp moves on every dataset registration/drop/append, shard
-   change, promotion and [set_caching], so comparing it before each run
-   tells us the snapshot went stale: re-stage against the same plan and
-   keep going. Arena evictions within a generation do NOT re-stage: an
-   engine holding an evicted column keeps reading its (still-correct) copy
-   until the next generation bump. *)
+type handle = {
+  h_reg : Registry.t;
+  h_stage : unit -> Proteus_engine.Compiled.bound;
+  mutable h_bound : Proteus_engine.Compiled.bound;
+  mutable h_unbound : string list;  (* parameters no bind has set yet *)
+  mutable h_generation : int;  (* the stamps read before the last staging *)
+  mutable h_fills : int;
+}
+
+type prepared = { compile_seconds : float; run : unit -> Value.t; handle : handle }
+
+(* The one staleness check. A staged engine bakes in its inputs' layout: a
+   generation move means that layout is gone; a fill-stamp move means a
+   column it reads raw (and re-fills on every run) may now be cached. *)
+let staleness p =
+  let h = p.handle in
+  if Registry.generation h.h_reg <> h.h_generation then Moved
+  else if Registry.fill_stamp h.h_reg <> h.h_fills then Refilled
+  else Current
+
+(* Stage again in place: the stamps are read first, so a move racing the
+   staging reads as stale next time; bound values carry over. *)
+let restage p =
+  let h = p.handle in
+  let t0 = Unix.gettimeofday () in
+  let generation = Registry.generation h.h_reg and fills = Registry.fill_stamp h.h_reg in
+  let b = h.h_stage () in
+  Proteus_engine.Compiled.bind b
+    (List.map (fun (n, v) -> (n, !v)) h.h_bound.Proteus_engine.Compiled.bd_params);
+  h.h_bound <- b;
+  h.h_generation <- generation;
+  h.h_fills <- fills;
+  Unix.gettimeofday () -. t0
+
+let run_staged p =
+  reject_unbound p.handle.h_unbound;
+  p.handle.h_bound.Proteus_engine.Compiled.bd_run ()
+
+let bind p params =
+  let h = p.handle in
+  Proteus_engine.Compiled.bind h.h_bound params;
+  h.h_unbound <- List.filter (fun n -> not (List.mem_assoc n params)) h.h_unbound
+
 let prepare ?(domains = 1) ?batch_size ?(optimize = true) ?(params = []) t plan =
   let t0 = Unix.gettimeofday () in
-  let plan = bind_all params plan in
   let plan = if optimize then Proteus_optimizer.Optimizer.optimize t.catalog plan else plan in
   Proteus_algebra.Plan.validate plan;
-  let stage () = Proteus_engine.Compiled.prepare_par ?batch_size t.registry ~domains plan in
-  let gen = Registry.generation t.registry in
-  let cell = ref (gen, stage ()) in
-  let compile_seconds = Unix.gettimeofday () -. t0 in
-  let run () =
-    let gen = Registry.generation t.registry in
-    let seen, r = !cell in
-    let r =
-      if seen = gen then r
-      else begin
-        let r = stage () in
-        cell := (gen, r);
-        r
-      end
-    in
-    Executor.as_query r
+  let h_stage () =
+    Proteus_engine.Compiled.prepare_bound_par ?batch_size t.registry ~domains plan
   in
-  { compile_seconds; run }
+  let h_generation = Registry.generation t.registry and h_fills = Registry.fill_stamp t.registry in
+  let handle =
+    {
+      h_reg = t.registry;
+      h_stage;
+      h_bound = h_stage ();
+      h_unbound = Proteus_algebra.Analysis.params plan;
+      h_generation;
+      h_fills;
+    }
+  in
+  let compile_seconds = Unix.gettimeofday () -. t0 in
+  let rec p =
+    {
+      compile_seconds;
+      run =
+        (fun () ->
+          if staleness p <> Current then ignore (restage p);
+          Executor.as_query (fun () -> run_staged p));
+      handle;
+    }
+  in
+  bind p params;
+  p
 
 let refresh_stats t =
   List.iter

@@ -236,27 +236,29 @@ type outcome = Proteus_engine.Executor.outcome =
 (** {1 Prepared queries}
 
     [prepare] separates engine generation from execution, as the paper
-    reports them separately (LLVM compilation is ~50 ms per query there;
-    closure staging here is far cheaper). The prepared thunk can run
-    repeatedly; every run re-scans the inputs.
+    reports them separately. The handle runs repeatedly, re-scanning the
+    inputs; {!bind} rebinds its parameters without re-staging, and a run
+    with a parameter never bound raises [Perror.Plan_error].
 
-    Staleness: the staged engine snapshots registry state at prepare time.
-    Each run compares the registry's generation stamp (moved by dataset
-    registration, {!drop}, {!append}, shard changes, column promotions and
-    {!set_caching}) and transparently re-stages when it changed, so a
-    prepared statement observes dataset updates, promoted layouts and
-    caching-mode flips. Cache-arena evictions within a generation keep the
-    snapshot: the engine retains its (still-correct) column copies until
-    the next generation bump. *)
+    Staleness ({!staleness}), checked before each run: the registry
+    generation moves on registration, {!drop}, {!append}, shard changes,
+    promotions and {!set_caching}; the fill stamp moves when a cache fill
+    installs a column (a refused fill moves nothing). Either move re-stages
+    the handle in place, so a statement prepared before its inputs were
+    cached reads the cache once they are. Arena evictions re-stage nothing:
+    the engine keeps its (still-correct) column copies. *)
+
+type handle
 
 type prepared = {
   compile_seconds : float;  (** time spent generating this query's engine *)
-  run : unit -> Value.t;
+  run : unit -> Value.t;  (** re-stage if stale, then run *)
+  handle : handle;
 }
 
-(** [prepare db plan] binds, optimizes (as {!run_plan}'s [optimize]) and
-    compiles an algebra plan: [prepare ~optimize:false db (plan_sql db q)]
-    for SQL. [domains] (default 1) is the fleet width, as in {!run_plan}. *)
+(** [prepare db plan] optimizes (as {!run_plan}'s [optimize]) and stages an
+    algebra plan: [prepare ~optimize:false db (plan_sql db q)] for SQL.
+    [domains] and [batch_size] as in {!run_plan}; [params] as {!bind}. *)
 val prepare :
   ?domains:int ->
   ?batch_size:int ->
@@ -265,6 +267,27 @@ val prepare :
   t ->
   Proteus_algebra.Plan.t ->
   prepared
+
+(** [bind p params] sets parameter slots; others keep their value. Raises
+    [Perror.Plan_error] on a name the plan has no parameter for. *)
+val bind : prepared -> (string * Value.t) list -> unit
+
+(** [bind_all params plan] substitutes [params] as constants and raises
+    [Perror.Plan_error] if a parameter is left unbound. *)
+val bind_all : (string * Value.t) list -> Proteus_algebra.Plan.t -> Proteus_algebra.Plan.t
+
+(** [Moved]: the generation moved since staging; [Refilled]: only the fill
+    stamp did. *)
+type staleness = Current | Refilled | Moved
+
+val staleness : prepared -> staleness
+
+(** [restage p] stages again in place, keeping the bound values, and
+    returns the staging seconds; with {!run_staged} (no staleness check)
+    it lets a cache stage under its own lock. *)
+val restage : prepared -> float
+
+val run_staged : prepared -> Value.t
 
 (** [refresh_stats db] re-collects statistics for every registered dataset —
     the paper's idle-time statistics daemon, exposed as an explicit hook. *)

@@ -19,7 +19,6 @@
 
 open Proteus_model
 module Executor = Proteus_engine.Executor
-module Analysis = Proteus_algebra.Analysis
 
 type request = {
   rq_sql : string;
@@ -111,15 +110,7 @@ let run_query t job =
       (* expired in the queue: don't pay a compile for a dead query *)
       Executor.Timed_out Fault.empty_report, false, 0.
     | _ ->
-      let plan = Proteus.Db.plan_sql t.db rq.rq_sql in
-      let plan =
-        if rq.rq_params = [] then plan
-        else Analysis.bind_params rq.rq_params plan
-      in
-      (match Analysis.params plan with
-      | [] -> ()
-      | p :: _ ->
-        Perror.plan_error "unbound parameter ?%s (send it with the query)" p);
+      let plan = Proteus.Db.bind_all rq.rq_params (Proteus.Db.plan_sql t.db rq.rq_sql) in
       let lease =
         Engine_cache.acquire t.cache ~domains:rq.rq_domains
           ?batch_size:rq.rq_batch_size plan
@@ -127,14 +118,10 @@ let run_query t job =
       let outcome =
         Executor.query ?deadline
           ~on_ctx:(fun ctx ->
-            Mutex.lock t.mu;
-            Hashtbl.replace t.inflight job.jb_id ctx;
-            Mutex.unlock t.mu)
+            Mutex.protect t.mu (fun () -> Hashtbl.replace t.inflight job.jb_id ctx))
           (fun () -> Engine_cache.run lease)
       in
-      Mutex.lock t.mu;
-      Hashtbl.remove t.inflight job.jb_id;
-      Mutex.unlock t.mu;
+      Mutex.protect t.mu (fun () -> Hashtbl.remove t.inflight job.jb_id);
       let clean =
         match outcome with
         | Executor.Completed (_, r) -> r.Fault.rp_errors = 0
@@ -164,6 +151,11 @@ let pop_next t =
   t.running <- t.running + 1;
   job
 
+let resolve tk completion =
+  Mutex.protect tk.tk_mu (fun () ->
+      tk.tk_result <- Some completion;
+      Condition.broadcast tk.tk_cond)
+
 let run_job t job =
   let t_start = Unix.gettimeofday () in
   let outcome, hit, compile_s = run_query t job in
@@ -185,11 +177,7 @@ let run_job t job =
     (if t.ewma_run_s = 0. then run_s
      else (0.8 *. t.ewma_run_s) +. (0.2 *. run_s));
   Mutex.unlock t.mu;
-  let tk = job.jb_ticket in
-  Mutex.lock tk.tk_mu;
-  tk.tk_result <- Some completion;
-  Condition.broadcast tk.tk_cond;
-  Mutex.unlock tk.tk_mu
+  resolve job.jb_ticket completion
 
 let worker t () =
   let rec loop () =
@@ -342,19 +330,14 @@ let abort_pending t =
   Mutex.unlock t.mu;
   List.iter
     (fun j ->
-      let tk = j.jb_ticket in
-      Mutex.lock tk.tk_mu;
-      tk.tk_result <-
-        Some
-          {
-            cp_outcome = Executor.Failed (Fault.empty_report, Shutting_down);
-            cp_hit = false;
-            cp_compile_seconds = 0.;
-            cp_wait_seconds = Unix.gettimeofday () -. j.jb_submitted;
-            cp_run_seconds = 0.;
-          };
-      Condition.broadcast tk.tk_cond;
-      Mutex.unlock tk.tk_mu)
+      resolve j.jb_ticket
+        {
+          cp_outcome = Executor.Failed (Fault.empty_report, Shutting_down);
+          cp_hit = false;
+          cp_compile_seconds = 0.;
+          cp_wait_seconds = Unix.gettimeofday () -. j.jb_submitted;
+          cp_run_seconds = 0.;
+        })
     flushed
 
 let shutdown ?drain_timeout_ms t =

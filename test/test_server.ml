@@ -277,6 +277,89 @@ let test_prepared_follows_promotion () =
         [ s.Counters.morsels_skipped; s.Counters.sorted_seeks; s.Counters.slot_reads ])
     [ "items_csv"; "items_json" ]
 
+(* --- prepared handles over cold inputs ------------------------------------ *)
+
+let fill_commits db = (Db.cache_stats db).Proteus_cache.Manager.fill_commits
+let field_hits db = (Db.cache_stats db).Proteus_cache.Manager.field_hits
+let cold_q = "SELECT COUNT(1), SUM(price) FROM items_csv WHERE k < 300"
+
+(* A statement prepared before its inputs are cached fills them on its first
+   run; the fill re-stages it, so later runs read the cache instead of
+   filling again. *)
+let test_prepared_cold_fills_once () =
+  let db = make_db () in
+  let p = Db.prepare ~optimize:false db (Db.plan_sql db cold_q) in
+  ignore (p.Db.run ());
+  let fills = fill_commits db in
+  Alcotest.(check bool) "the first run fills" true (fills > 0);
+  let v = p.Db.run () in
+  Alcotest.(check int) "the second run commits no fill" fills (fill_commits db);
+  Alcotest.check check_value "and equals a fresh run" (Db.sql db cold_q) v
+
+let test_prepared_reads_others_fill () =
+  let db = make_db () in
+  let p = Db.prepare ~optimize:false db (Db.plan_sql db cold_q) in
+  ignore (Db.sql db "SELECT COUNT(1), SUM(price) FROM items_csv WHERE k < 10");
+  let fills = fill_commits db and hits = field_hits db in
+  let v = p.Db.run () in
+  Alcotest.(check int) "no fill after another query filled" fills (fill_commits db);
+  Alcotest.(check bool) "reads the cached columns" true (field_hits db > hits);
+  Alcotest.check check_value "answer" (Db.sql db cold_q) v
+
+let test_prepared_unbound_then_bind () =
+  let db = make_db () in
+  let q = "SELECT COUNT(1), SUM(price) FROM items_csv WHERE k < ?" in
+  let p = Db.prepare ~optimize:false db (Db.plan_sql db q) in
+  Alcotest.(check bool) "unbound ? fails the run" true
+    (match p.Db.run () with exception Perror.Plan_error _ -> true | _ -> false);
+  List.iter
+    (fun v ->
+      let params = [ ("1", Value.Int v) ] in
+      Db.bind p params;
+      Alcotest.check check_value (Fmt.str "bound to %d" v) (Db.sql db ~params q)
+        (p.Db.run ()))
+    [ 250; 40 ]
+
+let test_cache_cold_shape_stays_hit () =
+  let db = make_db () in
+  let cache = Engine_cache.create db in
+  let lease () =
+    let l = Engine_cache.acquire cache (Db.plan_sql db cold_q) in
+    let v = Engine_cache.run l in
+    Engine_cache.release l ~clean:true;
+    (v, l)
+  in
+  ignore (lease ());
+  ignore (lease ());
+  let fills = fill_commits db in
+  let v, l = lease () in
+  Alcotest.(check bool) "third lease hits" true (Engine_cache.hit l);
+  Alcotest.(check int) "and commits no fill" fills (fill_commits db);
+  Alcotest.check check_value "answer" (Db.sql db cold_q) v
+
+(* An arena too small for any column refuses every fill: the fill stamp
+   stays put, so leases keep hitting without re-staging on every run. *)
+let test_cache_refused_fill_no_restage () =
+  let db = Db.create ~cache_budget:64 () in
+  Db.register_csv db ~name:"items_csv" ~element:item_type ~contents:(to_csv items) ();
+  let reg = Db.registry db in
+  let stamp = Proteus_plugin.Registry.fill_stamp reg in
+  let cache = Engine_cache.create db in
+  let expect = Db.sql db cold_q in
+  List.iteri
+    (fun i hit ->
+      let l = Engine_cache.acquire cache (Db.plan_sql db cold_q) in
+      let v = Engine_cache.run l in
+      Engine_cache.release l ~clean:true;
+      Alcotest.check check_value (Fmt.str "lease %d answer" i) expect v;
+      Alcotest.(check bool) (Fmt.str "lease %d hit" i) hit (Engine_cache.hit l);
+      if hit then
+        Alcotest.(check (float 0.)) (Fmt.str "lease %d pays no staging" i) 0.
+          (Engine_cache.compile_seconds l))
+    [ false; true; true; true ];
+  Alcotest.(check int) "no fill installed" stamp
+    (Proteus_plugin.Registry.fill_stamp reg)
+
 (* --- engine cache -------------------------------------------------------- *)
 
 let sql_plan db q = Db.plan_sql db q
@@ -774,6 +857,12 @@ let () =
             test_prepared_staleness;
           Alcotest.test_case "prepared statements follow promotions" `Quick
             test_prepared_follows_promotion;
+          Alcotest.test_case "cold statement fills once" `Quick
+            test_prepared_cold_fills_once;
+          Alcotest.test_case "statement reads another query's fill" `Quick
+            test_prepared_reads_others_fill;
+          Alcotest.test_case "unbound ? fails, bind then runs" `Quick
+            test_prepared_unbound_then_bind;
         ] );
       ( "engine-cache",
         [
@@ -785,6 +874,10 @@ let () =
             test_cache_invalidation_on_promotion;
           Alcotest.test_case "quarantine" `Quick test_cache_quarantine;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
+          Alcotest.test_case "cold shape stays a hit" `Quick
+            test_cache_cold_shape_stays_hit;
+          Alcotest.test_case "refused fill starts no re-stage" `Quick
+            test_cache_refused_fill_no_restage;
         ] );
       ( "scheduler",
         [
