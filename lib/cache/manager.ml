@@ -358,7 +358,13 @@ let store_field t ~dataset ~path ~bias col =
     Log.warn (fun m -> m "cache column %s.%s larger than arena; skipped" dataset path);
     false)
 
-let should_cache_field t ~dataset ~path ~ty =
+(* The fewest bytes a column of [rows] values of [ty] can take
+   ([Column.byte_size]): a byte per bool, a word per other value (a code,
+   at least, for a dictionary string). *)
+let min_column_bytes ty ~rows =
+  match Ptype.unwrap_option ty with Ptype.Bool -> rows | _ -> 8 * rows
+
+let should_cache_field t ~dataset ~path ~ty ~rows =
   let format_ok =
     match (Catalog.find t.catalog dataset).Dataset.format with
     | Dataset.Csv _ -> t.config.cache_csv_fields
@@ -375,7 +381,7 @@ let should_cache_field t ~dataset ~path ~ty =
     | Ptype.Int | Ptype.Float | Ptype.Bool | Ptype.Date -> true
     | Ptype.Record _ | Ptype.Collection _ | Ptype.Option _ -> false
   in
-  format_ok && type_ok
+  format_ok && type_ok && min_column_bytes ty ~rows <= Memory.Arena.budget t.arena
 
 let lookup_packed t ~key =
   match Hashtbl.find_opt t.packed key with
@@ -425,8 +431,8 @@ let iface t : Cache_iface.t =
       (fun ~dataset ~path ~bias col ->
         with_mu t (fun () -> store_field t ~dataset ~path ~bias col));
     should_cache_field =
-      (fun ~dataset ~path ~ty ->
-        with_mu t (fun () -> should_cache_field t ~dataset ~path ~ty));
+      (fun ~dataset ~path ~ty ~rows ->
+        with_mu t (fun () -> should_cache_field t ~dataset ~path ~ty ~rows));
     lookup_packed = (fun ~key -> with_mu t (fun () -> lookup_packed t ~key));
     store_packed =
       (fun ~key ~datasets ~bias p ->

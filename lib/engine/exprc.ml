@@ -279,16 +279,6 @@ type bcompiled =
 
 let nop_kernel ~base:_ ~sel:_ ~n:_ = ()
 
-(* Per-tuple shim: a plug-in without a native fill still serves the batch
-   lane through seek-then-get. *)
-let shim_fill seek (get : unit -> 'a) : 'a Access.fill =
- fun base out ~sel ~n ->
-  for i = 0 to n - 1 do
-    let j = sel.(i) in
-    seek (base + j);
-    out.(j) <- get ()
-  done
-
 let bleaf bs (src : Source.t) path : bcompiled option =
   match src.Source.field path with
   | exception Perror.Plan_error _ -> None
@@ -301,19 +291,19 @@ let bleaf bs (src : Source.t) path : bcompiled option =
       | _ -> (
         match a.Access.get_int, a.Access.get_float, a.Access.get_bool, a.Access.get_str with
         | Some g, _, _, _ ->
-          let fill = match a.Access.fill_int with Some f -> f | None -> shim_fill seek g in
+          let fill = match a.Access.fill_int with Some f -> f | None -> Access.shim_fill seek g in
           let buf = Array.make bs 0 in
           Some (B_int (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n))
         | None, Some g, _, _ ->
-          let fill = match a.Access.fill_float with Some f -> f | None -> shim_fill seek g in
+          let fill = match a.Access.fill_float with Some f -> f | None -> Access.shim_fill seek g in
           let buf = Array.make bs 0. in
           Some (B_float (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n))
         | None, None, Some g, _ ->
-          let fill = match a.Access.fill_bool with Some f -> f | None -> shim_fill seek g in
+          let fill = match a.Access.fill_bool with Some f -> f | None -> Access.shim_fill seek g in
           let buf = Array.make bs false in
           Some (B_bool (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n))
         | None, None, None, Some g ->
-          let fill = match a.Access.fill_str with Some f -> f | None -> shim_fill seek g in
+          let fill = match a.Access.fill_str with Some f -> f | None -> Access.shim_fill seek g in
           let buf = Array.make bs "" in
           Some (B_str (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n))
         | None, None, None, None -> None))
@@ -769,6 +759,6 @@ let batch_int_fill (cenv : cenv) ~batch_size ~(seek : int -> unit) (e : Expr.t) 
     match compile cenv e with
     | C_int g ->
       let buf = Array.make batch_size 0 in
-      let fill = shim_fill seek g in
+      let fill = Access.shim_fill seek g in
       Some (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n)
     | _ | (exception Perror.Plan_error _) -> None)

@@ -84,10 +84,6 @@ type bcompiled =
     undecided. *)
 val compile_batch : cenv -> batch_size:int -> Expr.t -> bcompiled option
 
-(** Per-tuple batch-fill shim over [seek] + a scalar getter — how plug-ins
-    without native fills serve the batch lane. *)
-val shim_fill : (int -> unit) -> (unit -> 'a) -> 'a Access.fill
-
 (** [batch_int_fill cenv ~batch_size ~seek e] stages an integer join-key
     expression for the batch probe: a key buffer plus the kernel that fills
     it for the selected lanes (via {!compile_batch} when possible, else a

@@ -63,19 +63,26 @@ let of_records config schema records =
     records;
   Buffer.contents buf
 
-let row_bounds src ~pos =
+(* The end of the row starting at [pos]: its newline (or the end of the
+   source), skipping newlines inside quotes. *)
+let row_eol src ~pos =
   let n = String.length src in
-  let rec find_eol i in_quotes =
-    if i >= n then i
-    else
-      match src.[i] with
-      | '"' -> find_eol (i + 1) (not in_quotes)
-      | '\n' when not in_quotes -> i
-      | _ -> find_eol (i + 1) in_quotes
-  in
-  let eol = find_eol pos false in
+  let i = ref pos and quoted = ref false in
+  while
+    !i < n
+    &&
+    let c = String.unsafe_get src !i in
+    c <> '\n' || !quoted
+  do
+    if String.unsafe_get src !i = '"' then quoted := not !quoted;
+    incr i
+  done;
+  !i
+
+let row_bounds src ~pos =
+  let eol = row_eol src ~pos in
   let stop = if eol > pos && src.[eol - 1] = '\r' then eol - 1 else eol in
-  (pos, stop, min n (eol + 1))
+  (pos, stop, Int.min (String.length src) (eol + 1))
 
 (* A UTF-8 byte-order mark before the header (common in spreadsheet
    exports) is not data; skip it so the first header/field name is clean. *)
@@ -91,34 +98,48 @@ let data_start config src =
     let _, _, next = row_bounds src ~pos:start in
     next
 
-(* Scan one field starting at [i]; returns (field_start, field_stop,
-   position after the separator or [stop]). Quoted fields include their
-   quotes in the span; parse_string strips them. *)
-let scan_field config src ~stop i =
-  if i < stop && src.[i] = '"' then begin
-    let rec close j =
-      if j >= stop then j
-      else if src.[j] = '"' then
-        if j + 1 < stop && src.[j + 1] = '"' then close (j + 2) else j + 1
-      else close (j + 1)
-    in
-    let fstop = close (i + 1) in
-    let next = if fstop < stop && src.[fstop] = config.separator then fstop + 1 else fstop in
-    (i, fstop, next)
+(* The field scanners return ints only: without flambda a tuple result is
+   a heap block per field visited, and these run once per field of every
+   index build, accessor call and batch fill. Their int bounds use
+   [Int.min]: the polymorphic [min] is a C call per use.
+
+   [field_stop] is the end of the field starting at [i]. Quoted fields
+   include their quotes in the span; parse_string strips them. *)
+let field_stop config src ~stop i =
+  let stop = Int.min stop (String.length src) in
+  if i < stop && String.unsafe_get src i = '"' then begin
+    (* runs to the closing quote; a doubled quote is an escaped one *)
+    let j = ref (i + 1) and close = ref (-1) in
+    while !close < 0 do
+      let k = !j in
+      if k >= stop then close := k
+      else if String.unsafe_get src k <> '"' then j := k + 1
+      else if k + 1 < stop && String.unsafe_get src (k + 1) = '"' then j := k + 2
+      else close := k + 1
+    done;
+    !close
   end
   else begin
-    let rec go j = if j >= stop || src.[j] = config.separator then j else go (j + 1) in
-    let fstop = go i in
-    let next = if fstop < stop then fstop + 1 else fstop in
-    (i, fstop, next)
+    let sep = config.separator in
+    let j = ref i in
+    while !j < stop && String.unsafe_get src !j <> sep do
+      incr j
+    done;
+    !j
   end
+
+let next_field config src ~stop fstop =
+  if fstop < stop && fstop < String.length src && String.unsafe_get src fstop = config.separator
+  then fstop + 1
+  else fstop
 
 let field_spans config src ~start ~stop =
   if start >= stop then []
   else begin
     let rec go i acc =
-      let fstart, fstop, next = scan_field config src ~stop i in
-      let acc = (fstart, fstop) :: acc in
+      let fstop = field_stop config src ~stop i in
+      let next = next_field config src ~stop fstop in
+      let acc = (i, fstop) :: acc in
       if next >= stop then List.rev acc else go next acc
     in
     go start []
@@ -129,22 +150,96 @@ let field_spans config src ~start ~stop =
 let count_fields config src ~start ~stop =
   if start >= stop then 0
   else begin
-    let rec go i acc =
-      let _, _, next = scan_field config src ~stop i in
-      if next >= stop then acc + 1 else go next (acc + 1)
-    in
-    go start 0
+    let i = ref start and k = ref 1 in
+    while
+      i := next_field config src ~stop (field_stop config src ~stop !i);
+      !i < stop
+    do
+      incr k
+    done;
+    !k
   end
 
-let nth_field_span config src ~start ~stop n =
-  let rec go i k =
-    let fstart, fstop, next = scan_field config src ~stop i in
-    if k = n then (fstart, fstop)
-    else if next >= stop then
-      Perror.parse_error ~what:"csv" ~pos:start "row has fewer than %d fields" (n + 1)
-    else go next (k + 1)
-  in
-  go start 0
+let nth_field_start config src ~start ~stop n =
+  let i = ref start in
+  for _ = 1 to n do
+    let next = next_field config src ~stop (field_stop config src ~stop !i) in
+    if next >= stop then
+      Perror.parse_error ~what:"csv" ~pos:start "row has fewer than %d fields" (n + 1);
+    i := next
+  done;
+  !i
+
+type row = {
+  mutable bounds : int array;
+  mutable fields : int;
+  mutable stop : int;
+  mutable next : int;
+}
+
+let row () = { bounds = Array.make 64 0; fields = 0; stop = 0; next = 0 }
+
+let add_field r start stop =
+  let k = 2 * r.fields in
+  if k + 1 >= Array.length r.bounds then begin
+    let a = Array.make (2 * Array.length r.bounds) 0 in
+    Array.blit r.bounds 0 a 0 k;
+    r.bounds <- a
+  end;
+  Array.unsafe_set r.bounds k start;
+  Array.unsafe_set r.bounds (k + 1) stop;
+  r.fields <- r.fields + 1
+
+(* The row's end as [row_bounds] places it, given its newline [eol]. *)
+let set_end src r ~pos eol =
+  r.stop <- (if eol > pos && String.unsafe_get src (eol - 1) = '\r' then eol - 1 else eol);
+  r.next <- Int.min (String.length src) (eol + 1)
+
+(* Any row: [row_eol], then the fields one [field_stop] at a time. *)
+let scan_row_slow config src ~pos r =
+  set_end src r ~pos (row_eol src ~pos);
+  r.fields <- 0;
+  if pos < r.stop then begin
+    let i = ref pos and more = ref true in
+    while !more do
+      let fstop = field_stop config src ~stop:r.stop !i in
+      add_field r !i fstop;
+      let next = next_field config src ~stop:r.stop fstop in
+      if next >= r.stop then more := false else i := next
+    done
+  end
+
+(* One pass over a row without quotes: every separator before the newline
+   ends a field. A quote sends the row to [scan_row_slow], as does a
+   separator that could be mistaken for a row or quote delimiter. *)
+let scan_row config src ~pos r =
+  let sep = config.separator in
+  if sep = '"' || sep = '\n' || sep = '\r' then scan_row_slow config src ~pos r
+  else begin
+    let n = String.length src in
+    r.fields <- 0;
+    let i = ref pos and fstart = ref pos and quoted = ref false and at_end = ref false in
+    while not (!at_end || !quoted) do
+      if !i >= n then at_end := true
+      else begin
+        let c = String.unsafe_get src !i in
+        if c = sep then begin
+          add_field r !fstart !i;
+          fstart := !i + 1;
+          incr i
+        end
+        else if c = '\n' then at_end := true
+        else if c = '"' then quoted := true
+        else incr i
+      end
+    done;
+    if !quoted then scan_row_slow config src ~pos r
+    else begin
+      set_end src r ~pos !i;
+      (* a trailing separator ends the row without an empty last field *)
+      if !fstart < r.stop then add_field r !fstart r.stop
+    end
+  end
 
 let parse_int src ~start ~stop =
   try Numparse.int_span src ~start ~stop

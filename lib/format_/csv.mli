@@ -29,6 +29,11 @@ val of_records : config -> Schema.t -> Value.t list -> string
     [pos]: the data spans [start..stop) and the next row starts at [next]. *)
 val row_bounds : string -> pos:int -> int * int * int
 
+(** [row_eol src ~pos] is the offset of the newline ending the row that
+    begins at [pos] (newlines inside quotes do not end it), or the source
+    length; [row_bounds] without the triple. *)
+val row_eol : string -> pos:int -> int
+
 (** [bom_skip src] is 3 when the file starts with a UTF-8 byte-order mark,
     0 otherwise. *)
 val bom_skip : string -> int
@@ -45,9 +50,38 @@ val field_spans : config -> string -> start:int -> stop:int -> (int * int) list
     row [start..stop), without allocating spans. *)
 val count_fields : config -> string -> start:int -> stop:int -> int
 
-(** [nth_field_span config src ~start ~stop n] is the span of field [n]
-    (0-based) of the row, scanning from [start]. *)
-val nth_field_span : config -> string -> start:int -> stop:int -> int -> int * int
+(** [field_stop config src ~stop i] is the end of the field starting at
+    [i] in a row ending at [stop] (a quoted field's span keeps its quotes). *)
+val field_stop : config -> string -> stop:int -> int -> int
+
+(** [next_field config src ~stop fstop] is where the field after the one
+    ending at [fstop] starts; [stop] when none follows. *)
+val next_field : config -> string -> stop:int -> int -> int
+
+(** [nth_field_start config src ~start ~stop n] is the start of field [n]
+    (0-based) of the row, scanning from [start]; [field_stop] ends it.
+    Raises [Perror.Parse_error] at [start] when the row has fewer fields.
+    Neither allocates. *)
+val nth_field_start : config -> string -> start:int -> stop:int -> int -> int
+
+(** A tokenized row, refilled in place by {!scan_row}: field [i] spans
+    [bounds.(2i) .. bounds.(2i+1)), for [i < fields]; the row's data ends
+    at [stop] and the next row starts at [next] (as in {!row_bounds}). *)
+type row = {
+  mutable bounds : int array;
+  mutable fields : int;
+  mutable stop : int;
+  mutable next : int;
+}
+
+(** An empty row buffer. *)
+val row : unit -> row
+
+(** [scan_row config src ~pos r] tokenizes the row starting at [pos] into
+    [r]: the spans {!field_spans} gives, and the bounds {!row_bounds}
+    gives. A row without quotes takes one pass over its bytes; the buffer
+    grows only for a row with more fields than any before it. *)
+val scan_row : config -> string -> pos:int -> row -> unit
 
 (** {1 Field decoding} — parse a span without allocating when possible. *)
 

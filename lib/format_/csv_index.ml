@@ -14,10 +14,16 @@ type t = {
 
 and fixed = {
   first_row : int;             (* offset of the first data row *)
-  row_len : int;               (* bytes per row including the newline *)
-  field_offsets : int array;   (* offset of each field within a row *)
-  field_stops : int array;     (* end offset of each field within a row *)
+  layout : layout;
   nrows : int;
+}
+
+(* Every row of a fixed-width file, relative to its start. *)
+and layout = {
+  row_len : int;               (* bytes per row including the newline *)
+  row_stop : int;              (* end of a row's data *)
+  offsets : int array;         (* offset of each field *)
+  stops : int array;           (* end offset of each field *)
 }
 
 let config t = t.config
@@ -58,64 +64,94 @@ let concat ?len prefix b =
    match (learned from the first row when [None]); [arity = 0] learns the
    nominal arity from the first row too. Every row's anchors are buffered;
    [fixed_ok] stays true while each row matches the candidate and starts
-   exactly where the arithmetic places it. *)
+   exactly where the arithmetic places it.
+
+   The scan allocates nothing per row: each row's field boundaries go into
+   one reusable buffer (a [Csv.row], starts and stops interleaved), the
+   fixed-width check compares them in place against the candidate's arrays
+   and is skipped for good once it fails, and the anchors are read off the
+   buffer. *)
 type scan = {
   starts : buf;
   stops : buf;
   anchor_buf : buf;
   s_arity : int;
   s_per_row : int;
-  layout : (int * (int * int) list) option;  (* row length, relative spans *)
+  layout : layout option;
   fixed_ok : bool;
   first_row : int;
   scanned : int;
 }
 
+(* Does the row at [rstart] (its [nf] fields in [r], [len] bytes with the
+   newline) have exactly the candidate's relative spans? *)
+let matches l (r : Csv.row) ~nf ~rstart ~len =
+  len = l.row_len
+  && r.Csv.stop - rstart = l.row_stop
+  && nf = Array.length l.offsets
+  &&
+  let rec go i =
+    i >= nf
+    || (r.Csv.bounds.(2 * i) - rstart = l.offsets.(i)
+       && r.Csv.bounds.((2 * i) + 1) - rstart = l.stops.(i)
+       && go (i + 1))
+  in
+  go 0
+
 let scan_rows cfg ~every src ~pos ~row ~first_row ~arity ~layout =
   let n = String.length src in
   let starts = buf () and stops = buf () and anchor_buf = buf () in
+  let r = Csv.row () in
   let arity = ref arity and per_row = ref ((arity + every - 1) / every) in
   let layout = ref layout and fixed_ok = ref true in
   let first_row = ref first_row in
   let k = ref 0 and pos = ref pos in
   while !pos < n do
-    let rstart, rstop, next = Csv.row_bounds src ~pos:!pos in
+    let rstart = !pos in
+    Csv.scan_row cfg src ~pos:rstart r;
+    let rstop = r.Csv.stop and next = r.Csv.next in
     if rstart = rstop then pos := next
     else begin
-      let spans = Csv.field_spans cfg src ~start:rstart ~stop:rstop in
+      let nf = r.Csv.fields in
       (* The first row fixes the nominal arity. Ragged rows (more or fewer
          fields) are tolerated at build time — each keeps its own anchors —
          and reported as a per-row Parse_error at access time, so error
          policies can skip or null-fill them instead of rejecting the file. *)
       if !arity = 0 then begin
-        arity := List.length spans;
+        arity := nf;
         per_row := (!arity + every - 1) / every
       end;
       (* Fixed-width check: identical relative offsets and row length, and
          rows packed back to back (a blank line breaks the arithmetic). *)
-      let rel =
-        (next - rstart, List.map (fun (a, b) -> (a - rstart, b - rstart)) spans)
-      in
-      (match !layout with
-      | None ->
-        layout := Some rel;
-        if !first_row < 0 then first_row := rstart - (row * (next - rstart))
-      | Some c -> if c <> rel then fixed_ok := false);
-      (match !layout with
-      | Some (row_len, _) when rstart <> !first_row + ((row + !k) * row_len) ->
-        fixed_ok := false
-      | _ -> ());
+      if !fixed_ok then begin
+        let len = next - rstart in
+        let l =
+          match !layout with
+          | Some l ->
+            if not (matches l r ~nf ~rstart ~len) then fixed_ok := false;
+            l
+          | None ->
+            let l =
+              {
+                row_len = len;
+                row_stop = rstop - rstart;
+                offsets = Array.init nf (fun i -> r.Csv.bounds.(2 * i) - rstart);
+                stops = Array.init nf (fun i -> r.Csv.bounds.((2 * i) + 1) - rstart);
+              }
+            in
+            layout := Some l;
+            if !first_row < 0 then first_row := rstart - (row * len);
+            l
+        in
+        if rstart <> !first_row + ((row + !k) * l.row_len) then fixed_ok := false
+      end;
       push starts rstart;
       push stops rstop;
-      let slot = ref 0 in
-      List.iteri
-        (fun i (a, _) ->
-          if i mod every = 0 && !slot < !per_row then begin
-            push anchor_buf a;
-            incr slot
-          end)
-        spans;
-      for _ = !slot to !per_row - 1 do
+      let anchored = Int.min !per_row ((nf + every - 1) / every) in
+      for slot = 0 to anchored - 1 do
+        push anchor_buf r.Csv.bounds.(2 * slot * every)
+      done;
+      for _ = anchored to !per_row - 1 do
         push anchor_buf (-1)
       done;
       incr k;
@@ -136,15 +172,9 @@ let scan_rows cfg ~every src ~pos ~row ~first_row ~arity ~layout =
 
 let fixed_of s ~nrows =
   match s.layout with
-  | Some (row_len, rel_spans) when s.fixed_ok && nrows > 0 ->
+  | Some l when s.fixed_ok && nrows > 0 ->
     Some
-      {
-        first_row = s.first_row;
-        row_len;
-        field_offsets = Array.of_list (List.map fst rel_spans);
-        field_stops = Array.of_list (List.map snd rel_spans);
-        nrows;
-      }
+      { first_row = s.first_row; layout = l; nrows }
   | _ -> None
 
 let build cfg ?(every = 5) src =
@@ -165,9 +195,8 @@ let build cfg ?(every = 5) src =
 let row_span t row =
   match t.fixed with
   | Some f ->
-    let start = f.first_row + (row * f.row_len) in
-    (* stop = start of the last field's end *)
-    (start, start + f.field_stops.(Array.length f.field_stops - 1))
+    let start = f.first_row + (row * f.layout.row_len) in
+    (start, start + f.layout.row_stop)
   | None -> (t.row_starts.(row), t.row_stops.(row))
 
 (* The per-row arrays of the first [rows] rows followed by [s]'s rows, as
@@ -180,15 +209,15 @@ let per_row_arrays t ~rows s =
       concat ~len:rows t.row_stops s.stops,
       concat ~len:(rows * t.per_row) t.anchors s.anchor_buf )
   | Some f ->
-    let last = Array.length f.field_stops - 1 in
-    let start r = f.first_row + (r * f.row_len) in
+    let last = Array.length f.layout.stops - 1 in
+    let start r = f.first_row + (r * f.layout.row_len) in
     ( concat (Array.init rows start) s.starts,
-      concat (Array.init rows (fun r -> start r + f.field_stops.(last))) s.stops,
+      concat (Array.init rows (fun r -> start r + f.layout.row_stop)) s.stops,
       concat
         (Array.init (rows * t.per_row) (fun i ->
              let r = i / t.per_row and k = i mod t.per_row in
              let field = k * t.every in
-             if field <= last then start r + f.field_offsets.(field) else -1))
+             if field <= last then start r + f.layout.offsets.(field) else -1))
         s.anchor_buf )
 
 (* Rows are delimited by the bytes after their start only, so re-scanning
@@ -207,11 +236,7 @@ let extend t src =
        re-judged from scratch, as a build would *)
     let layout, first_row =
       match t.fixed with
-      | Some f when keep > 0 ->
-        ( Some
-            ( f.row_len,
-              List.combine (Array.to_list f.field_offsets) (Array.to_list f.field_stops) ),
-          f.first_row )
+      | Some f when keep > 0 -> (Some f.layout, f.first_row)
       | _ -> (None, if keep = 0 then Csv.data_start t.config src else -1)
     in
     let s =
@@ -230,24 +255,30 @@ let extend t src =
         Some { t with src; fixed = None; row_starts; row_stops; anchors }
   end
 
-let field_span t ~row ~field =
+let field_start t ~row ~field =
   match t.fixed with
-  | Some f ->
-    let base = f.first_row + (row * f.row_len) in
-    (base + f.field_offsets.(field), base + f.field_stops.(field))
+  | Some f -> f.first_row + (row * f.layout.row_len) + f.layout.offsets.(field)
   | None ->
-    let stop = t.row_stops.(row) in
     (* Ragged short rows may lack the anchor for [field], and fields past
        the nominal arity have none: fall back to the last anchor the row
        has and let the forward scan report a missing field as a
        Parse_error positioned at the row. Slot 0 always exists. *)
     let base = row * t.per_row in
-    let k = ref (min (field / t.every) (t.per_row - 1)) in
+    let k = ref (Int.min (field / t.every) (t.per_row - 1)) in
     while t.anchors.(base + !k) < 0 do
       decr k
     done;
-    Csv.nth_field_span t.config t.src ~start:t.anchors.(base + !k) ~stop
-      (field - (!k * t.every))
+    Csv.nth_field_start t.config t.src ~start:t.anchors.(base + !k)
+      ~stop:t.row_stops.(row) (field - (!k * t.every))
+
+let field_stop t ~row ~field start =
+  match t.fixed with
+  | Some f -> f.first_row + (row * f.layout.row_len) + f.layout.stops.(field)
+  | None -> Csv.field_stop t.config t.src ~stop:t.row_stops.(row) start
+
+let field_span t ~row ~field =
+  let start = field_start t ~row ~field in
+  (start, field_stop t ~row ~field start)
 
 let row_arity t row =
   match t.fixed with
@@ -258,5 +289,5 @@ let row_arity t row =
 
 let byte_size t =
   match t.fixed with
-  | Some f -> 8 * (4 + (2 * Array.length f.field_offsets))
+  | Some f -> 8 * (4 + (2 * Array.length f.layout.offsets))
   | None -> 8 * ((2 * Array.length t.row_starts) + Array.length t.anchors)

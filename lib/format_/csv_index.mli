@@ -8,7 +8,13 @@
     When the file has fixed-length rows (every row the same byte length and
     every field at the same offset), the per-row machinery is dropped and
     field positions are computed arithmetically — the paper's
-    "specializing per dataset contents" fast path. *)
+    "specializing per dataset contents" fast path.
+
+    The build is one pass that allocates nothing per row: each row is
+    tokenized into one reusable buffer ({!Csv.scan_row}), the fixed-width
+    layout is checked in place against the first row's and dropped for
+    good at the first row that breaks it, and the anchors are read off
+    the buffer. *)
 
 type t
 
@@ -44,6 +50,14 @@ val row_span : t -> int -> int * int
 
 (** [field_span t ~row ~field] is the span of one field, using the anchors. *)
 val field_span : t -> row:int -> field:int -> int * int
+
+(** [field_start t ~row ~field] and [field_stop t ~row ~field start] are
+    {!field_span}'s two ends without the pair: the accessors and batch
+    fills call them once per value, so they allocate nothing. [start] is
+    what [field_start] returned for the same field. *)
+val field_start : t -> row:int -> field:int -> int
+
+val field_stop : t -> row:int -> field:int -> int -> int
 
 (** Number of fields per row (from the first row). *)
 val arity : t -> int

@@ -114,6 +114,14 @@ let of_str ?null ?fill get =
     dict = None;
   }
 
+let shim_fill seek (get : unit -> 'a) : 'a fill =
+ fun base out ~sel ~n ->
+  for i = 0 to n - 1 do
+    let j = sel.(i) in
+    seek (base + j);
+    out.(j) <- get ()
+  done
+
 let boxed ty get_val =
   {
     ty;

@@ -57,6 +57,11 @@ val of_float : ?null:(unit -> bool) -> ?fill:float fill -> (unit -> float) -> t
 val of_bool : ?null:(unit -> bool) -> ?fill:bool fill -> (unit -> bool) -> t
 val of_str : ?null:(unit -> bool) -> ?fill:string fill -> (unit -> string) -> t
 
+(** [shim_fill seek get] serves the batch lane for an accessor without a
+    native fill: for each selected lane, [seek] the scan cursor to the
+    element, then [get] it. *)
+val shim_fill : (int -> unit) -> (unit -> 'a) -> 'a fill
+
 (** [boxed ty f] wraps a boxed-only accessor (nested values etc.). *)
 val boxed : Ptype.t -> (unit -> Value.t) -> t
 

@@ -6,7 +6,8 @@ type t = {
   lookup_field : dataset:string -> path:string -> Column.t option;
   store_field :
     dataset:string -> path:string -> bias:Memory.Arena.bias -> Column.t -> bool;
-  should_cache_field : dataset:string -> path:string -> ty:Proteus_model.Ptype.t -> bool;
+  should_cache_field :
+    dataset:string -> path:string -> ty:Proteus_model.Ptype.t -> rows:int -> bool;
   lookup_packed : key:string -> packed option;
   store_packed :
     key:string -> datasets:string list -> bias:Memory.Arena.bias -> packed -> unit;
@@ -27,7 +28,7 @@ let disabled =
   {
     lookup_field = (fun ~dataset:_ ~path:_ -> None);
     store_field = (fun ~dataset:_ ~path:_ ~bias:_ _ -> false);
-    should_cache_field = (fun ~dataset:_ ~path:_ ~ty:_ -> false);
+    should_cache_field = (fun ~dataset:_ ~path:_ ~ty:_ ~rows:_ -> false);
     lookup_packed = (fun ~key:_ -> None);
     store_packed = (fun ~key:_ ~datasets:_ ~bias:_ _ -> ());
     quarantine = (fun ~id:_ -> ());

@@ -19,9 +19,11 @@ type t = {
     dataset:string -> path:string -> bias:Memory.Arena.bias -> Column.t -> bool;
       (** [false] when the arena refused the column (larger than the whole
           arena): nothing was installed *)
-  should_cache_field : dataset:string -> path:string -> ty:Ptype.t -> bool;
+  should_cache_field : dataset:string -> path:string -> ty:Ptype.t -> rows:int -> bool;
       (** the caching policy: e.g. eager for CSV/JSON primitives, never for
-          variable-length strings (Section 6 "Cache Policies") *)
+          variable-length strings (Section 6 "Cache Policies"); never for a
+          column of [rows] values that could not fit the whole arena, so no
+          scan builds a fill that [store_field] must refuse *)
   lookup_packed : key:string -> packed option;
       (** a materialized join build side, keyed by the fingerprint of the
           sub-plan that produced it *)

@@ -8,75 +8,46 @@ let make ~config ~schema ~index ~src =
   (* Resolve everything per-field once: index position, span fetch, typed
      parser. The per-tuple work is just "span + parse". *)
   let accessor (f : Schema.field) fidx : Access.t =
-    let span () = Csv_index.field_span index ~row:!row ~field:fidx in
-    (* Batch lane: index-driven bulk extraction — span lookups at explicit
-       rows, parse only the selected lanes; non-nullable fields only. *)
+    (* [read parse] parses the field at the cursor row; [bfill parse] is
+       the batch lane — index-driven bulk extraction at explicit rows,
+       parsing only the selected lanes (non-nullable fields only). Both
+       locate the field through the index's int-returning ends, so a read
+       allocates nothing beyond its parsed value. *)
+    let read parse () =
+      let s = Csv_index.field_start index ~row:!row ~field:fidx in
+      parse s (Csv_index.field_stop index ~row:!row ~field:fidx s)
+    in
     let bfill parse =
       fun base out ~sel ~n ->
         for i = 0 to n - 1 do
           let j = sel.(i) in
-          let s, e = Csv_index.field_span index ~row:(base + j) ~field:fidx in
-          out.(j) <- parse s e
+          let row = base + j in
+          let s = Csv_index.field_start index ~row ~field:fidx in
+          out.(j) <- parse s (Csv_index.field_stop index ~row ~field:fidx s)
         done
     in
+    (* a nullable field reads the empty span as null and has no fill *)
+    let null = match f.ty with Ptype.Option _ -> Some (read (fun s e -> (s : int) >= e)) | _ -> None in
+    let fill parse = if Option.is_none null then Some (bfill parse) else None in
     match Ptype.unwrap_option f.ty with
     | Ptype.Int ->
-      let get () =
-        let s, e = span () in
-        Csv.parse_int src ~start:s ~stop:e
-      in
-      (match f.ty with
-      | Ptype.Option _ ->
-        Access.of_int
-          ~null:(fun () ->
-            let s, e = span () in
-            s >= e)
-          get
-      | _ -> Access.of_int ~fill:(bfill (fun s e -> Csv.parse_int src ~start:s ~stop:e)) get)
+      let parse s e = Csv.parse_int src ~start:s ~stop:e in
+      Access.of_int ?null ?fill:(fill parse) (read parse)
     | Ptype.Date ->
       let parse s e =
         if e - s = 10 && src.[s + 4] = '-' then Date_util.of_span src ~start:s ~stop:e
         else Csv.parse_int src ~start:s ~stop:e
       in
-      let get () =
-        let s, e = span () in
-        parse s e
-      in
-      Access.of_date ~fill:(bfill parse) get
+      Access.of_date ~fill:(bfill parse) (read parse)
     | Ptype.Float ->
-      let get () =
-        let s, e = span () in
-        Csv.parse_float src ~start:s ~stop:e
-      in
-      (match f.ty with
-      | Ptype.Option _ ->
-        Access.of_float
-          ~null:(fun () ->
-            let s, e = span () in
-            s >= e)
-          get
-      | _ ->
-        Access.of_float ~fill:(bfill (fun s e -> Csv.parse_float src ~start:s ~stop:e)) get)
+      let parse s e = Csv.parse_float src ~start:s ~stop:e in
+      Access.of_float ?null ?fill:(fill parse) (read parse)
     | Ptype.Bool ->
-      let get () =
-        let s, e = span () in
-        Csv.parse_bool src ~start:s ~stop:e
-      in
-      Access.of_bool ~fill:(bfill (fun s e -> Csv.parse_bool src ~start:s ~stop:e)) get
+      let parse s e = Csv.parse_bool src ~start:s ~stop:e in
+      Access.of_bool ~fill:(bfill parse) (read parse)
     | Ptype.String ->
-      let get () =
-        let s, e = span () in
-        Csv.parse_string src ~start:s ~stop:e
-      in
-      (match f.ty with
-      | Ptype.Option _ ->
-        Access.of_str
-          ~null:(fun () ->
-            let s, e = span () in
-            s >= e)
-          get
-      | _ ->
-        Access.of_str ~fill:(bfill (fun s e -> Csv.parse_string src ~start:s ~stop:e)) get)
+      let parse s e = Csv.parse_string src ~start:s ~stop:e in
+      Access.of_str ?null ?fill:(fill parse) (read parse)
     | other -> Perror.type_error "CSV field %s of non-primitive type %a" f.name Ptype.pp other
   in
   let accessors =

@@ -11,6 +11,7 @@ type index_info = {
   size_bytes : int;
   input_bytes : int;
   build_seconds : float;
+  stats_seconds : float;
   fixed_schema : bool;
   built_rows : int;
   extended_rows : int;
@@ -126,10 +127,89 @@ let set_cache t c =
   t.cache <- c;
   Atomic.incr t.generation
 
-(* Cold-access statistics: cardinality plus min/max of numeric top-level
-   fields, observed through the freshly built source — in a single pass
-   that observes every numeric path per seek. After an append only the
-   rows from [from] on are observed: cardinality and min/max only grow. *)
+(* --- cold statistics ---------------------------------------------------- *)
+
+(* Cold-access statistics: cardinality plus min/max/distinct of the
+   numeric top-level fields, observed through the freshly built source in
+   one pass of 1024-row batches, aligned to multiples of 1024 (the cadence
+   of [Fault.check_cancel]). Per batch, every field first reads its values
+   into an unboxed buffer — through its native fill, or the seek-then-get
+   shim the engine uses, or, for a nullable field, the shim with a null
+   test that also collects the non-null lanes — and only when every read
+   succeeded are the buffers folded into the fields' accumulators
+   (resolved once per pass). A batch in which any read raised is re-read
+   row by row through the boxed getters instead, which reproduces the
+   row-major first error, the [corrupt] mark and, under a degraded policy,
+   the set of values observed. After an append only the rows from [from]
+   on are observed: cardinality and min/max only grow. *)
+let stats_batch = 1024
+
+let iota = Array.init stats_batch Fun.id
+
+(* One field of the pass: [read ~base ~len] buffers a batch (or raises),
+   [fold ()] folds the buffered batch, [get_val] is the row-by-row read. *)
+type stats_lane = {
+  acc : Stats.acc;
+  get_val : unit -> Value.t;
+  read : base:int -> len:int -> unit;
+  fold : unit -> unit;
+}
+
+let stats_lane seek acc (a : Access.t) =
+  let null = if a.Access.nullable then a.Access.is_null else None in
+  let typed fill get buf observe =
+    let n = ref 0 in
+    let sel, read =
+      match null with
+      | None ->
+        let fill = match fill with Some f -> f | None -> Access.shim_fill seek get in
+        ( iota,
+          fun ~base ~len ->
+            fill base buf ~sel:iota ~n:len;
+            n := len )
+      | Some is_null ->
+        let sel = Array.make stats_batch 0 in
+        ( sel,
+          fun ~base ~len ->
+            n := 0;
+            for j = 0 to len - 1 do
+              seek (base + j);
+              if not (is_null ()) then begin
+                buf.(j) <- get ();
+                sel.(!n) <- j;
+                incr n
+              end
+            done )
+    in
+    { acc; get_val = a.Access.get_val; read; fold = (fun () -> observe buf ~sel ~n:!n) }
+  in
+  let typed_ok = (not a.Access.nullable) || null <> None in
+  match Ptype.unwrap_option a.Access.ty, a.Access.get_int, a.Access.get_float with
+  | ((Ptype.Int | Ptype.Date) as ty), Some get, _ when typed_ok ->
+    typed a.Access.fill_int get (Array.make stats_batch 0)
+      (Stats.observe_ints acc ~date:(ty = Ptype.Date))
+  | Ptype.Float, _, Some get when typed_ok ->
+    typed a.Access.fill_float get (Array.make stats_batch 0.) (Stats.observe_floats acc)
+  | _ ->
+    (* no typed getter: buffer the boxed values *)
+    let vals = Array.make stats_batch Value.Null and n = ref 0 in
+    {
+      acc;
+      get_val = a.Access.get_val;
+      read =
+        (fun ~base ~len ->
+          for j = 0 to len - 1 do
+            seek (base + j);
+            vals.(j) <- a.Access.get_val ()
+          done;
+          n := len);
+      fold =
+        (fun () ->
+          for j = 0 to !n - 1 do
+            Stats.observe_value acc vals.(j)
+          done);
+    }
+
 let collect_stats ?(from = 0) t (d : Dataset.t) (src : Source.t) =
   let stats = Catalog.stats t.catalog d.name in
   Stats.set_cardinality stats src.Source.count;
@@ -144,22 +224,22 @@ let collect_stats ?(from = 0) t (d : Dataset.t) (src : Source.t) =
         fields
     | _ -> []
   in
-  let accessors =
+  let seek = src.Source.seek in
+  let lanes =
     List.filter_map
       (fun path ->
         match src.Source.field path with
-        | access -> Some (path, access)
+        | access -> Some (stats_lane seek (Stats.acc stats path) access)
         | exception Perror.Plan_error _ -> None)
       numeric_paths
   in
-  if accessors <> [] then
-    for i = from to src.Source.count - 1 do
-      if i land 1023 = 0 then Fault.check_cancel ();
-      src.Source.seek i;
+  let row_by_row ~base ~len =
+    for i = base to base + len - 1 do
+      seek i;
       List.iter
-        (fun (path, access) ->
-          match access.Access.get_val () with
-          | v -> Stats.observe stats path v
+        (fun l ->
+          match l.get_val () with
+          | v -> Stats.observe_value l.acc v
           | exception Perror.Type_error _ -> ()
           | exception (Perror.Parse_error _ as e) ->
             Mutex.protect t.build_mu (fun () -> Hashtbl.replace t.corrupt d.name ());
@@ -167,8 +247,22 @@ let collect_stats ?(from = 0) t (d : Dataset.t) (src : Source.t) =
                corrupt field must not abort the query from the stats pass
                (the scan's own accounting owns error reporting) *)
             if not (Fault.skipping () || Fault.null_filling ()) then raise e)
-        accessors
+        lanes
     done
+  in
+  if lanes <> [] then begin
+    let base = ref from in
+    while !base < src.Source.count do
+      if !base land (stats_batch - 1) = 0 then Fault.check_cancel ();
+      let len =
+        Int.min (stats_batch - (!base land (stats_batch - 1))) (src.Source.count - !base)
+      in
+      (match List.iter (fun l -> l.read ~base:!base ~len) lanes with
+      | () -> List.iter (fun l -> l.fold ()) lanes
+      | exception _ -> row_by_row ~base:!base ~len);
+      base := !base + len
+    done
+  end
 
 (* Index-build failures name the dataset: the byte offset alone is useless
    to a user when a query touches several files. *)
@@ -216,6 +310,7 @@ let build_factory t (d : Dataset.t) : unit -> Source.t =
         size_bytes = index_bytes index;
         input_bytes = String.length bytes;
         build_seconds = Unix.gettimeofday () -. t0;
+        stats_seconds = 0.;
         fixed_schema = index_fixed index;
         built_rows = rows;
         extended_rows = 0;
@@ -653,7 +748,15 @@ let source t name =
             Hashtbl.replace t.sources name s;
             (s, true))
     in
-    if fresh then collect_stats t d s;
+    if fresh then begin
+      let t0 = Unix.gettimeofday () in
+      collect_stats t d s;
+      let stats_seconds = Unix.gettimeofday () -. t0 in
+      Mutex.protect t.build_mu (fun () ->
+          Option.iter
+            (fun i -> Hashtbl.replace t.infos name { i with stats_seconds })
+            (Hashtbl.find_opt t.infos name))
+    end;
     s
 
 let fresh_source t name =
@@ -987,6 +1090,7 @@ let materialize_field t ~dataset ~path =
         (not already)
         && Ptype.is_primitive (Ptype.unwrap_option ty)
         && t.cache.Cache_iface.should_cache_field ~dataset ~path ~ty
+             ~rows:(source t dataset).Source.count
       then begin
         let src = fresh_source t dataset in
         let access = src.Source.field path in
@@ -1053,7 +1157,8 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
           (match ty with
           | Some ty
             when Ptype.is_primitive (Ptype.unwrap_option ty)
-                 && t.cache.Cache_iface.should_cache_field ~dataset ~path ~ty ->
+                 && t.cache.Cache_iface.should_cache_field ~dataset ~path ~ty
+                      ~rows:raw.Source.count ->
             to_fill := (path, ty, raw.Source.field path) :: !to_fill
           | _ -> ()))
     required;

@@ -14,6 +14,9 @@ type index_info = {
   size_bytes : int;
   input_bytes : int;
   build_seconds : float;
+  stats_seconds : float;
+      (** the cold-statistics pass of the same first access, so a first
+          touch splits into index build and statistics *)
   fixed_schema : bool;  (** fixed-schema JSON / fixed-width CSV *)
   built_rows : int;  (** rows the last full build indexed *)
   extended_rows : int;

@@ -63,8 +63,9 @@ let threshold_ms t =
 type 'a outcome = Done of 'a | Raised of exn
 
 type 'a attempt = {
-  at_flag : bool Atomic.t;        (* publication barrier for at_cell *)
+  at_flag : bool Atomic.t;        (* publication barrier for at_cell, at_ms *)
   at_cell : 'a outcome option ref;
+  at_ms : float ref;              (* the attempt's own build time *)
   at_ctx : Fault.ctx option;
   at_dom : unit Domain.t;
 }
@@ -102,16 +103,20 @@ let orphan (a : 'a attempt) =
 
 let spawn parent f =
   let flag = Atomic.make false in
-  let cell = ref None in
+  let cell = ref None and ms = ref 0. in
   let ctx = Option.map Fault.fork parent in
   let dom =
     Domain.spawn (fun () ->
+        (* timed inside the domain: a domain's start-up (the process's
+           first one pays for the runtime's) is not the member's build *)
+        let t0 = Unix.gettimeofday () in
         Fault.set_ctx ctx;
         let r = try Done (f ()) with e -> Raised e in
+        ms := (Unix.gettimeofday () -. t0) *. 1000.;
         cell := Some r;
         Atomic.set flag true)
   in
-  { at_flag = flag; at_cell = cell; at_ctx = ctx; at_dom = dom }
+  { at_flag = flag; at_cell = cell; at_ms = ms; at_ctx = ctx; at_dom = dom }
 
 let finished a = Atomic.get a.at_flag
 
@@ -134,8 +139,8 @@ let return_outcome = function Done v -> v | Raised e -> raise e
 (* [run t ~key f] builds [f ()] with hedging: primary attempt on a fresh
    domain; past the threshold, one secondary; first finisher wins (a
    finisher that failed defers to the other attempt — a hedge must never
-   make a build fail that could have succeeded). The winner's elapsed time
-   feeds the EWMA. *)
+   make a build fail that could have succeeded). The winner's own build
+   time, measured inside its domain, feeds the EWMA. *)
 let run t ~key f =
   reap ~wait:false;
   let threshold = threshold_ms t in
@@ -151,14 +156,14 @@ let run t ~key f =
         Unix.sleepf poll_interval
       done;
       let settle winner loser v_or_e =
-        note t key ((Unix.gettimeofday () -. t0) *. 1000.);
+        note t key !(winner.at_ms);
         Option.iter Fault.cancel_ctx loser.at_ctx;
         orphan loser;
         Domain.join winner.at_dom;
         return_outcome v_or_e
       in
       if finished primary then begin
-        note t key ((Unix.gettimeofday () -. t0) *. 1000.);
+        note t key !(primary.at_ms);
         Domain.join primary.at_dom;
         return_outcome (result_of primary)
       end
@@ -189,7 +194,7 @@ let run t ~key f =
             Domain.join other.at_dom;
             match result_of other with
             | Done _ as r ->
-              note t key ((Unix.gettimeofday () -. t0) *. 1000.);
+              note t key !(other.at_ms);
               return_outcome r
             | Raised _ -> raise e))
       end

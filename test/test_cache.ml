@@ -207,6 +207,48 @@ let test_select_without_manager () =
       done)
     [ 0; 1024 ]
 
+(* An arena too small for any column: the policy declines every fill up
+   front, so a prepared statement over a 20k-row CSV (four shards, so that
+   pruning has per-shard digests without any cache) commits no fill on any
+   run, keeps pruning on — it skips the morsels a caching-off run skips —
+   and answers as a fresh [Db.sql]. *)
+let test_oversized_fill_not_elected () =
+  let module Db = Proteus.Db in
+  let module Counters = Proteus_engine.Counters in
+  let shard s =
+    Proteus_format.Csv.of_records Proteus_format.Csv.default_config
+      (Schema.of_type item_type)
+      (List.init 5_000 (fun i ->
+           let k = (s * 5_000) + i in
+           Value.record
+             [ ("k", Value.Int k); ("v", Value.Float (float_of_int (k mod 10)));
+               ("s", Value.String "s") ]))
+  in
+  let shards = List.init 4 shard in
+  let session ?cache_budget () =
+    let db = Db.create ?cache_budget () in
+    Db.register_sharded_csv db ~name:"items_csv" ~element:item_type ~shards ();
+    db
+  in
+  let q = "SELECT COUNT(1), SUM(v) FROM items_csv WHERE k < ?" in
+  let params = [ ("1", Value.Int 100) ] in
+  let prepared db = Db.prepare ~optimize:false ~params db (Db.plan_sql db q) in
+  let off = session () in
+  Db.set_caching off false;
+  let _, s_off = Executor.measure (prepared off).Db.run in
+  Alcotest.(check bool) "caching off skips morsels" true (s_off.Counters.morsels_skipped > 0);
+  let db = session ~cache_budget:64 () in
+  let p = prepared db in
+  for i = 1 to 3 do
+    let v, s = Executor.measure p.Db.run in
+    let tag x = Fmt.str "run %d: %s" i x in
+    Alcotest.check check_value (tag "answer") (Db.sql db ~params q) v;
+    Alcotest.(check int) (tag "no fill committed") 0
+      (Db.cache_stats db).Manager.fill_commits;
+    Alcotest.(check int) (tag "skips as caching off") s_off.Counters.morsels_skipped
+      s.Counters.morsels_skipped
+  done
+
 let () =
   Alcotest.run "cache"
     [
@@ -227,5 +269,7 @@ let () =
           Alcotest.test_case "stricter select reads cached columns" `Quick
             test_stricter_select_reads_cached_columns;
           Alcotest.test_case "select without a manager" `Quick test_select_without_manager;
+          Alcotest.test_case "oversized fill not elected" `Quick
+            test_oversized_fill_not_elected;
         ] );
     ]

@@ -444,6 +444,102 @@ let json_index_agrees_prop =
            objs
            (List.init (List.length objs) Fun.id))
 
+(* --- CSV index against the reference tokenizer ---------------------------- *)
+
+(* Free-form CSV: plain and quoted fields (quoted separators, newlines,
+   carriage returns and doubled quotes), ragged rows, blank lines, LF and
+   CRLF endings, a missing final newline; or a fixed-width file. *)
+let csv_text_gen =
+  let open QCheck2.Gen in
+  let plain = string_size ~gen:(oneofl [ 'a'; 'b'; '7'; ' '; '.' ]) (int_range 0 4) in
+  let quoted =
+    map
+      (fun s -> "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\"")
+      (string_size ~gen:(oneofl [ 'a'; ','; '\n'; '\r'; '"' ]) (int_range 0 5))
+  in
+  let row = map (String.concat ",") (list_size (int_range 1 5) (frequency [ (4, plain); (1, quoted) ])) in
+  let eol = oneofl [ "\n"; "\r\n" ] in
+  let line = frequency [ (8, map2 ( ^ ) row eol); (1, eol) ] in
+  let free =
+    map2
+      (fun lines cut ->
+        let s = String.concat "" lines in
+        if cut && s <> "" then String.sub s 0 (String.length s - 1) else s)
+      (list_size (int_range 0 12) line) bool
+  in
+  let fixed =
+    let* widths = list_size (int_range 1 4) (int_range 1 3) in
+    let* eol = eol in
+    let field w = map (fun x -> Printf.sprintf "%0*d" w (x mod int_of_float (10. ** float_of_int w))) nat in
+    let* rows = list_size (int_range 0 8) (flatten_l (List.map field widths)) in
+    return (String.concat "" (List.map (fun fs -> String.concat "," fs ^ eol) rows))
+  in
+  frequency [ (3, free); (1, fixed) ]
+
+(* rows as [Csv.row_bounds] and [Csv.field_spans] see them *)
+let reference_rows src =
+  let n = String.length src in
+  let rec go pos acc =
+    if pos >= n then List.rev acc
+    else
+      let s, e, next = Csv.row_bounds src ~pos in
+      if s = e then go next acc else go next ((s, e, Csv.field_spans cfg src ~start:s ~stop:e) :: acc)
+  in
+  go (Csv.data_start cfg src) []
+
+(* [Some msg] when [idx] disagrees with the reference tokenizer on [src] *)
+let index_mismatch idx src =
+  let rows = reference_rows src in
+  if Csv_index.row_count idx <> List.length rows then
+    Some (Fmt.str "row count %d, reference %d" (Csv_index.row_count idx) (List.length rows))
+  else
+    List.concat
+      (List.mapi
+         (fun row (s, e, spans) ->
+           let span_errs =
+             List.concat
+               (List.mapi
+                  (fun field sp ->
+                    let got = Csv_index.field_span idx ~row ~field in
+                    if got = sp then []
+                    else [ Fmt.str "row %d field %d: (%d,%d), reference (%d,%d)" row field (fst got) (snd got) (fst sp) (snd sp) ])
+                  spans)
+           in
+           let missing =
+             List.filter_map
+               (fun field ->
+                 match Csv_index.field_span idx ~row ~field with
+                 | exception Perror.Parse_error _ -> None
+                 | _ -> Some (Fmt.str "row %d field %d: found past the row's end" row field))
+               (List.init (max 0 (Csv_index.arity idx - List.length spans)) (fun i -> List.length spans + i))
+           in
+           (if Csv_index.row_span idx row = (s, e) then [] else [ Fmt.str "row %d span" row ])
+           @ span_errs @ missing)
+         rows)
+    |> function [] -> None | e :: _ -> Some e
+
+let prop_csv_index_spans =
+  QCheck2.Test.make ~name:"csv index spans == reference tokenizer (built and extended)" ~count:500
+    ~print:(fun (src, every, cut) -> Fmt.str "%S every=%d cut=%d" src every cut)
+    QCheck2.Gen.(triple csv_text_gen (int_range 1 3) nat)
+    (fun (src, every, cut) ->
+      let built = Csv_index.build cfg ~every src in
+      let split = cut mod (String.length src + 1) in
+      let extended = Csv_index.extend (Csv_index.build cfg ~every (String.sub src 0 split)) src in
+      (match index_mismatch built src with
+      | Some m -> QCheck2.Test.fail_reportf "built: %s" m
+      | None -> ());
+      match extended with
+      | None -> true
+      | Some ix -> (
+        match index_mismatch ix src with
+        | Some m -> QCheck2.Test.fail_reportf "extended at %d: %s" split m
+        | None ->
+          (* a prefix indexed without the fixed-width layout keeps its
+             per-row arrays, so only this direction holds *)
+          (not (Csv_index.is_fixed_width ix)) || Csv_index.is_fixed_width built
+          || QCheck2.Test.fail_reportf "extended at %d: fixed-width, build is not" split))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -464,7 +560,8 @@ let () =
           Alcotest.test_case "fixed width" `Quick test_csv_index_fixed_width;
           Alcotest.test_case "variable width" `Quick test_csv_index_variable_width;
           Alcotest.test_case "ragged tolerated" `Quick test_csv_index_ragged_tolerated;
-        ] );
+        ]
+        @ qsuite [ prop_csv_index_spans ] );
       ( "json",
         [
           Alcotest.test_case "parse basics" `Quick test_json_parse_basics;

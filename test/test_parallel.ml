@@ -714,6 +714,203 @@ let test_collect_stats () =
           (fs.Stats.distinct_estimate > 0))
     [ "k"; "grp"; "price" ]
 
+(* The batched cold pass against the statistics of one-value-at-a-time
+   observation: [reference] restates the per-value semantics (strict
+   [Value.compare] min/max, the first of equals kept, a [compare]-keyed
+   distinct sample capped at 1024), and a boxed [Stats.observe] fold must
+   agree with it too. Values are read back through each format's own
+   boxed getter, so the CSV and JSON float decoding is what both sides
+   see. Covers CSV, JSON, binary rows and columns, NaN, -0.0, nulls,
+   empty inputs, duplicate-heavy and >1024-distinct columns, and the
+   append path. *)
+let stats_type =
+  Ptype.Record
+    [ ("k", Ptype.Int); ("grp", Ptype.Int); ("x", Ptype.Option Ptype.Float);
+      ("y", Ptype.Float); ("d", Ptype.Date); ("s", Ptype.String) ]
+
+let stats_paths = [ "k"; "grp"; "x"; "y"; "d" ]
+
+let stats_rows_gen =
+  let open QCheck2.Gen in
+  let special = oneofl [ Float.nan; -0.; 0.; 1.5 ] in
+  let row wide =
+    let* k = if wide then int_range 0 100_000 else int_range 0 20 in
+    let* grp = int_range 0 2 in
+    let* x =
+      frequency
+        [ (2, return Value.Null); (1, map (fun f -> Value.Float f) special);
+          (5, map (fun i -> Value.Float (float_of_int i /. 4.)) (int_range (-40) 40)) ]
+    in
+    let* y =
+      frequency
+        [ (1, special); (3, map (fun i -> float_of_int i /. 8.) (int_range 0 (if wide then 50_000 else 10))) ]
+    in
+    let* d = int_range 0 20_000 in
+    return
+      (Value.record
+         [ ("k", Value.Int k); ("grp", Value.Int grp); ("x", x); ("y", Value.Float y);
+           ("d", Value.Date d); ("s", Value.String "s") ])
+  in
+  let* wide = bool in
+  list_size (frequency [ (1, return 0); (4, int_range 1 3000) ]) (row wide)
+
+let reference_stats values =
+  match List.filter (fun v -> v <> Value.Null) values with
+  | [] -> None
+  | v0 :: _ as vs ->
+    let pick better = List.fold_left (fun a v -> if better (Value.compare v a) then v else a) v0 vs in
+    let sample = Hashtbl.create 64 in
+    List.iter (fun v -> if Hashtbl.length sample < 1024 then Hashtbl.replace sample v ()) vs;
+    let n = List.length vs and sampled = Hashtbl.length sample in
+    Some
+      {
+        Stats.min = pick (fun c -> c < 0);
+        max = pick (fun c -> c > 0);
+        nonnull = n;
+        distinct_estimate = max 1 (if sampled < 1024 then sampled else max sampled (n / 4));
+      }
+
+let same_value (a : Value.t) (b : Value.t) =
+  match a, b with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_stats (a : Stats.field_stats option) b =
+  match a, b with
+  | None, None -> true
+  | Some a, Some b ->
+    same_value a.Stats.min b.Stats.min && same_value a.max b.max && a.nonnull = b.nonnull
+    && a.distinct_estimate = b.distinct_estimate
+  | _ -> false
+
+let pp_stats ppf = function
+  | None -> Fmt.string ppf "none"
+  | Some (f : Stats.field_stats) ->
+    Fmt.pf ppf "[%a, %a] nonnull=%d distinct=%d" Value.pp f.min Value.pp f.max f.nonnull
+      f.distinct_estimate
+
+(* [Some msg] when the catalog's statistics of [name] differ from the
+   reference or from a boxed fold over the values its source yields *)
+let stats_mismatch db name =
+  let reg = Proteus.Db.registry db in
+  ignore (Registry.source reg name);
+  let src = Registry.fresh_source reg name in
+  let columns = List.map (fun p -> (p, src.Source.field p, ref [])) stats_paths in
+  for i = src.Source.count - 1 downto 0 do
+    src.Source.seek i;
+    List.iter (fun (_, a, vs) -> vs := a.Access.get_val () :: !vs) columns
+  done;
+  let boxed = Stats.create () in
+  List.iter (fun (p, _, vs) -> List.iter (Stats.observe boxed p) !vs) columns;
+  let stats = Catalog.stats (Proteus.Db.catalog db) name in
+  List.find_map
+    (fun (p, _, vs) ->
+      let want = reference_stats !vs and got = Stats.field stats p in
+      if not (same_stats want got) then
+        Some (Fmt.str "%s.%s: %a, reference %a" name p pp_stats got pp_stats want)
+      else if not (same_stats want (Stats.field boxed p)) then
+        Some (Fmt.str "%s.%s: boxed fold %a, reference %a" name p pp_stats
+                (Stats.field boxed p) pp_stats want)
+      else None)
+    columns
+  |> function
+  | Some m -> Some m
+  | None ->
+    if Stats.cardinality (Catalog.stats (Proteus.Db.catalog db) name) = Some src.Source.count
+    then None
+    else Some (name ^ ": cardinality")
+
+(* CSV and JSON carry no NaN (their float decoders reject it): those
+   become nulls (x) or 2.5 (y); the binary formats keep them *)
+let no_nan rows =
+  List.map
+    (fun r ->
+      Value.record
+        (List.map
+           (fun (n, v) ->
+             match (v : Value.t) with
+             | Float f when Float.is_nan f -> (n, if n = "x" then Value.Null else Value.Float 2.5)
+             | v -> (n, v))
+           (Array.to_list (Value.fields r))))
+    rows
+
+let stats_csv rows =
+  Proteus_format.Csv.of_records Proteus_format.Csv.default_config (Schema.of_type stats_type)
+    (no_nan rows)
+
+let stats_json rows = to_json (no_nan rows) ^ if rows = [] then "" else "\n"
+
+let prop_batched_stats =
+  QCheck2.Test.make ~name:"batched cold statistics == boxed observation" ~count:40
+    ~print:(fun rows -> Fmt.str "%d rows" (List.length rows))
+    stats_rows_gen
+    (fun rows ->
+      let module Db = Proteus.Db in
+      let db = Db.create () in
+      Db.register_csv db ~name:"c" ~element:stats_type ~contents:(stats_csv rows) ();
+      Db.register_json db ~name:"j" ~element:stats_type ~contents:(stats_json rows);
+      Db.register_rows db ~name:"r" ~element:stats_type rows;
+      Db.register_columns_of db ~name:"b" ~element:stats_type rows;
+      (* the append path: half the rows, a first access, then the rest *)
+      let half = List.filteri (fun i _ -> i < List.length rows / 2) rows in
+      let rest = List.filteri (fun i _ -> i >= List.length rows / 2) rows in
+      Db.register_csv db ~name:"ca" ~element:stats_type ~contents:(stats_csv half) ();
+      Db.register_json db ~name:"ja" ~element:stats_type ~contents:(stats_json half);
+      ignore (Registry.source (Db.registry db) "ca");
+      ignore (Registry.source (Db.registry db) "ja");
+      Db.append db ~name:"ca" (stats_csv rest);
+      Db.append db ~name:"ja" (stats_json rest);
+      List.iter
+        (fun name ->
+          match Registry.index_info (Db.registry db) name with
+          | Some i when i.Registry.extended_rows = List.length rest -> ()
+          | _ -> QCheck2.Test.fail_reportf "%s: the append did not extend the index" name)
+        (if rest = [] || half = [] then [] else [ "ca"; "ja" ]);
+      match List.find_map (stats_mismatch db) [ "c"; "j"; "r"; "b"; "ca"; "ja" ] with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_reportf "%s" m)
+
+(* A corrupt numeric field past the first batch: the batch holding it is
+   re-read row by row, so under [Fail_fast] the first access fails at that
+   row, and under [Skip_row] only the corrupt values go unobserved — every
+   other value of the batch, the corrupt rows' other fields included, is
+   folded in. *)
+let test_stats_corrupt_batch () =
+  let n = 3000 and bad_k = 1500 and bad_price = 2100 in
+  let line i =
+    let k = if i = bad_k then "15x0" else string_of_int i in
+    let price = if i = bad_price then "2.x" else Printf.sprintf "%d.25" i in
+    Printf.sprintf "%s,%d,%s,n\n" k (i mod 7) price
+  in
+  let lines = List.init n line in
+  let csv = String.concat "" lines in
+  let line_start i = List.fold_left (fun a l -> a + String.length l) 0 (List.filteri (fun j _ -> j < i) lines) in
+  let session () =
+    let db = Proteus.Db.create () in
+    Proteus.Db.register_csv db ~name:"c" ~element:item_type ~contents:csv ();
+    db
+  in
+  (match Registry.source (Proteus.Db.registry (session ())) "c" with
+  | exception Perror.Parse_error { pos; _ } ->
+    Alcotest.(check bool) "fails inside the corrupt row" true
+      (pos >= line_start bad_k && pos < line_start (bad_k + 1))
+  | _ -> Alcotest.fail "a corrupt field must fail the first access");
+  let db = session () in
+  (match
+     Executor.query ~policy:Fault.Skip_row (fun () ->
+         ignore (Registry.source (Proteus.Db.registry db) "c");
+         Value.Null)
+   with
+  | Executor.Completed _ -> ()
+  | _ -> Alcotest.fail "the statistics pass must not fail under Skip_row");
+  let stats = Catalog.stats (Proteus.Db.catalog db) "c" in
+  let field p = Option.get (Stats.field stats p) in
+  Alcotest.(check (list int)) "non-null counts (k, grp, price)" [ n - 1; n; n - 1 ]
+    (List.map (fun p -> (field p).Stats.nonnull) [ "k"; "grp"; "price" ]);
+  Alcotest.check check_value "k max" (Value.Int (n - 1)) (field "k").Stats.max;
+  Alcotest.check check_value "price max" (Value.Float (float_of_int (n - 1) +. 0.25))
+    (field "price").Stats.max
+
 let () =
   Alcotest.run "parallel"
     [
@@ -751,5 +948,7 @@ let () =
           Alcotest.test_case "dispenser worker runs" `Quick test_dispenser_runs;
         ] );
       ( "stats",
-        [ Alcotest.test_case "cold collection matches oracle" `Quick test_collect_stats ] );
+        [ Alcotest.test_case "cold collection matches oracle" `Quick test_collect_stats;
+          Alcotest.test_case "corrupt field in a later batch" `Quick test_stats_corrupt_batch;
+          QCheck_alcotest.to_alcotest prop_batched_stats ] );
     ]
