@@ -219,12 +219,12 @@ let build_projection t (dataset, path) col =
             (Projection.rows pr) (Projection.byte_size pr))
     | None -> ()
 
-(* Past-threshold promotion: numeric columns gain a zone map (built in one
-   pass when the column is already filled; otherwise at the next fill
-   commit) and — when the workload showed range predicates — a sorted
-   projection; string columns re-encode as dictionaries in place and their
-   decoded entries get lexicographic zone maps. Costing learns about it
-   through the catalog statistics. *)
+(* Past-threshold promotion: columns gain a zone map (numeric or
+   lexicographic; built in one pass when the column is already filled,
+   otherwise at the next fill commit) and — when the workload showed range
+   predicates — a sorted projection; string columns re-encode as
+   dictionaries in place. Costing learns about it through the catalog
+   statistics. *)
 let promote_now t dataset path =
   Hashtbl.replace t.promoted (dataset, path) ();
   t.promotions <- t.promotions + 1;
@@ -237,9 +237,7 @@ let promote_now t dataset path =
     match Column.promote_strings col with
     | Some dcol when dcol != col ->
       Hashtbl.replace t.fields (dataset, path) { f with col = dcol };
-      t.dict_columns <- t.dict_columns + 1;
-      (* the dictionary layout is what the string zone map is built over *)
-      build_zones t (dataset, path) dcol
+      t.dict_columns <- t.dict_columns + 1
     | Some _ | None -> ())
   | None -> ());
   Log.info (fun m -> m "promoted %s.%s" dataset path)
@@ -549,16 +547,10 @@ let invalidate_dataset t ~dataset = with_mu t @@ fun () ->
 (* The appended rows [from, count) of one cached path, read through the
    grown source; [None] when a row does not read cleanly — a fill over the
    grown dataset would not have committed either. *)
-let tail_column (d : Dataset.t) (src : Proteus_plugin.Source.t) ~from path =
+let tail_column (src : Proteus_plugin.Source.t) ~from path =
   match
-    let ty = Proteus_plugin.Source.field_type d.Dataset.element path in
-    let access = src.Proteus_plugin.Source.field path in
-    let b = Column.Builder.create ty in
-    for i = from to src.Proteus_plugin.Source.count - 1 do
-      src.Proteus_plugin.Source.seek i;
-      Column.Builder.add_value b (access.Proteus_plugin.Access.get_val ())
-    done;
-    Column.Builder.finish b
+    Proteus_plugin.Registry.read_column src path ~lo:from
+      ~hi:src.Proteus_plugin.Source.count
   with
   | col -> Some col
   | exception (Perror.Parse_error _ | Perror.Type_error _ | Perror.Plan_error _) -> None
@@ -574,7 +566,7 @@ let extend_dataset t ~dataset ~source ~from =
   let d = Catalog.find t.catalog dataset in
   let paths = with_mu t (fun () -> keys_of t.fields dataset) in
   (* the parsing happens outside the lock *)
-  let tails = List.map (fun key -> (key, tail_column d source ~from (snd key))) paths in
+  let tails = List.map (fun key -> (key, tail_column source ~from (snd key))) paths in
   with_mu t @@ fun () ->
   drop_plan_results t ~dataset;
   let extended () = t.layouts_extended <- t.layouts_extended + 1 in

@@ -137,58 +137,7 @@ let seek pr test =
       Band (pr, b))
     bits
 
-(* Soundness mirrors [Expr.cmp]: Null compares false (an all-null shard
-   matches nothing); a numeric constant equals only numeric values (so the
-   numeric-only min/max bound equality and the Bloom filter refines it);
-   ordering across kinds follows [Value.compare], so ordering tests prune
-   only all-numeric shards; bounds compare under [Float.compare], whose
-   order puts a data NaN (the minimum) below every float. Int bounds are
-   floats: exact within 2^53, beyond it distinct ints can share one float,
-   so a strict test there only refutes what its non-strict form does.
-   String ordering cannot be refuted (digests keep numeric bounds only). *)
-let digest_may_match (dg : Registry.shard_digest) test =
-  let open Registry in
-  let bloom_mem key = (not dg.sd_keyed) || Bloom.mem dg.sd_bloom key in
-  let le a b = Float.compare a b <= 0 in
-  let numeric op c =
-    if Float.is_nan c then true
-    else
-      match op with
-      | Zonemap.Eq -> le dg.sd_min c && le c dg.sd_max && bloom_mem (Bloom.key_float c)
-      | _ when not dg.sd_all_numeric -> true
-      | Zonemap.Lt -> Float.compare dg.sd_min c < 0
-      | Zonemap.Le -> le dg.sd_min c
-      | Zonemap.Gt -> Float.compare dg.sd_max c > 0
-      | Zonemap.Ge -> le c dg.sd_max
-  in
-  let cmp = function
-    | Zonemap.T_str (Zonemap.Eq, s) -> bloom_mem (Bloom.key_string s)
-    | Zonemap.T_str _ -> true
-    | Zonemap.T_int (op, c) ->
-      let f = float_of_int c in
-      let op =
-        match op with
-        | Zonemap.Lt when Float.abs f >= 0x1p53 -> Zonemap.Le
-        | Zonemap.Gt when Float.abs f >= 0x1p53 -> Zonemap.Ge
-        | op -> op
-      in
-      numeric op f
-    | Zonemap.T_float (op, c) -> numeric op c
-  in
-  dg.sd_rows > 0 && dg.sd_nonnull > 0
-  &&
-  match test with
-  | Nothing -> false
-  | Cmp ts -> List.for_all cmp ts
-  | In { k_small = Some s; _ } ->
-    Array.exists
-      (fun k ->
-        let f = float_of_int k in
-        le dg.sd_min f && le f dg.sd_max && bloom_mem (Bloom.key_int k))
-      s
-  | In k -> le (float_of_int k.k_min) dg.sd_max && le dg.sd_min (float_of_int k.k_max)
-
-let may_match summary test ~lo ~hi =
+let rec may_match summary test ~lo ~hi =
   match summary, test with
   | _, Nothing -> false
   | Zones zm, Cmp ts -> List.for_all (Zonemap.may_match_range zm ~lo ~hi) ts
@@ -214,10 +163,26 @@ let may_match summary test ~lo ~hi =
          let rec hit i = i <= span && (Bloom.mem bloom (Bloom.key_int (plo + i)) || hit (i + 1)) in
          hit 0))
   | Band (pr, bits), _ -> Projection.range_may_match pr bits ~lo ~hi
-  | Digest dg, _ ->
-    (* a digest of fewer rows than asked about summarizes a prefix: the
-       rows past it are unknown *)
-    hi > dg.Registry.sd_rows || digest_may_match dg test
+  | Digest { Registry.sd_zones = zm; sd_bloom }, _ ->
+    (* The Bloom filter first: an equality constant, or every one of a
+       few join keys, whose canonical key is absent holds on no row the
+       digest describes (keys are canonical across numeric kinds and never
+       shared by a number and a string, as [Expr.cmp] equality; a NaN has
+       many bit patterns, so no key). The zone map decides the rest. *)
+    let absent = function
+      | _ when hi > zm.Zonemap.rows -> false
+      | Zonemap.T_int (Zonemap.Eq, c) -> not (Bloom.mem sd_bloom (Bloom.key_int c))
+      | Zonemap.T_float (Zonemap.Eq, c) ->
+        (not (Float.is_nan c)) && not (Bloom.mem sd_bloom (Bloom.key_float c))
+      | Zonemap.T_str (Zonemap.Eq, s) -> not (Bloom.mem sd_bloom (Bloom.key_string s))
+      | _ -> false
+    in
+    (match test with
+     | Cmp ts -> not (List.exists absent ts)
+     | In { k_small = Some s; _ } ->
+       not (Array.for_all (fun k -> absent (Zonemap.T_int (Zonemap.Eq, k))) s)
+     | In _ | Nothing -> true)
+    && may_match (Zones zm) test ~lo ~hi
 
 (* ------------------------------------------------------------------ *)
 (* The handle.                                                         *)

@@ -51,7 +51,9 @@ type summary =
   | Zones of Proteus_storage.Zonemap.t  (** per-zone min/max *)
   | Band of Proteus_storage.Projection.t * bool array
       (** the zones of a sorted projection a test's values occupy; see {!seek} *)
-  | Digest of Registry.shard_digest  (** one shard member, whole *)
+  | Digest of Registry.shard_digest
+      (** one shard member, whole: its one-zone zone map, refined for
+          equality by its Bloom filter *)
 
 (** [seek projection test] binary-searches the sorted projection for the
     band of positions [test] admits and marks their zones (one
@@ -60,7 +62,9 @@ val seek : Proteus_storage.Projection.t -> test -> summary option
 
 (** [may_match summary test ~lo ~hi] is [false] only if no row in
     [\[lo, hi)] can satisfy [test] under [Expr] comparison semantics
-    (Null compares false, int/float compare through float conversion).
+    (Null compares false, int/float compare through float conversion,
+    ints among themselves exactly, strings under [String.compare]; bounds
+    never order values of different kinds).
     Every summary covers a prefix of the rows (a zone map or projection
     its column's rows, a digest its member's rows when it was built):
     rows past that prefix — appended since — are never refuted. A digest

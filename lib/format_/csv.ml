@@ -26,9 +26,11 @@ let render_value (v : Value.t) =
   | Int i -> string_of_int i
   | Date d -> Date_util.to_string d
   | Float f ->
-    (* Round-trippable, compact float rendering. *)
-    let s = Printf.sprintf "%.12g" f in
-    s
+    (* Compact, not round-trippable: twelve significant digits, so a
+       general double reads back rounded. Quarter steps and other short
+       decimals read back exactly, and so do the non-finite renderings
+       ([nan], [-nan], [inf], [-inf]), which [parse_float] accepts. *)
+    Printf.sprintf "%.12g" f
   | String s -> s
   | Record _ | Coll _ -> Perror.type_error "CSV cannot render %a" Value.pp v
 
@@ -246,11 +248,19 @@ let parse_int src ~start ~stop =
   with Perror.Parse_error { pos; msg; _ } ->
     Perror.parse_error ~what:"csv" ~pos "bad int field: %s" msg
 
+(* Besides decimals, a CSV float is one of the non-finite renderings of
+   [render_value]; no other spelling ("NaN", "infinity") is. *)
 let parse_float src ~start ~stop =
   try Numparse.float_span src ~start ~stop with
-  | Perror.Parse_error { msg; _ } ->
-    Perror.parse_error ~what:"csv" ~pos:start "bad float field: %s" msg
-  | Failure _ -> Perror.parse_error ~what:"csv" ~pos:start "bad float field"
+  | (Perror.Parse_error _ | Failure _) as e -> (
+    match String.sub src start (stop - start), e with
+    | "nan", _ -> Float.nan
+    | "-nan", _ -> Float.neg Float.nan
+    | "inf", _ -> Float.infinity
+    | "-inf", _ -> Float.neg_infinity
+    | _, Perror.Parse_error { msg; _ } ->
+      Perror.parse_error ~what:"csv" ~pos:start "bad float field: %s" msg
+    | _ -> Perror.parse_error ~what:"csv" ~pos:start "bad float field")
 
 let parse_bool src ~start ~stop =
   let len = stop - start in

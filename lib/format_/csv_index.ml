@@ -4,6 +4,10 @@ type t = {
   every : int;
   arity : int;
   fixed : fixed option;        (* Some => fixed-width fast path *)
+  lead : fixed option;
+      (* without the fast path: the first row's layout, and in [nrows] how
+         many leading rows conform to it — an extension past a lone
+         non-conforming last row regains the fast path from it *)
   row_starts : int array;      (* row byte offsets; empty in fixed mode *)
   row_stops : int array;
   per_row : int;               (* anchor slots per row: ceil (arity / every) *)
@@ -81,6 +85,7 @@ type scan = {
   fixed_ok : bool;
   first_row : int;
   scanned : int;
+  conforming : int;  (* leading rows that matched the candidate *)
 }
 
 (* Does the row at [rstart] (its [nf] fields in [r], [len] bytes with the
@@ -105,7 +110,7 @@ let scan_rows cfg ~every src ~pos ~row ~first_row ~arity ~layout =
   let arity = ref arity and per_row = ref ((arity + every - 1) / every) in
   let layout = ref layout and fixed_ok = ref true in
   let first_row = ref first_row in
-  let k = ref 0 and pos = ref pos in
+  let k = ref 0 and conforming = ref 0 and pos = ref pos in
   while !pos < n do
     let rstart = !pos in
     Csv.scan_row cfg src ~pos:rstart r;
@@ -143,7 +148,8 @@ let scan_rows cfg ~every src ~pos ~row ~first_row ~arity ~layout =
             if !first_row < 0 then first_row := rstart - (row * len);
             l
         in
-        if rstart <> !first_row + ((row + !k) * l.row_len) then fixed_ok := false
+        if rstart <> !first_row + ((row + !k) * l.row_len) then fixed_ok := false;
+        if !fixed_ok then incr conforming
       end;
       push starts rstart;
       push stops rstop;
@@ -168,6 +174,7 @@ let scan_rows cfg ~every src ~pos ~row ~first_row ~arity ~layout =
     fixed_ok = !fixed_ok;
     first_row = !first_row;
     scanned = !k;
+    conforming = !conforming;
   }
 
 let fixed_of s ~nrows =
@@ -177,6 +184,9 @@ let fixed_of s ~nrows =
       { first_row = s.first_row; layout = l; nrows }
   | _ -> None
 
+let lead_of s ~nrows =
+  Option.map (fun layout -> { first_row = s.first_row; layout; nrows }) s.layout
+
 let build cfg ?(every = 5) src =
   let start0 = Csv.data_start cfg src in
   let s =
@@ -185,10 +195,11 @@ let build cfg ?(every = 5) src =
   match fixed_of s ~nrows:s.scanned with
   | Some _ as fixed ->
     (* Positions are now computable; drop the per-row arrays entirely. *)
-    { src; config = cfg; every; arity = s.s_arity; fixed; row_starts = [||];
+    { src; config = cfg; every; arity = s.s_arity; fixed; lead = None; row_starts = [||];
       row_stops = [||]; per_row = s.s_per_row; anchors = [||] }
   | None ->
     { src; config = cfg; every; arity = s.s_arity; fixed = None;
+      lead = lead_of s ~nrows:s.conforming;
       row_starts = concat [||] s.starts; row_stops = concat [||] s.stops;
       per_row = s.s_per_row; anchors = concat [||] s.anchor_buf }
 
@@ -232,13 +243,20 @@ let extend t src =
   else begin
     let keep = rows - 1 in
     let last_start, last_stop = row_span t keep in
-    (* past the first row the old layout must hold; a lone row is
-       re-judged from scratch, as a build would *)
-    let layout, first_row =
-      match t.fixed with
-      | Some f when keep > 0 -> (Some f.layout, f.first_row)
-      | _ -> (None, if keep = 0 then Csv.data_start t.config src else -1)
+    (* the rescan goes on judging the layout every earlier row conforms
+       to — the fast path's, or a lead that only the old last row broke;
+       a lone row is re-judged from scratch, as a build would *)
+    let prior =
+      match t.fixed, t.lead with
+      | (Some f, _ | None, Some f) when keep > 0 && f.nrows >= keep -> Some f
+      | _ -> None
     in
+    let layout, first_row =
+      match prior with
+      | Some f -> (Some f.layout, f.first_row)
+      | None -> (None, if keep = 0 then Csv.data_start t.config src else -1)
+    in
+    let judged = keep = 0 || prior <> None in
     let s =
       scan_rows t.config ~every:t.every src ~pos:last_start ~row:keep ~first_row
         ~arity:t.arity ~layout
@@ -246,13 +264,14 @@ let extend t src =
     if s.scanned = 0 || s.stops.a.(0) <> last_stop then None
     else
       let nrows = keep + s.scanned in
-      if s.fixed_ok && (keep = 0 || t.fixed <> None) then
+      if s.fixed_ok && judged then
         Some
-          { t with src; fixed = fixed_of s ~nrows; row_starts = [||]; row_stops = [||];
-            anchors = [||] }
+          { t with src; fixed = fixed_of s ~nrows; lead = None; row_starts = [||];
+            row_stops = [||]; anchors = [||] }
       else
         let row_starts, row_stops, anchors = per_row_arrays t ~rows:keep s in
-        Some { t with src; fixed = None; row_starts; row_stops; anchors }
+        let lead = if judged then lead_of s ~nrows:(keep + s.conforming) else t.lead in
+        Some { t with src; fixed = None; lead; row_starts; row_stops; anchors }
   end
 
 let field_start t ~row ~field =

@@ -27,9 +27,12 @@ val build : Csv.config -> ?every:int -> string -> t
 (** [extend t src] indexes [src], whose prefix is the source [t] indexed
     (an append), re-scanning only from the start of [t]'s last row — an
     append may complete it — and keeping every earlier row's entries. The
-    result answers every query exactly as [build] over [src] does. A
-    fixed-width index stays fixed-width while the new rows conform;
-    otherwise its per-row arrays are materialized from the fixed layout.
+    result answers every query exactly as [build] over [src] does, and is
+    fixed-width exactly when that build is: a fixed-width index stays so
+    while the new rows conform (otherwise its per-row arrays are
+    materialized from the fixed layout), and an index whose only
+    non-conforming row was its last regains the fixed path when the
+    rescanned rows conform.
     [None] when the append changed [t]'s last row (it continued a row left
     inside an open quote): the old rows are then not a prefix of the new
     ones and the caller rebuilds. *)

@@ -28,20 +28,11 @@ type index = Csv_ix of Csv_index.t | Json_ix of Json_index.t
 type shard_info = { sh_member : string; sh_offset : int; sh_rows : int }
 
 (* Per-(shard, path) pruning digest, built lazily on first use and
-   memoized. [sd_min]/[sd_max] span the {e numeric} non-null values only
-   (under [Expr.cmp], a numeric constant can only ever equal or order
-   against numeric values — see DESIGN.md section 17 for the soundness
-   argument); [sd_all_numeric] says no non-null non-numeric value exists,
-   which ordering tests require; [sd_keyed] says every non-null value got
-   a canonical Bloom key (numerics and strings do, bools/records do not),
-   which Bloom-absence pruning requires. *)
+   memoized: a zone map with one zone over the member's rows, plus a Bloom
+   filter over the canonical keys of its non-null values, which refines
+   equality (DESIGN.md section 17). *)
 type shard_digest = {
-  sd_rows : int;
-  sd_nonnull : int;
-  sd_min : float;
-  sd_max : float;
-  sd_all_numeric : bool;
-  sd_keyed : bool;
+  sd_zones : Proteus_storage.Zonemap.t;
   sd_bloom : Proteus_storage.Bloom.t;
 }
 
@@ -64,9 +55,8 @@ type t = {
   shard_layouts : (string, shard_info array) Hashtbl.t;
       (* refreshed on every parent view build, so layouts track member
          heal/degrade transitions *)
-  digests : (string, shard_digest option) Hashtbl.t;
-      (* keyed [member ^ "\x00" ^ path]; [None] memoizes "no digest
-         obtainable" only transiently (failures are not memoized) *)
+  digests : (string, shard_digest) Hashtbl.t;
+      (* keyed [member ^ "\x00" ^ path]; failures are not memoized *)
   shard_mu : Mutex.t;
       (* guards [digests] and [breakers]: arms and member builds run
          concurrently *)
@@ -878,84 +868,97 @@ let shards t name =
     Mutex.protect t.build_mu (fun () -> Hashtbl.find_opt t.shard_layouts name)
   end
 
-(* Build the pruning digest for one (member, path): row count, non-null
-   count, numeric min/max and a Bloom filter over canonical keys, in one
-   pass over a private member view. Any failure (missing path, parse
-   error, degraded member) yields [None] — pruning simply stands down for
-   that shard — and is not memoized, so a healed member gets a digest on
-   the next query. *)
+(* --- column reads ----------------------------------------------------------- *)
+
+(* A cache fill: evaluates one path per row into a column builder, using the
+   typed fast path when the accessor offers one. *)
+let make_fill (access : Access.t) builder : unit -> unit =
+  let open Proteus_storage.Column in
+  match access.Access.is_null, access.Access.get_int, access.Access.get_float,
+        access.Access.get_bool, access.Access.get_str with
+  | None, Some get, _, _, _ -> fun () -> Builder.add_int builder (get ())
+  | None, _, Some get, _, _ -> fun () -> Builder.add_float builder (get ())
+  | None, _, _, Some get, _ -> fun () -> Builder.add_bool builder (get ())
+  | None, _, _, _, Some get -> fun () -> Builder.add_string builder (get ())
+  | _ -> fun () -> Builder.add_value builder (access.Access.get_val ())
+
+(* A batch filler: [f b ~base ~sel ~n] appends the values of rows
+   [base + sel.(0..n-1)] to [b]. Vector-capable accessors (non-nullable
+   paths with a native plug-in fill) gather through a scratch array — the
+   plug-in reads rows by OID with no cursor churn — and append the gathered
+   prefix; the rest [seek] per selected row. *)
+let filler ~seek (access : Access.t) =
+  let module B = Proteus_storage.Column.Builder in
+  let gather (f : _ Access.fill) zero add =
+    let scratch = ref [||] in
+    fun b ~base ~sel ~n ->
+      let need = sel.(n - 1) + 1 in
+      if Array.length !scratch < need then scratch := Array.make (max need 1024) zero;
+      f base !scratch ~sel ~n;
+      let out = !scratch in
+      for i = 0 to n - 1 do
+        add b out.(sel.(i))
+      done
+  in
+  match
+    ( access.Access.fill_int, access.Access.fill_float,
+      access.Access.fill_bool, access.Access.fill_str )
+  with
+  | Some f, _, _, _ -> gather f 0 B.add_int
+  | _, Some f, _, _ -> gather f 0. B.add_float
+  | _, _, Some f, _ -> gather f false B.add_bool
+  | _, _, _, Some f -> gather f "" B.add_string
+  | None, None, None, None ->
+    fun b ~base ~sel ~n ->
+      let fill = make_fill access b in
+      for i = 0 to n - 1 do
+        seek (base + sel.(i));
+        fill ()
+      done
+
+(* Rows [\[lo, hi)] of [path] as one column, read 1024 rows at a time
+   through {!filler} (checking cancellation per batch). The one range
+   reader behind shard digests, slot columns and append tails. *)
+let read_column (src : Source.t) path ~lo ~hi =
+  let access = src.Source.field path in
+  let b = Proteus_storage.Column.Builder.create access.Access.ty in
+  let fill = filler ~seek:src.Source.seek access in
+  let sel = Array.init 1024 Fun.id in
+  let rec go base =
+    if base < hi then begin
+      Fault.check_cancel ();
+      let n = min 1024 (hi - base) in
+      fill b ~base ~sel ~n;
+      go (base + n)
+    end
+  in
+  go lo;
+  Proteus_storage.Column.Builder.finish b
+
+(* Build the pruning digest for one (member, path) from one read of its
+   column over a private member view. Any failure (missing or
+   non-primitive path, parse error, degraded member) yields [None] —
+   pruning simply stands down for that shard — and is not memoized, so a
+   healed member gets a digest on the next query. A column no zone map
+   describes (booleans, no rows) has no digest either. *)
 let shard_digest t ~member ~path =
   let key = member ^ "\x00" ^ path in
-  let cached =
-    Mutex.protect t.shard_mu (fun () -> Hashtbl.find_opt t.digests key)
-  in
-  match cached with
-  | Some dg -> dg
+  match Mutex.protect t.shard_mu (fun () -> Hashtbl.find_opt t.digests key) with
+  | Some _ as dg -> dg
   | None ->
     let dg =
-      match factory t member () with
+      match
+        let src = factory t member () in
+        read_column src path ~lo:0 ~hi:src.Source.count
+      with
       | exception e when Fault.recoverable e -> None
-      | exception Perror.Plan_error _ -> None
-      | src -> (
-        match src.Source.field path with
-        | exception Perror.Plan_error _ -> None
-        | access -> (
-          let rows = src.Source.count in
-          let bloom = Proteus_storage.Bloom.create rows in
-          let nonnull = ref 0 in
-          let mn = ref infinity and mx = ref neg_infinity in
-          let all_numeric = ref true and keyed = ref true in
-          let observe_num f key =
-            incr nonnull;
-            if f < !mn then mn := f;
-            if f > !mx then mx := f;
-            Proteus_storage.Bloom.add bloom key
-          in
-          try
-            for i = 0 to rows - 1 do
-              if i land 1023 = 0 then Fault.check_cancel ();
-              src.Source.seek i;
-              match access.Access.get_val () with
-              | Value.Null -> ()
-              | Value.Int k | Value.Date k ->
-                observe_num (float_of_int k) (Proteus_storage.Bloom.key_int k)
-              | Value.Float f ->
-                (* [Expr.cmp]'s [Float.compare] orders NaN below every float,
-                   -inf included, so a data NaN is the shard's minimum:
-                   pruning compares bounds under that same order. *)
-                if Float.is_nan f then begin
-                  incr nonnull;
-                  mn := f;
-                  Proteus_storage.Bloom.add bloom (Proteus_storage.Bloom.key_float f)
-                end
-                else observe_num f (Proteus_storage.Bloom.key_float f)
-              | Value.String s ->
-                incr nonnull;
-                all_numeric := false;
-                Proteus_storage.Bloom.add bloom
-                  (Proteus_storage.Bloom.key_string s)
-              | _ ->
-                incr nonnull;
-                all_numeric := false;
-                keyed := false
-            done;
-            Some
-              {
-                sd_rows = rows;
-                sd_nonnull = !nonnull;
-                sd_min = !mn;
-                sd_max = !mx;
-                sd_all_numeric = !all_numeric;
-                sd_keyed = !keyed;
-                sd_bloom = bloom;
-              }
-          with
-          | e when Fault.recoverable e -> None
-          | Perror.Type_error _ -> None))
+      | exception (Perror.Plan_error _ | Perror.Type_error _) -> None
+      | col ->
+        Option.map
+          (fun sd_zones -> { sd_zones; sd_bloom = Proteus_storage.Bloom.of_column col })
+          (Proteus_storage.Zonemap.of_column ~zone:(Proteus_storage.Column.length col) col)
     in
-    if dg <> None then begin
-      Mutex.protect t.shard_mu (fun () -> Hashtbl.replace t.digests key dg)
-    end;
+    Option.iter (fun dg -> Mutex.protect t.shard_mu (fun () -> Hashtbl.replace t.digests key dg)) dg;
     dg
 
 (* --- segmented cache fills ------------------------------------------------ *)
@@ -1052,18 +1055,6 @@ type scan = {
   sc_dataset : string;
 }
 
-(* A cache fill: evaluates one path per row into a column builder, using the
-   typed fast path when the accessor offers one. *)
-let make_fill (access : Access.t) builder : unit -> unit =
-  let open Proteus_storage.Column in
-  match access.Access.is_null, access.Access.get_int, access.Access.get_float,
-        access.Access.get_bool, access.Access.get_str with
-  | None, Some get, _, _, _ -> fun () -> Builder.add_int builder (get ())
-  | None, _, Some get, _, _ -> fun () -> Builder.add_float builder (get ())
-  | None, _, _, Some get, _ -> fun () -> Builder.add_bool builder (get ())
-  | None, _, _, _, Some get -> fun () -> Builder.add_string builder (get ())
-  | _ -> fun () -> Builder.add_value builder (access.Access.get_val ())
-
 (* Adaptive storage 2.0: promotion-time materialization of a typed column
    straight from the dataset's format index. A JSON path that crossed the
    promotion threshold is read once through its slot accessors (the
@@ -1093,15 +1084,7 @@ let materialize_field t ~dataset ~path =
              ~rows:(source t dataset).Source.count
       then begin
         let src = fresh_source t dataset in
-        let access = src.Source.field path in
-        let builder = Proteus_storage.Column.Builder.create ty in
-        let fill = make_fill access builder in
-        for i = 0 to src.Source.count - 1 do
-          if i land 1023 = 0 then Fault.check_cancel ();
-          src.Source.seek i;
-          fill ()
-        done;
-        let col = Proteus_storage.Column.Builder.finish builder in
+        let col = read_column src path ~lo:0 ~hi:src.Source.count in
         ignore
           (t.cache.Cache_iface.store_field ~dataset ~path
              ~bias:(Dataset.bias d.Dataset.format) col);
@@ -1275,40 +1258,7 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
     match sess with
     | None -> None
     | Some s ->
-      (* Per-path segment fillers. Vector-capable accessors (non-nullable
-         paths with a native plug-in fill) gather through a scratch array —
-         the plug-in reads rows by OID with no cursor churn — and append the
-         gathered prefix; the rest seek per selected row. *)
-      let module B = Proteus_storage.Column.Builder in
-      let gather (f : _ Access.fill) zero add =
-        let scratch = ref [||] in
-        fun b ~base ~sel ~n ->
-          let need = sel.(n - 1) + 1 in
-          if Array.length !scratch < need then scratch := Array.make (max need 1024) zero;
-          f base !scratch ~sel ~n;
-          let out = !scratch in
-          for i = 0 to n - 1 do
-            add b out.(sel.(i))
-          done
-      in
-      let mk_filler (_, _, (access : Access.t)) =
-        match
-          ( access.Access.fill_int, access.Access.fill_float,
-            access.Access.fill_bool, access.Access.fill_str )
-        with
-        | Some f, _, _, _ -> gather f 0 B.add_int
-        | _, Some f, _, _ -> gather f 0. B.add_float
-        | _, _, Some f, _ -> gather f false B.add_bool
-        | _, _, _, Some f -> gather f "" B.add_string
-        | None, None, None, None ->
-          fun b ~base ~sel ~n ->
-            let fill = make_fill access b in
-            for i = 0 to n - 1 do
-              seek (base + sel.(i));
-              fill ()
-            done
-      in
-      let fillers = List.map mk_filler fills_spec in
+      let fillers = List.map (fun (_, _, access) -> filler ~seek access) fills_spec in
       Some
         (fun ~base ~sel ~n ->
           if n > 0 then begin

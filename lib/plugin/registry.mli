@@ -62,6 +62,14 @@ val factory : t -> string -> unit -> Source.t
     JSON dataset. *)
 val index_info : t -> string -> index_info option
 
+(** [read_column src path ~lo ~hi] reads rows [\[lo, hi)] of [path] into
+    one column, a batch of 1024 rows at a time: through the accessor's
+    native batch fill when it has one, else seek-and-get per row. Checks
+    cancellation per batch; raises what the accessor raises. The one range
+    reader behind slot columns ({!materialize_field}), shard digests and
+    the cache's append tails. *)
+val read_column : Source.t -> string -> lo:int -> hi:int -> Proteus_storage.Column.t
+
 (** [materialize_field t ~dataset ~path] eagerly materializes a promoted
     JSON path into a typed cache column straight from the format index's
     slot accessors (a {e pre-parsed slot column}), so later promoted reads
@@ -229,18 +237,12 @@ val install_factory : t -> string -> (unit -> Source.t) -> unit
 (** One shard's slice of the concatenated row space. *)
 type shard_info = { sh_member : string; sh_offset : int; sh_rows : int }
 
-(** Pruning digest of one (member, path): row/non-null counts, min/max
-    over the numeric non-null values, and a Bloom filter over canonical
-    keys. [sd_all_numeric] gates ordering tests, [sd_keyed] gates
-    Bloom-absence tests — see DESIGN.md section 17 for soundness w.r.t.
-    [Expr.cmp] Null/float semantics. *)
+(** Pruning digest of one (member, path): a zone map with one zone over
+    the member's rows (min/max over numbers or strings, exact) and a Bloom
+    filter over the canonical keys of its non-null values, which refines
+    equality — see DESIGN.md section 17 for soundness w.r.t. [Expr.cmp]. *)
 type shard_digest = {
-  sd_rows : int;
-  sd_nonnull : int;
-  sd_min : float;
-  sd_max : float;
-  sd_all_numeric : bool;
-  sd_keyed : bool;
+  sd_zones : Proteus_storage.Zonemap.t;
   sd_bloom : Proteus_storage.Bloom.t;
 }
 
@@ -264,6 +266,7 @@ val shard_parents : t -> string -> string list
 val shards : t -> string -> shard_info array option
 
 (** [shard_digest t ~member ~path] builds (lazily, memoized) the pruning
-    digest of one member for one dotted path. [None] when the digest is
-    unobtainable (unknown path, degraded member) — pruning stands down. *)
+    digest of one member for one dotted path, from one {!read_column}
+    pass. [None] when the digest is unobtainable (unknown or boolean path,
+    degraded member, no rows) — pruning stands down. *)
 val shard_digest : t -> member:string -> path:string -> shard_digest option

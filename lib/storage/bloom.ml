@@ -78,3 +78,19 @@ let mem t key =
   let h1 = key and h2 = mix (Int64.lognot key) in
   let rec go i = i >= t.k || (get_bit t (index t h1 h2 i) && go (i + 1)) in
   go 0
+
+(* A filter over the canonical keys of every non-null value of [col].
+   Booleans have no canonical key and add none. *)
+let of_column (col : Column.t) =
+  let t = create (Column.length col) in
+  let rec go null = function
+    | Column.Ints a -> Array.iteri (fun i k -> if not (null i) then add t (key_int k)) a
+    | Column.Floats a -> Array.iteri (fun i f -> if not (null i) then add t (key_float f)) a
+    | Column.Strings a -> Array.iteri (fun i s -> if not (null i) then add t (key_string s)) a
+    | Column.Dicts (codes, dict) ->
+      Array.iteri (fun i c -> if not (null i) then add t (key_string dict.(c))) codes
+    | Column.Bools _ -> ()
+    | Column.Nullmask (mask, c) -> go (fun i -> mask.(i)) c
+  in
+  go (fun _ -> false) col;
+  t

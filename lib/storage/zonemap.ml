@@ -15,7 +15,10 @@
    size that happened to fill the cache — and zones line up 1:1 with
    full-scan morsels. A map extended over appended rows keeps the width it
    was built with; its zones then straddle morsels, which
-   [may_match_range] handles exactly. *)
+   [may_match_range] handles exactly.
+
+   A shard digest is the same summary with one zone of width [rows]: the
+   whole member, refuted or not as one range. *)
 
 type bounds =
   | Z_int of int array * int array     (* per-zone lo / hi over non-nulls *)
@@ -110,7 +113,8 @@ let build ?prev ~zone (col : Column.t) : t option =
   in
   (* Strings share the loop shape but need an explicit first-value seed
      (there is no lexicographic sentinel). Dictionary columns decode per
-     row — codes index a small dict, so the decode is one array read. *)
+     row — codes index a small dict, so the decode is one array read;
+     plain string columns need no dictionary at all. *)
   let build_str n get =
     if n = 0 then None
     else begin
@@ -152,7 +156,10 @@ let build ?prev ~zone (col : Column.t) : t option =
   | Column.Nullmask (mask, Column.Dicts (codes, dict)) ->
     build_str (Array.length codes) (fun i ->
         if mask.(i) then None else Some dict.(codes.(i)))
-  | Column.Bools _ | Column.Strings _ | Column.Nullmask _ -> None
+  | Column.Strings a -> build_str (Array.length a) (fun i -> Some a.(i))
+  | Column.Nullmask (mask, Column.Strings a) ->
+    build_str (Array.length a) (fun i -> if mask.(i) then None else Some a.(i))
+  | Column.Bools _ | Column.Nullmask _ -> None
 
 let of_column ?zone (col : Column.t) : t option =
   let zone = match zone with Some z -> max 1 z | None -> zone_rows (Column.length col) in

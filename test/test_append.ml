@@ -297,13 +297,10 @@ let index_prop =
           let full = Csv_index.build cfg src in
           let n = Csv_index.row_count full in
           let span ix r f = try Some (Csv_index.field_span ix ~row:r ~field:f) with Perror.Parse_error _ -> None in
-          let fixed = Csv_index.is_fixed_width in
-          (* the specialization survives exactly when the old index had it
-             (or held one row, which is judged afresh) and a build over the
-             grown source has it *)
-          let old = Csv_index.build cfg old_src in
+          (* the fixed-width specialization too, even where only the old
+             last row (completed by the append) broke it *)
           Csv_index.row_count ext = n
-          && fixed ext = (fixed full && (fixed old || Csv_index.row_count old <= 1))
+          && Csv_index.is_fixed_width ext = Csv_index.is_fixed_width full
           && List.for_all
                (fun r ->
                  Csv_index.row_span ext r = Csv_index.row_span full r

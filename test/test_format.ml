@@ -28,6 +28,35 @@ let test_csv_roundtrip () =
   let records' = Csv.read_all cfg schema rendered in
   Alcotest.(check bool) "roundtrip" true (List.for_all2 Value.equal records records')
 
+(* The writer renders NaN and the infinities as [nan], [-nan], [inf] and
+   [-inf]; the reader takes exactly those spellings back (a NaN keeps its
+   sign) and no others. *)
+let test_csv_non_finite_roundtrip () =
+  let schema = Schema.make [ ("a", Ptype.Int); ("c", Ptype.Float) ] in
+  let floats = [ Float.nan; Float.neg Float.nan; Float.infinity; Float.neg_infinity; -0.0; 2.5 ] in
+  let records =
+    List.mapi (fun i f -> Value.record [ ("a", Value.Int i); ("c", Value.Float f) ]) floats
+  in
+  let back = Csv.read_all cfg schema (Csv.of_records cfg schema records) in
+  List.iter2
+    (fun f r ->
+      match Value.field r "c" with
+      | Value.Float g ->
+        Alcotest.(check bool)
+          (Fmt.str "%h reads back" f) true
+          (if Float.is_nan f then Float.is_nan g && Float.sign_bit f = Float.sign_bit g
+           else Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
+      | v -> Alcotest.failf "%h read back as %a" f Value.pp v)
+    floats back;
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " is no CSV float") true
+        (try
+           ignore (Csv.parse_float bad ~start:0 ~stop:(String.length bad));
+           false
+         with Perror.Parse_error _ -> true))
+    [ "NaN"; "infinity"; "+inf"; "-nanx"; "in" ]
+
 let test_csv_field_spans () =
   let start, stop, _ = Csv.row_bounds sample ~pos:0 in
   let spans = Csv.field_spans cfg sample ~start ~stop in
@@ -549,6 +578,7 @@ let () =
         [
           Alcotest.test_case "read_all" `Quick test_csv_read_all;
           Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
+          Alcotest.test_case "non-finite roundtrip" `Quick test_csv_non_finite_roundtrip;
           Alcotest.test_case "field spans" `Quick test_csv_field_spans;
           Alcotest.test_case "empty optional" `Quick test_csv_empty_field_null;
           Alcotest.test_case "header" `Quick test_csv_header;

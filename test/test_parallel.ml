@@ -820,8 +820,8 @@ let stats_mismatch db name =
     then None
     else Some (name ^ ": cardinality")
 
-(* CSV and JSON carry no NaN (their float decoders reject it): those
-   become nulls (x) or 2.5 (y); the binary formats keep them *)
+(* JSON carries no NaN (it has no NaN literal): those become nulls (x) or
+   2.5 (y); CSV writes and reads back [nan], the binary formats keep them *)
 let no_nan rows =
   List.map
     (fun r ->
@@ -836,7 +836,7 @@ let no_nan rows =
 
 let stats_csv rows =
   Proteus_format.Csv.of_records Proteus_format.Csv.default_config (Schema.of_type stats_type)
-    (no_nan rows)
+    rows
 
 let stats_json rows = to_json (no_nan rows) ^ if rows = [] then "" else "\n"
 

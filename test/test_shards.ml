@@ -253,6 +253,61 @@ let test_prune_join_keys () =
   (* build keys 110..119 live in shard 1 of 8 (rows 100..199) *)
   Alcotest.(check int) "join shards pruned" 7 pruned
 
+(* each [(what, pred, want)]: the count over [sharded] equals the one over
+   "single", with [want] shards pruned *)
+let check_prunes db ~sharded =
+  List.iter (fun (what, pred, want) ->
+      let expected = Db.run_plan db (count_plan ~pred "single") in
+      let got, pruned = pruned_run db (count_plan ~pred sharded) in
+      Alcotest.check check_value (what ^ " result") expected got;
+      Alcotest.(check int) (what ^ " shards pruned") want pruned)
+
+(* a string key clustered over 8 shards: a digest's zone map orders
+   strings exactly, so a string range prunes like an int range *)
+let test_prune_string_range () =
+  let db = Db.create () in
+  Db.set_caching db false;
+  let rows =
+    List.init 800 (fun i ->
+        Value.record [ ("k", Value.Int i); ("name", Value.String (Fmt.str "s%05d" i)) ])
+  in
+  let ty = Ptype.Record [ ("k", Ptype.Int); ("name", Ptype.String) ] in
+  Db.register_rows db ~name:"single" ~element:ty rows;
+  Db.register_sharded_rows db ~name:"sh8" ~element:ty ~shards:8 rows;
+  check_prunes db ~sharded:"sh8"
+    [ ("name < c", Expr.(fld "x" "name" <. str "s00100"), 7);
+      ("c > name", Expr.(str "s00700" >. fld "x" "name"), 1);
+      ("name = c", Expr.(fld "x" "name" ==. str "s00450"), 7) ]
+
+(* past 2^53 distinct ints share one float image, but a digest keeps int
+   bounds exactly: [k < 2^53 + 1] refutes a shard holding only 2^53 + 1 *)
+let test_prune_wide_ints () =
+  let big = (1 lsl 53) + 1 in
+  let ty = Ptype.Record [ ("k", Ptype.Int) ] in
+  let row k = Value.record [ ("k", Value.Int k) ] in
+  let db = Db.create () in
+  Db.set_caching db false;
+  Db.register_rows db ~name:"m0" ~element:ty (List.init 100 row);
+  Db.register_rows db ~name:"m1" ~element:ty (List.init 50 (fun _ -> row big));
+  Db.register_rows db ~name:"single" ~element:ty (List.init 100 row @ List.init 50 (fun _ -> row big));
+  Db.register_shard_set db ~name:"sh2" ~members:[ "m0"; "m1" ];
+  check_prunes db ~sharded:"sh2" [ ("k < 2^53 + 1", Expr.(fld "x" "k" <. int big), 1) ]
+
+(* a numeric constant against a string column (and a string against an
+   int column) orders by kind under [Expr.cmp]; a zone map answers
+   "maybe" across kinds, so only equality still prunes, through the Bloom
+   filter's absent key. Results match the single file either way. *)
+let test_prune_mixed_kinds () =
+  let db = Db.create () in
+  Db.set_caching db false;
+  Db.register_rows db ~name:"single" ~element:item_type items;
+  Db.register_sharded_rows db ~name:"sh8" ~element:item_type ~shards:8 items;
+  check_prunes db ~sharded:"sh8"
+    [ ("name < 5", Expr.(fld "x" "name" <. int 5), 0);
+      ("k < 'a'", Expr.(fld "x" "k" <. str "a"), 0);
+      ("name = 5", Expr.(fld "x" "name" ==. int 5), 8);
+      ("k = 'a'", Expr.(fld "x" "k" ==. str "a"), 8) ]
+
 (* --- empty shards ---------------------------------------------------------- *)
 
 let test_empty_shards () =
@@ -391,6 +446,9 @@ let () =
           Alcotest.test_case "scrambled keys do not prune" `Quick test_prune_scrambled;
           Alcotest.test_case "all-null key shard prunes" `Quick test_prune_all_null;
           Alcotest.test_case "join-key pruning" `Quick test_prune_join_keys;
+          Alcotest.test_case "string range prunes" `Quick test_prune_string_range;
+          Alcotest.test_case "ints past 2^53 prune exactly" `Quick test_prune_wide_ints;
+          Alcotest.test_case "mixed-kind comparisons" `Quick test_prune_mixed_kinds;
         ] );
       ( "faults",
         [
