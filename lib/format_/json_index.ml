@@ -322,7 +322,7 @@ let build src =
     path_names = Array.of_list (List.rev !names);
   }
 
-(* --- per-object entry access --------------------------------------------- *)
+(* --- per-object access ---------------------------------------------------- *)
 
 let object_span t obj =
   match t.objects.(obj) with
@@ -359,27 +359,6 @@ let extend t src =
   end
 
 let paths t = t.all_paths
-
-(* slot numbering: 0 = root, 1.. = stored entries *)
-let entry_at t ~obj ~slot =
-  match t.objects.(obj) with
-  | Packed p ->
-    if slot = 0 then { start = p.base; stop = p.base + p.size; kind = Kobj }
-    else begin
-      let off = 5 * (slot - 1) in
-      let rel = Bytes.get_uint16_le p.pdata off in
-      let len = Bytes.get_uint16_le p.pdata (off + 2) in
-      let kind = kind_of_code (Bytes.get_uint8 p.pdata (off + 4)) in
-      { start = p.base + rel; stop = p.base + rel + len; kind }
-    end
-  | Wide w ->
-    if slot = 0 then { start = w.w_base; stop = w.w_base + w.w_size; kind = Kobj }
-    else w.w_entries.(slot - 1)
-
-let entry_count t ~obj =
-  match t.objects.(obj) with
-  | Packed p -> p.nentries + 1
-  | Wide w -> Array.length w.w_entries + 1
 
 let bsearch (arr : (string * int) array) path =
   let lo = ref 0 and hi = ref (Array.length arr - 1) and found = ref (-1) in
@@ -431,15 +410,7 @@ let slot_by_id t ~obj ~id =
     done;
     !found
 
-let find_slot_by_id t ~obj ~id =
-  match slot_by_id t ~obj ~id with -1 -> None | s -> Some s
-
 let path_id t path = Hashtbl.find_opt t.path_ids path
-
-let find_by_id t ~obj ~id =
-  match find_slot_by_id t ~obj ~id with
-  | Some s -> Some (entry_at t ~obj ~slot:s)
-  | None -> None
 
 (* --- allocation-free span access ----------------------------------------- *)
 
@@ -480,76 +451,53 @@ let entry_span t ~obj ~slot sp =
       sp.sp_kind <- e.kind
     end
 
-let find t ~obj ~path =
-  match t.shared with
-  | Some m -> (
-    match bsearch m path with
-    | Some s -> if s < entry_count t ~obj then Some (entry_at t ~obj ~slot:s) else None
-    | None -> None)
-  | None -> (
-    match path_id t path with
-    | Some id -> find_by_id t ~obj ~id
-    | None -> None)
+(* [span_at t ~start ~stop sp] loads an un-indexed value span (an array
+   element, an element's field) into [sp], reading its kind off the bytes. *)
+let span_at t ~start ~stop sp =
+  let src = t.src in
+  sp.sp_start <- start;
+  sp.sp_stop <- stop;
+  sp.sp_kind <-
+    (match src.[start] with
+    | '{' -> Kobj
+    | '[' -> Karr
+    | '"' -> Kstr
+    | 't' | 'f' -> Kbool
+    | 'n' -> Knull
+    | _ -> num_kind src start stop)
 
 (* --- span decoding ------------------------------------------------------ *)
 
-let read_int t (e : entry) = Numparse.int_span t.src ~start:e.start ~stop:e.stop
-
-let read_float t (e : entry) = Numparse.float_span t.src ~start:e.start ~stop:e.stop
-
-let read_bool t (e : entry) = t.src.[e.start] = 't'
-
-let read_string_span t ~start ~stop =
-  (* The span includes the quotes; decode escapes only if present. *)
-  let raw_start = start + 1 and raw_stop = stop - 1 in
-  let has_escape = ref false in
-  for i = raw_start to raw_stop - 1 do
-    if t.src.[i] = '\\' then has_escape := true
-  done;
-  if not !has_escape then String.sub t.src raw_start (raw_stop - raw_start)
-  else
-    let s, _ = Json.parse_string_lit t.src start in
-    s
-
-let read_string t (e : entry) = read_string_span t ~start:e.start ~stop:e.stop
-
-let read_value t (e : entry) : Value.t =
-  match e.kind with
-  | Kint -> Value.Int (read_int t e)
-  | Kfloat -> Value.Float (read_float t e)
-  | Kbool -> Value.Bool (read_bool t e)
-  | Knull -> Value.Null
-  | Kstr -> Value.String (read_string t e)
-  | Kobj | Karr ->
-    let j, _ = Json.parse t.src ~pos:e.start in
-    Json.to_value j
-
-(* Span decoders — the entry readers over a scratch span. *)
 let span_int t sp = Numparse.int_span t.src ~start:sp.sp_start ~stop:sp.sp_stop
 
 let span_float t sp =
   Numparse.float_span t.src ~start:sp.sp_start ~stop:sp.sp_stop
 
 let span_bool t sp = t.src.[sp.sp_start] = 't'
-let span_string t sp = read_string_span t ~start:sp.sp_start ~stop:sp.sp_stop
 
-let span_value t sp =
-  read_value t { start = sp.sp_start; stop = sp.sp_stop; kind = sp.sp_kind }
+let span_string t sp =
+  (* The span includes the quotes; decode escapes only if present. *)
+  let src = t.src and raw_start = sp.sp_start + 1 and raw_stop = sp.sp_stop - 1 in
+  let rec plain i = i >= raw_stop || (src.[i] <> '\\' && plain (i + 1)) in
+  if plain raw_start then String.sub src raw_start (raw_stop - raw_start)
+  else fst (Json.parse_string_lit src sp.sp_start)
 
-let kind_at src pos =
-  match src.[pos] with
-  | '{' -> Kobj
-  | '[' -> Karr
-  | '"' -> Kstr
-  | 't' | 'f' -> Kbool
-  | 'n' -> Knull
-  | _ -> Kint (* refined below *)
+let span_value t sp : Value.t =
+  match sp.sp_kind with
+  | Kint -> Value.Int (span_int t sp)
+  | Kfloat -> Value.Float (span_float t sp)
+  | Kbool -> Value.Bool (span_bool t sp)
+  | Knull -> Value.Null
+  | Kstr -> Value.String (span_string t sp)
+  | Kobj | Karr -> Json.to_value (fst (Json.parse t.src ~pos:sp.sp_start))
+
+(* --- un-indexed spans: array elements and object members ----------------- *)
 
 (* Allocation-free element iteration for the Unnest hot path: [f] receives
-   each element's span; no entry records or lists are built. *)
-let iter_array_spans t (e : entry) ~f =
+   each element's span; no records or lists are built. *)
+let iter_array_spans t sp ~f =
   let src = t.src in
-  let stop = e.stop - 1 in
+  let stop = sp.sp_stop - 1 in
   let rec go i =
     let i = Json.skip_ws src i in
     if i < stop then
@@ -560,152 +508,90 @@ let iter_array_spans t (e : entry) ~f =
         go vend
       end
   in
-  go (e.start + 1)
+  go (sp.sp_start + 1)
 
-let array_elements t (e : entry) =
-  let src = t.src in
-  let stop = e.stop - 1 in
-  let rec go i acc =
-    let i = Json.skip_ws src i in
-    if i >= stop then List.rev acc
-    else if src.[i] = ',' then go (i + 1) acc
-    else begin
-      let vend = skip_value src i in
-      let kind =
-        match kind_at src i with Kint -> num_kind src i vend | k -> k
-      in
-      go vend ({ start = i; stop = vend; kind } :: acc)
-    end
-  in
-  go (e.start + 1) []
-
-(* Bounded field extraction for the Unnest code path: walk the members of
-   the object span once, filling the value spans of the requested names, and
-   stop as soon as all of them are found. [starts.(i) = -1] marks a missing
-   field. Names are compared against the raw bytes. *)
-let scan_span_fields t ~start ~stop ~names ~starts ~stops =
-  let src = t.src in
-  Array.fill starts 0 (Array.length starts) (-1);
-  let remaining = ref (Array.length names) in
-  let name_index qstart =
-    let rec try_name k =
-      if k >= Array.length names then -1
-      else begin
-        let name = names.(k) in
-        let n = String.length name in
-        let rec cmp i j =
-          if j >= n then if src.[i] = '"' then k else try_name (k + 1)
-          else if src.[i] = '\\' then begin
-            (* escaped name: decode and compare outright *)
-            let decoded, _ = Json.parse_string_lit src qstart in
-            if String.equal decoded name then k else try_name (k + 1)
-          end
-          else if Char.equal src.[i] name.[j] then cmp (i + 1) (j + 1)
-          else try_name (k + 1)
-        in
-        cmp (qstart + 1) 0
-      end
-    in
-    try_name 0
-  in
-  if src.[start] <> '{' then fail start "unnest element is not an object";
+(* The member walk every un-indexed object read shares: for each member of
+   the object at [start] (up to [stop]), [f qstart vstart vend] gets the
+   name's opening quote and the value span, and answers whether to go on. *)
+let walk_members src ~start ~stop f =
   let rec members i =
     let i = Json.skip_ws src i in
-    if i >= stop || src.[i] = '}' then ()
-    else begin
-      let slot = name_index i in
-      let after_name = skip_string src i in
-      let i = Json.skip_ws src after_name in
-      if i >= stop || src.[i] <> ':' then fail i "expected ':'";
-      let vstart = Json.skip_ws src (i + 1) in
+    if i < stop && src.[i] <> '}' then begin
+      let j = Json.skip_ws src (skip_string src i) in
+      if j >= stop || src.[j] <> ':' then fail j "expected ':'";
+      let vstart = Json.skip_ws src (j + 1) in
       let vend = skip_value src vstart in
-      if slot >= 0 && starts.(slot) < 0 then begin
-        starts.(slot) <- vstart;
-        stops.(slot) <- vend;
-        decr remaining
-      end;
-      if !remaining > 0 then begin
-        let i = Json.skip_ws src vend in
-        if i < stop && src.[i] = ',' then members (i + 1)
+      if f i vstart vend then begin
+        let k = Json.skip_ws src vend in
+        if k < stop && src.[k] = ',' then members (k + 1)
       end
     end
   in
   members (start + 1)
 
-let find_parts_span t ~start ~stop ~parts sp =
-  (* Scan the (un-indexed) object at [start,stop) for a pre-split dotted
-     path, writing the value span of the final segment into the scratch
-     [sp]. This is the Unnest hot path, so field names are compared against
-     the raw bytes without decoding (escaped names fall back to the
-     decoder), callers pre-split the path once per query, and no entry
-     records or options are built — intermediate object spans travel
-     through [sp] itself. *)
-  let src = t.src in
-  let name_matches qstart name =
-    (* qstart at the opening quote *)
-    let n = String.length name in
-    let rec go i j =
-      if j >= n then src.[i] = '"'
-      else
-        match src.[i] with
-        | '\\' -> (
-          (* escaped name: decode properly *)
-          match Json.parse_string_lit src qstart with
-          | decoded, _ -> String.equal decoded name)
-        | c -> Char.equal c name.[j] && go (i + 1) (j + 1)
-    in
-    go (qstart + 1) 0
+(* Does the name whose opening quote is at [qstart] equal [name]? Compared
+   against the raw bytes; an escaped name falls back to the decoder. *)
+let name_matches src qstart name =
+  let n = String.length name in
+  let rec go i j =
+    match src.[i] with
+    | '\\' -> String.equal (fst (Json.parse_string_lit src qstart)) name
+    | '"' -> j = n
+    | c -> j < n && Char.equal c name.[j] && go (i + 1) (j + 1)
   in
+  go (qstart + 1) 0
+
+let iter_members t sp ~f =
+  let src = t.src in
+  walk_members src ~start:sp.sp_start ~stop:sp.sp_stop (fun q vstart vend ->
+      f (fst (Json.parse_string_lit src q)) ~start:vstart ~stop:vend;
+      true)
+
+(* Bounded field extraction for the Unnest code path: walk the members of
+   the object span once, filling the value spans of the requested names, and
+   stop as soon as all of them are found. [starts.(i) = -1] marks a missing
+   field. *)
+let scan_span_fields t ~start ~stop ~names ~starts ~stops =
+  let src = t.src in
+  Array.fill starts 0 (Array.length starts) (-1);
+  let remaining = ref (Array.length names) in
+  if src.[start] <> '{' then fail start "unnest element is not an object";
+  walk_members src ~start ~stop (fun q vstart vend ->
+      let rec slot k =
+        if k >= Array.length names then -1
+        else if name_matches src q names.(k) then k
+        else slot (k + 1)
+      in
+      let k = slot 0 in
+      if k >= 0 && starts.(k) < 0 then begin
+        starts.(k) <- vstart;
+        stops.(k) <- vend;
+        decr remaining
+      end;
+      !remaining > 0)
+
+(* Scan the (un-indexed) object at [start,stop) for a pre-split dotted
+   path, writing the value span of the final segment into the scratch
+   [sp]; intermediate object spans travel through [sp] itself. *)
+let find_parts_span t ~start ~stop ~parts sp =
+  let src = t.src in
   let find_field ostart ostop name =
-    (* linear scan of the object's members for [name]; on a match the
-       value span lands in [sp] *)
-    let rec members i =
-      let i = Json.skip_ws src i in
-      if i >= ostop || src.[i] = '}' then false
-      else begin
-        let matched = name_matches i name in
-        let after = skip_string src i in
-        let i = Json.skip_ws src after in
-        if src.[i] <> ':' then fail i "expected ':'";
-        let vstart = Json.skip_ws src (i + 1) in
-        let vend = skip_value src vstart in
-        if matched then begin
-          sp.sp_start <- vstart;
-          sp.sp_stop <- vend;
-          true
-        end
-        else begin
-          let i = Json.skip_ws src vend in
-          if i < ostop && src.[i] = ',' then members (i + 1) else false
-        end
-      end
-    in
-    if src.[ostart] <> '{' then false else members (ostart + 1)
+    let found = ref false in
+    if src.[ostart] = '{' then
+      walk_members src ~start:ostart ~stop:ostop (fun q vstart vend ->
+          if name_matches src q name then begin
+            span_at t ~start:vstart ~stop:vend sp;
+            found := true
+          end;
+          not !found);
+    !found
   in
   let rec follow ostart ostop = function
     | [] -> false
-    | [ name ] ->
-      find_field ostart ostop name
-      && begin
-           sp.sp_kind <-
-             (match kind_at src sp.sp_start with
-             | Kint -> num_kind src sp.sp_start sp.sp_stop
-             | k -> k);
-           true
-         end
     | name :: rest ->
-      find_field ostart ostop name && follow sp.sp_start sp.sp_stop rest
+      find_field ostart ostop name && (rest = [] || follow sp.sp_start sp.sp_stop rest)
   in
   follow start stop parts
-
-let find_parts_in_span t ~start ~stop ~parts =
-  let sp = make_span () in
-  if find_parts_span t ~start ~stop ~parts sp then
-    Some { start = sp.sp_start; stop = sp.sp_stop; kind = sp.sp_kind }
-  else None
-
-let find_in_span t ~start ~stop ~path =
-  find_parts_in_span t ~start ~stop ~parts:(String.split_on_char '.' path)
 
 let byte_size t =
   let per_obj =

@@ -3,176 +3,162 @@ module Ji = Proteus_format.Json_index
 
 let nullable_of_ty ty = match ty with Ptype.Option _ -> true | _ -> false
 
+(* One decoder per declared type. Every read path — scalar accessors,
+   fixed-schema batch fills, unnest element fields and boxed values —
+   loads a span, then decodes it here. A resolver that finds no field
+   leaves a [Knull] span at the enclosing object's byte, so a null and a
+   missing value meet one check, which names that byte. *)
+let null_error sp ty =
+  Perror.parse_error ~what:"json" ~pos:sp.Ji.sp_start "null/missing value where %a expected"
+    Ptype.pp ty
+
+let[@inline] present sp ty = if sp.Ji.sp_kind = Ji.Knull then null_error sp ty
+
+let absent sp ~at =
+  sp.Ji.sp_start <- at;
+  sp.Ji.sp_stop <- at;
+  sp.Ji.sp_kind <- Ji.Knull
+
+let dec_int index sp =
+  present sp Ptype.Int;
+  Ji.span_int index sp
+
+(* a date is an ISO string or a day count *)
+let dec_date index sp =
+  present sp Ptype.Date;
+  match sp.Ji.sp_kind with
+  | Ji.Kstr ->
+    Date_util.of_span (Ji.source index) ~start:(sp.Ji.sp_start + 1) ~stop:(sp.Ji.sp_stop - 1)
+  | _ -> Ji.span_int index sp
+
+(* a float is a float or an int literal *)
+let dec_float index sp =
+  present sp Ptype.Float;
+  match sp.Ji.sp_kind with
+  | Ji.Kint -> float_of_int (Ji.span_int index sp)
+  | _ -> Ji.span_float index sp
+
+let dec_bool index sp =
+  present sp Ptype.Bool;
+  Ji.span_bool index sp
+
+let dec_string index sp =
+  present sp Ptype.String;
+  Ji.span_string index sp
+
+let span_of index ~start ~stop =
+  let sp = Ji.make_span () in
+  Ji.span_at index ~start ~stop sp;
+  sp
+
+(* Boxed read by declared type: declared leaves go through the decoders
+   above (a declared field that is absent, through the same check);
+   records and arrays are rebuilt member by member in document order;
+   undeclared fields, and values of a shape the type does not describe,
+   stay as written. *)
+let rec dec_value index ty sp : Value.t =
+  match Ptype.unwrap_option ty, sp.Ji.sp_kind with
+  | _, Ji.Knull when nullable_of_ty ty -> Value.Null
+  | Ptype.Int, _ -> Value.Int (dec_int index sp)
+  | Ptype.Date, _ -> Value.Date (dec_date index sp)
+  | Ptype.Float, _ -> Value.Float (dec_float index sp)
+  | Ptype.Bool, _ -> Value.Bool (dec_bool index sp)
+  | Ptype.String, _ -> Value.String (dec_string index sp)
+  | Ptype.Record fields, Ji.Kobj ->
+    let members = ref [] in
+    Ji.iter_members index sp ~f:(fun name ~start ~stop ->
+        let v = span_of index ~start ~stop in
+        let v =
+          match List.assoc_opt name fields with
+          | Some fty -> dec_value index fty v
+          | None -> Ji.span_value index v
+        in
+        members := (name, v) :: !members);
+    let missing = Ji.make_span () in
+    absent missing ~at:sp.Ji.sp_start;
+    List.iter
+      (fun (name, fty) ->
+        if not (List.mem_assoc name !members) then ignore (dec_value index fty missing))
+      fields;
+    Value.record (List.rev !members)
+  | Ptype.Collection (_, elem_ty), Ji.Karr ->
+    let elems = ref [] in
+    Ji.iter_array_spans index sp ~f:(fun ~start ~stop ->
+        elems := dec_value index elem_ty (span_of index ~start ~stop) :: !elems);
+    Value.list_ (List.rev !elems)
+  | _ -> Ji.span_value index sp
+
 let make ~element ~index =
-  let index_src = Ji.source index in
   let obj = ref 0 in
-  (* One entry-resolver per path, built once per query. Fixed-schema inputs
-     resolve the Level-0 slot here, at "code generation" time; flexible
-     inputs fall back to a per-object Level-0 lookup, memoized per OID so
-     that a predicate and a projection on the same field share the lookup. *)
-  let entry_resolver path : unit -> Ji.entry option =
-    match Ji.slot index path with
-    | Some slot -> fun () -> Some (Ji.entry_at index ~obj:!obj ~slot)
-    | None -> (
-      (* flexible mode: intern the path once here; per tuple only an
-         integer binary search over the object's Level 0 remains *)
-      match Ji.path_id index path with
-      | None -> fun () -> None
-      | Some id ->
-        let cached_obj = ref (-1) in
-        let cached : Ji.entry option ref = ref None in
-        fun () ->
-          if !cached_obj <> !obj then begin
-            cached := Ji.find_by_id index ~obj:!obj ~id;
-            cached_obj := !obj
-          end;
-          !cached)
-  in
-  (* Span resolvers are the hot-path variant: each one owns a scratch
-     {!Ji.span} refilled in place, so a steady-state scan allocates nothing
-     per tuple. Under multi-domain execution this matters doubly — per-tuple
-     minor-heap records serialize the workers on the shared GC barrier.
-     Accessors (and their spans) are private to one scan_view instance,
-     hence to one domain. *)
-  let span_resolver path : Ji.span * (unit -> bool) =
+  (* The one resolver family: a scratch span plus [resolve ()], which
+     loads the path of the current object into it. Each accessor owns its
+     span, so a steady-state scan allocates nothing per tuple; accessors
+     are private to one scan_view instance, hence to one domain.
+     Fixed-schema inputs resolve the Level-0 slot here, at "code
+     generation" time; flexible inputs intern the path once and memoize
+     the per-object slot search per OID, so that a predicate and a
+     projection on the same field share it. *)
+  let span_resolver path : Ji.span * (unit -> unit) =
     let sp = Ji.make_span () in
     let resolve =
       match Ji.slot index path with
-      | Some slot ->
+      | Some slot -> fun () -> Ji.entry_span index ~obj:!obj ~slot sp
+      | None ->
+        let id = Option.value (Ji.path_id index path) ~default:(-1) in
+        let cached_obj = ref (-1) and cached_slot = ref (-1) in
         fun () ->
-          Ji.entry_span index ~obj:!obj ~slot sp;
-          true
-      | None -> (
-        match Ji.path_id index path with
-        | None -> fun () -> false
-        | Some id ->
-          (* flexible mode: memoize the slot per OID so a predicate and a
-             projection on the same field share the Level-0 search *)
-          let cached_obj = ref (-1) in
-          let cached_slot = ref (-1) in
-          fun () ->
-            if !cached_obj <> !obj then begin
-              cached_slot := Ji.slot_by_id index ~obj:!obj ~id;
-              cached_obj := !obj
-            end;
-            !cached_slot >= 0
-            && begin
-                 Ji.entry_span index ~obj:!obj ~slot:!cached_slot sp;
-                 true
-               end)
+          if !cached_obj <> !obj then begin
+            cached_slot := if id < 0 then -1 else Ji.slot_by_id index ~obj:!obj ~id;
+            cached_obj := !obj
+          end;
+          if !cached_slot >= 0 then Ji.entry_span index ~obj:!obj ~slot:!cached_slot sp
+          else begin
+            (* slot 0 is the object itself: a missing field's byte *)
+            Ji.entry_span index ~obj:!obj ~slot:0 sp;
+            sp.Ji.sp_kind <- Ji.Knull
+          end
     in
     (sp, resolve)
   in
-  (* Typed accessor over any (scratch span, resolver) pair — the indexed
-     Level-0 slots and the unnest dotted-path fallback share one reader
-     family, so both stay allocation-free per access. *)
-  let span_accessor_over ~(ty : Ptype.t) (sp, resolve) : Access.t =
-    let base = Ptype.unwrap_option ty in
-    let is_null () = (not (resolve ())) || sp.Ji.sp_kind = Ji.Knull in
-    let require what =
-      if not (resolve () && sp.Ji.sp_kind <> Ji.Knull) then
-        Perror.type_error "JSON: null/%s value where %s expected" "missing" what
+  (* The one typed accessor over a (span, resolver) pair. A fixed-schema
+     [slot] gives a non-nullable primitive its batch fill, which loads the
+     slot at explicit OIDs: no cursor, no per-object lookup. *)
+  let accessor ~(ty : Ptype.t) ?slot (sp, resolve) : Access.t =
+    let null =
+      if nullable_of_ty ty then
+        Some
+          (fun () ->
+            resolve ();
+            sp.Ji.sp_kind = Ji.Knull)
+      else None
     in
-    let null = if nullable_of_ty ty then Some is_null else None in
-    match base with
+    let fill dec =
+      match slot, null with
+      | Some slot, None ->
+        Some
+          (fun base out ~sel ~n ->
+            for i = 0 to n - 1 do
+              let j = sel.(i) in
+              Ji.entry_span index ~obj:(base + j) ~slot sp;
+              out.(j) <- dec index sp
+            done)
+      | _ -> None
+    in
+    (* each getter calls its decoder directly: getters are the per-tuple path *)
+    match Ptype.unwrap_option ty with
     | Ptype.Int ->
-      Access.of_int ?null (fun () ->
-          require "int";
-          Ji.span_int index sp)
+      Access.of_int ?null ?fill:(fill dec_int) (fun () -> resolve (); dec_int index sp)
     | Ptype.Date ->
-      Access.of_date ?null (fun () ->
-          require "date";
-          match sp.Ji.sp_kind with
-          | Ji.Kstr ->
-            Date_util.of_span index_src ~start:(sp.Ji.sp_start + 1)
-              ~stop:(sp.Ji.sp_stop - 1)
-          | _ -> Ji.span_int index sp)
+      Access.of_date ?null ?fill:(fill dec_date) (fun () -> resolve (); dec_date index sp)
     | Ptype.Float ->
-      Access.of_float ?null (fun () ->
-          require "float";
-          match sp.Ji.sp_kind with
-          | Ji.Kint -> float_of_int (Ji.span_int index sp)
-          | _ -> Ji.span_float index sp)
+      Access.of_float ?null ?fill:(fill dec_float) (fun () -> resolve (); dec_float index sp)
     | Ptype.Bool ->
-      Access.of_bool ?null (fun () ->
-          require "bool";
-          Ji.span_bool index sp)
+      Access.of_bool ?null ?fill:(fill dec_bool) (fun () -> resolve (); dec_bool index sp)
     | Ptype.String ->
-      Access.of_str ?null (fun () ->
-          require "string";
-          Ji.span_string index sp)
+      Access.of_str ?null ?fill:(fill dec_string) (fun () -> resolve (); dec_string index sp)
     | Ptype.Record _ | Ptype.Collection _ ->
-      Access.boxed ty (fun () ->
-          if resolve () && sp.Ji.sp_kind <> Ji.Knull then Ji.span_value index sp
-          else Value.Null)
+      Access.boxed ty (fun () -> resolve (); dec_value index ty sp)
     | Ptype.Option _ -> assert false
-  in
-  let span_accessor_of ~(ty : Ptype.t) path : Access.t =
-    span_accessor_over ~ty (span_resolver path)
-  in
-  (* Batch lane for fixed-schema inputs: the Level-0 slot is known at
-     generation time, so a fill reads entries at explicit OIDs — no cursor,
-     no per-object lookup. Non-nullable primitive fields only; everything
-     else keeps scalar accessors (the engine shims or falls back). *)
-  let batch_fills ~(ty : Ptype.t) ~slot (a : Access.t) : Access.t =
-    if nullable_of_ty ty then a
-    else
-      (* one scratch span per accessor: the fill loop stays allocation-free *)
-      let sp = Ji.make_span () in
-      let require what o =
-        Ji.entry_span index ~obj:o ~slot sp;
-        if sp.Ji.sp_kind = Ji.Knull then
-          Perror.type_error "JSON: null/%s value where %s expected" "missing" what
-      in
-      let fill read = fun base out ~sel ~n ->
-        for i = 0 to n - 1 do
-          let j = sel.(i) in
-          out.(j) <- read (base + j)
-        done
-      in
-      match ty with
-      | Ptype.Int ->
-        { a with
-          Access.fill_int =
-            Some
-              (fill (fun o ->
-                   require "int" o;
-                   Ji.span_int index sp)) }
-      | Ptype.Date ->
-        { a with
-          Access.fill_int =
-            Some
-              (fill (fun o ->
-                   require "date" o;
-                   match sp.Ji.sp_kind with
-                   | Ji.Kstr ->
-                     Date_util.of_span index_src ~start:(sp.Ji.sp_start + 1)
-                       ~stop:(sp.Ji.sp_stop - 1)
-                   | _ -> Ji.span_int index sp)) }
-      | Ptype.Float ->
-        { a with
-          Access.fill_float =
-            Some
-              (fill (fun o ->
-                   require "float" o;
-                   match sp.Ji.sp_kind with
-                   | Ji.Kint -> float_of_int (Ji.span_int index sp)
-                   | _ -> Ji.span_float index sp)) }
-      | Ptype.Bool ->
-        { a with
-          Access.fill_bool =
-            Some
-              (fill (fun o ->
-                   require "bool" o;
-                   Ji.span_bool index sp)) }
-      | Ptype.String ->
-        { a with
-          Access.fill_str =
-            Some
-              (fill (fun o ->
-                   require "string" o;
-                   Ji.span_string index sp)) }
-      | _ -> a
   in
   let accessor_cache : (string, Access.t) Hashtbl.t = Hashtbl.create 8 in
   let field path =
@@ -180,25 +166,21 @@ let make ~element ~index =
     | Some a -> a
     | None ->
       let ty = Source.field_type element path in
-      let a = span_accessor_of ~ty path in
-      let a =
-        match Ji.slot index path with
-        | Some slot -> batch_fills ~ty ~slot a
-        | None -> a
-      in
+      let a = accessor ~ty ?slot:(Ji.slot index path) (span_resolver path) in
       Hashtbl.replace accessor_cache path a;
       a
   in
+  let root = Ji.make_span () in
   let whole () =
-    let start, stop = Ji.object_span index !obj in
-    Ji.read_value index { Ji.start; stop; kind = Ji.Kobj }
+    Ji.entry_span index ~obj:!obj ~slot:0 root;
+    dec_value index element root
   in
   let unnest path =
     match Ptype.unwrap_option (Source.field_type element path) with
     | Ptype.Collection (_, elem_ty) ->
-      let entry = entry_resolver path in
+      let arr, resolve_arr = span_resolver path in
       (* current nested element span, valid during u_iter callbacks *)
-      let elem_start = ref 0 and elem_stop = ref 0 in
+      let elem = Ji.make_span () in
       (* Fused extraction (u_prepare): the element-boundary walk also
          records the value spans of the fields the query reads, so each
          element is scanned exactly once. *)
@@ -219,13 +201,10 @@ let make ~element ~index =
       in
       let elem_scanned = ref false in
       let u_iter ~on_elem =
-        match entry () with
-        | None -> ()
-        | Some e when e.Ji.kind = Ji.Knull -> ()
-        | Some e ->
-          Ji.iter_array_spans index e ~f:(fun ~start ~stop ->
-              elem_start := start;
-              elem_stop := stop;
+        resolve_arr ();
+        if arr.Ji.sp_kind = Ji.Karr then
+          Ji.iter_array_spans index arr ~f:(fun ~start ~stop ->
+              Ji.span_at index ~start ~stop elem;
               elem_scanned := false;
               on_elem ())
       in
@@ -233,7 +212,7 @@ let make ~element ~index =
          field access and shared by all of them *)
       let ensure_scanned () =
         if not !elem_scanned then begin
-          Ji.scan_span_fields index ~start:!elem_start ~stop:!elem_stop
+          Ji.scan_span_fields index ~start:elem.Ji.sp_start ~stop:elem.Ji.sp_stop
             ~names:!wanted ~starts:!slot_starts ~stops:!slot_stops;
           elem_scanned := true
         end
@@ -251,62 +230,31 @@ let make ~element ~index =
         match Hashtbl.find_opt elem_field_cache f with
         | Some a -> a
         | None ->
-          let fty = Source.field_type elem_ty f in
-          let a =
+          let sp = Ji.make_span () in
+          let resolve =
             match slot_of f with
             | Some k ->
-              (* read from the shared per-element scan's slots *)
+              (* a fused field: the shared per-element scan's slot *)
               let starts = !slot_starts and stops = !slot_stops in
-              let span_missing () =
+              fun () ->
                 ensure_scanned ();
-                starts.(k) < 0 || index_src.[starts.(k)] = 'n'
-              in
-              let null = if nullable_of_ty fty then Some span_missing else None in
-              let base = Ptype.unwrap_option fty in
-              (match base with
-              | Ptype.Int ->
-                Access.of_int ?null (fun () ->
-                    ensure_scanned ();
-                    Proteus_format.Numparse.int_span index_src ~start:starts.(k)
-                      ~stop:stops.(k))
-              | Ptype.Date ->
-                Access.of_date ?null (fun () ->
-                    ensure_scanned ();
-                    Proteus_format.Numparse.int_span index_src ~start:starts.(k)
-                      ~stop:stops.(k))
-              | Ptype.Float ->
-                Access.of_float ?null (fun () ->
-                    ensure_scanned ();
-                    Proteus_format.Numparse.float_span index_src ~start:starts.(k)
-                      ~stop:stops.(k))
-              | Ptype.Bool ->
-                Access.of_bool ?null (fun () ->
-                    ensure_scanned ();
-                    index_src.[starts.(k)] = 't')
-              | Ptype.String ->
-                Access.of_str ?null (fun () ->
-                    ensure_scanned ();
-                    Ji.read_string_span index ~start:starts.(k) ~stop:stops.(k))
-              | _ -> assert false (* u_prepare keeps primitives only *))
+                if starts.(k) < 0 then absent sp ~at:elem.Ji.sp_start
+                else Ji.span_at index ~start:starts.(k) ~stop:stops.(k) sp
             | None ->
-              (* un-fused fallback: scan the element span for the path.
-                 The scratch span is private to this accessor, so repeated
-                 per-element lookups allocate nothing. *)
+              (* un-fused (dotted) fallback: scan the element for the path *)
               let parts = String.split_on_char '.' f in
-              let sp = Ji.make_span () in
-              let resolve () =
-                Ji.find_parts_span index ~start:!elem_start ~stop:!elem_stop
-                  ~parts sp
-              in
-              span_accessor_over ~ty:fty (sp, resolve)
+              fun () ->
+                if
+                  not
+                    (Ji.find_parts_span index ~start:elem.Ji.sp_start ~stop:elem.Ji.sp_stop
+                       ~parts sp)
+                then absent sp ~at:elem.Ji.sp_start
           in
+          let a = accessor ~ty:(Source.field_type elem_ty f) (sp, resolve) in
           Hashtbl.replace elem_field_cache f a;
           a
       in
-      let u_value () =
-        let j, _ = Proteus_format.Json.parse index_src ~pos:!elem_start in
-        Proteus_format.Json.to_value j
-      in
+      let u_value () = dec_value index elem_ty elem in
       Some { Source.u_elem_ty = elem_ty; u_prepare; u_iter; u_field; u_value }
     | _ -> None
     | exception Perror.Plan_error _ -> None

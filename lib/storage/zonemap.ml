@@ -209,9 +209,13 @@ let zone_may_match t z (test : test) =
       | Le -> clo <= 0
       | Gt -> chi > 0
       | Ge -> chi >= 0)
-    | Z_str _, (T_int _ | T_float _) | (Z_int _ | Z_float _), T_str _ ->
-      (* mixed-kind comparison: no proof either way *)
-      true
+    (* mixed kinds: [Expr.cmp] falls back to [Value.compare], which ranks
+       every number (and date) below every string, so the operator alone
+       decides any non-empty zone *)
+    | Z_str _, (T_int (op, _) | T_float (op, _)) -> (
+      match op with Gt | Ge -> true | Eq | Lt | Le -> false)
+    | (Z_int _ | Z_float _), T_str (op, _) -> (
+      match op with Lt | Le -> true | Eq | Gt | Ge -> false)
 
 (* Can any row in [\[lo, hi)] satisfy the test? Checks every overlapping
    zone, so it is exact for ranges of any alignment (batches need not line

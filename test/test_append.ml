@@ -269,6 +269,22 @@ let append_prop =
 
 (* --- the layers on their own ---------------------------------------------- *)
 
+(* The boxed value of [path] in object [obj], through the span API: the
+   shared slot (fixed schema) or the object's Level 0; [None] when absent. *)
+let json_value ix ~obj ~path =
+  let slot =
+    match Json_index.slot ix path, Json_index.path_id ix path with
+    | Some s, _ -> s
+    | None, Some id -> Json_index.slot_by_id ix ~obj ~id
+    | None, None -> -1
+  in
+  if slot < 0 then None
+  else begin
+    let sp = Json_index.make_span () in
+    Json_index.entry_span ix ~obj ~slot sp;
+    Some (Json_index.span_value ix sp)
+  end
+
 (* An extended index answers every span and row as a build over the grown
    source does. *)
 let index_prop =
@@ -328,8 +344,7 @@ let index_prop =
                    Json_index.object_span ext o = Json_index.object_span full o
                    && List.for_all
                         (fun path ->
-                          Option.map (Json_index.read_value ext) (Json_index.find ext ~obj:o ~path)
-                          = Option.map (Json_index.read_value full) (Json_index.find full ~obj:o ~path))
+                          json_value ext ~obj:o ~path = json_value full ~obj:o ~path)
                         [ "k"; "g"; "v"; "s" ])
                  (List.init n Fun.id))))
 

@@ -500,6 +500,187 @@ let engines_agree_prop =
       && Value.equal expected
            (sort_bag (Executor.run reg ~engine:Executor.Engine_volcano plan)))
 
+(* --- one JSON field, every read path ---------------------------------------- *)
+
+(* Records with an int, a float, a date, a bool and a string field, each
+   nullable or not (a nullable one may be null or absent), written as a
+   top-level JSON dataset in fixed or shuffled field order and nested as
+   the [items] of parent objects, each element carrying the record's
+   fields and the record again under [r]. Dates are written as ISO strings
+   or day counts, integral floats sometimes as int literals. Every field
+   is read top-level (projected, and filtered on the batch lane), as a
+   fused element field, as a dotted element path ([i.r.f]) and boxed
+   ([bag(x)], [bag(i)]): the compiled engine at batch sizes 0 and 1024
+   and Volcano must agree with the reference evaluator over the source
+   values. *)
+module Json = Proteus_format.Json
+
+let fields_of =
+  [ ("i", Ptype.Int); ("f", Ptype.Float); ("d", Ptype.Date); ("b", Ptype.Bool);
+    ("s", Ptype.String) ]
+
+(* one member: its name, how it is written, and the value it stands for *)
+let gen_member (name, ty) =
+  let open QCheck2.Gen in
+  let+ written, v =
+    match ty with
+    | Ptype.Int -> map (fun i -> (Json.Int i, Value.Int i)) (int_range (-50) 50)
+    | Ptype.Float ->
+      map2
+        (fun k as_int ->
+          let f = float_of_int k /. 4. in
+          ((if as_int && Float.is_integer f then Json.Int (int_of_float f) else Json.Float f),
+           Value.Float f))
+        (int_range (-40) 40) bool
+    | Ptype.Date ->
+      map2
+        (fun d iso ->
+          ((if iso then Json.Str (Date_util.to_string d) else Json.Int d), Value.Date d))
+        (int_range 0 20000) bool
+    | Ptype.Bool -> map (fun b -> (Json.Bool b, Value.Bool b)) bool
+    | _ ->
+      map
+        (fun s -> (Json.Str s, Value.String s))
+        (string_size ~gen:(oneofl [ 'a'; 'b'; '"'; '\\'; ' ' ]) (int_range 0 4))
+  in
+  (name, written, v)
+
+let read_path_gen =
+  let open QCheck2.Gen in
+  let* nullable = list_repeat (List.length fields_of) bool in
+  let* shuffled = bool in
+  let member k nul =
+    if not nul then map Option.some (gen_member k)
+    else
+      frequency
+        [ (3, map Option.some (gen_member k));
+          (1, return (Some (fst k, Json.Null, Value.Null)));
+          (1, return None) ]
+  in
+  let record =
+    let* ms = flatten_l (List.map2 member fields_of nullable) in
+    let ms = List.filter_map Fun.id ms in
+    if shuffled then shuffle_l ms else return ms
+  in
+  let+ records = list_size (int_range 0 12) record in
+  (nullable, shuffled, records)
+
+let member_json ms = List.map (fun (n, j, _) -> (n, j)) ms
+let member_value ms = List.map (fun (n, _, v) -> (n, v)) ms
+
+let print_read_path (nullable, shuffled, records) =
+  Fmt.str "nullable=%a shuffled=%b@.%s" Fmt.(Dump.list bool) nullable shuffled
+    (String.concat "\n" (List.map (fun ms -> Json.to_string (Json.Obj (member_json ms))) records))
+
+let read_path_prop =
+  QCheck2.Test.make ~name:"one field, every read path" ~count:100 ~print:print_read_path
+    read_path_gen (fun (nullable, _, records) ->
+      let rec_fields =
+        List.map2 (fun (n, ty) nul -> (n, if nul then Ptype.Option ty else ty)) fields_of nullable
+      in
+      let rec_ty = Ptype.Record rec_fields in
+      let elem_ty = Ptype.Record (rec_fields @ [ ("r", rec_ty) ]) in
+      let parent_ty =
+        Ptype.Record [ ("id", Ptype.Int); ("items", Ptype.Collection (Ptype.List, elem_ty)) ]
+      in
+      (* parents of up to three elements, one with an empty array *)
+      let rec chunks = function
+        | a :: b :: c :: rest -> [ a; b; c ] :: chunks rest
+        | [] -> []
+        | short -> [ short ]
+      in
+      let parents = List.mapi (fun j ms -> (j, ms)) ([] :: chunks records) in
+      let elem ms = member_json ms @ [ ("r", Json.Obj (member_json ms)) ] in
+      let elem_value ms =
+        Value.record (member_value ms @ [ ("r", Value.record (member_value ms)) ])
+      in
+      let cat = Catalog.create () in
+      let register name element objs =
+        Memory.register_blob (Catalog.memory cat) ~name
+          (String.concat "\n" (List.map (fun o -> Json.to_string (Json.Obj o)) objs));
+        Catalog.register cat
+          (Dataset.make ~name ~format:Dataset.Json ~location:(Dataset.Blob name) ~element)
+      in
+      register "top" rec_ty (List.map member_json records);
+      register "parents" parent_ty
+        (List.map
+           (fun (j, ms) ->
+             [ ("id", Json.Int j); ("items", Json.Arr (List.map (fun m -> Json.Obj (elem m)) ms)) ])
+           parents);
+      let lookup = function
+        | "top" -> List.map (fun ms -> Value.record (member_value ms)) records
+        | "parents" ->
+          List.map
+            (fun (j, ms) ->
+              Value.record [ ("id", Value.Int j); ("items", Value.list_ (List.map elem_value ms)) ])
+            parents
+        | other -> Perror.plan_error "no dataset %s" other
+      in
+      let reg = Registry.create cat in
+      let bag e = Plan.agg ~name:"v" (Monoid.Collection Ptype.Bag) e in
+      let project get input =
+        Plan.project ~binding:"o" ~fields:(List.map (fun (n, _) -> (n, get n)) fields_of) input
+      in
+      let top = Plan.scan ~dataset:"top" ~binding:"x" () in
+      let elems =
+        Plan.unnest ~path:Expr.(Field (var "p", "items")) ~binding:"i"
+          (Plan.scan ~dataset:"parents" ~binding:"p" ())
+      in
+      let plans =
+        [ project (fun n -> Expr.(Field (var "x", n))) top;
+          Plan.reduce [ bag (Expr.var "x") ] top;
+          project (fun n -> Expr.(Field (var "i", n))) elems;
+          project (fun n -> Expr.(Field (Field (var "i", "r"), n))) elems;
+          Plan.reduce [ bag (Expr.var "i") ] elems ]
+        @ List.map
+            (fun (n, _) ->
+              let v = Expr.(Field (var "x", n)) in
+              Plan.reduce [ bag v ] (Plan.select Expr.(v ==. v) top))
+            fields_of
+      in
+      List.for_all
+        (fun plan ->
+          let expected = sort_bag (Interp.run ~lookup plan) in
+          List.for_all
+            (fun (engine, batch_size) ->
+              let got = sort_bag (Executor.run ~batch_size reg ~engine plan) in
+              Value.equal expected got
+              || QCheck2.Test.fail_reportf "%a: expected %a, got %a" Plan.pp plan Value.pp
+                   expected Value.pp got)
+            [ (Executor.Engine_compiled, 0); (Executor.Engine_compiled, 1024);
+              (Executor.Engine_volcano, 0) ])
+        plans)
+
+(* An element lacking a non-nullable field is a positioned parse error at
+   the element's byte, as a missing top-level field is at its object's. *)
+let test_unnest_missing_field () =
+  let src = {|{"id": 1, "items": [{"q": 3}, {"sd": 2}]}|} in
+  let cat = Catalog.create () in
+  Memory.register_blob (Catalog.memory cat) ~name:"o.json" src;
+  Catalog.register cat
+    (Dataset.make ~name:"o" ~format:Dataset.Json ~location:(Dataset.Blob "o.json")
+       ~element:
+         (Ptype.Record
+            [ ("id", Ptype.Int);
+              ( "items",
+                Ptype.Collection
+                  (Ptype.List, Ptype.Record [ ("q", Ptype.Int); ("sd", Ptype.Option Ptype.Int) ])
+              ) ]));
+  let reg = Registry.create cat in
+  let plan =
+    Plan.reduce
+      [ Plan.agg ~name:"s" (Monoid.Primitive Monoid.Sum) Expr.(Field (var "i", "q")) ]
+      (Plan.unnest ~path:Expr.(Field (var "x", "items")) ~binding:"i"
+         (Plan.scan ~dataset:"o" ~binding:"x" ()))
+  in
+  List.iter
+    (fun engine ->
+      match Executor.run reg ~engine plan with
+      | v -> Alcotest.failf "expected a parse error, got %a" Value.pp v
+      | exception Perror.Parse_error { pos; _ } ->
+        Alcotest.(check int) "element's byte" (String.rindex src '{') pos)
+    [ Executor.Engine_compiled; Executor.Engine_volcano ]
+
 (* --- counters -------------------------------------------------------------- *)
 
 let test_counters_contrast () =
@@ -602,8 +783,9 @@ let () =
           Alcotest.test_case "avg" `Quick test_avg_agg;
           Alcotest.test_case "sort operator" `Quick test_sort_operator;
           Alcotest.test_case "sort above join" `Quick test_sort_above_join;
+          Alcotest.test_case "unnest missing non-nullable field" `Quick test_unnest_missing_field;
         ]
-        @ qsuite [ engines_agree_prop; sort_agree_prop ] );
+        @ qsuite [ engines_agree_prop; sort_agree_prop; read_path_prop ] );
       ( "radix",
         [
           Alcotest.test_case "basic" `Quick test_radix_basic;

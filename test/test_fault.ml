@@ -199,6 +199,46 @@ let test_null_fill_json () =
   check_null_fill (db_json json_corrupt) (db_json json_valid)
     "SELECT SUM(k) AS s FROM items" ()
 
+(* --- a null or missing non-nullable JSON value ------------------------------ *)
+
+(* Row 1 holds a null [v], row 2 lacks it: the JSON reader raises one
+   positioned parse error for both — the null's byte, the object's byte
+   for the missing field — so the policies treat them as they treat the
+   short CSV rows [2,] and [3]. *)
+let kv_ty = Ptype.Record [ ("k", Ptype.Int); ("v", Ptype.Int) ]
+let kv_json = "{\"k\":1,\"v\":5}\n{\"k\":2,\"v\":null}\n{\"k\":3}\n{\"k\":4,\"v\":7}"
+let kv_q = "SELECT COUNT(*) AS n, SUM(v) AS s FROM kv"
+
+let db_kv ?(element = kv_ty) fmt contents () =
+  let db = Db.create () in
+  (match fmt with
+  | `Json -> Db.register_json db ~name:"kv" ~element ~contents
+  | `Csv -> Db.register_csv db ~name:"kv" ~element ~contents ());
+  db
+
+let test_json_null_missing () =
+  let check name mk policy expected counts =
+    let v, r = completed name (Executor.query ~policy (fun () -> Db.sql (mk ()) kv_q)) in
+    Alcotest.check check_value (name ^ " answer") (Db.sql (expected ()) kv_q) v;
+    Alcotest.(check string) (name ^ " counts") counts (digest_counts r)
+  in
+  (* skip: both formats drop rows 1 and 2 *)
+  List.iter
+    (fun (name, mk) ->
+      check name mk Fault.Skip_row (db_kv `Csv "1,5\n4,7\n")
+        "errors=2 skipped=2 nulled=0 by_source=[kv:2]")
+    [ ("json skip", db_kv `Json kv_json); ("csv skip", db_kv `Csv "1,5\n2,\n3\n4,7\n") ];
+  (* null: both values read as they do under a nullable type *)
+  let nullable = Ptype.Record [ ("k", Ptype.Int); ("v", Ptype.Option Ptype.Int) ] in
+  check "json null" (db_kv `Json kv_json) Fault.Null_fill
+    (db_kv ~element:nullable `Json kv_json)
+    "errors=2 skipped=0 nulled=2 by_source=[kv:2]";
+  (* fail-fast names the null's byte *)
+  match Db.sql (db_kv `Json kv_json ()) kv_q with
+  | _ -> Alcotest.fail "a null non-nullable value should raise"
+  | exception Perror.Parse_error { pos; _ } ->
+    Alcotest.(check int) "null's byte" (String.index kv_json 'n') pos
+
 (* --- Fail_fast (the default) keeps today's semantics --------------------- *)
 
 let test_fail_fast_default () =
@@ -410,6 +450,7 @@ let () =
           Alcotest.test_case "csv error position" `Quick test_csv_error_position;
           Alcotest.test_case "null fill (csv)" `Slow test_null_fill_csv;
           Alcotest.test_case "null fill (json)" `Slow test_null_fill_json;
+          Alcotest.test_case "json null or missing value" `Quick test_json_null_missing;
           Alcotest.test_case "fail fast default" `Quick test_fail_fast_default;
           Alcotest.test_case "front-end errors fail the query" `Quick test_front_end_errors;
         ] );

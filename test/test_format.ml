@@ -195,6 +195,45 @@ let fixed_src =
 {"a": 22, "b": "yy"}
 {"a": 333, "b": "zzz"}|}
 
+(* Span-API lookups for the cases below: [find] resolves a path through the
+   shared slot (fixed schema) or the object's Level 0 (flexible schema). *)
+let find idx ~obj ~path =
+  let slot =
+    match Json_index.slot idx path, Json_index.path_id idx path with
+    | Some s, _ -> s
+    | None, Some id -> Json_index.slot_by_id idx ~obj ~id
+    | None, None -> -1
+  in
+  if slot < 0 then None
+  else begin
+    let sp = Json_index.make_span () in
+    Json_index.entry_span idx ~obj ~slot sp;
+    Some sp
+  end
+
+let span_at idx ~start ~stop =
+  let sp = Json_index.make_span () in
+  Json_index.span_at idx ~start ~stop sp;
+  sp
+
+let elements idx arr =
+  let acc = ref [] in
+  Json_index.iter_array_spans idx arr ~f:(fun ~start ~stop ->
+      acc := span_at idx ~start ~stop :: !acc);
+  List.rev !acc
+
+let find_in_span idx (e : Json_index.span) ~path =
+  let sp = Json_index.make_span () in
+  if
+    Json_index.find_parts_span idx ~start:e.sp_start ~stop:e.sp_stop
+      ~parts:(String.split_on_char '.' path) sp
+  then Some sp
+  else None
+
+let object_value idx i =
+  let start, stop = Json_index.object_span idx i in
+  Json_index.span_value idx (span_at idx ~start ~stop)
+
 let test_json_index_basic () =
   let idx = Json_index.build flexible_src in
   Alcotest.(check int) "objects" 3 (Json_index.object_count idx);
@@ -202,27 +241,27 @@ let test_json_index_basic () =
   (* level-0 lookup despite field order differences *)
   List.iteri
     (fun i expect ->
-      match Json_index.find idx ~obj:i ~path:"a" with
-      | Some e -> Alcotest.(check int) "a value" expect (Json_index.read_int idx e)
+      match find idx ~obj:i ~path:"a" with
+      | Some e -> Alcotest.(check int) "a value" expect (Json_index.span_int idx e)
       | None -> Alcotest.fail "field a not found")
     [ 1; 2; 3 ]
 
 let test_json_index_nested_path () =
   let idx = Json_index.build flexible_src in
   (* nested record path registered in level 0 -> one-step dereference *)
-  match Json_index.find idx ~obj:1 ~path:"c.d.d1" with
-  | Some e -> Alcotest.(check int) "nested" 20 (Json_index.read_int idx e)
+  match find idx ~obj:1 ~path:"c.d.d1" with
+  | Some e -> Alcotest.(check int) "nested" 20 (Json_index.span_int idx e)
   | None -> Alcotest.fail "nested path missing"
 
 let test_json_index_array_not_registered () =
   let idx = Json_index.build flexible_src in
   (* array contents are not level-0 entries, but the array itself is *)
-  match Json_index.find idx ~obj:0 ~path:"arr" with
+  match find idx ~obj:0 ~path:"arr" with
   | Some e ->
-    Alcotest.(check bool) "is array" true (e.Json_index.kind = Json_index.Karr);
-    let elems = Json_index.array_elements idx e in
+    Alcotest.(check bool) "is array" true (e.Json_index.sp_kind = Json_index.Karr);
+    let elems = elements idx e in
     Alcotest.(check int) "3 elements" 3 (List.length elems);
-    Alcotest.(check int) "first" 1 (Json_index.read_int idx (List.hd elems))
+    Alcotest.(check int) "first" 1 (Json_index.span_int idx (List.hd elems))
   | None -> Alcotest.fail "arr missing"
 
 let test_json_index_fixed_schema () =
@@ -231,8 +270,9 @@ let test_json_index_fixed_schema () =
   (* slot resolution once, reuse across objects *)
   match Json_index.slot idx "b" with
   | Some slot ->
-    let e = Json_index.entry_at idx ~obj:2 ~slot in
-    Alcotest.(check string) "b of obj2" "zzz" (Json_index.read_string idx e)
+    let e = Json_index.make_span () in
+    Json_index.entry_span idx ~obj:2 ~slot e;
+    Alcotest.(check string) "b of obj2" "zzz" (Json_index.span_string idx e)
   | None -> Alcotest.fail "no shared slot"
 
 let test_json_index_missing_field () =
@@ -241,25 +281,22 @@ let test_json_index_missing_field () =
   let idx = Json_index.build src in
   Alcotest.(check bool) "flexible" false (Json_index.is_fixed_schema idx);
   Alcotest.(check bool) "missing in obj0" true
-    (Json_index.find idx ~obj:0 ~path:"extra" = None);
-  match Json_index.find idx ~obj:1 ~path:"extra" with
-  | Some e -> Alcotest.(check int) "present in obj1" 7 (Json_index.read_int idx e)
+    (find idx ~obj:0 ~path:"extra" = None);
+  match find idx ~obj:1 ~path:"extra" with
+  | Some e -> Alcotest.(check int) "present in obj1" 7 (Json_index.span_int idx e)
   | None -> Alcotest.fail "extra missing in obj1"
 
 let test_json_index_find_in_span () =
   let src = {|{"items": [{"id": 1, "qty": 5}, {"id": 2, "qty": 7}]}|} in
   let idx = Json_index.build src in
-  match Json_index.find idx ~obj:0 ~path:"items" with
+  match find idx ~obj:0 ~path:"items" with
   | None -> Alcotest.fail "items missing"
   | Some arr ->
-    let elems = Json_index.array_elements idx arr in
+    let elems = elements idx arr in
     Alcotest.(check int) "2 elems" 2 (List.length elems);
     let e1 = List.nth elems 1 in
-    (match
-       Json_index.find_in_span idx ~start:e1.Json_index.start ~stop:e1.Json_index.stop
-         ~path:"qty"
-     with
-    | Some q -> Alcotest.(check int) "qty" 7 (Json_index.read_int idx q)
+    (match find_in_span idx e1 ~path:"qty" with
+    | Some q -> Alcotest.(check int) "qty" 7 (Json_index.span_int idx q)
     | None -> Alcotest.fail "qty not found in element span")
 
 let test_json_index_find_in_span_escaped_names () =
@@ -267,38 +304,29 @@ let test_json_index_find_in_span_escaped_names () =
      field names *)
   let src = {|{"items": [{"a\"b": 7, "plain": 1}]}|} in
   let idx = Json_index.build src in
-  match Json_index.find idx ~obj:0 ~path:"items" with
+  match find idx ~obj:0 ~path:"items" with
   | None -> Alcotest.fail "items missing"
   | Some arr -> (
-    let e = List.hd (Json_index.array_elements idx arr) in
-    (match
-       Json_index.find_in_span idx ~start:e.Json_index.start ~stop:e.Json_index.stop
-         ~path:{|a"b|}
-     with
-    | Some v -> Alcotest.(check int) "escaped name" 7 (Json_index.read_int idx v)
+    let e = List.hd (elements idx arr) in
+    (match find_in_span idx e ~path:{|a"b|} with
+    | Some v -> Alcotest.(check int) "escaped name" 7 (Json_index.span_int idx v)
     | None -> Alcotest.fail "escaped name not found");
-    match
-      Json_index.find_in_span idx ~start:e.Json_index.start ~stop:e.Json_index.stop
-        ~path:"plain"
-    with
-    | Some v -> Alcotest.(check int) "plain name" 1 (Json_index.read_int idx v)
+    match find_in_span idx e ~path:"plain" with
+    | Some v -> Alcotest.(check int) "plain name" 1 (Json_index.span_int idx v)
     | None -> Alcotest.fail "plain name not found")
 
 let test_json_index_name_prefix_not_matched () =
   (* "ab" must not match a field named "abc" and vice versa *)
   let src = {|{"arr": [{"ab": 1, "abc": 2, "a": 3}]}|} in
   let idx = Json_index.build src in
-  match Json_index.find idx ~obj:0 ~path:"arr" with
+  match find idx ~obj:0 ~path:"arr" with
   | None -> Alcotest.fail "arr missing"
   | Some arr ->
-    let e = List.hd (Json_index.array_elements idx arr) in
+    let e = List.hd (elements idx arr) in
     List.iter
       (fun (name, expect) ->
-        match
-          Json_index.find_in_span idx ~start:e.Json_index.start ~stop:e.Json_index.stop
-            ~path:name
-        with
-        | Some v -> Alcotest.(check int) name expect (Json_index.read_int idx v)
+        match find_in_span idx e ~path:name with
+        | Some v -> Alcotest.(check int) name expect (Json_index.span_int idx v)
         | None -> Alcotest.failf "%s not found" name)
       [ ("ab", 1); ("abc", 2); ("a", 3) ]
 
@@ -306,12 +334,7 @@ let test_json_index_read_value_matches_parser () =
   let idx = Json_index.build flexible_src in
   let parsed = List.map Json.to_value (Json.parse_seq flexible_src) in
   List.iteri
-    (fun i expect ->
-      let start, stop = Json_index.object_span idx i in
-      let via_index =
-        Json_index.read_value idx { Json_index.start; stop; kind = Json_index.Kobj }
-      in
-      Alcotest.check check_value "object roundtrip" expect via_index)
+    (fun i expect -> Alcotest.check check_value "object roundtrip" expect (object_value idx i))
     parsed
 
 let test_json_index_size_reported () =
@@ -466,10 +489,7 @@ let json_index_agrees_prop =
       Json_index.object_count idx = List.length objs
       && List.for_all2
            (fun j i ->
-             let start, stop = Json_index.object_span idx i in
-             Value.equal (Json.to_value j)
-               (Json_index.read_value idx
-                  { Json_index.start; stop; kind = Json_index.Kobj }))
+             Value.equal (Json.to_value j) (object_value idx i))
            objs
            (List.init (List.length objs) Fun.id))
 
