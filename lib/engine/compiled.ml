@@ -355,7 +355,7 @@ type bfilter = base:int -> sel:int array -> n:int -> int
 type bnode = { bn_branch : bool; bn_filters : bfilter list }
 
 (* A batch-compiled fragment: the driving source (its cursor serves spill
-   seeks and shim fills), the morsel's batch driver, and the filter nodes in
+   seeks and the join-key shim), the morsel's batch driver, and the filter nodes in
    scan-to-root order. *)
 type bfrag = {
   bf_src : Source.t;

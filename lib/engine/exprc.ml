@@ -63,21 +63,16 @@ let boxed_path get path : unit -> Value.t =
       (get ()) parts
 
 (* Lift a plug-in accessor into a compiled closure: typed when the accessor
-   is non-nullable and offers the matching fast path. *)
+   is non-nullable and has a typed lane. Dates surface as ints in
+   expressions via the typed lane, but their boxed view must stay Date for
+   result fidelity. *)
 let of_access (a : Access.t) : compiled =
-  if a.Access.nullable then C_val a.Access.get_val
-  else
-    match a.Access.get_int, a.Access.get_float, a.Access.get_bool, a.Access.get_str with
-    | Some g, _, _, _ -> (
-      (* Dates surface as ints in expressions via the typed lane, but their
-         boxed view must stay Date for result fidelity. *)
-      match Ptype.unwrap_option a.Access.ty with
-      | Ptype.Date -> C_val a.Access.get_val
-      | _ -> C_int g)
-    | None, Some g, _, _ -> C_float g
-    | None, None, Some g, _ -> C_bool g
-    | None, None, None, Some g -> C_str g
-    | None, None, None, None -> C_val a.Access.get_val
+  match a.Access.null, a.Access.lane with
+  | None, Access.Int r -> C_int r.Access.get
+  | None, Access.Float r -> C_float r.Access.get
+  | None, Access.Bool r -> C_bool r.Access.get
+  | None, Access.Str r -> C_str r.Access.get
+  | _, (Access.Date _ | Access.Boxed) | Some _, _ -> C_val a.Access.get_val
 
 let compile_var_path (cenv : cenv) v path : compiled =
   let repr =
@@ -279,34 +274,29 @@ type bcompiled =
 
 let nop_kernel ~base:_ ~sel:_ ~n:_ = ()
 
+(* A leaf's batch kernel is its lane's fill; nullable fields, dates
+   (boxed, mirroring the scalar lane) and fields not addressable by row
+   stay scalar. *)
 let bleaf bs (src : Source.t) path : bcompiled option =
+  let kernel buf fill ~base ~sel ~n = fill base buf ~sel ~n in
   match src.Source.field path with
   | exception Perror.Plan_error _ -> None
-  | a ->
-    if a.Access.nullable then None
-    else (
-      let seek = src.Source.seek in
-      match Ptype.unwrap_option a.Access.ty with
-      | Ptype.Date -> None (* dates stay boxed, mirroring the scalar lane *)
-      | _ -> (
-        match a.Access.get_int, a.Access.get_float, a.Access.get_bool, a.Access.get_str with
-        | Some g, _, _, _ ->
-          let fill = match a.Access.fill_int with Some f -> f | None -> Access.shim_fill seek g in
-          let buf = Array.make bs 0 in
-          Some (B_int (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n))
-        | None, Some g, _, _ ->
-          let fill = match a.Access.fill_float with Some f -> f | None -> Access.shim_fill seek g in
-          let buf = Array.make bs 0. in
-          Some (B_float (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n))
-        | None, None, Some g, _ ->
-          let fill = match a.Access.fill_bool with Some f -> f | None -> Access.shim_fill seek g in
-          let buf = Array.make bs false in
-          Some (B_bool (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n))
-        | None, None, None, Some g ->
-          let fill = match a.Access.fill_str with Some f -> f | None -> Access.shim_fill seek g in
-          let buf = Array.make bs "" in
-          Some (B_str (buf, fun ~base ~sel ~n -> fill base buf ~sel ~n))
-        | None, None, None, None -> None))
+  | { Access.null = Some _; _ } -> None
+  | { Access.lane; _ } -> (
+    match lane with
+    | Access.Int { fill = Some f; _ } ->
+      let buf = Array.make bs 0 in
+      Some (B_int (buf, kernel buf f))
+    | Access.Float { fill = Some f; _ } ->
+      let buf = Array.make bs 0. in
+      Some (B_float (buf, kernel buf f))
+    | Access.Bool { fill = Some f; _ } ->
+      let buf = Array.make bs false in
+      Some (B_bool (buf, kernel buf f))
+    | Access.Str { fill = Some f; _ } ->
+      let buf = Array.make bs "" in
+      Some (B_str (buf, kernel buf f))
+    | _ -> None)
 
 let rec compile_batch (cenv : cenv) ~batch_size (e : Expr.t) : bcompiled option =
   let bs = batch_size in
@@ -747,7 +737,7 @@ let rec compile_batch (cenv : cenv) ~batch_size (e : Expr.t) : bcompiled option 
 
 (* Batch join-probe support: stage an integer join-key expression as a
    (buffer, kernel) pair so the probe loop can fill a whole key array per
-   batch (native [Access.fill_int] when the plug-in has one). When no batch
+   batch (the leaf's lane fill when the key is a plain field). When no batch
    kernel applies but the scalar lane yields a typed int closure, a
    seek-then-eval shim keeps the probe batched anyway. *)
 let batch_int_fill (cenv : cenv) ~batch_size ~(seek : int -> unit) (e : Expr.t) :

@@ -34,12 +34,18 @@ let render_value (v : Value.t) =
   | String s -> s
   | Record _ | Coll _ -> Perror.type_error "CSV cannot render %a" Value.pp v
 
+(* A trailing separator ends a row without an empty last field, so an
+   empty last field is written with one more separator: [2,,] reads back
+   as [2] and an empty field, [,] as one empty field, where [2,] and a
+   blank line would lose it. *)
 let write_row buf config values =
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf config.separator;
-      write_field buf config (render_value v))
-    values;
+  let n = Array.length values in
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char buf config.separator;
+    let s = render_value values.(i) in
+    write_field buf config s;
+    if i = n - 1 && s = "" then Buffer.add_char buf config.separator
+  done;
   Buffer.add_char buf '\n'
 
 let of_records config schema records =

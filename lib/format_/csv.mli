@@ -17,7 +17,9 @@ val default_config : config
 
 (** {1 Writing} *)
 
-(** [write_row buf config values] appends one CSV line. *)
+(** [write_row buf config values] appends one CSV line. An empty last
+    field is followed by one more separator, since a trailing separator
+    ends a row without an empty field. *)
 val write_row : Buffer.t -> config -> Value.t array -> unit
 
 (** [of_records config schema records] renders a full file. *)

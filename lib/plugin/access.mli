@@ -6,21 +6,23 @@
     dispatch, byte offsets, index slots and type checks are all resolved at
     construction time, so each per-tuple call is a monomorphic closure.
 
-    The typed getters ([get_int], ...) are present only when the plug-in
-    could specialize for that type; [get_val] always works and is the boxed
-    fallback used by un-specialized consumers (the Volcano interpreter, and
-    any expression whose type the compiler could not pin down).
+    A primitive field carries one typed {!lane}: a {!reader} whose [get]
+    reads at the cursor and whose [fill] is the batch lane —
+    [fill base out ~sel ~n] writes the field value of element
+    [base + sel.(i)] into [out.(sel.(i))] for each of the first [n]
+    selection-vector entries, batch-aligned, so slot [j] of every buffer
+    corresponds to element [base + j] and filters that shrink [sel] never
+    move data. The plug-in that owns the cursor decides how a batch is read:
+    by explicit row (column slices, positional index spans, fixed-schema
+    slots) or through {!shim_fill} over its own cursor. [fill = None] means
+    only that the field is not addressable by row (unnest element fields);
+    every top-level primitive accessor has one. A fill reads the value lane
+    only: on a nullable accessor it is defined at non-null rows, so
+    consumers test [null] first.
 
-    The optional batch getters ([fill_int], ...) are the vectorized lane:
-    [fill base out ~sel ~n] writes the field value of element [base + sel.(i)]
-    into [out.(sel.(i))] for each of the first [n] selection-vector entries —
-    batch-aligned, so slot [j] of every buffer corresponds to element
-    [base + j] and filters that shrink [sel] never move data. Plug-ins
-    provide them only for non-nullable primitive fields they can extract
-    without going through the scan cursor (direct column slices, positional
-    index spans); everything else is reached by the engine through a
-    seek-then-get shim, so a plug-in that provides no fills still works
-    unmodified. *)
+    [get_val] always works and is the boxed read used by un-specialized
+    consumers (the Volcano interpreter, nested values, and any expression
+    whose type the compiler could not pin down). *)
 
 open Proteus_model
 
@@ -29,37 +31,39 @@ open Proteus_model
     are left untouched. *)
 type 'a fill = int -> 'a array -> sel:int array -> n:int -> unit
 
+(** One typed read path: [get] at the cursor, [fill] by explicit row. *)
+type 'a reader = { get : unit -> 'a; fill : 'a fill option }
+
+type lane =
+  | Int of int reader
+  | Date of int reader  (** day counts; the boxed view stays [Value.Date] *)
+  | Float of float reader
+  | Bool of bool reader
+  | Str of string reader
+  | Boxed  (** no typed path: read through [get_val] *)
+
 type t = {
   ty : Ptype.t;                        (** static type, [Option]-wrapped if nullable *)
-  nullable : bool;
-  get_int : (unit -> int) option;
-  get_float : (unit -> float) option;
-  get_bool : (unit -> bool) option;
-  get_str : (unit -> string) option;
-  is_null : (unit -> bool) option;     (** present when [nullable] with typed paths *)
+  null : (unit -> bool) option;        (** null test at the cursor, for nullable typed lanes *)
+  lane : lane;
   get_val : unit -> Value.t;           (** boxed read; yields [Null] for nulls *)
-  fill_int : int fill option;          (** batch lane (never set for nullable fields) *)
-  fill_float : float fill option;
-  fill_bool : bool fill option;
-  fill_str : string fill option;
   dict : (int array * string array) option;
-      (** dictionary metadata when the accessor reads a promoted
-          ({!Proteus_storage.Column.Dicts}) cache column: [get_str]/[fill_str]
-          still decode, while comparison kernels may work on the codes
+      (** dictionary metadata when a non-nullable accessor reads a promoted
+          ({!Proteus_storage.Column.Dicts}) cache column: its [Str] lane
+          still decodes, while comparison kernels may work on the codes
           directly (equality as a code compare, LIKE once per entry) *)
 }
 
 (** {1 Constructors} *)
 
-val of_int : ?null:(unit -> bool) -> ?fill:int fill -> (unit -> int) -> t
-val of_date : ?null:(unit -> bool) -> ?fill:int fill -> (unit -> int) -> t
-val of_float : ?null:(unit -> bool) -> ?fill:float fill -> (unit -> float) -> t
-val of_bool : ?null:(unit -> bool) -> ?fill:bool fill -> (unit -> bool) -> t
-val of_str : ?null:(unit -> bool) -> ?fill:string fill -> (unit -> string) -> t
+(** [prim ?null lane] is the one constructor of a primitive accessor: [ty]
+    and [get_val] follow from the lane, [Option]-wrapped and null-testing
+    when [null] is given. Raises [Invalid_argument] on [Boxed]. *)
+val prim : ?null:(unit -> bool) -> lane -> t
 
-(** [shim_fill seek get] serves the batch lane for an accessor without a
-    native fill: for each selected lane, [seek] the scan cursor to the
-    element, then [get] it. *)
+(** [shim_fill seek get] reads a batch through a cursor: for each selected
+    lane, [seek] the cursor to the element, then [get] it. For plug-ins
+    whose field position is only known per element (flexible-schema JSON). *)
 val shim_fill : (int -> unit) -> (unit -> 'a) -> 'a fill
 
 (** [boxed ty f] wraps a boxed-only accessor (nested values etc.). *)
@@ -67,6 +71,6 @@ val boxed : Ptype.t -> (unit -> Value.t) -> t
 
 (** [of_column col ~cur ty] reads a {!Proteus_storage.Column.t} at the row
     index in [cur] — the access path for binary columns, caches, and
-    materialized intermediates. Typed fast paths match the column payload;
-    non-nullable columns also carry direct-slice batch fills. *)
+    materialized intermediates. The lane matches the column payload and
+    fills by direct slice; a null mask adds the null test. *)
 val of_column : Proteus_storage.Column.t -> cur:int ref -> Ptype.t -> t

@@ -11,42 +11,41 @@ let of_rowpage page =
       | Ptype.Option _ -> Some (fun () -> Rowpage.is_null page ~row:!row ~field:idx)
       | _ -> None
     in
-    (* Batch fills address rows directly by OID — no cursor motion — and are
-       offered only for non-nullable fields (the batch lane's contract). *)
-    let bfill get = match null with
-      | Some _ -> None
-      | None ->
-        Some
-          (fun base out ~sel ~n ->
-            for i = 0 to n - 1 do
-              let j = sel.(i) in
-              out.(j) <- get (base + j)
-            done)
+    (* the getter reads at the cursor; the fill addresses rows directly by
+       OID, with no cursor motion *)
+    let fill at : _ Access.fill option =
+      Some
+        (fun base out ~sel ~n ->
+          for i = 0 to n - 1 do
+            let j = sel.(i) in
+            out.(j) <- at (base + j)
+          done)
     in
-    match Ptype.unwrap_option f.ty with
-    | Ptype.Int ->
-      Access.of_int ?null
-        ?fill:(bfill (fun row -> Rowpage.get_int page ~row ~off))
-        (fun () -> Rowpage.get_int page ~row:!row ~off)
-    | Ptype.Date ->
-      Access.of_date ?null
-        ?fill:(bfill (fun row -> Rowpage.get_int page ~row ~off))
-        (fun () -> Rowpage.get_int page ~row:!row ~off)
-    | Ptype.Float ->
-      Access.of_float ?null
-        ?fill:(bfill (fun row -> Rowpage.get_float page ~row ~off))
-        (fun () -> Rowpage.get_float page ~row:!row ~off)
-    | Ptype.Bool ->
-      Access.of_bool ?null
-        ?fill:(bfill (fun row -> Rowpage.get_bool page ~row ~off))
-        (fun () -> Rowpage.get_bool page ~row:!row ~off)
-    | Ptype.String ->
-      Access.of_str ?null
-        ?fill:(bfill (fun row -> Rowpage.get_string page ~row ~off))
-        (fun () -> Rowpage.get_string page ~row:!row ~off)
-    | other ->
-      Perror.type_error "binary row field %s of non-primitive type %a" f.name Ptype.pp
-        other
+    Access.prim ?null
+      (match Ptype.unwrap_option f.ty with
+      | Ptype.Int ->
+        Access.Int
+          { get = (fun () -> Rowpage.get_int page ~row:!row ~off);
+            fill = fill (fun row -> Rowpage.get_int page ~row ~off) }
+      | Ptype.Date ->
+        Access.Date
+          { get = (fun () -> Rowpage.get_int page ~row:!row ~off);
+            fill = fill (fun row -> Rowpage.get_int page ~row ~off) }
+      | Ptype.Float ->
+        Access.Float
+          { get = (fun () -> Rowpage.get_float page ~row:!row ~off);
+            fill = fill (fun row -> Rowpage.get_float page ~row ~off) }
+      | Ptype.Bool ->
+        Access.Bool
+          { get = (fun () -> Rowpage.get_bool page ~row:!row ~off);
+            fill = fill (fun row -> Rowpage.get_bool page ~row ~off) }
+      | Ptype.String ->
+        Access.Str
+          { get = (fun () -> Rowpage.get_string page ~row:!row ~off);
+            fill = fill (fun row -> Rowpage.get_string page ~row ~off) }
+      | other ->
+        Perror.type_error "binary row field %s of non-primitive type %a" f.name Ptype.pp
+          other)
   in
   let accessors = List.mapi (fun i f -> (f.Schema.name, accessor i f)) (Schema.fields schema) in
   let field path =

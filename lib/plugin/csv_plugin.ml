@@ -8,47 +8,45 @@ let make ~config ~schema ~index ~src =
   (* Resolve everything per-field once: index position, span fetch, typed
      parser. The per-tuple work is just "span + parse". *)
   let accessor (f : Schema.field) fidx : Access.t =
-    (* [read parse] parses the field at the cursor row; [bfill parse] is
-       the batch lane — index-driven bulk extraction at explicit rows,
-       parsing only the selected lanes (non-nullable fields only). Both
-       locate the field through the index's int-returning ends, so a read
-       allocates nothing beyond its parsed value. *)
+    (* [read parse] parses the field at the cursor row; [reader parse]
+       adds the batch lane, which parses at explicit rows, only the
+       selected lanes. Both locate the field through the index's
+       int-returning ends, so a read allocates nothing beyond its parsed
+       value. *)
     let read parse () =
       let s = Csv_index.field_start index ~row:!row ~field:fidx in
       parse s (Csv_index.field_stop index ~row:!row ~field:fidx s)
     in
-    let bfill parse =
-      fun base out ~sel ~n ->
-        for i = 0 to n - 1 do
-          let j = sel.(i) in
-          let row = base + j in
-          let s = Csv_index.field_start index ~row ~field:fidx in
-          out.(j) <- parse s (Csv_index.field_stop index ~row ~field:fidx s)
-        done
+    let reader parse : _ Access.reader =
+      {
+        get = read parse;
+        fill =
+          Some
+            (fun base out ~sel ~n ->
+              for i = 0 to n - 1 do
+                let j = sel.(i) in
+                let row = base + j in
+                let s = Csv_index.field_start index ~row ~field:fidx in
+                out.(j) <- parse s (Csv_index.field_stop index ~row ~field:fidx s)
+              done);
+      }
     in
-    (* a nullable field reads the empty span as null and has no fill *)
-    let null = match f.ty with Ptype.Option _ -> Some (read (fun s e -> (s : int) >= e)) | _ -> None in
-    let fill parse = if Option.is_none null then Some (bfill parse) else None in
-    match Ptype.unwrap_option f.ty with
-    | Ptype.Int ->
-      let parse s e = Csv.parse_int src ~start:s ~stop:e in
-      Access.of_int ?null ?fill:(fill parse) (read parse)
-    | Ptype.Date ->
-      let parse s e =
-        if e - s = 10 && src.[s + 4] = '-' then Date_util.of_span src ~start:s ~stop:e
-        else Csv.parse_int src ~start:s ~stop:e
-      in
-      Access.of_date ~fill:(bfill parse) (read parse)
-    | Ptype.Float ->
-      let parse s e = Csv.parse_float src ~start:s ~stop:e in
-      Access.of_float ?null ?fill:(fill parse) (read parse)
-    | Ptype.Bool ->
-      let parse s e = Csv.parse_bool src ~start:s ~stop:e in
-      Access.of_bool ~fill:(bfill parse) (read parse)
-    | Ptype.String ->
-      let parse s e = Csv.parse_string src ~start:s ~stop:e in
-      Access.of_str ?null ?fill:(fill parse) (read parse)
-    | other -> Perror.type_error "CSV field %s of non-primitive type %a" f.name Ptype.pp other
+    (* a nullable field reads the empty span as null, whatever its type *)
+    let null =
+      match f.ty with Ptype.Option _ -> Some (read (fun s e -> (s : int) >= e)) | _ -> None
+    in
+    Access.prim ?null
+      (match Ptype.unwrap_option f.ty with
+      | Ptype.Int -> Access.Int (reader (fun s e -> Csv.parse_int src ~start:s ~stop:e))
+      | Ptype.Date ->
+        Access.Date
+          (reader (fun s e ->
+               if e - s = 10 && src.[s + 4] = '-' then Date_util.of_span src ~start:s ~stop:e
+               else Csv.parse_int src ~start:s ~stop:e))
+      | Ptype.Float -> Access.Float (reader (fun s e -> Csv.parse_float src ~start:s ~stop:e))
+      | Ptype.Bool -> Access.Bool (reader (fun s e -> Csv.parse_bool src ~start:s ~stop:e))
+      | Ptype.String -> Access.Str (reader (fun s e -> Csv.parse_string src ~start:s ~stop:e))
+      | other -> Perror.type_error "CSV field %s of non-primitive type %a" f.name Ptype.pp other)
   in
   let accessors =
     List.mapi (fun i (f : Schema.field) -> (f.name, accessor f i)) fields

@@ -120,10 +120,14 @@ let make ~element ~index =
     in
     (sp, resolve)
   in
-  (* The one typed accessor over a (span, resolver) pair. A fixed-schema
-     [slot] gives a non-nullable primitive its batch fill, which loads the
-     slot at explicit OIDs: no cursor, no per-object lookup. *)
-  let accessor ~(ty : Ptype.t) ?slot (sp, resolve) : Access.t =
+  let seek i = obj := i in
+  (* The one typed accessor over a (span, resolver) pair. [rows] says how
+     the batch lane reaches the field at explicit OIDs: a fixed-schema
+     [`Slot] loads the slot with no cursor and no per-object lookup; a
+     flexible top-level path goes through this view's own cursor
+     ([`Cursor]); an unnest element field is not addressable by row
+     ([`None]). *)
+  let accessor ~(ty : Ptype.t) ~rows (sp, resolve) : Access.t =
     let null =
       if nullable_of_ty ty then
         Some
@@ -132,33 +136,36 @@ let make ~element ~index =
             sp.Ji.sp_kind = Ji.Knull)
       else None
     in
-    let fill dec =
-      match slot, null with
-      | Some slot, None ->
-        Some
-          (fun base out ~sel ~n ->
-            for i = 0 to n - 1 do
-              let j = sel.(i) in
-              Ji.entry_span index ~obj:(base + j) ~slot sp;
-              out.(j) <- dec index sp
-            done)
-      | _ -> None
+    let reader dec get : _ Access.reader =
+      let fill =
+        match rows with
+        | `Slot slot ->
+          Some
+            (fun base out ~sel ~n ->
+              for i = 0 to n - 1 do
+                let j = sel.(i) in
+                Ji.entry_span index ~obj:(base + j) ~slot sp;
+                out.(j) <- dec index sp
+              done)
+        | `Cursor -> Some (Access.shim_fill seek get)
+        | `None -> None
+      in
+      { get; fill }
     in
     (* each getter calls its decoder directly: getters are the per-tuple path *)
-    match Ptype.unwrap_option ty with
-    | Ptype.Int ->
-      Access.of_int ?null ?fill:(fill dec_int) (fun () -> resolve (); dec_int index sp)
-    | Ptype.Date ->
-      Access.of_date ?null ?fill:(fill dec_date) (fun () -> resolve (); dec_date index sp)
-    | Ptype.Float ->
-      Access.of_float ?null ?fill:(fill dec_float) (fun () -> resolve (); dec_float index sp)
-    | Ptype.Bool ->
-      Access.of_bool ?null ?fill:(fill dec_bool) (fun () -> resolve (); dec_bool index sp)
-    | Ptype.String ->
-      Access.of_str ?null ?fill:(fill dec_string) (fun () -> resolve (); dec_string index sp)
-    | Ptype.Record _ | Ptype.Collection _ ->
-      Access.boxed ty (fun () -> resolve (); dec_value index ty sp)
-    | Ptype.Option _ -> assert false
+    let lane : Access.lane =
+      match Ptype.unwrap_option ty with
+      | Ptype.Int -> Int (reader dec_int (fun () -> resolve (); dec_int index sp))
+      | Ptype.Date -> Date (reader dec_date (fun () -> resolve (); dec_date index sp))
+      | Ptype.Float -> Float (reader dec_float (fun () -> resolve (); dec_float index sp))
+      | Ptype.Bool -> Bool (reader dec_bool (fun () -> resolve (); dec_bool index sp))
+      | Ptype.String -> Str (reader dec_string (fun () -> resolve (); dec_string index sp))
+      | Ptype.Record _ | Ptype.Collection _ -> Boxed
+      | Ptype.Option _ -> assert false
+    in
+    match lane with
+    | Boxed -> Access.boxed ty (fun () -> resolve (); dec_value index ty sp)
+    | lane -> Access.prim ?null lane
   in
   let accessor_cache : (string, Access.t) Hashtbl.t = Hashtbl.create 8 in
   let field path =
@@ -166,7 +173,8 @@ let make ~element ~index =
     | Some a -> a
     | None ->
       let ty = Source.field_type element path in
-      let a = accessor ~ty ?slot:(Ji.slot index path) (span_resolver path) in
+      let rows = match Ji.slot index path with Some slot -> `Slot slot | None -> `Cursor in
+      let a = accessor ~ty ~rows (span_resolver path) in
       Hashtbl.replace accessor_cache path a;
       a
   in
@@ -250,7 +258,7 @@ let make ~element ~index =
                        ~parts sp)
                 then absent sp ~at:elem.Ji.sp_start
           in
-          let a = accessor ~ty:(Source.field_type elem_ty f) (sp, resolve) in
+          let a = accessor ~ty:(Source.field_type elem_ty f) ~rows:`None (sp, resolve) in
           Hashtbl.replace elem_field_cache f a;
           a
       in
@@ -262,7 +270,7 @@ let make ~element ~index =
   {
     Source.element;
     count = Ji.object_count index;
-    seek = (fun i -> obj := i);
+    seek;
     field;
     whole;
     unnest;

@@ -123,9 +123,9 @@ let set_cache t c =
    numeric top-level fields, observed through the freshly built source in
    one pass of 1024-row batches, aligned to multiples of 1024 (the cadence
    of [Fault.check_cancel]). Per batch, every field first reads its values
-   into an unboxed buffer — through its native fill, or the seek-then-get
-   shim the engine uses, or, for a nullable field, the shim with a null
-   test that also collects the non-null lanes — and only when every read
+   into an unboxed buffer — through its lane's fill or, for a nullable
+   field, seek-then-get with a null test that also collects the non-null
+   lanes — and only when every read
    succeeded are the buffers folded into the fields' accumulators
    (resolved once per pass). A batch in which any read raised is re-read
    row by row through the boxed getters instead, which reproduces the
@@ -146,13 +146,12 @@ type stats_lane = {
 }
 
 let stats_lane seek acc (a : Access.t) =
-  let null = if a.Access.nullable then a.Access.is_null else None in
-  let typed fill get buf observe =
+  let typed (r : _ Access.reader) buf observe =
     let n = ref 0 in
     let sel, read =
-      match null with
+      match a.Access.null with
       | None ->
-        let fill = match fill with Some f -> f | None -> Access.shim_fill seek get in
+        let fill = Option.get r.Access.fill in
         ( iota,
           fun ~base ~len ->
             fill base buf ~sel:iota ~n:len;
@@ -165,7 +164,7 @@ let stats_lane seek acc (a : Access.t) =
             for j = 0 to len - 1 do
               seek (base + j);
               if not (is_null ()) then begin
-                buf.(j) <- get ();
+                buf.(j) <- r.Access.get ();
                 sel.(!n) <- j;
                 incr n
               end
@@ -173,15 +172,18 @@ let stats_lane seek acc (a : Access.t) =
     in
     { acc; get_val = a.Access.get_val; read; fold = (fun () -> observe buf ~sel ~n:!n) }
   in
-  let typed_ok = (not a.Access.nullable) || null <> None in
-  match Ptype.unwrap_option a.Access.ty, a.Access.get_int, a.Access.get_float with
-  | ((Ptype.Int | Ptype.Date) as ty), Some get, _ when typed_ok ->
-    typed a.Access.fill_int get (Array.make stats_batch 0)
-      (Stats.observe_ints acc ~date:(ty = Ptype.Date))
-  | Ptype.Float, _, Some get when typed_ok ->
-    typed a.Access.fill_float get (Array.make stats_batch 0.) (Stats.observe_floats acc)
+  (* a non-nullable lane reads through its fill, a nullable one at the
+     cursor; a reader that cannot do either reads boxed *)
+  let typed_ok (r : _ Access.reader) = a.Access.null <> None || r.Access.fill <> None in
+  match a.Access.lane with
+  | Access.Int r when typed_ok r ->
+    typed r (Array.make stats_batch 0) (Stats.observe_ints acc ~date:false)
+  | Access.Date r when typed_ok r ->
+    typed r (Array.make stats_batch 0) (Stats.observe_ints acc ~date:true)
+  | Access.Float r when typed_ok r ->
+    typed r (Array.make stats_batch 0.) (Stats.observe_floats acc)
   | _ ->
-    (* no typed getter: buffer the boxed values *)
+    (* no typed lane: buffer the boxed values *)
     let vals = Array.make stats_batch Value.Null and n = ref 0 in
     {
       acc;
@@ -339,35 +341,20 @@ let build_factory t (d : Dataset.t) : unit -> Source.t =
 (* --- concatenated shard views --------------------------------------------- *)
 
 (* Merge per-member accessors for one path into one accessor dispatched on
-   the concat cursor. Typed getters survive only when every member offers
-   them (a missing one falls the whole path back to boxed dispatch, which
-   is always available); batch fills survive likewise and route each run
-   of the (ascending) selection vector to the member owning those rows.
-   [~fills:false] is used for unnest element fields, whose indexes are not
-   global row ids. Dictionary metadata never merges: codes are private to
-   each member's cache column. *)
-let merged_access ~fills ~cur ~locate ~(offsets : int array)
-    (accs : Access.t array) : Access.t =
-  let all proj =
-    let xs = Array.map proj accs in
-    if Array.for_all Option.is_some xs then Some (Array.map Option.get xs)
-    else None
-  in
-  let lift proj = Option.map (fun fs () -> fs.(!cur) ()) (all proj) in
-  let nullable = Array.exists (fun a -> a.Access.nullable) accs in
-  let is_null =
-    if Array.for_all (fun a -> a.Access.is_null = None) accs then None
-    else
-      let fs = Array.map (fun a -> a.Access.is_null) accs in
-      Some (fun () -> match fs.(!cur) with Some f -> f () | None -> false)
-  in
-  let get_vals = Array.map (fun a -> a.Access.get_val) accs in
-  let merge_fill proj =
-    if not fills then None
-    else
-      match all proj with
-      | None -> None
-      | Some fs ->
+   the concat cursor. A typed lane survives when every member has the same
+   lane (else the path falls back to boxed dispatch, which is always
+   available); its fill survives when every member has one, and routes
+   each run of the (ascending) selection vector to the member owning those
+   rows. Unnest element fields have no fills, so none is merged for them.
+   Dictionary metadata never merges: codes are private to each member's
+   cache column. *)
+let merged_access ~cur ~locate ~(offsets : int array) (accs : Access.t array) : Access.t =
+  let merge (rs : _ Access.reader array) : _ Access.reader =
+    let gets = Array.map (fun r -> r.Access.get) rs in
+    let fill =
+      if Array.exists (fun r -> r.Access.fill = None) rs then None
+      else
+        let fs = Array.map (fun r -> Option.get r.Access.fill) rs in
         Some
           (fun base out ~sel ~n ->
             let i = ref 0 in
@@ -387,23 +374,46 @@ let merged_access ~fills ~cur ~locate ~(offsets : int array)
               fs.(m) (base - offsets.(m)) out ~sel:sub ~n:cnt;
               i := !j
             done)
+    in
+    { Access.get = (fun () -> gets.(!cur) ()); fill }
   in
-  let base_ty = Ptype.unwrap_option accs.(0).Access.ty in
-  {
-    Access.ty = (if nullable then Ptype.Option base_ty else base_ty);
-    nullable;
-    get_int = lift (fun a -> a.Access.get_int);
-    get_float = lift (fun a -> a.Access.get_float);
-    get_bool = lift (fun a -> a.Access.get_bool);
-    get_str = lift (fun a -> a.Access.get_str);
-    is_null;
-    get_val = (fun () -> get_vals.(!cur) ());
-    fill_int = merge_fill (fun a -> a.Access.fill_int);
-    fill_float = merge_fill (fun a -> a.Access.fill_float);
-    fill_bool = merge_fill (fun a -> a.Access.fill_bool);
-    fill_str = merge_fill (fun a -> a.Access.fill_str);
-    dict = None;
-  }
+  (* [all lane_of] merges the members' readers when every lane matches *)
+  let all lane_of =
+    let rs = Array.map (fun a -> lane_of a.Access.lane) accs in
+    if Array.for_all Option.is_some rs then Some (merge (Array.map Option.get rs)) else None
+  in
+  let lane =
+    match accs.(0).Access.lane with
+    | Access.Int _ ->
+      Option.map (fun r -> Access.Int r) (all (function Access.Int r -> Some r | _ -> None))
+    | Access.Date _ ->
+      Option.map (fun r -> Access.Date r) (all (function Access.Date r -> Some r | _ -> None))
+    | Access.Float _ ->
+      Option.map (fun r -> Access.Float r) (all (function Access.Float r -> Some r | _ -> None))
+    | Access.Bool _ ->
+      Option.map (fun r -> Access.Bool r) (all (function Access.Bool r -> Some r | _ -> None))
+    | Access.Str _ ->
+      Option.map (fun r -> Access.Str r) (all (function Access.Str r -> Some r | _ -> None))
+    | Access.Boxed -> None
+  in
+  match lane with
+  | Some lane ->
+    let null =
+      if Array.for_all (fun a -> a.Access.null = None) accs then None
+      else
+        let fs = Array.map (fun a -> a.Access.null) accs in
+        Some (fun () -> match fs.(!cur) with Some f -> f () | None -> false)
+    in
+    Access.prim ?null lane
+  | None ->
+    let nullable =
+      Array.exists (fun a -> match a.Access.ty with Ptype.Option _ -> true | _ -> false) accs
+    in
+    let base_ty = Ptype.unwrap_option accs.(0).Access.ty in
+    let get_vals = Array.map (fun a -> a.Access.get_val) accs in
+    Access.boxed
+      (if nullable then Ptype.Option base_ty else base_ty)
+      (fun () -> get_vals.(!cur) ())
 
 (* One [Source.t] over the concatenation of the member views, enumerating
    global rows [0, sum counts) in member order. Seeks hit the cached
@@ -438,7 +448,7 @@ let concat_source ~element (views : Source.t array) : Source.t =
     end
   in
   let field path =
-    merged_access ~fills:true ~cur ~locate ~offsets
+    merged_access ~cur ~locate ~offsets
       (Array.map (fun v -> v.Source.field path) views)
   in
   let whole =
@@ -464,7 +474,7 @@ let concat_source ~element (views : Source.t array) : Source.t =
           u_iter = (fun ~on_elem -> specs.(!cur).Source.u_iter ~on_elem);
           u_field =
             (fun name ->
-              merged_access ~fills:false ~cur ~locate ~offsets
+              merged_access ~cur ~locate ~offsets
                 (Array.map (fun s -> s.Source.u_field name) specs));
           u_value = (fun () -> specs.(!cur).Source.u_value ());
         }
@@ -870,23 +880,11 @@ let shards t name =
 
 (* --- column reads ----------------------------------------------------------- *)
 
-(* A cache fill: evaluates one path per row into a column builder, using the
-   typed fast path when the accessor offers one. *)
-let make_fill (access : Access.t) builder : unit -> unit =
-  let open Proteus_storage.Column in
-  match access.Access.is_null, access.Access.get_int, access.Access.get_float,
-        access.Access.get_bool, access.Access.get_str with
-  | None, Some get, _, _, _ -> fun () -> Builder.add_int builder (get ())
-  | None, _, Some get, _, _ -> fun () -> Builder.add_float builder (get ())
-  | None, _, _, Some get, _ -> fun () -> Builder.add_bool builder (get ())
-  | None, _, _, _, Some get -> fun () -> Builder.add_string builder (get ())
-  | _ -> fun () -> Builder.add_value builder (access.Access.get_val ())
-
-(* A batch filler: [f b ~base ~sel ~n] appends the values of rows
-   [base + sel.(0..n-1)] to [b]. Vector-capable accessors (non-nullable
-   paths with a native plug-in fill) gather through a scratch array — the
-   plug-in reads rows by OID with no cursor churn — and append the gathered
-   prefix; the rest [seek] per selected row. *)
+(* A column filler: [f b ~base ~sel ~n] appends the values of rows
+   [base + sel.(0..n-1)] to [b]. A non-nullable typed lane gathers through
+   its fill into a scratch array — the plug-in reads rows by OID, or
+   through its own cursor — and appends the gathered prefix; nullable and
+   boxed paths [seek] per selected row and append the boxed value. *)
 let filler ~seek (access : Access.t) =
   let module B = Proteus_storage.Column.Builder in
   let gather (f : _ Access.fill) zero add =
@@ -900,20 +898,17 @@ let filler ~seek (access : Access.t) =
         add b out.(sel.(i))
       done
   in
-  match
-    ( access.Access.fill_int, access.Access.fill_float,
-      access.Access.fill_bool, access.Access.fill_str )
-  with
-  | Some f, _, _, _ -> gather f 0 B.add_int
-  | _, Some f, _, _ -> gather f 0. B.add_float
-  | _, _, Some f, _ -> gather f false B.add_bool
-  | _, _, _, Some f -> gather f "" B.add_string
-  | None, None, None, None ->
+  match access.Access.null, access.Access.lane with
+  | None, (Access.Int { fill = Some f; _ } | Access.Date { fill = Some f; _ }) ->
+    gather f 0 B.add_int
+  | None, Access.Float { fill = Some f; _ } -> gather f 0. B.add_float
+  | None, Access.Bool { fill = Some f; _ } -> gather f false B.add_bool
+  | None, Access.Str { fill = Some f; _ } -> gather f "" B.add_string
+  | _ ->
     fun b ~base ~sel ~n ->
-      let fill = make_fill access b in
       for i = 0 to n - 1 do
         seek (base + sel.(i));
-        fill ()
+        B.add_value b (access.Access.get_val ())
       done
 
 (* Rows [\[lo, hi)] of [path] as one column, read 1024 rows at a time
@@ -1231,6 +1226,7 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
         in
         (spec, Some s))
   in
+  let fillers = List.map (fun (_, _, access) -> filler ~seek access) fills_spec in
   (* Tuple lane: one morsel [lo, hi); with a session it fills one segment
      keyed by [lo] while scanning it. Fills run after the Skip_row probe
      admits the row, so a skip run's segments are compacted (and the error
@@ -1239,7 +1235,8 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
     match sess with
     | Some s ->
       let builders = session_open s ~start:lo in
-      let fills = List.map2 (fun (_, _, access) b -> make_fill access b) fills_spec builders in
+      (* the cursor's row, as a one-lane batch *)
+      let fills = List.map2 (fun f b () -> f b ~base:!oid ~sel:iota ~n:1) fillers builders in
       policy_run ~lo ~hi ~on_tuple:(fun () ->
           List.iter (fun f -> f ()) fills;
           on_tuple ())
@@ -1258,7 +1255,6 @@ let scan_of t ~dataset ~required ~whole ~(raw : Source.t) ~fill ~session =
     match sess with
     | None -> None
     | Some s ->
-      let fillers = List.map (fun (_, _, access) -> filler ~seek access) fills_spec in
       Some
         (fun ~base ~sel ~n ->
           if n > 0 then begin

@@ -3,14 +3,18 @@
 
     A [Source.t] is the result of pointing a plug-in at a dataset for one
     query: a positioned cursor plus accessors that read {e at the current
-    cursor}. The correspondence with the paper's API:
+    cursor}, each with one typed lane ({!Access.lane}). The plug-in owns
+    the cursor, so it alone decides how a batch is read: every top-level
+    primitive field's lane carries a fill, by explicit row where the format
+    allows it and through the plug-in's own cursor where it does not. The
+    correspondence with the paper's API:
 
     - [generate()] → {!run} / {!seek}: drive the scan loop;
     - [readValue()/readPath()] → {!field} (dotted paths reach nested
       records in one step, via the structural index's Level 0);
     - [flushValue()] → {!whole} (reconstruct the full element, boxed);
     - [unnestInit()/unnestHasNext()/unnestGetNext()] → {!unnest};
-    - [hashValue()] is subsumed by the typed getters of {!Access.t} (the
+    - [hashValue()] is subsumed by the typed lanes of {!Access.t} (the
       engine hashes unboxed values directly). *)
 
 open Proteus_model
@@ -60,8 +64,8 @@ val run_range : t -> lo:int -> hi:int -> on_tuple:(unit -> unit) -> unit
     [lo, hi) as fixed-size batches: [on_batch ~base ~len] is called for each
     OID range [base, base + len) ([len <= batch]; only the last batch is
     short). The batch lane's scan loop: no cursor motion happens here —
-    batch consumers read via {!Access.t} fills (or seek themselves for the
-    shim/spill paths). Batch boundaries depend only on [lo]/[hi]/[batch],
+    batch consumers read via {!Access.t} lane fills (or seek themselves for
+    the spill paths). Batch boundaries depend only on [lo]/[hi]/[batch],
     never on the worker, so morsel-parallel batch execution stays
     deterministic. *)
 val run_range_batches :

@@ -507,12 +507,15 @@ let engines_agree_prop =
    top-level JSON dataset in fixed or shuffled field order and nested as
    the [items] of parent objects, each element carrying the record's
    fields and the record again under [r]. Dates are written as ISO strings
-   or day counts, integral floats sometimes as int literals. Every field
-   is read top-level (projected, and filtered on the batch lane), as a
-   fused element field, as a dotted element path ([i.r.f]) and boxed
-   ([bag(x)], [bag(i)]): the compiled engine at batch sizes 0 and 1024
-   and Volcano must agree with the reference evaluator over the source
-   values. *)
+   or day counts, integral floats sometimes as int literals. The same
+   records also go, top-level only, through every other plug-in: CSV, a
+   3-member CSV shard set, binary rows and binary columns. Every field is
+   read top-level (projected, tested with IS NULL, and filtered on the
+   batch lane, plainly and on IS NULL), as a fused element field, as a
+   dotted element path ([i.r.f]) and boxed ([bag(x)], [bag(i)]): the
+   compiled engine at batch sizes 0 and 1024 and Volcano must agree with
+   the reference evaluator over the source values. A nullable string is
+   never empty: in CSV an empty field is the null. *)
 module Json = Proteus_format.Json
 
 let fields_of =
@@ -520,7 +523,7 @@ let fields_of =
     ("s", Ptype.String) ]
 
 (* one member: its name, how it is written, and the value it stands for *)
-let gen_member (name, ty) =
+let gen_member ~nullable (name, ty) =
   let open QCheck2.Gen in
   let+ written, v =
     match ty with
@@ -541,7 +544,8 @@ let gen_member (name, ty) =
     | _ ->
       map
         (fun s -> (Json.Str s, Value.String s))
-        (string_size ~gen:(oneofl [ 'a'; 'b'; '"'; '\\'; ' ' ]) (int_range 0 4))
+        (string_size ~gen:(oneofl [ 'a'; 'b'; '"'; '\\'; ' ' ])
+           (int_range (if nullable then 1 else 0) 4))
   in
   (name, written, v)
 
@@ -550,10 +554,10 @@ let read_path_gen =
   let* nullable = list_repeat (List.length fields_of) bool in
   let* shuffled = bool in
   let member k nul =
-    if not nul then map Option.some (gen_member k)
+    if not nul then map Option.some (gen_member ~nullable:false k)
     else
       frequency
-        [ (3, map Option.some (gen_member k));
+        [ (3, map Option.some (gen_member ~nullable:true k));
           (1, return (Some (fst k, Json.Null, Value.Null)));
           (1, return None) ]
   in
@@ -602,13 +606,53 @@ let read_path_prop =
           (Dataset.make ~name ~format:Dataset.Json ~location:(Dataset.Blob name) ~element)
       in
       register "top" rec_ty (List.map member_json records);
+      (* the other plug-ins read the records with absent fields as nulls *)
+      let full =
+        List.map
+          (fun ms ->
+            Value.record
+              (List.map
+                 (fun (n, _) ->
+                   (n, Option.value (List.assoc_opt n (member_value ms)) ~default:Value.Null))
+                 fields_of))
+          records
+      in
+      let schema = Schema.of_type rec_ty in
+      let csv rs = Proteus_format.Csv.of_records Proteus_format.Csv.default_config schema rs in
+      let register_csv name rs =
+        Memory.register_blob (Catalog.memory cat) ~name (csv rs);
+        Catalog.register cat
+          (Dataset.make ~name ~format:(Dataset.Csv Proteus_format.Csv.default_config)
+             ~location:(Dataset.Blob name) ~element:rec_ty)
+      in
+      register_csv "top_csv" full;
+      Catalog.register cat
+        (Dataset.make ~name:"top_row" ~format:Dataset.Binary_row
+           ~location:(Dataset.Rows (Rowpage.of_records schema full)) ~element:rec_ty);
+      Catalog.register cat
+        (Dataset.make ~name:"top_col" ~format:Dataset.Binary_column
+           ~location:
+             (Dataset.Columns
+                (List.map
+                   (fun (n, ty) -> (n, Column.of_values ty (List.map (fun r -> Value.field r n) full)))
+                   rec_fields))
+           ~element:rec_ty);
+      let third = (List.length full + 2) / 3 in
+      let members =
+        List.init 3 (fun m ->
+            let name = Fmt.str "top_sh%d" m in
+            register_csv name (List.filteri (fun i _ -> i / third = m) full);
+            name)
+      in
       register "parents" parent_ty
         (List.map
            (fun (j, ms) ->
              [ ("id", Json.Int j); ("items", Json.Arr (List.map (fun m -> Json.Obj (elem m)) ms)) ])
            parents);
+      let tops = [ "top"; "top_csv"; "top_row"; "top_col"; "top_sh" ] in
       let lookup = function
         | "top" -> List.map (fun ms -> Value.record (member_value ms)) records
+        | "top_csv" | "top_row" | "top_col" | "top_sh" -> full
         | "parents" ->
           List.map
             (fun (j, ms) ->
@@ -617,26 +661,33 @@ let read_path_prop =
         | other -> Perror.plan_error "no dataset %s" other
       in
       let reg = Registry.create cat in
+      Registry.register_shard_set reg ~name:"top_sh" ~members;
       let bag e = Plan.agg ~name:"v" (Monoid.Collection Ptype.Bag) e in
       let project get input =
         Plan.project ~binding:"o" ~fields:(List.map (fun (n, _) -> (n, get n)) fields_of) input
       in
-      let top = Plan.scan ~dataset:"top" ~binding:"x" () in
       let elems =
         Plan.unnest ~path:Expr.(Field (var "p", "items")) ~binding:"i"
           (Plan.scan ~dataset:"parents" ~binding:"p" ())
       in
-      let plans =
+      let is_null v = Expr.Unop (Expr.Is_null, v) in
+      let top_plans dataset =
+        let top = Plan.scan ~dataset ~binding:"x" () in
         [ project (fun n -> Expr.(Field (var "x", n))) top;
-          Plan.reduce [ bag (Expr.var "x") ] top;
-          project (fun n -> Expr.(Field (var "i", n))) elems;
-          project (fun n -> Expr.(Field (Field (var "i", "r"), n))) elems;
-          Plan.reduce [ bag (Expr.var "i") ] elems ]
-        @ List.map
+          project (fun n -> is_null Expr.(Field (var "x", n))) top;
+          Plan.reduce [ bag (Expr.var "x") ] top ]
+        @ List.concat_map
             (fun (n, _) ->
               let v = Expr.(Field (var "x", n)) in
-              Plan.reduce [ bag v ] (Plan.select Expr.(v ==. v) top))
+              [ Plan.reduce [ bag v ] (Plan.select Expr.(v ==. v) top);
+                Plan.reduce [ bag v ] (Plan.select (is_null v) top) ])
             fields_of
+      in
+      let plans =
+        List.concat_map top_plans tops
+        @ [ project (fun n -> Expr.(Field (var "i", n))) elems;
+            project (fun n -> Expr.(Field (Field (var "i", "r"), n))) elems;
+            Plan.reduce [ bag (Expr.var "i") ] elems ]
       in
       List.for_all
         (fun plan ->

@@ -83,6 +83,85 @@ let test_csv_bad_int () =
        false
      with Perror.Parse_error _ -> true)
 
+(* The writer follows an empty last field with one more separator, so a
+   null last field and a one-column null row read back as written. *)
+let test_csv_null_last_roundtrip () =
+  let roundtrip schema records =
+    let back = Csv.read_all cfg schema (Csv.of_records cfg schema records) in
+    Alcotest.(check (list check_value)) "reads back" records back
+  in
+  let two = Schema.make [ ("k", Ptype.Int); ("v", Ptype.Option Ptype.Int) ] in
+  roundtrip two
+    (List.map
+       (fun (k, v) -> Value.record [ ("k", Value.Int k); ("v", v) ])
+       [ (1, Value.Int 5); (2, Value.Null); (3, Value.Int 7); (4, Value.Null) ]);
+  let str = Schema.make [ ("k", Ptype.Int); ("s", Ptype.String) ] in
+  roundtrip str [ Value.record [ ("k", Value.Int 1); ("s", Value.String "") ] ];
+  let one = Schema.make [ ("v", Ptype.Option Ptype.Int) ] in
+  let rows = [ Value.Int 5; Value.Null; Value.Null; Value.Int 7 ] in
+  roundtrip one (List.map (fun v -> Value.record [ ("v", v) ]) rows);
+  Alcotest.(check int) "no row lost" 4
+    (Csv.row_count cfg (Csv.of_records cfg one (List.map (fun v -> Value.record [ ("v", v) ]) rows)))
+
+(* A nullable CSV field reads an empty field as null whatever its type, on
+   the tuple lane and the batch lane. *)
+let test_csv_nullable_every_type () =
+  let module Plan = Proteus_algebra.Plan in
+  let module Executor = Proteus_engine.Executor in
+  let open Proteus_catalog in
+  let cat = Catalog.create () in
+  let register name src fields =
+    Proteus_storage.Memory.register_blob (Catalog.memory cat) ~name src;
+    Catalog.register cat
+      (Dataset.make ~name ~format:(Dataset.Csv cfg) ~location:(Dataset.Blob name)
+         ~element:(Ptype.Record fields))
+  in
+  let opt = List.map (fun (n, ty) -> (n, Ptype.Option ty)) in
+  register "all" "1,5,2.5,1996-03-05,true,x\n2,,,,,,\n3,7,0.25,1996-03-07,false,y\n"
+    (("k", Ptype.Int)
+    :: opt
+         [ ("i", Ptype.Int); ("f", Ptype.Float); ("d", Ptype.Date); ("b", Ptype.Bool);
+           ("s", Ptype.String) ]);
+  register "nd" "1,1996-03-05,true\n2,,\n3,1996-03-07,false\n"
+    (("k", Ptype.Int) :: opt [ ("d", Ptype.Date); ("b", Ptype.Bool) ]);
+  let reg = Proteus_plugin.Registry.create cat in
+  let scan dataset = Plan.scan ~dataset ~binding:"x" () in
+  let field f = Expr.(Field (var "x", f)) in
+  let count ?pred dataset =
+    Plan.reduce ?pred [ Plan.agg ~name:"n" (Monoid.Primitive Monoid.Count) (Expr.int 1) ]
+      (scan dataset)
+  in
+  let sorted = function
+    | Value.Coll (Ptype.Bag, es) -> List.sort Value.compare es
+    | v -> [ v ]
+  in
+  List.iter
+    (fun (engine, batch_size) ->
+      let run plan = Executor.run ~batch_size reg ~engine plan in
+      let lane = Fmt.str "batch %d" batch_size in
+      List.iter
+        (fun f ->
+          Alcotest.check check_value (Fmt.str "%s IS NULL, %s" f lane) (Value.Int 1)
+            (run (count ~pred:(Expr.Unop (Expr.Is_null, field f)) "all"));
+          Alcotest.(check (list check_value))
+            (Fmt.str "%s of the empty row, %s" f lane) [ Value.Null ]
+            (sorted
+               (run
+                  (Plan.reduce
+                     ~pred:Expr.(field "k" ==. int 2)
+                     [ Plan.agg ~name:"v" (Monoid.Collection Ptype.Bag) (field f) ]
+                     (scan "all")))))
+        [ "i"; "f"; "d"; "b"; "s" ];
+      Alcotest.check check_value ("every row, " ^ lane) (Value.Int 3) (run (count "nd"));
+      Alcotest.check check_value ("d IS NULL, " ^ lane) (Value.Int 1)
+        (run (count ~pred:(Expr.Unop (Expr.Is_null, field "d")) "nd"));
+      Alcotest.check check_value ("MAX(d), " ^ lane) (Value.Date 9562)
+        (run
+           (Plan.reduce [ Plan.agg ~name:"m" (Monoid.Primitive Monoid.Max) (field "d") ]
+              (scan "nd"))))
+    [ (Proteus_engine.Executor.Engine_compiled, 0); (Proteus_engine.Executor.Engine_compiled, 1024);
+      (Proteus_engine.Executor.Engine_volcano, 0) ]
+
 (* --- CSV structural index ------------------------------------------------ *)
 
 let wide_row i =
@@ -601,6 +680,8 @@ let () =
           Alcotest.test_case "non-finite roundtrip" `Quick test_csv_non_finite_roundtrip;
           Alcotest.test_case "field spans" `Quick test_csv_field_spans;
           Alcotest.test_case "empty optional" `Quick test_csv_empty_field_null;
+          Alcotest.test_case "null last field roundtrip" `Quick test_csv_null_last_roundtrip;
+          Alcotest.test_case "nullable every type" `Quick test_csv_nullable_every_type;
           Alcotest.test_case "header" `Quick test_csv_header;
           Alcotest.test_case "bad int" `Quick test_csv_bad_int;
         ] );
