@@ -547,8 +547,10 @@ let run jsons csvs q raw_params engine domains batch_size shards policy max_erro
             (fun (name, _, _) ->
               match Proteus_plugin.Registry.index_info (Proteus.Db.registry db) name with
               | Some i ->
-                Fmt.epr "index %s: rows-built=%d rows-extended=%d fixed-layout=%b@." name
-                  i.Proteus_plugin.Registry.built_rows i.extended_rows i.fixed_schema
+                Fmt.epr "index %s: rows-built=%d rows-extended=%d fixed-layout=%b bytes=%d%s@."
+                  name i.Proteus_plugin.Registry.built_rows i.extended_rows i.fixed_schema
+                  i.size_bytes
+                  (match i.layouts with Some n -> Fmt.str " layouts=%d" n | None -> "")
               | None -> ())
             files;
           if cs.Proteus_cache.Manager.tail_rows > 0 || cs.layouts_extended > 0

@@ -322,6 +322,13 @@ let read_all config schema src =
       if start = stop then rows next acc (* skip blank line *)
       else begin
         let spans = field_spans config src ~start ~stop in
+        let got = List.length spans and want = List.length fields in
+        (* positioned at the first extra field, or where a missing one
+           would start *)
+        if got <> want then
+          Perror.parse_error ~what:"csv"
+            ~pos:(if got > want then fst (List.nth spans want) else stop)
+            "row has %d fields, expected %d" got want;
         let record =
           Value.record
             (List.map2

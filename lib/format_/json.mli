@@ -37,10 +37,6 @@ val to_value : t -> Value.t
 
 val of_value : Value.t -> t
 
-(** [skip_ws src pos] is the first non-whitespace position at or after
-    [pos]. *)
-val skip_ws : string -> int -> int
-
 (** [parse_string_lit src pos] decodes the string literal whose opening
     quote is at [pos]; returns the decoded string and the position after
     the closing quote. Used by {!Json_index} to read field names without

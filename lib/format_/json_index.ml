@@ -2,95 +2,153 @@ open Proteus_model
 
 type kind = Kobj | Karr | Kstr | Kint | Kfloat | Kbool | Knull
 
-type entry = { start : int; stop : int; kind : kind }
+(* A growable vector of non-negative ints, packed at the narrowest byte
+   width (1, 2, 4 or 8) that holds every value pushed so far; a wider
+   value re-packs it. Wide lanes are read as 16-bit halves, so no read
+   boxes an [int32]/[int64]. A frozen vector is trimmed and only read. *)
+module Pvec = struct
+  type t = { mutable w : int; mutable b : Bytes.t; mutable n : int }
 
-(* Per-object storage is packed into raw bytes so the index footprint stays
-   a small fraction of the input (the paper reports ~15-25%):
+  let[@inline] u16 b i = Bytes.get_uint16_le b i
+  let[@inline] u32 b i = u16 b i lor (u16 b (i + 2) lsl 16)
 
-   - entry i (1-based; 0 is the synthesized whole-object root):
-     5 bytes at [5*(i-1)]: rel_start:u16, len:u16, kind:u8 — positions are
-     relative to the object base, so u16 suffices for objects <64 KiB;
-   - flexible-schema Level 0 follows the entries: 3 bytes per field,
-     path_id:u16 (interned globally) + slot:u8, sorted by path_id.
+  let[@inline] get v i =
+    match v.w with
+    | 1 -> Bytes.get_uint8 v.b i
+    | 2 -> u16 v.b (2 * i)
+    | 4 -> u32 v.b (4 * i)
+    | _ -> u32 v.b (8 * i) lor (u32 v.b ((8 * i) + 4) lsl 32)
 
-   Objects too large for the packed widths fall back to a boxed "wide"
-   representation. *)
-type obj_repr =
-  | Packed of {
-      base : int;
-      size : int;
-      pdata : Bytes.t;
-      nentries : int;   (* excluding the root *)
-      nlevel0 : int;    (* 0 in fixed-schema mode *)
-    }
-  | Wide of {
-      w_base : int;
-      w_size : int;
-      w_entries : entry array;           (* excluding the root *)
-      w_level0 : (int * int) array;      (* (path_id, slot), sorted by id *)
-    }
+  let set16 b i x = Bytes.set_uint16_le b i (x land 0xFFFF)
+  let set32 b i x = set16 b i x; set16 b (i + 2) (x lsr 16)
 
+  let set_raw b w i x =
+    match w with
+    | 1 -> Bytes.set_uint8 b i x
+    | 2 -> set16 b (2 * i) x
+    | 4 -> set32 b (4 * i) x
+    | _ -> set32 b (8 * i) x; set32 b ((8 * i) + 4) (x lsr 32)
+
+  let width x = if x < 0x100 then 1 else if x < 0x10000 then 2 else if x < 0x1_0000_0000 then 4 else 8
+
+  (* [len] zeros, wide enough for values up to [max] *)
+  let make len ~max = { w = width max; b = Bytes.make (width max * len) '\000'; n = len }
+
+  let resize v w cap =
+    let b = Bytes.create (w * cap) in
+    if w = v.w then Bytes.blit v.b 0 b 0 (w * v.n)
+    else for i = 0 to v.n - 1 do set_raw b w i (get v i) done;
+    v.w <- w;
+    v.b <- b
+
+  let set v i x =
+    if width x > v.w then resize v (width x) (Bytes.length v.b / v.w);
+    set_raw v.b v.w i x
+
+  let push3 v x y z =
+    let w = width (x lor y lor z) in
+    if w > v.w || (v.n + 3) * v.w > Bytes.length v.b then
+      resize v (Int.max w v.w) (Int.max 256 (2 * v.n));
+    set_raw v.b v.w v.n x;
+    set_raw v.b v.w (v.n + 1) y;
+    set_raw v.b v.w (v.n + 2) z;
+    v.n <- v.n + 3
+
+  let freeze v = { v with b = Bytes.sub v.b 0 (v.w * v.n) }
+
+  let thaw v =
+    let v = { v with n = v.n } in
+    resize v v.w (Int.max 256 (2 * v.n));
+    v
+
+  let words v = 4 + (Bytes.length v.b / 8) + 2
+end
+
+(* One alias per distinct raw spelling of a layout: the object's quoted
+   member names as written, with '{' and '}' around a nested object's
+   members. *)
+type alias = { key : string; hash : int; layout : int }
+
+(* [objs] holds (base, first entry, layout) per object; [ents] holds
+   (offset from the object's base, length, kind) per entry: the object
+   itself (slot 0), then each registered field in document pre-order. A
+   layout is a decoded Level 0 kept as its path → slot table: the first
+   slot (1-based) holding each interned path id, 0 where a path is
+   absent; objects with equal tables share one. *)
 type t = {
   src : string;
-  objects : obj_repr array;
-  shared : (string * int) array option;  (* fixed-schema shared Level 0, sorted *)
-  all_paths : string list;
-  path_ids : (string, int) Hashtbl.t;    (* interned path names *)
+  objs : Pvec.t;
+  ents : Pvec.t;
+  layouts : Pvec.t array;
+  aliases : alias array;
+  path_ids : (string, int) Hashtbl.t;  (* interned path names *)
   path_names : string array;
+  all_paths : string list;
 }
 
 let source t = t.src
-let object_count t = Array.length t.objects
-let is_fixed_schema t = t.shared <> None
+let object_count t = t.objs.n / 3
+let layout_count t = Array.length t.layouts
+let is_fixed_schema t = Array.length t.layouts = 1 && t.layouts.(0).n > 0
 
 let fail pos fmt = Perror.parse_error ~what:"json-index" ~pos fmt
-
-let kind_code = function
-  | Kobj -> 0
-  | Karr -> 1
-  | Kstr -> 2
-  | Kint -> 3
-  | Kfloat -> 4
-  | Kbool -> 5
-  | Knull -> 6
-
-let kind_of_code = function
-  | 0 -> Kobj
-  | 1 -> Karr
-  | 2 -> Kstr
-  | 3 -> Kint
-  | 4 -> Kfloat
-  | 5 -> Kbool
-  | _ -> Knull
+let kinds = [| Kobj; Karr; Kstr; Kint; Kfloat; Kbool; Knull |]
 
 (* --- raw scanning ------------------------------------------------------- *)
 
-let skip_string src pos =
-  (* pos at opening quote; returns position after closing quote *)
-  let n = String.length src in
-  let rec go i =
-    if i >= n then fail i "unterminated string"
-    else
-      match src.[i] with
-      | '\\' -> go (i + 2)
-      | '"' -> i + 1
-      | _ -> go (i + 1)
-  in
-  go (pos + 1)
+(* Every scanner is a top-level function over the source and a bound that
+   returns an int: without flambda, a local recursive function would be a
+   closure allocated per call. *)
 
-let num_kind src start stop =
-  let rec go i =
-    if i >= stop then Kint
-    else match src.[i] with '.' | 'e' | 'E' -> Kfloat | _ -> go (i + 1)
-  in
-  go start
+let rec ws src n i =
+  if i < n then
+    match String.unsafe_get src i with ' ' | '\t' | '\n' | '\r' -> ws src n (i + 1) | _ -> i
+  else i
+
+(* [i] just inside a string literal; the position after its closing quote *)
+let rec string_end src n i =
+  if i >= n then fail i "unterminated string"
+  else
+    match String.unsafe_get src i with
+    | '\\' -> string_end src n (i + 2)
+    | '"' -> i + 1
+    | _ -> string_end src n (i + 1)
+
+(* A member name from [i] (after its opening quote at [q]) on: as
+   [string_end], and an escaped name is decoded once to check its escapes
+   where they are written. *)
+let rec name_end src n q i =
+  if i < n && String.unsafe_get src i = '\\' then begin
+    ignore (Json.parse_string_lit src q);
+    string_end src n i
+  end
+  else if i < n && String.unsafe_get src i <> '"' then name_end src n q (i + 1)
+  else string_end src n i
+
+let rec num_end src n i =
+  if i < n && match String.unsafe_get src i with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+  then num_end src n (i + 1)
+  else i
+
+(* the kind code of the value [\[start, stop)]: an index into [kinds] *)
+let rec num_code src i stop =
+  if i >= stop then 3
+  else match String.unsafe_get src i with '.' | 'e' | 'E' -> 4 | _ -> num_code src (i + 1) stop
+
+let code_at src start stop =
+  match src.[start] with
+  | '{' -> 0
+  | '[' -> 1
+  | '"' -> 2
+  | 't' | 'f' -> 5
+  | 'n' -> 6
+  | _ -> num_code src start stop
 
 (* Containers are skipped by a flat depth-counting automaton: this loop is
    the floor of every unnest over raw JSON, so it avoids per-value calls.
    [pos] at the opening bracket; returns the position after the matching
-   closing one. Inputs reaching this point were validated at build time. *)
-let skip_container src pos =
-  let n = String.length src in
+   closing one. *)
+let container_end src n pos =
   let i = ref pos and depth = ref 0 and fin = ref (-1) in
   while !fin < 0 do
     if !i >= n then fail !i "unterminated container";
@@ -99,318 +157,276 @@ let skip_container src pos =
     | '}' | ']' ->
       decr depth;
       if !depth = 0 then fin := !i + 1
-    | '"' -> i := skip_string src !i - 1
+    | '"' -> i := string_end src n (!i + 1) - 1
     | _ -> ());
     incr i
   done;
   !fin
 
-let skip_value src pos =
-  let pos = Json.skip_ws src pos in
-  let n = String.length src in
-  if pos >= n then fail pos "unexpected end of input";
-  match src.[pos] with
-  | '"' -> skip_string src pos
-  | '{' | '[' -> skip_container src pos
-  | 'n' | 't' -> pos + 4
-  | 'f' -> pos + 5
-  | '-' | '0' .. '9' ->
-    let rec go i =
-      if i < n && (match src.[i] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-      then go (i + 1)
-      else i
-    in
-    go pos
-  | c -> fail pos "unexpected character %C" c
+(* [i] at a value's first byte; the position after the value *)
+let value_end src n i =
+  if i >= n then fail i "unexpected end of input";
+  match String.unsafe_get src i with
+  | '"' -> string_end src n (i + 1)
+  | '{' | '[' -> container_end src n i
+  | 'n' | 't' -> i + 4
+  | 'f' -> i + 5
+  | '-' | '0' .. '9' -> num_end src n i
+  | c -> fail i "unexpected character %C" c
 
-(* --- indexing one object ------------------------------------------------ *)
+(* --- the index scan ------------------------------------------------------- *)
 
-(* Walk the object at [pos], registering entries for every field path
-   reachable through nested objects. Returns (entries_rev, level0_rev,
-   next_entry_id, end_pos). *)
-let index_object src pos =
-  let entries = ref [] and level0 = ref [] and next_id = ref 0 in
-  let add_entry e =
-    entries := e :: !entries;
-    incr next_id;
-    !next_id - 1
-  in
-  let rec walk_obj prefix pos =
-    (* pos at '{'; registers the fields; returns end position. *)
-    let n = String.length src in
-    let rec members i =
-      let i = Json.skip_ws src i in
-      if i >= n then fail i "unterminated object"
-      else if src.[i] = '}' then i + 1
+(* The scan state: the growing vectors, the layout and alias tables, and
+   the raw layout key of the object being scanned. *)
+type builder = {
+  b_src : string;
+  b_objs : Pvec.t;
+  b_ents : Pvec.t;
+  mutable b_layouts : Pvec.t array;
+  mutable b_nlayouts : int;
+  mutable b_aliases : alias array;
+  mutable b_naliases : int;
+  mutable by_hash : int array;  (* open addressing over alias ids, -1 free *)
+  by_slots : (int * string, int) Hashtbl.t;  (* slot table -> layout *)
+  b_path_ids : (string, int) Hashtbl.t;
+  mutable b_names : string list;  (* interned paths, newest first *)
+  mutable key : Bytes.t;
+  mutable klen : int;
+}
+
+let key_add b src i j =
+  let l = j - i in
+  if b.klen + l >= Bytes.length b.key then b.key <- Bytes.extend b.key 0 (Bytes.length b.key + l);
+  Bytes.blit_string src i b.key b.klen l;
+  b.klen <- b.klen + l
+
+(* An object's entry opens with its offset and kind, and gets its length
+   once its members (which follow it) are scanned. *)
+let object_open b rel =
+  Pvec.push3 b.b_ents rel 0 0;
+  b.b_ents.n - 3
+
+let object_close b e len = Pvec.set b.b_ents (e + 1) len
+
+(* The members of the object at [base] from byte [i] (after its '{') on:
+   each value's entry goes to the vectors, each raw name to the key; a
+   nested object's members follow its own entry ("register nested records
+   in Level 0", Fig. 4), and array contents are not registered. Returns
+   the position after the closing '}'. *)
+let rec scan_members b src n base i =
+  let i = ws src n i in
+  if i >= n then fail i "unterminated object"
+  else if String.unsafe_get src i = '}' then i + 1
+  else begin
+    if String.unsafe_get src i <> '"' then fail i "expected string";
+    let qe = name_end src n i (i + 1) in
+    key_add b src i qe;
+    let j = ws src n qe in
+    if j >= n || String.unsafe_get src j <> ':' then fail j "expected ':'";
+    let vs = ws src n (j + 1) in
+    if vs >= n then fail vs "unexpected end of input";
+    let ve =
+      if String.unsafe_get src vs = '{' then begin
+        let e = object_open b (vs - base) in
+        key_add b "{" 0 1;
+        let ve = scan_members b src n base (vs + 1) in
+        key_add b "}" 0 1;
+        object_close b e (ve - vs);
+        ve
+      end
       else begin
-        let name, after_name = Json.parse_string_lit src i in
-        let i = Json.skip_ws src after_name in
-        if i >= n || src.[i] <> ':' then fail i "expected ':'";
-        let vstart = Json.skip_ws src (i + 1) in
-        if vstart >= n then fail vstart "unexpected end of input";
-        let path = if prefix = "" then name else prefix ^ "." ^ name in
-        let vend =
-          match src.[vstart] with
-          | '{' ->
-            let vend = skip_container src vstart in
-            let id = add_entry { start = vstart; stop = vend; kind = Kobj } in
-            level0 := (path, id) :: !level0;
-            (* Recurse to register nested paths ("register nested records in
-               Level 0", Fig. 4: pointer to c.d.d1). *)
-            let _end2 = walk_obj path vstart in
-            vend
-          | '[' ->
-            let vend = skip_container src vstart in
-            let id = add_entry { start = vstart; stop = vend; kind = Karr } in
-            level0 := (path, id) :: !level0;
-            vend
-          | '"' ->
-            let vend = skip_string src vstart in
-            let id = add_entry { start = vstart; stop = vend; kind = Kstr } in
-            level0 := (path, id) :: !level0;
-            vend
-          | 't' | 'f' ->
-            let vend = skip_value src vstart in
-            let id = add_entry { start = vstart; stop = vend; kind = Kbool } in
-            level0 := (path, id) :: !level0;
-            vend
-          | 'n' ->
-            let vend = skip_value src vstart in
-            let id = add_entry { start = vstart; stop = vend; kind = Knull } in
-            level0 := (path, id) :: !level0;
-            vend
-          | _ ->
-            let vend = skip_value src vstart in
-            let id = add_entry { start = vstart; stop = vend; kind = num_kind src vstart vend } in
-            level0 := (path, id) :: !level0;
-            vend
-        in
-        let i = Json.skip_ws src vend in
-        if i < n && src.[i] = ',' then members (i + 1)
-        else if i < n && src.[i] = '}' then i + 1
-        else fail i "expected ',' or '}'"
+        let ve = value_end src n vs in
+        Pvec.push3 b.b_ents (vs - base) (ve - vs) (code_at src vs ve);
+        ve
       end
     in
-    members (pos + 1)
-  in
-  if src.[pos] <> '{' then fail pos "dataset element is not an object";
-  let stop = walk_obj "" pos in
-  (* slots are 1-based above the synthesized root entry *)
-  let level0 =
-    List.rev_map (fun (p, id) -> (p, id + 1)) !level0
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> Array.of_list
-  in
-  (List.rev !entries, level0, stop)
-
-let pack_object ~path_id ~keep_level0 ~base ~stop entries level0 : obj_repr =
-  (* [entries]/[level0] exclude/are relative to the root (slot 0) *)
-  let size = stop - base in
-  let n = List.length entries in
-  let l0 = if keep_level0 then level0 else [] in
-  let fits =
-    size < 0x10000
-    && n < 255
-    && List.for_all (fun (e : entry) -> e.stop - e.start < 0x10000) entries
-  in
-  if fits then begin
-    let nlevel0 = List.length l0 in
-    let pdata = Bytes.create ((5 * n) + (3 * nlevel0)) in
-    List.iteri
-      (fun i (e : entry) ->
-        let off = 5 * i in
-        Bytes.set_uint16_le pdata off (e.start - base);
-        Bytes.set_uint16_le pdata (off + 2) (e.stop - e.start);
-        Bytes.set_uint8 pdata (off + 4) (kind_code e.kind))
-      entries;
-    let sorted =
-      List.map (fun (p, slot) -> (path_id p, slot)) l0
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    List.iteri
-      (fun i (id, slot) ->
-        let off = (5 * n) + (3 * i) in
-        Bytes.set_uint16_le pdata off id;
-        Bytes.set_uint8 pdata (off + 2) slot)
-      sorted;
-    Packed { base; size; pdata; nentries = n; nlevel0 }
+    let k = ws src n ve in
+    if k < n && String.unsafe_get src k = ',' then scan_members b src n base (k + 1)
+    else if k < n && String.unsafe_get src k = '}' then k + 1
+    else fail k "expected ',' or '}'"
   end
+
+let rec key_hash key i klen h =
+  if i >= klen then h else key_hash key (i + 1) klen ((h * 31) + Char.code (Bytes.unsafe_get key i))
+
+let rec key_equal s key i klen =
+  i >= klen || (String.unsafe_get s i = Bytes.unsafe_get key i && key_equal s key (i + 1) klen)
+
+let home table hash = (hash lxor (hash lsr 17)) land (Array.length table - 1)
+let after table i = (i + 1) land (Array.length table - 1)
+
+let rec find_alias b hash i =
+  let id = b.by_hash.(i) in
+  if id < 0 then -1
   else
-    Wide
-      {
-        w_base = base;
-        w_size = size;
-        w_entries = Array.of_list entries;
-        w_level0 =
-          List.map (fun (p, slot) -> (path_id p, slot)) l0
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-          |> Array.of_list;
-      }
+    let a = b.b_aliases.(id) in
+    if a.hash = hash && String.length a.key = b.klen && key_equal a.key b.key 0 b.klen then a.layout
+    else find_alias b hash (after b.by_hash i)
 
-(* Index every object from byte [pos] on, in document order:
-   (base, stop, entries, sorted Level 0) per object. *)
-let scan_objects src pos =
-  let n = String.length src in
-  let objects = ref [] in
-  let rec go pos =
-    let pos = Json.skip_ws src pos in
-    if pos < n then begin
-      let entries, level0, stop = index_object src pos in
-      objects := (pos, stop, entries, level0) :: !objects;
-      go stop
-    end
-  in
-  go pos;
-  Array.of_list (List.rev !objects)
+let rec insert table hash id i =
+  if table.(i) < 0 then table.(i) <- id else insert table hash id (after table i)
 
-(* Identical Level-0 keyset and identical document order of slots. *)
-let same_level0 a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun (pa, sa) (pb, sb) -> String.equal pa pb && sa = sb) a b
+(* a table at most half full over [aliases.(0 .. n - 1)] *)
+let alias_table aliases n =
+  let size = ref 64 in
+  while !size < 2 * n do size := 2 * !size done;
+  let table = Array.make !size (-1) in
+  for id = 0 to n - 1 do
+    let h = aliases.(id).hash in
+    insert table h id (home table h)
+  done;
+  table
 
-(* Path interning into [path_ids], recording new names (newest first). *)
-let intern path_ids names p =
-  match Hashtbl.find_opt path_ids p with
+let intern b p =
+  match Hashtbl.find_opt b.b_path_ids p with
   | Some id -> id
   | None ->
-    let id = Hashtbl.length path_ids in
+    (* a layout's slot table has a lane per path id up to its largest *)
+    let id = Hashtbl.length b.b_path_ids in
     if id > 0xFFFF then
-      Perror.unsupported
-        "json index: more than 65536 field paths (first overflowing path: %S)" p;
-    Hashtbl.replace path_ids p id;
-    names := p :: !names;
+      Perror.unsupported "json index: more than 65536 field paths (first overflowing path: %S)" p;
+    Hashtbl.replace b.b_path_ids p id;
+    b.b_names <- p :: b.b_names;
     id
 
-let pack ~path_id ~fixed (base, stop, entries, l0) =
-  (* slots stored 0-based relative to the first non-root entry *)
-  let l0 = Array.to_list (Array.map (fun (p, s) -> (p, s - 1)) l0) in
-  pack_object ~path_id ~keep_level0:(not fixed) ~base ~stop entries l0
+let push_grow arr n x =
+  let arr = if n < Array.length arr then arr else Array.append arr (Array.make (Int.max 8 n) x) in
+  arr.(n) <- x;
+  arr
 
-(* The sorted distinct paths of [objs]' Level 0s. *)
-let level0_paths objs =
-  let tbl = Hashtbl.create 64 in
-  Array.iter (fun (_, _, _, l0) -> Array.iter (fun (p, _) -> Hashtbl.replace tbl p ()) l0) objs;
-  Hashtbl.fold (fun p () acc -> p :: acc) tbl [] |> List.sort String.compare
+let slots_key (v : Pvec.t) = (v.n, Bytes.to_string v.b)
 
-let build src =
-  let objs = scan_objects src 0 in
-  (* Fixed-schema detection: every object shares the first one's Level 0. *)
-  let fixed =
-    if Array.length objs = 0 then None
-    else begin
-      let _, _, _, first = objs.(0) in
-      if Array.length first > 0 && Array.for_all (fun (_, _, _, l0) -> same_level0 l0 first) objs
-      then Some first
-      else None
-    end
+(* The layout whose slots hold path [ids.(k)] at slot [k + 1], made on its
+   first sighting; a duplicated path keeps its first slot. *)
+let layout_of_ids b ids =
+  let nent = Array.length ids in
+  let slots = Pvec.make (Array.fold_left Int.max (-1) ids + 1) ~max:nent in
+  for k = nent - 1 downto 0 do Pvec.set slots ids.(k) (k + 1) done;
+  match Hashtbl.find_opt b.by_slots (slots_key slots) with
+  | Some l -> l
+  | None ->
+    let l = b.b_nlayouts in
+    b.b_layouts <- push_grow b.b_layouts l slots;
+    b.b_nlayouts <- l + 1;
+    Hashtbl.replace b.by_slots (slots_key slots) l;
+    l
+
+(* Only a new raw spelling decodes its [nent] names, builds and interns
+   its dotted paths and finds (or makes) its layout. *)
+let add_alias b hash nent =
+  let key = Bytes.sub_string b.key 0 b.klen in
+  let ids = Array.make nent 0 in
+  let rec walk i e prefixes last =
+    if i < b.klen then
+      match key.[i] with
+      | '{' -> walk (i + 1) e (last :: prefixes) last
+      | '}' -> walk (i + 1) e (List.tl prefixes) last
+      | _ ->
+        let name, j = Json.parse_string_lit key i in
+        let path = match prefixes with [] -> name | p :: _ -> p ^ "." ^ name in
+        ids.(e) <- intern b path;
+        walk j (e + 1) prefixes path
   in
-  let path_ids = Hashtbl.create 64 and names = ref [] in
-  let all_paths =
-    match fixed with
-    | Some m -> Array.to_list (Array.map fst m)
-    | None -> level0_paths objs
-  in
-  (* register paths in a deterministic order *)
-  List.iter (fun p -> ignore (intern path_ids names p)) all_paths;
-  let path_id = intern path_ids names in
+  walk 0 0 [] "";
+  let layout = layout_of_ids b ids in
+  b.b_aliases <- push_grow b.b_aliases b.b_naliases { key; hash; layout };
+  b.b_naliases <- b.b_naliases + 1;
+  if 2 * b.b_naliases > Array.length b.by_hash then b.by_hash <- alias_table b.b_aliases b.b_naliases
+  else insert b.by_hash hash (b.b_naliases - 1) (home b.by_hash hash);
+  layout
+
+let scan_object b pos =
+  let src = b.b_src in
+  if src.[pos] <> '{' then fail pos "dataset element is not an object";
+  b.klen <- 0;
+  let root = object_open b 0 in
+  let stop = scan_members b src (String.length src) pos (pos + 1) in
+  object_close b root (stop - pos);
+  let hash = key_hash b.key 0 b.klen 0 in
+  let layout = find_alias b hash (home b.by_hash hash) in
+  let layout = if layout >= 0 then layout else add_alias b hash ((b.b_ents.n - root) / 3 - 1) in
+  Pvec.push3 b.b_objs pos (root / 3) layout;
+  stop
+
+let rec scan_objects b pos =
+  let pos = ws b.b_src (String.length b.b_src) pos in
+  if pos < String.length b.b_src then scan_objects b (scan_object b pos)
+
+(* A builder that goes on from [t]'s objects: copies of its vectors and
+   tables, so readers of [t] keep theirs. *)
+let builder_of (t : t) src =
+  let by_slots = Hashtbl.create 64 in
+  Array.iteri (fun i l -> Hashtbl.replace by_slots (slots_key l) i) t.layouts;
   {
-    src;
-    objects = Array.map (pack ~path_id ~fixed:(fixed <> None)) objs;
-    shared = fixed;
-    all_paths;
-    path_ids;
-    path_names = Array.of_list (List.rev !names);
+    b_src = src;
+    b_objs = Pvec.thaw t.objs;
+    b_ents = Pvec.thaw t.ents;
+    b_layouts = Array.copy t.layouts;
+    b_nlayouts = Array.length t.layouts;
+    b_aliases = Array.copy t.aliases;
+    b_naliases = Array.length t.aliases;
+    by_hash = alias_table t.aliases (Array.length t.aliases);
+    by_slots;
+    b_path_ids = Hashtbl.copy t.path_ids;
+    b_names = List.rev (Array.to_list t.path_names);
+    key = Bytes.create 256;
+    klen = 0;
   }
 
-(* --- per-object access ---------------------------------------------------- *)
+let freeze b =
+  let path_names = Array.of_list (List.rev b.b_names) in
+  {
+    src = b.b_src;
+    objs = Pvec.freeze b.b_objs;
+    ents = Pvec.freeze b.b_ents;
+    layouts = Array.sub b.b_layouts 0 b.b_nlayouts;
+    aliases = Array.sub b.b_aliases 0 b.b_naliases;
+    path_ids = b.b_path_ids;
+    path_names;
+    all_paths = List.sort String.compare (Array.to_list path_names);
+  }
+
+let build src =
+  let none = Pvec.make 0 ~max:0 in
+  let b =
+    builder_of
+      { src; objs = none; ents = none; layouts = [||]; aliases = [||];
+        path_ids = Hashtbl.create 64; path_names = [||]; all_paths = [] }
+      src
+  in
+  scan_objects b 0;
+  freeze b
 
 let object_span t obj =
-  match t.objects.(obj) with
-  | Packed { base; size; _ } -> (base, base + size)
-  | Wide { w_base; w_size; _ } -> (w_base, w_base + w_size)
+  let base = Pvec.get t.objs (3 * obj) in
+  (base, base + Pvec.get t.ents ((3 * Pvec.get t.objs ((3 * obj) + 1)) + 1))
 
 (* Objects are self-delimiting and the old source parsed whole, so the
-   appended objects start after the last indexed one. New paths intern
-   after the old ones, into a copy: readers of [t] keep their table. *)
-let extend t src =
-  let n = Array.length t.objects in
-  if n = 0 then Some (build src)
-  else begin
-    let tail = scan_objects src (snd (object_span t (n - 1))) in
-    match t.shared with
-    | Some m when not (Array.for_all (fun (_, _, _, l0) -> same_level0 l0 m) tail) -> None
-    | shared ->
-      let path_ids = Hashtbl.copy t.path_ids and names = ref [] in
-      let fresh =
-        List.filter (fun p -> not (Hashtbl.mem path_ids p)) (level0_paths tail)
-      in
-      List.iter (fun p -> ignore (intern path_ids names p)) fresh;
-      let path_id = intern path_ids names in
-      Some
-        {
-          src;
-          objects =
-            Array.append t.objects (Array.map (pack ~path_id ~fixed:(shared <> None)) tail);
-          shared;
-          all_paths = List.merge String.compare t.all_paths fresh;
-          path_ids;
-          path_names = Array.append t.path_names (Array.of_list (List.rev !names));
-        }
-  end
+   appended objects start after the last indexed one. *)
+let extend (t : t) src =
+  let b = builder_of t src in
+  let n = object_count t in
+  scan_objects b (if n = 0 then 0 else snd (object_span t (n - 1)));
+  if is_fixed_schema t && b.b_nlayouts > 1 then None else Some (freeze b)
 
 let paths t = t.all_paths
-
-let bsearch (arr : (string * int) array) path =
-  let lo = ref 0 and hi = ref (Array.length arr - 1) and found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let k, v = arr.(mid) in
-    let c = String.compare path k in
-    if c = 0 then begin
-      found := v;
-      lo := !hi + 1
-    end
-    else if c < 0 then hi := mid - 1
-    else lo := mid + 1
-  done;
-  if !found >= 0 then Some !found else None
-
-let slot t path = match t.shared with Some m -> bsearch m path | None -> None
-
-(* Level-0 lookup by interned path id, over the packed or wide layout;
-   [-1] when the object lacks the field — the option-free form the
-   per-tuple hot path uses. *)
-let slot_by_id t ~obj ~id =
-  match t.objects.(obj) with
-  | Packed p ->
-    let base = 5 * p.nentries in
-    let lo = ref 0 and hi = ref (p.nlevel0 - 1) and found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let k = Bytes.get_uint16_le p.pdata (base + (3 * mid)) in
-      if k = id then begin
-        found := Bytes.get_uint8 p.pdata (base + (3 * mid) + 2) + 1;
-        lo := !hi + 1
-      end
-      else if id < k then hi := mid - 1
-      else lo := mid + 1
-    done;
-    !found
-  | Wide w ->
-    let lo = ref 0 and hi = ref (Array.length w.w_level0 - 1) and found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let k, s = w.w_level0.(mid) in
-      if k = id then begin
-        found := s + 1;
-        lo := !hi + 1
-      end
-      else if id < k then hi := mid - 1
-      else lo := mid + 1
-    done;
-    !found
-
 let path_id t path = Hashtbl.find_opt t.path_ids path
+
+(* The path → slot table of object [obj]'s layout; [-1] when the object
+   lacks the field — the option-free form the per-tuple path uses. *)
+let slot_by_id t ~obj ~id =
+  let slots = t.layouts.(Pvec.get t.objs ((3 * obj) + 2)) in
+  if id < 0 || id >= slots.n then -1
+  else
+    let s = Pvec.get slots id in
+    if s = 0 then -1 else s
+
+let slot t path =
+  match path_id t path with
+  | Some id when is_fixed_schema t ->
+    let s = slot_by_id t ~obj:0 ~id in
+    if s < 0 then None else Some s
+  | _ -> None
 
 (* --- allocation-free span access ----------------------------------------- *)
 
@@ -423,48 +439,27 @@ type span = {
 let make_span () = { sp_start = 0; sp_stop = 0; sp_kind = Knull }
 
 let entry_span t ~obj ~slot sp =
-  match t.objects.(obj) with
-  | Packed p ->
-    if slot = 0 then begin
-      sp.sp_start <- p.base;
-      sp.sp_stop <- p.base + p.size;
-      sp.sp_kind <- Kobj
-    end
-    else begin
-      let off = 5 * (slot - 1) in
-      let rel = Bytes.get_uint16_le p.pdata off in
-      let len = Bytes.get_uint16_le p.pdata (off + 2) in
-      sp.sp_start <- p.base + rel;
-      sp.sp_stop <- p.base + rel + len;
-      sp.sp_kind <- kind_of_code (Bytes.get_uint8 p.pdata (off + 4))
-    end
-  | Wide w ->
-    if slot = 0 then begin
-      sp.sp_start <- w.w_base;
-      sp.sp_stop <- w.w_base + w.w_size;
-      sp.sp_kind <- Kobj
-    end
-    else begin
-      let e = w.w_entries.(slot - 1) in
-      sp.sp_start <- e.start;
-      sp.sp_stop <- e.stop;
-      sp.sp_kind <- e.kind
-    end
+  let base = Pvec.get t.objs (3 * obj) in
+  let e = 3 * (Pvec.get t.objs ((3 * obj) + 1) + slot) in
+  let start = base + Pvec.get t.ents e in
+  sp.sp_start <- start;
+  sp.sp_stop <- start + Pvec.get t.ents (e + 1);
+  sp.sp_kind <- kinds.(Pvec.get t.ents (e + 2))
 
-(* [span_at t ~start ~stop sp] loads an un-indexed value span (an array
-   element, an element's field) into [sp], reading its kind off the bytes. *)
+let field_span t ~obj ~id sp =
+  let slot = slot_by_id t ~obj ~id in
+  if slot >= 0 then entry_span t ~obj ~slot sp
+  else begin
+    let base = Pvec.get t.objs (3 * obj) in
+    sp.sp_start <- base;
+    sp.sp_stop <- base;
+    sp.sp_kind <- Knull
+  end
+
 let span_at t ~start ~stop sp =
-  let src = t.src in
   sp.sp_start <- start;
   sp.sp_stop <- stop;
-  sp.sp_kind <-
-    (match src.[start] with
-    | '{' -> Kobj
-    | '[' -> Karr
-    | '"' -> Kstr
-    | 't' | 'f' -> Kbool
-    | 'n' -> Knull
-    | _ -> num_kind src start stop)
+  sp.sp_kind <- kinds.(code_at t.src start stop)
 
 (* --- span decoding ------------------------------------------------------ *)
 
@@ -475,11 +470,12 @@ let span_float t sp =
 
 let span_bool t sp = t.src.[sp.sp_start] = 't'
 
+let rec plain src i stop = i >= stop || (String.unsafe_get src i <> '\\' && plain src (i + 1) stop)
+
 let span_string t sp =
   (* The span includes the quotes; decode escapes only if present. *)
   let src = t.src and raw_start = sp.sp_start + 1 and raw_stop = sp.sp_stop - 1 in
-  let rec plain i = i >= raw_stop || (src.[i] <> '\\' && plain (i + 1)) in
-  if plain raw_start then String.sub src raw_start (raw_stop - raw_start)
+  if plain src raw_start raw_stop then String.sub src raw_start (raw_stop - raw_start)
   else fst (Json.parse_string_lit src sp.sp_start)
 
 let span_value t sp : Value.t =
@@ -493,59 +489,74 @@ let span_value t sp : Value.t =
 
 (* --- un-indexed spans: array elements and object members ----------------- *)
 
-(* Allocation-free element iteration for the Unnest hot path: [f] receives
-   each element's span; no records or lists are built. *)
-let iter_array_spans t sp ~f =
-  let src = t.src in
-  let stop = sp.sp_stop - 1 in
-  let rec go i =
-    let i = Json.skip_ws src i in
-    if i < stop then
-      if src.[i] = ',' then go (i + 1)
-      else begin
-        let vend = skip_value src i in
-        f ~start:i ~stop:vend;
-        go vend
-      end
-  in
-  go (sp.sp_start + 1)
+(* Validated bytes, walked closure-free within the bound [stop] of the
+   enclosing value: [member_at] is the opening quote of the member at or
+   after [i], or -1 at the object's end; [member_value] the value start of
+   the member whose name opens at [q]; [next_member] the member after a
+   value that ends at [ve]. *)
+let member_at src stop i =
+  let i = ws src stop i in
+  if i < stop && String.unsafe_get src i <> '}' then i else -1
 
-(* The member walk every un-indexed object read shares: for each member of
-   the object at [start] (up to [stop]), [f qstart vstart vend] gets the
-   name's opening quote and the value span, and answers whether to go on. *)
-let walk_members src ~start ~stop f =
-  let rec members i =
-    let i = Json.skip_ws src i in
-    if i < stop && src.[i] <> '}' then begin
-      let j = Json.skip_ws src (skip_string src i) in
-      if j >= stop || src.[j] <> ':' then fail j "expected ':'";
-      let vstart = Json.skip_ws src (j + 1) in
-      let vend = skip_value src vstart in
-      if f i vstart vend then begin
-        let k = Json.skip_ws src vend in
-        if k < stop && src.[k] = ',' then members (k + 1)
-      end
+let member_value src stop q =
+  let j = ws src stop (string_end src stop (q + 1)) in
+  if j >= stop || String.unsafe_get src j <> ':' then fail j "expected ':'";
+  ws src stop (j + 1)
+
+let next_member src stop ve =
+  let k = ws src stop ve in
+  if k < stop && String.unsafe_get src k = ',' then member_at src stop (k + 1) else -1
+
+let rec elements src stop f i =
+  let i = ws src stop i in
+  if i < stop then
+    if String.unsafe_get src i = ',' then elements src stop f (i + 1)
+    else begin
+      let ve = value_end src stop i in
+      f ~start:i ~stop:ve;
+      elements src stop f ve
     end
-  in
-  members (start + 1)
 
-(* Does the name whose opening quote is at [qstart] equal [name]? Compared
-   against the raw bytes; an escaped name falls back to the decoder. *)
-let name_matches src qstart name =
-  let n = String.length name in
-  let rec go i j =
-    match src.[i] with
-    | '\\' -> String.equal (fst (Json.parse_string_lit src qstart)) name
-    | '"' -> j = n
-    | c -> j < n && Char.equal c name.[j] && go (i + 1) (j + 1)
-  in
-  go (qstart + 1) 0
+let iter_array_spans t sp ~f = elements t.src (sp.sp_stop - 1) f (sp.sp_start + 1)
+
+let rec members src stop f q =
+  if q >= 0 then begin
+    let vs = member_value src stop q in
+    let ve = value_end src stop vs in
+    f (fst (Json.parse_string_lit src q)) ~start:vs ~stop:ve;
+    members src stop f (next_member src stop ve)
+  end
 
 let iter_members t sp ~f =
-  let src = t.src in
-  walk_members src ~start:sp.sp_start ~stop:sp.sp_stop (fun q vstart vend ->
-      f (fst (Json.parse_string_lit src q)) ~start:vstart ~stop:vend;
-      true)
+  let src = t.src and stop = sp.sp_stop in
+  members src stop f (member_at src stop (sp.sp_start + 1))
+
+(* Does the name whose opening quote is at [q] equal [name]? Compared
+   against the raw bytes; an escaped name falls back to the decoder. *)
+let rec name_eq src q name i j =
+  match src.[i] with
+  | '\\' -> String.equal (fst (Json.parse_string_lit src q)) name
+  | '"' -> j = String.length name
+  | c -> j < String.length name && Char.equal c name.[j] && name_eq src q name (i + 1) (j + 1)
+
+let rec name_index src q names k =
+  if k >= Array.length names then -1
+  else if name_eq src q names.(k) (q + 1) 0 then k
+  else name_index src q names (k + 1)
+
+let rec fields src stop names starts stops remaining q =
+  if q >= 0 then begin
+    let vs = member_value src stop q in
+    let ve = value_end src stop vs in
+    let k = name_index src q names 0 in
+    let found = k >= 0 && starts.(k) < 0 in
+    if found then begin
+      starts.(k) <- vs;
+      stops.(k) <- ve
+    end;
+    let remaining = if found then remaining - 1 else remaining in
+    if remaining > 0 then fields src stop names starts stops remaining (next_member src stop ve)
+  end
 
 (* Bounded field extraction for the Unnest code path: walk the members of
    the object span once, filling the value spans of the requested names, and
@@ -554,60 +565,46 @@ let iter_members t sp ~f =
 let scan_span_fields t ~start ~stop ~names ~starts ~stops =
   let src = t.src in
   Array.fill starts 0 (Array.length starts) (-1);
-  let remaining = ref (Array.length names) in
   if src.[start] <> '{' then fail start "unnest element is not an object";
-  walk_members src ~start ~stop (fun q vstart vend ->
-      let rec slot k =
-        if k >= Array.length names then -1
-        else if name_matches src q names.(k) then k
-        else slot (k + 1)
-      in
-      let k = slot 0 in
-      if k >= 0 && starts.(k) < 0 then begin
-        starts.(k) <- vstart;
-        stops.(k) <- vend;
-        decr remaining
-      end;
-      !remaining > 0)
+  if Array.length names > 0 then
+    fields src stop names starts stops (Array.length names) (member_at src stop (start + 1))
+
+(* The value start of member [name] from the member at [q] on, or -1 *)
+let rec find_member src stop name q =
+  if q < 0 then -1
+  else
+    let vs = member_value src stop q in
+    if name_eq src q name (q + 1) 0 then vs
+    else find_member src stop name (next_member src stop (value_end src stop vs))
 
 (* Scan the (un-indexed) object at [start,stop) for a pre-split dotted
    path, writing the value span of the final segment into the scratch
    [sp]; intermediate object spans travel through [sp] itself. *)
-let find_parts_span t ~start ~stop ~parts sp =
+let rec find_parts_span t ~start ~stop ~parts sp =
   let src = t.src in
-  let find_field ostart ostop name =
-    let found = ref false in
-    if src.[ostart] = '{' then
-      walk_members src ~start:ostart ~stop:ostop (fun q vstart vend ->
-          if name_matches src q name then begin
-            span_at t ~start:vstart ~stop:vend sp;
-            found := true
-          end;
-          not !found);
-    !found
-  in
-  let rec follow ostart ostop = function
-    | [] -> false
-    | name :: rest ->
-      find_field ostart ostop name && (rest = [] || follow sp.sp_start sp.sp_stop rest)
-  in
-  follow start stop parts
+  match parts with
+  | [] -> false
+  | name :: rest ->
+    src.[start] = '{'
+    &&
+    let vs = find_member src stop name (member_at src stop (start + 1)) in
+    vs >= 0
+    && begin
+      span_at t ~start:vs ~stop:(value_end src stop vs) sp;
+      match rest with
+      | [] -> true
+      | _ -> find_parts_span t ~start:sp.sp_start ~stop:sp.sp_stop ~parts:rest sp
+    end
 
+(* The heap words the index holds beside its source: records and array
+   blocks by their sizes, the interned names once (the tables share them),
+   the path table's buckets. *)
 let byte_size t =
-  let per_obj =
-    Array.fold_left
-      (fun acc o ->
-        match o with
-        | Packed p -> acc + 16 + Bytes.length p.pdata
-        | Wide w -> acc + 16 + (24 * Array.length w.w_entries) + (16 * Array.length w.w_level0))
-      0 t.objects
-  in
-  let interned =
-    Array.fold_left (fun acc p -> acc + String.length p + 16) 0 t.path_names
-  in
-  let shared =
-    match t.shared with
-    | Some m -> Array.fold_left (fun acc (p, _) -> acc + String.length p + 8) 0 m
-    | None -> 0
-  in
-  per_obj + interned + shared
+  let str s = (String.length s / 8) + 2 and arr a = Array.length a + 1 in
+  let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  let layouts = arr t.layouts + sum Pvec.words t.layouts in
+  let aliases = arr t.aliases + sum (fun (a : alias) -> 4 + str a.key) t.aliases in
+  let names = arr t.path_names + sum str t.path_names + (3 * List.length t.all_paths) in
+  let st = Hashtbl.stats t.path_ids in
+  let table = 5 + st.num_buckets + 1 + (4 * st.num_bindings) in
+  8 * (9 + Pvec.words t.objs + Pvec.words t.ents + layouts + aliases + names + table)

@@ -13,7 +13,7 @@
     selection-vector entries, batch-aligned, so slot [j] of every buffer
     corresponds to element [base + j] and filters that shrink [sel] never
     move data. The plug-in that owns the cursor decides how a batch is read:
-    by explicit row (column slices, positional index spans, fixed-schema
+    by explicit row (column slices, positional index spans, JSON layout
     slots) or through {!shim_fill} over its own cursor. [fill = None] means
     only that the field is not addressable by row (unnest element fields);
     every top-level primitive accessor has one. A fill reads the value lane
@@ -62,8 +62,8 @@ type t = {
 val prim : ?null:(unit -> bool) -> lane -> t
 
 (** [shim_fill seek get] reads a batch through a cursor: for each selected
-    lane, [seek] the cursor to the element, then [get] it. For plug-ins
-    whose field position is only known per element (flexible-schema JSON). *)
+    lane, [seek] the cursor to the element, then [get] it. For readers with
+    no row-addressable fill (a computed expression). *)
 val shim_fill : (int -> unit) -> (unit -> 'a) -> 'a fill
 
 (** [boxed ty f] wraps a boxed-only accessor (nested values etc.). *)

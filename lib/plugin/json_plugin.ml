@@ -4,7 +4,7 @@ module Ji = Proteus_format.Json_index
 let nullable_of_ty ty = match ty with Ptype.Option _ -> true | _ -> false
 
 (* One decoder per declared type. Every read path — scalar accessors,
-   fixed-schema batch fills, unnest element fields and boxed values —
+   batch fills, unnest element fields and boxed values —
    loads a span, then decodes it here. A resolver that finds no field
    leaves a [Knull] span at the enclosing object's byte, so a null and a
    missing value meet one check, which names that byte. *)
@@ -90,44 +90,22 @@ let rec dec_value index ty sp : Value.t =
 
 let make ~element ~index =
   let obj = ref 0 in
-  (* The one resolver family: a scratch span plus [resolve ()], which
-     loads the path of the current object into it. Each accessor owns its
-     span, so a steady-state scan allocates nothing per tuple; accessors
-     are private to one scan_view instance, hence to one domain.
-     Fixed-schema inputs resolve the Level-0 slot here, at "code
-     generation" time; flexible inputs intern the path once and memoize
-     the per-object slot search per OID, so that a predicate and a
-     projection on the same field share it. *)
-  let span_resolver path : Ji.span * (unit -> unit) =
-    let sp = Ji.make_span () in
-    let resolve =
-      match Ji.slot index path with
-      | Some slot -> fun () -> Ji.entry_span index ~obj:!obj ~slot sp
-      | None ->
-        let id = Option.value (Ji.path_id index path) ~default:(-1) in
-        let cached_obj = ref (-1) and cached_slot = ref (-1) in
-        fun () ->
-          if !cached_obj <> !obj then begin
-            cached_slot := if id < 0 then -1 else Ji.slot_by_id index ~obj:!obj ~id;
-            cached_obj := !obj
-          end;
-          if !cached_slot >= 0 then Ji.entry_span index ~obj:!obj ~slot:!cached_slot sp
-          else begin
-            (* slot 0 is the object itself: a missing field's byte *)
-            Ji.entry_span index ~obj:!obj ~slot:0 sp;
-            sp.Ji.sp_kind <- Ji.Knull
-          end
-    in
-    (sp, resolve)
-  in
   let seek i = obj := i in
-  (* The one typed accessor over a (span, resolver) pair. [rows] says how
-     the batch lane reaches the field at explicit OIDs: a fixed-schema
-     [`Slot] loads the slot with no cursor and no per-object lookup; a
-     flexible top-level path goes through this view's own cursor
-     ([`Cursor]); an unnest element field is not addressable by row
-     ([`None]). *)
-  let accessor ~(ty : Ptype.t) ~rows (sp, resolve) : Access.t =
+  (* A top-level path resolves to its interned id once, at "code
+     generation" time; [at o] then loads the field of object [o] into the
+     accessor's own scratch span through the object's layout table, so a
+     steady-state scan allocates nothing per tuple. Accessors are private
+     to one scan_view instance, hence to one domain. *)
+  let top path : Ji.span * (int -> unit) =
+    let sp = Ji.make_span () in
+    let id = Option.value (Ji.path_id index path) ~default:(-1) in
+    (sp, fun o -> Ji.field_span index ~obj:o ~id sp)
+  in
+  (* The one typed accessor over a span and its resolver. [at] says how
+     the batch lane reaches the field at explicit OIDs: a top-level path
+     loads each row's span with no cursor; an unnest element field is not
+     addressable by row. *)
+  let accessor ~(ty : Ptype.t) ?at (sp, resolve) : Access.t =
     let null =
       if nullable_of_ty ty then
         Some
@@ -138,17 +116,14 @@ let make ~element ~index =
     in
     let reader dec get : _ Access.reader =
       let fill =
-        match rows with
-        | `Slot slot ->
-          Some
-            (fun base out ~sel ~n ->
-              for i = 0 to n - 1 do
-                let j = sel.(i) in
-                Ji.entry_span index ~obj:(base + j) ~slot sp;
-                out.(j) <- dec index sp
-              done)
-        | `Cursor -> Some (Access.shim_fill seek get)
-        | `None -> None
+        Option.map
+          (fun at base out ~sel ~n ->
+            for i = 0 to n - 1 do
+              let j = sel.(i) in
+              at (base + j);
+              out.(j) <- dec index sp
+            done)
+          at
       in
       { get; fill }
     in
@@ -172,9 +147,8 @@ let make ~element ~index =
     match Hashtbl.find_opt accessor_cache path with
     | Some a -> a
     | None ->
-      let ty = Source.field_type element path in
-      let rows = match Ji.slot index path with Some slot -> `Slot slot | None -> `Cursor in
-      let a = accessor ~ty ~rows (span_resolver path) in
+      let sp, at = top path in
+      let a = accessor ~ty:(Source.field_type element path) ~at (sp, fun () -> at !obj) in
       Hashtbl.replace accessor_cache path a;
       a
   in
@@ -186,7 +160,7 @@ let make ~element ~index =
   let unnest path =
     match Ptype.unwrap_option (Source.field_type element path) with
     | Ptype.Collection (_, elem_ty) ->
-      let arr, resolve_arr = span_resolver path in
+      let arr, arr_at = top path in
       (* current nested element span, valid during u_iter callbacks *)
       let elem = Ji.make_span () in
       (* Fused extraction (u_prepare): the element-boundary walk also
@@ -209,7 +183,7 @@ let make ~element ~index =
       in
       let elem_scanned = ref false in
       let u_iter ~on_elem =
-        resolve_arr ();
+        arr_at !obj;
         if arr.Ji.sp_kind = Ji.Karr then
           Ji.iter_array_spans index arr ~f:(fun ~start ~stop ->
               Ji.span_at index ~start ~stop elem;
@@ -258,7 +232,7 @@ let make ~element ~index =
                        ~parts sp)
                 then absent sp ~at:elem.Ji.sp_start
           in
-          let a = accessor ~ty:(Source.field_type elem_ty f) ~rows:`None (sp, resolve) in
+          let a = accessor ~ty:(Source.field_type elem_ty f) (sp, resolve) in
           Hashtbl.replace elem_field_cache f a;
           a
       in

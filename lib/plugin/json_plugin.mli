@@ -1,9 +1,9 @@
 (** JSON input plug-in: navigates raw JSON bytes through the two-level
     structural index (Section 5.2, Figure 4).
 
-    Per-query specialization: in fixed-schema mode the path→slot resolution
-    happens {e once here}, so the per-tuple accessor is a direct Level-1
-    array read; in flexible mode it is a per-object Level-0 binary search.
+    Per-query specialization: a path resolves to its interned id {e once
+    here}, so the per-tuple accessor is a lookup in the object's layout
+    table and a Level-1 read, by cursor or by explicit row for batch fills.
     Nested record paths ("c.d.d1") dereference in one step. Unnest walks
     array spans without boxing elements. *)
 

@@ -13,6 +13,7 @@ type index_info = {
   build_seconds : float;
   stats_seconds : float;
   fixed_schema : bool;
+  layouts : int option;
   built_rows : int;
   extended_rows : int;
 }
@@ -287,6 +288,10 @@ let index_fixed = function
   | Csv_ix ix -> Csv_index.is_fixed_width ix
   | Json_ix ix -> Json_index.is_fixed_schema ix
 
+let index_layouts = function
+  | Csv_ix _ -> None
+  | Json_ix ix -> Some (Json_index.layout_count ix)
+
 (* The heavy per-dataset artifacts (parsed row pages, structural indexes)
    are built once; the returned thunk stamps out cheap source views — each
    a private cursor plus accessors over the shared read-only artifact, so
@@ -304,6 +309,7 @@ let build_factory t (d : Dataset.t) : unit -> Source.t =
         build_seconds = Unix.gettimeofday () -. t0;
         stats_seconds = 0.;
         fixed_schema = index_fixed index;
+        layouts = index_layouts index;
         built_rows = rows;
         extended_rows = 0;
       }
@@ -721,6 +727,7 @@ let extend t name ~tail =
               size_bytes = index_bytes index;
               input_bytes = String.length bytes;
               fixed_schema = index_fixed index;
+              layouts = index_layouts index;
               extended_rows = i.extended_rows + (rows - from);
             }
         | None -> ());

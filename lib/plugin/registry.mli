@@ -18,6 +18,7 @@ type index_info = {
       (** the cold-statistics pass of the same first access, so a first
           touch splits into index build and statistics *)
   fixed_schema : bool;  (** fixed-schema JSON / fixed-width CSV *)
+  layouts : int option;  (** JSON: the index's distinct layouts *)
   built_rows : int;  (** rows the last full build indexed *)
   extended_rows : int;
       (** rows indexed since by extending the index over appends *)

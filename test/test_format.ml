@@ -83,6 +83,20 @@ let test_csv_bad_int () =
        false
      with Perror.Parse_error _ -> true)
 
+(* A row whose field count differs from the schema's is a positioned
+   parse error: at the first extra field, or where a missing one would
+   start. *)
+let test_csv_row_arity () =
+  let pos src =
+    match Csv.read_all cfg schema src with
+    | _ -> Alcotest.failf "%S: no error" src
+    | exception Perror.Parse_error { what; pos; _ } ->
+      Alcotest.(check string) "what" "csv" what;
+      pos
+  in
+  Alcotest.(check int) "short row" 16 (pos "1,hello,2.5\n2,hi\n3,x,1.0\n");
+  Alcotest.(check int) "long row" 21 (pos "1,hello,2.5\n2,hi,3.0,9\n")
+
 (* The writer follows an empty last field with one more separator, so a
    null last field and a one-column null row read back as written. *)
 let test_csv_null_last_roundtrip () =
@@ -420,6 +434,257 @@ let test_json_index_size_reported () =
   let idx = Json_index.build flexible_src in
   Alcotest.(check bool) "positive size" true (Json_index.byte_size idx > 0)
 
+(* Minor-heap words [f] allocates (a count, not a timing: it repeats
+   exactly). *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* [n] six-field objects, fields in a random order each: up to 720
+   layouts, as in the field-shuffled TPC-H lineitem file *)
+let shuffled_doc n =
+  let rng = Random.State.make [| 7 |] in
+  let b = Buffer.create (n * 100) in
+  for i = 1 to n do
+    let fields =
+      [| Fmt.str {|"l_orderkey":%d|} i; Fmt.str {|"l_linenumber":%d|} (i mod 7);
+         Fmt.str {|"l_quantity":%d|} (Random.State.int rng 50);
+         Fmt.str {|"l_extendedprice":%d.%02d|} (Random.State.int rng 100000) (Random.State.int rng 100);
+         Fmt.str {|"l_discount":0.0%d|} (Random.State.int rng 10); {|"l_tax":0.02|} |]
+    in
+    for k = 5 downto 1 do
+      let j = Random.State.int rng (k + 1) in
+      let x = fields.(k) in
+      fields.(k) <- fields.(j);
+      fields.(j) <- x
+    done;
+    Buffer.add_string b ("{" ^ String.concat "," (Array.to_list fields) ^ "}\n")
+  done;
+  Buffer.contents b
+
+let test_json_index_build_allocation () =
+  let src = shuffled_doc 20_000 in
+  let words = minor_words (fun () -> ignore (Json_index.build src)) in
+  let per_byte = words /. float_of_int (String.length src) in
+  if per_byte > 0.5 then Alcotest.failf "%.2f minor words per input byte (> 0.5)" per_byte
+
+let test_json_index_unnest_allocation () =
+  let words n =
+    let elems = List.init n (fun i -> Fmt.str {|{"id": %d, "x": "s\"%d", "q": %d.5}|} i i i) in
+    let src = Fmt.str {|{"k": 1, "items": [%s]}|} (String.concat ", " elems) in
+    let idx = Json_index.build src in
+    let arr = Option.get (find idx ~obj:0 ~path:"items") in
+    let names = [| "q"; "missing"; "id" |] in
+    let starts = Array.make 3 0 and stops = Array.make 3 0 and seen = ref 0 in
+    let f ~start ~stop =
+      Json_index.scan_span_fields idx ~start ~stop ~names ~starts ~stops;
+      if starts.(2) >= 0 then incr seen
+    in
+    let w = minor_words (fun () -> Json_index.iter_array_spans idx arr ~f) in
+    Alcotest.(check int) "every element scanned" n !seen;
+    w
+  in
+  Alcotest.(check (float 0.)) "same words for 10 and 1000 elements" (words 10) (words 1000)
+
+(* [byte_size] counts what the heap holds beside the source. *)
+let test_json_index_honest_footprint () =
+  List.iter
+    (fun src ->
+      let idx = Json_index.build src in
+      let held = 8 * (Obj.reachable_words (Obj.repr idx) - ((String.length src / 8) + 2)) in
+      let size = Json_index.byte_size idx in
+      if abs (size - held) * 10 > held then
+        Alcotest.failf "byte_size %d, heap %d" size held)
+    [ shuffled_doc 3000; String.concat "\n" (List.init 500 (fun _ -> fixed_src)); flexible_src ^ "\n" ]
+
+(* --- JSON index against the per-object reference build ------------------- *)
+
+(* The index as it was once built, restated as the oracle: every object
+   walked on its own into its entries (a registered field's path, value
+   span and kind, in document pre-order, through nested objects only) and
+   its Level 0 (path, slot) sorted by path; a fixed schema when every
+   object has the first object's non-empty Level 0. Values are skipped by
+   the reference parser. *)
+module Oracle = struct
+  let rec ws s i = if i < String.length s && String.contains " \t\n\r" s.[i] then ws s (i + 1) else i
+
+  let kind s start stop : Json_index.kind =
+    match s.[start] with
+    | '{' -> Kobj
+    | '[' -> Karr
+    | '"' -> Kstr
+    | 't' | 'f' -> Kbool
+    | 'n' -> Knull
+    | _ ->
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') (String.sub s start (stop - start))
+      then Kfloat
+      else Kint
+
+  let rec index_object s prefix i acc =
+    let i = ws s i in
+    if s.[i] = '}' then (i + 1, acc)
+    else begin
+      let name, j = Json.parse_string_lit s i in
+      let vstart = ws s (ws s j + 1) in
+      let _, vend = Json.parse s ~pos:vstart in
+      let path = if prefix = "" then name else prefix ^ "." ^ name in
+      let acc = (path, vstart, vend, kind s vstart vend) :: acc in
+      let acc = if s.[vstart] = '{' then snd (index_object s path (vstart + 1) acc) else acc in
+      let k = ws s vend in
+      if s.[k] = ',' then index_object s prefix (k + 1) acc else (k + 1, acc)
+    end
+
+  type obj = { base : int; stop : int; entries : (string * int * int * Json_index.kind) array }
+
+  let rec objects s pos acc =
+    let pos = ws s pos in
+    if pos >= String.length s then List.rev acc
+    else
+      let stop, entries = index_object s "" (pos + 1) [] in
+      objects s stop ({ base = pos; stop; entries = Array.of_list (List.rev entries) } :: acc)
+
+  let level0 o =
+    List.stable_sort compare (Array.to_list (Array.mapi (fun k (p, _, _, _) -> (p, k + 1)) o.entries))
+
+  type t = { objs : obj array; fixed : bool; paths : string list }
+
+  let build s =
+    let objs = Array.of_list (objects s 0 []) in
+    let fixed =
+      Array.length objs > 0 && level0 objs.(0) <> []
+      && Array.for_all (fun o -> level0 o = level0 objs.(0)) objs
+    in
+    let paths =
+      if fixed then List.map fst (level0 objs.(0))
+      else List.sort_uniq compare (List.concat_map (fun o -> List.map fst (level0 o)) (Array.to_list objs))
+    in
+    { objs; fixed; paths }
+
+  let slot t ~obj path = Option.value (List.assoc_opt path (level0 t.objs.(obj))) ~default:(-1)
+end
+
+(* [Some msg] where [ix] answers differently from the oracle [o] *)
+let index_disagreement ix (o : Oracle.t) =
+  let sp = Json_index.make_span () in
+  let entry obj slot =
+    Json_index.entry_span ix ~obj ~slot sp;
+    (sp.sp_start, sp.sp_stop, sp.sp_kind)
+  in
+  let bad = ref [] in
+  let check what ok = if not ok then bad := what :: !bad in
+  check "object count" (Json_index.object_count ix = Array.length o.objs);
+  check "paths" (Json_index.paths ix = o.paths);
+  check "fixed schema" (Json_index.is_fixed_schema ix = o.fixed);
+  if !bad = [] then
+    Array.iteri
+      (fun obj (ob : Oracle.obj) ->
+        let at what = Fmt.str "object %d: %s" obj what in
+        check (at "object span") (Json_index.object_span ix obj = (ob.base, ob.stop));
+        check (at "slot 0") (entry obj 0 = (ob.base, ob.stop, Json_index.Kobj));
+        Array.iteri
+          (fun k (_, start, stop, kind) -> check (at (Fmt.str "slot %d" (k + 1))) (entry obj (k + 1) = (start, stop, kind)))
+          ob.entries;
+        List.iter
+          (fun path ->
+            let want = Oracle.slot o ~obj path in
+            let id = Option.value (Json_index.path_id ix path) ~default:(-1) in
+            check (at ("slot_by_id " ^ path)) (Json_index.slot_by_id ix ~obj ~id = want);
+            check (at ("slot " ^ path))
+              (Json_index.slot ix path = if o.fixed && want > 0 then Some want else None))
+          ("absent" :: o.paths))
+      o.objs;
+  match !bad with [] -> None | l -> Some (String.concat "; " (List.rev l))
+
+(* Random documents: nested objects; shuffled, missing and same-kind
+   fields; one path holding nulls, ints, strings and objects across
+   objects; escaped member names, one of them also spelled with a \u
+   escape; whitespace between tokens; objects of 64 KiB or more and
+   objects with more than 255 members. Half the documents instantiate one
+   template of member paths, so most of those have a fixed schema that a
+   respelled name, an empty nested object or a deviant object may or may
+   not break. *)
+type member_shape = Leaf | Nest of (string list * member_shape) list
+
+let json_doc_gen =
+  let open QCheck2.Gen in
+  let names =
+    [ [ {|"a"|} ]; [ {|"b"|}; {|"\u0062"|} ]; [ {|"c"|} ]; [ {|"k\"q"|} ]; [ {|"t\\u"|} ]; [ {|"n\nl"|} ] ]
+  in
+  let scalar =
+    oneof
+      [
+        map string_of_int (int_range (-999) 99999);
+        map (Fmt.str "%.2f") (float_range (-1000.) 1000.);
+        oneofl [ "null"; "true"; "false" ];
+        map (fun s -> Json.to_string (Json.Str s)) (string_size ~gen:(oneofl [ 'x'; '"'; '\\'; '{'; ']' ]) (int_range 0 5));
+      ]
+  in
+  (* a value that registers no member below its own entry *)
+  let leaf = frequency [ (4, scalar); (1, oneofl [ "{}"; "[]"; {|[1, {"a": 2}]|} ]) ] in
+  let render sp members =
+    "{" ^ sp ^ String.concat ("," ^ sp) (List.map (fun (n, v) -> n ^ sp ^ ":" ^ sp ^ v) members) ^ sp ^ "}"
+  in
+  let rec shape depth =
+    let* fields = shuffle_l names in
+    let* keep = int_range 0 (List.length fields) in
+    flatten_l
+      (List.filteri (fun i _ -> i < keep) fields
+      |> List.map (fun spellings ->
+             let+ s =
+               if depth < 2 then frequency [ (3, pure Leaf); (1, map (fun m -> Nest m) (shape (depth + 1))) ]
+               else pure Leaf
+             in
+             (spellings, s)))
+  in
+  let rec instance members =
+    let* sp = oneofl [ ""; " "; "\n  " ] in
+    let+ members =
+      flatten_l
+        (List.map
+           (fun (spellings, s) -> pair (oneofl spellings) (match s with Leaf -> leaf | Nest m -> instance m))
+           members)
+    in
+    render sp members
+  in
+  let wide =
+    let+ order = shuffle_l (List.init 300 Fun.id) in
+    render "" (List.map (fun i -> (Fmt.str {|"w%d"|} i, string_of_int i)) order)
+  in
+  let big =
+    let+ tail = shape 1 >>= instance in
+    render " " [ ({|"big"|}, "\"" ^ String.make 70_000 'x' ^ "\""); ({|"after"|}, tail); ({|"a"|}, "1") ]
+  in
+  let free = shape 0 >>= instance in
+  let* objs =
+    oneof
+      [
+        list_size (int_range 1 10) (frequency [ (30, free); (1, wide); (1, big) ]);
+        (let* template = shape 0 in
+         list_size (int_range 1 10) (frequency [ (12, instance template); (1, free) ]));
+      ]
+  in
+  let+ split = int_range 0 (List.length objs) in
+  (objs, split)
+
+let json_index_reference_prop =
+  QCheck2.Test.make ~name:"json index == per-object reference build (built and extended)" ~count:300
+    ~print:(fun (objs, split) -> Fmt.str "split %d: %s" split (String.concat "\n" objs))
+    json_doc_gen
+    (fun (objs, split) ->
+      let doc objs = String.concat "\n" objs in
+      let src = doc objs and old_src = doc (List.filteri (fun i _ -> i < split) objs) in
+      let full = Oracle.build src and old = Oracle.build old_src in
+      let fail what = function
+        | None -> true
+        | Some msg -> QCheck2.Test.fail_reportf "%s: %s" what msg
+      in
+      fail "built" (index_disagreement (Json_index.build src) full)
+      &&
+      match Json_index.extend (Json_index.build old_src) src with
+      | None -> old.fixed && not full.fixed || QCheck2.Test.fail_report "extend refused"
+      | Some ext -> fail "extended" (index_disagreement ext full))
+
 (* --- numeric span parsing -------------------------------------------------- *)
 
 let numparse_matches_stdlib =
@@ -684,6 +949,7 @@ let () =
           Alcotest.test_case "nullable every type" `Quick test_csv_nullable_every_type;
           Alcotest.test_case "header" `Quick test_csv_header;
           Alcotest.test_case "bad int" `Quick test_csv_bad_int;
+          Alcotest.test_case "row arity" `Quick test_csv_row_arity;
         ] );
       ( "csv-index",
         [
@@ -717,8 +983,11 @@ let () =
           Alcotest.test_case "read_value vs parser" `Quick
             test_json_index_read_value_matches_parser;
           Alcotest.test_case "size reported" `Quick test_json_index_size_reported;
+          Alcotest.test_case "build allocation" `Quick test_json_index_build_allocation;
+          Alcotest.test_case "unnest allocation" `Quick test_json_index_unnest_allocation;
+          Alcotest.test_case "honest footprint" `Quick test_json_index_honest_footprint;
         ]
-        @ qsuite [ json_index_agrees_prop ] );
+        @ qsuite [ json_index_agrees_prop; json_index_reference_prop ] );
       ( "numparse",
         [
           Alcotest.test_case "edge cases" `Quick test_numparse_edges;
