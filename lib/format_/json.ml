@@ -11,14 +11,21 @@ type t =
 
 let fail pos fmt = Perror.parse_error ~what:"json" ~pos fmt
 
-let skip_ws src pos =
-  let n = String.length src in
-  let rec go i =
-    if i < n then
-      match src.[i] with ' ' | '\t' | '\n' | '\r' -> go (i + 1) | _ -> i
-    else i
-  in
-  go pos
+(* The raw scanners are top-level functions over the source and a bound
+   that return an int: without flambda, a local recursive function would
+   be a closure allocated per call. *)
+let rec ws src n i =
+  if i < n then
+    match String.unsafe_get src i with ' ' | '\t' | '\n' | '\r' -> ws src n (i + 1) | _ -> i
+  else i
+
+let rec string_end src n i =
+  if i >= n then fail i "unterminated string"
+  else
+    match String.unsafe_get src i with
+    | '\\' -> string_end src n (i + 2)
+    | '"' -> i + 1
+    | _ -> string_end src n (i + 1)
 
 (* Parse a JSON string literal starting at the opening quote; returns the
    decoded string and the position after the closing quote. *)
@@ -87,8 +94,8 @@ let parse_number src pos =
       | None -> fail pos "bad number %S" s)
 
 let rec parse src ~pos =
-  let pos = skip_ws src pos in
   let n = String.length src in
+  let pos = ws src n pos in
   if pos >= n then fail pos "unexpected end of input";
   match src.[pos] with
   | 'n' ->
@@ -105,12 +112,12 @@ let rec parse src ~pos =
     (Str s, next)
   | '[' ->
     let rec elems i acc =
-      let i = skip_ws src i in
+      let i = ws src n i in
       if i < n && src.[i] = ']' then
         if acc = [] then (Arr [], i + 1) else fail i "trailing comma in array"
       else begin
         let v, i = parse src ~pos:i in
-        let i = skip_ws src i in
+        let i = ws src n i in
         if i < n && src.[i] = ',' then elems (i + 1) (v :: acc)
         else if i < n && src.[i] = ']' then (Arr (List.rev (v :: acc)), i + 1)
         else fail i "expected ',' or ']'"
@@ -119,15 +126,15 @@ let rec parse src ~pos =
     elems (pos + 1) []
   | '{' ->
     let rec members i acc =
-      let i = skip_ws src i in
+      let i = ws src n i in
       if i < n && src.[i] = '}' then
         if acc = [] then (Obj [], i + 1) else fail i "trailing comma in object"
       else begin
-        let name, i = parse_string_lit src (skip_ws src i) in
-        let i = skip_ws src i in
+        let name, i = parse_string_lit src (ws src n i) in
+        let i = ws src n i in
         if i >= n || src.[i] <> ':' then fail i "expected ':'";
         let v, i = parse src ~pos:(i + 1) in
-        let i = skip_ws src i in
+        let i = ws src n i in
         if i < n && src.[i] = ',' then members (i + 1) ((name, v) :: acc)
         else if i < n && src.[i] = '}' then (Obj (List.rev ((name, v) :: acc)), i + 1)
         else fail i "expected ',' or '}'"
@@ -139,14 +146,14 @@ let rec parse src ~pos =
 
 let parse_string s =
   let v, fin = parse s ~pos:0 in
-  let fin = skip_ws s fin in
+  let fin = ws s (String.length s) fin in
   if fin <> String.length s then fail fin "trailing garbage";
   v
 
 let parse_seq src =
   let n = String.length src in
   let rec go pos acc =
-    let pos = skip_ws src pos in
+    let pos = ws src n pos in
     if pos >= n then List.rev acc
     else
       let v, next = parse src ~pos in

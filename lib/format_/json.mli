@@ -42,3 +42,12 @@ val of_value : Value.t -> t
     the closing quote. Used by {!Json_index} to read field names without
     building an AST. *)
 val parse_string_lit : string -> int -> string * int
+
+(** Closure-free raw scanners over [src] bounded by [n]: [ws src n i] is
+    the first non-whitespace position at or after [i]; [string_end src n i],
+    with [i] just inside a string literal, is the position after its
+    closing quote (escapes are skipped, not decoded). Raises
+    [Perror.Parse_error] on an unterminated string. *)
+val ws : string -> int -> int -> int
+
+val string_end : string -> int -> int -> int

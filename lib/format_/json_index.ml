@@ -64,23 +64,20 @@ module Pvec = struct
   let words v = 4 + (Bytes.length v.b / 8) + 2
 end
 
-(* One alias per distinct raw spelling of a layout: the object's quoted
-   member names as written, with '{' and '}' around a nested object's
-   members. *)
-type alias = { key : string; hash : int; layout : int }
-
 (* [objs] holds (base, first entry, layout) per object; [ents] holds
    (offset from the object's base, length, kind) per entry: the object
    itself (slot 0), then each registered field in document pre-order. A
-   layout is a decoded Level 0 kept as its path → slot table: the first
-   slot (1-based) holding each interned path id, 0 where a path is
-   absent; objects with equal tables share one. *)
+   layout is a decoded Level 0 kept sparse: (path id, first slot) pairs,
+   ascending by id, one per distinct path of the layout, so its size is
+   that of its own members; objects with equal pairs share one. [aliases]
+   maps each raw spelling of a layout (the object's quoted member names
+   as written, with '{' and '}' around a nested object's members) to it. *)
 type t = {
   src : string;
   objs : Pvec.t;
   ents : Pvec.t;
   layouts : Pvec.t array;
-  aliases : alias array;
+  aliases : (string, int) Hashtbl.t;
   path_ids : (string, int) Hashtbl.t;  (* interned path names *)
   path_names : string array;
   all_paths : string list;
@@ -96,23 +93,11 @@ let kinds = [| Kobj; Karr; Kstr; Kint; Kfloat; Kbool; Knull |]
 
 (* --- raw scanning ------------------------------------------------------- *)
 
-(* Every scanner is a top-level function over the source and a bound that
-   returns an int: without flambda, a local recursive function would be a
-   closure allocated per call. *)
+(* Every scanner is a top-level function over the source and a bound
+   that returns an int, as [Json.ws] and [Json.string_end] are. *)
 
-let rec ws src n i =
-  if i < n then
-    match String.unsafe_get src i with ' ' | '\t' | '\n' | '\r' -> ws src n (i + 1) | _ -> i
-  else i
-
-(* [i] just inside a string literal; the position after its closing quote *)
-let rec string_end src n i =
-  if i >= n then fail i "unterminated string"
-  else
-    match String.unsafe_get src i with
-    | '\\' -> string_end src n (i + 2)
-    | '"' -> i + 1
-    | _ -> string_end src n (i + 1)
+let ws = Json.ws
+let string_end = Json.string_end
 
 (* A member name from [i] (after its opening quote at [q]) on: as
    [string_end], and an escaped name is decoded once to check its escapes
@@ -184,10 +169,8 @@ type builder = {
   b_ents : Pvec.t;
   mutable b_layouts : Pvec.t array;
   mutable b_nlayouts : int;
-  mutable b_aliases : alias array;
-  mutable b_naliases : int;
-  mutable by_hash : int array;  (* open addressing over alias ids, -1 free *)
-  by_slots : (int * string, int) Hashtbl.t;  (* slot table -> layout *)
+  b_aliases : (string, int) Hashtbl.t;
+  by_slots : (int * string, int) Hashtbl.t;  (* Level 0 pairs -> layout *)
   b_path_ids : (string, int) Hashtbl.t;
   mutable b_names : string list;  (* interned paths, newest first *)
   mutable key : Bytes.t;
@@ -246,42 +229,10 @@ let rec scan_members b src n base i =
     else fail k "expected ',' or '}'"
   end
 
-let rec key_hash key i klen h =
-  if i >= klen then h else key_hash key (i + 1) klen ((h * 31) + Char.code (Bytes.unsafe_get key i))
-
-let rec key_equal s key i klen =
-  i >= klen || (String.unsafe_get s i = Bytes.unsafe_get key i && key_equal s key (i + 1) klen)
-
-let home table hash = (hash lxor (hash lsr 17)) land (Array.length table - 1)
-let after table i = (i + 1) land (Array.length table - 1)
-
-let rec find_alias b hash i =
-  let id = b.by_hash.(i) in
-  if id < 0 then -1
-  else
-    let a = b.b_aliases.(id) in
-    if a.hash = hash && String.length a.key = b.klen && key_equal a.key b.key 0 b.klen then a.layout
-    else find_alias b hash (after b.by_hash i)
-
-let rec insert table hash id i =
-  if table.(i) < 0 then table.(i) <- id else insert table hash id (after table i)
-
-(* a table at most half full over [aliases.(0 .. n - 1)] *)
-let alias_table aliases n =
-  let size = ref 64 in
-  while !size < 2 * n do size := 2 * !size done;
-  let table = Array.make !size (-1) in
-  for id = 0 to n - 1 do
-    let h = aliases.(id).hash in
-    insert table h id (home table h)
-  done;
-  table
-
 let intern b p =
   match Hashtbl.find_opt b.b_path_ids p with
   | Some id -> id
   | None ->
-    (* a layout's slot table has a lane per path id up to its largest *)
     let id = Hashtbl.length b.b_path_ids in
     if id > 0xFFFF then
       Perror.unsupported "json index: more than 65536 field paths (first overflowing path: %S)" p;
@@ -297,11 +248,14 @@ let push_grow arr n x =
 let slots_key (v : Pvec.t) = (v.n, Bytes.to_string v.b)
 
 (* The layout whose slots hold path [ids.(k)] at slot [k + 1], made on its
-   first sighting; a duplicated path keeps its first slot. *)
+   first sighting: its (path id, slot) pairs ascending by id, where a
+   duplicated path keeps its first slot. *)
 let layout_of_ids b ids =
-  let nent = Array.length ids in
-  let slots = Pvec.make (Array.fold_left Int.max (-1) ids + 1) ~max:nent in
-  for k = nent - 1 downto 0 do Pvec.set slots ids.(k) (k + 1) done;
+  let order = Array.init (Array.length ids) Fun.id in
+  Array.stable_sort (fun x y -> Int.compare ids.(x) ids.(y)) order;
+  let first = List.filteri (fun i k -> i = 0 || ids.(order.(i - 1)) <> ids.(k)) (Array.to_list order) in
+  let slots = Pvec.make (2 * List.length first) ~max:0 in
+  List.iteri (fun i k -> Pvec.set slots (2 * i) ids.(k); Pvec.set slots ((2 * i) + 1) (k + 1)) first;
   match Hashtbl.find_opt b.by_slots (slots_key slots) with
   | Some l -> l
   | None ->
@@ -313,11 +267,10 @@ let layout_of_ids b ids =
 
 (* Only a new raw spelling decodes its [nent] names, builds and interns
    its dotted paths and finds (or makes) its layout. *)
-let add_alias b hash nent =
-  let key = Bytes.sub_string b.key 0 b.klen in
+let add_alias b key nent =
   let ids = Array.make nent 0 in
   let rec walk i e prefixes last =
-    if i < b.klen then
+    if i < String.length key then
       match key.[i] with
       | '{' -> walk (i + 1) e (last :: prefixes) last
       | '}' -> walk (i + 1) e (List.tl prefixes) last
@@ -329,10 +282,7 @@ let add_alias b hash nent =
   in
   walk 0 0 [] "";
   let layout = layout_of_ids b ids in
-  b.b_aliases <- push_grow b.b_aliases b.b_naliases { key; hash; layout };
-  b.b_naliases <- b.b_naliases + 1;
-  if 2 * b.b_naliases > Array.length b.by_hash then b.by_hash <- alias_table b.b_aliases b.b_naliases
-  else insert b.by_hash hash (b.b_naliases - 1) (home b.by_hash hash);
+  Hashtbl.replace b.b_aliases key layout;
   layout
 
 let scan_object b pos =
@@ -342,9 +292,12 @@ let scan_object b pos =
   let root = object_open b 0 in
   let stop = scan_members b src (String.length src) pos (pos + 1) in
   object_close b root (stop - pos);
-  let hash = key_hash b.key 0 b.klen 0 in
-  let layout = find_alias b hash (home b.by_hash hash) in
-  let layout = if layout >= 0 then layout else add_alias b hash ((b.b_ents.n - root) / 3 - 1) in
+  let key = Bytes.sub_string b.key 0 b.klen in
+  let layout =
+    match Hashtbl.find_opt b.b_aliases key with
+    | Some l -> l
+    | None -> add_alias b key (((b.b_ents.n - root) / 3) - 1)
+  in
   Pvec.push3 b.b_objs pos (root / 3) layout;
   stop
 
@@ -363,9 +316,7 @@ let builder_of (t : t) src =
     b_ents = Pvec.thaw t.ents;
     b_layouts = Array.copy t.layouts;
     b_nlayouts = Array.length t.layouts;
-    b_aliases = Array.copy t.aliases;
-    b_naliases = Array.length t.aliases;
-    by_hash = alias_table t.aliases (Array.length t.aliases);
+    b_aliases = Hashtbl.copy t.aliases;
     by_slots;
     b_path_ids = Hashtbl.copy t.path_ids;
     b_names = List.rev (Array.to_list t.path_names);
@@ -380,7 +331,7 @@ let freeze b =
     objs = Pvec.freeze b.b_objs;
     ents = Pvec.freeze b.b_ents;
     layouts = Array.sub b.b_layouts 0 b.b_nlayouts;
-    aliases = Array.sub b.b_aliases 0 b.b_naliases;
+    aliases = b.b_aliases;
     path_ids = b.b_path_ids;
     path_names;
     all_paths = List.sort String.compare (Array.to_list path_names);
@@ -390,7 +341,7 @@ let build src =
   let none = Pvec.make 0 ~max:0 in
   let b =
     builder_of
-      { src; objs = none; ents = none; layouts = [||]; aliases = [||];
+      { src; objs = none; ents = none; layouts = [||]; aliases = Hashtbl.create 64;
         path_ids = Hashtbl.create 64; path_names = [||]; all_paths = [] }
       src
   in
@@ -412,14 +363,25 @@ let extend (t : t) src =
 let paths t = t.all_paths
 let path_id t path = Hashtbl.find_opt t.path_ids path
 
-(* The path → slot table of object [obj]'s layout; [-1] when the object
-   lacks the field — the option-free form the per-tuple path uses. *)
-let slot_by_id t ~obj ~id =
-  let slots = t.layouts.(Pvec.get t.objs ((3 * obj) + 2)) in
-  if id < 0 || id >= slots.n then -1
+let rec search l id lo hi =
+  if lo >= hi then -1
   else
-    let s = Pvec.get slots id in
-    if s = 0 then -1 else s
+    let m = (lo + hi) / 2 in
+    let x = Pvec.get l (2 * m) in
+    if x = id then Pvec.get l ((2 * m) + 1)
+    else if x < id then search l id (m + 1) hi
+    else search l id lo m
+
+(* The slot of path [id] in object [obj]'s layout; [-1] when the object
+   lacks the field — the option-free form the per-tuple path uses. Paths
+   are interned in first-seen order, so a layout that holds every path of
+   its dataset holds ids 0 .. n - 1 and the first probe, at pair [id],
+   hits; any other layout is searched by halves. *)
+let slot_by_id t ~obj ~id =
+  let l = t.layouts.(Pvec.get t.objs ((3 * obj) + 2)) in
+  let n = l.n / 2 in
+  if id >= 0 && id < n && Pvec.get l (2 * id) = id then Pvec.get l ((2 * id) + 1)
+  else search l id 0 n
 
 let slot t path =
   match path_id t path with
@@ -446,15 +408,14 @@ let entry_span t ~obj ~slot sp =
   sp.sp_stop <- start + Pvec.get t.ents (e + 1);
   sp.sp_kind <- kinds.(Pvec.get t.ents (e + 2))
 
+let absent sp ~at =
+  sp.sp_start <- at;
+  sp.sp_stop <- at;
+  sp.sp_kind <- Knull
+
 let field_span t ~obj ~id sp =
   let slot = slot_by_id t ~obj ~id in
-  if slot >= 0 then entry_span t ~obj ~slot sp
-  else begin
-    let base = Pvec.get t.objs (3 * obj) in
-    sp.sp_start <- base;
-    sp.sp_stop <- base;
-    sp.sp_kind <- Knull
-  end
+  if slot >= 0 then entry_span t ~obj ~slot sp else absent sp ~at:(Pvec.get t.objs (3 * obj))
 
 let span_at t ~start ~stop sp =
   sp.sp_start <- start;
@@ -598,13 +559,12 @@ let rec find_parts_span t ~start ~stop ~parts sp =
 
 (* The heap words the index holds beside its source: records and array
    blocks by their sizes, the interned names once (the tables share them),
-   the path table's buckets. *)
+   each table's record, buckets and one cell per binding. *)
 let byte_size t =
   let str s = (String.length s / 8) + 2 and arr a = Array.length a + 1 in
   let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+  let table h = let st = Hashtbl.stats h in 5 + st.num_buckets + 1 + (4 * st.num_bindings) in
   let layouts = arr t.layouts + sum Pvec.words t.layouts in
-  let aliases = arr t.aliases + sum (fun (a : alias) -> 4 + str a.key) t.aliases in
+  let aliases = table t.aliases + Hashtbl.fold (fun k _ acc -> acc + str k) t.aliases 0 in
   let names = arr t.path_names + sum str t.path_names + (3 * List.length t.all_paths) in
-  let st = Hashtbl.stats t.path_ids in
-  let table = 5 + st.num_buckets + 1 + (4 * st.num_bindings) in
-  8 * (9 + Pvec.words t.objs + Pvec.words t.ents + layouts + aliases + names + table)
+  8 * (9 + Pvec.words t.objs + Pvec.words t.ents + layouts + aliases + names + table t.path_ids)

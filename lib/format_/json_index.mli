@@ -13,9 +13,11 @@
       Level-1 slots, giving deterministic lookups despite JSON's flexible
       field order.
 
-    Level 0 is kept once per {e layout} (a distinct path → slot table),
-    not once per object: the pass looks each object's raw member names up
-    in a table of spellings, and only a new spelling decodes its names,
+    Level 0 is kept once per {e layout}, not once per object, and sparse:
+    a layout holds one (path id, first slot) pair per distinct path of its
+    own, ascending by id, so its size follows its members and not the
+    dataset's path count. The pass looks each object's raw member names
+    up in a table of spellings, and only a new spelling decodes its names,
     interns its paths and finds or makes its layout. An object stores
     its base, first entry and layout and, per entry (the object itself
     first), the (offset, length, kind) triple, in packed vectors whose byte
@@ -26,7 +28,7 @@
     (six fields, up to 720 layouts) holds 31% of its input; one whose
     objects nearly all differ in layout holds more per object than its
     value spans (the Symantec feed, nine fields shuffled per object:
-    121%).
+    123%).
 
     Every read goes through one API: a caller-owned scratch {!span} is
     loaded — from a Level-1 slot ({!entry_span}, {!field_span}) or from
@@ -66,9 +68,10 @@ val paths : t -> string list
 val slot : t -> string -> int option
 
 (** Resolve the path to its interned id once per query ({!path_id}), then
-    look fields up by id per object ({!slot_by_id}, {!field_span}) — a
-    table lookup in the object's layout; the string comparison leaves the
-    per-tuple loop. *)
+    look fields up by id per object ({!slot_by_id}, {!field_span}) in the
+    object's layout — one probe when the layout holds every path of the
+    dataset, a search by halves over its own paths otherwise; the string
+    comparison leaves the per-tuple loop. *)
 val path_id : t -> string -> int option
 
 (** {1 Spans}
@@ -98,8 +101,13 @@ val entry_span : t -> obj:int -> slot:int -> span -> unit
 val slot_by_id : t -> obj:int -> id:int -> int
 
 (** [field_span t ~obj ~id sp] loads path [id] of object [obj] into [sp];
-    a missing field loads an empty [Knull] span at the object's first byte. *)
+    a missing field loads {!absent} at the object's first byte. *)
 val field_span : t -> obj:int -> id:int -> span -> unit
+
+(** [absent sp ~at] loads a missing field: an empty [Knull] span at byte
+    [at], the enclosing object's first byte, so a null and a missing value
+    meet one check, which names that byte. *)
+val absent : span -> at:int -> unit
 
 (** [span_at t ~start ~stop sp] loads the un-indexed value span
     [\[start, stop)] into [sp], reading its kind off the bytes. *)

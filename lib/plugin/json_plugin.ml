@@ -14,11 +14,6 @@ let null_error sp ty =
 
 let[@inline] present sp ty = if sp.Ji.sp_kind = Ji.Knull then null_error sp ty
 
-let absent sp ~at =
-  sp.Ji.sp_start <- at;
-  sp.Ji.sp_stop <- at;
-  sp.Ji.sp_kind <- Ji.Knull
-
 let dec_int index sp =
   present sp Ptype.Int;
   Ji.span_int index sp
@@ -75,7 +70,7 @@ let rec dec_value index ty sp : Value.t =
         in
         members := (name, v) :: !members);
     let missing = Ji.make_span () in
-    absent missing ~at:sp.Ji.sp_start;
+    Ji.absent missing ~at:sp.Ji.sp_start;
     List.iter
       (fun (name, fty) ->
         if not (List.mem_assoc name !members) then ignore (dec_value index fty missing))
@@ -220,7 +215,7 @@ let make ~element ~index =
               let starts = !slot_starts and stops = !slot_stops in
               fun () ->
                 ensure_scanned ();
-                if starts.(k) < 0 then absent sp ~at:elem.Ji.sp_start
+                if starts.(k) < 0 then Ji.absent sp ~at:elem.Ji.sp_start
                 else Ji.span_at index ~start:starts.(k) ~stop:stops.(k) sp
             | None ->
               (* un-fused (dotted) fallback: scan the element for the path *)
@@ -230,7 +225,7 @@ let make ~element ~index =
                   not
                     (Ji.find_parts_span index ~start:elem.Ji.sp_start ~stop:elem.Ji.sp_stop
                        ~parts sp)
-                then absent sp ~at:elem.Ji.sp_start
+                then Ji.absent sp ~at:elem.Ji.sp_start
           in
           let a = accessor ~ty:(Source.field_type elem_ty f) (sp, resolve) in
           Hashtbl.replace elem_field_cache f a;

@@ -498,6 +498,33 @@ let test_json_index_honest_footprint () =
         Alcotest.failf "byte_size %d, heap %d" size held)
     [ shuffled_doc 3000; String.concat "\n" (List.init 500 (fun _ -> fixed_src)); flexible_src ^ "\n" ]
 
+(* A duplicated member name resolves to its first occurrence. *)
+let test_json_index_duplicate_name () =
+  let idx = Json_index.build {|{"b":0,"a":1,"c":{"d":5},"a":2} {"a":3,"a":4}|} in
+  let sp = Json_index.make_span () and id = Option.get (Json_index.path_id idx "a") in
+  List.iter
+    (fun (obj, expect) ->
+      Json_index.field_span idx ~obj ~id sp;
+      Alcotest.(check int) "first a" expect (Json_index.span_int idx sp))
+    [ (0, 1); (1, 3) ]
+
+(* Every object its own layout, with member names drawn from the data
+   (a top-level key and a nested map's key): the index grows with the
+   input, not with layouts times paths. *)
+let test_json_index_unique_names () =
+  let ratio n =
+    let src =
+      String.concat "\n"
+        (List.init n (fun i -> Fmt.str {|{"id":%d,"k%d":1,"counts":{"w%d":%d}}|} i i i i))
+    in
+    let idx = Json_index.build src in
+    Alcotest.(check int) "one layout per object" n (Json_index.layout_count idx);
+    float_of_int (Json_index.byte_size idx) /. float_of_int (String.length src)
+  in
+  let small = ratio 500 and large = ratio 8000 in
+  if large > 12. || large > 1.25 *. small then
+    Alcotest.failf "index/input %.1f at 500 objects, %.1f at 8000" small large
+
 (* --- JSON index against the per-object reference build ------------------- *)
 
 (* The index as it was once built, restated as the oracle: every object
@@ -986,6 +1013,8 @@ let () =
           Alcotest.test_case "build allocation" `Quick test_json_index_build_allocation;
           Alcotest.test_case "unnest allocation" `Quick test_json_index_unnest_allocation;
           Alcotest.test_case "honest footprint" `Quick test_json_index_honest_footprint;
+          Alcotest.test_case "unique member names" `Quick test_json_index_unique_names;
+          Alcotest.test_case "duplicate member name" `Quick test_json_index_duplicate_name;
         ]
         @ qsuite [ json_index_agrees_prop; json_index_reference_prop ] );
       ( "numparse",
