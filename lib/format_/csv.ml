@@ -37,14 +37,18 @@ let render_value (v : Value.t) =
 (* A trailing separator ends a row without an empty last field, so an
    empty last field is written with one more separator: [2,,] reads back
    as [2] and an empty field, [,] as one empty field, where [2,] and a
-   blank line would lose it. *)
+   blank line would lose it. An empty string is written quoted, [""], so a
+   nullable column does not read it back as null. *)
 let write_row buf config values =
   let n = Array.length values in
   for i = 0 to n - 1 do
     if i > 0 then Buffer.add_char buf config.separator;
-    let s = render_value values.(i) in
-    write_field buf config s;
-    if i = n - 1 && s = "" then Buffer.add_char buf config.separator
+    match values.(i) with
+    | Value.String "" -> Buffer.add_string buf {|""|}
+    | v ->
+      let s = render_value v in
+      write_field buf config s;
+      if i = n - 1 && s = "" then Buffer.add_char buf config.separator
   done;
   Buffer.add_char buf '\n'
 

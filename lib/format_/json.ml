@@ -52,7 +52,13 @@ let parse_string_lit src pos =
           | 't' -> Buffer.add_char buf '\t'
           | 'u' ->
             if i + 5 >= n then fail i "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub src (i + 2) 4) in
+            let hex code k =
+              match src.[k] with
+              | '0' .. '9' as c -> (code lsl 4) lor (Char.code c - 48)
+              | ('a' .. 'f' | 'A' .. 'F') as c -> (code lsl 4) lor ((Char.code c lor 32) - 87)
+              | _ -> fail i "bad escape %s" (String.sub src i 6)
+            in
+            let code = hex (hex (hex (hex 0 (i + 2)) (i + 3)) (i + 4)) (i + 5) in
             (* Encode as UTF-8 (basic multilingual plane only). *)
             if code < 0x80 then Buffer.add_char buf (Char.chr code)
             else if code < 0x800 then begin

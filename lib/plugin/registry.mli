@@ -1,8 +1,11 @@
-(** The plug-in runtime: builds (and memoizes) structural indexes on first
-    access, collects cold-access statistics into the catalog (Section 5.2
-    "Enabling Cost-based Optimizations"), and splices the caching manager
-    into scans — serving cached binary columns instead of raw bytes, and
-    filling new caches as a side-effect of scanning (Section 6). *)
+(** The plug-in runtime (DESIGN.md "Plug-in runtime"), the public face of
+    three modules. [Source_catalog] keeps one entry per dataset, built on
+    first touch with its structural index and cold-access statistics
+    (Section 5.2): it holds {!source} to {!index_info}, {!invalidate} and
+    {!extend}, the interposer and {!install_factory}. [Scans] holds the
+    column reads, fill sessions and scans, which splice the caching manager
+    in (Section 6). [Shard_sets] holds the rest, and resets its own state
+    of a dataset in {!invalidate} and {!extend}. *)
 
 open Proteus_catalog
 
@@ -117,8 +120,8 @@ val extend : t -> string -> tail:(Source.t -> from:int -> unit) -> bool
     stalls and flaky members. *)
 type interposer = string -> (unit -> Source.t) -> unit -> Source.t
 
-(** Install (or clear) the interposer; resolved factories are dropped so
-    the change takes effect on the next build. *)
+(** Install (or clear) the interposer. Every entry's views are wrapped
+    anew at once (an installed factory gives way); artifacts are kept. *)
 val set_interposer : t -> interposer option -> unit
 
 val interposer : t -> interposer option
@@ -148,16 +151,13 @@ val breaker_states : t -> (string * Proteus_resilience.Breaker.state) list
     the scatter will skip anyway. *)
 val breaker_blocked : t -> string -> bool
 
-(** A segmented cache-fill in flight: per-range column builders keyed by
-    their start row, committed in ascending start order with one [Array.blit]
-    per segment — so a cold run installs columns bit-identical at every
-    width. Created by a filling {!scan} and shared across the
-    {!scan_view}s of the fleet that drives it, whose driver runs
-    {!session_arm} before the run, {!session_commit} after a clean one, and
-    {!session_release} when the run raises. A session whose run recorded
-    errors (skipped rows leave compacted, hole-y segments) is
-    quarantined at commit, never installed — the DESIGN.md section 10
-    install-on-commit contract, kept on the morsel spine. *)
+(** A segmented cache fill in flight: per-range column builders keyed by
+    their start row, committed in start order, so a cold run installs
+    columns bit-identical at every width. A filling {!scan} creates it and
+    its fleet's {!scan_view}s share it; the driver runs {!session_arm}
+    before the run, {!session_commit} after a clean one (a run that
+    recorded errors is quarantined, never installed: DESIGN.md section 10)
+    and {!session_release} when the run raises. *)
 type fill_session
 
 val session_arm : fill_session -> unit
@@ -171,24 +171,21 @@ type scan = {
           binary cache columns *)
   sc_count : int;  (** row count of the underlying source *)
   sc_range : lo:int -> hi:int -> on_tuple:(unit -> unit) -> unit;
-      (** scan one OID morsel [lo, hi) — every scan is driven morsel by
-          morsel; with a fill session it fills one cache segment keyed by
-          [lo] as a side effect *)
+      (** scan one OID morsel [lo, hi); with a fill session it fills one
+          cache segment keyed by [lo] as a side effect *)
   sc_range_batches :
     lo:int -> hi:int -> batch:int -> on_batch:(base:int -> len:int -> unit) -> unit;
       (** one OID morsel as fixed-size batches (the batch lane's driver);
           never fills inline — the driver fills per batch through
           [sc_fill_sel] *)
   sc_fill : fill_session option;
-      (** the scan's fill session: a filling {!scan} exposes the session
-          its policy elected here so the fleet driver can run the
-          arm/commit/release lifecycle and share it with per-worker views *)
+      (** a filling {!scan}'s session, for the fleet driver to run and
+          share with per-worker views *)
   sc_fill_sel : (base:int -> sel:int array -> n:int -> unit) option;
       (** [sc_fill_sel ~base ~sel ~n] fills rows [base + sel.(0..n-1)] into
-          a fresh segment keyed by [base] — the batch lane's fill: called on
-          the probe-surviving selection of each batch, before query filters
-          narrow it. Vector-capable paths gather through the plug-in's
-          native batch fill; the rest seek per selected row. *)
+          a fresh segment keyed by [base]: the batch lane's fill, called on
+          each batch's probe-surviving selection before query filters
+          narrow it *)
   sc_probe : (unit -> unit) option;
       (** reads every fallible accessor the query requires at the current
           cursor (plus the format's structural validator and, when [whole],

@@ -8,8 +8,8 @@
    Concurrency protocol (lock order: entry mutex > compile mutex > cache
    mutex — outer locks may take inner ones, never the reverse):
    - [t.compile_mu] serializes optimize/parameterize/stage, re-stages
-     included: the registry's lazily-built artifacts (structural indexes,
-     cold statistics, source factories) are built from one domain at a time.
+     included, so two cold stagings of one dataset do not both pay its
+     index build (the registry installs one entry either way).
    - [t.mu] guards only the table and the counters, and is NEVER held
      across staging or a run, so a hit never waits behind a compile.
    - each entry carries its own run mutex: a staged engine owns cursor

@@ -176,6 +176,47 @@ let test_csv_nullable_every_type () =
     [ (Proteus_engine.Executor.Engine_compiled, 0); (Proteus_engine.Executor.Engine_compiled, 1024);
       (Proteus_engine.Executor.Engine_volcano, 0) ]
 
+(* An empty string, a null and "x" read back as written from a nullable
+   string column, in the middle and in the last position, on both engines. *)
+let test_csv_empty_string_roundtrip () =
+  let module Plan = Proteus_algebra.Plan in
+  let module Executor = Proteus_engine.Executor in
+  let open Proteus_catalog in
+  let str = Ptype.Option Ptype.String in
+  let schema = Schema.make [ ("k", Ptype.Int); ("s", str); ("t", str) ] in
+  let vals = [| Value.String ""; Value.Null; Value.String "x" |] in
+  let records =
+    List.init 9 (fun k ->
+        Value.record [ ("k", Value.Int k); ("s", vals.(k / 3)); ("t", vals.(k mod 3)) ])
+  in
+  let src = Csv.of_records cfg schema records in
+  Alcotest.(check (list check_value)) "read_all" records (Csv.read_all cfg schema src);
+  let cat = Catalog.create () in
+  Proteus_storage.Memory.register_blob (Catalog.memory cat) ~name:"e" src;
+  Catalog.register cat
+    (Dataset.make ~name:"e" ~format:(Dataset.Csv cfg) ~location:(Dataset.Blob "e")
+       ~element:(Schema.to_type schema));
+  let reg = Proteus_plugin.Registry.create cat in
+  let field f = Expr.(Field (var "x", f)) in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun r ->
+          let k = Value.field r "k" in
+          List.iter
+            (fun f ->
+              Alcotest.check check_value
+                (Fmt.str "%a.%s" Value.pp k f)
+                (Value.Coll (Ptype.Bag, [ Value.field r f ]))
+                (Executor.run reg ~engine
+                   (Plan.reduce
+                      ~pred:Expr.(field "k" ==. Const k)
+                      [ Plan.agg ~name:"v" (Monoid.Collection Ptype.Bag) (field f) ]
+                      (Plan.scan ~dataset:"e" ~binding:"x" ()))))
+            [ "s"; "t" ])
+        records)
+    [ Executor.Engine_compiled; Executor.Engine_volcano ]
+
 (* --- CSV structural index ------------------------------------------------ *)
 
 let wide_row i =
@@ -269,6 +310,25 @@ let test_json_malformed () =
            false
          with Perror.Parse_error _ -> true))
     [ "{"; "{\"a\":}"; "[1,]"; "tru"; "\"unterminated"; "{\"a\" 1}" ]
+
+(* A \u escape with a non-hex digit is a parse error at the escape: in
+   a member name, in a value read through the index, and in the parser. *)
+let test_json_bad_unicode_escape () =
+  let at pos what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no error" what
+    | exception Perror.Parse_error { pos = p; _ } -> Alcotest.(check int) what pos p
+  in
+  at 3 "member name" (fun () -> Json_index.build {|{"a\uZZZZ":1}|});
+  let idx = Json_index.build {|{"a":"x\u12G4"}|} in
+  at 7 "value" (fun () ->
+      match Json_index.slot idx "a" with
+      | Some slot ->
+        let e = Json_index.make_span () in
+        Json_index.entry_span idx ~obj:0 ~slot e;
+        Json_index.span_string idx e
+      | None -> Alcotest.fail "no slot for a");
+  at 2 "parser" (fun () -> Json.parse_string {|["\u_123"]|})
 
 let test_json_value_conversion () =
   let v = Json.to_value (Json.parse_string {|{"a":1,"kids":[{"n":"x"}]}|}) in
@@ -974,6 +1034,7 @@ let () =
           Alcotest.test_case "empty optional" `Quick test_csv_empty_field_null;
           Alcotest.test_case "null last field roundtrip" `Quick test_csv_null_last_roundtrip;
           Alcotest.test_case "nullable every type" `Quick test_csv_nullable_every_type;
+          Alcotest.test_case "empty string roundtrip" `Quick test_csv_empty_string_roundtrip;
           Alcotest.test_case "header" `Quick test_csv_header;
           Alcotest.test_case "bad int" `Quick test_csv_bad_int;
           Alcotest.test_case "row arity" `Quick test_csv_row_arity;
@@ -992,6 +1053,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "sequence" `Quick test_json_seq;
           Alcotest.test_case "malformed" `Quick test_json_malformed;
+          Alcotest.test_case "bad \\u escape" `Quick test_json_bad_unicode_escape;
           Alcotest.test_case "to_value" `Quick test_json_value_conversion;
         ]
         @ qsuite [ json_roundtrip_prop ] );
