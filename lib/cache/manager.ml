@@ -74,14 +74,8 @@ type t = {
          generation, which retires staged engines that baked in the
          pre-promotion layout (no zone skip, undictionarized probes) *)
   mutable promo_fired : (string * string) list;  (* pending hook calls *)
-  fields : (string * string, field) Hashtbl.t;    (* (dataset, path) *)
+  columns : (string, (string, column) Hashtbl.t) Hashtbl.t;  (* dataset -> path *)
   packed : (string, Cache_iface.packed * string list) Hashtbl.t;  (* key -> (cols, datasets) *)
-  (* workload-adaptive promotion (adaptive storage 2.0): per-column access
-     accounting, promoted-column set, and zone-map side structures *)
-  access : (string * string, access_acc) Hashtbl.t;
-  promoted : (string * string, unit) Hashtbl.t;
-  zones : (string * string, Zonemap.t) Hashtbl.t;
-  projections : (string * string, Projection.t) Hashtbl.t;
   mutable field_hits : int;
   mutable field_misses : int;
   mutable field_stores : int;
@@ -102,17 +96,28 @@ type t = {
   mutable layouts_dropped : int;
 }
 
-(* A cached column and where it came from: [slot] marks one the registry
-   materialized straight from format-index spans, so its hits are slot
-   reads. The mark lives and dies with the entry — a drop or an eviction
-   takes it away, so a later refill starts unmarked; an append extending
-   the column keeps it. *)
-and field = { col : Column.t; slot : bool }
-
-and access_acc = {
-  mutable reads : int;      (* cache-lookup hits for the column *)
+(* Everything the manager knows of one (dataset, path). The resident part
+   is the arena block and what was derived from its rows; an eviction or a
+   drop takes it as a unit. The access counts and the promotion flag are
+   the workload's evidence: they outlive eviction (a refill installs in the
+   promoted layout) and go only when the dataset changes. *)
+and column = {
+  id : string;  (* the arena block id *)
+  mutable resident : resident option;
+  mutable reads : int;      (* cache-lookup hits *)
   mutable selective : int;  (* queries that compiled a comparison over it *)
   mutable ranged : int;     (* of those, range (not equality) comparisons *)
+  mutable promoted : bool;
+}
+
+(* [slot] marks a column the registry materialized straight from
+   format-index spans, so its hits are slot reads; a refill after eviction
+   starts unmarked, an append extending the column keeps the mark. *)
+and resident = {
+  mutable col : Column.t;
+  mutable slot : bool;
+  mutable zones : Zonemap.t option;
+  mutable projection : Projection.t option;
 }
 
 let create ?(config = default_config) catalog =
@@ -123,12 +128,8 @@ let create ?(config = default_config) catalog =
     mu = Mutex.create ();
     on_promote = [];
     promo_fired = [];
-    fields = Hashtbl.create 32;
+    columns = Hashtbl.create 16;
     packed = Hashtbl.create 16;
-    access = Hashtbl.create 32;
-    promoted = Hashtbl.create 8;
-    zones = Hashtbl.create 8;
-    projections = Hashtbl.create 8;
     field_hits = 0;
     field_misses = 0;
     field_stores = 0;
@@ -169,30 +170,65 @@ let with_mu t f =
 let set_on_promote t h =
   with_mu t (fun () -> t.on_promote <- t.on_promote @ [ h ])
 
-let field_id dataset path = Fmt.str "field:%s:%s" dataset path
-
 let packed_id key = "packed:" ^ key
 
 let packed_size (p : Cache_iface.packed) =
   List.fold_left (fun acc (_, c) -> acc + Column.byte_size c) 0 p.Cache_iface.cols
 
+(* --- the per-column records ---------------------------------------------- *)
+
+let find t ~dataset ~path =
+  match Hashtbl.find_opt t.columns dataset with
+  | Some paths -> Hashtbl.find_opt paths path
+  | None -> None
+
+(* The record of [dataset.path], made on first use. *)
+let column t ~dataset ~path =
+  let paths =
+    match Hashtbl.find_opt t.columns dataset with
+    | Some paths -> paths
+    | None ->
+      let paths = Hashtbl.create 8 in
+      Hashtbl.replace t.columns dataset paths;
+      paths
+  in
+  match Hashtbl.find_opt paths path with
+  | Some c -> c
+  | None ->
+    let c =
+      { id = Fmt.str "field:%s:%s" dataset path; resident = None; reads = 0; selective = 0;
+        ranged = 0; promoted = false }
+    in
+    Hashtbl.replace paths path c;
+    c
+
+let resident t ~dataset ~path =
+  match find t ~dataset ~path with Some { resident; _ } -> resident | None -> None
+
+let resident_bytes_of paths =
+  Hashtbl.fold
+    (fun _ c acc ->
+      match c.resident with Some r -> acc + Column.byte_size r.col | None -> acc)
+    paths 0
+
+(* Drop a column's block: the resident part goes as a unit, as on an
+   eviction (the block's [on_evict]); the evidence stays. *)
+let drop_resident t c =
+  if Option.is_some c.resident then begin
+    c.resident <- None;
+    Memory.Arena.remove t.arena c.id
+  end
+
 (* --- workload-adaptive promotion (adaptive storage 2.0) ------------------ *)
 
-let access_acc t key =
-  match Hashtbl.find_opt t.access key with
-  | Some a -> a
-  | None ->
-    let a = { reads = 0; selective = 0; ranged = 0 } in
-    Hashtbl.replace t.access key a;
-    a
+let is_promoted t ~dataset ~path =
+  match find t ~dataset ~path with Some c -> c.promoted | None -> false
 
-let is_promoted t ~dataset ~path = Hashtbl.mem t.promoted (dataset, path)
-
-let build_zones t (dataset, path) col =
-  if not (Hashtbl.mem t.zones (dataset, path)) then
-    match Zonemap.of_column col with
+let build_zones t ~dataset ~path r =
+  if Option.is_none r.zones then
+    match Zonemap.of_column r.col with
     | Some zm ->
-      Hashtbl.replace t.zones (dataset, path) zm;
+      r.zones <- Some zm;
       t.zone_maps <- t.zone_maps + 1;
       Log.info (fun m ->
           m "zone map for %s.%s: %d zones x %d rows" dataset path (Zonemap.zones zm)
@@ -203,17 +239,12 @@ let build_zones t (dataset, path) col =
    workload showed RANGE predicates earn the sort + permutation — equality
    probes and plain reads are already served by zone maps/dictionaries, and
    on unclustered data only the value order can prove morsels empty. *)
-let build_projection t (dataset, path) col =
-  if
-    t.config.promote_projections
-    && (not (Hashtbl.mem t.projections (dataset, path)))
-    && (access_acc t (dataset, path)).ranged > 0
-  then
-    match Projection.of_column col with
+let build_projection t ~dataset ~path c r =
+  if t.config.promote_projections && Option.is_none r.projection && c.ranged > 0 then
+    match Projection.of_column r.col with
     | Some pr ->
-      Hashtbl.replace t.projections (dataset, path) pr;
+      r.projection <- Some pr;
       t.sorted_projections <- t.sorted_projections + 1;
-      Stats.note_rich_layout (Catalog.stats t.catalog dataset) path;
       Log.info (fun m ->
           m "sorted projection for %s.%s: %d rows (%d bytes)" dataset path
             (Projection.rows pr) (Projection.byte_size pr))
@@ -223,103 +254,89 @@ let build_projection t (dataset, path) col =
    lexicographic; built in one pass when the column is already filled,
    otherwise at the next fill commit) and — when the workload showed range
    predicates — a sorted projection; string columns re-encode as
-   dictionaries in place. Costing learns about it through the catalog
-   statistics. *)
-let promote_now t dataset path =
-  Hashtbl.replace t.promoted (dataset, path) ();
+   dictionaries in place. *)
+let promote_now t ~dataset ~path c =
+  c.promoted <- true;
   t.promotions <- t.promotions + 1;
   t.promo_fired <- (dataset, path) :: t.promo_fired;
-  Stats.note_promoted (Catalog.stats t.catalog dataset) path;
-  (match Hashtbl.find_opt t.fields (dataset, path) with
-  | Some ({ col; _ } as f) -> (
-    build_zones t (dataset, path) col;
-    build_projection t (dataset, path) col;
-    match Column.promote_strings col with
-    | Some dcol when dcol != col ->
-      Hashtbl.replace t.fields (dataset, path) { f with col = dcol };
+  (match c.resident with
+  | Some r -> (
+    build_zones t ~dataset ~path r;
+    build_projection t ~dataset ~path c r;
+    match Column.promote_strings r.col with
+    | Some dcol when dcol != r.col ->
+      r.col <- dcol;
       t.dict_columns <- t.dict_columns + 1
     | Some _ | None -> ())
   | None -> ());
   Log.info (fun m -> m "promoted %s.%s" dataset path)
 
-let maybe_promote t dataset path =
-  if t.config.promote && not (is_promoted t ~dataset ~path) then begin
-    let acc = access_acc t (dataset, path) in
-    if acc.reads + acc.selective >= t.config.promote_threshold then
-      promote_now t dataset path
-  end
+let maybe_promote t ~dataset ~path c =
+  if t.config.promote && (not c.promoted) && c.reads + c.selective >= t.config.promote_threshold
+  then promote_now t ~dataset ~path c
 
 let note_selective t ~dataset ~path ~ranged =
   if t.config.promote then begin
-    let acc = access_acc t (dataset, path) in
-    acc.selective <- acc.selective + 1;
+    let c = column t ~dataset ~path in
+    c.selective <- c.selective + 1;
     if ranged then begin
-      acc.ranged <- acc.ranged + 1;
+      c.ranged <- c.ranged + 1;
       (* range evidence arriving after promotion still upgrades the layout:
          the column is in hand, so the projection builds right here *)
-      if is_promoted t ~dataset ~path then
-        match Hashtbl.find_opt t.fields (dataset, path) with
-        | Some { col; _ } -> build_projection t (dataset, path) col
-        | None -> ()
+      match c.resident with
+      | Some r when c.promoted -> build_projection t ~dataset ~path c r
+      | Some _ | None -> ()
     end;
-    maybe_promote t dataset path
+    maybe_promote t ~dataset ~path c
   end
 
 let lookup_zones t ~dataset ~path =
-  if is_promoted t ~dataset ~path then Hashtbl.find_opt t.zones (dataset, path)
-  else None
+  match find t ~dataset ~path with
+  | Some { promoted = true; resident = Some r; _ } -> r.zones
+  | Some _ | None -> None
 
 let lookup_projection t ~dataset ~path =
-  if is_promoted t ~dataset ~path then
-    Hashtbl.find_opt t.projections (dataset, path)
-  else None
+  match find t ~dataset ~path with
+  | Some { promoted = true; resident = Some r; _ } -> r.projection
+  | Some _ | None -> None
 
 (* The registry reports a promotion-time materialization straight from a
-   format index (pre-parsed slot column) — provenance on the installed
-   entry, bookkeeping and a costing signal. A block the arena refused has
-   no entry, and no slot column. *)
+   format index (pre-parsed slot column): provenance on the installed
+   entry, and bookkeeping. A block the arena refused has no entry, and no
+   slot column. *)
 let note_slot_column t ~dataset ~path =
-  match Hashtbl.find_opt t.fields (dataset, path) with
-  | Some f ->
-    Hashtbl.replace t.fields (dataset, path) { f with slot = true };
+  match resident t ~dataset ~path with
+  | Some r ->
+    r.slot <- true;
     t.slot_columns <- t.slot_columns + 1;
-    Stats.note_rich_layout (Catalog.stats t.catalog dataset) path;
     Log.info (fun m -> m "slot column materialized for %s.%s" dataset path)
   | None -> ()
 
 let slot_column t ~dataset ~path =
-  match Hashtbl.find_opt t.fields (dataset, path) with
-  | Some f -> f.slot
-  | None -> false
+  match resident t ~dataset ~path with Some r -> r.slot | None -> false
 
 let lookup_field t ~dataset ~path =
-  match Hashtbl.find_opt t.fields (dataset, path) with
-  | Some _ ->
+  match find t ~dataset ~path with
+  | Some ({ resident = Some r; _ } as c) ->
     t.field_hits <- t.field_hits + 1;
-    ignore (Memory.Arena.touch t.arena (field_id dataset path));
+    ignore (Memory.Arena.touch t.arena c.id);
     if t.config.promote then begin
-      let acc = access_acc t (dataset, path) in
-      acc.reads <- acc.reads + 1;
-      maybe_promote t dataset path
+      c.reads <- c.reads + 1;
+      maybe_promote t ~dataset ~path c
     end;
     (* the promotion may just have swapped the layout in place *)
-    Option.map (fun f -> f.col) (Hashtbl.find_opt t.fields (dataset, path))
-  | None ->
+    Some r.col
+  | Some _ | None ->
     t.field_misses <- t.field_misses + 1;
     None
 
-(* A field block's eviction takes its side structures with it. *)
-let evict_field t key () =
-  Hashtbl.remove t.fields key;
-  Hashtbl.remove t.zones key;
-  Hashtbl.remove t.projections key
-
 let store_field t ~dataset ~path ~bias col =
+  let c = column t ~dataset ~path in
   (* An already-promoted string column installs directly in its dictionary
      layout (e.g. a re-fill after eviction, or the first fill after the
      selective-conjunct feedback crossed the threshold). *)
   let col =
-    if is_promoted t ~dataset ~path then (
+    if c.promoted then (
       match Column.promote_strings col with
       | Some dcol when dcol != col ->
         t.dict_columns <- t.dict_columns + 1;
@@ -328,33 +345,38 @@ let store_field t ~dataset ~path ~bias col =
       | None -> col)
     else col
   in
-  let id = field_id dataset path in
   let size = Column.byte_size col in
-  (* a fill landing on a resident slot column (its query elected the fill
-     before the promotion hook materialized the column) stores the same
-     rows: the entry stays a slot column *)
-  let slot =
-    match Hashtbl.find_opt t.fields (dataset, path) with
-    | Some f -> f.slot
-    | None -> false
-  in
-  (match Memory.Arena.put t.arena ~id ~size ~bias ~on_evict:(evict_field t (dataset, path)) with
+  match
+    Memory.Arena.put t.arena ~id:c.id ~size ~bias ~on_evict:(fun () -> c.resident <- None)
+  with
   | () ->
-    Hashtbl.replace t.fields (dataset, path) { col; slot };
+    (* a fill landing on a resident column (its query elected the fill
+       before the promotion hook materialized a slot column) stores the
+       same rows: the mark and the side structures stay *)
+    let r =
+      match c.resident with
+      | Some r ->
+        r.col <- col;
+        r
+      | None ->
+        let r = { col; slot = false; zones = None; projection = None } in
+        c.resident <- Some r;
+        r
+    in
     t.field_stores <- t.field_stores + 1;
     (* fill-session commit lands here: record the zone-map (and, for
        promoted range-hot columns, the sorted-projection) side structures
        alongside the block while the column is in hand (one pass) *)
     if t.config.promote then begin
-      build_zones t (dataset, path) col;
-      if is_promoted t ~dataset ~path then build_projection t (dataset, path) col
+      build_zones t ~dataset ~path r;
+      if c.promoted then build_projection t ~dataset ~path c r
     end;
     Log.info (fun m -> m "cached %s.%s (%d bytes)" dataset path size);
     true
   | exception Invalid_argument _ ->
     (* larger than the whole arena: skip caching rather than fail the query *)
     Log.warn (fun m -> m "cache column %s.%s larger than arena; skipped" dataset path);
-    false)
+    false
 
 (* The fewest bytes a column of [rows] values of [ty] can take
    ([Column.byte_size]): a byte per bool, a word per other value (a code,
@@ -483,29 +505,21 @@ let stats t = with_mu t @@ fun () ->
     layouts_dropped = t.layouts_dropped;
   }
 
-let field_bytes_for t ~dataset = with_mu t @@ fun () ->
-  Hashtbl.fold
-    (fun (ds, _) { col; _ } acc ->
-      if String.equal ds dataset then acc + Column.byte_size col else acc)
-    t.fields 0
+let field_bytes t ~dataset =
+  match Hashtbl.find_opt t.columns dataset with
+  | Some paths -> resident_bytes_of paths
+  | None -> 0
+
+let field_bytes_for t ~dataset = with_mu t (fun () -> field_bytes t ~dataset)
 
 let bytes_for t ~dataset = with_mu t @@ fun () ->
-  let fields =
-    Hashtbl.fold
-      (fun (ds, _) { col; _ } acc ->
-        if String.equal ds dataset then acc + Column.byte_size col else acc)
-      t.fields 0
-  in
-  let packed =
-    Hashtbl.fold
-      (fun _ (p, datasets) acc ->
-        if List.mem dataset datasets then acc + packed_size p else acc)
+  field_bytes t ~dataset
+  + Hashtbl.fold
+      (fun _ (p, datasets) acc -> if List.mem dataset datasets then acc + packed_size p else acc)
       t.packed 0
-  in
-  fields + packed
 
 let resident_bytes t = with_mu t @@ fun () ->
-  Hashtbl.fold (fun _ { col; _ } acc -> acc + Column.byte_size col) t.fields 0
+  Hashtbl.fold (fun _ paths acc -> acc + resident_bytes_of paths) t.columns 0
   + Hashtbl.fold (fun _ (p, _) acc -> acc + packed_size p) t.packed 0
 
 (* Plan-derived results over [dataset]: materialized join sides. *)
@@ -521,28 +535,15 @@ let drop_plan_results t ~dataset =
       Memory.Arena.remove t.arena (packed_id key))
     packed_keys
 
-let keys_of tbl dataset =
-  Hashtbl.fold
-    (fun (ds, path) _ acc -> if String.equal ds dataset then (ds, path) :: acc else acc)
-    tbl []
-
-let drop_field t (ds, path) =
-  Hashtbl.remove t.fields (ds, path);
-  Memory.Arena.remove t.arena (field_id ds path)
-
+(* The dataset changed: its columns' records go whole — the resident parts
+   and the access history and promotions derived from its old contents. *)
 let invalidate_dataset t ~dataset = with_mu t @@ fun () ->
-  List.iter (drop_field t) (keys_of t.fields dataset);
-  drop_plan_results t ~dataset;
-  (* the dataset changed: access history, promotions and zone maps derived
-     from its old contents are stale *)
-  List.iter (Hashtbl.remove t.access) (keys_of t.access dataset);
-  List.iter (Hashtbl.remove t.zones) (keys_of t.zones dataset);
-  List.iter (Hashtbl.remove t.projections) (keys_of t.projections dataset);
-  List.iter
-    (fun (ds, path) ->
-      Hashtbl.remove t.promoted (ds, path);
-      Stats.drop_promoted (Catalog.stats t.catalog ds) path)
-    (keys_of t.promoted dataset)
+  (match Hashtbl.find_opt t.columns dataset with
+  | Some paths ->
+    Hashtbl.iter (fun _ c -> drop_resident t c) paths;
+    Hashtbl.remove t.columns dataset
+  | None -> ());
+  drop_plan_results t ~dataset
 
 (* The appended rows [from, count) of one cached path, read through the
    grown source; [None] when a row does not read cleanly — a fill over the
@@ -555,6 +556,21 @@ let tail_column (src : Proteus_plugin.Source.t) ~from path =
   | col -> Some col
   | exception (Perror.Parse_error _ | Perror.Type_error _ | Perror.Plan_error _) -> None
 
+(* Grow one resident column by [tail]; [false] when the rows do not join
+   (mismatched layouts) or the grown block outgrows the whole arena. *)
+let grow_resident t ~bias c r tail =
+  match Column.append r.col tail with
+  | col -> (
+    match
+      Memory.Arena.put t.arena ~id:c.id ~size:(Column.byte_size col) ~bias
+        ~on_evict:(fun () -> c.resident <- None)
+    with
+    | () ->
+      r.col <- col;
+      true
+    | exception Invalid_argument _ -> false)
+  | exception Invalid_argument _ -> false
+
 (* An append grew [dataset] from [from] rows to [src]'s count. Rows
    [0, from) did not change, so everything derived from them stays:
    cached columns keep their rows and gain the appended ones, zone maps and
@@ -563,75 +579,52 @@ let tail_column (src : Proteus_plugin.Source.t) ~from path =
    drops its column, a NaN drops a projection). Join sides are
    plan-derived and dropped. *)
 let extend_dataset t ~dataset ~source ~from =
-  let d = Catalog.find t.catalog dataset in
-  let paths = with_mu t (fun () -> keys_of t.fields dataset) in
+  let bias = Dataset.bias (Catalog.find t.catalog dataset).Dataset.format in
+  let cached =
+    with_mu t (fun () ->
+        match Hashtbl.find_opt t.columns dataset with
+        | Some paths ->
+          Hashtbl.fold
+            (fun path c acc -> match c.resident with Some _ -> (path, c) :: acc | None -> acc)
+            paths []
+        | None -> [])
+  in
   (* the parsing happens outside the lock *)
-  let tails = List.map (fun key -> (key, tail_column source ~from (snd key))) paths in
+  let tails = List.map (fun (path, c) -> (c, tail_column source ~from path)) cached in
   with_mu t @@ fun () ->
   drop_plan_results t ~dataset;
   let extended () = t.layouts_extended <- t.layouts_extended + 1 in
   let dropped () = t.layouts_dropped <- t.layouts_dropped + 1 in
+  (* a side structure that the tail broke goes; its column stays *)
+  let grow side extend col =
+    match side with
+    | None -> None
+    | Some s -> (
+      match extend s col with
+      | Some _ as s ->
+        extended ();
+        s
+      | None ->
+        dropped ();
+        None)
+  in
   List.iter
-    (fun (key, tail) ->
-      match Hashtbl.find_opt t.fields key, tail with
-      | Some ({ col; _ } as f), Some tail when Column.length col = from -> (
-        let grown =
-          match Column.append col tail with
-          | col -> (
-            match
-              Memory.Arena.put t.arena ~id:(field_id (fst key) (snd key))
-                ~size:(Column.byte_size col) ~bias:(Dataset.bias d.Dataset.format)
-                ~on_evict:(evict_field t key)
-            with
-            | () -> Some col
-            | exception Invalid_argument _ -> None (* larger than the whole arena *))
-          | exception Invalid_argument _ -> None (* mismatched layouts *)
-        in
-        match grown with
-        | Some col ->
-          Hashtbl.replace t.fields key { f with col };
-          t.tail_rows <- t.tail_rows + Column.length tail;
-          extended ();
-          let grow tbl f =
-            match Hashtbl.find_opt tbl key with
-            | None -> ()
-            | Some s -> (
-              match f s col with
-              | Some s ->
-                Hashtbl.replace tbl key s;
-                extended ()
-              | None ->
-                Hashtbl.remove tbl key;
-                dropped ())
-          in
-          grow t.zones Zonemap.extend;
-          grow t.projections Projection.extend
-        | None ->
-          drop_field t key;
-          dropped ())
+    (fun (c, tail) ->
+      match c.resident, tail with
+      | Some r, Some tail when Column.length r.col = from && grow_resident t ~bias c r tail ->
+        t.tail_rows <- t.tail_rows + Column.length tail;
+        extended ();
+        r.zones <- grow r.zones Zonemap.extend r.col;
+        r.projection <- grow r.projection Projection.extend r.col
       | Some _, _ ->
-        drop_field t key;
+        (* the side structures go with the column *)
+        drop_resident t c;
         dropped ()
       | None, _ -> ())
-    tails;
-  (* side structures never outlive their column *)
-  List.iter
-    (fun key ->
-      if not (Hashtbl.mem t.fields key) then begin
-        Hashtbl.remove t.zones key;
-        Hashtbl.remove t.projections key
-      end)
-    (keys_of t.zones dataset @ keys_of t.projections dataset)
+    tails
 
 let clear t = with_mu t @@ fun () ->
-  Hashtbl.iter (fun (ds, path) _ -> Memory.Arena.remove t.arena (field_id ds path)) t.fields;
+  Hashtbl.iter (fun _ paths -> Hashtbl.iter (fun _ c -> drop_resident t c) paths) t.columns;
   Hashtbl.iter (fun key _ -> Memory.Arena.remove t.arena (packed_id key)) t.packed;
-  Hashtbl.iter
-    (fun (ds, path) () -> Stats.drop_promoted (Catalog.stats t.catalog ds) path)
-    t.promoted;
-  Hashtbl.reset t.fields;
-  Hashtbl.reset t.packed;
-  Hashtbl.reset t.access;
-  Hashtbl.reset t.promoted;
-  Hashtbl.reset t.zones;
-  Hashtbl.reset t.projections
+  Hashtbl.reset t.columns;
+  Hashtbl.reset t.packed

@@ -133,7 +133,9 @@ val resident_bytes : t -> int
 
 (** [invalidate_dataset t ~dataset] drops every cache derived from the
     dataset (the paper's update handling: affected auxiliary structures are
-    dropped and rebuilt). *)
+    dropped and rebuilt): its cached columns with their zone maps and
+    sorted projections, their access history and promotions, and the
+    materialized join sides over it. *)
 val invalidate_dataset : t -> dataset:string -> unit
 
 (** [extend_dataset t ~dataset ~source ~from] follows an append that grew

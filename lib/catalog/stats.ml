@@ -110,38 +110,9 @@ type acc = {
   mutable sample : sample;
 }
 
-type t = {
-  mutable card : int option;
-  fields : (string, acc) Hashtbl.t;
-  promoted : (string, unit) Hashtbl.t;
-      (* paths the cache manager promoted to a richer layout (zone maps /
-         dictionaries): costing treats their scans as binary-column reads *)
-  rich : (string, unit) Hashtbl.t;
-      (* promoted paths that went further — sorted projection or pre-parsed
-         slot column: reads are binary-column speed with skipping on top *)
-}
+type t = { mutable card : int option; fields : (string, acc) Hashtbl.t }
 
-let create () =
-  {
-    card = None;
-    fields = Hashtbl.create 8;
-    promoted = Hashtbl.create 4;
-    rich = Hashtbl.create 4;
-  }
-
-let note_promoted t path = Hashtbl.replace t.promoted path ()
-
-let drop_promoted t path =
-  Hashtbl.remove t.promoted path;
-  Hashtbl.remove t.rich path
-
-let promoted t path = Hashtbl.mem t.promoted path
-
-let any_promoted t = Hashtbl.length t.promoted > 0
-
-let note_rich_layout t path = Hashtbl.replace t.rich path ()
-
-let any_rich_layout t = Hashtbl.length t.rich > 0
+let create () = { card = None; fields = Hashtbl.create 8 }
 
 let set_cardinality t n = t.card <- Some n
 
@@ -318,9 +289,7 @@ let selectivity t path ~op ~value =
 
 let clear t =
   t.card <- None;
-  Hashtbl.reset t.fields;
-  Hashtbl.reset t.promoted;
-  Hashtbl.reset t.rich
+  Hashtbl.reset t.fields
 
 let pp ppf t =
   Fmt.pf ppf "card=%a" Fmt.(option ~none:(any "?") int) t.card;

@@ -65,26 +65,6 @@ val selectivity : t -> string -> op:[ `Lt | `Le | `Gt | `Ge | `Eq ] -> value:Val
 
 val default_selectivity : float
 
-(** {1 Promoted layouts}
-
-    The caching manager records which field paths it promoted to richer
-    cached layouts (zone maps over numerics, dictionaries over strings), so
-    the cost model can price their scans as binary-column reads instead of
-    raw-format parses. *)
-
-val note_promoted : t -> string -> unit
-val drop_promoted : t -> string -> unit
-val promoted : t -> string -> bool
-val any_promoted : t -> bool
-
-(** Rich layouts go further than promotion: a sorted projection or a
-    pre-parsed slot column serves reads at (or below) binary-column cost
-    with morsel skipping on top, so costing discounts such scans more
-    aggressively. [drop_promoted] clears the rich mark too. *)
-
-val note_rich_layout : t -> string -> unit
-val any_rich_layout : t -> bool
-
 val clear : t -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -103,30 +103,39 @@ let compile_var_path (cenv : cenv) v path : compiled =
        never resolve to one *)
     Perror.plan_error "variable %s resolves to a parameter slot" v
 
+(* The operator tables of the binops, one per binop family, shared by the
+   scalar lane here and the batch lane below. [None]: the operands fall
+   back to boxed values ([Expr.apply_binop]). *)
+let int_arith : Expr.binop -> (int -> int -> int) option = function
+  | Add -> Some ( + )
+  | Sub -> Some ( - )
+  | Mul -> Some ( * )
+  | Div -> Some (fun a b -> if b = 0 then Perror.type_error "division by zero" else a / b)
+  | Mod -> Some (fun a b -> if b = 0 then Perror.type_error "modulo by zero" else a mod b)
+  | Eq | Neq | Lt | Le | Gt | Ge | And | Or | Concat | Like -> None
+
+let float_arith : Expr.binop -> (float -> float -> float) option = function
+  | Add -> Some ( +. )
+  | Sub -> Some ( -. )
+  | Mul -> Some ( *. )
+  | Div -> Some ( /. )
+  | Mod | Eq | Neq | Lt | Le | Gt | Ge | And | Or | Concat | Like -> None
+
+(* A comparison as a test on two ints: the operands themselves, or a
+   [compare] result against 0. *)
+let int_comparison : Expr.binop -> int -> int -> bool = function
+  | Eq -> ( = )
+  | Neq -> ( <> )
+  | Lt -> ( < )
+  | Le -> ( <= )
+  | Gt -> ( > )
+  | Ge -> ( >= )
+  | Add | Sub | Mul | Div | Mod | And | Or | Concat | Like -> assert false
+
 (* Numeric combination: stay in int when both sides are ints, widen to float
    otherwise; drop to boxed when a side is boxed. *)
 let arith op (l : compiled) (r : compiled) : compiled =
-  let int_op : (int -> int -> int) option =
-    match (op : Expr.binop) with
-    | Add -> Some ( + )
-    | Sub -> Some ( - )
-    | Mul -> Some ( * )
-    | Div ->
-      Some
-        (fun a b -> if b = 0 then Perror.type_error "division by zero" else a / b)
-    | Mod ->
-      Some (fun a b -> if b = 0 then Perror.type_error "modulo by zero" else a mod b)
-    | Eq | Neq | Lt | Le | Gt | Ge | And | Or | Concat | Like -> None
-  in
-  let float_op : (float -> float -> float) option =
-    match (op : Expr.binop) with
-    | Add -> Some ( +. )
-    | Sub -> Some ( -. )
-    | Mul -> Some ( *. )
-    | Div -> Some ( /. )
-    | Mod | Eq | Neq | Lt | Le | Gt | Ge | And | Or | Concat | Like -> None
-  in
-  match l, r, int_op, float_op with
+  match l, r, int_arith op, float_arith op with
   | C_int a, C_int b, Some iop, _ -> C_int (fun () -> iop (a ()) (b ()))
   | C_int a, C_float b, _, Some fop -> C_float (fun () -> fop (float_of_int (a ())) (b ()))
   | C_float a, C_int b, _, Some fop -> C_float (fun () -> fop (a ()) (float_of_int (b ())))
@@ -136,31 +145,17 @@ let arith op (l : compiled) (r : compiled) : compiled =
     C_val (fun () -> Expr.apply_binop op (lv ()) (rv ()))
 
 let comparison op (l : compiled) (r : compiled) : compiled =
-  let icmp : (int -> int -> bool) option =
-    match (op : Expr.binop) with
-    | Eq -> Some ( = )
-    | Neq -> Some ( <> )
-    | Lt -> Some ( < )
-    | Le -> Some ( <= )
-    | Gt -> Some ( > )
-    | Ge -> Some ( >= )
-    | Add | Sub | Mul | Div | Mod | And | Or | Concat | Like -> None
-  in
-  match icmp with
-  | None -> assert false
-  | Some cmp -> (
-    match l, r with
-    | C_int a, C_int b -> C_bool (fun () -> cmp (a ()) (b ()))
-    | C_float a, C_float b -> C_bool (fun () -> cmp (compare (a ()) (b ())) 0)
-    | C_int a, C_float b ->
-      C_bool (fun () -> cmp (compare (float_of_int (a ())) (b ())) 0)
-    | C_float a, C_int b ->
-      C_bool (fun () -> cmp (compare (a ()) (float_of_int (b ()))) 0)
-    | C_str a, C_str b -> C_bool (fun () -> cmp (String.compare (a ()) (b ())) 0)
-    | C_bool a, C_bool b -> C_bool (fun () -> cmp (compare (a ()) (b ())) 0)
-    | l, r ->
-      let lv = to_val l and rv = to_val r in
-      C_val (fun () -> Expr.apply_binop op (lv ()) (rv ())))
+  let cmp = int_comparison op in
+  match l, r with
+  | C_int a, C_int b -> C_bool (fun () -> cmp (a ()) (b ()))
+  | C_float a, C_float b -> C_bool (fun () -> cmp (compare (a ()) (b ())) 0)
+  | C_int a, C_float b -> C_bool (fun () -> cmp (compare (float_of_int (a ())) (b ())) 0)
+  | C_float a, C_int b -> C_bool (fun () -> cmp (compare (a ()) (float_of_int (b ()))) 0)
+  | C_str a, C_str b -> C_bool (fun () -> cmp (String.compare (a ()) (b ())) 0)
+  | C_bool a, C_bool b -> C_bool (fun () -> cmp (compare (a ()) (b ())) 0)
+  | l, r ->
+    let lv = to_val l and rv = to_val r in
+    C_val (fun () -> Expr.apply_binop op (lv ()) (rv ()))
 
 let rec compile (cenv : cenv) (e : Expr.t) : compiled =
   match path_of e with
@@ -395,26 +390,7 @@ let rec compile_batch (cenv : cenv) ~batch_size (e : Expr.t) : bcompiled option 
       | _ -> None)
     | Expr.Binop (((Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Mod) as op), l, r)
       -> (
-      let iop : (int -> int -> int) option =
-        match op with
-        | Expr.Add -> Some ( + )
-        | Expr.Sub -> Some ( - )
-        | Expr.Mul -> Some ( * )
-        | Expr.Div ->
-          Some (fun a b -> if b = 0 then Perror.type_error "division by zero" else a / b)
-        | Expr.Mod ->
-          Some (fun a b -> if b = 0 then Perror.type_error "modulo by zero" else a mod b)
-        | _ -> None
-      in
-      let fop : (float -> float -> float) option =
-        match op with
-        | Expr.Add -> Some ( +. )
-        | Expr.Sub -> Some ( -. )
-        | Expr.Mul -> Some ( *. )
-        | Expr.Div -> Some ( /. )
-        | _ -> None
-      in
-      match bc l, bc r, iop, fop with
+      match bc l, bc r, int_arith op, float_arith op with
       | Some (B_int (a, ka)), Some (B_int (b, kb)), Some iop, _ ->
         let out = Array.make bs 0 in
         Some
@@ -466,16 +442,7 @@ let rec compile_batch (cenv : cenv) ~batch_size (e : Expr.t) : bcompiled option 
       | _ -> None)
     | Expr.Binop
         (((Expr.Eq | Expr.Neq | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge) as op), l, r) -> (
-      let cmp : int -> int -> bool =
-        match op with
-        | Expr.Eq -> ( = )
-        | Expr.Neq -> ( <> )
-        | Expr.Lt -> ( < )
-        | Expr.Le -> ( <= )
-        | Expr.Gt -> ( > )
-        | Expr.Ge -> ( >= )
-        | _ -> assert false
-      in
+      let cmp = int_comparison op in
       let bool_out ka kb body =
         let out = Array.make bs false in
         Some

@@ -9,20 +9,6 @@ let format_factor = function
   | Dataset.Binary_row -> 1.2
   | Dataset.Binary_column -> 1.0
 
-(* Promotion discount: a dataset with workload-promoted cached columns
-   scans closer to binary-column speed — zone maps drop whole morsels of
-   selective scans and dictionary codes replace string materialization.
-   Halve the distance to the binary factor rather than claiming full
-   conversion: only the promoted columns, not every accessed field, earned
-   the cheaper layout. Rich layouts (sorted projections, pre-parsed slot
-   columns) go further — reads are binary-column speed with morsel
-   skipping on top, so the remaining distance quarters instead. *)
-let effective_format_factor st fmt =
-  let f = format_factor fmt in
-  if Stats.any_rich_layout st then 1.0 +. ((f -. 1.0) /. 4.0)
-  else if Stats.any_promoted st then 1.0 +. ((f -. 1.0) /. 2.0)
-  else f
-
 let default_cardinality = 1000
 
 let default_fanout = 3.0
@@ -145,8 +131,7 @@ let rec cost cat (p : Plan.t) : float =
   match p with
   | Plan.Scan { dataset; _ } ->
     let d = Catalog.find cat dataset in
-    scan_cardinality cat dataset
-    *. effective_format_factor (Catalog.stats cat dataset) d.Dataset.format
+    scan_cardinality cat dataset *. format_factor d.Dataset.format
   | Plan.Select { input; _ } -> cost cat input +. cardinality cat input
   | Plan.Join { left; right; _ } ->
     (* probe the left stream; build (materialize) the right side *)

@@ -21,7 +21,7 @@ type t = {
   note_slot_column : dataset:string -> path:string -> unit;
   slot_column : dataset:string -> path:string -> bool;
       (* a promoted path was materialized straight from format-index spans
-         (pre-parsed slot column); feeds manager stats and costing *)
+         (pre-parsed slot column); feeds manager stats *)
 }
 
 let disabled =

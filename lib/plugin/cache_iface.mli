@@ -57,7 +57,7 @@ type t = {
       (** the registry materialized a promoted path straight from a format
           index (pre-parsed slot column) and stored it: the manager marks
           the installed entry (no-op when the arena refused the block) —
-          provenance plus a stats/costing signal *)
+          provenance plus a stats signal *)
   slot_column : dataset:string -> path:string -> bool;
       (** whether the cached column of [dataset.path] is a pre-parsed slot
           column; the mark belongs to the cached entry, so a drop or an

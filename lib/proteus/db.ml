@@ -35,18 +35,27 @@ let set_caching ?(clear = false) t enabled =
   Registry.set_cache t.registry
     (if enabled then Manager.iface t.cache else Proteus_plugin.Cache_iface.disabled)
 
-(* An update must also reach shard sets containing [name]: the registry
-   already drops their concatenated views, but the caching manager keys on
-   the parent's dataset name. *)
-let invalidate_shard_parents t name =
-  List.iter
-    (fun parent -> Manager.invalidate_dataset t.cache ~dataset:parent)
-    (Registry.shard_parents t.registry name)
+(* The one path a dataset change takes: whatever was derived from [name]
+   goes — its registry entry (which takes the shard sets built over it),
+   and the cold statistics and cached columns of [name] and of every shard
+   set containing it (the next access collects and fills them afresh). An
+   append that [extended] [name]'s own structures in place drops only the
+   shard sets'. *)
+let invalidate ?(extended = false) t name =
+  let drop_derived dataset =
+    if Catalog.find_opt t.catalog dataset <> None then
+      Stats.clear (Catalog.stats t.catalog dataset);
+    Manager.invalidate_dataset t.cache ~dataset
+  in
+  if not extended then begin
+    Registry.invalidate t.registry name;
+    drop_derived name
+  end;
+  List.iter drop_derived (Registry.shard_parents t.registry name)
 
 let register t d =
   Catalog.register t.catalog d;
-  Registry.invalidate t.registry d.Dataset.name;
-  invalidate_shard_parents t d.Dataset.name
+  invalidate t d.Dataset.name
 
 let register_csv t ~name ?(config = Proteus_format.Csv.default_config) ~element
     ~contents () =
@@ -113,9 +122,7 @@ let register_columns_of t ~name ~element records =
 
 let drop t name =
   Catalog.remove t.catalog name;
-  Registry.invalidate t.registry name;
-  Manager.invalidate_dataset t.cache ~dataset:name;
-  invalidate_shard_parents t name
+  invalidate t name
 
 let append t ~name contents =
   let d = Catalog.find t.catalog name in
@@ -145,22 +152,21 @@ let append t ~name contents =
   Memory.register_blob mem ~name:blob (String.concat "" [ current; sep; contents ]);
   (* extend what was derived from the unchanged prefix; rebuild only when
      the appended bytes break it *)
-  if
-    not
-      (Registry.extend t.registry name ~tail:(fun source ~from ->
-           Manager.extend_dataset t.cache ~dataset:name ~source ~from))
-  then Manager.invalidate_dataset t.cache ~dataset:name;
-  invalidate_shard_parents t name
+  let extended =
+    Registry.extend t.registry name ~tail:(fun source ~from ->
+        Manager.extend_dataset t.cache ~dataset:name ~source ~from)
+  in
+  invalidate ~extended t name
 
 (* {2 Shard sets} *)
 
 let register_shard_set t ~name ~members =
   Registry.register_shard_set t.registry ~name ~members;
-  Manager.invalidate_dataset t.cache ~dataset:name
+  invalidate t name
 
 let add_shard t ~name ~member =
   Registry.add_shard t.registry ~name ~member;
-  Manager.invalidate_dataset t.cache ~dataset:name
+  invalidate t name
 
 let shard_member_name name i = Fmt.str "%s__s%d" name i
 

@@ -47,7 +47,15 @@ val cache_stats : t -> Proteus_cache.Manager.stats
     stops serving engines staged against the old cache interface. *)
 val set_caching : ?clear:bool -> t -> bool -> unit
 
-(** {1 Dataset registration} *)
+(** {1 Dataset registration}
+
+    Every [register_*] function makes [name] a dataset over the given
+    bytes, rows or columns. Registering a name again, over new bytes or the
+    same ones, drops everything derived from the old registration: the
+    structural index and cold statistics, the cached columns with their
+    zone maps, projections, access history and promotions, the
+    materialized join sides, and the same for every shard set containing
+    the name. The next access rebuilds them from the new bytes. *)
 
 val register_csv :
   t ->

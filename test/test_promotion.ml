@@ -293,6 +293,63 @@ let test_evicted_promoted_falls_back () =
   Alcotest.check check_value "requery after invalidate" (Value.Int 40)
     (Executor.run reg ~engine:Executor.Engine_compiled qk)
 
+(* An evicted promoted column loses what was derived from its rows (zone
+   map, sorted projection) but keeps the evidence: it stays promoted, and
+   its refill installs with the zone map again. *)
+let test_evicted_promoted_keeps_promotion () =
+  (* room for one 4000-row int column, not two *)
+  let mgr, reg = make_session ~cache_budget:40_000 ~config:promote_config () in
+  let qk = count ~pred:Expr.(x "k" <. int 40) "pjson" in
+  let run plan = Executor.run reg ~engine:Executor.Engine_compiled plan in
+  for _ = 1 to 4 do
+    Alcotest.check check_value "k count" (Value.Int 40) (run qk)
+  done;
+  let layout () =
+    ( Manager.lookup_zones mgr ~dataset:"pjson" ~path:"k" <> None,
+      Manager.lookup_projection mgr ~dataset:"pjson" ~path:"k" <> None )
+  in
+  Alcotest.(check (pair bool bool)) "zone map and projection built" (true, true) (layout ());
+  (* filling u evicts k's block *)
+  Alcotest.check check_value "u count" (Value.Int 40)
+    (run (count ~pred:Expr.(x "u" <. int 40) "pjson"));
+  Alcotest.(check (pair bool bool)) "zone map and projection evicted" (false, false)
+    (layout ());
+  Alcotest.(check bool) "still promoted" true
+    (Manager.is_promoted mgr ~dataset:"pjson" ~path:"k");
+  Alcotest.check check_value "k count after eviction" (Value.Int 40) (run qk);
+  Alcotest.(check bool) "refill rebuilds the zone map" true (fst (layout ()))
+
+(* Re-collecting statistics is not a dataset change: promotions, zone maps
+   and projections survive it, and the next query still skips morsels. *)
+let test_refresh_stats_keeps_layouts () =
+  let db = Proteus.Db.create ~caching:promote_config () in
+  Proteus.Db.register_csv db ~name:"pcsv" ~element:item_type
+    ~contents:
+      (Proteus_format.Csv.of_records Proteus_format.Csv.default_config item_schema items)
+    ();
+  let mgr = Proteus.Db.cache_manager db in
+  let plan = count ~pred:Expr.(x "k" <. int 40) "pcsv" in
+  let run () = Proteus.Db.run_plan ~optimize:false ~domains:2 db plan in
+  for _ = 1 to 4 do
+    Alcotest.check check_value "warm count" (Value.Int 40) (run ())
+  done;
+  let layout () =
+    ( Manager.is_promoted mgr ~dataset:"pcsv" ~path:"k",
+      ( Manager.lookup_zones mgr ~dataset:"pcsv" ~path:"k" <> None,
+        Manager.lookup_projection mgr ~dataset:"pcsv" ~path:"k" <> None ) )
+  in
+  let all = (true, (true, true)) in
+  Alcotest.(check (pair bool (pair bool bool))) "promoted, zone map, projection" all
+    (layout ());
+  Proteus.Db.refresh_stats db;
+  Alcotest.(check (pair bool (pair bool bool))) "all survive refresh_stats" all (layout ());
+  let r, s = Executor.measure run in
+  Alcotest.check check_value "count after refresh" (Value.Int 40) r;
+  Alcotest.(check bool)
+    (Fmt.str "still skips morsels (skipped=%d)" s.Counters.morsels_skipped)
+    true
+    (s.Counters.morsels_skipped > 0)
+
 (* --- promotion bookkeeping ------------------------------------------------ *)
 
 let test_promotion_stats () =
@@ -408,5 +465,9 @@ let () =
             test_lane_independent_signal_json;
           Alcotest.test_case "lane-independent signal (records)" `Quick
             test_lane_independent_signal_records;
+          Alcotest.test_case "eviction keeps the promotion" `Quick
+            test_evicted_promoted_keeps_promotion;
+          Alcotest.test_case "refresh_stats keeps layouts" `Quick
+            test_refresh_stats_keeps_layouts;
         ] );
     ]

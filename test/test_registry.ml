@@ -1,10 +1,12 @@
 (* The plug-in runtime's dataset lifecycle (DESIGN.md "Plug-in runtime").
 
    A session's datasets are registered, appended to, dropped and registered
-   again, grouped into a shard set that grows, read with caching switched
-   on and off and through factory interposers. Whatever sequence ran, every
-   query answers as a fresh session over the same bytes does, and a
-   structural index's built and extended rows add up to the dataset's rows.
+   again, registered again over new bytes of the same row count, grouped
+   into a shard set that grows, read with caching switched on and off and
+   through factory interposers. Whatever sequence ran, every
+   query answers as a fresh session over the same bytes does, its cold
+   statistics are that session's, and a structural index's built and
+   extended rows add up to the dataset's rows.
    A race test touches cold datasets from four domains at once: every view
    answers alike, and the cold statistics are a serial session's. *)
 
@@ -57,6 +59,9 @@ type model = { bytes : (string * string) list; rows : (string * int) list; membe
 
 type op =
   | Register of string  (* again, over the same bytes *)
+  | Replace of string * row list
+      (* again, over new bytes with the same row count: the rows repeat the
+         list's rows in order *)
   | Append of string * row list
   | Drop_reregister of string
   | Add_shard
@@ -65,6 +70,7 @@ type op =
 
 let pp_op = function
   | Register n -> "register " ^ n
+  | Replace (n, rows) -> Printf.sprintf "replace %s %S" n (render (List.assoc n datasets) rows)
   | Append (n, rows) -> Printf.sprintf "append %s %S" n (render (List.assoc n datasets) rows)
   | Drop_reregister n -> "drop+register " ^ n
   | Add_shard -> "add_shard c"
@@ -76,6 +82,7 @@ let gen_op =
   let name = oneofl (List.map fst datasets) in
   frequency
     [ (2, map (fun n -> Register n) name);
+      (2, map2 (fun n rows -> Replace (n, rows)) name (gen_rows 1));
       (4, map2 (fun n rows -> Append (n, rows)) name (gen_rows 0));
       (2, map (fun n -> Drop_reregister n) name);
       (1, pure Add_shard);
@@ -124,6 +131,13 @@ let apply db m = function
   | Register n ->
     register db n (List.assoc n m.bytes);
     m
+  | Replace (n, rows) ->
+    let count = List.assoc n m.rows and len = List.length rows in
+    let text =
+      render (List.assoc n datasets) (List.init count (fun i -> List.nth rows (i mod len)))
+    in
+    register db n text;
+    { m with bytes = List.map (fun (k, b) -> if k = n then (k, text) else (k, b)) m.bytes }
   | Append (n, rows) ->
     let text = render (List.assoc n datasets) rows in
     Db.append db ~name:n text;
@@ -170,7 +184,19 @@ let lifecycle_holds (base, ops) =
           if i.Registry.built_rows + i.Registry.extended_rows <> rows then
             QCheck2.Test.fail_reportf "after %s: %s indexes %d + %d rows, holds %d" after n
               i.Registry.built_rows i.Registry.extended_rows rows)
-      m.rows
+      m.rows;
+    (* cold statistics are a fresh session's too: a change drops them, and
+       the next access collects them once over the new bytes *)
+    List.iter
+      (fun n ->
+        let field db path = Stats.field (Catalog.stats (Db.catalog db) n) path in
+        List.iter
+          (fun path ->
+            if field db path <> field fresh path then
+              QCheck2.Test.fail_reportf "after %s: %s.%s statistics differ from a fresh session's"
+                after n path)
+          [ "k"; "g"; "v" ])
+      ("s" :: List.map fst datasets)
   in
   check m "registration";
   ignore
